@@ -17,6 +17,7 @@ c != 0 that have no coordinate backend here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -45,8 +46,8 @@ class WarpingFunction:
     """Pointwise access to (f, f', f'') on a validity interval.
 
     ``source`` tags where the jet comes from: 'closed-form' or
-    'ode-dense-output'.  f must not vanish on the interval; evaluation raises
-    SingularWarpError if it does.
+    'ode-dense-output'.  f must not vanish on the interval and f, f', f''
+    must be finite; evaluation raises SingularWarpError otherwise.
     """
 
     fn: Callable[[float], tuple[float, float, float]]
@@ -62,6 +63,8 @@ class WarpingFunction:
             raise ChartDomainError(
                 f"warp evaluated at t={t} outside interval [{lo}, {hi}]")
         f, fp, fpp = self.fn(t)
+        if not (math.isfinite(f) and math.isfinite(fp) and math.isfinite(fpp)):
+            raise SingularWarpError(f"warping function is not finite at t={t}")
         if abs(f) < 1e-14:
             raise SingularWarpError(f"warping function vanishes at t={t}")
         return float(f), float(fp), float(fpp)

@@ -111,7 +111,6 @@ def _add_common_verify_flags(p: argparse.ArgumentParser):
     p.add_argument("--substep", type=float, help="stencil substep base")
     p.add_argument("--tol", action="append", default=None, metavar="NAME=VALUE",
                    help="tolerance override, repeatable")
-    p.add_argument("--threads", type=int, help="grid workers (default: cpu-bound)")
     p.add_argument("--out", help="write the JSON report here")
     p.add_argument("--residuals-csv", dest="residuals_csv",
                    help="write per-node residual rows here")
@@ -122,7 +121,7 @@ def _add_common_verify_flags(p: argparse.ArgumentParser):
 
 _VERIFY_DEFAULTS = {
     "grid": "17x17", "u_span": None, "v_span": None, "substep": "2e-3",
-    "tol": None, "threads": None, "out": None, "residuals_csv": None,
+    "tol": None, "out": None, "residuals_csv": None,
     "surface_csv": None,
 }
 
@@ -230,12 +229,6 @@ def _tolerances(opts: _Options) -> ToleranceConfig:
     return ToleranceConfig(overrides=overrides)
 
 
-def _default_threads() -> int:
-    # measured: thread pools lose to the serial fill on these small numpy
-    # kernels (interpreter lock), so parallel grid work is opt-in
-    return 1
-
-
 def _write_report_files(report: VerificationReport, surface, opts: _Options):
     out = opts.get("out")
     if out:
@@ -244,16 +237,14 @@ def _write_report_files(report: VerificationReport, surface, opts: _Options):
             fh.write("\n")
     res_csv = opts.get("residuals_csv")
     if res_csv:
-        from .shape import SurfaceGrid
-        nu, nv = report.grid["nu"], report.grid["nv"]
-        us = np.linspace(*report.grid["u"], nu)
-        vs = np.linspace(*report.grid["v"], nv)
-        sg = SurfaceGrid(surface, us, vs, substep=report.grid["substep"])
+        # rows come from the grid the report's checks read; a grid that could
+        # not be built leaves only the header
+        sg = report.surface_grid
         with open(res_csv, "w", encoding="utf-8") as fh:
             fh.write("i,j,u,v,pmcv,reduced,biconservativity\n")
-            for i, j in sg.nodes():
+            for i, j in (sg.nodes() if sg is not None else ()):
                 vals = verdicts.node_residuals(sg, i, j)
-                fh.write(",".join([str(i), str(j), _fmt(us[i]), _fmt(vs[j]),
+                fh.write(",".join([str(i), str(j), _fmt(sg.us[i]), _fmt(sg.vs[j]),
                                    _fmt(vals["pmcv"]), _fmt(vals["reduced"]),
                                    _fmt(vals["biconservativity"])]) + "\n")
     surf_csv = opts.get("surface_csv")
@@ -301,7 +292,6 @@ def _run_verify(surface, opts: _Options, expect: dict | None) -> int:
         tolerances=_tolerances(opts),
         expect=expect,
         substep=opts.get("substep", float),
-        threads=opts.get("threads") or _default_threads(),
     )
     _write_report_files(report, surface, opts)
     _print_report(report)

@@ -67,9 +67,10 @@ class Jet2Immersion:
             raise ChartDomainError(f"u={u} outside {self.u_domain}")
         if not (self.v_domain[0] - slack_v <= v <= self.v_domain[1] + slack_v):
             raise ChartDomainError(f"v={v} outside {self.v_domain}")
-        phi, pu, pv, puu, puv, pvv = self.evaluator(u, v)
-        return JetSample(float(u), float(v), *(np.asarray(x, dtype=float)
-                                               for x in (phi, pu, pv, puu, puv, pvv)))
+        parts = [np.asarray(x, dtype=float) for x in self.evaluator(u, v)]
+        if not all(np.isfinite(x).all() for x in parts):
+            raise ChartDomainError(f"non-finite jet at (u,v)=({u},{v})")
+        return JetSample(float(u), float(v), *parts)
 
 
 @dataclass(frozen=True)
@@ -137,13 +138,13 @@ def finite_difference_jet(chart: Callable[[float, float], np.ndarray],
                          name)
 
 
-def induced_metric(jet: JetSample, space: AmbientSpace) -> np.ndarray:
-    """First fundamental form g_ij = <phi_i, phi_j> at the jet's point.
+def induced_metric(jet: JetSample, G) -> np.ndarray:
+    """First fundamental form g_ij = <phi_i, phi_j> at the jet's point, where
+    G is the ambient metric there.
 
     Raises NotSpaceLikeError when g is not positive definite, which signals
     a failure of the space-likeness hypothesis at that point.
     """
-    G = space.metric_at(jet.phi)
     g11 = inner(jet.phi_u, jet.phi_u, G)
     g12 = inner(jet.phi_u, jet.phi_v, G)
     g22 = inner(jet.phi_v, jet.phi_v, G)
@@ -155,19 +156,22 @@ def induced_metric(jet: JetSample, space: AmbientSpace) -> np.ndarray:
     return g
 
 
-def chart_second_fundamental(jet: JetSample, space: AmbientSpace, G, ginv):
+def chart_second_fundamental(jet: JetSample, space: AmbientSpace, G, ginv,
+                             warp_state):
     """Covariant second derivatives of the chart and their normal parts.
 
-    Returns (W, h, H) where W[(a, b)] is the ambient covariant derivative of
-    phi_b along phi_a, h[(a, b)] its normal projection, and H half the
-    g-trace of h.  This needs only the jet, not an adapted frame.
+    G is the ambient metric at the jet's point, ginv the inverse induced
+    metric and warp_state (f, f', f'') there.  Returns (W, h, H) where
+    W[(a, b)] is the ambient covariant derivative of phi_b along phi_a,
+    h[(a, b)] its normal projection, and H half the g-trace of h.  This needs
+    only the jet, not an adapted frame.
     """
     phi = jet.phi
     first = {"u": jet.phi_u, "v": jet.phi_v}
     second = {("u", "u"): jet.phi_uu, ("u", "v"): jet.phi_uv,
               ("v", "v"): jet.phi_vv}
     if space.kind == "warped-flat":
-        f, fp, _ = space.warp(float(phi[0]))
+        f, fp, _ = warp_state
         def cov(a, b):
             pa, pb, pab = first[a], first[b], second[(a, b)]
             out = np.empty_like(pab)
@@ -234,18 +238,16 @@ class FrameData:
         return (self.e1, self.e2)
 
 
-def adapted_frame(jet: JetSample, space: AmbientSpace,
+def adapted_frame(jet: JetSample, space: AmbientSpace, G, ginv, H,
                   tol_T: float = TOL_T, tol_H: float = TOL_H) -> FrameData:
     """Build the adapted frame at a jet sample.
 
-    Raises HorizontalSliceError when |T| <= tol_T (the excluded horizontal
-    slice case).  When |H| <= tol_H there is no distinguished mean-curvature
+    G is the ambient metric at the jet's point, ginv the inverse induced
+    metric and H the mean curvature vector there.  Raises
+    HorizontalSliceError when |T| <= tol_T (the excluded horizontal slice
+    case).  When |H| <= tol_H there is no distinguished mean-curvature
     direction; the frame is completed without e4 and flagged.
     """
-    G = space.metric_at(jet.phi)
-    g = induced_metric(jet, space)
-    ginv = np.linalg.inv(g)
-
     dt = space.dt_vector()
     coef_T = ginv @ np.array([inner(dt, jet.phi_u, G), inner(dt, jet.phi_v, G)])
     T = coef_T[0] * jet.phi_u + coef_T[1] * jet.phi_v
@@ -272,7 +274,6 @@ def adapted_frame(jet: JetSample, space: AmbientSpace,
                    1.0 - inner(jet.phi_v, e1, G) * c1[1]]) / np.sqrt(n2)
     coeffs = np.vstack([c1, c2])
 
-    _, _, H = chart_second_fundamental(jet, space, G, ginv)
     h_norm2 = inner(H, H, G)
     has_mean = abs(h_norm2) > tol_H * tol_H
 

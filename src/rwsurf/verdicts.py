@@ -18,8 +18,8 @@ from .ambient import curvature_rw_values
 from .errors import GeometryError, MinimalDirectionError
 from .immersion import Jet2Immersion
 from .linalg import causal_character, inner
-from .shape import (SurfaceGrid, frame_norm, normal_space_dims, pmcv_residual,
-                    normal_curvature)
+from .shape import (SurfaceGrid, _per_node, _worst, frame_norm,
+                    normal_space_dims, pmcv_residual, normal_curvature)
 
 __all__ = [
     "ToleranceConfig",
@@ -70,6 +70,8 @@ class VerificationReport:
     Serializes to a stable JSON schema (see README): ``schema``, ``surface``,
     ``grid``, ``entries[]`` with (name, value, tol, pass), ``diagnostics``,
     ``degeneracies[]`` and ``verdict`` in {'pass', 'fail', 'degenerate'}.
+    ``surface_grid`` is the filled grid the checks read (None when it could
+    not be built or the report was loaded); it is not serialized.
     """
 
     surface: str
@@ -79,6 +81,8 @@ class VerificationReport:
     degeneracies: list
     verdict: str
     schema: str = SCHEMA
+    surface_grid: SurfaceGrid | None = field(default=None, repr=False,
+                                             compare=False)
 
     @property
     def passed(self) -> bool:
@@ -151,6 +155,7 @@ def marginally_trapped_check(H, G, tol: float = 1e-10) -> str:
 # grid checks
 
 
+@_per_node
 def _biconservativity_at(grid: SurfaceGrid, i: int, j: int) -> float:
     pd = grid.point(i, j)
     h2 = lambda p: inner(p.sfd.H, p.sfd.H, p.G)
@@ -178,15 +183,15 @@ def biconservativity_residual(grid: SurfaceGrid) -> float:
     The gradient of |H|^2 uses grid stencils; the two trace terms sum over the
     orthonormal tangent frame.  m = 2 is fixed (surfaces).
     """
-    return max(_biconservativity_at(grid, i, j) for i, j in grid.nodes())
+    return _worst(_biconservativity_at(grid, i, j) for i, j in grid.nodes())
 
 
 def node_residuals(grid: SurfaceGrid, i: int, j: int) -> dict:
     """Per-node residual values for table exports."""
     pd = grid.point(i, j)
-    d1, d2 = grid.mean_curvature_derivatives(i, j)
     return {
-        "pmcv": max(frame_norm(d1, pd), frame_norm(d2, pd)),
+        "pmcv": _worst(frame_norm(d, pd)
+                       for d in grid.mean_curvature_derivatives(i, j)),
         "reduced": reduced_criterion(pd.frame, pd.sfd.H, pd.G),
         "biconservativity": _biconservativity_at(grid, i, j),
     }
@@ -199,7 +204,7 @@ def codazzi_residuals(grid: SurfaceGrid) -> tuple[float, float]:
     r2: (nabla^perp_{e1} h)(e2, e2) - (nabla^perp_{e2} h)(e1, e2)
         = sinh(theta) (-f''/f + (f'^2 + c)/f^2) eta.
     """
-    r1 = r2 = 0.0
+    r1, r2 = [], []
     for i, j in grid.nodes():
         pd = grid.point(i, j)
         dh = grid.nabla_perp_h(i, j)
@@ -207,9 +212,9 @@ def codazzi_residuals(grid: SurfaceGrid) -> tuple[float, float]:
         f, fp, fpp = pd.warp_state
         factor = pd.frame.sinh_theta * (-fpp / f + (fp * fp + grid.space.c) / (f * f))
         v2 = dh[(1, (2, 2))] - dh[(2, (1, 2))] - factor * pd.frame.eta
-        r1 = max(r1, frame_norm(v1, pd))
-        r2 = max(r2, frame_norm(v2, pd))
-    return r1, r2
+        r1.append(frame_norm(v1, pd))
+        r2.append(frame_norm(v2, pd))
+    return _worst(r1), _worst(r2)
 
 
 def frame_identity_residuals(grid: SurfaceGrid) -> tuple[float, float, float, float]:
@@ -223,9 +228,8 @@ def frame_identity_residuals(grid: SurfaceGrid) -> tuple[float, float, float, fl
         + cosh(theta) nabla^perp_{e_i} e3 = (f'/f) cosh sinh e3 | 0.
     """
     theta_of = lambda p: p.frame.theta
-    e1_of = lambda p: p.frame.e1
     e3_of = lambda p: p.frame.normals[0]
-    out = [0.0, 0.0, 0.0, 0.0]
+    out = ([], [], [], [])
     for i, j in grid.nodes():
         pd = grid.point(i, j)
         fr = pd.frame
@@ -235,19 +239,19 @@ def frame_identity_residuals(grid: SurfaceGrid) -> tuple[float, float, float, fl
         e = (fr.e1, fr.e2)
         for idx in range(2):
             ei_theta = grid.scalar_derivative(i, j, theta_of, idx)
-            W = grid.frame_covariant(i, j, e1_of, idx)
+            W = grid.frame_covariants(i, j)[idx][0]
             nab_e1 = inner(W, e[0], pd.G) * e[0] + inner(W, e[1], pd.G) * e[1]
             A3ei = A3[idx, 0] * e[0] + A3[idx, 1] * e[1]
             rhs_t = (fp / f) * (ch * ch * e[0] if idx == 0 else e[1])
             res_t = ei_theta * ch * e[0] + sh * nab_e1 - ch * A3ei - rhs_t
-            out[idx] = max(out[idx], frame_norm(res_t, pd))
+            out[idx].append(frame_norm(res_t, pd))
 
             perp_e3 = grid.nabla_perp(i, j, e3_of, idx)
             h1i = pd.sfd.h(1, idx + 1)
             rhs_n = (fp / f) * ch * sh * fr.normals[0] if idx == 0 else 0.0
             res_n = ei_theta * sh * fr.normals[0] + sh * h1i + ch * perp_e3 - rhs_n
-            out[2 + idx] = max(out[2 + idx], frame_norm(res_n, pd))
-    return tuple(out)
+            out[2 + idx].append(frame_norm(res_n, pd))
+    return tuple(_worst(v) for v in out)
 
 
 def pmcv_structure_check(grid: SurfaceGrid) -> dict:
@@ -257,9 +261,9 @@ def pmcv_structure_check(grid: SurfaceGrid) -> dict:
     has a traceless, diagonal shape operator; e4 is parallel in the normal
     bundle and orthogonal to eta.
     """
-    vals = {"structure_A11": 0.0, "structure_A12": 0.0, "structure_A22": 0.0,
-            "structure_trace": 0.0, "structure_offdiag": 0.0,
-            "structure_conn": 0.0, "structure_eta": 0.0}
+    vals = {name: [] for name in (
+        "structure_A11", "structure_A12", "structure_A22", "structure_trace",
+        "structure_offdiag", "structure_conn", "structure_eta")}
     e4_of = lambda p: p.frame.normals[1]
     for i, j in grid.nodes():
         pd = grid.point(i, j)
@@ -268,35 +272,28 @@ def pmcv_structure_check(grid: SurfaceGrid) -> dict:
                 "pmcv structure check needs |H| > tol at every node")
         H0 = np.sqrt(abs(inner(pd.sfd.H, pd.sfd.H, pd.G)))
         A4 = pd.sfd.A[1]
-        vals["structure_A11"] = max(vals["structure_A11"], abs(A4[0, 0]))
-        vals["structure_A12"] = max(vals["structure_A12"], abs(A4[0, 1]))
-        vals["structure_A22"] = max(vals["structure_A22"], abs(A4[1, 1] - 2 * H0))
+        vals["structure_A11"].append(abs(A4[0, 0]))
+        vals["structure_A12"].append(abs(A4[0, 1]))
+        vals["structure_A22"].append(abs(A4[1, 1] - 2 * H0))
         for k in range(len(pd.frame.normals)):
             if k == 1:
                 continue
             Ak = pd.sfd.A[k]
-            vals["structure_trace"] = max(vals["structure_trace"],
-                                          abs(Ak[0, 0] + Ak[1, 1]))
-            vals["structure_offdiag"] = max(vals["structure_offdiag"],
-                                            abs(Ak[0, 1]))
+            vals["structure_trace"].append(abs(Ak[0, 0] + Ak[1, 1]))
+            vals["structure_offdiag"].append(abs(Ak[0, 1]))
         for idx in range(2):
-            vals["structure_conn"] = max(
-                vals["structure_conn"],
+            vals["structure_conn"].append(
                 frame_norm(grid.nabla_perp(i, j, e4_of, idx), pd))
-        vals["structure_eta"] = max(
-            vals["structure_eta"],
+        vals["structure_eta"].append(
             abs(inner(pd.frame.normals[1], pd.frame.eta, pd.G)))
-    return vals
+    return {name: _worst(v) for name, v in vals.items()}
 
 
 def flat_normal_bundle_check(grid: SurfaceGrid) -> float:
     """max over the grid and the normal frame of |R_perp(e1, e2) xi|."""
-    worst = 0.0
-    for i, j in grid.nodes():
-        pd = grid.point(i, j)
-        for xi in pd.frame.normals:
-            worst = max(worst, frame_norm(normal_curvature(pd.sfd, xi, pd.G), pd))
-    return worst
+    points = (grid.point(i, j) for i, j in grid.nodes())
+    return _worst(frame_norm(normal_curvature(pd.sfd, xi, pd.G), pd)
+                  for pd in points for xi in pd.frame.normals)
 
 
 # ---------------------------------------------------------------------------
@@ -313,14 +310,13 @@ def verify_surface(surface: Jet2Immersion, grid=(17, 17),
                    u_span=None, v_span=None,
                    tolerances: ToleranceConfig | None = None,
                    expect: dict | None = None,
-                   substep: float = 2e-3,
-                   rank_tol: float = 1e-8,
-                   threads: int = 1) -> VerificationReport:
+                   substep: float = 2e-3) -> VerificationReport:
     """Run the full verification battery on a surface.
 
     ``grid`` is (nu, nv); the span defaults to the chart domain minus stencil
     headroom.  ``expect`` may pin {'H0': value, 'dim_N1': k, 'dim_N2': k},
     which adds the corresponding entries.  Deterministic for fixed inputs.
+    The filled grid every check read is the report's ``surface_grid``.
     """
     tol = tolerances or ToleranceConfig()
     expect = expect or {}
@@ -340,7 +336,7 @@ def verify_surface(surface: Jet2Immersion, grid=(17, 17),
                  "v": [float(v_lo), float(v_hi)], "substep": float(substep)}
 
     try:
-        sg = SurfaceGrid(surface, us, vs, substep=substep, threads=threads)
+        sg = SurfaceGrid(surface, us, vs, substep=substep)
     except GeometryError as exc:
         return VerificationReport(surface.name, grid_meta, [], {},
                                   [[-1, -1, f"{type(exc).__name__}: {exc}"]],
@@ -349,7 +345,7 @@ def verify_surface(surface: Jet2Immersion, grid=(17, 17),
     degeneracies = [[i, j, msg] for i, j, msg in sg.degeneracies]
     if sg.n_ok == 0:
         return VerificationReport(surface.name, grid_meta, [], {},
-                                  degeneracies, "degenerate")
+                                  degeneracies, "degenerate", surface_grid=sg)
 
     entries: list[CheckEntry] = []
 
@@ -358,8 +354,7 @@ def verify_surface(surface: Jet2Immersion, grid=(17, 17),
         entries.append(CheckEntry(name, float(value), t, bool(value < t)))
 
     # pointwise frame quality and scalar diagnostics
-    ortho = reassembly = h_tangency = 0.0
-    reduced = 0.0
+    ortho, reassembly, h_tangency, reduced = [], [], [], []
     thetas, gammas, taus, h0s, hh = [], [], [], [], []
     characters = set()
     has_mean_everywhere = True
@@ -371,14 +366,13 @@ def verify_surface(surface: Jet2Immersion, grid=(17, 17),
         for aa in range(len(vecs)):
             for bb in range(aa, len(vecs)):
                 want = signs[aa] if aa == bb else 0.0
-                ortho = max(ortho, abs(inner(vecs[aa], vecs[bb], pd.G) - want))
+                ortho.append(abs(inner(vecs[aa], vecs[bb], pd.G) - want))
         dt = surface.space.dt_vector()
-        reassembly = max(reassembly, frame_norm(
+        reassembly.append(frame_norm(
             fr.sinh_theta * fr.e1 + fr.cosh_theta * fr.normals[0] - dt, pd))
         for hv in (pd.sfd.h11, pd.sfd.h12, pd.sfd.h22):
-            h_tangency = max(h_tangency, abs(inner(hv, fr.e1, pd.G)),
-                             abs(inner(hv, fr.e2, pd.G)))
-        reduced = max(reduced, reduced_criterion(fr, pd.sfd.H, pd.G))
+            h_tangency += [abs(inner(hv, fr.e1, pd.G)), abs(inner(hv, fr.e2, pd.G))]
+        reduced.append(reduced_criterion(fr, pd.sfd.H, pd.G))
         thetas.append(fr.theta)
         gammas.append(pd.sfd.A[0][0, 0])
         if len(fr.normals) >= 3:
@@ -389,23 +383,23 @@ def verify_surface(surface: Jet2Immersion, grid=(17, 17),
         characters.add(marginally_trapped_check(pd.sfd.H, pd.G))
         has_mean_everywhere = has_mean_everywhere and fr.has_mean_direction
 
-    add("frame_orthonormality", ortho, "algebraic")
-    add("frame_reassembly", reassembly, "algebraic")
-    add("h_tangency", h_tangency, "algebraic")
-    add("reduced_pairing", reduced, "algebraic")
-    add("mean_norm_spread", max(hh) - min(hh), "spread")
+    add("frame_orthonormality", _worst(ortho), "algebraic")
+    add("frame_reassembly", _worst(reassembly), "algebraic")
+    add("h_tangency", _worst(h_tangency), "algebraic")
+    add("reduced_pairing", _worst(reduced), "algebraic")
+    add("mean_norm_spread", _worst(hh) - min(hh), "spread")
 
     # gauss consistency: stencil-differentiated frame fields against h
-    gauss = 0.0
-    fields = (lambda p: p.frame.e1, lambda p: p.frame.e2)
+    gauss = []
     for i, j in sg.nodes():
         pd = sg.point(i, j)
-        for jj, fld in enumerate(fields):
-            for ii in range(2):
-                W = sg.frame_covariant(i, j, fld, ii)
-                res = W - sg.tangential_part(i, j, W) - pd.sfd.h(ii + 1, jj + 1)
-                gauss = max(gauss, frame_norm(res, pd))
-    add("gauss_consistency", gauss, "stencil")
+        W = sg.frame_covariants(i, j)
+        for ii in range(2):
+            for jj in range(2):
+                res = (W[ii][jj] - sg.tangential_part(i, j, W[ii][jj])
+                       - pd.sfd.h(ii + 1, jj + 1))
+                gauss.append(frame_norm(res, pd))
+    add("gauss_consistency", _worst(gauss), "stencil")
 
     add("pmcv", pmcv_residual(sg), "stencil")
     add("biconservativity", biconservativity_residual(sg), "stencil")
@@ -427,7 +421,7 @@ def verify_surface(surface: Jet2Immersion, grid=(17, 17),
         add("structure_conn", svals["structure_conn"], "stencil")
         add("structure_eta", svals["structure_eta"], "algebraic")
 
-    dims = normal_space_dims(sg, rank_tol)
+    dims = normal_space_dims(sg)
     diagnostics = {
         "theta": _stats(thetas),
         "gamma_e3": _stats(gammas),
@@ -455,4 +449,4 @@ def verify_surface(surface: Jet2Immersion, grid=(17, 17),
     verdict = "pass" if all_pass and not degeneracies else (
         "degenerate" if degeneracies else "fail")
     return VerificationReport(surface.name, grid_meta, entries, diagnostics,
-                              degeneracies, verdict)
+                              degeneracies, verdict, surface_grid=sg)

@@ -36,6 +36,9 @@ def test_warp_interval_and_zero_guards():
         w2(0.0)
     with pytest.raises(SingularWarpError):
         rw.WarpingFunction.constant(0.0)
+    nan_slope = rw.WarpingFunction(lambda t: (1.0, float("nan"), 0.0))
+    with pytest.raises(SingularWarpError):
+        nan_slope(0.0)
 
 
 def test_backend_validation():

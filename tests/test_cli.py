@@ -3,6 +3,7 @@ import json
 import numpy as np
 
 from rwsurf.cli import main
+from rwsurf.shape import SurfaceGrid
 
 
 THM4_ARGS = ["verify", "thm4", "--a", "2", "--H0", "0.5",
@@ -143,25 +144,16 @@ def test_config_file_defaults_and_override(tmp_path, capsys):
 
 def test_config_file_unknown_key_rejected(tmp_path, capsys):
     cfg = tmp_path / "cfg.txt"
-    cfg.write_text("gird = 5x5\n")
+    cfg.write_text("gird = 5x5\nthreads = 2\n")
     code = main(THM4_ARGS + ["--config", str(cfg)])
     assert code == 2
-    assert "unknown config keys" in capsys.readouterr().err
+    assert "unknown config keys: gird, threads" in capsys.readouterr().err
 
 
 def test_cli_outputs_bit_identical(tmp_path):
     out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
     main(THM4_ARGS + ["--out", str(out1)])
     main(THM4_ARGS + ["--out", str(out2)])
-    assert out1.read_bytes() == out2.read_bytes()
-
-
-def test_cli_threaded_grid_matches_serial(tmp_path):
-    out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
-    main(["verify", "product", "--b1", "1", "--b3", "0.5", "--grid", "5x5",
-          "--threads", "1", "--out", str(out1)])
-    main(["verify", "product", "--b1", "1", "--b3", "0.5", "--grid", "5x5",
-          "--threads", "3", "--out", str(out2)])
     assert out1.read_bytes() == out2.read_bytes()
 
 
@@ -239,3 +231,40 @@ def test_surface_and_residual_csv_exports(tmp_path):
     res_lines = res_csv.read_text().strip().splitlines()
     assert res_lines[0] == "i,j,u,v,pmcv,reduced,biconservativity"
     assert len(res_lines) == 1 + 25
+
+
+def test_residuals_csv_maxima_match_report(tmp_path):
+    out, res_csv = tmp_path / "r.json", tmp_path / "res.csv"
+    code = main(["verify", "product", "--b1", "1", "--b3", "0.5",
+                 "--grid", "5x5", "--out", str(out),
+                 "--residuals-csv", str(res_csv)])
+    assert code == 0
+    entries = {e["name"]: e["value"]
+               for e in json.loads(out.read_text())["entries"]}
+    rows = [line.split(",") for line in res_csv.read_text().splitlines()[1:]]
+    assert max(float(r[4]) for r in rows) == entries["pmcv"]
+    assert max(float(r[6]) for r in rows) == entries["biconservativity"]
+
+
+def test_residuals_csv_builds_no_second_grid(tmp_path, monkeypatch):
+    builds = []
+    init = SurfaceGrid.__init__
+
+    def counting_init(self, *args, **kwargs):
+        builds.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(SurfaceGrid, "__init__", counting_init)
+    code = main(THM4_ARGS + ["--residuals-csv", str(tmp_path / "res.csv")])
+    assert code == 0
+    assert len(builds) == 1
+
+
+def test_residuals_csv_when_grid_cannot_be_built(tmp_path, capsys):
+    res_csv = tmp_path / "res.csv"
+    code = main(["verify", "product", "--b1", "1", "--b3", "0.5",
+                 "--grid", "5x5", "--u-span", "0:1",
+                 "--residuals-csv", str(res_csv)])
+    assert code == 2
+    assert "no stencil headroom" in capsys.readouterr().out
+    assert res_csv.read_text() == "i,j,u,v,pmcv,reduced,biconservativity\n"

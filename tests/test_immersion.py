@@ -7,7 +7,7 @@ import pytest
 import rwsurf as rw
 from rwsurf.errors import (ChartDomainError, HorizontalSliceError,
                            NotSpaceLikeError)
-from rwsurf.immersion import FDJetConfig, adapted_frame, finite_difference_jet
+from rwsurf.immersion import FDJetConfig, finite_difference_jet
 from rwsurf.shape import evaluate_point
 
 
@@ -71,7 +71,8 @@ def test_fd_jet_matches_analytic_catalog(case, l4_surface, l5_surface,
 
 def test_induced_metric_horizontal_plane(minkowski4):
     surf = fd_surface(lambda u, v: np.array([0.0, u, v, 0.0]), minkowski4)
-    g = rw.induced_metric(surf.jet(0.1, 0.2), minkowski4)
+    jet = surf.jet(0.1, 0.2)
+    g = rw.induced_metric(jet, minkowski4.metric_at(jet.phi))
     np.testing.assert_allclose(g, np.eye(2), atol=1e-10)
 
 
@@ -79,7 +80,8 @@ def test_induced_metric_closed_form_l4(l4_surface, l4_constants):
     # g11 = -1 + f'^2 / (b^2 f^2), g12 = 0 for the rotational chart
     warp = l4_surface.space.warp
     for (u, v) in [(0.03, 0.4), (0.1, 2.0)]:
-        g = rw.induced_metric(l4_surface.jet(u, v), l4_surface.space)
+        jet = l4_surface.jet(u, v)
+        g = rw.induced_metric(jet, l4_surface.space.metric_at(jet.phi))
         f, fp, _ = warp(u)
         want = -1.0 + fp * fp / (l4_constants.b2 * f * f)
         assert abs(g[0, 0] - want) < 1e-12 * max(1.0, abs(want))
@@ -89,14 +91,15 @@ def test_induced_metric_closed_form_l4(l4_surface, l4_constants):
 
 def test_induced_metric_rejects_timelike_chart(minkowski4):
     surf = fd_surface(lambda u, v: np.array([2.0 * u, u, v, 0.0]), minkowski4)
+    jet = surf.jet(0.0, 0.0)
     with pytest.raises(NotSpaceLikeError):
-        rw.induced_metric(surf.jet(0.0, 0.0), minkowski4)
+        rw.induced_metric(jet, minkowski4.metric_at(jet.phi))
 
 
 def test_adapted_frame_orthonormal_and_reassembles(l4_surface):
     space = l4_surface.space
     jet = l4_surface.jet(0.06, 1.1)
-    fr = adapted_frame(jet, space)
+    fr = evaluate_point(l4_surface, 0.06, 1.1).frame
     G = space.metric_at(jet.phi)
     vecs = [fr.e1, fr.e2, *fr.normals]
     signs = [1, 1, *fr.normal_signs]
@@ -117,7 +120,7 @@ def test_adapted_frame_orthonormal_and_reassembles(l4_surface):
 def test_adapted_frame_product_angle(product_surface, product_constants):
     # first chart component is -b1 u, so sinh(theta) = b1 everywhere
     for (u, v) in [(0.3, 0.4), (1.5, 2.0)]:
-        fr = adapted_frame(product_surface.jet(u, v), product_surface.space)
+        fr = evaluate_point(product_surface, u, v).frame
         assert abs(fr.sinh_theta - product_constants.b1) < 1e-12
         assert abs(fr.cosh_theta - math.sqrt(2.0)) < 1e-12
         G = product_surface.space.metric_at(product_surface.jet(u, v).phi)
@@ -127,7 +130,7 @@ def test_adapted_frame_product_angle(product_surface, product_constants):
 def test_adapted_frame_horizontal_slice_degenerates(minkowski4):
     surf = fd_surface(lambda u, v: np.array([0.0, u, v, 0.0]), minkowski4)
     with pytest.raises(HorizontalSliceError):
-        adapted_frame(surf.jet(0.0, 0.0), minkowski4)
+        evaluate_point(surf, 0.0, 0.0)
 
 
 def test_adapted_frame_bitwise_deterministic(l5_surface):
@@ -138,8 +141,7 @@ def test_adapted_frame_bitwise_deterministic(l5_surface):
 
 
 def _assert_no_sign_flips(surface, points):
-    frames = [adapted_frame(surface.jet(u, v), surface.space)
-              for (u, v) in points]
+    frames = [evaluate_point(surface, u, v).frame for (u, v) in points]
     for a, b in zip(frames, frames[1:]):
         G = surface.space.metric_at(surface.jet(a.u, a.v).phi)
         signs = (1, 1, *a.normal_signs)

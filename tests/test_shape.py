@@ -1,9 +1,12 @@
+import collections
 import math
 
 import numpy as np
 import pytest
 
 import rwsurf as rw
+from rwsurf import immersion, shape
+from rwsurf.immersion import chart_second_fundamental
 from rwsurf.shape import (SurfaceGrid, frame_norm, normal_connection_derivative,
                           normal_curvature, normal_space_dims, pmcv_residual,
                           second_fundamental_form, shape_operator)
@@ -217,11 +220,35 @@ def test_mean_curvature_norm_constant_on_pmcv(l4_grid, l5_grid):
 
 
 def test_second_fundamental_form_from_frame(l4_surface):
+    space = l4_surface.space
     jet = l4_surface.jet(0.07, 0.9)
-    fr = rw.adapted_frame(jet, l4_surface.space)
-    sfd = second_fundamental_form(jet, fr, l4_surface.space)
-    assert abs(rw.inner(sfd.H, sfd.H, l4_surface.space.metric_at(jet.phi))
-               - 0.25) < 1e-10
+    G = space.metric_at(jet.phi)
+    ginv = np.linalg.inv(rw.induced_metric(jet, G))
+    _, h_chart, H = chart_second_fundamental(jet, space, G, ginv,
+                                             space.warp_state(jet.phi))
+    fr = rw.adapted_frame(jet, space, G, ginv, H)
+    sfd = second_fundamental_form(fr, G, h_chart)
+    assert abs(rw.inner(sfd.H, sfd.H, G) - 0.25) < 1e-10
+
+
+def test_evaluate_point_computes_each_quantity_once(l4_surface, monkeypatch):
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(rw.AmbientSpace, "metric_at",
+                        counted("metric_at", rw.AmbientSpace.metric_at))
+    for name in ("induced_metric", "chart_second_fundamental"):
+        wrapper = counted(name, getattr(immersion, name))
+        for module in (immersion, shape):
+            monkeypatch.setattr(module, name, wrapper)
+    shape.evaluate_point(l4_surface, 0.07, 0.9)
+    assert calls == {"metric_at": 1, "induced_metric": 1,
+                     "chart_second_fundamental": 1}
 
 
 def test_grid_records_degeneracies(minkowski4, tilted_plane):
@@ -240,13 +267,3 @@ def test_grid_records_degeneracies(minkowski4, tilted_plane):
     assert len(sg.degeneracies) == 9
     assert "HorizontalSliceError" in sg.degeneracies[0][2]
 
-
-def test_grid_threads_match_serial(l4_surface):
-    us = np.linspace(0.03, 0.12, 4)
-    vs = np.linspace(0.3, 2.0, 4)
-    a = SurfaceGrid(l4_surface, us, vs, threads=1)
-    b = SurfaceGrid(l4_surface, us, vs, threads=3)
-    for i, j in a.nodes():
-        np.testing.assert_array_equal(a.point(i, j).sfd.H, b.point(i, j).sfd.H)
-        np.testing.assert_array_equal(a.point(i, j).frame.e1,
-                                      b.point(i, j).frame.e1)

@@ -4,6 +4,8 @@ import math
 import numpy as np
 
 import rwsurf as rw
+from rwsurf import verdicts
+from rwsurf.immersion import Jet2Immersion
 from rwsurf.shape import SurfaceGrid, frame_norm
 from rwsurf.verdicts import (ToleranceConfig, biconservativity_residual,
                              codazzi_residuals, curvature_trace_term,
@@ -214,6 +216,51 @@ def test_report_roundtrip_and_tolerance_overrides(product_surface):
     again = rw.VerificationReport.from_dict(json.loads(rep.to_json()))
     assert again.to_json() == rep.to_json()
     assert again.schema == "rwsurf.verification/1"
+
+
+def _nan_beyond(surface, u0=1.5, v0=1.5):
+    """``surface`` with NaN jets wherever u > u0 and v > v0."""
+    def evaluator(u, v):
+        jet = surface.evaluator(u, v)
+        if u > u0 and v > v0:
+            return tuple(np.full(np.shape(x), np.nan) for x in jet)
+        return jet
+    return Jet2Immersion(surface.space, evaluator, surface.u_domain,
+                         surface.v_domain, surface.name)
+
+
+def test_non_finite_jets_become_degeneracies(product_surface):
+    expect = {"dim_N1": 2, "dim_N2": 3}
+    assert verify_surface(product_surface, grid=(9, 9),
+                          expect=expect).verdict == "pass"
+    rep = verify_surface(_nan_beyond(product_surface), grid=(9, 9),
+                         expect=expect)
+    assert rep.verdict == "degenerate"
+    sg = rep.surface_grid
+    # a node degenerates when a point of its cross stencil has u, v > 1.5
+    want = {(i, j) for i, u in enumerate(sg.us) for j, v in enumerate(sg.vs)
+            if (u + 2 * sg.su[i] > 1.5 and v > 1.5)
+            or (u > 1.5 and v + 2 * sg.sv[j] > 1.5)}
+    assert want
+    assert {(i, j) for i, j, _ in rep.degeneracies} == want
+    assert all("non-finite jet" in msg for _, _, msg in rep.degeneracies)
+    assert rep.diagnostics["nodes_evaluated"] == 81 - len(want)
+
+
+def test_nan_residual_fails_its_entry(product_surface, monkeypatch):
+    class PoisonedGrid(SurfaceGrid):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.point(2, 2).sfd.h11[:] = np.nan
+
+    us = np.linspace(0.1, 3.0, 5)
+    assert math.isnan(flat_normal_bundle_check(PoisonedGrid(product_surface,
+                                                            us, us)))
+    monkeypatch.setattr(verdicts, "SurfaceGrid", PoisonedGrid)
+    rep = verify_surface(product_surface, grid=(5, 5))
+    entry = rep.entry("normal_curvature")
+    assert math.isnan(entry.value) and not entry.passed
+    assert rep.verdict == "fail"
 
 
 def test_verify_expectation_mismatch_fails(product_surface):
