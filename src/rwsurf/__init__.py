@@ -3,7 +3,8 @@ Lorentzian warped products."""
 
 from .ambient import (AmbientSpace, WarpingFunction, ambient_covariant_derivative,
                       christoffel_at, comoving_split, curvature_rw,
-                      curvature_rw_values, is_constant_curvature)
+                      curvature_rw_values, curvature_scalars,
+                      is_constant_curvature)
 from .catalog import (ScanResult, default_warp_domain, nonexistence_scan_e11h4,
                       nonexistence_slice_scan, product_surface_e11s4,
                       product_surface_family, rotational_surface_l41,

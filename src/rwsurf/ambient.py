@@ -33,6 +33,7 @@ __all__ = [
     "comoving_split",
     "christoffel_at",
     "ambient_covariant_derivative",
+    "curvature_scalars",
     "curvature_rw",
     "curvature_rw_values",
     "is_constant_curvature",
@@ -252,32 +253,44 @@ def christoffel_at(space: AmbientSpace, p) -> np.ndarray:
     return gamma
 
 
-def _gamma_apply(space: AmbientSpace, p, x, y) -> np.ndarray:
-    """Gamma(x, y) contraction for the warped-flat backend, done inline."""
-    f, fp, _ = space.warp(float(p[0]))
-    out = np.empty(space.n)
-    out[0] = f * fp * float(np.dot(x[1:], y[1:]))
-    out[1:] = (fp / f) * (x[0] * y[1:] + y[0] * x[1:])
-    return out
+def _covariant_derivative(space: AmbientSpace, p, x, y, dy, G,
+                          warp_state) -> np.ndarray:
+    """``ambient_covariant_derivative`` without the input checks, for callers
+    whose vectors already have the backend's shape."""
+    if space.kind == "warped-flat":
+        f, fp, _ = warp_state
+        out = np.empty_like(dy)
+        out[0] = dy[0] + f * fp * float(np.dot(x[1:], y[1:]))
+        out[1:] = dy[1:] + (fp / f) * (x[0] * y[1:] + y[0] * x[1:])
+        return out
+    nu = space.product_normal(p)
+    return dy - space.c * inner(dy, nu, G) * nu
 
 
 def ambient_covariant_derivative(space: AmbientSpace, p, x_vec, y_vec,
-                                 dy_dx) -> np.ndarray:
+                                 dy_dx, G, warp_state) -> np.ndarray:
     """Covariant derivative of a field Y along X at p.
 
     ``dy_dx`` is the caller-supplied coordinate directional derivative of Y
-    along X (from jets or finite differences).  The warped backend adds the
-    Christoffel correction; the product backend projects the flat derivative
-    back onto the product's tangent space.
+    along X (from jets or finite differences); G is the metric and
+    warp_state (f, f', f'') at p.  The warped backend adds the Christoffel
+    correction Gamma(X, Y); the product backend projects the flat derivative
+    back onto the product's tangent space.  This is the one implementation
+    of the connection: chart second derivatives and grid stencils call it
+    too.
     """
-    x_vec = space.check_vector(x_vec)
-    dy_dx = space.check_vector(dy_dx)
-    if space.kind == "warped-flat":
-        return dy_dx + _gamma_apply(space, np.asarray(p, dtype=float), x_vec,
-                                    space.check_vector(y_vec))
-    nu = space.product_normal(p)
-    G = space._flat_metric()
-    return dy_dx - space.c * inner(dy_dx, nu, G) * nu
+    return _covariant_derivative(space, np.asarray(p, dtype=float),
+                                 space.check_vector(x_vec),
+                                 space.check_vector(y_vec),
+                                 space.check_vector(dy_dx), G, warp_state)
+
+
+def curvature_scalars(f: float, fp: float, fpp: float,
+                      c: float) -> tuple[float, float]:
+    """(k1, k2) = (f''/f, (f'^2 + c)/f^2): the curvature of L^n_1(f, c) is
+    algebraic in these two scalars, and it is constant exactly when they
+    agree."""
+    return fpp / f, (fp * fp + c) / (f * f)
 
 
 def curvature_rw_values(X, Y, Z, G, f: float, fp: float, fpp: float,
@@ -290,8 +303,7 @@ def curvature_rw_values(X, Y, Z, G, f: float, fp: float, fpp: float,
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
     Z = np.asarray(Z, dtype=float)
-    k1 = fpp / f
-    k2 = (fp * fp + c) / (f * f)
+    k1, k2 = curvature_scalars(f, fp, fpp, c)
     X0, Y0, Z0 = X[0], Y[0], Z[0]
     Xb = X.copy(); Xb[0] = 0.0
     Yb = Y.copy(); Yb[0] = 0.0
@@ -321,12 +333,10 @@ def is_constant_curvature(warp: WarpingFunction, c: float, interval,
     """Test f''/f == (f'^2 + c)/f^2 on ``interval``.
 
     Returns (flag, max_deviation) where the flag is True when the supremum of
-    the defect over uniformly sampled points stays below tol.
+    the defect over uniformly sampled points stays below tol.  A NaN defect
+    at any sample makes the deviation NaN and the flag False.
     """
-    lo, hi = interval
-    ts = np.linspace(lo, hi, samples)
-    dev = 0.0
-    for t in ts:
-        f, fp, fpp = warp(float(t))
-        dev = max(dev, abs(fpp / f - (fp * fp + c) / (f * f)))
+    ks = (curvature_scalars(*warp(float(t)), c)
+          for t in np.linspace(*interval, samples))
+    dev = float(np.max([abs(k1 - k2) for k1, k2 in ks]))
     return dev < tol, dev

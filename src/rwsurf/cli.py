@@ -22,6 +22,7 @@ from . import catalog, solvers, verdicts
 from .ambient import AmbientSpace, WarpingFunction
 from .errors import GeometryError
 from .immersion import finite_difference_jet
+from .shape import DEFAULT_SUBSTEP
 from .verdicts import ToleranceConfig, VerificationReport, verify_surface
 
 EXIT_PASS = 0
@@ -120,9 +121,9 @@ def _add_common_verify_flags(p: argparse.ArgumentParser):
 
 
 _VERIFY_DEFAULTS = {
-    "grid": "17x17", "u_span": None, "v_span": None, "substep": "2e-3",
-    "tol": None, "out": None, "residuals_csv": None,
-    "surface_csv": None,
+    "grid": "17x17", "u_span": None, "v_span": None,
+    "substep": DEFAULT_SUBSTEP, "tol": None, "out": None,
+    "residuals_csv": None, "surface_csv": None,
 }
 
 

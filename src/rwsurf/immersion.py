@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .ambient import AmbientSpace
+from .ambient import AmbientSpace, _covariant_derivative
 from .errors import (ChartDomainError, DegenerateFrameError,
                      HorizontalSliceError, NotSpaceLikeError)
 from .linalg import inner, project_out_span
@@ -166,26 +166,12 @@ def chart_second_fundamental(jet: JetSample, space: AmbientSpace, G, ginv,
     h[(a, b)] its normal projection, and H half the g-trace of h.  This needs
     only the jet, not an adapted frame.
     """
-    phi = jet.phi
     first = {"u": jet.phi_u, "v": jet.phi_v}
     second = {("u", "u"): jet.phi_uu, ("u", "v"): jet.phi_uv,
               ("v", "v"): jet.phi_vv}
-    if space.kind == "warped-flat":
-        f, fp, _ = warp_state
-        def cov(a, b):
-            pa, pb, pab = first[a], first[b], second[(a, b)]
-            out = np.empty_like(pab)
-            out[0] = pab[0] + f * fp * float(np.dot(pa[1:], pb[1:]))
-            out[1:] = pab[1:] + (fp / f) * (pa[0] * pb[1:] + pb[0] * pa[1:])
-            return out
-    else:
-        nu = space.product_normal(phi)
-        c = float(space.c)
-        def cov(a, b):
-            pab = second[(a, b)]
-            return pab - c * inner(pab, nu, G) * nu
-
-    W = {key: cov(*key) for key in second}
+    W = {(a, b): _covariant_derivative(space, jet.phi, first[a], first[b],
+                                       pab, G, warp_state)
+         for (a, b), pab in second.items()}
 
     def normal_part(vec):
         coef = ginv @ np.array([inner(vec, jet.phi_u, G),
@@ -238,14 +224,14 @@ class FrameData:
         return (self.e1, self.e2)
 
 
-def adapted_frame(jet: JetSample, space: AmbientSpace, G, ginv, H,
-                  tol_T: float = TOL_T, tol_H: float = TOL_H) -> FrameData:
+def adapted_frame(jet: JetSample, space: AmbientSpace, G, ginv,
+                  H) -> FrameData:
     """Build the adapted frame at a jet sample.
 
     G is the ambient metric at the jet's point, ginv the inverse induced
     metric and H the mean curvature vector there.  Raises
-    HorizontalSliceError when |T| <= tol_T (the excluded horizontal slice
-    case).  When |H| <= tol_H there is no distinguished mean-curvature
+    HorizontalSliceError when |T| <= TOL_T (the excluded horizontal slice
+    case).  When |H| <= TOL_H there is no distinguished mean-curvature
     direction; the frame is completed without e4 and flagged.
     """
     dt = space.dt_vector()
@@ -253,7 +239,7 @@ def adapted_frame(jet: JetSample, space: AmbientSpace, G, ginv, H,
     T = coef_T[0] * jet.phi_u + coef_T[1] * jet.phi_v
     eta = dt - T
     sinh2 = inner(T, T, G)
-    if sinh2 <= tol_T * tol_T:
+    if sinh2 <= TOL_T * TOL_T:
         raise HorizontalSliceError(
             f"tangential comoving part vanishes at (u,v)=({jet.u},{jet.v})")
     sinh_theta = float(np.sqrt(sinh2))
@@ -275,7 +261,7 @@ def adapted_frame(jet: JetSample, space: AmbientSpace, G, ginv, H,
     coeffs = np.vstack([c1, c2])
 
     h_norm2 = inner(H, H, G)
-    has_mean = abs(h_norm2) > tol_H * tol_H
+    has_mean = abs(h_norm2) > TOL_H * TOL_H
 
     normals = [e3]
     signs = [-1]

@@ -21,7 +21,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .ambient import AmbientSpace
+from .ambient import AmbientSpace, _covariant_derivative
 from .errors import GeometryError
 from .immersion import (FrameData, Jet2Immersion, JetSample, adapted_frame,
                         chart_second_fundamental, induced_metric)
@@ -36,6 +36,7 @@ __all__ = [
     "evaluate_point",
     "SurfaceGrid",
     "normal_connection_derivative",
+    "pmcv_at",
     "pmcv_residual",
     "NormalSpaceDims",
     "normal_space_dims",
@@ -45,6 +46,10 @@ __all__ = [
 _STENCIL_OFFSETS = (-2, -1, 1, 2)
 _STENCIL_WEIGHTS = (1.0, -8.0, 8.0, -1.0)
 DEFAULT_SUBSTEP = 2e-3
+# normal_space_dims: relative rank tolerance, and the frame norm below which a
+# generator counts as zero
+RANK_TOL = 1e-8
+ZERO_FLOOR = 1e-7
 _SCALE_FRACTION = 4e-3
 # (u, v) offsets of the points filled per node: the node, then its cross stencil
 _FILL_OFFSETS = ((0, 0),) + tuple(p for k in _STENCIL_OFFSETS
@@ -77,10 +82,9 @@ def _warp_length_scale(space: AmbientSpace, u: float) -> float:
     Dense-output warps can approach a blow-up where derivatives grow like
     inverse powers of the remaining distance; stencil substeps must shrink
     proportionally to keep truncation error flat.  f''' is estimated by a
-    central difference of f''.
+    central difference of f''.  A constant warp (the product backend) gives
+    inf.
     """
-    if space.kind != "warped-flat":
-        return np.inf
     f, fp, fpp = space.warp(u)
     h = 1e-4 * (1.0 + abs(u))
     lo, hi = space.warp.interval
@@ -122,6 +126,13 @@ class SecondFundamentalData:
         return self.h12
 
 
+def _pairing_matrix(h11, h12, h22, xi, G) -> np.ndarray:
+    """[[<h11, xi>, <h12, xi>], [<h12, xi>, <h22, xi>]], the shape operator
+    of xi in the tangent frame."""
+    a12 = inner(h12, xi, G)
+    return np.array([[inner(h11, xi, G), a12], [a12, inner(h22, xi, G)]])
+
+
 def second_fundamental_form(frame: FrameData, G,
                             h_chart: dict) -> SecondFundamentalData:
     """Normal parts of the ambient covariant derivatives in the frame basis.
@@ -140,10 +151,8 @@ def second_fundamental_form(frame: FrameData, G,
                 + c[i, 1] * c[j, 1] * hvv)
 
     h11, h12, h22 = hframe(0, 0), hframe(0, 1), hframe(1, 1)
-    A = {}
-    for k, xi in enumerate(frame.normals):
-        A[k] = np.array([[inner(h11, xi, G), inner(h12, xi, G)],
-                         [inner(h12, xi, G), inner(h22, xi, G)]])
+    A = {k: _pairing_matrix(h11, h12, h22, xi, G)
+         for k, xi in enumerate(frame.normals)}
     return SecondFundamentalData(h11, h12, h22, 0.5 * (h11 + h22), A)
 
 
@@ -160,9 +169,7 @@ def shape_operator(sfd: SecondFundamentalData, xi, G,
     if frame is not None:
         if max(abs(inner(xi, frame.e1, G)), abs(inner(xi, frame.e2, G))) > 1e-8:
             raise ValueError("shape_operator: xi is not normal to the surface")
-    return np.array([
-        [inner(sfd.h11, xi, G), inner(sfd.h12, xi, G)],
-        [inner(sfd.h12, xi, G), inner(sfd.h22, xi, G)]])
+    return _pairing_matrix(sfd.h11, sfd.h12, sfd.h22, xi, G)
 
 
 def normal_curvature(sfd: SecondFundamentalData, xi, G) -> np.ndarray:
@@ -295,17 +302,11 @@ class SurfaceGrid:
     def covariant_along(self, i, j, extract, direction: str):
         """Ambient covariant derivative of a vector field along phi_u/phi_v."""
         pd = self.point(i, j)
-        dF = self.chart_derivative(i, j, extract, direction)
-        if self.space.kind == "warped-flat":
-            f, fp, _ = pd.warp_state
-            x = pd.jet.phi_u if direction == "u" else pd.jet.phi_v
-            F = np.asarray(extract(pd), dtype=float)
-            corr = np.empty_like(dF)
-            corr[0] = f * fp * float(np.dot(x[1:], F[1:]))
-            corr[1:] = (fp / f) * (x[0] * F[1:] + F[0] * x[1:])
-            return dF + corr
-        nu_vec = self.space.product_normal(pd.jet.phi)
-        return dF - self.space.c * inner(dF, nu_vec, pd.G) * nu_vec
+        x = pd.jet.phi_u if direction == "u" else pd.jet.phi_v
+        return _covariant_derivative(
+            self.space, pd.jet.phi, x, np.asarray(extract(pd), dtype=float),
+            self.chart_derivative(i, j, extract, direction), pd.G,
+            pd.warp_state)
 
     def frame_covariant(self, i, j, extract, idx: int):
         """Ambient covariant derivative along e_{idx+1} (idx 0 or 1)."""
@@ -389,11 +390,17 @@ def normal_connection_derivative(grid: SurfaceGrid, i: int, j: int,
     return grid.nabla_perp(i, j, field, direction - 1)
 
 
-def pmcv_residual(grid: SurfaceGrid) -> float:
-    """max over the grid and i of |nabla^perp_{e_i} H|; zero characterizes a
-    parallel mean curvature vector."""
-    return _worst(frame_norm(d, grid.point(i, j)) for i, j in grid.nodes()
+def pmcv_at(grid: SurfaceGrid, i: int, j: int) -> float:
+    """max over i of |nabla^perp_{e_i} H| at node (i, j)."""
+    pd = grid.point(i, j)
+    return _worst(frame_norm(d, pd)
                   for d in grid.mean_curvature_derivatives(i, j))
+
+
+def pmcv_residual(grid: SurfaceGrid) -> float:
+    """max over the grid of ``pmcv_at``; zero characterizes a parallel mean
+    curvature vector."""
+    return _worst(pmcv_at(grid, i, j) for i, j in grid.nodes())
 
 
 class NormalSpaceDims(NamedTuple):
@@ -403,25 +410,24 @@ class NormalSpaceDims(NamedTuple):
     n2_range: tuple[int, int]
 
 
-def normal_space_dims(grid: SurfaceGrid, tol: float = 1e-8,
-                      zero_floor: float = 1e-7) -> NormalSpaceDims:
+def normal_space_dims(grid: SurfaceGrid) -> NormalSpaceDims:
     """Numeric dimensions of the first and second normal spaces.
 
     Per node, N1 is spanned by the h values and N2 additionally by the
     covariant derivatives of h; the reported dimension is the maximum over
-    the grid (ranges record any drop at special points).  Generators with
-    frame norm below ``zero_floor`` are treated as numerically zero, so
-    finite-difference noise on totally geodesic surfaces does not inflate
-    the rank.
+    the grid (ranges record any drop at special points); ranks use the
+    relative tolerance RANK_TOL.  Generators with frame norm below ZERO_FLOOR
+    are treated as numerically zero, so finite-difference noise on totally
+    geodesic surfaces does not inflate the rank.
     """
     n1s, n2s = [], []
     for i, j in grid.nodes():
         pd = grid.point(i, j)
-        keep = lambda vs: [v for v in vs if frame_norm(v, pd) > zero_floor]
+        keep = lambda vs: [v for v in vs if frame_norm(v, pd) > ZERO_FLOOR]
         base = keep([pd.sfd.h11, pd.sfd.h12, pd.sfd.h22])
-        n1s.append(numeric_rank(base, pd.G, tol))
+        n1s.append(numeric_rank(base, pd.G, RANK_TOL))
         dh = grid.nabla_perp_h(i, j)
-        n2s.append(numeric_rank(base + keep(dh.values()), pd.G, tol))
+        n2s.append(numeric_rank(base + keep(dh.values()), pd.G, RANK_TOL))
     if not n1s:
         raise GeometryError("no usable grid nodes")
     return NormalSpaceDims(max(n1s), max(n2s), (min(n1s), max(n1s)),

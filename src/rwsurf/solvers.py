@@ -64,17 +64,18 @@ _P = np.array([
 ])
 
 
+# attempted steps (accepted plus rejected) before rk_integrate gives up with
+# 'step-underflow'
+_MAX_STEPS = 200_000
+
+
 @dataclass
 class SolverConfig:
     """Step-control knobs for rk_integrate."""
 
     rtol: float = 1e-11
     atol: float = 1e-13
-    initial_step: float | None = None
-    max_step: float = math.inf
     fixed_step: float | None = None  # disables adaptivity (order studies)
-    max_steps: int = 200_000
-    monitors_on: bool = True
 
     def __post_init__(self):
         if self.rtol <= 0 or self.atol <= 0:
@@ -159,9 +160,9 @@ def rk_integrate(rhs: Callable, y0, t_span, config: SolverConfig | None = None,
     """Integrate y' = rhs(t, y) over t_span with dense output.
 
     ``monitors`` is a sequence of (name, g) pairs with g(t, y) > 0 required
-    along the trajectory; the first crossing truncates the output (the stop
-    time is located by bisection on the dense segment) and is recorded as
-    stop reason 'monitor:<name>'.  Step underflow near a blow-up stops with
+    along the trajectory (a NaN value counts as a crossing); the first
+    crossing truncates the output (the stop time is located by bisection on
+    the dense segment) and is recorded as stop reason 'monitor:<name>'.  Step underflow near a blow-up stops with
     'step-underflow' and the last valid time.
     """
     cfg = config or SolverConfig()
@@ -175,25 +176,22 @@ def rk_integrate(rhs: Callable, y0, t_span, config: SolverConfig | None = None,
 
     if cfg.fixed_step is not None:
         h_abs = float(cfg.fixed_step)
-    elif cfg.initial_step is not None:
-        h_abs = float(cfg.initial_step)
     else:
         h_abs = _initial_step(rhs, t0, y, f, direction, cfg.rtol, cfg.atol,
                               t1 - t0)
-    h_abs = min(h_abs, abs(t1 - t0), cfg.max_step)
+    h_abs = min(h_abs, abs(t1 - t0))
 
     ts, hs, ys, qs = [], [], [], []
-    active = [(name, g) for name, g in monitors] if cfg.monitors_on else []
     n_acc = n_rej = 0
     stop_reason = "completed"
     t_end = t1
 
     while (t - t1) * direction < 0:
-        if n_acc + n_rej > cfg.max_steps:
+        if n_acc + n_rej > _MAX_STEPS:
             stop_reason = "step-underflow"
             t_end = t
             break
-        h_abs = min(h_abs, abs(t1 - t), cfg.max_step)
+        h_abs = min(h_abs, abs(t1 - t))
         if h_abs < 1e-14 * max(1.0, abs(t)):
             stop_reason = "step-underflow"
             t_end = t
@@ -237,8 +235,8 @@ def rk_integrate(rhs: Callable, y0, t_span, config: SolverConfig | None = None,
 
         t_new = t + h
         triggered = None
-        for name, g in active:
-            if g(t_new, y_new) <= 0.0:
+        for name, g in monitors:
+            if not g(t_new, y_new) > 0.0:
                 triggered = (name, g)
                 break
         if triggered is not None:
@@ -475,13 +473,22 @@ def system_equation_residuals(constants: ConstantsL5, fv, fp, fpp, yp, ypp):
 
 
 _DET_TOL = 1e-10
+# space-likeness margin g_11 the coupled system must keep
+_SPACELIKE_FLOOR = 0.02
+
+
+def _det_margin(A) -> float:
+    """|det A| / max|A|^2 - _DET_TOL: positive while the pointwise system is
+    safely non-singular.  The scale's floor keeps its square from underflowing
+    to 0, so an all-zero A reads as singular (-_DET_TOL), never as 0/0."""
+    scale = max(abs(A).max(), 1e-150) ** 2
+    det = A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
+    return abs(det) / scale - _DET_TOL
 
 
 def _second_derivatives(constants: ConstantsL5, fv, fp, yp):
     A, R = _system_matrices(constants, fv, fp, yp)
-    scale = max(abs(A).max(), 1e-300) ** 2
-    det = A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
-    if abs(det) < _DET_TOL * scale:
+    if not _det_margin(A) > 0.0:
         raise np.linalg.LinAlgError("pointwise system is near-singular")
     sol = np.linalg.solve(A, -R)
     return float(sol[0]), float(sol[1])
@@ -526,28 +533,24 @@ class WarpSystemSolution:
 
 
 def solve_warp_system(constants: ConstantsL5, ics, interval,
-                      config: SolverConfig | None = None,
-                      spacelike_floor: float = 0.02) -> WarpSystemSolution:
+                      config: SolverConfig | None = None) -> WarpSystemSolution:
     """Integrate the coupled (f, y) system from t = interval[0].
 
     ``ics`` is (f0, f0p, y0, y0p).  At every step the two family equations
     are assembled as a linear system in (f'', y'') and solved pointwise.
     Monitored: the pointwise determinant, the space-likeness margin
-    g_11 > spacelike_floor, and f bounded away from zero.
+    g_11 > _SPACELIKE_FLOOR, and f bounded away from zero.
     """
     f0, f0p, y0, y0p = map(float, ics)
     if f0 == 0.0:
         raise SingularWarpError("f0 must be non-zero")
-    A, _ = _system_matrices(constants, f0, f0p, y0p)
-    scale = max(abs(A).max(), 1e-300) ** 2
-    det = A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
-    if abs(det) < _DET_TOL * scale:
+    if not _det_margin(_system_matrices(constants, f0, f0p, y0p)[0]) > 0.0:
         raise AdmissibilityError(
             "pointwise (f'', y'') system is singular at the initial state")
-    if spacelike_margin(constants, f0, f0p, y0p) <= spacelike_floor:
+    if spacelike_margin(constants, f0, f0p, y0p) <= _SPACELIKE_FLOOR:
         raise AdmissibilityError(
             "initial state violates the space-likeness margin "
-            f"g_11 > {spacelike_floor}")
+            f"g_11 > {_SPACELIKE_FLOOR}")
 
     def rhs(t, s):
         fv, fp, yv, yp = s
@@ -557,9 +560,10 @@ def solve_warp_system(constants: ConstantsL5, ics, interval,
     sgn = 1.0 if f0 > 0 else -1.0
     monitors = [
         ("spacelike", lambda t, s: spacelike_margin(constants, s[0], s[1], s[3])
-         - spacelike_floor),
+         - _SPACELIKE_FLOOR),
         ("warp-positive", lambda t, s: sgn * s[0] - 1e-12),
-        ("system-determinant", _det_monitor(constants)),
+        ("system-determinant", lambda t, s: _det_margin(
+            _system_matrices(constants, s[0], s[1], s[3])[0])),
     ]
     result = rk_integrate(rhs, np.array([f0, f0p, y0, y0p]), interval, config,
                           monitors)
@@ -574,12 +578,3 @@ def solve_warp_system(constants: ConstantsL5, ics, interval,
     warp = WarpingFunction(fn, dense.interval, source="ode-dense-output",
                            label="system-warp")
     return WarpSystemSolution(warp, result, constants)
-
-
-def _det_monitor(constants: ConstantsL5):
-    def g(t, s):
-        A, _ = _system_matrices(constants, s[0], s[1], s[3])
-        scale = max(abs(A).max(), 1e-300) ** 2
-        det = A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
-        return abs(det) / scale - _DET_TOL
-    return g

@@ -14,12 +14,13 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .ambient import curvature_rw_values
+from .ambient import curvature_rw_values, curvature_scalars
 from .errors import GeometryError, MinimalDirectionError
 from .immersion import Jet2Immersion
 from .linalg import causal_character, inner
-from .shape import (SurfaceGrid, _per_node, _worst, frame_norm,
-                    normal_space_dims, pmcv_residual, normal_curvature)
+from .shape import (DEFAULT_SUBSTEP, SurfaceGrid, _per_node, _worst,
+                    frame_norm, normal_space_dims, pmcv_at, pmcv_residual,
+                    normal_curvature)
 
 __all__ = [
     "ToleranceConfig",
@@ -134,8 +135,8 @@ def curvature_trace_term(frame, H, G, warp_state, c: float):
     for e in (e1, e2):
         R = curvature_rw_values(e, H, e, G, f, fp, fpp, c)
         direct = direct + inner(R, e1, G) * e1 + inner(R, e2, G) * e2
-    factor = fpp / f - (fp * fp + c) / (f * f)
-    closed = factor * inner(H, frame.eta, G) * frame.T
+    k1, k2 = curvature_scalars(f, fp, fpp, c)
+    closed = (k1 - k2) * inner(H, frame.eta, G) * frame.T
     return direct, closed
 
 
@@ -168,12 +169,8 @@ def _biconservativity_at(grid: SurfaceGrid, i: int, j: int) -> float:
         xi = dH[idx]
         for jj in range(2):
             middle = middle + inner(pd.sfd.h(idx + 1, jj + 1), xi, pd.G) * e[jj]
-    f, fp, fpp = pd.warp_state
-    curv = np.zeros_like(grad)
-    for ei in e:
-        R = curvature_rw_values(ei, pd.sfd.H, ei, pd.G, f, fp, fpp,
-                                float(grid.space.c))
-        curv = curv + inner(R, e[0], pd.G) * e[0] + inner(R, e[1], pd.G) * e[1]
+    curv, _ = curvature_trace_term(pd.frame, pd.sfd.H, pd.G, pd.warp_state,
+                                   float(grid.space.c))
     return frame_norm(2.0 * grad + 4.0 * middle + 4.0 * curv, pd)
 
 
@@ -190,8 +187,7 @@ def node_residuals(grid: SurfaceGrid, i: int, j: int) -> dict:
     """Per-node residual values for table exports."""
     pd = grid.point(i, j)
     return {
-        "pmcv": _worst(frame_norm(d, pd)
-                       for d in grid.mean_curvature_derivatives(i, j)),
+        "pmcv": pmcv_at(grid, i, j),
         "reduced": reduced_criterion(pd.frame, pd.sfd.H, pd.G),
         "biconservativity": _biconservativity_at(grid, i, j),
     }
@@ -209,8 +205,8 @@ def codazzi_residuals(grid: SurfaceGrid) -> tuple[float, float]:
         pd = grid.point(i, j)
         dh = grid.nabla_perp_h(i, j)
         v1 = dh[(1, (1, 2))] - dh[(2, (1, 1))]
-        f, fp, fpp = pd.warp_state
-        factor = pd.frame.sinh_theta * (-fpp / f + (fp * fp + grid.space.c) / (f * f))
+        k1, k2 = curvature_scalars(*pd.warp_state, grid.space.c)
+        factor = pd.frame.sinh_theta * (k2 - k1)
         v2 = dh[(1, (2, 2))] - dh[(2, (1, 2))] - factor * pd.frame.eta
         r1.append(frame_norm(v1, pd))
         r2.append(frame_norm(v2, pd))
@@ -310,7 +306,7 @@ def verify_surface(surface: Jet2Immersion, grid=(17, 17),
                    u_span=None, v_span=None,
                    tolerances: ToleranceConfig | None = None,
                    expect: dict | None = None,
-                   substep: float = 2e-3) -> VerificationReport:
+                   substep: float = DEFAULT_SUBSTEP) -> VerificationReport:
     """Run the full verification battery on a surface.
 
     ``grid`` is (nu, nv); the span defaults to the chart domain minus stencil

@@ -145,9 +145,10 @@ def test_christoffel_metric_compatibility():
 
 def test_covariant_derivative_flat_constant_field():
     flat = rw.AmbientSpace.warped_flat(4, rw.WarpingFunction.constant(1.0))
+    p = np.zeros(4)
     out = rw.ambient_covariant_derivative(
-        flat, np.zeros(4), np.array([0.0, 1, 0, 0]), np.array([0.0, 0, 1, 0]),
-        np.zeros(4))
+        flat, p, np.array([0.0, 1, 0, 0]), np.array([0.0, 0, 1, 0]),
+        np.zeros(4), flat.metric_at(p), flat.warp_state(p))
     np.testing.assert_allclose(out, np.zeros(4), atol=1e-15)
 
 
@@ -156,8 +157,10 @@ def test_covariant_derivative_warped_correction():
     # direction with factor f f' (= 1 for the exponential warp at t = 0)
     space = exp_space()
     e1 = np.array([0.0, 1.0, 0, 0])
-    out = rw.ambient_covariant_derivative(space, np.zeros(4), e1, e1,
-                                          np.zeros(4))
+    p = np.zeros(4)
+    out = rw.ambient_covariant_derivative(space, p, e1, e1, np.zeros(4),
+                                          space.metric_at(p),
+                                          space.warp_state(p))
     np.testing.assert_allclose(out, [1.0, 0, 0, 0], atol=1e-15)
 
 
@@ -168,7 +171,9 @@ def test_covariant_derivative_product_great_circle():
     p = np.array([0.0, math.cos(s), math.sin(s), 0, 0, 0])
     Y = np.array([0.0, -math.sin(s), math.cos(s), 0, 0, 0])  # circle tangent
     dY = np.array([0.0, -math.cos(s), -math.sin(s), 0, 0, 0])  # flat d/ds
-    out = rw.ambient_covariant_derivative(space, p, Y, Y, dY)
+    out = rw.ambient_covariant_derivative(space, p, Y, Y, dY,
+                                          space.metric_at(p),
+                                          space.warp_state(p))
     np.testing.assert_allclose(out, np.zeros(6), atol=1e-14)
 
 
@@ -182,10 +187,45 @@ def test_covariant_derivative_product_correction_term(product_grid):
         nu = space.product_normal(pd.jet.phi)
         flat = pd.jet.phi_uu
         cov = rw.ambient_covariant_derivative(space, pd.jet.phi,
-                                              pd.jet.phi_u, pd.jet.phi_u, flat)
+                                              pd.jet.phi_u, pd.jet.phi_u, flat,
+                                              pd.G, pd.warp_state)
         xf = pd.jet.phi_u.copy(); xf[0] = 0.0
         expected = flat + space.c * rw.inner(xf, xf, pd.G) * nu
         np.testing.assert_allclose(cov, expected, atol=1e-12)
+
+
+@pytest.mark.parametrize("warp", [
+    rw.WarpingFunction.exponential(0.7),
+    rw.WarpingFunction.polynomial([2.0, 0.3, 0.4], (-1, 1)),
+])
+def test_covariant_derivative_matches_christoffel_oracle(warp):
+    # the connection the program runs agrees with the Christoffel tensor
+    space = rw.AmbientSpace.warped_flat(5, warp)
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        p = np.array([rng.uniform(-0.9, 0.9), *rng.normal(size=4)])
+        x, y, dy = rng.normal(size=(3, 5))
+        got = rw.ambient_covariant_derivative(space, p, x, y, dy,
+                                              space.metric_at(p),
+                                              space.warp_state(p))
+        want = dy + np.einsum("kij,i,j", rw.christoffel_at(space, p), x, y)
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
+def test_covariant_derivative_checks_shapes():
+    space = exp_space()
+    p = np.zeros(4)
+    with pytest.raises(DimensionMismatchError):
+        rw.ambient_covariant_derivative(space, p, np.zeros(4), np.zeros(3),
+                                        np.zeros(4), space.metric_at(p),
+                                        space.warp_state(p))
+
+
+def test_curvature_scalars_closed_form():
+    # exponential warp: k1 = k2 = rate^2 when c = 0
+    k1, k2 = rw.curvature_scalars(*rw.WarpingFunction.exponential(0.5)(1.3), 0.0)
+    assert abs(k1 - 0.25) < 1e-15 and abs(k2 - 0.25) < 1e-15
+    assert rw.curvature_scalars(2.0, 1.0, 4.0, -1.0) == (2.0, 0.0)
 
 
 def test_curvature_fiber_plane_annihilates_comoving():
@@ -269,3 +309,11 @@ def test_is_constant_curvature_generic_warp_fails():
         lambda t: math.exp(t) + 2.0, math.exp, math.exp, (-1, 1))
     flag, dev = rw.is_constant_curvature(warp, 0.0, (-1, 1))
     assert not flag and dev > 0.1
+
+
+def test_is_constant_curvature_propagates_nan():
+    # f, f', f'' finite, but k1 - k2 = inf - inf at every sample
+    warp = rw.WarpingFunction.from_callables(
+        lambda t: 1e-10, lambda t: 1e200, lambda t: 1e300, (0, 1))
+    flag, dev = rw.is_constant_curvature(warp, 0.0, (0, 1))
+    assert not flag and math.isnan(dev)

@@ -231,6 +231,39 @@ def test_second_fundamental_form_from_frame(l4_surface):
     assert abs(rw.inner(sfd.H, sfd.H, G) - 0.25) < 1e-10
 
 
+@pytest.mark.parametrize("grid_name", ["l4_grid", "product_grid"])
+def test_covariant_along_is_the_ambient_connection(grid_name, request):
+    sg = request.getfixturevalue(grid_name)
+    e1_of = lambda p: p.frame.e1
+    for i, j in [(0, 0), (3, 5), (8, 8)]:
+        pd = sg.point(i, j)
+        for direction, x in (("u", pd.jet.phi_u), ("v", pd.jet.phi_v)):
+            want = rw.ambient_covariant_derivative(
+                sg.space, pd.jet.phi, x, pd.frame.e1,
+                sg.chart_derivative(i, j, e1_of, direction), pd.G,
+                pd.warp_state)
+            assert np.array_equal(sg.covariant_along(i, j, e1_of, direction),
+                                  want)
+
+
+@pytest.mark.parametrize("surface_name", ["l4_surface", "product_surface"])
+def test_chart_second_fundamental_uses_the_ambient_connection(surface_name,
+                                                              request):
+    surface = request.getfixturevalue(surface_name)
+    space = surface.space
+    u0, u1 = surface.u_domain
+    v0, v1 = surface.v_domain
+    jet = surface.jet(0.6 * u0 + 0.4 * u1, 0.3 * v0 + 0.7 * v1)
+    G = space.metric_at(jet.phi)
+    ginv = np.linalg.inv(rw.induced_metric(jet, G))
+    warp_state = space.warp_state(jet.phi)
+    W, _, _ = chart_second_fundamental(jet, space, G, ginv, warp_state)
+    want = rw.ambient_covariant_derivative(space, jet.phi, jet.phi_u,
+                                           jet.phi_v, jet.phi_uv, G,
+                                           warp_state)
+    assert np.array_equal(W[("u", "v")], want)
+
+
 def test_evaluate_point_computes_each_quantity_once(l4_surface, monkeypatch):
     calls = collections.Counter()
 

@@ -79,11 +79,12 @@ def test_monitor_truncates_with_reason():
     assert abs(y[0] - 2.0) < 1e-9
 
 
-def test_monitors_can_be_disabled():
+def test_nan_monitor_value_stops_integration():
     res = rk_integrate(lambda t, y: np.ones(1), [0.0], (0.0, 5.0),
-                       SolverConfig(monitors_on=False),
-                       monitors=[("ceiling", lambda t, y: 2.0 - y[0])])
-    assert res.stop_reason == "completed"
+                       monitors=[("nan-past-2", lambda t, y:
+                                  math.nan if y[0] > 2.0 else 1.0)])
+    assert res.stop_reason == "monitor:nan-past-2"
+    assert abs(res.t_end - 2.0) < 1e-9
 
 
 def test_degenerate_interval_rejected():
@@ -225,6 +226,19 @@ def test_system_constraint_checked_before_integration():
 def test_system_spacelike_floor_guard(l5_constants):
     with pytest.raises(AdmissibilityError):
         rw.solve_warp_system(l5_constants, (1.0, 0.0, 0.0, 0.0), (0.0, 0.5))
+
+
+def test_system_all_zero_matrix_is_singular(l5_constants):
+    # f' = y' = 0 makes every entry of the (f'', y'') system matrix vanish;
+    # the determinant test must reject it rather than read 0 < 0 * scale
+    with pytest.raises(AdmissibilityError, match="singular"):
+        rw.solve_warp_system(l5_constants, (1.0, 0.0, 0.0, 0.0), (0.0, 0.5))
+
+
+def test_system_spacelike_margin_at_start(l5_constants):
+    # a non-singular initial state below the space-likeness margin
+    with pytest.raises(AdmissibilityError, match="space-likeness"):
+        rw.solve_warp_system(l5_constants, (1.0, 0.1, 0.0, 0.0), (0.0, 0.5))
 
 
 def test_system_warp_self_consistency(l5_solution):
