@@ -13,6 +13,9 @@ Two backends cover the classified cases:
 The curvature tensor is evaluated algebraically from the comoving split and
 the scalars f''/f and (f'^2 + c)/f^2, so it also covers warped metrics with
 c != 0 that have no coordinate backend here.
+
+Points, vectors and warp states may carry leading point axes; everything
+but the warp itself then works on the whole stack at once.
 """
 
 from __future__ import annotations
@@ -24,8 +27,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import (ChartDomainError, DimensionMismatchError,
-                     SingularWarpError)
-from .linalg import inner
+                     SingularWarpError, raise_where)
+from .linalg import _col, inner
 
 __all__ = [
     "WarpingFunction",
@@ -170,14 +173,14 @@ class AmbientSpace:
 
     def check_vector(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=float)
-        if X.shape != (self.ambient_dim,):
+        if X.shape[-1:] != (self.ambient_dim,):
             raise DimensionMismatchError(
                 f"vector has shape {X.shape}, backend expects ({self.ambient_dim},)")
         return X
 
     def warp_state(self, p) -> tuple[float, float, float]:
-        """(f, f', f'') at the time coordinate of p (identically (1,0,0) on
-        the product backend)."""
+        """(f, f', f'') at the time coordinate of one point p (identically
+        (1,0,0) on the product backend)."""
         if self.is_embedded:
             return (1.0, 0.0, 0.0)
         return self.warp(float(p[0]))
@@ -188,35 +191,38 @@ class AmbientSpace:
             raise DimensionMismatchError("product normal exists only on the "
                                          "product-space-form backend")
         nu = np.array(p, dtype=float)
-        nu[0] = 0.0
+        nu[..., 0] = 0.0
         return nu
 
     # -- metric ---------------------------------------------------------------
 
-    def metric_at(self, p) -> np.ndarray:
-        """Metric matrix at p.
+    def metric_at(self, p, warp_state) -> np.ndarray:
+        """Metric matrix at p, given the warp state (f, f', f'') there.
 
         Warped backend: diag(-1, f^2, ..., f^2).  Product backend: the
         constant flat metric diag(-1, c, 1, ..., 1); p must satisfy the
-        space-form locus constraint <pbar,pbar>_c = c within 1e-10.
+        space-form locus constraint <pbar,pbar>_c = c within 1e-10.  With
+        leading point axes on p (and on the warp state) the result is a
+        stack of metrics.
         """
         p = np.asarray(p, dtype=float)
-        if p.shape != (self.ambient_dim,):
+        if p.shape[-1:] != (self.ambient_dim,):
             raise DimensionMismatchError(
                 f"point has shape {p.shape}, backend expects ({self.ambient_dim},)")
         if self.kind == "warped-flat":
-            f, _, _ = self.warp(float(p[0]))
-            d = np.full(self.n, f * f)
-            d[0] = -1.0
-            return np.diag(d)
+            f = np.asarray(warp_state[0], dtype=float)
+            G = np.zeros(p.shape[:-1] + (self.n, self.n))
+            G[..., 0, 0] = -1.0
+            G[..., range(1, self.n), range(1, self.n)] = _col(f * f)
+            return G
         G = self._flat_metric()
         fiber = p.copy()
-        fiber[0] = 0.0
-        locus = float(fiber @ G @ fiber) - self.c
-        if abs(locus) > 1e-10:
-            raise ChartDomainError(
-                f"point off the embedded space-form locus (residual {locus:.3e})")
-        return G
+        fiber[..., 0] = 0.0
+        locus = np.asarray(inner(fiber, fiber, G)) - self.c
+        raise_where(ChartDomainError, np.abs(locus) > 1e-10,
+                    "point off the embedded space-form locus (residual {:.3e})",
+                    locus)
+        return np.broadcast_to(G, p.shape[:-1] + G.shape)
 
     def _flat_metric(self) -> np.ndarray:
         d = np.ones(self.ambient_dim)
@@ -256,15 +262,18 @@ def christoffel_at(space: AmbientSpace, p) -> np.ndarray:
 def _covariant_derivative(space: AmbientSpace, p, x, y, dy, G,
                           warp_state) -> np.ndarray:
     """``ambient_covariant_derivative`` without the input checks, for callers
-    whose vectors already have the backend's shape."""
+    whose vectors already have the backend's shape.  Leading point axes of
+    all arguments broadcast against those of ``dy``."""
     if space.kind == "warped-flat":
-        f, fp, _ = warp_state
+        f, fp, _ = (np.asarray(w, dtype=float) for w in warp_state)
         out = np.empty_like(dy)
-        out[0] = dy[0] + f * fp * float(np.dot(x[1:], y[1:]))
-        out[1:] = dy[1:] + (fp / f) * (x[0] * y[1:] + y[0] * x[1:])
+        out[..., 0] = dy[..., 0] + f * fp * np.einsum("...i,...i->...",
+                                                      x[..., 1:], y[..., 1:])
+        out[..., 1:] = dy[..., 1:] + _col(fp / f) * (
+            x[..., :1] * y[..., 1:] + y[..., :1] * x[..., 1:])
         return out
     nu = space.product_normal(p)
-    return dy - space.c * inner(dy, nu, G) * nu
+    return dy - space.c * _col(inner(dy, nu, G)) * nu
 
 
 def ambient_covariant_derivative(space: AmbientSpace, p, x_vec, y_vec,
@@ -303,14 +312,14 @@ def curvature_rw_values(X, Y, Z, G, f: float, fp: float, fpp: float,
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
     Z = np.asarray(Z, dtype=float)
-    k1, k2 = curvature_scalars(f, fp, fpp, c)
-    X0, Y0, Z0 = X[0], Y[0], Z[0]
-    Xb = X.copy(); Xb[0] = 0.0
-    Yb = Y.copy(); Yb[0] = 0.0
-    Zb = Z.copy(); Zb[0] = 0.0
-    ip_yz = float(Yb @ G @ Zb)
-    ip_xz = float(Xb @ G @ Zb)
-    dt = np.zeros_like(X)
+    k1, k2 = (_col(k) for k in curvature_scalars(f, fp, fpp, c))
+    X0, Y0, Z0 = X[..., :1], Y[..., :1], Z[..., :1]
+    Xb = X.copy(); Xb[..., 0] = 0.0
+    Yb = Y.copy(); Yb[..., 0] = 0.0
+    Zb = Z.copy(); Zb[..., 0] = 0.0
+    ip_yz = _col(inner(Yb, Zb, G))
+    ip_xz = _col(inner(Xb, Zb, G))
+    dt = np.zeros(X.shape[-1])
     dt[0] = 1.0
     return (k1 * (X0 * Z0 * Yb - Y0 * Z0 * Xb + (X0 * ip_yz - Y0 * ip_xz) * dt)
             + k2 * (ip_yz * Xb - ip_xz * Yb))
@@ -321,8 +330,8 @@ def curvature_rw(space: AmbientSpace, X, Y, Z, p) -> np.ndarray:
 
     On the product backend the inputs must be tangent to the product at p.
     """
-    G = space.metric_at(p)
     f, fp, fpp = space.warp_state(p)
+    G = space.metric_at(p, (f, fp, fpp))
     return curvature_rw_values(space.check_vector(X), space.check_vector(Y),
                                space.check_vector(Z), G, f, fp, fpp,
                                float(space.c))

@@ -7,6 +7,10 @@ timelike normal, and the normal frame is completed with e4 = H/|H| (when the
 mean curvature direction exists) followed by signature-aware Gram-Schmidt
 over coordinate candidates.  All constructions are deterministic, so frames
 are reproducible bitwise and vary smoothly along grids.
+
+A jet is one chart call; everything after it also takes jets whose arrays
+carry leading point axes and works on the whole stack.  A check failing at
+some points raises with ``where`` and ``texts`` set (``errors.raise_where``).
 """
 
 from __future__ import annotations
@@ -18,8 +22,8 @@ import numpy as np
 
 from .ambient import AmbientSpace, _covariant_derivative
 from .errors import (ChartDomainError, DegenerateFrameError,
-                     HorizontalSliceError, NotSpaceLikeError)
-from .linalg import inner, project_out_span
+                     HorizontalSliceError, NotSpaceLikeError, raise_where)
+from .linalg import _col, inner, project_out_span
 
 __all__ = [
     "JetSample",
@@ -38,7 +42,8 @@ TOL_H = 1e-8
 
 @dataclass(frozen=True)
 class JetSample:
-    """Position and first/second partials of a chart at one (u, v)."""
+    """Position and first/second partials of a chart at one (u, v), or at a
+    stack of points (u, v arrays; vectors with the same leading axes)."""
 
     u: float
     v: float
@@ -68,7 +73,7 @@ class Jet2Immersion:
         if not (self.v_domain[0] - slack_v <= v <= self.v_domain[1] + slack_v):
             raise ChartDomainError(f"v={v} outside {self.v_domain}")
         parts = [np.asarray(x, dtype=float) for x in self.evaluator(u, v)]
-        if not all(np.isfinite(x).all() for x in parts):
+        if not np.isfinite(np.concatenate(parts)).all():
             raise ChartDomainError(f"non-finite jet at (u,v)=({u},{v})")
         return JetSample(float(u), float(v), *parts)
 
@@ -148,12 +153,20 @@ def induced_metric(jet: JetSample, G) -> np.ndarray:
     g11 = inner(jet.phi_u, jet.phi_u, G)
     g12 = inner(jet.phi_u, jet.phi_v, G)
     g22 = inner(jet.phi_v, jet.phi_v, G)
-    g = np.array([[g11, g12], [g12, g22]])
-    if g11 <= 0.0 or np.linalg.det(g) <= 0.0:
-        raise NotSpaceLikeError(
-            f"induced metric not positive definite at (u,v)=({jet.u},{jet.v}): "
-            f"g11={g11:.6g}, det={np.linalg.det(g):.6g}")
+    g = np.stack([np.stack([g11, g12], axis=-1),
+                  np.stack([g12, g22], axis=-1)], axis=-2)
+    det = np.linalg.det(g)
+    raise_where(NotSpaceLikeError, (g11 <= 0.0) | (det <= 0.0),
+                "induced metric not positive definite at (u,v)=({},{}): "
+                "g11={:.6g}, det={:.6g}", jet.u, jet.v, g11, det)
     return g
+
+
+def _tangent_coefficients(vec, jet: JetSample, G, ginv) -> np.ndarray:
+    """Chart-basis coefficients of the tangential part of vec."""
+    pairs = np.stack([inner(vec, jet.phi_u, G), inner(vec, jet.phi_v, G)],
+                     axis=-1)
+    return (ginv @ pairs[..., None])[..., 0]
 
 
 def chart_second_fundamental(jet: JetSample, space: AmbientSpace, G, ginv,
@@ -174,24 +187,26 @@ def chart_second_fundamental(jet: JetSample, space: AmbientSpace, G, ginv,
          for (a, b), pab in second.items()}
 
     def normal_part(vec):
-        coef = ginv @ np.array([inner(vec, jet.phi_u, G),
-                                inner(vec, jet.phi_v, G)])
-        return vec - coef[0] * jet.phi_u - coef[1] * jet.phi_v
+        coef = _tangent_coefficients(vec, jet, G, ginv)
+        return vec - coef[..., :1] * jet.phi_u - coef[..., 1:] * jet.phi_v
 
     h = {key: normal_part(val) for key, val in W.items()}
-    H = 0.5 * (ginv[0, 0] * h[("u", "u")] + 2.0 * ginv[0, 1] * h[("u", "v")]
-               + ginv[1, 1] * h[("v", "v")])
+    H = 0.5 * (_col(ginv[..., 0, 0]) * h[("u", "u")]
+               + 2.0 * _col(ginv[..., 0, 1]) * h[("u", "v")]
+               + _col(ginv[..., 1, 1]) * h[("v", "v")])
     return W, h, H
 
 
 @dataclass(frozen=True)
 class FrameData:
-    """Adapted orthonormal frame at one surface point.
+    """Adapted orthonormal frame at one surface point (or a stack of them:
+    every field then carries the points' leading axes).
 
-    ``normals`` starts with the unit timelike e3; when the mean curvature
-    direction exists it is followed by e4 = H/|H| and then the space-like
-    completion.  ``coeffs`` holds e1, e2 row-wise in the (phi_u, phi_v)
-    chart basis.
+    ``normals`` holds the normal frame row-wise, shape (k, d): the unit
+    timelike e3 first; when the mean curvature direction exists it is
+    followed by e4 = H/|H| and then the space-like completion.
+    ``normal_signs`` are their causal signs.  ``coeffs`` holds e1, e2
+    row-wise in the (phi_u, phi_v) chart basis.
     """
 
     u: float
@@ -204,20 +219,20 @@ class FrameData:
     theta: float
     sinh_theta: float
     cosh_theta: float
-    normals: tuple
-    normal_signs: tuple
+    normals: np.ndarray
+    normal_signs: np.ndarray
     has_mean_direction: bool
     coeffs: np.ndarray
 
     @property
     def e3(self) -> np.ndarray:
-        return self.normals[0]
+        return self.normals[..., 0, :]
 
     @property
     def e4(self) -> np.ndarray:
-        if not self.has_mean_direction:
+        if not np.all(self.has_mean_direction):
             raise DegenerateFrameError("frame has no mean-curvature direction")
-        return self.normals[1]
+        return self.normals[..., 1, :]
 
     @property
     def tangents(self) -> tuple:
@@ -235,70 +250,77 @@ def adapted_frame(jet: JetSample, space: AmbientSpace, G, ginv,
     direction; the frame is completed without e4 and flagged.
     """
     dt = space.dt_vector()
-    coef_T = ginv @ np.array([inner(dt, jet.phi_u, G), inner(dt, jet.phi_v, G)])
-    T = coef_T[0] * jet.phi_u + coef_T[1] * jet.phi_v
+    coef_T = _tangent_coefficients(dt, jet, G, ginv)
+    T = coef_T[..., :1] * jet.phi_u + coef_T[..., 1:] * jet.phi_v
     eta = dt - T
     sinh2 = inner(T, T, G)
-    if sinh2 <= TOL_T * TOL_T:
-        raise HorizontalSliceError(
-            f"tangential comoving part vanishes at (u,v)=({jet.u},{jet.v})")
-    sinh_theta = float(np.sqrt(sinh2))
-    cosh_theta = float(np.sqrt(1.0 + sinh2))
-    theta = float(np.arcsinh(sinh_theta))
-    e1 = T / sinh_theta
-    e3 = eta / cosh_theta
+    raise_where(HorizontalSliceError, sinh2 <= TOL_T * TOL_T,
+                "tangential comoving part vanishes at (u,v)=({},{})",
+                jet.u, jet.v)
+    sinh_theta = np.sqrt(sinh2)
+    cosh_theta = np.sqrt(1.0 + sinh2)
+    theta = np.arcsinh(sinh_theta)
+    e1 = T / _col(sinh_theta)
+    e3 = eta / _col(cosh_theta)
 
-    w2 = jet.phi_v - inner(jet.phi_v, e1, G) * e1
+    v1 = inner(jet.phi_v, e1, G)
+    w2 = jet.phi_v - _col(v1) * e1
     n2 = inner(w2, w2, G)
-    if n2 <= 0.0 or n2 < 1e-24:
-        raise DegenerateFrameError("phi_v is parallel to e1")
-    e2 = w2 / np.sqrt(n2)
+    raise_where(DegenerateFrameError, (n2 <= 0.0) | (n2 < 1e-24),
+                "phi_v is parallel to e1")
+    e2 = w2 / _col(np.sqrt(n2))
 
     #  e1, e2 expressed in the chart basis (for directional derivatives)
-    c1 = coef_T / sinh_theta
-    c2 = np.array([-inner(jet.phi_v, e1, G) * c1[0],
-                   1.0 - inner(jet.phi_v, e1, G) * c1[1]]) / np.sqrt(n2)
-    coeffs = np.vstack([c1, c2])
+    c1 = coef_T / _col(sinh_theta)
+    c2 = np.stack([-v1 * c1[..., 0], 1.0 - v1 * c1[..., 1]],
+                  axis=-1) / _col(np.sqrt(n2))
+    coeffs = np.stack([c1, c2], axis=-2)
 
     h_norm2 = inner(H, H, G)
-    has_mean = abs(h_norm2) > TOL_H * TOL_H
+    has_mean = np.abs(h_norm2) > TOL_H * TOL_H
+    normals, signs = _complete_normals(space, jet, G, e1, e2, e3, H, h_norm2,
+                                       has_mean)
+    return FrameData(jet.u, jet.v, jet.phi, e1, e2, T, eta, theta, sinh_theta,
+                     cosh_theta, normals, signs, has_mean, coeffs)
 
-    normals = [e3]
-    signs = [-1]
-    if has_mean:
-        normals.append(H / np.sqrt(abs(h_norm2)))
-        signs.append(1 if h_norm2 > 0 else -1)
 
+def _complete_normals(space: AmbientSpace, jet: JetSample, G, e1, e2, e3, H,
+                      h_norm2, has_mean):
+    """The normal frame (..., k, d) and its causal signs (..., k): e3, then
+    e4 = H/|H| where the mean curvature direction exists, then
+    signature-aware Gram-Schmidt over the coordinate candidates, which each
+    point accepts or skips on its own.  Points holding equally many basis
+    vectors share one batched projection per candidate."""
+    d = space.ambient_dim
+    lead = np.shape(e1)[:-1]
+    flat = lambda x: np.reshape(x, (-1,) + np.shape(x)[len(lead):])
     priors = [e1, e2]
     if space.is_embedded:
         priors.append(space.product_normal(jet.phi))
-    need = space.ambient_dim - len(priors) - len(normals)
-    basis = priors + normals
-    n_completed = 0
-    for k in range(space.ambient_dim):
-        if need == 0:
-            break
-        cand = np.zeros(space.ambient_dim)
-        cand[k] = 1.0
-        w = project_out_span(cand, basis, G)
-        s2 = inner(w, w, G)
-        if abs(s2) < 1e-12 * max(1.0, float(np.dot(w, w))) or np.dot(w, w) < 1e-12:
-            continue
-        w = w / np.sqrt(abs(s2))
-        normals.append(w)
-        signs.append(1 if s2 > 0 else -1)
-        basis.append(w)
-        n_completed += 1
-        need -= 1
-    if need != 0:
-        raise DegenerateFrameError("could not complete the normal frame")
-    if n_completed:
-        # the coordinate-candidate sign rule is not smooth where the
-        # candidate component crosses zero; pin the last completion vector to
-        # the ambient orientation instead (smooth along catalog grids)
-        if np.linalg.det(np.column_stack(basis)) < 0.0:
-            normals[-1] = -normals[-1]
-
-    return FrameData(jet.u, jet.v, jet.phi, e1, e2, T, eta, theta, sinh_theta,
-                     cosh_theta, tuple(normals), tuple(signs), has_mean,
-                     coeffs)
+    G, mean = flat(np.broadcast_to(G, lead + (d, d))), flat(has_mean)
+    basis = np.zeros((len(mean), d, d))  # rows: priors, then the normal frame
+    basis[:, :len(priors) + 1] = np.stack([flat(x) for x in priors + [e3]], 1)
+    basis[mean, len(priors) + 1] = (flat(H)[mean]
+                                    / _col(np.sqrt(np.abs(flat(h_norm2)[mean]))))
+    start = len(priors) + 1 + mean.astype(int)
+    filled = start.copy()
+    for c in range(d):
+        groups = [(m, np.flatnonzero(filled == m))
+                  for m in np.unique(filled[filled < d])]
+        for m, idx in groups:
+            w = project_out_span(np.eye(d)[c], list(basis[idx, :m].swapaxes(0, 1)),
+                                 G[idx])
+            s2, ww = inner(w, w, G[idx]), np.sum(w * w, axis=-1)
+            take = (np.abs(s2) >= 1e-12 * np.maximum(1.0, ww)) & (ww >= 1e-12)
+            basis[idx[take], m] = w[take] / _col(np.sqrt(np.abs(s2[take])))
+            filled[idx[take]] += 1
+    raise_where(DegenerateFrameError, (filled < d).reshape(lead),
+                "could not complete the normal frame")
+    # the coordinate-candidate sign rule is not smooth where the candidate
+    # component crosses zero; pin the last completion vector to the ambient
+    # orientation instead (smooth along catalog grids)
+    basis[(filled > start) & (np.linalg.det(basis) < 0.0), d - 1] *= -1.0
+    normals = basis[:, len(priors):]
+    signs = np.where(inner(normals, normals, G[:, None]) > 0, 1, -1)
+    k = d - len(priors)
+    return normals.reshape(lead + (k, d)), signs.reshape(lead + (k,))

@@ -1,8 +1,11 @@
 """Small dense vectors and matrices with indefinite (Lorentzian) inner products.
 
-Vectors are plain 1-d numpy arrays; the ambient backend that interprets them
-is carried by the AmbientSpace object that produced the metric matrix.  All
-dimensions here are tiny (n <= 8), so everything is dense and allocation-light.
+Vectors are numpy arrays whose last axis is the coordinate axis; the ambient
+backend that interprets them is carried by the AmbientSpace object that
+produced the metric matrix.  Every function here also takes stacks of points:
+leading axes broadcast (vectors ``(..., d)``, metrics ``(..., d, d)``) and
+the result gains the same leading axes, so one call serves a whole grid.
+All dimensions are tiny (d <= 8), so everything is dense.
 """
 
 from __future__ import annotations
@@ -20,19 +23,27 @@ __all__ = [
 ]
 
 
-def inner(u, v, G) -> float:
+def _col(x) -> np.ndarray:
+    """Per-point scalars as a trailing column, to scale ``(..., d)`` vectors."""
+    return np.asarray(x, dtype=float)[..., None]
+
+
+def inner(u, v, G):
     """Indefinite inner product u^T G v.
 
-    G must be the (symmetric) metric matrix at the evaluation point; u and v
-    must have matching length.
+    G must be the (symmetric) metric matrix at the evaluation point; u, v
+    and G must agree in the coordinate dimension.  A float for single
+    vectors, an array over the broadcast leading axes otherwise.
     """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     G = np.asarray(G, dtype=float)
-    if u.shape != v.shape or G.shape != (u.shape[0], u.shape[0]):
+    d = u.shape[-1:]
+    if u.ndim == 0 or v.shape[-1:] != d or G.shape[-2:] != d + d:
         raise DimensionMismatchError(
             f"inner: shapes {u.shape}, {v.shape}, metric {G.shape}")
-    return float(u @ G @ v)
+    out = np.einsum("...i,...ij,...j->...", u, G, v)
+    return float(out) if out.ndim == 0 else out
 
 
 def causal_character(v, G, tol: float = 1e-10) -> str:
@@ -42,10 +53,10 @@ def causal_character(v, G, tol: float = 1e-10) -> str:
     any magnitude are flagged.
     """
     s = inner(v, v, G)
-    scale = max(1.0, float(np.dot(v, v)))
-    if abs(s) < tol * scale:
-        return "null"
-    return "spacelike" if s > 0 else "timelike"
+    scale = np.maximum(1.0, np.sum(np.square(v), axis=-1))
+    out = np.where(np.abs(s) < tol * scale, "null",
+                   np.where(s > 0, "spacelike", "timelike"))
+    return str(out) if out.ndim == 0 else out
 
 
 def project_out_span(x, basis, G):
@@ -54,13 +65,13 @@ def project_out_span(x, basis, G):
     Works for mildly non-orthogonal bases: the projection coefficients solve
     the Gram system exactly instead of assuming the basis orthonormal.
     """
-    if not basis:
-        return np.array(x, dtype=float)
-    B = np.column_stack(basis)
-    M = B.T @ G @ B
-    rhs = B.T @ G @ np.asarray(x, dtype=float)
-    coef = np.linalg.solve(M, rhs)
-    return np.asarray(x, dtype=float) - B @ coef
+    x = np.asarray(x, dtype=float)
+    if not len(basis):
+        return x.copy()
+    B = np.stack(basis, axis=-1)
+    BtG = np.swapaxes(B, -1, -2) @ np.asarray(G, dtype=float)
+    coef = np.linalg.solve(BtG @ B, BtG @ x[..., None])
+    return x - (B @ coef)[..., 0]
 
 
 def orthonormalize_signature(vectors, G, tol: float = 1e-10,
@@ -110,12 +121,10 @@ def numeric_rank(vectors, G, tol: float = 1e-8) -> int:
     """
     if tol <= 0:
         raise ValueError("numeric_rank: tol must be positive")
-    vecs = [np.asarray(v, dtype=float) for v in vectors]
-    if not vecs:
+    if not len(vectors):
         return 0
-    B = np.column_stack(vecs)
-    M = B.T @ np.asarray(G, dtype=float) @ B
+    B = np.stack([np.asarray(v, dtype=float) for v in vectors], axis=-1)
+    M = np.swapaxes(B, -1, -2) @ np.asarray(G, dtype=float) @ B
     sv = np.linalg.svd(M, compute_uv=False)
-    if sv[0] == 0.0:
-        return 0
-    return int(np.sum(sv > tol * sv[0]))
+    rank = np.sum(sv > tol * sv[..., :1], axis=-1)
+    return int(rank) if rank.ndim == 0 else rank

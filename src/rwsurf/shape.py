@@ -1,21 +1,21 @@
 """Second fundamental form, shape operators, normal connection and
 normal-space dimensions.
 
-Grid evaluation is two-phase: ``SurfaceGrid`` first fills immutable per-point
-records (frames, second fundamental data) at every report node and at local
-cross-stencil points around it, then derivative quantities are taken with
-5-point central stencils over those records.  The stencil substep is small
-and decoupled from the report-grid spacing so that truncation error stays
-orders of magnitude below the stencil-tier tolerances even on coarse grids.
-
-``evaluate_point`` computes each pointwise quantity once and hands it to the
-helpers that need it.  Stencil quantities that several checks read (frame
-covariant derivatives, nabla^perp h, nabla^perp H, biconservativity) are
-computed once per node and kept in the grid's per-node memo (``_per_node``).
+Grid evaluation is two-phase.  ``SurfaceGrid`` first fills one
+array-of-points ``PointData`` with leading axes (nu, nv, 9): every report
+node and its cross stencil, the chart called per point and every later
+layer batched (``evaluate_point``).  Derivatives are then 5-point central
+stencils, one weighted sum over the offset axis at every node at once.  The
+stencil substep is small and decoupled from the report-grid spacing so that
+truncation error stays orders of magnitude below the stencil-tier
+tolerances even on coarse grids.  Stencil quantities that several checks
+read are computed once per grid, on first use (``_per_grid``), and
+``SurfaceGrid.point(i, j)`` is a record of views into the grid's arrays.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -23,9 +23,10 @@ import numpy as np
 
 from .ambient import AmbientSpace, _covariant_derivative
 from .errors import GeometryError
-from .immersion import (FrameData, Jet2Immersion, JetSample, adapted_frame,
+from .immersion import (FrameData, Jet2Immersion, JetSample,
+                        _tangent_coefficients, adapted_frame,
                         chart_second_fundamental, induced_metric)
-from .linalg import inner, numeric_rank
+from .linalg import _col, inner, numeric_rank
 
 __all__ = [
     "SecondFundamentalData",
@@ -36,7 +37,7 @@ __all__ = [
     "evaluate_point",
     "SurfaceGrid",
     "normal_connection_derivative",
-    "pmcv_at",
+    "pmcv_values",
     "pmcv_residual",
     "NormalSpaceDims",
     "normal_space_dims",
@@ -44,27 +45,29 @@ __all__ = [
 
 # 5-point central first-derivative weights at offsets (-2, -1, +1, +2)
 _STENCIL_OFFSETS = (-2, -1, 1, 2)
-_STENCIL_WEIGHTS = (1.0, -8.0, 8.0, -1.0)
+_STENCIL_WEIGHTS = np.array([1.0, -8.0, 8.0, -1.0])
 DEFAULT_SUBSTEP = 2e-3
 # normal_space_dims: relative rank tolerance, and the frame norm below which a
 # generator counts as zero
 RANK_TOL = 1e-8
 ZERO_FLOOR = 1e-7
 _SCALE_FRACTION = 4e-3
-# (u, v) offsets of the points filled per node: the node, then its cross stencil
+# (u, v) offsets of the points filled per node: the node, then its cross
+# stencil; the u- and v-stencil points sit at these positions on the offset axis
 _FILL_OFFSETS = ((0, 0),) + tuple(p for k in _STENCIL_OFFSETS
                                   for p in ((k, 0), (0, k)))
+_U_SLOTS = [_FILL_OFFSETS.index((k, 0)) for k in _STENCIL_OFFSETS]
+_V_SLOTS = [_FILL_OFFSETS.index((0, k)) for k in _STENCIL_OFFSETS]
 
 
-def _per_node(fn):
-    """Memoize ``fn(grid, i, j)`` in the grid's per-node cache.  No
-    ``__wrapped__`` (functools.wraps): perfbench's tracer reads one as a
-    patch it failed to remove."""
-    def cached(grid, i, j):
-        node = grid._memo.setdefault((i, j), {})
-        if fn not in node:
-            node[fn] = fn(grid, i, j)
-        return node[fn]
+def _per_grid(fn):
+    """Compute ``fn(grid)`` once per grid, on first use.  No ``__wrapped__``
+    (functools.wraps): perfbench's tracer reads one as a patch it failed to
+    remove."""
+    def cached(grid):
+        if fn not in grid._cache:
+            grid._cache[fn] = fn(grid)
+        return grid._cache[fn]
     cached.__name__, cached.__doc__ = fn.__name__, fn.__doc__
     return cached
 
@@ -72,8 +75,30 @@ def _per_node(fn):
 def _worst(values) -> float:
     """Largest of ``values`` (0.0 when there are none), or NaN when any value
     is NaN; the built-in max keeps whichever operand comes first."""
-    arr = np.fromiter(values, dtype=float)
+    arr = np.asarray(values, dtype=float)
     return float(arr.max()) if arr.size else 0.0
+
+
+def _map_arrays(fn, record):
+    """``record`` (a dataclass, tuple or array, nested) with ``fn`` applied to
+    every array in it."""
+    if isinstance(record, np.ndarray):
+        return fn(record)
+    if dataclasses.is_dataclass(record):
+        return type(record)(*(_map_arrays(fn, getattr(record, f.name))
+                              for f in dataclasses.fields(record)))
+    if isinstance(record, tuple):
+        return tuple(_map_arrays(fn, x) for x in record)
+    return record
+
+
+def _check_substep(substep: float) -> float:
+    """The stencil substep as a float; ValueError unless positive and
+    finite."""
+    substep = float(substep)
+    if not (np.isfinite(substep) and substep > 0.0):
+        raise ValueError(f"substep must be positive and finite, got {substep}")
+    return substep
 
 
 def _warp_length_scale(space: AmbientSpace, u: float) -> float:
@@ -108,17 +133,18 @@ def _warp_length_scale(space: AmbientSpace, u: float) -> float:
 @dataclass(frozen=True)
 class SecondFundamentalData:
     """h in the adapted frame basis, the mean curvature vector, and the shape
-    operator matrices keyed by normal-frame index (0 = e3, 1 = e4, ...).
+    operator matrices A (..., k, 2, 2), indexed by normal-frame index
+    (0 = e3, 1 = e4, ...).
 
     Pointwise quantities only.  Stencil derivatives such as nabla^perp H are
-    not pointwise; they live in the per-node memo of ``SurfaceGrid``.
+    not pointwise; ``SurfaceGrid`` computes them per grid.
     """
 
     h11: np.ndarray
     h12: np.ndarray
     h22: np.ndarray
     H: np.ndarray
-    A: dict
+    A: np.ndarray
 
     def h(self, i: int, j: int) -> np.ndarray:
         if i == j:
@@ -128,9 +154,10 @@ class SecondFundamentalData:
 
 def _pairing_matrix(h11, h12, h22, xi, G) -> np.ndarray:
     """[[<h11, xi>, <h12, xi>], [<h12, xi>, <h22, xi>]], the shape operator
-    of xi in the tangent frame."""
+    of xi in the tangent frame, as a trailing (2, 2) block."""
     a12 = inner(h12, xi, G)
-    return np.array([[inner(h11, xi, G), a12], [a12, inner(h22, xi, G)]])
+    return np.stack([np.stack([inner(h11, xi, G), a12], axis=-1),
+                     np.stack([a12, inner(h22, xi, G)], axis=-1)], axis=-2)
 
 
 def second_fundamental_form(frame: FrameData, G,
@@ -146,13 +173,14 @@ def second_fundamental_form(frame: FrameData, G,
     huu, huv, hvv = h_chart[("u", "u")], h_chart[("u", "v")], h_chart[("v", "v")]
 
     def hframe(i, j):
-        return (c[i, 0] * c[j, 0] * huu
-                + (c[i, 0] * c[j, 1] + c[i, 1] * c[j, 0]) * huv
-                + c[i, 1] * c[j, 1] * hvv)
+        return (_col(c[..., i, 0] * c[..., j, 0]) * huu
+                + _col(c[..., i, 0] * c[..., j, 1] + c[..., i, 1] * c[..., j, 0]) * huv
+                + _col(c[..., i, 1] * c[..., j, 1]) * hvv)
 
     h11, h12, h22 = hframe(0, 0), hframe(0, 1), hframe(1, 1)
-    A = {k: _pairing_matrix(h11, h12, h22, xi, G)
-         for k, xi in enumerate(frame.normals)}
+    per_normal = lambda x: x[..., None, :]
+    A = _pairing_matrix(per_normal(h11), per_normal(h12), per_normal(h22),
+                        frame.normals, np.asarray(G)[..., None, :, :])
     return SecondFundamentalData(h11, h12, h22, 0.5 * (h11 + h22), A)
 
 
@@ -164,10 +192,12 @@ def shape_operator(sfd: SecondFundamentalData, xi, G,
     xi must satisfy |<xi, xi>| = 1; when ``frame`` is supplied, orthogonality
     to the tangent plane is checked as well.
     """
-    if abs(abs(inner(xi, xi, G)) - 1.0) > 1e-8:
+    if np.any(np.abs(np.abs(inner(xi, xi, G)) - 1.0) > 1e-8):
         raise ValueError("shape_operator needs a unit normal direction")
     if frame is not None:
-        if max(abs(inner(xi, frame.e1, G)), abs(inner(xi, frame.e2, G))) > 1e-8:
+        tilt = np.maximum(np.abs(inner(xi, frame.e1, G)),
+                          np.abs(inner(xi, frame.e2, G)))
+        if np.any(tilt > 1e-8):
             raise ValueError("shape_operator: xi is not normal to the surface")
     return _pairing_matrix(sfd.h11, sfd.h12, sfd.h22, xi, G)
 
@@ -177,14 +207,15 @@ def normal_curvature(sfd: SecondFundamentalData, xi, G) -> np.ndarray:
     for ambients whose curvature has no normal part)."""
     A = shape_operator(sfd, xi, G)
     # A_xi e1 = A[0,0] e1 + A[0,1] e2, A_xi e2 = A[1,0] e1 + A[1,1] e2
-    h1A2 = A[0, 1] * sfd.h11 + A[1, 1] * sfd.h12
-    hA12 = A[0, 0] * sfd.h12 + A[0, 1] * sfd.h22
+    h1A2 = _col(A[..., 0, 1]) * sfd.h11 + _col(A[..., 1, 1]) * sfd.h12
+    hA12 = _col(A[..., 0, 0]) * sfd.h12 + _col(A[..., 0, 1]) * sfd.h22
     return h1A2 - hA12
 
 
 @dataclass(frozen=True)
 class PointData:
-    """Everything pointwise at one parameter value."""
+    """Everything pointwise at one parameter value, or at a stack of them
+    (every array then carries the points' leading axes)."""
 
     jet: JetSample
     G: np.ndarray
@@ -195,46 +226,104 @@ class PointData:
     sfd: SecondFundamentalData
 
 
-def evaluate_point(surface: Jet2Immersion, u: float, v: float) -> PointData:
-    """Every pointwise quantity at (u, v), each computed exactly once."""
-    jet = surface.jet(u, v)
-    space = surface.space
-    G = space.metric_at(jet.phi)
+def _point_data(space: AmbientSpace, jet: JetSample, warp_state) -> PointData:
+    """Every quantity after the jet and the warp, each computed once, for one
+    point or a stack of points."""
+    G = space.metric_at(jet.phi, warp_state)
     g = induced_metric(jet, G)
     ginv = np.linalg.inv(g)
-    warp_state = space.warp_state(jet.phi)
     _, h_chart, H = chart_second_fundamental(jet, space, G, ginv, warp_state)
     frame = adapted_frame(jet, space, G, ginv, H)
     return PointData(jet, G, g, ginv, warp_state, frame,
                      second_fundamental_form(frame, G, h_chart))
 
 
-def frame_norm(V, pd: PointData) -> float:
+def evaluate_point(surface: Jet2Immersion, u, v):
+    """Every pointwise quantity at (u, v), each computed exactly once.
+
+    With scalar u, v: that point's ``PointData``; a degenerate point raises
+    its ``GeometryError``.  With arrays u, v: ``(data, errors)``, where
+    ``data`` is the ``PointData`` of all points (leading axes the shape of
+    u) and ``errors`` maps the flat index of each degenerate point to
+    ``"<ErrorClass>: <message>"``.  The chart is called once per point and
+    the warp once per distinct time coordinate; the rest runs batched over
+    the points still alive.  A point that fails a stage is left out of the
+    later ones and reads NaN.
+    """
+    space = surface.space
+    if np.ndim(u) == 0:
+        jet = surface.jet(u, v)
+        return _point_data(space, jet, space.warp_state(jet.phi))
+    shape = np.shape(u)
+    uv = np.array(np.broadcast_arrays(u, v), dtype=float).reshape(2, -1).T
+    n = len(uv)
+    parts = np.full((6, n, space.ambient_dim), np.nan)
+    states = np.full((n, 3), np.nan)
+    errors, seen = {}, {}  # seen: warp states by time; stencil points share them
+    for k, (uk, vk) in enumerate(uv.tolist()):
+        try:
+            jet = surface.jet(uk, vk)
+            t = float(jet.phi[0])
+            if t not in seen:
+                seen[t] = space.warp_state(jet.phi)
+            states[k] = seen[t]
+        except GeometryError as exc:
+            errors[k] = f"{type(exc).__name__}: {exc}"
+            continue
+        parts[:, k] = (jet.phi, jet.phi_u, jet.phi_v, jet.phi_uu, jet.phi_uv,
+                       jet.phi_vv)
+    alive = np.array([k for k in range(n) if k not in errors], dtype=int)
+    while True:
+        try:
+            data = _point_data(space, JetSample(*uv[alive].T, *parts[:, alive]),
+                               tuple(states[alive].T))
+            break
+        except GeometryError as exc:
+            if getattr(exc, "where", None) is None:
+                raise
+            for k, text in zip(alive[exc.where], exc.texts):
+                errors[int(k)] = f"{type(exc).__name__}: {text}"
+            alive = alive[~exc.where]
+
+    def place(x):
+        out = np.full((n,) + x.shape[1:], np.nan if x.dtype.kind == "f" else 0,
+                      dtype=x.dtype)
+        out[alive] = x
+        return out.reshape(shape + x.shape[1:])
+
+    return _map_arrays(place, data), errors
+
+
+def frame_norm(V, pd: PointData):
     """Norm of V from its components in the orthonormal frame (a true norm
-    regardless of the indefinite signature)."""
-    comps = [inner(V, e, pd.G) for e in pd.frame.tangents]
-    comps += [inner(V, e, pd.G) for e in pd.frame.normals]
-    return float(np.sqrt(np.sum(np.square(comps))))
+    regardless of the indefinite signature), one value per point of pd."""
+    fr = pd.frame
+    E = np.concatenate([np.stack([fr.e1, fr.e2], axis=-2), fr.normals],
+                       axis=-2)
+    comps = inner(np.asarray(V, dtype=float)[..., None, :], E,
+                  np.asarray(pd.G)[..., None, :, :])
+    return np.sqrt(np.sum(np.square(comps), axis=-1))
 
 
 class SurfaceGrid:
     """Filled evaluation grid with local cross stencils at every node.
 
-    Phase 1 (construction) evaluates PointData at each report node and at the
-    four u- and four v-offsets around it; phase 2 methods differentiate those
-    records.  Nodes where any evaluation degenerates are recorded in
-    ``degeneracies`` and skipped by the residual scans.  Derivative
-    quantities that more than one check reads are memoized per node.
+    Phase 1 (construction) evaluates ``data``, the ``PointData`` of each
+    report node and its four u- and four v-offsets, leading axes
+    (nu, nv, 9); ``node_data`` is its node slice.  Phase 2 methods
+    differentiate those arrays and return arrays over the (nu, nv) nodes.
+    Nodes where any point degenerates are recorded in ``degeneracies`` and
+    left out of ``ok``, the mask every residual reduction uses.
     """
 
     def __init__(self, surface: Jet2Immersion, us, vs,
                  substep: float = DEFAULT_SUBSTEP):
+        substep = _check_substep(substep)
         self.surface = surface
         self.space = surface.space
         self.us = np.asarray(us, dtype=float)
         self.vs = np.asarray(vs, dtype=float)
         self.nu, self.nv = len(self.us), len(self.vs)
-        self.degeneracies: list[tuple[int, int, str]] = []
 
         u_lo, u_hi = surface.u_domain
         v_lo, v_hi = surface.v_domain
@@ -255,152 +344,150 @@ class SurfaceGrid:
         self.sv = np.array([min(substep * (1.0 + abs(v)), margin_v)
                             for v in self.vs])
 
-        self._data: dict[tuple, PointData] = {}
-        self._memo: dict[tuple[int, int], dict] = {}
-        for i, u in enumerate(self.us):
-            for j, v in enumerate(self.vs):
-                try:
-                    for ku, kv in _FILL_OFFSETS:
-                        self._data[(i, j, ku, kv)] = evaluate_point(
-                            surface, float(u + ku * self.su[i]),
-                            float(v + kv * self.sv[j]))
-                except GeometryError as exc:
-                    self.degeneracies.append((i, j, f"{type(exc).__name__}: {exc}"))
-        self._bad_nodes = {(i, j) for i, j, _ in self.degeneracies}
+        ku, kv = np.array(_FILL_OFFSETS, dtype=float).T
+        U, V = np.broadcast_arrays(self.us[:, None, None] + ku * self.su[:, None, None],
+                                   self.vs[None, :, None] + kv * self.sv[None, :, None])
+        self.data, errors = evaluate_point(surface, U, V)
+        self.node_data = _map_arrays(lambda x: x[:, :, 0], self.data)
+        # a node reports the failure of its first degenerate point
+        self.ok = np.ones((self.nu, self.nv), dtype=bool)
+        self.degeneracies: list[tuple[int, int, str]] = []
+        for k in sorted(errors):
+            i, j, _ = (int(x) for x in np.unravel_index(k, U.shape))
+            if self.ok[i, j]:
+                self.ok[i, j] = False
+                self.degeneracies.append((i, j, errors[k]))
+        self._cache: dict = {}
 
     # -- node access ---------------------------------------------------------
 
     def node_ok(self, i: int, j: int) -> bool:
-        return (i, j) not in self._bad_nodes
+        return bool(self.ok[i, j])
 
     def point(self, i: int, j: int) -> PointData:
-        return self._data[(i, j, 0, 0)]
+        """The node's ``PointData``, as views into the grid's arrays."""
+        return _map_arrays(lambda x: x[i, j], self.node_data)
 
     def nodes(self):
         """Indices of all non-degenerate nodes."""
-        for i in range(self.nu):
-            for j in range(self.nv):
-                if self.node_ok(i, j):
-                    yield i, j
+        for i, j in zip(*np.nonzero(self.ok)):
+            yield int(i), int(j)
 
     @property
     def n_ok(self) -> int:
-        return self.nu * self.nv - len(self._bad_nodes)
+        return int(self.ok.sum())
 
     # -- stencil derivatives ---------------------------------------------------
+    # ``extract`` maps a PointData with leading axes to a field with the same
+    # leading axes; every method returns the quantity at all nodes.
 
-    def chart_derivative(self, i, j, extract: Callable, direction: str):
+    def chart_derivative(self, extract: Callable, direction: str):
         """5-point stencil d/du or d/dv of a per-point field."""
-        step = self.su[i] if direction == "u" else self.sv[j]
-        acc = None
-        for k, w in zip(_STENCIL_OFFSETS, _STENCIL_WEIGHTS):
-            key = (i, j, k, 0) if direction == "u" else (i, j, 0, k)
-            val = extract(self._data[key])
-            acc = w * np.asarray(val, dtype=float) if acc is None else acc + w * np.asarray(val, dtype=float)
-        return acc / (12.0 * step)
+        field = np.asarray(extract(self.data), dtype=float)
+        if direction == "u":
+            slots, step = _U_SLOTS, self.su[:, None]
+        else:
+            slots, step = _V_SLOTS, self.sv[None, :]
+        acc = np.einsum("ijk...,k->ij...", field[:, :, slots], _STENCIL_WEIGHTS)
+        return acc / (12.0 * step).reshape(step.shape + (1,) * (acc.ndim - 2))
 
-    def covariant_along(self, i, j, extract, direction: str):
+    def covariant_along(self, extract, direction: str):
         """Ambient covariant derivative of a vector field along phi_u/phi_v."""
-        pd = self.point(i, j)
-        x = pd.jet.phi_u if direction == "u" else pd.jet.phi_v
+        nd = self.node_data
+        x = nd.jet.phi_u if direction == "u" else nd.jet.phi_v
         return _covariant_derivative(
-            self.space, pd.jet.phi, x, np.asarray(extract(pd), dtype=float),
-            self.chart_derivative(i, j, extract, direction), pd.G,
-            pd.warp_state)
+            self.space, nd.jet.phi, x,
+            np.asarray(extract(self.data), dtype=float)[:, :, 0],
+            self.chart_derivative(extract, direction), nd.G, nd.warp_state)
 
-    def frame_covariant(self, i, j, extract, idx: int):
+    def frame_covariant(self, extract, idx: int):
         """Ambient covariant derivative along e_{idx+1} (idx 0 or 1)."""
-        pd = self.point(i, j)
-        c = pd.frame.coeffs
-        return (c[idx, 0] * self.covariant_along(i, j, extract, "u")
-                + c[idx, 1] * self.covariant_along(i, j, extract, "v"))
+        c = self.node_data.frame.coeffs
+        return (_col(c[..., idx, 0]) * self.covariant_along(extract, "u")
+                + _col(c[..., idx, 1]) * self.covariant_along(extract, "v"))
 
-    def tangential_part(self, i, j, W):
-        pd = self.point(i, j)
-        coef = pd.ginv @ np.array([inner(W, pd.jet.phi_u, pd.G),
-                                   inner(W, pd.jet.phi_v, pd.G)])
-        return coef[0] * pd.jet.phi_u + coef[1] * pd.jet.phi_v
+    def tangential_part(self, W):
+        nd = self.node_data
+        coef = _tangent_coefficients(W, nd.jet, nd.G, nd.ginv)
+        return coef[..., :1] * nd.jet.phi_u + coef[..., 1:] * nd.jet.phi_v
 
-    def nabla_perp(self, i, j, extract, idx: int):
+    def nabla_perp(self, extract, idx: int):
         """Normal connection derivative of a normal field along e_{idx+1}."""
-        W = self.frame_covariant(i, j, extract, idx)
-        return W - self.tangential_part(i, j, W)
+        W = self.frame_covariant(extract, idx)
+        return W - self.tangential_part(W)
 
-    def scalar_derivative(self, i, j, extract, idx: int) -> float:
-        pd = self.point(i, j)
-        c = pd.frame.coeffs
-        return float(c[idx, 0] * self.chart_derivative(i, j, extract, "u")
-                     + c[idx, 1] * self.chart_derivative(i, j, extract, "v"))
+    def scalar_derivative(self, extract, idx: int):
+        c = self.node_data.frame.coeffs
+        return (c[..., idx, 0] * self.chart_derivative(extract, "u")
+                + c[..., idx, 1] * self.chart_derivative(extract, "v"))
 
-    @_per_node
-    def frame_covariants(self, i, j):
+    @_per_grid
+    def frame_covariants(self):
         """W[a][b] = nabla_{e_(a+1)} e_(b+1), the ambient covariant
         derivatives of the tangent frame along itself."""
         fields = (lambda p: p.frame.e1, lambda p: p.frame.e2)
-        return tuple(tuple(self.frame_covariant(i, j, fld, a) for fld in fields)
+        return tuple(tuple(self.frame_covariant(fld, a) for fld in fields)
                      for a in range(2))
 
-    def tangent_connection(self, i, j):
-        """Coefficients <nabla_{e_i} e_j, e_k> as a (2, 2, 2) array."""
-        pd = self.point(i, j)
-        W = self.frame_covariants(i, j)
-        out = np.empty((2, 2, 2))
-        for ii in range(2):
-            for jj in range(2):
-                out[ii, jj, 0] = inner(W[ii][jj], pd.frame.e1, pd.G)
-                out[ii, jj, 1] = inner(W[ii][jj], pd.frame.e2, pd.G)
-        return out
+    def tangent_connection(self):
+        """Coefficients <nabla_{e_i} e_j, e_k> as a (..., 2, 2, 2) array."""
+        nd = self.node_data
+        W = np.stack([np.stack(row, axis=-2) for row in self.frame_covariants()],
+                     axis=-3)
+        E = np.stack(nd.frame.tangents, axis=-2)
+        return inner(W[..., None, :], E[..., None, None, :, :],
+                     nd.G[..., None, None, None, :, :])
 
-    @_per_node
-    def nabla_perp_h(self, i, j):
+    @_per_grid
+    def nabla_perp_h(self):
         """Tensor derivative (nabla^perp_{e_i} h)(e_j, e_k) for all index
         combinations; returns dict[(i, jk)] with jk in {(1,1),(1,2),(2,2)}."""
-        pd = self.point(i, j)
-        conn = self.tangent_connection(i, j)
+        sfd = self.node_data.sfd
+        conn = self.tangent_connection()
         fields = {(1, 1): lambda p: p.sfd.h11, (1, 2): lambda p: p.sfd.h12,
                   (2, 2): lambda p: p.sfd.h22}
         out = {}
         for ii in range(2):
             for (ja, jb), fld in fields.items():
-                W = self.nabla_perp(i, j, fld, ii)
+                W = self.nabla_perp(fld, ii)
                 # subtract h(nabla_{e_i} e_j, e_k) + h(e_j, nabla_{e_i} e_k)
                 for m in range(2):
-                    W = W - conn[ii, ja - 1, m] * pd.sfd.h(m + 1, jb)
-                    W = W - conn[ii, jb - 1, m] * pd.sfd.h(ja, m + 1)
+                    W = W - _col(conn[..., ii, ja - 1, m]) * sfd.h(m + 1, jb)
+                    W = W - _col(conn[..., ii, jb - 1, m]) * sfd.h(ja, m + 1)
                 out[(ii + 1, (ja, jb))] = W
         return out
 
-    @_per_node
-    def mean_curvature_derivatives(self, i, j):
-        """(nabla^perp_{e1} H, nabla^perp_{e2} H) at a node."""
+    @_per_grid
+    def mean_curvature_derivatives(self):
+        """(nabla^perp_{e1} H, nabla^perp_{e2} H) at every node."""
         extract = lambda p: p.sfd.H
-        return (self.nabla_perp(i, j, extract, 0),
-                self.nabla_perp(i, j, extract, 1))
+        return (self.nabla_perp(extract, 0), self.nabla_perp(extract, 1))
 
 
-def normal_connection_derivative(grid: SurfaceGrid, i: int, j: int,
-                                 field: Callable, direction: int):
-    """nabla^perp of a normal field along e_direction (1 or 2) at node (i, j).
+def normal_connection_derivative(grid: SurfaceGrid, field: Callable,
+                                 direction: int):
+    """nabla^perp of a normal field along e_direction (1 or 2) at every node.
 
-    ``field`` maps a PointData to the normal vector; it must be evaluable on
-    the stencil around the node.
+    ``field`` maps a PointData with leading axes to the normal vectors with
+    the same leading axes; it must be evaluable on the stencil points.
     """
     if direction not in (1, 2):
         raise ValueError("direction must be 1 or 2")
-    return grid.nabla_perp(i, j, field, direction - 1)
+    return grid.nabla_perp(field, direction - 1)
 
 
-def pmcv_at(grid: SurfaceGrid, i: int, j: int) -> float:
-    """max over i of |nabla^perp_{e_i} H| at node (i, j)."""
-    pd = grid.point(i, j)
-    return _worst(frame_norm(d, pd)
-                  for d in grid.mean_curvature_derivatives(i, j))
+@_per_grid
+def pmcv_values(grid: SurfaceGrid) -> np.ndarray:
+    """max over i of |nabla^perp_{e_i} H| at every node."""
+    nd = grid.node_data
+    return np.max([frame_norm(d, nd)
+                   for d in grid.mean_curvature_derivatives()], axis=0)
 
 
 def pmcv_residual(grid: SurfaceGrid) -> float:
-    """max over the grid of ``pmcv_at``; zero characterizes a parallel mean
-    curvature vector."""
-    return _worst(pmcv_at(grid, i, j) for i, j in grid.nodes())
+    """max over the grid of ``pmcv_values``; zero characterizes a parallel
+    mean curvature vector."""
+    return _worst(pmcv_values(grid)[grid.ok])
 
 
 class NormalSpaceDims(NamedTuple):
@@ -408,6 +495,10 @@ class NormalSpaceDims(NamedTuple):
     n2: int
     n1_range: tuple[int, int]
     n2_range: tuple[int, int]
+
+
+def _dimension(x: float):
+    return int(x) if np.isfinite(x) else float("nan")
 
 
 def normal_space_dims(grid: SurfaceGrid) -> NormalSpaceDims:
@@ -418,17 +509,25 @@ def normal_space_dims(grid: SurfaceGrid) -> NormalSpaceDims:
     the grid (ranges record any drop at special points); ranks use the
     relative tolerance RANK_TOL.  Generators with frame norm below ZERO_FLOOR
     are treated as numerically zero, so finite-difference noise on totally
-    geodesic surfaces does not inflate the rank.
+    geodesic surfaces does not inflate the rank.  A node with a non-finite
+    generator has no rank: the dimensions and ranges then read NaN.
     """
-    n1s, n2s = [], []
-    for i, j in grid.nodes():
-        pd = grid.point(i, j)
-        keep = lambda vs: [v for v in vs if frame_norm(v, pd) > ZERO_FLOOR]
-        base = keep([pd.sfd.h11, pd.sfd.h12, pd.sfd.h22])
-        n1s.append(numeric_rank(base, pd.G, RANK_TOL))
-        dh = grid.nabla_perp_h(i, j)
-        n2s.append(numeric_rank(base + keep(dh.values()), pd.G, RANK_TOL))
-    if not n1s:
+    if not grid.ok.any():
         raise GeometryError("no usable grid nodes")
-    return NormalSpaceDims(max(n1s), max(n2s), (min(n1s), max(n1s)),
-                           (min(n2s), max(n2s)))
+    nd = grid.node_data
+    gens = np.stack([nd.sfd.h11, nd.sfd.h12, nd.sfd.h22,
+                     *grid.nabla_perp_h().values()], axis=-2)
+    finite = np.isfinite(gens).all(axis=(-2, -1))
+    gens = np.where(finite[..., None, None], gens, 0.0)
+    norms = np.stack([frame_norm(gens[..., m, :], nd)
+                      for m in range(gens.shape[-2])], axis=-1)
+    use = grid.ok & finite
+    gens = (gens * (norms > ZERO_FLOOR)[..., None])[use].swapaxes(0, 1)
+    dims = []
+    for m in (3, len(gens)):  # N1, N2
+        ranks = np.full(use.shape, np.nan)
+        ranks[use] = numeric_rank(list(gens[:m]), nd.G[use], RANK_TOL)
+        ranks = ranks[grid.ok]
+        dims.append([_dimension(x) for x in (_worst(ranks), np.min(ranks))])
+    (n1, n1_lo), (n2, n2_lo) = dims
+    return NormalSpaceDims(n1, n2, (n1_lo, n1), (n2_lo, n2))

@@ -5,6 +5,10 @@ Every check returns a non-negative residual (norms and absolute values only);
 against its tolerance tier and aggregates an overall verdict.  Two tiers are
 used: 'algebraic' for closed-form pointwise quantities and 'stencil' for
 residuals that involve grid-stencil derivatives.
+
+Every check is an array expression over the grid's nodes, reduced over the
+non-degenerate ones (``SurfaceGrid.ok``) with the NaN-propagating
+``_worst``.
 """
 
 from __future__ import annotations
@@ -17,10 +21,10 @@ import numpy as np
 from .ambient import curvature_rw_values, curvature_scalars
 from .errors import GeometryError, MinimalDirectionError
 from .immersion import Jet2Immersion
-from .linalg import causal_character, inner
-from .shape import (DEFAULT_SUBSTEP, SurfaceGrid, _per_node, _worst,
-                    frame_norm, normal_space_dims, pmcv_at, pmcv_residual,
-                    normal_curvature)
+from .linalg import _col, causal_character, inner
+from .shape import (DEFAULT_SUBSTEP, SurfaceGrid, _check_substep, _per_grid,
+                    _worst, frame_norm, normal_space_dims, pmcv_values,
+                    pmcv_residual, normal_curvature)
 
 __all__ = [
     "ToleranceConfig",
@@ -134,16 +138,17 @@ def curvature_trace_term(frame, H, G, warp_state, c: float):
     direct = np.zeros_like(np.asarray(H, dtype=float))
     for e in (e1, e2):
         R = curvature_rw_values(e, H, e, G, f, fp, fpp, c)
-        direct = direct + inner(R, e1, G) * e1 + inner(R, e2, G) * e2
+        direct = (direct + _col(inner(R, e1, G)) * e1
+                  + _col(inner(R, e2, G)) * e2)
     k1, k2 = curvature_scalars(f, fp, fpp, c)
-    closed = (k1 - k2) * inner(H, frame.eta, G) * frame.T
+    closed = _col((k1 - k2) * inner(H, frame.eta, G)) * frame.T
     return direct, closed
 
 
 def reduced_criterion(frame, H, G) -> float:
     """|<H, eta>|; vanishing characterizes biconservativity for PMCV
     surfaces away from constant-curvature ambients."""
-    return abs(inner(H, frame.eta, G))
+    return np.abs(inner(H, frame.eta, G))
 
 
 def marginally_trapped_check(H, G, tol: float = 1e-10) -> str:
@@ -156,22 +161,22 @@ def marginally_trapped_check(H, G, tol: float = 1e-10) -> str:
 # grid checks
 
 
-@_per_node
-def _biconservativity_at(grid: SurfaceGrid, i: int, j: int) -> float:
-    pd = grid.point(i, j)
+@_per_grid
+def _biconservativity_values(grid: SurfaceGrid) -> np.ndarray:
+    nd = grid.node_data
     h2 = lambda p: inner(p.sfd.H, p.sfd.H, p.G)
-    e = (pd.frame.e1, pd.frame.e2)
-    grad = (grid.scalar_derivative(i, j, h2, 0) * e[0]
-            + grid.scalar_derivative(i, j, h2, 1) * e[1])
-    dH = grid.mean_curvature_derivatives(i, j)
+    e = nd.frame.tangents
+    grad = (_col(grid.scalar_derivative(h2, 0)) * e[0]
+            + _col(grid.scalar_derivative(h2, 1)) * e[1])
+    dH = grid.mean_curvature_derivatives()
     middle = np.zeros_like(grad)
     for idx in range(2):
-        xi = dH[idx]
         for jj in range(2):
-            middle = middle + inner(pd.sfd.h(idx + 1, jj + 1), xi, pd.G) * e[jj]
-    curv, _ = curvature_trace_term(pd.frame, pd.sfd.H, pd.G, pd.warp_state,
+            middle = middle + _col(inner(nd.sfd.h(idx + 1, jj + 1), dH[idx],
+                                         nd.G)) * e[jj]
+    curv, _ = curvature_trace_term(nd.frame, nd.sfd.H, nd.G, nd.warp_state,
                                    float(grid.space.c))
-    return frame_norm(2.0 * grad + 4.0 * middle + 4.0 * curv, pd)
+    return frame_norm(2.0 * grad + 4.0 * middle + 4.0 * curv, nd)
 
 
 def biconservativity_residual(grid: SurfaceGrid) -> float:
@@ -180,16 +185,21 @@ def biconservativity_residual(grid: SurfaceGrid) -> float:
     The gradient of |H|^2 uses grid stencils; the two trace terms sum over the
     orthonormal tangent frame.  m = 2 is fixed (surfaces).
     """
-    return _worst(_biconservativity_at(grid, i, j) for i, j in grid.nodes())
+    return _worst(_biconservativity_values(grid)[grid.ok])
+
+
+@_per_grid
+def _reduced_values(grid: SurfaceGrid) -> np.ndarray:
+    nd = grid.node_data
+    return reduced_criterion(nd.frame, nd.sfd.H, nd.G)
 
 
 def node_residuals(grid: SurfaceGrid, i: int, j: int) -> dict:
     """Per-node residual values for table exports."""
-    pd = grid.point(i, j)
     return {
-        "pmcv": pmcv_at(grid, i, j),
-        "reduced": reduced_criterion(pd.frame, pd.sfd.H, pd.G),
-        "biconservativity": _biconservativity_at(grid, i, j),
+        "pmcv": float(pmcv_values(grid)[i, j]),
+        "reduced": float(_reduced_values(grid)[i, j]),
+        "biconservativity": float(_biconservativity_values(grid)[i, j]),
     }
 
 
@@ -200,17 +210,14 @@ def codazzi_residuals(grid: SurfaceGrid) -> tuple[float, float]:
     r2: (nabla^perp_{e1} h)(e2, e2) - (nabla^perp_{e2} h)(e1, e2)
         = sinh(theta) (-f''/f + (f'^2 + c)/f^2) eta.
     """
-    r1, r2 = [], []
-    for i, j in grid.nodes():
-        pd = grid.point(i, j)
-        dh = grid.nabla_perp_h(i, j)
-        v1 = dh[(1, (1, 2))] - dh[(2, (1, 1))]
-        k1, k2 = curvature_scalars(*pd.warp_state, grid.space.c)
-        factor = pd.frame.sinh_theta * (k2 - k1)
-        v2 = dh[(1, (2, 2))] - dh[(2, (1, 2))] - factor * pd.frame.eta
-        r1.append(frame_norm(v1, pd))
-        r2.append(frame_norm(v2, pd))
-    return _worst(r1), _worst(r2)
+    nd = grid.node_data
+    dh = grid.nabla_perp_h()
+    v1 = dh[(1, (1, 2))] - dh[(2, (1, 1))]
+    k1, k2 = curvature_scalars(*nd.warp_state, grid.space.c)
+    factor = nd.frame.sinh_theta * (k2 - k1)
+    v2 = dh[(1, (2, 2))] - dh[(2, (1, 2))] - _col(factor) * nd.frame.eta
+    return (_worst(frame_norm(v1, nd)[grid.ok]),
+            _worst(frame_norm(v2, nd)[grid.ok]))
 
 
 def frame_identity_residuals(grid: SurfaceGrid) -> tuple[float, float, float, float]:
@@ -224,30 +231,30 @@ def frame_identity_residuals(grid: SurfaceGrid) -> tuple[float, float, float, fl
         + cosh(theta) nabla^perp_{e_i} e3 = (f'/f) cosh sinh e3 | 0.
     """
     theta_of = lambda p: p.frame.theta
-    e3_of = lambda p: p.frame.normals[0]
-    out = ([], [], [], [])
-    for i, j in grid.nodes():
-        pd = grid.point(i, j)
-        fr = pd.frame
-        f, fp, _ = pd.warp_state
-        sh, ch = fr.sinh_theta, fr.cosh_theta
-        A3 = pd.sfd.A[0]
-        e = (fr.e1, fr.e2)
-        for idx in range(2):
-            ei_theta = grid.scalar_derivative(i, j, theta_of, idx)
-            W = grid.frame_covariants(i, j)[idx][0]
-            nab_e1 = inner(W, e[0], pd.G) * e[0] + inner(W, e[1], pd.G) * e[1]
-            A3ei = A3[idx, 0] * e[0] + A3[idx, 1] * e[1]
-            rhs_t = (fp / f) * (ch * ch * e[0] if idx == 0 else e[1])
-            res_t = ei_theta * ch * e[0] + sh * nab_e1 - ch * A3ei - rhs_t
-            out[idx].append(frame_norm(res_t, pd))
+    e3_of = lambda p: p.frame.e3
+    nd = grid.node_data
+    fr = nd.frame
+    f, fp, _ = nd.warp_state
+    sh, ch, e3 = _col(fr.sinh_theta), _col(fr.cosh_theta), fr.e3
+    A3 = nd.sfd.A[..., 0, :, :]
+    e = fr.tangents
+    tangent, normal = [], []
+    for idx in range(2):
+        ei_theta = _col(grid.scalar_derivative(theta_of, idx))
+        W = grid.frame_covariants()[idx][0]
+        nab_e1 = (_col(inner(W, e[0], nd.G)) * e[0]
+                  + _col(inner(W, e[1], nd.G)) * e[1])
+        A3ei = _col(A3[..., idx, 0]) * e[0] + _col(A3[..., idx, 1]) * e[1]
+        rhs_t = _col(fp / f) * (ch * ch * e[0] if idx == 0 else e[1])
+        res_t = ei_theta * ch * e[0] + sh * nab_e1 - ch * A3ei - rhs_t
+        tangent.append(frame_norm(res_t, nd))
 
-            perp_e3 = grid.nabla_perp(i, j, e3_of, idx)
-            h1i = pd.sfd.h(1, idx + 1)
-            rhs_n = (fp / f) * ch * sh * fr.normals[0] if idx == 0 else 0.0
-            res_n = ei_theta * sh * fr.normals[0] + sh * h1i + ch * perp_e3 - rhs_n
-            out[2 + idx].append(frame_norm(res_n, pd))
-    return tuple(_worst(v) for v in out)
+        perp_e3 = grid.nabla_perp(e3_of, idx)
+        h1i = nd.sfd.h(1, idx + 1)
+        rhs_n = _col(fp / f) * ch * sh * e3 if idx == 0 else 0.0
+        res_n = ei_theta * sh * e3 + sh * h1i + ch * perp_e3 - rhs_n
+        normal.append(frame_norm(res_n, nd))
+    return tuple(_worst(v[grid.ok]) for v in tangent + normal)
 
 
 def pmcv_structure_check(grid: SurfaceGrid) -> dict:
@@ -257,39 +264,35 @@ def pmcv_structure_check(grid: SurfaceGrid) -> dict:
     has a traceless, diagonal shape operator; e4 is parallel in the normal
     bundle and orthogonal to eta.
     """
-    vals = {name: [] for name in (
-        "structure_A11", "structure_A12", "structure_A22", "structure_trace",
-        "structure_offdiag", "structure_conn", "structure_eta")}
-    e4_of = lambda p: p.frame.normals[1]
-    for i, j in grid.nodes():
-        pd = grid.point(i, j)
-        if not pd.frame.has_mean_direction:
-            raise MinimalDirectionError(
-                "pmcv structure check needs |H| > tol at every node")
-        H0 = np.sqrt(abs(inner(pd.sfd.H, pd.sfd.H, pd.G)))
-        A4 = pd.sfd.A[1]
-        vals["structure_A11"].append(abs(A4[0, 0]))
-        vals["structure_A12"].append(abs(A4[0, 1]))
-        vals["structure_A22"].append(abs(A4[1, 1] - 2 * H0))
-        for k in range(len(pd.frame.normals)):
-            if k == 1:
-                continue
-            Ak = pd.sfd.A[k]
-            vals["structure_trace"].append(abs(Ak[0, 0] + Ak[1, 1]))
-            vals["structure_offdiag"].append(abs(Ak[0, 1]))
-        for idx in range(2):
-            vals["structure_conn"].append(
-                frame_norm(grid.nabla_perp(i, j, e4_of, idx), pd))
-        vals["structure_eta"].append(
-            abs(inner(pd.frame.normals[1], pd.frame.eta, pd.G)))
-    return {name: _worst(v) for name, v in vals.items()}
+    nd = grid.node_data
+    if not nd.frame.has_mean_direction[grid.ok].all():
+        raise MinimalDirectionError(
+            "pmcv structure check needs |H| > tol at every node")
+    H0 = np.sqrt(np.abs(inner(nd.sfd.H, nd.sfd.H, nd.G)))
+    A = nd.sfd.A
+    others = [k for k in range(A.shape[-3]) if k != 1]
+    e4_of = lambda p: p.frame.normals[..., 1, :]
+    vals = {
+        "structure_A11": np.abs(A[..., 1, 0, 0]),
+        "structure_A12": np.abs(A[..., 1, 0, 1]),
+        "structure_A22": np.abs(A[..., 1, 1, 1] - 2 * H0),
+        "structure_trace": np.abs(A[..., others, 0, 0] + A[..., others, 1, 1]),
+        "structure_offdiag": np.abs(A[..., others, 0, 1]),
+        "structure_conn": np.stack([frame_norm(grid.nabla_perp(e4_of, idx), nd)
+                                    for idx in range(2)], axis=-1),
+        "structure_eta": np.abs(inner(nd.frame.normals[..., 1, :],
+                                      nd.frame.eta, nd.G)),
+    }
+    return {name: _worst(v[grid.ok]) for name, v in vals.items()}
 
 
 def flat_normal_bundle_check(grid: SurfaceGrid) -> float:
     """max over the grid and the normal frame of |R_perp(e1, e2) xi|."""
-    points = (grid.point(i, j) for i, j in grid.nodes())
-    return _worst(frame_norm(normal_curvature(pd.sfd, xi, pd.G), pd)
-                  for pd in points for xi in pd.frame.normals)
+    nd = grid.node_data
+    normals = nd.frame.normals
+    return _worst([frame_norm(normal_curvature(nd.sfd, normals[..., k, :],
+                                               nd.G), nd)[grid.ok]
+                   for k in range(normals.shape[-2])])
 
 
 # ---------------------------------------------------------------------------
@@ -314,6 +317,7 @@ def verify_surface(surface: Jet2Immersion, grid=(17, 17),
     which adds the corresponding entries.  Deterministic for fixed inputs.
     The filled grid every check read is the report's ``surface_grid``.
     """
+    substep = _check_substep(substep)
     tol = tolerances or ToleranceConfig()
     expect = expect or {}
     nu, nv = grid
@@ -349,52 +353,39 @@ def verify_surface(surface: Jet2Immersion, grid=(17, 17),
         t = tol.tol(name, tier)
         entries.append(CheckEntry(name, float(value), t, bool(value < t)))
 
-    # pointwise frame quality and scalar diagnostics
-    ortho, reassembly, h_tangency, reduced = [], [], [], []
-    thetas, gammas, taus, h0s, hh = [], [], [], [], []
-    characters = set()
-    has_mean_everywhere = True
-    for i, j in sg.nodes():
-        pd = sg.point(i, j)
-        fr = pd.frame
-        vecs = [fr.e1, fr.e2] + list(fr.normals)
-        signs = [1, 1] + list(fr.normal_signs)
-        for aa in range(len(vecs)):
-            for bb in range(aa, len(vecs)):
-                want = signs[aa] if aa == bb else 0.0
-                ortho.append(abs(inner(vecs[aa], vecs[bb], pd.G) - want))
-        dt = surface.space.dt_vector()
-        reassembly.append(frame_norm(
-            fr.sinh_theta * fr.e1 + fr.cosh_theta * fr.normals[0] - dt, pd))
-        for hv in (pd.sfd.h11, pd.sfd.h12, pd.sfd.h22):
-            h_tangency += [abs(inner(hv, fr.e1, pd.G)), abs(inner(hv, fr.e2, pd.G))]
-        reduced.append(reduced_criterion(fr, pd.sfd.H, pd.G))
-        thetas.append(fr.theta)
-        gammas.append(pd.sfd.A[0][0, 0])
-        if len(fr.normals) >= 3:
-            taus.append(pd.sfd.A[2][0, 0])
-        hn2 = inner(pd.sfd.H, pd.sfd.H, pd.G)
-        hh.append(hn2)
-        h0s.append(float(np.sqrt(abs(hn2))))
-        characters.add(marginally_trapped_check(pd.sfd.H, pd.G))
-        has_mean_everywhere = has_mean_everywhere and fr.has_mean_direction
+    # pointwise frame quality and scalar diagnostics, over the good nodes
+    ok = sg.ok
+    nd = sg.node_data
+    fr, sfd, G = nd.frame, nd.sfd, nd.G
+    vecs = np.concatenate([np.stack(fr.tangents, axis=-2), fr.normals], axis=-2)
+    signs = np.concatenate([np.ones(fr.normal_signs.shape[:-1] + (2,)),
+                            fr.normal_signs], axis=-1)
+    gram = inner(vecs[..., :, None, :], vecs[..., None, :, :],
+                 G[..., None, None, :, :])
+    upper = np.triu_indices(vecs.shape[-2])
+    ortho = np.abs(gram - signs[..., None] * np.eye(vecs.shape[-2]))
+    dt = surface.space.dt_vector()
+    reassembly = frame_norm(_col(fr.sinh_theta) * fr.e1
+                            + _col(fr.cosh_theta) * fr.e3 - dt, nd)
+    h_tangency = np.stack([np.abs(inner(hv, e, G))
+                           for hv in (sfd.h11, sfd.h12, sfd.h22)
+                           for e in fr.tangents], axis=-1)
+    hh = inner(sfd.H, sfd.H, G)[ok]
+    characters = marginally_trapped_check(sfd.H, G)[ok]
+    has_mean_everywhere = bool(fr.has_mean_direction[ok].all())
 
-    add("frame_orthonormality", _worst(ortho), "algebraic")
-    add("frame_reassembly", _worst(reassembly), "algebraic")
-    add("h_tangency", _worst(h_tangency), "algebraic")
-    add("reduced_pairing", _worst(reduced), "algebraic")
-    add("mean_norm_spread", _worst(hh) - min(hh), "spread")
+    add("frame_orthonormality", _worst(ortho[..., upper[0], upper[1]][ok]),
+        "algebraic")
+    add("frame_reassembly", _worst(reassembly[ok]), "algebraic")
+    add("h_tangency", _worst(h_tangency[ok]), "algebraic")
+    add("reduced_pairing", _worst(_reduced_values(sg)[ok]), "algebraic")
+    add("mean_norm_spread", _worst(hh) - hh.min(), "spread")
 
     # gauss consistency: stencil-differentiated frame fields against h
-    gauss = []
-    for i, j in sg.nodes():
-        pd = sg.point(i, j)
-        W = sg.frame_covariants(i, j)
-        for ii in range(2):
-            for jj in range(2):
-                res = (W[ii][jj] - sg.tangential_part(i, j, W[ii][jj])
-                       - pd.sfd.h(ii + 1, jj + 1))
-                gauss.append(frame_norm(res, pd))
+    W = sg.frame_covariants()
+    gauss = [frame_norm(W[ii][jj] - sg.tangential_part(W[ii][jj])
+                        - sfd.h(ii + 1, jj + 1), nd)[ok]
+             for ii in range(2) for jj in range(2)]
     add("gauss_consistency", _worst(gauss), "stencil")
 
     add("pmcv", pmcv_residual(sg), "stencil")
@@ -418,12 +409,13 @@ def verify_surface(surface: Jet2Immersion, grid=(17, 17),
         add("structure_eta", svals["structure_eta"], "algebraic")
 
     dims = normal_space_dims(sg)
+    A = sfd.A[ok]
     diagnostics = {
-        "theta": _stats(thetas),
-        "gamma_e3": _stats(gammas),
-        "tau_e5": _stats(taus) if taus else None,
-        "H0": _stats(h0s),
-        "mean_curvature_character": sorted(characters),
+        "theta": _stats(fr.theta[ok]),
+        "gamma_e3": _stats(A[:, 0, 0, 0]),
+        "tau_e5": _stats(A[:, 2, 0, 0]) if A.shape[1] >= 3 else None,
+        "H0": _stats(np.sqrt(np.abs(hh))),
+        "mean_curvature_character": sorted(set(map(str, characters))),
         "dim_N1": dims.n1, "dim_N2": dims.n2,
         "dim_N1_range": list(dims.n1_range), "dim_N2_range": list(dims.n2_range),
         "has_mean_direction": has_mean_everywhere,

@@ -54,28 +54,30 @@ def test_backend_validation():
 def test_metric_warped_exponential():
     space = exp_space()
     p0 = np.array([0.0, 0.3, -1.0, 2.0])
-    np.testing.assert_allclose(space.metric_at(p0), np.diag([-1.0, 1, 1, 1]),
+    np.testing.assert_allclose(space.metric_at(p0, space.warp_state(p0)),
+                               np.diag([-1.0, 1, 1, 1]),
                                atol=1e-15)
     p1 = np.array([math.log(2.0), 0.0, 0.0, 0.0])
-    np.testing.assert_allclose(space.metric_at(p1), np.diag([-1.0, 4, 4, 4]),
+    np.testing.assert_allclose(space.metric_at(p1, space.warp_state(p1)),
+                               np.diag([-1.0, 4, 4, 4]),
                                rtol=1e-14)
 
 
 def test_metric_product_constant_and_locus():
     space = rw.AmbientSpace.product_space_form(5, 1)
     p = np.array([3.0, 1.0, 0.0, 0.0, 0.0, 0.0])  # on E^1_1 x S^4
-    np.testing.assert_allclose(space.metric_at(p),
+    np.testing.assert_allclose(space.metric_at(p, space.warp_state(p)),
                                np.diag([-1.0, 1, 1, 1, 1, 1]), atol=1e-15)
     off = np.array([3.0, 1.1, 0.0, 0.0, 0.0, 0.0])
     with pytest.raises(ChartDomainError):
-        space.metric_at(off)
+        space.metric_at(off, space.warp_state(off))
 
 
 def test_metric_product_hyperbolic_signature():
     space = rw.AmbientSpace.product_space_form(5, -1)
     p = np.zeros(6)
     p[1] = 1.0  # -x2^2 + ... = -1 on the hyperboloid
-    G = space.metric_at(p)
+    G = space.metric_at(p, space.warp_state(p))
     np.testing.assert_allclose(np.diag(G), [-1.0, -1.0, 1, 1, 1, 1], atol=1e-15)
 
 
@@ -133,11 +135,12 @@ def test_christoffel_metric_compatibility():
         t = float(rng.uniform(-1, 1))
         p = np.array([t, *rng.normal(size=3)])
         h = 1e-6
-        Gp = space.metric_at(np.array([t + h, 0, 0, 0]))
-        Gm = space.metric_at(np.array([t - h, 0, 0, 0]))
+        pp, pm = np.array([t + h, 0, 0, 0]), np.array([t - h, 0, 0, 0])
+        Gp = space.metric_at(pp, space.warp_state(pp))
+        Gm = space.metric_at(pm, space.warp_state(pm))
         dG = (Gp - Gm) / (2 * h)
         gamma = rw.christoffel_at(space, p)
-        G = space.metric_at(p)
+        G = space.metric_at(p, space.warp_state(p))
         contr = np.einsum("lka,lb->kab", gamma, G)[0] + \
             np.einsum("lkb,la->kab", gamma, G)[0]
         np.testing.assert_allclose(dG, contr, atol=1e-6)
@@ -148,7 +151,7 @@ def test_covariant_derivative_flat_constant_field():
     p = np.zeros(4)
     out = rw.ambient_covariant_derivative(
         flat, p, np.array([0.0, 1, 0, 0]), np.array([0.0, 0, 1, 0]),
-        np.zeros(4), flat.metric_at(p), flat.warp_state(p))
+        np.zeros(4), flat.metric_at(p, flat.warp_state(p)), flat.warp_state(p))
     np.testing.assert_allclose(out, np.zeros(4), atol=1e-15)
 
 
@@ -158,9 +161,9 @@ def test_covariant_derivative_warped_correction():
     space = exp_space()
     e1 = np.array([0.0, 1.0, 0, 0])
     p = np.zeros(4)
+    state = space.warp_state(p)
     out = rw.ambient_covariant_derivative(space, p, e1, e1, np.zeros(4),
-                                          space.metric_at(p),
-                                          space.warp_state(p))
+                                          space.metric_at(p, state), state)
     np.testing.assert_allclose(out, [1.0, 0, 0, 0], atol=1e-15)
 
 
@@ -171,9 +174,9 @@ def test_covariant_derivative_product_great_circle():
     p = np.array([0.0, math.cos(s), math.sin(s), 0, 0, 0])
     Y = np.array([0.0, -math.sin(s), math.cos(s), 0, 0, 0])  # circle tangent
     dY = np.array([0.0, -math.cos(s), -math.sin(s), 0, 0, 0])  # flat d/ds
+    state = space.warp_state(p)
     out = rw.ambient_covariant_derivative(space, p, Y, Y, dY,
-                                          space.metric_at(p),
-                                          space.warp_state(p))
+                                          space.metric_at(p, state), state)
     np.testing.assert_allclose(out, np.zeros(6), atol=1e-14)
 
 
@@ -205,9 +208,9 @@ def test_covariant_derivative_matches_christoffel_oracle(warp):
     for _ in range(20):
         p = np.array([rng.uniform(-0.9, 0.9), *rng.normal(size=4)])
         x, y, dy = rng.normal(size=(3, 5))
+        state = space.warp_state(p)
         got = rw.ambient_covariant_derivative(space, p, x, y, dy,
-                                              space.metric_at(p),
-                                              space.warp_state(p))
+                                              space.metric_at(p, state), state)
         want = dy + np.einsum("kij,i,j", rw.christoffel_at(space, p), x, y)
         assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
@@ -215,10 +218,11 @@ def test_covariant_derivative_matches_christoffel_oracle(warp):
 def test_covariant_derivative_checks_shapes():
     space = exp_space()
     p = np.zeros(4)
+    state = space.warp_state(p)
     with pytest.raises(DimensionMismatchError):
         rw.ambient_covariant_derivative(space, p, np.zeros(4), np.zeros(3),
-                                        np.zeros(4), space.metric_at(p),
-                                        space.warp_state(p))
+                                        np.zeros(4), space.metric_at(p, state),
+                                        state)
 
 
 def test_curvature_scalars_closed_form():

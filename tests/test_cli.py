@@ -268,3 +268,15 @@ def test_residuals_csv_when_grid_cannot_be_built(tmp_path, capsys):
     assert code == 2
     assert "no stencil headroom" in capsys.readouterr().out
     assert res_csv.read_text() == "i,j,u,v,pmcv,reduced,biconservativity\n"
+
+
+def test_bad_substep_is_invalid_input(capsys):
+    # rejected before any grid work: exit 2, not a failed verdict
+    for value in ("0", "-1e-3", "nan"):
+        code = main(["verify", "product", "--b1", "1", "--b3", "0.5",
+                     "--grid", "5x5", f"--substep={value}"])
+        assert code == 2, value
+        captured = capsys.readouterr()
+        assert "error: ValueError: substep must be positive and finite" \
+            in captured.err
+        assert "verdict" not in captured.out

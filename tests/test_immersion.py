@@ -72,7 +72,8 @@ def test_fd_jet_matches_analytic_catalog(case, l4_surface, l5_surface,
 def test_induced_metric_horizontal_plane(minkowski4):
     surf = fd_surface(lambda u, v: np.array([0.0, u, v, 0.0]), minkowski4)
     jet = surf.jet(0.1, 0.2)
-    g = rw.induced_metric(jet, minkowski4.metric_at(jet.phi))
+    G = minkowski4.metric_at(jet.phi, minkowski4.warp_state(jet.phi))
+    g = rw.induced_metric(jet, G)
     np.testing.assert_allclose(g, np.eye(2), atol=1e-10)
 
 
@@ -81,7 +82,9 @@ def test_induced_metric_closed_form_l4(l4_surface, l4_constants):
     warp = l4_surface.space.warp
     for (u, v) in [(0.03, 0.4), (0.1, 2.0)]:
         jet = l4_surface.jet(u, v)
-        g = rw.induced_metric(jet, l4_surface.space.metric_at(jet.phi))
+        space = l4_surface.space
+        g = rw.induced_metric(jet, space.metric_at(jet.phi,
+                                                   space.warp_state(jet.phi)))
         f, fp, _ = warp(u)
         want = -1.0 + fp * fp / (l4_constants.b2 * f * f)
         assert abs(g[0, 0] - want) < 1e-12 * max(1.0, abs(want))
@@ -93,14 +96,15 @@ def test_induced_metric_rejects_timelike_chart(minkowski4):
     surf = fd_surface(lambda u, v: np.array([2.0 * u, u, v, 0.0]), minkowski4)
     jet = surf.jet(0.0, 0.0)
     with pytest.raises(NotSpaceLikeError):
-        rw.induced_metric(jet, minkowski4.metric_at(jet.phi))
+        rw.induced_metric(jet, minkowski4.metric_at(
+            jet.phi, minkowski4.warp_state(jet.phi)))
 
 
 def test_adapted_frame_orthonormal_and_reassembles(l4_surface):
     space = l4_surface.space
     jet = l4_surface.jet(0.06, 1.1)
     fr = evaluate_point(l4_surface, 0.06, 1.1).frame
-    G = space.metric_at(jet.phi)
+    G = space.metric_at(jet.phi, space.warp_state(jet.phi))
     vecs = [fr.e1, fr.e2, *fr.normals]
     signs = [1, 1, *fr.normal_signs]
     for i, vi in enumerate(vecs):
@@ -123,7 +127,9 @@ def test_adapted_frame_product_angle(product_surface, product_constants):
         fr = evaluate_point(product_surface, u, v).frame
         assert abs(fr.sinh_theta - product_constants.b1) < 1e-12
         assert abs(fr.cosh_theta - math.sqrt(2.0)) < 1e-12
-        G = product_surface.space.metric_at(product_surface.jet(u, v).phi)
+        phi = product_surface.jet(u, v).phi
+        G = product_surface.space.metric_at(
+            phi, product_surface.space.warp_state(phi))
         assert abs(rw.inner(fr.normals[0], fr.normals[0], G) + 1.0) < 1e-10
 
 
@@ -143,7 +149,8 @@ def test_adapted_frame_bitwise_deterministic(l5_surface):
 def _assert_no_sign_flips(surface, points):
     frames = [evaluate_point(surface, u, v).frame for (u, v) in points]
     for a, b in zip(frames, frames[1:]):
-        G = surface.space.metric_at(surface.jet(a.u, a.v).phi)
+        phi = surface.jet(a.u, a.v).phi
+        G = surface.space.metric_at(phi, surface.space.warp_state(phi))
         signs = (1, 1, *a.normal_signs)
         for s, ea, eb in zip(signs, (a.e1, a.e2, *a.normals),
                              (b.e1, b.e2, *b.normals)):

@@ -105,43 +105,44 @@ def test_gauss_formula_consistency(l4_grid):
         pd = l4_grid.point(i, j)
         for jj, fld in enumerate(fields):
             for ii in range(2):
-                W = l4_grid.frame_covariant(i, j, fld, ii)
-                res = W - l4_grid.tangential_part(i, j, W) \
+                W = l4_grid.frame_covariant(fld, ii)
+                res = (W - l4_grid.tangential_part(W))[i, j] \
                     - pd.sfd.h(ii + 1, jj + 1)
                 assert frame_norm(res, pd) < 1e-7
 
 
 def test_normal_connection_mean_direction_parallel(l4_grid):
     # nabla-perp of e4 = H/|H| vanishes on the rotational surface
-    e4 = lambda p: p.frame.normals[1]
+    e4 = lambda p: p.frame.normals[..., 1, :]
     for (i, j) in [(1, 1), (4, 6)]:
         pd = l4_grid.point(i, j)
         for direction in (1, 2):
-            out = normal_connection_derivative(l4_grid, i, j, e4, direction)
+            out = normal_connection_derivative(l4_grid, e4, direction)[i, j]
             assert frame_norm(out, pd) < 1e-6
 
 
 def test_normal_connection_product_e3_rotation(product_grid):
     # nabla^perp_{e1} e3 = -tanh(theta0) tau0 e5, a sign-robust combination
-    e3 = lambda p: p.frame.normals[0]
+    e3 = lambda p: p.frame.normals[..., 0, :]
     for (i, j) in [(2, 2), (5, 5)]:
         pd = product_grid.point(i, j)
-        out = normal_connection_derivative(product_grid, i, j, e3, 1)
+        out = normal_connection_derivative(product_grid, e3, 1)[i, j]
         tau0 = pd.sfd.A[2][0, 0]
         th = pd.frame.theta
         expected = -math.tanh(th) * tau0 * pd.frame.normals[2]
         assert frame_norm(out - expected, pd) < 1e-8
-        out2 = normal_connection_derivative(product_grid, i, j, e3, 2)
+        out2 = normal_connection_derivative(product_grid, e3, 2)[i, j]
         assert frame_norm(out2, pd) < 1e-8
 
 
 def test_normal_connection_constant_field_flat(tilted_plane_grid):
-    const_normal = lambda p: np.array([0.0, 0.0, 0.0, 1.0])
+    const_normal = lambda p: np.broadcast_to([0.0, 0.0, 0.0, 1.0],
+                                             p.jet.phi.shape)
     for (i, j) in [(1, 1), (3, 2)]:
         pd = tilted_plane_grid.point(i, j)
         for direction in (1, 2):
-            out = normal_connection_derivative(tilted_plane_grid, i, j,
-                                               const_normal, direction)
+            out = normal_connection_derivative(
+                tilted_plane_grid, const_normal, direction)[i, j]
             assert frame_norm(out, pd) < 1e-13
 
 
@@ -222,7 +223,7 @@ def test_mean_curvature_norm_constant_on_pmcv(l4_grid, l5_grid):
 def test_second_fundamental_form_from_frame(l4_surface):
     space = l4_surface.space
     jet = l4_surface.jet(0.07, 0.9)
-    G = space.metric_at(jet.phi)
+    G = space.metric_at(jet.phi, space.warp_state(jet.phi))
     ginv = np.linalg.inv(rw.induced_metric(jet, G))
     _, h_chart, H = chart_second_fundamental(jet, space, G, ginv,
                                              space.warp_state(jet.phi))
@@ -240,9 +241,9 @@ def test_covariant_along_is_the_ambient_connection(grid_name, request):
         for direction, x in (("u", pd.jet.phi_u), ("v", pd.jet.phi_v)):
             want = rw.ambient_covariant_derivative(
                 sg.space, pd.jet.phi, x, pd.frame.e1,
-                sg.chart_derivative(i, j, e1_of, direction), pd.G,
+                sg.chart_derivative(e1_of, direction)[i, j], pd.G,
                 pd.warp_state)
-            assert np.array_equal(sg.covariant_along(i, j, e1_of, direction),
+            assert np.array_equal(sg.covariant_along(e1_of, direction)[i, j],
                                   want)
 
 
@@ -254,7 +255,7 @@ def test_chart_second_fundamental_uses_the_ambient_connection(surface_name,
     u0, u1 = surface.u_domain
     v0, v1 = surface.v_domain
     jet = surface.jet(0.6 * u0 + 0.4 * u1, 0.3 * v0 + 0.7 * v1)
-    G = space.metric_at(jet.phi)
+    G = space.metric_at(jet.phi, space.warp_state(jet.phi))
     ginv = np.linalg.inv(rw.induced_metric(jet, G))
     warp_state = space.warp_state(jet.phi)
     W, _, _ = chart_second_fundamental(jet, space, G, ginv, warp_state)

@@ -2,11 +2,12 @@ import json
 import math
 
 import numpy as np
+import pytest
 
 import rwsurf as rw
 from rwsurf import verdicts
 from rwsurf.immersion import Jet2Immersion
-from rwsurf.shape import SurfaceGrid, frame_norm
+from rwsurf.shape import SurfaceGrid, frame_norm, normal_space_dims
 from rwsurf.verdicts import (ToleranceConfig, biconservativity_residual,
                              codazzi_residuals, curvature_trace_term,
                              flat_normal_bundle_check,
@@ -266,4 +267,37 @@ def test_nan_residual_fails_its_entry(product_surface, monkeypatch):
 def test_verify_expectation_mismatch_fails(product_surface):
     rep = verify_surface(product_surface, grid=(5, 5), expect={"dim_N1": 3})
     assert not rep.entry("dim_N1").passed
+    assert rep.verdict == "fail"
+
+
+def test_bad_substep_rejected_before_grid_work(product_surface, monkeypatch):
+    def no_grid(*args, **kwargs):
+        raise AssertionError("a grid was built")
+
+    monkeypatch.setattr(verdicts, "SurfaceGrid", no_grid)
+    for substep in (0.0, -1e-3, float("nan")):
+        with pytest.raises(ValueError, match="substep"):
+            verify_surface(product_surface, grid=(5, 5), substep=substep)
+    monkeypatch.undo()
+    for substep in (0.0, -1e-3, float("nan")):
+        with pytest.raises(ValueError, match="substep"):
+            SurfaceGrid(product_surface, [1.0, 2.0], [1.0, 2.0],
+                        substep=substep)
+
+
+def test_nan_generator_fails_the_dimension_entries(product_surface,
+                                                   monkeypatch):
+    class PoisonedGrid(SurfaceGrid):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.point(2, 2).sfd.h12[:] = np.nan
+
+    us = np.linspace(0.1, 3.0, 5)
+    dims = normal_space_dims(PoisonedGrid(product_surface, us, us))
+    assert math.isnan(dims.n1) and math.isnan(dims.n2)
+    monkeypatch.setattr(verdicts, "SurfaceGrid", PoisonedGrid)
+    rep = verify_surface(product_surface, grid=(5, 5),
+                         expect={"dim_N1": 2, "dim_N2": 3})
+    assert not rep.entry("dim_N1").passed
+    assert not rep.entry("dim_N2").passed
     assert rep.verdict == "fail"
