@@ -59,11 +59,13 @@ class WarpingFunction:
     source: str = "closed-form"
     label: str = ""
 
+    def __post_init__(self):
+        finite = [abs(x) for x in self.interval if np.isfinite(x)]
+        self.__dict__["_slack"] = _INTERVAL_SLACK * max([1.0, *finite])
+
     def __call__(self, t: float) -> tuple[float, float, float]:
         lo, hi = self.interval
-        slack = _INTERVAL_SLACK * max(1.0, abs(lo) if np.isfinite(lo) else 1.0,
-                                      abs(hi) if np.isfinite(hi) else 1.0)
-        if not (lo - slack <= t <= hi + slack):
+        if not (lo - self._slack <= t <= hi + self._slack):
             raise ChartDomainError(
                 f"warp evaluated at t={t} outside interval [{lo}, {hi}]")
         f, fp, fpp = self.fn(t)

@@ -236,11 +236,11 @@ def _write_report_files(report: VerificationReport, surface, opts: _Options):
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(report.to_json())
             fh.write("\n")
+    sg = report.surface_grid
     res_csv = opts.get("residuals_csv")
     if res_csv:
         # rows come from the grid the report's checks read; a grid that could
         # not be built leaves only the header
-        sg = report.surface_grid
         with open(res_csv, "w", encoding="utf-8") as fh:
             fh.write("i,j,u,v,pmcv,reduced,biconservativity\n")
             for i, j in (sg.nodes() if sg is not None else ()):
@@ -253,12 +253,16 @@ def _write_report_files(report: VerificationReport, surface, opts: _Options):
         nu, nv = report.grid["nu"], report.grid["nv"]
         us = np.linspace(*report.grid["u"], nu)
         vs = np.linspace(*report.grid["v"], nv)
+        dim = surface.space.ambient_dim
+        # rows from the grid; a degenerate (NaN) node calls the chart, as before
+        phis = np.full((nu, nv, dim), np.nan) if sg is None else sg.data.jet.phi[:, :, 0]
         with open(surf_csv, "w", encoding="utf-8") as fh:
-            dim = surface.space.ambient_dim
             fh.write("u,v," + ",".join(f"x{k}" for k in range(dim)) + "\n")
-            for u in us:
-                for v in vs:
-                    phi = surface.jet(float(u), float(v)).phi
+            for i, u in enumerate(us):
+                for j, v in enumerate(vs):
+                    phi = phis[i, j]
+                    if not np.isfinite(phi).all():
+                        phi = surface.jet(float(u), float(v)).phi
                     fh.write(",".join([_fmt(u), _fmt(v)] +
                                       [_fmt(x) for x in phi]) + "\n")
 

@@ -12,6 +12,7 @@ than integrated through.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -96,34 +97,36 @@ class DenseOutput:
     qs: np.ndarray          # interpolant coefficients, shape (m, d, 4)
     t_end: float            # may cut the last step short (monitor stop)
 
-    @property
-    def t0(self) -> float:
-        return float(self.ts[0])
+    def __post_init__(self):
+        # float copies for __call__: direction-signed step starts (monotone,
+        # for bisect), (lo, hi, slack, direction) and a (t, h, y, q) per step
+        direction = 1.0 if self.hs[0] > 0 else -1.0
+        lo, hi = map(float, self.interval)
+        self.__dict__.update(
+            _starts=(self.ts * direction).tolist(),
+            _bounds=(lo, hi, 1e-12 * max(1.0, abs(lo), abs(hi)), direction),
+            _rows=list(zip(self.ts.tolist(), self.hs.tolist(), self.ys.tolist(),
+                           self.qs.tolist())))
 
     @property
     def interval(self) -> tuple[float, float]:
-        lo, hi = self.t0, self.t_end
+        lo, hi = float(self.ts[0]), self.t_end
         return (lo, hi) if lo <= hi else (hi, lo)
 
     def __call__(self, t: float):
-        lo, hi = self.interval
-        slack = 1e-12 * max(1.0, abs(lo), abs(hi))
+        lo, hi, slack, direction = self._bounds
         if not (lo - slack <= t <= hi + slack):
             raise ChartDomainError(
                 f"dense output evaluated at t={t} outside [{lo}, {hi}]")
         t = min(max(t, lo), hi)
-        # locate the step; ts is monotone in integration direction
-        direction = 1.0 if self.hs[0] > 0 else -1.0
-        ts = self.ts * direction
-        k = int(np.searchsorted(ts, t * direction, side="right") - 1)
-        k = min(max(k, 0), len(self.hs) - 1)
-        h = self.hs[k]
-        theta = (t - self.ts[k]) / h
-        pw = np.array([theta, theta**2, theta**3, theta**4])
-        dpw = np.array([1.0, 2 * theta, 3 * theta**2, 4 * theta**3])
-        y = self.ys[k] + h * (self.qs[k] @ pw)
-        yp = self.qs[k] @ dpw
-        return y, yp
+        k = bisect_right(self._starts, t * direction) - 1
+        tk, h, y, q = self._rows[min(max(k, 0), len(self._rows) - 1)]
+        th = (t - tk) / h
+        th2, th3 = th * th, th * th * th
+        return (np.array([yi + h * (a * th + b * th2 + c * th3 + d * th2 * th2)
+                          for yi, (a, b, c, d) in zip(y, q)]),
+                np.array([a + b * (2 * th) + c * (3 * th2) + d * (4 * th3)
+                          for a, b, c, d in q]))
 
 
 @dataclass(frozen=True)
@@ -291,6 +294,18 @@ class ConstantsL5:
     c4: float  # a^2 c3^2 + 4 H0^2
     b2: float  # a^2 - 4 H0^2
 
+    def __post_init__(self):
+        # the constant factors of _system_matrices, in the order it unpacks them
+        a, H0, c2, c3, c4, b2 = self.a, self.H0, self.c2, self.c3, self.c4, self.b2
+        g = 12 * a**2 * (c3**2 - 1) * H0**2
+        self.__dict__["_k"] = (
+            a**2 * c3**2, a**4 * c3**2, 2 * a**6 * c2 * c3**2 * H0, -a**4 * c3**2 * c4,
+            -a**6 * b2 * c3**2, -2 * a**2 * c4, 4 * a**4 * b2, a**2,
+            -12 * a**4 * c2 * c3**2 * H0, 4 * (a**4 * c3**2 - g - 48 * H0**4),
+            2 * a**4 * b2**2, a**8 * c3**4, 2 * c4**2, -a**2 * b2**2, a**2 * b2,
+            2 * a**4 * c2 * c3**2 * H0, a**4 * c3**2 + g + 48 * H0**4, 2 * c2 * c4 * H0,
+            4 * c2 * H0, 6 * c2 * H0, 8 * c2 * H0)
+
 
 @dataclass(frozen=True)
 class ConstantsProduct:
@@ -379,7 +394,7 @@ def rotational_warp_rhs(constants: ConstantsL4):
     b2 = constants.b2
 
     def rhs(t, s):
-        fv, fp = s
+        fv, fp = s.tolist()
         q = fp * fp - b2 * fv * fv
         return np.array([fp, (q * q + fp**4) / (b2 * fv**3)])
 
@@ -424,13 +439,11 @@ def solve_rotational_warp(constants: ConstantsL4, f0: float, f0p: float,
     dense = result.dense
 
     def fn(t):
-        s, _ = dense(t)
-        fv, fp = float(s[0]), float(s[1])
+        fv, fp = dense(t)[0].tolist()
         q = fp * fp - b2 * fv * fv
         return fv, fp, (q * q + fp**4) / (b2 * fv**3)
 
-    lo, hi = dense.interval
-    warp = WarpingFunction(fn, (lo, hi), source="ode-dense-output",
+    warp = WarpingFunction(fn, dense.interval, source="ode-dense-output",
                            label="rotational-warp")
     return RotationalWarpSolution(warp, result, constants)
 
@@ -440,36 +453,30 @@ def solve_rotational_warp(constants: ConstantsL4, f0: float, f0p: float,
 
 
 def _system_matrices(constants: ConstantsL5, fv, fp, yp):
-    """The two family equations written as A @ (f'', y'') = -R."""
-    a, H0, c2, c3 = constants.a, constants.H0, constants.c2, constants.c3
-    b2, c4 = constants.b2, constants.c4
-    A11 = -a**4 * c3**2 * c4 * fv**3 * fp - 2 * a**6 * c2 * c3**2 * H0 * fv**5 * yp
-    A12 = -a**6 * b2 * c3**2 * fv**7 * yp - 2 * a**6 * c2 * c3**2 * H0 * fv**5 * fp
-    R1 = (-2 * a**2 * c4 * fv**2 * fp**3 * (a**2 * c3**2 - 8 * c2 * H0 * fp * yp)
-          - 4 * a**4 * b2 * fv**6 * fp * yp**2 * (a**2 * c3**2 - 4 * c2 * H0 * fp * yp)
-          + a**2 * fv**4 * fp * (-12 * a**4 * c2 * c3**2 * H0 * fp * yp
-                                 + 4 * (a**4 * c3**2 - 12 * a**2 * (c3**2 - 1) * H0**2
-                                        - 48 * H0**4) * fp**2 * yp**2)
-          + 2 * a**4 * b2**2 * fv**8 * fp * yp**4
-          + a**8 * c3**4 * fv**4 * fp
-          + 2 * c4**2 * fp**5)
-    A21 = -a**4 * c3**2 * fv**3 * yp
-    A22 = a**4 * c3**2 * fv**3 * fp
-    R2 = (-a**2 * b2**2 * fv**6 * yp**3
-          + a**2 * b2 * fv**4 * yp * (a**2 * c3**2 - 6 * c2 * H0 * fp * yp)
-          + fv**2 * fp * (2 * a**4 * c2 * c3**2 * H0
-                          + (a**4 * c3**2 + 12 * a**2 * (c3**2 - 1) * H0**2
-                             + 48 * H0**4) * fp * yp)
-          - 2 * c2 * c4 * H0 * fp**3)
-    return np.array([[A11, A12], [A21, A22]]), np.array([R1, R2])
+    """The two family equations written as A @ (f'', y'') = -R, as the floats
+    (A11, A12, A21, A22, R1, R2)."""
+    (ac, q, m, k11, k12, r1a, r1b, a2, r1c, r1d, r1e, r1f, r1g,
+     r2a, r2b, r2c, r2d, r2e, e4, e6, e8) = constants._k
+    f2, fp2, pq, yp2 = fv * fv, fp * fp, fp * yp, yp * yp
+    f3, f4, f6 = f2 * fv, f2 * f2, f2 * f2 * f2
+    A11 = k11 * f3 * fp - m * f4 * fv * yp
+    A12 = k12 * f6 * fv * yp - m * f4 * fv * fp
+    R1 = (r1a * f2 * fp2 * fp * (ac - e8 * pq)
+          - r1b * f6 * fp * yp2 * (ac - e4 * pq)
+          + a2 * f4 * fp * (r1c * pq + r1d * fp2 * yp2)
+          + r1e * f4 * f4 * fp * yp2 * yp2
+          + r1f * f4 * fp
+          + r1g * fp2 * fp2 * fp)
+    R2 = (r2a * f6 * yp2 * yp + r2b * f4 * yp * (ac - e6 * pq)
+          + f2 * fp * (r2c + r2d * pq) - r2e * fp2 * fp)
+    return A11, A12, -q * f3 * yp, q * f3 * fp, R1, R2
 
 
 def system_equation_residuals(constants: ConstantsL5, fv, fp, fpp, yp, ypp):
     """Raw residuals of the two family equations at a state (back-substitution
     oracle for the pointwise linear extraction)."""
-    A, R = _system_matrices(constants, fv, fp, yp)
-    res = A @ np.array([fpp, ypp]) + R
-    return float(res[0]), float(res[1])
+    a11, a12, a21, a22, r1, r2 = _system_matrices(constants, fv, fp, yp)
+    return float(a11 * fpp + a12 * ypp + r1), float(a21 * fpp + a22 * ypp + r2)
 
 
 _DET_TOL = 1e-10
@@ -477,21 +484,23 @@ _DET_TOL = 1e-10
 _SPACELIKE_FLOOR = 0.02
 
 
-def _det_margin(A) -> float:
-    """|det A| / max|A|^2 - _DET_TOL: positive while the pointwise system is
-    safely non-singular.  The scale's floor keeps its square from underflowing
-    to 0, so an all-zero A reads as singular (-_DET_TOL), never as 0/0."""
-    scale = max(abs(A).max(), 1e-150) ** 2
-    det = A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
-    return abs(det) / scale - _DET_TOL
+def _det_margin(a11, a12, a21, a22) -> tuple[float, float]:
+    """(|det A| / max|A|^2 - _DET_TOL, det A); a positive margin means safely
+    non-singular.  The scale's floor keeps an all-zero A singular (-_DET_TOL);
+    a non-finite entry makes det NaN, or +-inf with an inf scale, so the
+    margin is NaN (singular) even where max() skips a NaN."""
+    det = a11 * a22 - a12 * a21
+    scale = max(abs(a11), abs(a12), abs(a21), abs(a22), 1e-150)
+    return abs(det) / (scale * scale) - _DET_TOL, det
 
 
 def _second_derivatives(constants: ConstantsL5, fv, fp, yp):
-    A, R = _system_matrices(constants, fv, fp, yp)
-    if not _det_margin(A) > 0.0:
+    """(f'', y'') by Cramer's rule with the margin test's determinant."""
+    a11, a12, a21, a22, r1, r2 = _system_matrices(constants, fv, fp, yp)
+    margin, det = _det_margin(a11, a12, a21, a22)
+    if not margin > 0.0:
         raise np.linalg.LinAlgError("pointwise system is near-singular")
-    sol = np.linalg.solve(A, -R)
-    return float(sol[0]), float(sol[1])
+    return (a12 * r2 - a22 * r1) / det, (a21 * r1 - a11 * r2) / det
 
 
 def spacelike_margin(constants: ConstantsL5, fv, fp, yp) -> float:
@@ -511,8 +520,7 @@ class WarpSystemSolution:
     constants: ConstantsL5
 
     def y_state(self, t: float) -> tuple[float, float, float]:
-        s, _ = self.integration.dense(t)
-        fv, fp, yv, yp = map(float, s)
+        fv, fp, yv, yp = self.integration.dense(t)[0].tolist()
         _, ypp = _second_derivatives(self.constants, fv, fp, yp)
         return yv, yp, ypp
 
@@ -524,8 +532,7 @@ class WarpSystemSolution:
         lo, hi = self.interval
         worst = 0.0
         for t in np.linspace(lo, hi, samples):
-            s, _ = self.integration.dense(float(t))
-            fv, fp, yv, yp = map(float, s)
+            fv, fp, yv, yp = self.integration.dense(float(t))[0].tolist()
             fpp, ypp = _second_derivatives(self.constants, fv, fp, yp)
             r1, r2 = system_equation_residuals(self.constants, fv, fp, fpp, yp, ypp)
             worst = max(worst, abs(r1), abs(r2))
@@ -544,7 +551,7 @@ def solve_warp_system(constants: ConstantsL5, ics, interval,
     f0, f0p, y0, y0p = map(float, ics)
     if f0 == 0.0:
         raise SingularWarpError("f0 must be non-zero")
-    if not _det_margin(_system_matrices(constants, f0, f0p, y0p)[0]) > 0.0:
+    if not _det_margin(*_system_matrices(constants, f0, f0p, y0p)[:4])[0] > 0.0:
         raise AdmissibilityError(
             "pointwise (f'', y'') system is singular at the initial state")
     if spacelike_margin(constants, f0, f0p, y0p) <= _SPACELIKE_FLOOR:
@@ -553,7 +560,7 @@ def solve_warp_system(constants: ConstantsL5, ics, interval,
             f"g_11 > {_SPACELIKE_FLOOR}")
 
     def rhs(t, s):
-        fv, fp, yv, yp = s
+        fv, fp, yv, yp = s.tolist()
         fpp, ypp = _second_derivatives(constants, fv, fp, yp)
         return np.array([fp, fpp, yp, ypp])
 
@@ -563,15 +570,14 @@ def solve_warp_system(constants: ConstantsL5, ics, interval,
          - _SPACELIKE_FLOOR),
         ("warp-positive", lambda t, s: sgn * s[0] - 1e-12),
         ("system-determinant", lambda t, s: _det_margin(
-            _system_matrices(constants, s[0], s[1], s[3])[0])),
+            *_system_matrices(constants, s[0], s[1], s[3])[:4])[0]),
     ]
     result = rk_integrate(rhs, np.array([f0, f0p, y0, y0p]), interval, config,
                           monitors)
     dense = result.dense
 
     def fn(t):
-        s, _ = dense(t)
-        fv, fp, yv, yp = map(float, s)
+        fv, fp, yv, yp = dense(t)[0].tolist()
         fpp, _ = _second_derivatives(constants, fv, fp, yp)
         return fv, fp, fpp
 

@@ -14,6 +14,7 @@ non-degenerate ones (``SurfaceGrid.ok``) with the NaN-propagating
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -111,14 +112,20 @@ class VerificationReport:
         }
 
     def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
+        # strict JSON: the NaN/Infinity constants of the loose text become null
+        loose = json.dumps(self.to_dict())
+        return json.dumps(json.loads(loose, parse_constant=lambda _: None),
+                          indent=indent, sort_keys=True, allow_nan=False)
 
     @staticmethod
     def from_dict(d: dict) -> "VerificationReport":
-        entries = [CheckEntry(e["name"], e["value"], e["tol"], e["passed"])
-                   for e in d["entries"]]
+        nan = lambda x: math.nan if x is None else x  # null is a non-finite number
+        entries = [CheckEntry(e["name"], nan(e["value"]), nan(e["tol"]),
+                              e["passed"]) for e in d["entries"]]
+        diagnostics = {k: nan(v) if k in ("dim_N1", "dim_N2") else v
+                       for k, v in d["diagnostics"].items()}
         return VerificationReport(d["surface"], d["grid"], entries,
-                                  d["diagnostics"], d["degeneracies"],
+                                  diagnostics, d["degeneracies"],
                                   d["verdict"], d.get("schema", SCHEMA))
 
 

@@ -3,6 +3,7 @@ import json
 import numpy as np
 
 from rwsurf.cli import main
+from rwsurf.immersion import Jet2Immersion
 from rwsurf.shape import SurfaceGrid
 
 
@@ -231,6 +232,49 @@ def test_surface_and_residual_csv_exports(tmp_path):
     res_lines = res_csv.read_text().strip().splitlines()
     assert res_lines[0] == "i,j,u,v,pmcv,reduced,biconservativity"
     assert len(res_lines) == 1 + 25
+
+
+def test_surface_csv_reads_the_verify_grid(tmp_path, monkeypatch):
+    # the chart runs once per grid point (node and 8 stencil offsets), and
+    # the surface CSV adds no call of its own
+    calls = []
+    jet = Jet2Immersion.jet
+
+    def counting_jet(self, u, v):
+        calls.append((u, v))
+        return jet(self, u, v)
+
+    monkeypatch.setattr(Jet2Immersion, "jet", counting_jet)
+    surf_csv = tmp_path / "surf.csv"
+    code = main(THM4_ARGS + ["--surface-csv", str(surf_csv)])
+    assert code == 0
+    assert len(calls) == 9 * 7 * 7
+    rows = surf_csv.read_text().strip().splitlines()[1:]
+    assert len(rows) == 7 * 7
+    assert all(np.isfinite([float(x) for x in r.split(",")]).all() for r in rows)
+
+
+def test_surface_csv_fails_where_the_chart_fails(tmp_path, capsys):
+    # nodes whose chart call fails are degeneracies of the grid; writing the
+    # surface CSV still fails the command there instead of printing NaN rows
+    py = tmp_path / "holed_plane.py"
+    py.write_text(
+        "import math\n"
+        "S, C = math.sinh(0.8), math.cosh(0.8)\n"
+        "def chart(u, v):\n"
+        "    if u > 0.5 and v > 0.5:\n"
+        "        return (math.nan,) * 4\n"
+        "    return (S * u, C * u, v, 0.0)\n")
+    surf_csv = tmp_path / "surf.csv"
+    code = main(["verify", "user-map", "--py", str(py), "--ambient",
+                 "warped-flat", "--n", "4", "--warp", "const:1",
+                 "--chart-u-span=-1:1", "--chart-v-span=-1:1",
+                 "--grid", "5x5", "--surface-csv", str(surf_csv)])
+    assert code == 2
+    assert "error: ChartDomainError: non-finite jet" in capsys.readouterr().err
+    text = surf_csv.read_text()
+    assert "nan" not in text.lower()
+    assert 1 < len(text.splitlines()) < 1 + 25
 
 
 def test_residuals_csv_maxima_match_report(tmp_path):

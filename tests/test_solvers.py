@@ -6,6 +6,7 @@ import pytest
 import rwsurf as rw
 from rwsurf.errors import (AdmissibilityError, ChartDomainError,
                            ConstraintError)
+from rwsurf import solvers
 from rwsurf.solvers import SolverConfig, rk_integrate, system_equation_residuals
 
 from conftest import L5_CONSTANTS
@@ -61,6 +62,60 @@ def test_dense_output_outside_interval():
     res = rk_integrate(lambda t, y: y, [1.0], (0.0, 1.0))
     with pytest.raises(ChartDomainError):
         res.dense(1.5)
+
+
+def _matrix_form(d, t):
+    """Dense output as ys[k] + h qs[k] @ [th, th^2, th^3, th^4] with numpy,
+    at the step that holds t."""
+    k = int(np.searchsorted(d.ts * np.sign(d.hs[0]), t * np.sign(d.hs[0]),
+                            side="right")) - 1
+    k = min(max(k, 0), len(d.hs) - 1)
+    th = (t - d.ts[k]) / d.hs[k]
+    y = d.ys[k] + d.hs[k] * (d.qs[k] @ np.array([th, th**2, th**3, th**4]))
+    return y, d.qs[k] @ np.array([1.0, 2 * th, 3 * th**2, 4 * th**3])
+
+
+_OSCILLATOR = (lambda t, y: np.array([y[1], -y[0]]), [0.3, 0.7])
+
+
+@pytest.mark.parametrize("rhs, y0, t_span, monitors", [
+    (*_OSCILLATOR, (0.0, 3.0), ()),
+    (*_OSCILLATOR, (0.0, -3.0), ()),
+    (lambda t, y: np.ones(1), [0.0], (0.0, 5.0),
+     [("ceiling", lambda t, y: 2.0 - y[0])]),
+    (lambda t, y: np.ones(1), [0.0], (0.0, -5.0),
+     [("floor", lambda t, y: 2.0 + y[0])]),
+], ids=["forward", "backward", "forward-monitor", "backward-monitor"])
+def test_dense_output_matches_matrix_form(rhs, y0, t_span, monitors):
+    res = rk_integrate(rhs, y0, t_span, monitors=monitors)
+    d = res.dense
+    assert res.stop_reason == ("monitor:" + monitors[0][0] if monitors
+                               else "completed")
+    # step starts, step interiors, and the last step up to its (possibly
+    # truncated) end
+    ts = list(d.ts) + [res.t_end]
+    ts += [float(d.ts[k] + th * d.hs[k]) for k in range(len(d.ts) - 1)
+           for th in (0.1, 0.5, 0.93)]
+    ts += [float(d.ts[-1] + th * (res.t_end - d.ts[-1])) for th in (0.3, 0.999)]
+    for t in ts:
+        y, yp = d(float(t))
+        y_ref, yp_ref = _matrix_form(d, float(t))
+        assert isinstance(y, np.ndarray) and isinstance(yp, np.ndarray)
+        np.testing.assert_allclose(y, y_ref, rtol=1e-14, atol=1e-15)
+        np.testing.assert_allclose(yp, yp_ref, rtol=1e-14, atol=1e-15)
+
+
+@pytest.mark.parametrize("t_span", [(0.0, 1.0), (0.0, -1.0)])
+def test_dense_output_slack_clamps_and_rejects(t_span):
+    d = rk_integrate(lambda t, y: y, [1.0], t_span).dense
+    lo, hi = d.interval
+    slack = 1e-12 * max(1.0, abs(lo), abs(hi))
+    for edge, outward in ((lo, -1.0), (hi, 1.0)):
+        inside, _ = d(edge + 0.5 * outward * slack)
+        at_edge, _ = d(edge)
+        np.testing.assert_array_equal(inside, at_edge)
+        with pytest.raises(ChartDomainError, match="outside"):
+            d(edge + 2.0 * outward * slack)
 
 
 def test_dense_output_derivative_consistency():
@@ -249,3 +304,91 @@ def test_system_warp_self_consistency(l5_solution):
         yv, ypv, ypp = l5_solution.y_state(float(t))
         assert abs(yp[1] - fpp) < 1e-6
         assert abs(yp[3] - ypp) < 1e-6
+
+
+def _family_equations_literal(c, fv, fp, yp):
+    """The two family equations as A @ (f'', y'') = -R, written out in the
+    constants exactly as derived (independent of the folded coefficients)."""
+    a, H0, c2, c3, b2, c4 = c.a, c.H0, c.c2, c.c3, c.b2, c.c4
+    A11 = -a**4 * c3**2 * c4 * fv**3 * fp - 2 * a**6 * c2 * c3**2 * H0 * fv**5 * yp
+    A12 = -a**6 * b2 * c3**2 * fv**7 * yp - 2 * a**6 * c2 * c3**2 * H0 * fv**5 * fp
+    R1 = (-2 * a**2 * c4 * fv**2 * fp**3 * (a**2 * c3**2 - 8 * c2 * H0 * fp * yp)
+          - 4 * a**4 * b2 * fv**6 * fp * yp**2 * (a**2 * c3**2 - 4 * c2 * H0 * fp * yp)
+          + a**2 * fv**4 * fp * (-12 * a**4 * c2 * c3**2 * H0 * fp * yp
+                                 + 4 * (a**4 * c3**2 - 12 * a**2 * (c3**2 - 1) * H0**2
+                                        - 48 * H0**4) * fp**2 * yp**2)
+          + 2 * a**4 * b2**2 * fv**8 * fp * yp**4
+          + a**8 * c3**4 * fv**4 * fp
+          + 2 * c4**2 * fp**5)
+    A21 = -a**4 * c3**2 * fv**3 * yp
+    A22 = a**4 * c3**2 * fv**3 * fp
+    R2 = (-a**2 * b2**2 * fv**6 * yp**3
+          + a**2 * b2 * fv**4 * yp * (a**2 * c3**2 - 6 * c2 * H0 * fp * yp)
+          + fv**2 * fp * (2 * a**4 * c2 * c3**2 * H0
+                          + (a**4 * c3**2 + 12 * a**2 * (c3**2 - 1) * H0**2
+                             + 48 * H0**4) * fp * yp)
+          - 2 * c2 * c4 * H0 * fp**3)
+    return np.array([[A11, A12], [A21, A22]]), np.array([R1, R2])
+
+
+def _admissible_l5_states(seed, count):
+    """(constants, f, f', y') near the fixture, on the constants' closure,
+    with a non-singular system and a space-like start."""
+    rng = np.random.default_rng(seed)
+    while count:
+        a = 2.0 * (1 + 0.05 * rng.uniform(-1, 1))
+        h0 = 0.6 * (1 + 0.1 * rng.uniform(-1, 1))
+        r = math.sqrt(1 - 4 * h0 * h0 / (a * a))
+        phi = math.atan2(0.64, 0.48) + 0.1 * rng.uniform(-1, 1)
+        c = rw.validate_constants_l5(a, h0, r * math.cos(phi), r * math.sin(phi))
+        fv, fp, yp = rng.uniform(0.5, 2.5), rng.uniform(-3, 3), rng.uniform(-3, 3)
+        entries = solvers._system_matrices(c, fv, fp, yp)[:4]
+        if (solvers._det_margin(*entries)[0] > 0
+                and solvers.spacelike_margin(c, fv, fp, yp) > solvers._SPACELIKE_FLOOR):
+            count -= 1
+            yield c, fv, fp, yp
+
+
+def test_system_matrices_match_the_family_equations():
+    for c, fv, fp, yp in _admissible_l5_states(7, 300):
+        A, R = _family_equations_literal(c, fv, fp, yp)
+        got = np.array(solvers._system_matrices(c, fv, fp, yp))
+        want = np.concatenate([A.ravel(), R])
+        np.testing.assert_allclose(got, want, rtol=1e-13,
+                                   atol=1e-13 * np.abs(want).max())
+
+
+def test_closed_form_solve_matches_linalg_solve():
+    for c, fv, fp, yp in _admissible_l5_states(11, 500):
+        a11, a12, a21, a22, r1, r2 = solvers._system_matrices(c, fv, fp, yp)
+        want = np.linalg.solve(np.array([[a11, a12], [a21, a22]]),
+                               -np.array([r1, r2]))
+        got = np.array(solvers._second_derivatives(c, fv, fp, yp))
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_system_solve_makes_no_linalg_solve_call(l5_constants, monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("np.linalg.solve called")
+
+    monkeypatch.setattr(np.linalg, "solve", no_solve)
+    sol = rw.solve_warp_system(l5_constants, (1.5, 1.2, 0.4, -0.7), (0.0, 0.2))
+    sol.warp(0.1)
+    sol.y_state(0.1)
+    assert sol.max_equation_residual(20) < 1e-9
+
+
+@pytest.mark.parametrize("position", range(4))
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_system_entry_is_singular(l5_constants, monkeypatch,
+                                             position, bad):
+    # one non-finite entry anywhere must fail the determinant test; Python's
+    # max() drops a NaN that is not its first argument, so the margin relies
+    # on the determinant carrying it
+    entries = [-3.0, 1.5, -0.25, 2.0]
+    entries[position] = bad
+    assert not solvers._det_margin(*entries)[0] > 0.0
+    monkeypatch.setattr(solvers, "_system_matrices",
+                        lambda *args: (*entries, 1.0, -1.0))
+    with pytest.raises(np.linalg.LinAlgError, match="near-singular"):
+        solvers._second_derivatives(l5_constants, 1.5, 1.2, -0.7)

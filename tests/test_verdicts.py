@@ -8,7 +8,8 @@ import rwsurf as rw
 from rwsurf import verdicts
 from rwsurf.immersion import Jet2Immersion
 from rwsurf.shape import SurfaceGrid, frame_norm, normal_space_dims
-from rwsurf.verdicts import (ToleranceConfig, biconservativity_residual,
+from rwsurf.verdicts import (ToleranceConfig, VerificationReport,
+                             biconservativity_residual,
                              codazzi_residuals, curvature_trace_term,
                              flat_normal_bundle_check,
                              frame_identity_residuals, marginally_trapped_check,
@@ -262,6 +263,35 @@ def test_nan_residual_fails_its_entry(product_surface, monkeypatch):
     entry = rep.entry("normal_curvature")
     assert math.isnan(entry.value) and not entry.passed
     assert rep.verdict == "fail"
+
+
+def test_report_json_is_strict_with_nan_values(product_surface, monkeypatch):
+    class PoisonedGrid(SurfaceGrid):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.point(2, 2).sfd.h12[:] = np.nan
+
+    monkeypatch.setattr(verdicts, "SurfaceGrid", PoisonedGrid)
+    rep = verify_surface(product_surface, grid=(5, 5),
+                         expect={"dim_N1": 2, "dim_N2": 3})
+    assert math.isnan(rep.entry("dim_N1").value)
+
+    def no_constants(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    loaded = json.loads(rep.to_json(), parse_constant=no_constants)
+    entries = {e["name"]: e for e in loaded["entries"]}
+    assert entries["dim_N1"]["value"] is None
+    assert loaded["diagnostics"]["dim_N1"] is None
+    back = VerificationReport.from_dict(loaded)
+    assert math.isnan(back.entry("dim_N1").value)
+    assert math.isnan(back.entry("dim_N2").value)
+    assert math.isnan(back.diagnostics["dim_N1"])
+    assert not back.entry("dim_N1").passed and back.verdict == "fail"
+    # finite values come back unchanged
+    for e, f in zip(rep.entries, back.entries):
+        assert e.name == f.name and e.passed == f.passed
+        assert e.value == f.value or (math.isnan(e.value) and math.isnan(f.value))
 
 
 def test_verify_expectation_mismatch_fails(product_surface):
