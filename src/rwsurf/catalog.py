@@ -3,7 +3,9 @@ non-existence residual scans.
 
 Each catalog surface owns hand-differentiated jet formulas in terms of
 (f, f', f''), so warps sourced from dense ODE output plug in without any
-extra numerical differentiation.
+extra numerical differentiation.  The evaluators are batched: one expression
+per component serves one point (floats) or a stack of points (arrays u, v),
+and the warp is called once per distinct time coordinate.
 """
 
 from __future__ import annotations
@@ -40,6 +42,44 @@ def default_warp_domain(warp: WarpingFunction, shrink: float = 0.05):
     return (lo + shrink * span, hi - shrink * span)
 
 
+def _at_times(fn, t):
+    """``fn`` (a time to a tuple of floats) once per distinct value of t, as
+    a tuple of arrays shaped like t."""
+    times, inverse = np.unique(t, return_inverse=True)
+    return tuple(np.array([fn(x) for x in times.tolist()])[inverse].T)
+
+
+def _stack(u, *components):
+    """Components (floats, or arrays shaped like the 1-D point array u) as
+    columns; one vector at a float u."""
+    if not isinstance(u, np.ndarray):
+        return np.array(components)
+    out = np.empty(u.shape + (len(components),))
+    for k, x in enumerate(components):
+        out[:, k] = x
+    return out
+
+
+def _reciprocal_jet(f, fp, fpp):
+    """(w, w', w'') for w = 1 / f."""
+    return 1.0 / f, -fp / f**2, (2.0 * fp * fp - f * fpp) / f**3
+
+
+def _circle_jet(a, u, v, w, heights):
+    """The jet of (u, w sin(a v) / a, w cos(a v) / a, *h): a circle of radius
+    w / a over the time u, then height columns h of u alone.  w and each h
+    come as (value, d/du, d^2/du^2)."""
+    (w, wp, wpp), (h, hp, hpp) = w, zip(*heights)
+    zero = (0.0,) * len(h)
+    s, c = np.sin(a * v), np.cos(a * v)
+    return (_stack(u, u, w * s / a, w * c / a, *h),
+            _stack(u, 1.0, wp * s / a, wp * c / a, *hp),
+            _stack(u, 0.0, w * c, -w * s, *zero),
+            _stack(u, 0.0, wpp * s / a, wpp * c / a, *hpp),
+            _stack(u, 0.0, wp * c, -wp * s, *zero),
+            _stack(u, 0.0, -a * w * s, -a * w * c, *zero))
+
+
 def rotational_surface_l41(constants: ConstantsL4, warp: WarpingFunction,
                            u_domain=None, v_domain=None) -> Jet2Immersion:
     """The rotational surface in L^4_1(f, 0).
@@ -57,21 +97,11 @@ def rotational_surface_l41(constants: ConstantsL4, warp: WarpingFunction,
         v_domain = (0.0, 2.0 * math.pi / abs(a))
 
     def evaluator(u, v):
-        f, fp, fpp = warp(u)
-        w = 1.0 / f
-        wp = -fp / f**2
-        wpp = (2.0 * fp * fp - f * fpp) / f**3
-        s, c = math.sin(a * v), math.cos(a * v)
-        phi = np.array([u, w * s / a, w * c / a, k4 * w])
-        phi_u = np.array([1.0, wp * s / a, wp * c / a, k4 * wp])
-        phi_v = np.array([0.0, w * c, -w * s, 0.0])
-        phi_uu = np.array([0.0, wpp * s / a, wpp * c / a, k4 * wpp])
-        phi_uv = np.array([0.0, wp * c, -wp * s, 0.0])
-        phi_vv = np.array([0.0, -a * w * s, -a * w * c, 0.0])
-        return phi, phi_u, phi_v, phi_uu, phi_uv, phi_vv
+        w = _reciprocal_jet(*_at_times(warp, u))
+        return _circle_jet(a, u, v, w, [tuple(k4 * x for x in w)])
 
     return Jet2Immersion(space, evaluator, tuple(u_domain), tuple(v_domain),
-                         name="rotational-l41")
+                         name="rotational-l41", batched=True)
 
 
 def surface_l51(solution: WarpSystemSolution, u_domain=None,
@@ -95,25 +125,13 @@ def surface_l51(solution: WarpSystemSolution, u_domain=None,
         v_domain = (0.0, 2.0 * math.pi / abs(a))
 
     def evaluator(u, v):
-        f, fp, fpp = warp(u)
-        yv, yp, ypp = solution.y_state(u)
-        w = 1.0 / f
-        wp = -fp / f**2
-        wpp = (2.0 * fp * fp - f * fpp) / f**3
-        z = (2.0 * H0 * w / a**2 - c2 * yv) / c3
-        zp = (2.0 * H0 * wp / a**2 - c2 * yp) / c3
-        zpp = (2.0 * H0 * wpp / a**2 - c2 * ypp) / c3
-        s, c = math.sin(a * v), math.cos(a * v)
-        phi = np.array([u, w * s / a, w * c / a, yv, z])
-        phi_u = np.array([1.0, wp * s / a, wp * c / a, yp, zp])
-        phi_v = np.array([0.0, w * c, -w * s, 0.0, 0.0])
-        phi_uu = np.array([0.0, wpp * s / a, wpp * c / a, ypp, zpp])
-        phi_uv = np.array([0.0, wp * c, -wp * s, 0.0, 0.0])
-        phi_vv = np.array([0.0, -a * w * s, -a * w * c, 0.0, 0.0])
-        return phi, phi_u, phi_v, phi_uu, phi_uv, phi_vv
+        w = _reciprocal_jet(*_at_times(warp, u))
+        y = _at_times(solution.y_state, u)
+        z = tuple((2.0 * H0 * wk / a**2 - c2 * yk) / c3 for wk, yk in zip(w, y))
+        return _circle_jet(a, u, v, w, [y, z])
 
     return Jet2Immersion(space, evaluator, tuple(u_domain), tuple(v_domain),
-                         name="surface-l51")
+                         name="surface-l51", batched=True)
 
 
 def product_surface_family(b1: float, b2: float, b3: float, u_domain=None,
@@ -140,18 +158,19 @@ def product_surface_family(b1: float, b2: float, b3: float, u_domain=None,
         v_domain = (0.0, 2.0 * math.pi * abs(b3))
 
     def evaluator(u, v):
-        cu, su = math.cos(lam * u), math.sin(lam * u)
-        sv, cv = math.sin(v / b3), math.cos(v / b3)
-        phi = np.array([-b1 * u, b0 * cu, b0 * su, b2, b3 * sv, b3 * cv])
-        phi_u = np.array([-b1, -b0 * lam * su, b0 * lam * cu, 0.0, 0.0, 0.0])
-        phi_v = np.array([0.0, 0.0, 0.0, 0.0, cv, -sv])
-        phi_uu = np.array([0.0, -b0 * lam**2 * cu, -b0 * lam**2 * su, 0.0, 0.0, 0.0])
-        phi_uv = np.zeros(6)
-        phi_vv = np.array([0.0, 0.0, 0.0, 0.0, -sv / b3, -cv / b3])
-        return phi, phi_u, phi_v, phi_uu, phi_uv, phi_vv
+        xp = np if isinstance(u, np.ndarray) else math  # floats: one point
+        cu, su = xp.cos(lam * u), xp.sin(lam * u)
+        sv, cv = xp.sin(v / b3), xp.cos(v / b3)
+        return (_stack(u, -b1 * u, b0 * cu, b0 * su, b2, b3 * sv, b3 * cv),
+                _stack(u, -b1, -b0 * lam * su, b0 * lam * cu, 0.0, 0.0, 0.0),
+                _stack(u, 0.0, 0.0, 0.0, 0.0, cv, -sv),
+                _stack(u, 0.0, -b0 * lam**2 * cu, -b0 * lam**2 * su, 0.0, 0.0,
+                       0.0),
+                _stack(u, *(0.0,) * 6),
+                _stack(u, 0.0, 0.0, 0.0, 0.0, -sv / b3, -cv / b3))
 
     return Jet2Immersion(space, evaluator, tuple(u_domain), tuple(v_domain),
-                         name="product-e11s4")
+                         name="product-e11s4", batched=True)
 
 
 def product_surface_e11s4(constants: ConstantsProduct, u_domain=None,
@@ -177,7 +196,7 @@ class ScanResult:
     bound_holds: bool
 
     def rows(self):
-        """(theta, tau, residual) rows for CSV export."""
+        """(theta, tau, residual) rows, tau None for a slice scan."""
         if self.taus is None:
             for i, th in enumerate(self.thetas):
                 yield (float(th), None, float(self.residuals[i]))

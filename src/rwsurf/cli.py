@@ -29,11 +29,11 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_INVALID = 2
 
-_FMT = "{:.17g}"
+_FMT = ".17g"  # every number written to a CSV or printed
 
 
 def _fmt(x) -> str:
-    return _FMT.format(float(x))
+    return format(float(x), _FMT)
 
 
 def _parse_span(text: str) -> tuple[float, float]:
@@ -370,15 +370,13 @@ def _cmd_verify_user_map(args) -> int:
 
 def _write_dense_csv(path, solution, samples, with_y):
     lo, hi = solution.warp.interval
-    ts = np.linspace(lo, hi, samples)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("t,f,fp,fpp" + (",y,yp,ypp" if with_y else "") + "\n")
-        for t in ts:
-            f, fp, fpp = solution.warp(float(t))
-            row = [t, f, fp, fpp]
+        for t in np.linspace(lo, hi, samples).tolist():
+            row = (t, *solution.warp(t))
             if with_y:
-                row += list(solution.y_state(float(t)))
-            fh.write(",".join(_fmt(x) for x in row) + "\n")
+                row += solution.y_state(t)
+            fh.write(",".join([f"{x:{_FMT}}" for x in row]) + "\n")
 
 
 def _cmd_solve_f4(args) -> int:
@@ -412,11 +410,13 @@ def _cmd_solve_sys5(args) -> int:
 
 
 def _write_scan_csv(path, result):
+    taus = [""] if result.taus is None else [f"{ta:{_FMT}}" for ta in result.taus.tolist()]
+    rows = result.residuals.reshape(len(result.thetas), len(taus)).tolist()
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("theta,tau,residual\n")
-        for th, ta, r in result.rows():
-            fh.write(",".join(["" if x is None else _fmt(x)
-                               for x in (th, ta, r)]) + "\n")
+        fh.writelines(f"{th:{_FMT}},{ta},{r:{_FMT}}\n"
+                      for th, row in zip(result.thetas.tolist(), rows)
+                      for ta, r in zip(taus, row))
 
 
 def _cmd_scan_h4(args) -> int:

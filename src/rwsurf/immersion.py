@@ -8,9 +8,10 @@ mean curvature direction exists) followed by signature-aware Gram-Schmidt
 over coordinate candidates.  All constructions are deterministic, so frames
 are reproducible bitwise and vary smoothly along grids.
 
-A jet is one chart call; everything after it also takes jets whose arrays
-carry leading point axes and works on the whole stack.  A check failing at
-some points raises with ``where`` and ``texts`` set (``errors.raise_where``).
+A jet is taken at one point or at a stack of points; everything after it
+also takes jets whose arrays carry leading point axes and works on the whole
+stack.  A check failing at some points raises with ``where`` and ``texts``
+set (``errors.raise_where``).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .ambient import AmbientSpace, _covariant_derivative
-from .errors import (ChartDomainError, DegenerateFrameError,
+from .errors import (ChartDomainError, DegenerateFrameError, GeometryError,
                      HorizontalSliceError, NotSpaceLikeError, raise_where)
 from .linalg import _col, inner, project_out_span
 
@@ -57,25 +58,57 @@ class JetSample:
 
 @dataclass(frozen=True)
 class Jet2Immersion:
-    """A surface chart with analytic or finite-difference 2-jets."""
+    """A surface chart with analytic or finite-difference 2-jets.  The
+    evaluator maps one point (u, v) to the six jet vectors; a ``batched``
+    one also maps arrays u, v to vectors with that leading point axis."""
 
     space: AmbientSpace
     evaluator: Callable[[float, float], tuple]
     u_domain: tuple[float, float]
     v_domain: tuple[float, float]
     name: str = ""
+    batched: bool = False
 
-    def jet(self, u: float, v: float) -> JetSample:
-        slack_u = 1e-12 * max(1.0, abs(self.u_domain[0]), abs(self.u_domain[1]))
-        slack_v = 1e-12 * max(1.0, abs(self.v_domain[0]), abs(self.v_domain[1]))
-        if not (self.u_domain[0] - slack_u <= u <= self.u_domain[1] + slack_u):
-            raise ChartDomainError(f"u={u} outside {self.u_domain}")
-        if not (self.v_domain[0] - slack_v <= v <= self.v_domain[1] + slack_v):
-            raise ChartDomainError(f"v={v} outside {self.v_domain}")
-        parts = [np.asarray(x, dtype=float) for x in self.evaluator(u, v)]
-        if not np.isfinite(np.concatenate(parts)).all():
-            raise ChartDomainError(f"non-finite jet at (u,v)=({u},{v})")
-        return JetSample(float(u), float(v), *parts)
+    def jet(self, u, v):
+        """The 2-jet at one point (u, v), raising that point's GeometryError;
+        at arrays u, v: ``(sample, errors)``, ``errors`` mapping the flat
+        index of each failing point to ``"<ErrorClass>: <message>"``.  A
+        batched evaluator gets the in-domain points (NaN is not) in one call,
+        rerun point by point if it raises; any other gets one call per point."""
+        uu, vv = np.broadcast_arrays(np.asarray(u, dtype=float),
+                                     np.asarray(v, dtype=float))
+        us, vs = uu.ravel().tolist(), vv.ravel().tolist()
+        failed = {}
+        for x, name, dom in ((uu, "u", self.u_domain), (vv, "v", self.v_domain)):
+            slack = 1e-12 * max(1.0, abs(dom[0]), abs(dom[1]))
+            bad = ~((dom[0] - slack <= x) & (x <= dom[1] + slack))
+            for k in np.flatnonzero(bad).tolist():
+                failed.setdefault(k, ChartDomainError(
+                    f"{name}={x.flat[k]} outside {dom}"))
+        inside = [k for k in range(len(us)) if k not in failed]
+        parts = np.full((6, len(us), self.space.ambient_dim), np.nan)
+        if self.batched and uu.ndim and inside:
+            try:
+                parts[:, inside] = self.evaluator(uu.ravel()[inside],
+                                                  vv.ravel()[inside])
+                inside = []
+            except GeometryError:  # rerun one by one: each point keeps its error
+                pass
+        for k in inside:
+            try:
+                parts[:, k] = self.evaluator(us[k], vs[k])
+            except GeometryError as exc:
+                failed[k] = exc
+        for k in np.flatnonzero(~np.isfinite(parts).all(axis=(0, 2))).tolist():
+            failed.setdefault(k, ChartDomainError(
+                f"non-finite jet at (u,v)=({us[k]},{vs[k]})"))
+        if uu.ndim == 0:
+            if failed:
+                raise failed[0]
+            return JetSample(us[0], vs[0], *parts[:, 0])
+        parts = parts.reshape((6,) + uu.shape + parts.shape[2:])
+        return (JetSample(uu, vv, *parts),
+                {k: f"{type(e).__name__}: {e}" for k, e in sorted(failed.items())})
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,7 @@ normal-space dimensions.
 
 Grid evaluation is two-phase.  ``SurfaceGrid`` first fills one
 array-of-points ``PointData`` with leading axes (nu, nv, 9): every report
-node and its cross stencil, the chart called per point and every later
+node and its cross stencil, one jet call for all of them and every later
 layer batched (``evaluate_point``).  Derivatives are then 5-point central
 stencils, one weighted sum over the offset axis at every node at once.  The
 stencil substep is small and decoupled from the report-grid spacing so that
@@ -245,49 +245,45 @@ def evaluate_point(surface: Jet2Immersion, u, v):
     its ``GeometryError``.  With arrays u, v: ``(data, errors)``, where
     ``data`` is the ``PointData`` of all points (leading axes the shape of
     u) and ``errors`` maps the flat index of each degenerate point to
-    ``"<ErrorClass>: <message>"``.  The chart is called once per point and
-    the warp once per distinct time coordinate; the rest runs batched over
-    the points still alive.  A point that fails a stage is left out of the
-    later ones and reads NaN.
+    ``"<ErrorClass>: <message>"``.  The chart is called once (one ``jet``
+    call for all points) and the warp once per distinct time coordinate;
+    the rest runs batched over the points still alive.  A point that fails
+    a stage is left out of the later ones and reads NaN.
     """
     space = surface.space
-    if np.ndim(u) == 0:
+    if np.ndim(u) == 0 and np.ndim(v) == 0:
         jet = surface.jet(u, v)
         return _point_data(space, jet, space.warp_state(jet.phi))
-    shape = np.shape(u)
-    uv = np.array(np.broadcast_arrays(u, v), dtype=float).reshape(2, -1).T
-    n = len(uv)
-    parts = np.full((6, n, space.ambient_dim), np.nan)
-    states = np.full((n, 3), np.nan)
-    errors, seen = {}, {}  # seen: warp states by time; stencil points share them
-    for k, (uk, vk) in enumerate(uv.tolist()):
+    jet, errors = surface.jet(u, v)
+    shape = np.shape(jet.u)
+    jet = _map_arrays(lambda x: x.reshape((-1,) + x.shape[len(shape):]), jet)
+    alive = np.setdiff1d(np.arange(len(jet.u)), list(errors))
+    times, inverse = np.unique(jet.phi[alive, 0], return_inverse=True)
+    states = np.full((len(times), 3), np.nan)
+    for m, t in enumerate(times.tolist()):
         try:
-            jet = surface.jet(uk, vk)
-            t = float(jet.phi[0])
-            if t not in seen:
-                seen[t] = space.warp_state(jet.phi)
-            states[k] = seen[t]
+            states[m] = space.warp_state((t,))
         except GeometryError as exc:
-            errors[k] = f"{type(exc).__name__}: {exc}"
-            continue
-        parts[:, k] = (jet.phi, jet.phi_u, jet.phi_v, jet.phi_uu, jet.phi_uv,
-                       jet.phi_vv)
-    alive = np.array([k for k in range(n) if k not in errors], dtype=int)
+            errors.update(dict.fromkeys(alive[inverse == m].tolist(),
+                                        f"{type(exc).__name__}: {exc}"))
+    states = states[inverse]
+    keep = np.isfinite(states).all(axis=1)
+    alive, states = alive[keep], states[keep]
     while True:
         try:
-            data = _point_data(space, JetSample(*uv[alive].T, *parts[:, alive]),
-                               tuple(states[alive].T))
+            data = _point_data(space, _map_arrays(lambda x: x[alive], jet),
+                               tuple(states.T))
             break
         except GeometryError as exc:
             if getattr(exc, "where", None) is None:
                 raise
             for k, text in zip(alive[exc.where], exc.texts):
                 errors[int(k)] = f"{type(exc).__name__}: {text}"
-            alive = alive[~exc.where]
+            alive, states = alive[~exc.where], states[~exc.where]
 
     def place(x):
-        out = np.full((n,) + x.shape[1:], np.nan if x.dtype.kind == "f" else 0,
-                      dtype=x.dtype)
+        out = np.full((len(jet.u),) + x.shape[1:],
+                      np.nan if x.dtype.kind == "f" else 0, dtype=x.dtype)
         out[alive] = x
         return out.reshape(shape + x.shape[1:])
 

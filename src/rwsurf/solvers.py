@@ -529,14 +529,16 @@ class WarpSystemSolution:
         return self.warp.interval
 
     def max_equation_residual(self, samples: int = 200) -> float:
+        """Largest |residual| of the two family equations over ``samples``
+        times (0.0 with none); NaN when any residual is NaN."""
         lo, hi = self.interval
-        worst = 0.0
-        for t in np.linspace(lo, hi, samples):
-            fv, fp, yv, yp = self.integration.dense(float(t))[0].tolist()
+        residuals = []
+        for t in np.linspace(lo, hi, samples).tolist():
+            fv, fp, yv, yp = self.integration.dense(t)[0].tolist()
             fpp, ypp = _second_derivatives(self.constants, fv, fp, yp)
-            r1, r2 = system_equation_residuals(self.constants, fv, fp, fpp, yp, ypp)
-            worst = max(worst, abs(r1), abs(r2))
-        return worst
+            residuals += system_equation_residuals(self.constants, fv, fp, fpp,
+                                                   yp, ypp)
+        return float(np.max(np.abs(residuals), initial=0.0))
 
 
 def solve_warp_system(constants: ConstantsL5, ics, interval,

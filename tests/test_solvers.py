@@ -253,6 +253,23 @@ def test_warp_self_consistency_off_mesh(l4_solution):
 # -- the coupled (f, y) system -----------------------------------------------
 
 
+def test_max_equation_residual_propagates_nan(l5_solution, monkeypatch):
+    # a NaN residual at one sample must not vanish into the reduction
+    calls = []
+
+    def nan_at_100th(*args):
+        calls.append(None)
+        r1, r2 = system_equation_residuals(*args)
+        return (math.nan, r2) if len(calls) == 100 else (r1, r2)
+
+    monkeypatch.setattr(solvers, "system_equation_residuals", nan_at_100th)
+    assert math.isnan(l5_solution.max_equation_residual(200))
+    assert len(calls) == 200
+    monkeypatch.undo()
+    assert 0.0 < l5_solution.max_equation_residual(200) < 1e-6
+    assert l5_solution.max_equation_residual(0) == 0.0
+
+
 def test_system_completes_on_fixture(l5_solution):
     assert l5_solution.integration.stop_reason == "completed"
     assert l5_solution.interval == (0.0, 0.8)
