@@ -2,7 +2,6 @@
 Lorentzian warped products."""
 
 from .ambient import (AmbientSpace, WarpingFunction, ambient_covariant_derivative,
-                      christoffel_at, comoving_split, curvature_rw,
                       curvature_rw_values, curvature_scalars,
                       is_constant_curvature)
 from .catalog import (ScanResult, default_warp_domain, nonexistence_scan_e11h4,
@@ -14,21 +13,20 @@ from .errors import (AdmissibilityError, ChartDomainError, ConstraintError,
                      GeometryError, HorizontalSliceError, InapplicableError,
                      MinimalDirectionError, NotSpaceLikeError,
                      SingularWarpError)
-from .immersion import (FDJetConfig, FrameData, Jet2Immersion, JetSample,
-                        adapted_frame, finite_difference_jet, induced_metric)
-from .linalg import (causal_character, inner, numeric_rank,
-                     orthonormalize_signature)
+from .immersion import (FrameData, Jet2Immersion, JetSample, adapted_frame,
+                        finite_difference_jet, induced_metric)
+from .linalg import causal_character, inner, numeric_rank
 from .shape import (NormalSpaceDims, PointData, SecondFundamentalData,
-                    SurfaceGrid, evaluate_point, normal_connection_derivative,
-                    normal_curvature, normal_space_dims, pmcv_residual,
-                    second_fundamental_form, shape_operator)
+                    SurfaceGrid, evaluate_point, normal_curvature,
+                    normal_space_dims, pmcv_residual, second_fundamental_form,
+                    shape_operator)
 from .solvers import (ConstantsL4, ConstantsL5, ConstantsProduct, DenseOutput,
                       IntegrationResult, RotationalWarpSolution, SolverConfig,
                       WarpSystemSolution, rk_integrate, solve_rotational_warp,
                       solve_warp_system, system_equation_residuals,
                       validate_constants_l4, validate_constants_l5,
                       validate_constants_product)
-from .verdicts import (CheckEntry, ToleranceConfig, VerificationReport,
+from .verdicts import (CheckEntry, VerificationReport,
                        biconservativity_residual, codazzi_residuals,
                        curvature_trace_term, flat_normal_bundle_check,
                        frame_identity_residuals, marginally_trapped_check,

@@ -3,8 +3,8 @@
 Two backends cover the classified cases:
 
 * ``warped-flat``  -- L^n_1(f, 0) in comoving coordinates (t, x_1..x_{n-1})
-  with metric diag(-1, f(t)^2, ..., f(t)^2) and hard-coded Christoffel
-  symbols.
+  with metric diag(-1, f(t)^2, ..., f(t)^2); its Christoffel correction is
+  written out in ``ambient_covariant_derivative``.
 * ``product-space-form`` -- E^1_1 x S^{n-1} (c = +1) or E^1_1 x H^{n-1}
   (c = -1) realized inside flat (n+1)-space with metric
   diag(-1, c, 1, ..., 1); all derivatives are flat partials followed by an
@@ -33,11 +33,8 @@ from .linalg import _col, inner
 __all__ = [
     "WarpingFunction",
     "AmbientSpace",
-    "comoving_split",
-    "christoffel_at",
     "ambient_covariant_derivative",
     "curvature_scalars",
-    "curvature_rw",
     "curvature_rw_values",
     "is_constant_curvature",
 ]
@@ -110,12 +107,6 @@ class WarpingFunction:
                     float(np.polyval(c2, t)))
 
         return WarpingFunction(fn, tuple(interval), label="poly")
-
-    @staticmethod
-    def from_callables(f, fp, fpp, interval=(-np.inf, np.inf),
-                       source="closed-form", label="") -> "WarpingFunction":
-        return WarpingFunction(lambda t: (f(t), fp(t), fpp(t)),
-                               tuple(interval), source, label)
 
 
 @dataclass(frozen=True)
@@ -233,51 +224,6 @@ class AmbientSpace:
         return np.diag(d)
 
 
-def comoving_split(X, space: AmbientSpace, p=None):
-    """Decompose X = X0 * dt + Xbar with X0 = -<dt, X> and fiber part Xbar."""
-    X = space.check_vector(X)
-    X0 = float(X[0])
-    Xbar = X.copy()
-    Xbar[0] = 0.0
-    return X0, Xbar
-
-
-def christoffel_at(space: AmbientSpace, p) -> np.ndarray:
-    """Christoffel symbols Gamma[k, i, j] of the warped-flat backend at p.
-
-    Gamma^t_ij = f f' delta_ij and Gamma^i_tj = (f'/f) delta_ij; everything
-    else vanishes.
-    """
-    if space.kind != "warped-flat":
-        raise DimensionMismatchError(
-            "christoffel_at applies to the warped-flat backend only")
-    f, fp, _ = space.warp(float(np.asarray(p, dtype=float)[0]))
-    n = space.n
-    gamma = np.zeros((n, n, n))
-    for i in range(1, n):
-        gamma[0, i, i] = f * fp
-        gamma[i, 0, i] = fp / f
-        gamma[i, i, 0] = fp / f
-    return gamma
-
-
-def _covariant_derivative(space: AmbientSpace, p, x, y, dy, G,
-                          warp_state) -> np.ndarray:
-    """``ambient_covariant_derivative`` without the input checks, for callers
-    whose vectors already have the backend's shape.  Leading point axes of
-    all arguments broadcast against those of ``dy``."""
-    if space.kind == "warped-flat":
-        f, fp, _ = (np.asarray(w, dtype=float) for w in warp_state)
-        out = np.empty_like(dy)
-        out[..., 0] = dy[..., 0] + f * fp * np.einsum("...i,...i->...",
-                                                      x[..., 1:], y[..., 1:])
-        out[..., 1:] = dy[..., 1:] + _col(fp / f) * (
-            x[..., :1] * y[..., 1:] + y[..., :1] * x[..., 1:])
-        return out
-    nu = space.product_normal(p)
-    return dy - space.c * _col(inner(dy, nu, G)) * nu
-
-
 def ambient_covariant_derivative(space: AmbientSpace, p, x_vec, y_vec,
                                  dy_dx, G, warp_state) -> np.ndarray:
     """Covariant derivative of a field Y along X at p.
@@ -290,10 +236,17 @@ def ambient_covariant_derivative(space: AmbientSpace, p, x_vec, y_vec,
     of the connection: chart second derivatives and grid stencils call it
     too.
     """
-    return _covariant_derivative(space, np.asarray(p, dtype=float),
-                                 space.check_vector(x_vec),
-                                 space.check_vector(y_vec),
-                                 space.check_vector(dy_dx), G, warp_state)
+    x, y, dy = (space.check_vector(w) for w in (x_vec, y_vec, dy_dx))
+    if space.kind == "warped-flat":
+        f, fp, _ = (np.asarray(w, dtype=float) for w in warp_state)
+        out = np.empty_like(dy)
+        out[..., 0] = dy[..., 0] + f * fp * np.einsum("...i,...i->...",
+                                                      x[..., 1:], y[..., 1:])
+        out[..., 1:] = dy[..., 1:] + _col(fp / f) * (
+            x[..., :1] * y[..., 1:] + y[..., :1] * x[..., 1:])
+        return out
+    nu = space.product_normal(p)
+    return dy - space.c * _col(inner(dy, nu, G)) * nu
 
 
 def curvature_scalars(f: float, fp: float, fpp: float,
@@ -325,18 +278,6 @@ def curvature_rw_values(X, Y, Z, G, f: float, fp: float, fpp: float,
     dt[0] = 1.0
     return (k1 * (X0 * Z0 * Yb - Y0 * Z0 * Xb + (X0 * ip_yz - Y0 * ip_xz) * dt)
             + k2 * (ip_yz * Xb - ip_xz * Yb))
-
-
-def curvature_rw(space: AmbientSpace, X, Y, Z, p) -> np.ndarray:
-    """Backend-aware curvature evaluation at p.
-
-    On the product backend the inputs must be tangent to the product at p.
-    """
-    f, fp, fpp = space.warp_state(p)
-    G = space.metric_at(p, (f, fp, fpp))
-    return curvature_rw_values(space.check_vector(X), space.check_vector(Y),
-                               space.check_vector(Z), G, f, fp, fpp,
-                               float(space.c))
 
 
 def is_constant_curvature(warp: WarpingFunction, c: float, interval,

@@ -18,7 +18,8 @@ import numpy as np
 from .ambient import AmbientSpace, WarpingFunction
 from .errors import ConstraintError, InapplicableError
 from .immersion import Jet2Immersion
-from .solvers import ConstantsL4, ConstantsProduct, WarpSystemSolution
+from .solvers import (ConstantsL4, ConstantsProduct, WarpSystemSolution,
+                      _require_finite)
 
 __all__ = [
     "default_warp_domain",
@@ -143,6 +144,7 @@ def product_surface_family(b1: float, b2: float, b3: float, u_domain=None,
     is parallel exactly when b2^2 + b3^2 = 1/(b1^2 + 2), so unvalidated
     parameters give the natural negative control.
     """
+    _require_finite(b1=b1, b2=b2, b3=b3)
     if b1 == 0.0 or b2 == 0.0 or b3 == 0.0:
         raise ConstraintError("b1, b2, b3 must be non-zero")
     r2 = b2 * b2 + b3 * b3

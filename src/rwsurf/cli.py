@@ -23,7 +23,7 @@ from .ambient import AmbientSpace, WarpingFunction
 from .errors import GeometryError
 from .immersion import finite_difference_jet
 from .shape import DEFAULT_SUBSTEP
-from .verdicts import ToleranceConfig, VerificationReport, verify_surface
+from .verdicts import VerificationReport, verify_surface
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -220,14 +220,14 @@ def build_parser() -> argparse.ArgumentParser:
 # verify plumbing
 
 
-def _tolerances(opts: _Options) -> ToleranceConfig:
+def _tolerances(opts: _Options) -> dict:
     overrides = {}
     for item in (opts.get("tol") or []):
         name, _, val = item.partition("=")
         if not val:
             raise ValueError(f"--tol expects NAME=VALUE, got {item!r}")
         overrides[name] = float(val)
-    return ToleranceConfig(overrides=overrides)
+    return overrides
 
 
 def _write_report_files(report: VerificationReport, surface, opts: _Options):

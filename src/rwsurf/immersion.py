@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .ambient import AmbientSpace, _covariant_derivative
+from .ambient import AmbientSpace, ambient_covariant_derivative
 from .errors import (ChartDomainError, DegenerateFrameError, GeometryError,
                      HorizontalSliceError, NotSpaceLikeError, raise_where)
 from .linalg import _col, inner, project_out_span
@@ -29,7 +29,6 @@ from .linalg import _col, inner, project_out_span
 __all__ = [
     "JetSample",
     "Jet2Immersion",
-    "FDJetConfig",
     "finite_difference_jet",
     "induced_metric",
     "FrameData",
@@ -39,6 +38,11 @@ __all__ = [
 
 TOL_T = 1e-8
 TOL_H = 1e-8
+# Finite-difference jet steps, both scaled by (1 + |coordinate|).  The second
+# step is larger because second central differences lose ~eps/h^2 to
+# round-off, which at 1e-5 would dominate the Richardson-level truncation.
+FD_STEP_FIRST = 1e-5
+FD_STEP_SECOND = 5e-3
 
 
 @dataclass(frozen=True)
@@ -111,19 +115,6 @@ class Jet2Immersion:
                 {k: f"{type(e).__name__}: {e}" for k, e in sorted(failed.items())})
 
 
-@dataclass(frozen=True)
-class FDJetConfig:
-    """Steps for the finite-difference jet adaptor.
-
-    Both steps scale with (1 + |coordinate|).  ``step_second`` is larger than
-    ``step_first`` because second central differences lose ~eps/h^2 to
-    round-off, which at 1e-5 would dominate the Richardson-level truncation.
-    """
-
-    step_first: float = 1e-5
-    step_second: float = 5e-3
-
-
 def _richardson_first(fn, x0, h):
     # one Richardson level on the central difference: O(h^4)
     d_h = (fn(x0 + h) - fn(x0 - h)) / (2 * h)
@@ -146,7 +137,6 @@ def _richardson_mixed(fn, u, v, h, k):
 
 def finite_difference_jet(chart: Callable[[float, float], np.ndarray],
                           space: AmbientSpace, u_domain, v_domain,
-                          config: FDJetConfig | None = None,
                           name: str = "fd-jet") -> Jet2Immersion:
     """Wrap a pointwise chart map into a Jet2Immersion via central differences
     with one Richardson extrapolation level.
@@ -154,13 +144,10 @@ def finite_difference_jet(chart: Callable[[float, float], np.ndarray],
     The chart must be evaluable on the declared domain inflated by the larger
     step; grid builders downstream keep that margin.
     """
-    cfg = config or FDJetConfig()
-
     def evaluator(u, v):
-        h1u = cfg.step_first * (1.0 + abs(u))
-        h1v = cfg.step_first * (1.0 + abs(v))
-        h2u = cfg.step_second * (1.0 + abs(u))
-        h2v = cfg.step_second * (1.0 + abs(v))
+        su, sv = 1.0 + abs(u), 1.0 + abs(v)
+        h1u, h1v = FD_STEP_FIRST * su, FD_STEP_FIRST * sv
+        h2u, h2v = FD_STEP_SECOND * su, FD_STEP_SECOND * sv
         phi = np.asarray(chart(u, v), dtype=float)
         fu = lambda x: np.asarray(chart(x, v), dtype=float)
         fv = lambda x: np.asarray(chart(u, x), dtype=float)
@@ -215,8 +202,8 @@ def chart_second_fundamental(jet: JetSample, space: AmbientSpace, G, ginv,
     first = {"u": jet.phi_u, "v": jet.phi_v}
     second = {("u", "u"): jet.phi_uu, ("u", "v"): jet.phi_uv,
               ("v", "v"): jet.phi_vv}
-    W = {(a, b): _covariant_derivative(space, jet.phi, first[a], first[b],
-                                       pab, G, warp_state)
+    W = {(a, b): ambient_covariant_derivative(space, jet.phi, first[a],
+                                              first[b], pab, G, warp_state)
          for (a, b), pab in second.items()}
 
     def normal_part(vec):
@@ -260,12 +247,6 @@ class FrameData:
     @property
     def e3(self) -> np.ndarray:
         return self.normals[..., 0, :]
-
-    @property
-    def e4(self) -> np.ndarray:
-        if not np.all(self.has_mean_direction):
-            raise DegenerateFrameError("frame has no mean-curvature direction")
-        return self.normals[..., 1, :]
 
     @property
     def tangents(self) -> tuple:

@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DegenerateFrameError, DimensionMismatchError
+from .errors import DimensionMismatchError
 
 __all__ = [
     "inner",
     "causal_character",
-    "orthonormalize_signature",
     "numeric_rank",
     "project_out_span",
 ]
@@ -72,45 +71,6 @@ def project_out_span(x, basis, G):
     BtG = np.swapaxes(B, -1, -2) @ np.asarray(G, dtype=float)
     coef = np.linalg.solve(BtG @ B, BtG @ x[..., None])
     return x - (B @ coef)[..., 0]
-
-
-def orthonormalize_signature(vectors, G, tol: float = 1e-10,
-                             timelike_index: int | None = None):
-    """Signature-aware Gram-Schmidt.
-
-    Returns (frame, signs): pairwise G-orthogonal vectors with |<f_i,f_i>| = 1
-    and signs recording timelike (-1) versus space-like (+1) directions.
-    Output i lies in the span of inputs 1..i and keeps a positive component
-    along input i, which makes the result deterministic.
-
-    When ``timelike_index`` is given, that candidate is processed first (the
-    adapted-frame convention that stabilizes the sign of the timelike leg).
-
-    Raises DegenerateFrameError when an intermediate vector is numerically
-    null or dependent (|<w,w>| below tol relative to its Euclidean size).
-    """
-    vecs = [np.asarray(v, dtype=float) for v in vectors]
-    order = list(range(len(vecs)))
-    if timelike_index is not None:
-        order.insert(0, order.pop(timelike_index))
-    G = np.asarray(G, dtype=float)
-    frame: list[np.ndarray] = []
-    signs: list[int] = []
-    for idx in order:
-        w = project_out_span(vecs[idx], frame, G)
-        s2 = inner(w, w, G)
-        euclid = float(np.dot(w, w))
-        v_euclid = float(np.dot(vecs[idx], vecs[idx]))
-        if euclid < tol * max(v_euclid, 1e-300):
-            raise DegenerateFrameError(
-                f"candidate {idx} is linearly dependent on its predecessors")
-        if abs(s2) < tol * max(euclid, 1e-300):
-            raise DegenerateFrameError(
-                f"candidate {idx} spans a null direction (<w,w> = {s2:.3e})")
-        sign = 1 if s2 > 0 else -1
-        frame.append(w / np.sqrt(abs(s2)))
-        signs.append(sign)
-    return frame, signs
 
 
 def numeric_rank(vectors, G, tol: float = 1e-8) -> int:

@@ -21,7 +21,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .ambient import AmbientSpace, _covariant_derivative
+from .ambient import AmbientSpace, ambient_covariant_derivative
 from .errors import GeometryError
 from .immersion import (FrameData, Jet2Immersion, JetSample,
                         _tangent_coefficients, adapted_frame,
@@ -36,7 +36,6 @@ __all__ = [
     "PointData",
     "evaluate_point",
     "SurfaceGrid",
-    "normal_connection_derivative",
     "pmcv_values",
     "pmcv_residual",
     "NormalSpaceDims",
@@ -321,12 +320,9 @@ class SurfaceGrid:
         self.vs = np.asarray(vs, dtype=float)
         self.nu, self.nv = len(self.us), len(self.vs)
 
-        u_lo, u_hi = surface.u_domain
-        v_lo, v_hi = surface.v_domain
-        margin_u = min((self.us.min() - u_lo) / 2.5 if np.isfinite(u_lo) else np.inf,
-                       (u_hi - self.us.max()) / 2.5 if np.isfinite(u_hi) else np.inf)
-        margin_v = min((self.vs.min() - v_lo) / 2.5 if np.isfinite(v_lo) else np.inf,
-                       (v_hi - self.vs.max()) / 2.5 if np.isfinite(v_hi) else np.inf)
+        (u_lo, u_hi), (v_lo, v_hi) = surface.u_domain, surface.v_domain
+        margin_u = min(self.us.min() - u_lo, u_hi - self.us.max()) / 2.5
+        margin_v = min(self.vs.min() - v_lo, v_hi - self.vs.max()) / 2.5
         if margin_u <= 0 or margin_v <= 0:
             raise GeometryError("report grid leaves no stencil headroom "
                                 "inside the chart domain")
@@ -356,9 +352,6 @@ class SurfaceGrid:
         self._cache: dict = {}
 
     # -- node access ---------------------------------------------------------
-
-    def node_ok(self, i: int, j: int) -> bool:
-        return bool(self.ok[i, j])
 
     def point(self, i: int, j: int) -> PointData:
         """The node's ``PointData``, as views into the grid's arrays."""
@@ -391,7 +384,7 @@ class SurfaceGrid:
         """Ambient covariant derivative of a vector field along phi_u/phi_v."""
         nd = self.node_data
         x = nd.jet.phi_u if direction == "u" else nd.jet.phi_v
-        return _covariant_derivative(
+        return ambient_covariant_derivative(
             self.space, nd.jet.phi, x,
             np.asarray(extract(self.data), dtype=float)[:, :, 0],
             self.chart_derivative(extract, direction), nd.G, nd.warp_state)
@@ -458,18 +451,6 @@ class SurfaceGrid:
         """(nabla^perp_{e1} H, nabla^perp_{e2} H) at every node."""
         extract = lambda p: p.sfd.H
         return (self.nabla_perp(extract, 0), self.nabla_perp(extract, 1))
-
-
-def normal_connection_derivative(grid: SurfaceGrid, field: Callable,
-                                 direction: int):
-    """nabla^perp of a normal field along e_direction (1 or 2) at every node.
-
-    ``field`` maps a PointData with leading axes to the normal vectors with
-    the same leading axes; it must be evaluable on the stencil points.
-    """
-    if direction not in (1, 2):
-        raise ValueError("direction must be 1 or 2")
-    return grid.nabla_perp(field, direction - 1)
 
 
 @_per_grid

@@ -320,8 +320,16 @@ class ConstantsProduct:
 _CTOL = 1e-12
 
 
+def _require_finite(**params):
+    """ConstraintError naming the first given parameter that is not finite."""
+    for name, value in params.items():
+        if value is not None and not math.isfinite(value):
+            raise ConstraintError(f"{name} must be finite, got {value}")
+
+
 def validate_constants_l4(a: float, H0: float, c2: float | None = None) -> ConstantsL4:
     """Check (or derive) the rotational-family constants."""
+    _require_finite(a=a, H0=H0, c2=c2)
     b2 = a * a - 4 * H0 * H0
     if b2 <= 0:
         raise ConstraintError(f"a^2 - 4 H0^2 > 0 violated: {b2}")
@@ -341,6 +349,7 @@ def validate_constants_l4(a: float, H0: float, c2: float | None = None) -> Const
 
 
 def validate_constants_l5(a: float, H0: float, c2: float, c3: float) -> ConstantsL5:
+    _require_finite(a=a, H0=H0, c2=c2, c3=c3)
     if a == 0 or c2 == 0.0 or c3 == 0.0 or H0 == 0.0:
         raise ConstraintError("a, H0, c2, c3 must all be non-zero")
     defect = c2 * c2 + c3 * c3 + 4 * H0 * H0 / (a * a) - 1.0
@@ -357,6 +366,7 @@ def validate_constants_l5(a: float, H0: float, c2: float, c3: float) -> Constant
 def validate_constants_product(b1: float, b2: float | None = None,
                                b3: float | None = None) -> ConstantsProduct:
     """Check (or derive one of) b2, b3 from b2^2 + b3^2 = 1 / (b1^2 + 2)."""
+    _require_finite(b1=b1, b2=b2, b3=b3)
     if b1 == 0.0:
         raise ConstraintError("b1 must be non-zero (horizontal-slice case excluded)")
     target = 1.0 / (b1 * b1 + 2.0)
@@ -406,10 +416,6 @@ class RotationalWarpSolution:
     warp: WarpingFunction
     integration: IntegrationResult
     constants: ConstantsL4
-
-    @property
-    def admissible_interval(self) -> tuple[float, float]:
-        return self.warp.interval
 
 
 def solve_rotational_warp(constants: ConstantsL4, f0: float, f0p: float,

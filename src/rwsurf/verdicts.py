@@ -2,9 +2,9 @@
 
 Every check returns a non-negative residual (norms and absolute values only);
 ``verify_surface`` runs the applicable battery over a grid, pins each entry
-against its tolerance tier and aggregates an overall verdict.  Two tiers are
-used: 'algebraic' for closed-form pointwise quantities and 'stencil' for
-residuals that involve grid-stencil derivatives.
+against its tolerance tier in ``TIERS`` and aggregates an overall verdict:
+'algebraic' for closed-form pointwise quantities, 'stencil' for residuals
+that involve grid-stencil derivatives and 'spread' for the variation of |H|^2.
 
 Every check is an array expression over the grid's nodes, reduced over the
 non-degenerate ones (``SurfaceGrid.ok``) with the NaN-propagating
@@ -28,7 +28,6 @@ from .shape import (DEFAULT_SUBSTEP, SurfaceGrid, _check_substep, _per_grid,
                     pmcv_residual, normal_curvature)
 
 __all__ = [
-    "ToleranceConfig",
     "CheckEntry",
     "VerificationReport",
     "biconservativity_residual",
@@ -45,20 +44,18 @@ __all__ = [
 SCHEMA = "rwsurf.verification/1"
 
 
-@dataclass
-class ToleranceConfig:
-    """Two-tier tolerances with optional per-entry overrides."""
-
-    algebraic: float = 1e-8
-    stencil: float = 1e-5
-    spread: float = 1e-7
-    overrides: dict = field(default_factory=dict)
-
-    def tol(self, name: str, tier: str) -> float:
-        if name in self.overrides:
-            return float(self.overrides[name])
-        return {"algebraic": self.algebraic, "stencil": self.stencil,
-                "spread": self.spread}[tier]
+TIERS = {"algebraic": 1e-8, "stencil": 1e-5, "spread": 1e-7}
+# The entries that take their tolerance from a tier, so the ones an override
+# may name (the pins dim_N1, dim_N2 compare with an expected dimension).
+TOLERANCE_ENTRIES = (
+    "frame_orthonormality", "frame_reassembly", "h_tangency",
+    "reduced_pairing", "mean_norm_spread", "gauss_consistency", "pmcv",
+    "biconservativity", "codazzi_1", "codazzi_2", "frame_tangent_e1",
+    "frame_tangent_e2", "frame_normal_e1", "frame_normal_e2",
+    "normal_curvature", "structure_A11", "structure_A12", "structure_A22",
+    "structure_trace", "structure_offdiag", "structure_conn", "structure_eta",
+    "mean_curvature_value",
+)
 
 
 @dataclass(frozen=True)
@@ -314,30 +311,33 @@ def _stats(values) -> dict:
 
 def verify_surface(surface: Jet2Immersion, grid=(17, 17),
                    u_span=None, v_span=None,
-                   tolerances: ToleranceConfig | None = None,
+                   tolerances: dict | None = None,
                    expect: dict | None = None,
                    substep: float = DEFAULT_SUBSTEP) -> VerificationReport:
     """Run the full verification battery on a surface.
 
     ``grid`` is (nu, nv); the span defaults to the chart domain minus stencil
     headroom.  ``expect`` may pin {'H0': value, 'dim_N1': k, 'dim_N2': k},
-    which adds the corresponding entries.  Deterministic for fixed inputs.
+    which adds the corresponding entries.  ``tolerances`` maps entry names
+    to tolerances that replace their tier's; a name outside
+    ``TOLERANCE_ENTRIES`` raises ValueError.  Deterministic for fixed inputs.
     The filled grid every check read is the report's ``surface_grid``.
     """
     substep = _check_substep(substep)
-    tol = tolerances or ToleranceConfig()
+    overrides = tolerances or {}
+    unknown = sorted(set(overrides) - set(TOLERANCE_ENTRIES))
+    if unknown:
+        raise ValueError(f"no tolerance entry named {', '.join(unknown)}")
     expect = expect or {}
     nu, nv = grid
-    u_lo, u_hi = u_span if u_span is not None else surface.u_domain
-    v_lo, v_hi = v_span if v_span is not None else surface.v_domain
-    if u_span is None:
-        pad_u = 3.0 * substep * (1.0 + max(abs(u_lo), abs(u_hi)))
-        u_lo, u_hi = u_lo + pad_u, u_hi - pad_u
-    if v_span is None:
-        pad_v = 3.0 * substep * (1.0 + max(abs(v_lo), abs(v_hi)))
-        v_lo, v_hi = v_lo + pad_v, v_hi - pad_v
-    us = np.linspace(u_lo, u_hi, nu)
-    vs = np.linspace(v_lo, v_hi, nv)
+
+    def span(given, lo, hi):
+        pad = 3.0 * substep * (1.0 + max(abs(lo), abs(hi)))
+        return given if given is not None else (lo + pad, hi - pad)
+
+    (u_lo, u_hi), (v_lo, v_hi) = (span(u_span, *surface.u_domain),
+                                  span(v_span, *surface.v_domain))
+    us, vs = np.linspace(u_lo, u_hi, nu), np.linspace(v_lo, v_hi, nv)
 
     grid_meta = {"nu": nu, "nv": nv, "u": [float(u_lo), float(u_hi)],
                  "v": [float(v_lo), float(v_hi)], "substep": float(substep)}
@@ -357,7 +357,7 @@ def verify_surface(surface: Jet2Immersion, grid=(17, 17),
     entries: list[CheckEntry] = []
 
     def add(name, value, tier):
-        t = tol.tol(name, tier)
+        t = float(overrides.get(name, TIERS[tier]))
         entries.append(CheckEntry(name, float(value), t, bool(value < t)))
 
     # pointwise frame quality and scalar diagnostics, over the good nodes
@@ -397,23 +397,16 @@ def verify_surface(surface: Jet2Immersion, grid=(17, 17),
 
     add("pmcv", pmcv_residual(sg), "stencil")
     add("biconservativity", biconservativity_residual(sg), "stencil")
-    r1, r2 = codazzi_residuals(sg)
-    add("codazzi_1", r1, "stencil")
-    add("codazzi_2", r2, "stencil")
-    t1, t2, n1, n2 = frame_identity_residuals(sg)
-    add("frame_tangent_e1", t1, "stencil")
-    add("frame_tangent_e2", t2, "stencil")
-    add("frame_normal_e1", n1, "stencil")
-    add("frame_normal_e2", n2, "stencil")
+    for name, value in zip(("codazzi_1", "codazzi_2", "frame_tangent_e1",
+                            "frame_tangent_e2", "frame_normal_e1",
+                            "frame_normal_e2"),
+                           codazzi_residuals(sg) + frame_identity_residuals(sg)):
+        add(name, value, "stencil")
     add("normal_curvature", flat_normal_bundle_check(sg), "algebraic")
 
     if has_mean_everywhere:
-        svals = pmcv_structure_check(sg)
-        for name in ("structure_A11", "structure_A12", "structure_A22",
-                     "structure_trace", "structure_offdiag"):
-            add(name, svals[name], "stencil")
-        add("structure_conn", svals["structure_conn"], "stencil")
-        add("structure_eta", svals["structure_eta"], "algebraic")
+        for name, value in pmcv_structure_check(sg).items():
+            add(name, value, "algebraic" if name == "structure_eta" else "stencil")
 
     dims = normal_space_dims(sg)
     A = sfd.A[ok]
@@ -433,12 +426,10 @@ def verify_surface(surface: Jet2Immersion, grid=(17, 17),
         add("mean_curvature_value",
             max(abs(diagnostics["H0"]["max"] - expect["H0"]),
                 abs(diagnostics["H0"]["min"] - expect["H0"])), "algebraic")
-    if "dim_N1" in expect:
-        entries.append(CheckEntry("dim_N1", float(dims.n1), float(expect["dim_N1"]),
-                                  dims.n1 == expect["dim_N1"]))
-    if "dim_N2" in expect:
-        entries.append(CheckEntry("dim_N2", float(dims.n2), float(expect["dim_N2"]),
-                                  dims.n2 == expect["dim_N2"]))
+    for name, dim in (("dim_N1", dims.n1), ("dim_N2", dims.n2)):
+        if name in expect:
+            entries.append(CheckEntry(name, float(dim), float(expect[name]),
+                                      dim == expect[name]))
 
     all_pass = all(e.passed for e in entries)
     verdict = "pass" if all_pass and not degeneracies else (

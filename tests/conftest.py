@@ -120,8 +120,8 @@ def tilted_plane_grid(tilted_plane):
 def graph_surface():
     """0-jet bump on a tilted plane in L^4_1(e^t + 2, 0); space-like,
     T != 0, and decisively not biconservative."""
-    warp = rw.WarpingFunction.from_callables(
-        lambda t: math.exp(t) + 2.0, math.exp, math.exp, (-5.0, 5.0),
+    warp = rw.WarpingFunction(
+        lambda t: (math.exp(t) + 2.0, math.exp(t), math.exp(t)), (-5.0, 5.0),
         label="exp+2")
     space = rw.AmbientSpace.warped_flat(4, warp)
     s8, c8 = math.sinh(0.8), math.cosh(0.8)

@@ -14,8 +14,7 @@ from rwsurf.catalog import nonexistence_scan_e11h4, nonexistence_slice_scan
 from rwsurf.immersion import finite_difference_jet
 from rwsurf.shape import SurfaceGrid, pmcv_residual
 from rwsurf.solvers import SolverConfig, rk_integrate
-from rwsurf.verdicts import (ToleranceConfig, curvature_trace_term,
-                             verify_surface)
+from rwsurf.verdicts import curvature_trace_term, verify_surface
 
 from conftest import L5_CONSTANTS, random_curvature_config
 
@@ -44,7 +43,7 @@ def test_criterion_2_rotational_family_end_to_end(l4_constants, l4_solution,
                                                   l4_surface):
     f, fp, fpp = l4_solution.warp(0.0)
     assert abs(fpp - 17.0 / 3.0) < 1e-12  # substitution check at the ICs
-    tols = ToleranceConfig(overrides={
+    tols = {
         "reduced_pairing": 1e-6, "pmcv": 1e-5, "mean_curvature_value": 1e-6,
         "biconservativity": 1e-5, "normal_curvature": 1e-6,
         "codazzi_1": 1e-5, "codazzi_2": 1e-5,
@@ -53,7 +52,7 @@ def test_criterion_2_rotational_family_end_to_end(l4_constants, l4_solution,
         "structure_A11": 1e-5, "structure_A12": 1e-5, "structure_A22": 1e-5,
         "structure_trace": 1e-5, "structure_offdiag": 1e-5,
         "structure_conn": 1e-5, "structure_eta": 1e-5,
-    })
+    }
     rep = verify_surface(l4_surface, grid=(17, 17), tolerances=tols,
                          expect={"H0": 0.5, "dim_N1": 2})
     worst = max(e.value for e in rep.entries
@@ -67,9 +66,8 @@ def test_criterion_2_rotational_family_end_to_end(l4_constants, l4_solution,
 def test_criterion_3_product_family_closed_form(product_constants,
                                                 product_surface):
     rep = verify_surface(product_surface, grid=(17, 17),
-                         tolerances=ToleranceConfig(overrides={
-                             "pmcv": 1e-8, "reduced_pairing": 1e-10,
-                             "mean_curvature_value": 1e-10}),
+                         tolerances={"pmcv": 1e-8, "reduced_pairing": 1e-10,
+                                     "mean_curvature_value": 1e-10},
                          expect={"H0": 0.5, "dim_N1": 2, "dim_N2": 3})
     d = rep.diagnostics
     gamma_max = max(abs(d["gamma_e3"]["min"]), abs(d["gamma_e3"]["max"]))

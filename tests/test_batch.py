@@ -13,7 +13,7 @@ import pytest
 
 import rwsurf as rw
 from rwsurf import immersion, shape
-from rwsurf.ambient import _covariant_derivative
+from rwsurf.ambient import ambient_covariant_derivative
 from rwsurf.immersion import JetSample, chart_second_fundamental
 from rwsurf.linalg import numeric_rank, project_out_span
 from rwsurf.shape import SurfaceGrid, evaluate_point, second_fundamental_form
@@ -218,10 +218,11 @@ def test_batched_layers_match_pointwise(surface_name, request):
     assert_stacked(rw.inner(sfd.H, frame.eta, G),
                    [rw.inner(p.sfd.H, p.frame.eta, p.G) for p in points])
     assert_stacked(
-        _covariant_derivative(space, jet.phi, jet.phi_u, frame.e1, sfd.h11, G,
-                              state),
-        [_covariant_derivative(space, p.jet.phi, p.jet.phi_u, p.frame.e1,
-                               p.sfd.h11, p.G, p.warp_state) for p in points])
+        ambient_covariant_derivative(space, jet.phi, jet.phi_u, frame.e1,
+                                     sfd.h11, G, state),
+        [ambient_covariant_derivative(space, p.jet.phi, p.jet.phi_u, p.frame.e1,
+                                      p.sfd.h11, p.G, p.warp_state)
+         for p in points])
     gens = [sfd.h11, sfd.h12, sfd.h22, frame.T]
     assert_stacked(numeric_rank(gens, G),
                    [numeric_rank([p.sfd.h11, p.sfd.h12, p.sfd.h22, p.frame.T],

@@ -1,4 +1,8 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 
@@ -31,6 +35,31 @@ def test_verify_product_constraint_violation_exits_2(capsys):
                  "--b2", "0.4"])
     assert code == 2
     assert "b2^2 + b3^2" in capsys.readouterr().err
+
+
+def test_verify_product_nan_constant_exits_2(capsys):
+    code = main(["verify", "product", "--b1", "1", "--b2", "nan", "--b3", "0.5",
+                 "--grid", "5x5"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "error: ConstraintError: b2 must be finite" in captured.err
+    assert "verdict" not in captured.out
+
+
+def test_unknown_tolerance_override_exits_2(capsys):
+    code = main(THM4_ARGS + ["--tol", "pmvc=1e-30"])  # a typo for pmcv
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "error: ValueError" in captured.err and "pmvc" in captured.err
+    assert "verdict" not in captured.out
+
+
+def test_package_imports_no_test_code(tmp_path):
+    src = pathlib.Path(rw.__file__).resolve().parents[1]
+    probe = ("import sys, rwsurf, rwsurf.cli\n"
+             "assert 'oracles' not in sys.modules, 'rwsurf imported oracles'\n")
+    subprocess.run([sys.executable, "-c", probe], cwd=tmp_path, check=True,
+                   env={**os.environ, "PYTHONPATH": str(src)})
 
 
 def test_verify_product_forced_break_fails(capsys):

@@ -7,7 +7,8 @@ import pytest
 import rwsurf as rw
 from rwsurf.errors import (ChartDomainError, HorizontalSliceError,
                            NotSpaceLikeError)
-from rwsurf.immersion import FDJetConfig, finite_difference_jet
+from rwsurf.immersion import (FD_STEP_FIRST, FD_STEP_SECOND,
+                              finite_difference_jet)
 from rwsurf.shape import evaluate_point
 
 
@@ -178,9 +179,9 @@ def test_fd_step_config_is_honored(minkowski4):
         calls.append((u, v))
         return np.array([u, v, 0.0, 0.0])
 
-    cfg = FDJetConfig(step_first=1e-4, step_second=1e-2)
-    surf = fd_surface(chart, minkowski4, config=cfg)
+    surf = fd_surface(chart, minkowski4)
     surf.jet(0.0, 0.0)
     us = sorted({abs(c[0]) for c in calls if c[0] != 0.0})
-    assert min(us) == pytest.approx(0.5e-4)
-    assert max(us) == pytest.approx(1e-2)
+    assert (FD_STEP_FIRST, FD_STEP_SECOND) == (1e-5, 5e-3)
+    assert min(us) == pytest.approx(0.5 * FD_STEP_FIRST)
+    assert max(us) == pytest.approx(FD_STEP_SECOND)

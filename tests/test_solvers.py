@@ -186,6 +186,24 @@ def test_validate_product_derives_member():
         rw.validate_constants_product(1.0, None, 0.7)  # b3^2 > 1/3
 
 
+@pytest.mark.parametrize("build, args, name", [
+    (rw.validate_constants_l4, (math.nan, 0.5), "a"),
+    (rw.validate_constants_l4, (2.0, math.nan), "H0"),
+    (rw.validate_constants_l4, (2.0, 0.5, math.inf), "c2"),
+    (rw.validate_constants_l5, (2.0, 0.6, math.nan, 0.64), "c2"),
+    (rw.validate_constants_l5, (2.0, 0.6, 0.48, -math.inf), "c3"),
+    (rw.validate_constants_product, (math.nan, None, 0.5), "b1"),
+    (rw.validate_constants_product, (1.0, math.nan, 0.5), "b2"),
+    (rw.validate_constants_product, (1.0, None, math.inf), "b3"),
+    (rw.product_surface_family, (math.nan, 0.4, 0.5), "b1"),
+    (rw.product_surface_family, (1.0, 0.4, math.nan), "b3"),
+])
+def test_non_finite_constants_are_rejected(build, args, name):
+    # every comparison with NaN is False, so "reject when bad" lets it through
+    with pytest.raises(ConstraintError, match=f"^{name} must be finite"):
+        build(*args)
+
+
 # -- the rotational-family warp ODE ------------------------------------------
 
 

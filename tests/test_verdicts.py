@@ -8,8 +8,7 @@ import rwsurf as rw
 from rwsurf import verdicts
 from rwsurf.immersion import Jet2Immersion
 from rwsurf.shape import SurfaceGrid, frame_norm, normal_space_dims
-from rwsurf.verdicts import (ToleranceConfig, VerificationReport,
-                             biconservativity_residual,
+from rwsurf.verdicts import (VerificationReport, biconservativity_residual,
                              codazzi_residuals, curvature_trace_term,
                              flat_normal_bundle_check,
                              frame_identity_residuals, marginally_trapped_check,
@@ -212,12 +211,37 @@ def test_verify_surface_deterministic(product_surface):
 
 
 def test_report_roundtrip_and_tolerance_overrides(product_surface):
-    tols = ToleranceConfig(overrides={"pmcv": 1e-9})
+    tols = {"pmcv": 1e-9}
     rep = verify_surface(product_surface, grid=(5, 5), tolerances=tols)
     assert rep.entry("pmcv").tol == 1e-9
     again = rw.VerificationReport.from_dict(json.loads(rep.to_json()))
     assert again.to_json() == rep.to_json()
     assert again.schema == "rwsurf.verification/1"
+
+
+def test_tolerance_entries_name_every_report_entry(l4_surface,
+                                                   product_surface):
+    # thm4, the product member and the --force-b4 control, with the CLI's pins
+    reports = [verify_surface(l4_surface, grid=(5, 5),
+                              expect={"H0": 0.5, "dim_N1": 2}),
+               verify_surface(product_surface, grid=(5, 5),
+                              expect={"dim_N1": 2, "dim_N2": 3}),
+               verify_surface(rw.product_surface_family(1.0, 0.4, 0.5),
+                              grid=(5, 5))]
+    tiered = [e for rep in reports for e in rep.entries
+              if e.name not in ("dim_N1", "dim_N2")]
+    assert {e.name for e in tiered} == set(verdicts.TOLERANCE_ENTRIES)
+    assert len(set(verdicts.TOLERANCE_ENTRIES)) == len(verdicts.TOLERANCE_ENTRIES)
+    assert {e.tol for e in tiered} <= set(verdicts.TIERS.values())
+
+
+def test_unknown_tolerance_override_is_rejected(product_surface):
+    with pytest.raises(ValueError, match="pmvc"):
+        verify_surface(product_surface, grid=(5, 5),
+                       tolerances={"pmcv": 1e-9, "pmvc": 1e-30})
+    with pytest.raises(ValueError, match="dim_N1"):
+        verify_surface(product_surface, grid=(5, 5),
+                       tolerances={"dim_N1": 3})
 
 
 def _nan_beyond(surface, u0=1.5, v0=1.5):
