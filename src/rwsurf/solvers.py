@@ -3,10 +3,14 @@ warp ODE of the L^4_1 rotational family, the coupled (f, y) system of the
 L^5_1 family, and constants validators.
 
 The integrator is a Dormand-Prince 5(4) pair propagating the 5th-order
-solution, with the standard free quartic interpolant for dense output.  No
-stiff solver is provided: the warp ODE blows up in finite time for many
-initial conditions, which is detected (step underflow) and reported rather
-than integrated through.
+solution, with the standard free quartic interpolant for dense output.  Its
+step loop runs on Python floats: right-hand sides and monitors receive the
+state as a list of floats, and numpy arrays are built once per solve, for
+the dense output.  The family right-hand sides, the pointwise 2x2 solve and
+the dense-output evaluation are scalar as well.  No stiff solver is
+provided: the warp ODE blows up in finite time for many initial conditions,
+which is detected (step underflow) and reported rather than integrated
+through.
 """
 
 from __future__ import annotations
@@ -138,19 +142,20 @@ class IntegrationResult:
     n_rejected: int
 
 
-def _error_norm(err, y0, y1, rtol, atol):
-    scale = atol + rtol * np.maximum(np.abs(y0), np.abs(y1))
-    return float(np.sqrt(np.mean((err / scale) ** 2)))
+def _rms(values) -> float:
+    """Root mean square of a list of floats (squares by multiplication, so a
+    huge ratio overflows to inf instead of raising)."""
+    return math.sqrt(sum([x * x for x in values]) / len(values))
 
 
 def _initial_step(rhs, t0, y0, f0, direction, rtol, atol, span):
-    scale = atol + rtol * np.abs(y0)
-    d0 = float(np.sqrt(np.mean((y0 / scale) ** 2)))
-    d1 = float(np.sqrt(np.mean((f0 / scale) ** 2)))
+    scale = [atol + rtol * abs(v) for v in y0]
+    d0 = _rms([v / s for v, s in zip(y0, scale)])
+    d1 = _rms([v / s for v, s in zip(f0, scale)])
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    y1 = y0 + h0 * direction * f0
-    f1 = np.asarray(rhs(t0 + h0 * direction, y1), dtype=float)
-    d2 = float(np.sqrt(np.mean(((f1 - f0) / scale) ** 2))) / h0
+    step = h0 * direction
+    f1 = rhs(t0 + step, [v + step * p for v, p in zip(y0, f0)])
+    d2 = _rms([(p1 - p) / s for p1, p, s in zip(f1, f0, scale)]) / h0
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -158,14 +163,36 @@ def _initial_step(rhs, t0, y0, f0, direction, rtol, atol, span):
     return min(100 * h0, h1, abs(span))
 
 
+# The tableau as Python floats for the step loop: (c2..c6), the rows a2..a6,
+# b, e and the rows of _P that are not zero (row 1 is) without their first
+# column, which is 1 in row 0 and 0 elsewhere.  _A[6] equals _B[:6] (first
+# same as last), so y_new is the input of the seventh stage and c7 = 1.
+_FLOAT_TABLEAU = (
+    tuple(_C[1:6].tolist()),
+    tuple(tuple(row.tolist()) for row in _A[1:6]),
+    tuple(_B.tolist()),
+    tuple(_E.tolist()),
+    tuple(tuple(row.tolist()) for row in _P[[0, 2, 3, 4, 5, 6], 1:]))
+
+
 def rk_integrate(rhs: Callable, y0, t_span, config: SolverConfig | None = None,
                  monitors: Sequence[tuple[str, Callable]] = ()) -> IntegrationResult:
     """Integrate y' = rhs(t, y) over t_span with dense output.
 
+    ``rhs(t, y)`` receives the state as a list of Python floats and returns a
+    new sequence of its d derivatives (a list, a tuple or an array).  The
+    step loop works on floats and builds no numpy array per stage; the
+    accepted steps become the arrays of the DenseOutput once per solve.  A
+    step whose stages raise an arithmetic error (ZeroDivisionError,
+    OverflowError, FloatingPointError), SingularWarpError, LinAlgError or
+    ValueError, or give a non-finite y_new or error estimate, is rejected and
+    retried with a quarter of the step.
+
     ``monitors`` is a sequence of (name, g) pairs with g(t, y) > 0 required
-    along the trajectory (a NaN value counts as a crossing); the first
-    crossing truncates the output (the stop time is located by bisection on
-    the dense segment) and is recorded as stop reason 'monitor:<name>'.  Step underflow near a blow-up stops with
+    along the trajectory, y again a list of floats (a NaN value counts as a
+    crossing); the first crossing truncates the output (the stop time is
+    located by bisection on the dense segment) and is recorded as stop
+    reason 'monitor:<name>'.  Step underflow near a blow-up stops with
     'step-underflow' and the last valid time.
     """
     cfg = config or SolverConfig()
@@ -173,16 +200,28 @@ def rk_integrate(rhs: Callable, y0, t_span, config: SolverConfig | None = None,
     if t0 == t1:
         raise ConstraintError("integration interval is degenerate")
     direction = 1.0 if t1 > t0 else -1.0
-    y = np.atleast_1d(np.asarray(y0, dtype=float))
+    y = np.atleast_1d(np.asarray(y0, dtype=float)).tolist()
+    d = len(y)
     t = t0
-    f = np.asarray(rhs(t, y), dtype=float)
+    f = rhs(t, y)
+    if len(f) != d:
+        raise ValueError(f"rhs returned {len(f)} components for a state of {d}")
+    rtol, atol = cfg.rtol, cfg.atol
 
     if cfg.fixed_step is not None:
         h_abs = float(cfg.fixed_step)
     else:
-        h_abs = _initial_step(rhs, t0, y, f, direction, cfg.rtol, cfg.atol,
-                              t1 - t0)
+        h_abs = _initial_step(rhs, t0, y, f, direction, rtol, atol, t1 - t0)
     h_abs = min(h_abs, abs(t1 - t0))
+
+    ((c2, c3, c4, c5, c6),
+     ((a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54),
+      (a61, a62, a63, a64, a65)),
+     (b1, _, b3, b4, b5, b6, _),
+     (e1, _, e3, e4, e5, e6, e7),
+     ((p11, p12, p13), (p31, p32, p33), (p41, p42, p43), (p51, p52, p53),
+      (p61, p62, p63), (p71, p72, p73))) = _FLOAT_TABLEAU
+    isfinite = math.isfinite
 
     ts, hs, ys, qs = [], [], [], []
     n_acc = n_rej = 0
@@ -200,19 +239,26 @@ def rk_integrate(rhs: Callable, y0, t_span, config: SolverConfig | None = None,
             t_end = t
             break
         h = h_abs * direction
-        K = np.empty((7, y.size))
-        K[0] = f
-        bad = False
+        k1 = f
         try:
-            for i in range(1, 7):
-                yi = y + h * (_A[i] @ K[:i])
-                K[i] = rhs(t + _C[i] * h, yi)
-            y_new = y + h * (_B @ K)
-            err = h * (_E @ K)
-        except (FloatingPointError, SingularWarpError, np.linalg.LinAlgError,
-                OverflowError, ValueError):
-            bad = True
-        if not bad and not (np.all(np.isfinite(y_new)) and np.all(np.isfinite(err))):
+            k2 = rhs(t + c2 * h, [yi + h * (a21 * p1) for yi, p1 in zip(y, k1)])
+            k3 = rhs(t + c3 * h, [yi + h * (a31 * p1 + a32 * p2)
+                                  for yi, p1, p2 in zip(y, k1, k2)])
+            k4 = rhs(t + c4 * h, [yi + h * (a41 * p1 + a42 * p2 + a43 * p3)
+                                  for yi, p1, p2, p3 in zip(y, k1, k2, k3)])
+            k5 = rhs(t + c5 * h, [yi + h * (a51 * p1 + a52 * p2 + a53 * p3 + a54 * p4)
+                                  for yi, p1, p2, p3, p4 in zip(y, k1, k2, k3, k4)])
+            k6 = rhs(t + c6 * h, [yi + h * (a61 * p1 + a62 * p2 + a63 * p3 + a64 * p4
+                                            + a65 * p5)
+                                  for yi, p1, p2, p3, p4, p5 in zip(y, k1, k2, k3, k4, k5)])
+            y_new = [yi + h * (b1 * p1 + b3 * p3 + b4 * p4 + b5 * p5 + b6 * p6)
+                     for yi, p1, p3, p4, p5, p6 in zip(y, k1, k3, k4, k5, k6)]
+            k7 = rhs(t + h, y_new)
+            err = [h * (e1 * p1 + e3 * p3 + e4 * p4 + e5 * p5 + e6 * p6 + e7 * p7)
+                   for p1, p3, p4, p5, p6, p7 in zip(k1, k3, k4, k5, k6, k7)]
+            bad = not (all(map(isfinite, y_new)) and all(map(isfinite, err)))
+        except (ArithmeticError, SingularWarpError, np.linalg.LinAlgError,
+                ValueError):
             bad = True
         if bad:
             h_abs *= 0.25
@@ -220,7 +266,8 @@ def rk_integrate(rhs: Callable, y0, t_span, config: SolverConfig | None = None,
             continue
 
         if cfg.fixed_step is None:
-            enorm = _error_norm(err, y, y_new, cfg.rtol, cfg.atol)
+            enorm = _rms([e / (atol + rtol * max(abs(a), abs(b)))
+                          for e, a, b in zip(err, y, y_new)])
             if enorm > 1.0:
                 h_abs *= max(0.2, 0.9 * enorm ** -0.2)
                 n_rej += 1
@@ -229,10 +276,15 @@ def rk_integrate(rhs: Callable, y0, t_span, config: SolverConfig | None = None,
         else:
             factor = 1.0
 
-        Q = K.T @ _P
+        # Q = K.T @ _P row by row
+        Q = [(p1,
+              p11 * p1 + p31 * p3 + p41 * p4 + p51 * p5 + p61 * p6 + p71 * p7,
+              p12 * p1 + p32 * p3 + p42 * p4 + p52 * p5 + p62 * p6 + p72 * p7,
+              p13 * p1 + p33 * p3 + p43 * p4 + p53 * p5 + p63 * p6 + p73 * p7)
+             for p1, p3, p4, p5, p6, p7 in zip(k1, k3, k4, k5, k6, k7)]
         ts.append(t)
         hs.append(h)
-        ys.append(y.copy())
+        ys.append(y)
         qs.append(Q)
         n_acc += 1
 
@@ -244,20 +296,22 @@ def rk_integrate(rhs: Callable, y0, t_span, config: SolverConfig | None = None,
                 break
         if triggered is not None:
             name, g = triggered
-            dense_step = lambda th: ys[-1] + h * (Q @ np.array([th, th**2, th**3, th**4]))
             lo_th, hi_th = 0.0, 1.0
             for _ in range(80):
-                mid = 0.5 * (lo_th + hi_th)
-                if g(t + mid * h, dense_step(mid)) > 0.0:
-                    lo_th = mid
+                th = 0.5 * (lo_th + hi_th)
+                th2 = th * th
+                y_mid = [yi + h * (qa * th + qb * th2 + qc * th2 * th + qd * th2 * th2)
+                         for yi, (qa, qb, qc, qd) in zip(y, Q)]
+                if g(t + th * h, y_mid) > 0.0:
+                    lo_th = th
                 else:
-                    hi_th = mid
+                    hi_th = th
             t_end = t + lo_th * h
             stop_reason = f"monitor:{name}"
             t = t_new
             break
 
-        t, y, f = t_new, y_new, K[6].copy()  # FSAL
+        t, y, f = t_new, y_new, k7  # FSAL
         h_abs *= factor
 
     if not ts:
@@ -404,9 +458,9 @@ def rotational_warp_rhs(constants: ConstantsL4):
     b2 = constants.b2
 
     def rhs(t, s):
-        fv, fp = s.tolist()
+        fv, fp = s
         q = fp * fp - b2 * fv * fv
-        return np.array([fp, (q * q + fp**4) / (b2 * fv**3)])
+        return fp, (q * q + fp**4) / (b2 * fv**3)
 
     return rhs
 
@@ -428,6 +482,7 @@ def solve_rotational_warp(constants: ConstantsL4, f0: float, f0p: float,
     WarpingFunction is restricted to the admissible subinterval and supplies
     f'' through the ODE right-hand side (self-consistent by construction).
     """
+    _require_finite(f0=f0, f0p=f0p)
     b2 = constants.b2
     if f0 == 0.0:
         raise SingularWarpError("f0 must be non-zero")
@@ -441,7 +496,7 @@ def solve_rotational_warp(constants: ConstantsL4, f0: float, f0p: float,
         ("admissible", lambda t, s: s[1] * s[1] - b2 * s[0] * s[0]),
         ("warp-positive", lambda t, s: sgn * s[0] - 1e-12),
     ]
-    result = rk_integrate(rhs, np.array([f0, f0p]), interval, config, monitors)
+    result = rk_integrate(rhs, [f0, f0p], interval, config, monitors)
     dense = result.dense
 
     def fn(t):
@@ -557,6 +612,7 @@ def solve_warp_system(constants: ConstantsL5, ics, interval,
     g_11 > _SPACELIKE_FLOOR, and f bounded away from zero.
     """
     f0, f0p, y0, y0p = map(float, ics)
+    _require_finite(f0=f0, f0p=f0p, y0=y0, y0p=y0p)
     if f0 == 0.0:
         raise SingularWarpError("f0 must be non-zero")
     if not _det_margin(*_system_matrices(constants, f0, f0p, y0p)[:4])[0] > 0.0:
@@ -568,9 +624,9 @@ def solve_warp_system(constants: ConstantsL5, ics, interval,
             f"g_11 > {_SPACELIKE_FLOOR}")
 
     def rhs(t, s):
-        fv, fp, yv, yp = s.tolist()
+        fv, fp, yv, yp = s
         fpp, ypp = _second_derivatives(constants, fv, fp, yp)
-        return np.array([fp, fpp, yp, ypp])
+        return fp, fpp, yp, ypp
 
     sgn = 1.0 if f0 > 0 else -1.0
     monitors = [
@@ -580,8 +636,7 @@ def solve_warp_system(constants: ConstantsL5, ics, interval,
         ("system-determinant", lambda t, s: _det_margin(
             *_system_matrices(constants, s[0], s[1], s[3])[:4])[0]),
     ]
-    result = rk_integrate(rhs, np.array([f0, f0p, y0, y0p]), interval, config,
-                          monitors)
+    result = rk_integrate(rhs, [f0, f0p, y0, y0p], interval, config, monitors)
     dense = result.dense
 
     def fn(t):

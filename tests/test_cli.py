@@ -5,6 +5,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 import rwsurf as rw
 from rwsurf.cli import main
@@ -117,6 +118,25 @@ def test_solve_f4_inadmissible_exits_2(capsys):
                  "--f0p", "0"])
     assert code == 2
     assert "AdmissibilityError" in capsys.readouterr().err
+
+
+SYS5_ARGS = ["solve", "sys5", "--a", "2", "--H0", "0.6", "--c2", "0.48",
+             "--c3", "0.64", "--f0", "1.5", "--f0p", "1.2", "--y0", "0.4",
+             "--y0p", "-0.7"]
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["solve", "f4", "--a", "2", "--H0", "0.5", "--f0", "nan", "--f0p", "2"], "f0"),
+    (["solve", "f4", "--a", "2", "--H0", "0.5", "--f0", "1", "--f0p", "inf"], "f0p"),
+    (SYS5_ARGS + ["--f0p", "nan"], "f0p"),
+    (SYS5_ARGS + ["--y0=-inf"], "y0"),
+    (THM4_ARGS + ["--f0p", "nan"], "f0p"),
+], ids=["f4-f0", "f4-f0p", "sys5-f0p", "sys5-y0", "verify-thm4-f0p"])
+def test_non_finite_initial_condition_exits_2(capsys, argv, name):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert f"error: ConstraintError: {name} must be finite" in captured.err
 
 
 def test_scan_h4(tmp_path, capsys):

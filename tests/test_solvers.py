@@ -147,6 +147,115 @@ def test_degenerate_interval_rejected():
         rk_integrate(lambda t, y: y, [1.0], (1.0, 1.0))
 
 
+def test_zero_division_in_rhs_rejects_the_step():
+    # y' = 1 / (2 - y), y(0) = 0 reaches y = 2 at t = 2, where y' blows up; a
+    # float right-hand side past it divides by zero, which must reject the
+    # step as a numpy inf would, not escape the integrator
+    res = rk_integrate(lambda t, y: [1 / (2 - y[0]) if y[0] < 2 else 1 / 0.0],
+                       [0.0], (0.0, 5.0))
+    assert res.stop_reason == "step-underflow"
+    assert abs(res.t_end - 2.0) < 1e-6
+
+
+def _matrix_form_steps(rhs, y0, h, n):
+    """Fixed-step Dormand-Prince in the matrix form of the tableau: the
+    (ys, qs) of ``n`` steps of size ``h`` from t = 0."""
+    y = np.array(y0, dtype=float)
+    ys, qs = [], []
+    for step in range(n):
+        t = step * h
+        K = np.empty((7, y.size))
+        K[0] = rhs(t, y)
+        for i in range(1, 7):
+            K[i] = rhs(t + solvers._C[i] * h, y + h * (solvers._A[i] @ K[:i]))
+        ys.append(y)
+        qs.append(K.T @ solvers._P)
+        y = y + h * (solvers._B @ K)
+    return np.array(ys), np.array(qs)
+
+
+@pytest.mark.parametrize("M, y0", [
+    (np.array([[0.0, 1.0], [-1.0, 0.0]]), [0.3, 0.7]),
+    (np.array([[-0.5, 1.0, 0.0, 0.2],
+               [-1.0, -0.1, 0.3, 0.0],
+               [0.0, 0.4, -0.2, 1.5],
+               [0.1, 0.0, -1.5, -0.3]]), [1.0, -0.5, 0.25, 2.0]),
+], ids=["2d", "4d"])
+def test_float_loop_matches_matrix_form_tableau(M, y0):
+    def rhs(t, y):
+        return (M @ np.asarray(y)).tolist()
+
+    res = rk_integrate(rhs, y0, (0.0, 2.0), SolverConfig(fixed_step=0.05))
+    ys, qs = _matrix_form_steps(rhs, y0, 0.05, 40)
+    assert res.n_accepted == 40 and res.dense.ys.shape == ys.shape
+    for got, want in ((res.dense.ys, ys), (res.dense.qs, qs)):
+        np.testing.assert_allclose(got, want, rtol=1e-14,
+                                   atol=1e-14 * np.abs(want).max())
+
+
+def test_rhs_and_monitors_receive_lists_of_floats():
+    seen = []
+
+    def rhs(t, y):
+        seen.append(y)
+        return (y[1], -y[0])
+
+    def monitor(t, y):
+        seen.append(y)
+        return 0.7 - y[0]
+
+    res = rk_integrate(rhs, np.array([0.3, 0.7]), (0.0, 3.0),
+                       monitors=[("ceiling", monitor)])
+    assert res.stop_reason == "monitor:ceiling"
+    assert len(seen) > 100
+    assert all(type(y) is list and len(y) == 2 and all(type(v) is float for v in y)
+               for y in seen)
+
+
+def test_family_rhs_return_float_tuples(l4_constants, l5_constants, monkeypatch):
+    returned = []
+    real = solvers.rk_integrate
+
+    def record_first_value(rhs, y0, *args):
+        returned.append(rhs(0.0, list(y0)))
+        return real(rhs, y0, *args)
+
+    monkeypatch.setattr(solvers, "rk_integrate", record_first_value)
+    rw.solve_rotational_warp(l4_constants, 1.0, 2.0, (0.0, 0.1))
+    rw.solve_warp_system(l5_constants, (1.5, 1.2, 0.4, -0.7), (0.0, 0.1))
+    assert [len(v) for v in returned] == [2, 4]
+    assert all(type(v) is tuple and all(type(x) is float for x in v)
+               for v in returned)
+
+
+class _NumpyLookups:
+    """Stands in for ``solvers.np`` and counts the attribute lookups."""
+
+    def __init__(self):
+        self.count = 0
+
+    def __getattr__(self, name):
+        self.count += 1
+        return getattr(np, name)
+
+
+@pytest.mark.parametrize("short, long", [
+    ({"t_span": (0.0, 1.0), "config": SolverConfig(fixed_step=0.1)},
+     {"t_span": (0.0, 1.0), "config": SolverConfig(fixed_step=0.001)}),
+    ({"t_span": (0.0, 1.0)}, {"t_span": (0.0, 100.0)}),
+], ids=["fixed-step", "adaptive"])
+def test_numpy_calls_do_not_grow_with_steps(monkeypatch, short, long):
+    counts = []
+    for kwargs in (short, long):
+        proxy = _NumpyLookups()
+        monkeypatch.setattr(solvers, "np", proxy)
+        res = rk_integrate(lambda t, y: (y[1], -y[0]), [0.3, 0.7], **kwargs)
+        counts.append((res.n_accepted, proxy.count))
+    (n_short, c_short), (n_long, c_long) = counts
+    assert n_long >= 50 * n_short
+    assert c_short == c_long
+
+
 # -- constants ---------------------------------------------------------------
 
 
@@ -186,6 +295,10 @@ def test_validate_product_derives_member():
         rw.validate_constants_product(1.0, None, 0.7)  # b3^2 > 1/3
 
 
+_L4 = rw.validate_constants_l4(2.0, 0.5)
+_L5 = rw.validate_constants_l5(*L5_CONSTANTS)
+
+
 @pytest.mark.parametrize("build, args, name", [
     (rw.validate_constants_l4, (math.nan, 0.5), "a"),
     (rw.validate_constants_l4, (2.0, math.nan), "H0"),
@@ -197,9 +310,17 @@ def test_validate_product_derives_member():
     (rw.validate_constants_product, (1.0, None, math.inf), "b3"),
     (rw.product_surface_family, (math.nan, 0.4, 0.5), "b1"),
     (rw.product_surface_family, (1.0, 0.4, math.nan), "b3"),
+    (rw.solve_rotational_warp, (_L4, math.nan, 2.0, (0.0, 1.0)), "f0"),
+    (rw.solve_rotational_warp, (_L4, 1.0, math.inf, (0.0, 1.0)), "f0p"),
+    (rw.solve_rotational_warp, (_L4, 1.0, math.nan, (0.0, 1.0)), "f0p"),
+    (rw.solve_warp_system, (_L5, (math.nan, 1.2, 0.4, -0.7), (0.0, 0.5)), "f0"),
+    (rw.solve_warp_system, (_L5, (1.5, math.nan, 0.4, -0.7), (0.0, 0.5)), "f0p"),
+    (rw.solve_warp_system, (_L5, (1.5, 1.2, -math.inf, -0.7), (0.0, 0.5)), "y0"),
+    (rw.solve_warp_system, (_L5, (1.5, 1.2, 0.4, math.nan), (0.0, 0.5)), "y0p"),
 ])
 def test_non_finite_constants_are_rejected(build, args, name):
-    # every comparison with NaN is False, so "reject when bad" lets it through
+    # every comparison with NaN is False, so "reject when bad" lets it through;
+    # the warp solvers check their initial conditions the same way
     with pytest.raises(ConstraintError, match=f"^{name} must be finite"):
         build(*args)
 
