@@ -368,6 +368,12 @@ def _cmd_verify_user_map(args) -> int:
 # solve / scan / report
 
 
+def _require_samples(args):
+    """Reject a --samples count below 2 before anything is solved or written."""
+    if args.samples < 2:
+        raise ValueError(f"--samples must be at least 2, got {args.samples}")
+
+
 def _write_dense_csv(path, solution, samples, with_y):
     lo, hi = solution.warp.interval
     with open(path, "w", encoding="utf-8") as fh:
@@ -380,6 +386,7 @@ def _write_dense_csv(path, solution, samples, with_y):
 
 
 def _cmd_solve_f4(args) -> int:
+    _require_samples(args)
     constants = solvers.validate_constants_l4(args.a, args.H0)
     cfg = solvers.SolverConfig(rtol=args.rtol, atol=args.atol)
     solution = solvers.solve_rotational_warp(constants, args.f0, args.f0p,
@@ -394,6 +401,7 @@ def _cmd_solve_f4(args) -> int:
 
 
 def _cmd_solve_sys5(args) -> int:
+    _require_samples(args)
     constants = solvers.validate_constants_l5(args.a, args.H0, args.c2, args.c3)
     cfg = solvers.SolverConfig(rtol=args.rtol, atol=args.atol)
     solution = solvers.solve_warp_system(

@@ -7,17 +7,20 @@ solution, with the standard free quartic interpolant for dense output.  Its
 step loop runs on Python floats: right-hand sides and monitors receive the
 state as a list of floats, and numpy arrays are built once per solve, for
 the dense output.  The family right-hand sides, the pointwise 2x2 solve and
-the dense-output evaluation are scalar as well.  No stiff solver is
-provided: the warp ODE blows up in finite time for many initial conditions,
-which is detected (step underflow) and reported rather than integrated
-through.
+the dense-output evaluation are scalar as well: dense output takes a float
+time and returns a tuple of floats.  The coupled system's state at a time,
+(f, f', f'', y, y', y''), is computed once per solution and cached.  No
+stiff solver is provided: the warp ODE blows up in finite time for many
+initial conditions, which is detected (step underflow) and reported rather
+than integrated through.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -91,8 +94,10 @@ class SolverConfig:
 class DenseOutput:
     """Piecewise-quartic interpolant over the accepted-step mesh.
 
-    Calling it returns (state, state_derivative).  Evaluation outside the
-    covered interval raises ChartDomainError.
+    Calling it at a float t returns the state as a tuple of Python floats;
+    ``derivative(t)`` returns the interpolant's derivative the same way.
+    Neither makes a numpy call.  Evaluation outside the covered interval
+    raises ChartDomainError.
     """
 
     ts: np.ndarray          # step start times, shape (m,)
@@ -102,7 +107,7 @@ class DenseOutput:
     t_end: float            # may cut the last step short (monitor stop)
 
     def __post_init__(self):
-        # float copies for __call__: direction-signed step starts (monotone,
+        # float copies for _segment: direction-signed step starts (monotone,
         # for bisect), (lo, hi, slack, direction) and a (t, h, y, q) per step
         direction = 1.0 if self.hs[0] > 0 else -1.0
         lo, hi = map(float, self.interval)
@@ -117,20 +122,29 @@ class DenseOutput:
         lo, hi = float(self.ts[0]), self.t_end
         return (lo, hi) if lo <= hi else (hi, lo)
 
-    def __call__(self, t: float):
+    def _segment(self, t: float):
+        """(theta, h, y, q) of the step that holds t, with t clamped to the
+        interval; the first step starts at one end of it, so once t is
+        clamped the bisection always lands on a step."""
         lo, hi, slack, direction = self._bounds
         if not (lo - slack <= t <= hi + slack):
             raise ChartDomainError(
                 f"dense output evaluated at t={t} outside [{lo}, {hi}]")
         t = min(max(t, lo), hi)
-        k = bisect_right(self._starts, t * direction) - 1
-        tk, h, y, q = self._rows[min(max(k, 0), len(self._rows) - 1)]
-        th = (t - tk) / h
+        tk, h, y, q = self._rows[bisect_right(self._starts, t * direction) - 1]
+        return (t - tk) / h, h, y, q
+
+    def __call__(self, t: float) -> tuple[float, ...]:
+        th, h, y, q = self._segment(t)
         th2, th3 = th * th, th * th * th
-        return (np.array([yi + h * (a * th + b * th2 + c * th3 + d * th2 * th2)
-                          for yi, (a, b, c, d) in zip(y, q)]),
-                np.array([a + b * (2 * th) + c * (3 * th2) + d * (4 * th3)
-                          for a, b, c, d in q]))
+        return tuple([yi + h * (a * th + b * th2 + c * th3 + d * th2 * th2)
+                      for yi, (a, b, c, d) in zip(y, q)])
+
+    def derivative(self, t: float) -> tuple[float, ...]:
+        th, _, _, q = self._segment(t)
+        th2, th3 = th * th, th * th * th
+        return tuple([a + b * (2 * th) + c * (3 * th2) + d * (4 * th3)
+                      for a, b, c, d in q])
 
 
 @dataclass(frozen=True)
@@ -500,7 +514,7 @@ def solve_rotational_warp(constants: ConstantsL4, f0: float, f0p: float,
     dense = result.dense
 
     def fn(t):
-        fv, fp = dense(t)[0].tolist()
+        fv, fp = dense(t)
         q = fp * fp - b2 * fv * fv
         return fv, fp, (q * q + fp**4) / (b2 * fv**3)
 
@@ -572,18 +586,30 @@ def spacelike_margin(constants: ConstantsL5, fv, fp, yp) -> float:
     return fv * fv * (xp * xp + yp * yp + zp * zp) - 1.0
 
 
+# Entries of one solution's state cache.  It is sized for two 2001-sample
+# passes over the same times (the warp, then y_state, as in the warp-sweep
+# benchmark and `solve sys5 --samples 2001`) plus the 200 times of
+# max_equation_residual; a verify grid asks for at most 5 nu distinct times
+# (each report time and its stencil offsets).
+_STATE_CACHE_SIZE = 4096
+
+
 @dataclass(frozen=True)
 class WarpSystemSolution:
-    """Joint (f, y) trajectory with self-consistent second derivatives."""
+    """Joint (f, y) trajectory with self-consistent second derivatives.
+
+    ``state(t)`` is (f, f', f'', y, y', y'') at t, from the dense output and
+    the pointwise 2x2 solve; it is cached per solution, so the warp, y_state
+    and max_equation_residual evaluate each distinct time once.
+    """
 
     warp: WarpingFunction
     integration: IntegrationResult
     constants: ConstantsL5
+    state: Callable[[float], tuple[float, ...]] = field(repr=False, compare=False)
 
     def y_state(self, t: float) -> tuple[float, float, float]:
-        fv, fp, yv, yp = self.integration.dense(t)[0].tolist()
-        _, ypp = _second_derivatives(self.constants, fv, fp, yp)
-        return yv, yp, ypp
+        return self.state(t)[3:]
 
     @property
     def interval(self) -> tuple[float, float]:
@@ -595,8 +621,7 @@ class WarpSystemSolution:
         lo, hi = self.interval
         residuals = []
         for t in np.linspace(lo, hi, samples).tolist():
-            fv, fp, yv, yp = self.integration.dense(t)[0].tolist()
-            fpp, ypp = _second_derivatives(self.constants, fv, fp, yp)
+            fv, fp, fpp, _, yp, ypp = self.state(t)
             residuals += system_equation_residuals(self.constants, fv, fp, fpp,
                                                    yp, ypp)
         return float(np.max(np.abs(residuals), initial=0.0))
@@ -606,10 +631,15 @@ def solve_warp_system(constants: ConstantsL5, ics, interval,
                       config: SolverConfig | None = None) -> WarpSystemSolution:
     """Integrate the coupled (f, y) system from t = interval[0].
 
-    ``ics`` is (f0, f0p, y0, y0p).  At every step the two family equations
-    are assembled as a linear system in (f'', y'') and solved pointwise.
-    Monitored: the pointwise determinant, the space-likeness margin
-    g_11 > _SPACELIKE_FLOOR, and f bounded away from zero.
+    ``ics`` is (f0, f0p, y0, y0p).  At every stage the two family equations
+    are assembled as a linear system in (f'', y'') and solved pointwise; a
+    near-singular system raises in the right-hand side, which rejects the
+    step, so a trajectory that runs into a singular system ends by
+    'step-underflow'.  The initial state must be non-singular.  Monitored:
+    the space-likeness margin g_11 > _SPACELIKE_FLOOR, and f bounded away
+    from zero.  The solution's (f, f', f'', y, y', y'') at a time is computed
+    once, on the first request, and kept in a bounded cache of the solution
+    (exceptions are not cached).
     """
     f0, f0p, y0, y0p = map(float, ics)
     _require_finite(f0=f0, f0p=f0p, y0=y0, y0p=y0p)
@@ -633,17 +663,16 @@ def solve_warp_system(constants: ConstantsL5, ics, interval,
         ("spacelike", lambda t, s: spacelike_margin(constants, s[0], s[1], s[3])
          - _SPACELIKE_FLOOR),
         ("warp-positive", lambda t, s: sgn * s[0] - 1e-12),
-        ("system-determinant", lambda t, s: _det_margin(
-            *_system_matrices(constants, s[0], s[1], s[3])[:4])[0]),
     ]
     result = rk_integrate(rhs, [f0, f0p, y0, y0p], interval, config, monitors)
     dense = result.dense
 
-    def fn(t):
-        fv, fp, yv, yp = dense(t)[0].tolist()
-        fpp, _ = _second_derivatives(constants, fv, fp, yp)
-        return fv, fp, fpp
+    @functools.lru_cache(maxsize=_STATE_CACHE_SIZE)
+    def state(t):
+        fv, fp, yv, yp = dense(t)
+        fpp, ypp = _second_derivatives(constants, fv, fp, yp)
+        return fv, fp, fpp, yv, yp, ypp
 
-    warp = WarpingFunction(fn, dense.interval, source="ode-dense-output",
-                           label="system-warp")
-    return WarpSystemSolution(warp, result, constants)
+    warp = WarpingFunction(lambda t: state(t)[:3], dense.interval,
+                           source="ode-dense-output", label="system-warp")
+    return WarpSystemSolution(warp, result, constants, state)

@@ -163,7 +163,7 @@ def test_criterion_7_numerical_hygiene(l4_surface, l5_surface,
     for h in (0.2, 0.1):
         res = rk_integrate(lambda t, y: y, [1.0], (0.0, 1.0),
                            SolverConfig(fixed_step=h))
-        errs.append(abs(res.dense(1.0)[0][0] - math.e))
+        errs.append(abs(res.dense(1.0)[0] - math.e))
     ratio = errs[0] / errs[1]
 
     # (c) closed-form identities at round-off: fiber norm and plane constraint

@@ -17,8 +17,10 @@ from rwsurf.ambient import ambient_covariant_derivative
 from rwsurf.immersion import JetSample, chart_second_fundamental
 from rwsurf.linalg import numeric_rank, project_out_span
 from rwsurf.shape import SurfaceGrid, evaluate_point, second_fundamental_form
-from rwsurf.solvers import WarpSystemSolution
+from rwsurf.solvers import DenseOutput, WarpSystemSolution
 from rwsurf.verdicts import verify_surface
+
+from conftest import L5_ICS, L5_INTERVAL
 
 REL = 1e-13
 PINNED = json.loads((pathlib.Path(__file__).parent
@@ -66,9 +68,13 @@ def test_batched_jet_matches_one_point_jets(surface_name, request):
         assert_stacked(getattr(batch, name), [getattr(j, name) for j in ones])
 
 
-def counted(calls, name, fn):
+def counted(calls, name, fn, times=None):
+    """``fn`` counting its calls in ``calls[name]``; with ``times``, a method
+    that also records its time argument there."""
     def wrapper(*args, **kwargs):
         calls[name] += 1
+        if times is not None:
+            times.add(args[1])
         return fn(*args, **kwargs)
     return wrapper
 
@@ -76,16 +82,24 @@ def counted(calls, name, fn):
 @pytest.mark.parametrize("surface_name", ["l4_surface", "l5_surface"])
 def test_catalog_grid_calls_the_chart_once(surface_name, request,
                                            monkeypatch):
-    calls = collections.Counter()
-    surface = request.getfixturevalue(surface_name)
+    calls, times = collections.Counter(), set()
+    if surface_name == "l5_surface":
+        # a fresh solution: the session fixture's state cache holds the
+        # times that earlier tests asked for
+        surface = rw.surface_l51(rw.solve_warp_system(
+            request.getfixturevalue("l5_constants"), L5_ICS, L5_INTERVAL))
+    else:
+        surface = request.getfixturevalue(surface_name)
     surface = dataclasses.replace(
         surface, evaluator=counted(calls, "chart", surface.evaluator))
     monkeypatch.setattr(rw.Jet2Immersion, "jet",
                         counted(calls, "jet", rw.Jet2Immersion.jet))
     monkeypatch.setattr(rw.WarpingFunction, "__call__",
-                        counted(calls, "warp", rw.WarpingFunction.__call__))
+                        counted(calls, "warp", rw.WarpingFunction.__call__, times))
     monkeypatch.setattr(WarpSystemSolution, "y_state",
-                        counted(calls, "y_state", WarpSystemSolution.y_state))
+                        counted(calls, "y_state", WarpSystemSolution.y_state, times))
+    monkeypatch.setattr(DenseOutput, "__call__",
+                        counted(calls, "dense", DenseOutput.__call__))
     (u0, u1), (v0, v1) = surface.u_domain, surface.v_domain
     us = np.linspace(0.8 * u0 + 0.2 * u1, 0.2 * u0 + 0.8 * u1, 5)
     vs = np.linspace(0.8 * v0 + 0.2 * v1, 0.2 * v0 + 0.8 * v1, 4)
@@ -100,6 +114,10 @@ def test_catalog_grid_calls_the_chart_once(surface_name, request,
     # once in the chart, once for the metric's warp state
     assert calls["warp"] <= 2 * distinct
     assert calls["y_state"] == (distinct if surface_name == "l5_surface" else 0)
+    # the L5 state is cached per time; the L4 warp reads the dense output
+    # on every call
+    assert calls["dense"] == (len(times) if surface_name == "l5_surface"
+                              else calls["warp"])
     calls.clear()
     grid = SurfaceGrid(surface, us, vs)
     assert grid.n_ok == len(us) * len(vs)

@@ -139,6 +139,22 @@ def test_non_finite_initial_condition_exits_2(capsys, argv, name):
     assert f"error: ConstraintError: {name} must be finite" in captured.err
 
 
+@pytest.mark.parametrize("samples", ["0", "1", "-3"])
+@pytest.mark.parametrize("argv", [
+    ["solve", "f4", "--a", "2", "--H0", "0.5", "--f0", "1", "--f0p", "2"],
+    SYS5_ARGS,
+], ids=["f4", "sys5"])
+def test_solve_rejects_fewer_than_two_samples(tmp_path, capsys, argv, samples):
+    csv = tmp_path / "dense.csv"
+    code = main(argv + ["--csv", str(csv), f"--samples={samples}"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert ("error: ValueError: --samples must be at least 2, got "
+            f"{samples}") in captured.err
+    assert "written" not in captured.out
+    assert not csv.exists()
+
+
 def test_scan_h4(tmp_path, capsys):
     csv = tmp_path / "scan.csv"
     code = main(["scan", "h4", "--theta", "0.1:3:31", "--tau", "0:5:21",

@@ -14,7 +14,7 @@ from conftest import L5_CONSTANTS
 
 def test_exponential_growth():
     res = rk_integrate(lambda t, y: y, [1.0], (0.0, 1.0))
-    y, _ = res.dense(1.0)
+    y = res.dense(1.0)
     assert abs(y[0] - math.e) < 1e-8
     assert res.stop_reason == "completed"
 
@@ -22,13 +22,13 @@ def test_exponential_growth():
 def test_harmonic_oscillator():
     res = rk_integrate(lambda t, y: np.array([y[1], -y[0]]), [0.0, 1.0],
                        (0.0, math.pi / 2))
-    y, _ = res.dense(math.pi / 2)
+    y = res.dense(math.pi / 2)
     assert abs(y[0] - 1.0) < 1e-8
 
 
 def test_backward_integration():
     res = rk_integrate(lambda t, y: y, [1.0], (0.0, -1.0))
-    y, _ = res.dense(-1.0)
+    y = res.dense(-1.0)
     assert abs(y[0] - math.exp(-1.0)) < 1e-8
 
 
@@ -39,7 +39,7 @@ def test_integrator_order_ratio():
     for h in (0.2, 0.1):
         res = rk_integrate(lambda t, y: y, [1.0], (0.0, 1.0),
                            SolverConfig(fixed_step=h))
-        y, _ = res.dense(1.0)
+        y = res.dense(1.0)
         errs.append(abs(y[0] - math.e))
     ratio = errs[0] / errs[1]
     assert 24.0 <= ratio <= 40.0
@@ -50,11 +50,11 @@ def test_dense_output_interpolates_endpoints():
                        (0.0, 3.0))
     d = res.dense
     for k in range(len(d.ts)):
-        y, _ = d(float(d.ts[k]))
+        y = d(float(d.ts[k]))
         np.testing.assert_allclose(y, d.ys[k], rtol=0, atol=1e-13)
     # right endpoints: start of the next step
     for k in range(len(d.ts) - 1):
-        y, _ = d(float(d.ts[k] + d.hs[k]))
+        y = d(float(d.ts[k] + d.hs[k]))
         np.testing.assert_allclose(y, d.ys[k + 1], rtol=0, atol=1e-13)
 
 
@@ -98,9 +98,9 @@ def test_dense_output_matches_matrix_form(rhs, y0, t_span, monitors):
            for th in (0.1, 0.5, 0.93)]
     ts += [float(d.ts[-1] + th * (res.t_end - d.ts[-1])) for th in (0.3, 0.999)]
     for t in ts:
-        y, yp = d(float(t))
+        y, yp = d(float(t)), d.derivative(float(t))
         y_ref, yp_ref = _matrix_form(d, float(t))
-        assert isinstance(y, np.ndarray) and isinstance(yp, np.ndarray)
+        assert all(type(v) is float for v in (*y, *yp))
         np.testing.assert_allclose(y, y_ref, rtol=1e-14, atol=1e-15)
         np.testing.assert_allclose(yp, yp_ref, rtol=1e-14, atol=1e-15)
 
@@ -111,17 +111,20 @@ def test_dense_output_slack_clamps_and_rejects(t_span):
     lo, hi = d.interval
     slack = 1e-12 * max(1.0, abs(lo), abs(hi))
     for edge, outward in ((lo, -1.0), (hi, 1.0)):
-        inside, _ = d(edge + 0.5 * outward * slack)
-        at_edge, _ = d(edge)
+        inside = d(edge + 0.5 * outward * slack)
+        at_edge = d(edge)
         np.testing.assert_array_equal(inside, at_edge)
-        with pytest.raises(ChartDomainError, match="outside"):
-            d(edge + 2.0 * outward * slack)
+        np.testing.assert_array_equal(d.derivative(edge + 0.5 * outward * slack),
+                                      d.derivative(edge))
+        for evaluate in (d, d.derivative):
+            with pytest.raises(ChartDomainError, match="outside"):
+                evaluate(edge + 2.0 * outward * slack)
 
 
 def test_dense_output_derivative_consistency():
     res = rk_integrate(lambda t, y: y, [1.0], (0.0, 1.0))
     for t in np.linspace(0.05, 0.95, 20):
-        y, yp = res.dense(float(t))
+        y, yp = res.dense(float(t)), res.dense.derivative(float(t))
         assert abs(yp[0] - y[0]) < 1e-8  # y' = y
 
 
@@ -130,7 +133,7 @@ def test_monitor_truncates_with_reason():
                        monitors=[("ceiling", lambda t, y: 2.0 - y[0])])
     assert res.stop_reason == "monitor:ceiling"
     assert abs(res.t_end - 2.0) < 1e-9
-    y, _ = res.dense(res.t_end)
+    y = res.dense(res.t_end)
     assert abs(y[0] - 2.0) < 1e-9
 
 
@@ -239,18 +242,38 @@ class _NumpyLookups:
         return getattr(np, name)
 
 
+def _oscillator_steps(**kwargs):
+    """A run whose size is the number of accepted steps."""
+    return lambda: rk_integrate(lambda t, y: (y[1], -y[0]), [0.3, 0.7],
+                                **kwargs).n_accepted
+
+
+def _dense_samples(n):
+    """A run whose size is the number of dense-output samples (state and
+    derivative) of one fixed solve."""
+    def run():
+        d = rk_integrate(lambda t, y: (y[1], -y[0]), [0.3, 0.7], (0.0, 3.0)).dense
+        lo, hi = d.interval
+        for k in range(n):
+            t = lo + (hi - lo) * k / (n - 1)
+            d(t)
+            d.derivative(t)
+        return n
+    return run
+
+
 @pytest.mark.parametrize("short, long", [
-    ({"t_span": (0.0, 1.0), "config": SolverConfig(fixed_step=0.1)},
-     {"t_span": (0.0, 1.0), "config": SolverConfig(fixed_step=0.001)}),
-    ({"t_span": (0.0, 1.0)}, {"t_span": (0.0, 100.0)}),
-], ids=["fixed-step", "adaptive"])
+    (_oscillator_steps(t_span=(0.0, 1.0), config=SolverConfig(fixed_step=0.1)),
+     _oscillator_steps(t_span=(0.0, 1.0), config=SolverConfig(fixed_step=0.001))),
+    (_oscillator_steps(t_span=(0.0, 1.0)), _oscillator_steps(t_span=(0.0, 100.0))),
+    (_dense_samples(10), _dense_samples(1000)),
+], ids=["fixed-step", "adaptive", "dense-samples"])
 def test_numpy_calls_do_not_grow_with_steps(monkeypatch, short, long):
     counts = []
-    for kwargs in (short, long):
+    for run in (short, long):
         proxy = _NumpyLookups()
         monkeypatch.setattr(solvers, "np", proxy)
-        res = rk_integrate(lambda t, y: (y[1], -y[0]), [0.3, 0.7], **kwargs)
-        counts.append((res.n_accepted, proxy.count))
+        counts.append((run(), proxy.count))
     (n_short, c_short), (n_long, c_long) = counts
     assert n_long >= 50 * n_short
     assert c_short == c_long
@@ -380,11 +403,11 @@ def test_warp_self_consistency_off_mesh(l4_solution):
     dense = l4_solution.integration.dense
     lo, hi = l4_solution.warp.interval
     for t in np.linspace(lo + 1e-3, lo + 0.8 * (hi - lo), 60):
-        _, yp = dense(float(t))
+        yp = dense.derivative(float(t))
         _, _, fpp = l4_solution.warp(float(t))
         assert abs(yp[1] - fpp) < 1e-6
     for t in np.linspace(lo + 1e-3, hi - 1e-3, 60):
-        _, yp = dense(float(t))
+        yp = dense.derivative(float(t))
         _, _, fpp = l4_solution.warp(float(t))
         assert abs(yp[1] - fpp) < 1e-6 * (1.0 + abs(fpp))
 
@@ -455,11 +478,98 @@ def test_system_spacelike_margin_at_start(l5_constants):
 def test_system_warp_self_consistency(l5_solution):
     dense = l5_solution.integration.dense
     for t in np.linspace(1e-3, 0.799, 60):
-        _, yp = dense(float(t))
+        yp = dense.derivative(float(t))
         _, _, fpp = l5_solution.warp(float(t))
         yv, ypv, ypp = l5_solution.y_state(float(t))
         assert abs(yp[1] - fpp) < 1e-6
         assert abs(yp[3] - ypp) < 1e-6
+
+
+def _counting(monkeypatch):
+    """Count DenseOutput.__call__ and _second_derivatives calls from here on."""
+    calls = {"dense": 0, "solve": 0}
+    dense_call, second = solvers.DenseOutput.__call__, solvers._second_derivatives
+
+    def counted_dense(self, t):
+        calls["dense"] += 1
+        return dense_call(self, t)
+
+    def counted_second(*args):
+        calls["solve"] += 1
+        return second(*args)
+
+    monkeypatch.setattr(solvers.DenseOutput, "__call__", counted_dense)
+    monkeypatch.setattr(solvers, "_second_derivatives", counted_second)
+    return calls
+
+
+def _fresh_l5_solution(l5_constants):
+    # not the session fixture: its cache holds what earlier tests asked
+    return rw.solve_warp_system(l5_constants, (1.5, 1.2, 0.4, -0.7), (0.0, 0.8))
+
+
+def test_state_cache_evaluates_each_time_once(l5_constants, monkeypatch):
+    sol = _fresh_l5_solution(l5_constants)
+    ts = np.linspace(*sol.interval, 50).tolist()
+    calls = _counting(monkeypatch)
+    warps = [sol.warp(t) for t in ts]
+    assert calls == {"dense": 50, "solve": 50}
+    ys = [sol.y_state(t) for t in ts]
+    residual = sol.max_equation_residual(50)
+    assert calls == {"dense": 50, "solve": 50}
+    assert [w + y for w, y in zip(warps, ys)] == [sol.state(t) for t in ts]
+    assert 0.0 < residual < 1e-6
+    assert sol.state.cache_info().maxsize == solvers._STATE_CACHE_SIZE
+
+
+def test_state_cache_equals_direct_evaluation(l5_constants):
+    sol = _fresh_l5_solution(l5_constants)
+    dense = sol.integration.dense
+    for t in np.linspace(*sol.interval, 37).tolist() * 2:
+        fv, fp, yv, yp = dense(t)
+        fpp, ypp = solvers._second_derivatives(l5_constants, fv, fp, yp)
+        want = (fv, fp, fpp, yv, yp, ypp)
+        assert sol.state(t) == want
+        assert sol.warp(t) == want[:3] and sol.y_state(t) == want[3:]
+
+
+def test_state_cache_does_not_cache_errors(l5_constants, monkeypatch):
+    sol = _fresh_l5_solution(l5_constants)
+    calls = _counting(monkeypatch)
+    for _ in range(3):
+        with pytest.raises(ChartDomainError):
+            sol.y_state(1.5)
+        with pytest.raises(ChartDomainError):
+            sol.state(-0.5)
+    assert calls["dense"] == 6 and sol.state.cache_info().currsize == 0
+    assert sol.y_state(0.4) == sol.state(0.4)[3:]
+    assert calls == {"dense": 7, "solve": 1}
+
+
+def test_state_cache_is_per_solution(l5_constants, monkeypatch):
+    first, second = (_fresh_l5_solution(l5_constants) for _ in range(2))
+    assert first.state is not second.state
+    ts = np.linspace(*first.interval, 20).tolist()
+    calls = _counting(monkeypatch)
+    assert [first.warp(t) for t in ts] == [second.warp(t) for t in ts]
+    assert calls == {"dense": 40, "solve": 40}
+    assert first.state.cache_info().currsize == second.state.cache_info().currsize == 20
+
+
+def test_accepted_states_have_a_non_singular_system(l5_solution):
+    # the RHS raises on a near-singular system, which rejects the step, so
+    # every accepted state keeps a positive determinant margin without a
+    # monitor for it
+    draws = [(c, (fv, fp, 0.4, yp)) for c, fv, fp, yp in _admissible_l5_states(0, 3)]
+    solutions = [l5_solution] + [rw.solve_warp_system(c, ics, (0.0, 0.8))
+                                 for c, ics in draws]
+    assert {s.integration.stop_reason for s in solutions} == {
+        "completed", "step-underflow"}
+    for sol in solutions:
+        dense = sol.integration.dense
+        for fv, fp, _, yp in [*dense.ys.tolist(), dense(sol.integration.t_end)]:
+            entries = solvers._system_matrices(sol.constants, fv, fp, yp)[:4]
+            assert solvers._det_margin(*entries)[0] > 0.0
 
 
 def _family_equations_literal(c, fv, fp, yp):
