@@ -29,7 +29,7 @@ from .solvers import (ConstantsL4, ConstantsL5, ConstantsProduct, DenseOutput,
 from .verdicts import (CheckEntry, VerificationReport,
                        biconservativity_residual, codazzi_residuals,
                        curvature_trace_term, flat_normal_bundle_check,
-                       frame_identity_residuals, marginally_trapped_check,
-                       pmcv_structure_check, reduced_criterion, verify_surface)
+                       frame_identity_residuals, pmcv_structure_check,
+                       reduced_criterion, verify_surface)
 
 __version__ = "0.1.0"

@@ -46,15 +46,12 @@ _INTERVAL_SLACK = 1e-9
 class WarpingFunction:
     """Pointwise access to (f, f', f'') on a validity interval.
 
-    ``source`` tags where the jet comes from: 'closed-form' or
-    'ode-dense-output'.  f must not vanish on the interval and f, f', f''
-    must be finite; evaluation raises SingularWarpError otherwise.
+    f must not vanish on the interval and f, f', f'' must be finite;
+    evaluation raises SingularWarpError otherwise.
     """
 
     fn: Callable[[float], tuple[float, float, float]]
     interval: tuple[float, float] = (-np.inf, np.inf)
-    source: str = "closed-form"
-    label: str = ""
 
     def __post_init__(self):
         finite = [abs(x) for x in self.interval if np.isfinite(x)]
@@ -78,21 +75,19 @@ class WarpingFunction:
     def constant(value: float = 1.0, interval=(-np.inf, np.inf)) -> "WarpingFunction":
         if value == 0.0:
             raise SingularWarpError("constant warp must be non-zero")
-        return WarpingFunction(lambda t: (value, 0.0, 0.0), interval,
-                               label=f"const({value})")
+        return WarpingFunction(lambda t: (value, 0.0, 0.0), interval)
 
     @staticmethod
     def exponential(rate: float = 1.0, interval=(-np.inf, np.inf)) -> "WarpingFunction":
         def fn(t):
             e = np.exp(rate * t)
             return e, rate * e, rate * rate * e
-        return WarpingFunction(fn, interval, label=f"exp({rate})")
+        return WarpingFunction(fn, interval)
 
     @staticmethod
     def hyperbolic_cosine(interval=(-np.inf, np.inf)) -> "WarpingFunction":
         return WarpingFunction(
-            lambda t: (np.cosh(t), np.sinh(t), np.cosh(t)), interval,
-            label="cosh")
+            lambda t: (np.cosh(t), np.sinh(t), np.cosh(t)), interval)
 
     @staticmethod
     def polynomial(coeffs, interval) -> "WarpingFunction":
@@ -106,7 +101,7 @@ class WarpingFunction:
             return (float(np.polyval(c[::-1], t)), float(np.polyval(c1, t)),
                     float(np.polyval(c2, t)))
 
-        return WarpingFunction(fn, tuple(interval), label="poly")
+        return WarpingFunction(fn, tuple(interval))
 
 
 @dataclass(frozen=True)

@@ -33,14 +33,14 @@ __all__ = [
 ]
 
 
-def default_warp_domain(warp: WarpingFunction, shrink: float = 0.05):
-    """The warp's validity interval shrunk by ``shrink`` at each end, leaving
-    stencil headroom for grid evaluation."""
+def default_warp_domain(warp: WarpingFunction):
+    """The warp's validity interval shrunk by 5% of its length at each end,
+    leaving stencil headroom for grid evaluation."""
     lo, hi = warp.interval
     if not (np.isfinite(lo) and np.isfinite(hi)):
         raise ConstraintError("warp interval must be finite for a default domain")
     span = hi - lo
-    return (lo + shrink * span, hi - shrink * span)
+    return (lo + 0.05 * span, hi - 0.05 * span)
 
 
 def _at_times(fn, t):
@@ -160,9 +160,8 @@ def product_surface_family(b1: float, b2: float, b3: float, u_domain=None,
         v_domain = (0.0, 2.0 * math.pi * abs(b3))
 
     def evaluator(u, v):
-        xp = np if isinstance(u, np.ndarray) else math  # floats: one point
-        cu, su = xp.cos(lam * u), xp.sin(lam * u)
-        sv, cv = xp.sin(v / b3), xp.cos(v / b3)
+        cu, su = np.cos(lam * u), np.sin(lam * u)
+        sv, cv = np.sin(v / b3), np.cos(v / b3)
         return (_stack(u, -b1 * u, b0 * cu, b0 * su, b2, b3 * sv, b3 * cv),
                 _stack(u, -b1, -b0 * lam * su, b0 * lam * cu, 0.0, 0.0, 0.0),
                 _stack(u, 0.0, 0.0, 0.0, 0.0, cv, -sv),

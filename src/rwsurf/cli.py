@@ -221,12 +221,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _tolerances(opts: _Options) -> dict:
+    """The --tol flags, or a config file's comma-separated NAME=VALUE list."""
     overrides = {}
-    for item in (opts.get("tol") or []):
+    for item in (opts.get("tol", lambda text: text.split(",")) or []):
         name, _, val = item.partition("=")
         if not val:
             raise ValueError(f"--tol expects NAME=VALUE, got {item!r}")
-        overrides[name] = float(val)
+        overrides[name.strip()] = float(val)
     return overrides
 
 
@@ -327,7 +328,8 @@ def _cmd_verify_thm5(args) -> int:
         constants, (args.f0, args.f0p, args.y0, args.y0p),
         (0.0, opts.get("u_end", float)))
     print(f"system integration: {solution.integration.stop_reason}, "
-          f"interval [{solution.interval[0]:.6g}, {solution.interval[1]:.6g}], "
+          f"interval [{solution.warp.interval[0]:.6g}, "
+          f"{solution.warp.interval[1]:.6g}], "
           f"max equation residual {solution.max_equation_residual():.3e}")
     surface = catalog.surface_l51(solution)
     return _run_verify(surface, opts, {"H0": abs(constants.H0), "dim_N1": 2})

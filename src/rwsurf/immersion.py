@@ -229,9 +229,6 @@ class FrameData:
     row-wise in the (phi_u, phi_v) chart basis.
     """
 
-    u: float
-    v: float
-    point: np.ndarray
     e1: np.ndarray
     e2: np.ndarray
     T: np.ndarray
@@ -294,8 +291,8 @@ def adapted_frame(jet: JetSample, space: AmbientSpace, G, ginv,
     has_mean = np.abs(h_norm2) > TOL_H * TOL_H
     normals, signs = _complete_normals(space, jet, G, e1, e2, e3, H, h_norm2,
                                        has_mean)
-    return FrameData(jet.u, jet.v, jet.phi, e1, e2, T, eta, theta, sinh_theta,
-                     cosh_theta, normals, signs, has_mean, coeffs)
+    return FrameData(e1, e2, T, eta, theta, sinh_theta, cosh_theta, normals,
+                     signs, has_mean, coeffs)
 
 
 def _complete_normals(space: AmbientSpace, jet: JetSample, G, e1, e2, e3, H,

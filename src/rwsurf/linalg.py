@@ -45,15 +45,15 @@ def inner(u, v, G):
     return float(out) if out.ndim == 0 else out
 
 
-def causal_character(v, G, tol: float = 1e-10) -> str:
+def causal_character(v, G) -> str:
     """Classify v as 'spacelike', 'null' or 'timelike' by the sign of <v,v>.
 
-    The null band is |<v,v>| < tol * max(1, v.v) so that near-null vectors of
-    any magnitude are flagged.
+    The null band is |<v,v>| < 1e-10 * max(1, v.v) so that near-null vectors
+    of any magnitude are flagged.
     """
     s = inner(v, v, G)
     scale = np.maximum(1.0, np.sum(np.square(v), axis=-1))
-    out = np.where(np.abs(s) < tol * scale, "null",
+    out = np.where(np.abs(s) < 1e-10 * scale, "null",
                    np.where(s > 0, "spacelike", "timelike"))
     return str(out) if out.ndim == 0 else out
 

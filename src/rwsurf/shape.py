@@ -201,10 +201,11 @@ def shape_operator(sfd: SecondFundamentalData, xi, G,
     return _pairing_matrix(sfd.h11, sfd.h12, sfd.h22, xi, G)
 
 
-def normal_curvature(sfd: SecondFundamentalData, xi, G) -> np.ndarray:
+def normal_curvature(sfd: SecondFundamentalData, A) -> np.ndarray:
     """R_perp(e1, e2) xi = h(e1, A_xi e2) - h(A_xi e1, e2) (Ricci identity
-    for ambients whose curvature has no normal part)."""
-    A = shape_operator(sfd, xi, G)
+    for ambients whose curvature has no normal part), from the shape
+    operator matrix A = A_xi of the normal xi (``sfd.A[..., k, :, :]`` for
+    the k-th frame normal, ``shape_operator`` for any other)."""
     # A_xi e1 = A[0,0] e1 + A[0,1] e2, A_xi e2 = A[1,0] e1 + A[1,1] e2
     h1A2 = _col(A[..., 0, 1]) * sfd.h11 + _col(A[..., 1, 1]) * sfd.h12
     hA12 = _col(A[..., 0, 0]) * sfd.h12 + _col(A[..., 0, 1]) * sfd.h22
@@ -218,7 +219,6 @@ class PointData:
 
     jet: JetSample
     G: np.ndarray
-    g: np.ndarray
     ginv: np.ndarray
     warp_state: tuple
     frame: FrameData
@@ -229,11 +229,10 @@ def _point_data(space: AmbientSpace, jet: JetSample, warp_state) -> PointData:
     """Every quantity after the jet and the warp, each computed once, for one
     point or a stack of points."""
     G = space.metric_at(jet.phi, warp_state)
-    g = induced_metric(jet, G)
-    ginv = np.linalg.inv(g)
+    ginv = np.linalg.inv(induced_metric(jet, G))
     _, h_chart, H = chart_second_fundamental(jet, space, G, ginv, warp_state)
     frame = adapted_frame(jet, space, G, ginv, H)
-    return PointData(jet, G, g, ginv, warp_state, frame,
+    return PointData(jet, G, ginv, warp_state, frame,
                      second_fundamental_form(frame, G, h_chart))
 
 

@@ -86,6 +86,8 @@ class SolverConfig:
     fixed_step: float | None = None  # disables adaptivity (order studies)
 
     def __post_init__(self):
+        _require_finite(rtol=self.rtol, atol=self.atol,
+                        fixed_step=self.fixed_step)
         if self.rtol <= 0 or self.atol <= 0:
             raise ConstraintError("solver tolerances must be positive")
 
@@ -515,12 +517,10 @@ def solve_rotational_warp(constants: ConstantsL4, f0: float, f0p: float,
 
     def fn(t):
         fv, fp = dense(t)
-        q = fp * fp - b2 * fv * fv
-        return fv, fp, (q * q + fp**4) / (b2 * fv**3)
+        return (fv, *rhs(t, (fv, fp)))
 
-    warp = WarpingFunction(fn, dense.interval, source="ode-dense-output",
-                           label="rotational-warp")
-    return RotationalWarpSolution(warp, result, constants)
+    return RotationalWarpSolution(WarpingFunction(fn, dense.interval), result,
+                                  constants)
 
 
 # ---------------------------------------------------------------------------
@@ -611,14 +611,10 @@ class WarpSystemSolution:
     def y_state(self, t: float) -> tuple[float, float, float]:
         return self.state(t)[3:]
 
-    @property
-    def interval(self) -> tuple[float, float]:
-        return self.warp.interval
-
     def max_equation_residual(self, samples: int = 200) -> float:
         """Largest |residual| of the two family equations over ``samples``
         times (0.0 with none); NaN when any residual is NaN."""
-        lo, hi = self.interval
+        lo, hi = self.warp.interval
         residuals = []
         for t in np.linspace(lo, hi, samples).tolist():
             fv, fp, fpp, _, yp, ypp = self.state(t)
@@ -673,6 +669,5 @@ def solve_warp_system(constants: ConstantsL5, ics, interval,
         fpp, ypp = _second_derivatives(constants, fv, fp, yp)
         return fv, fp, fpp, yv, yp, ypp
 
-    warp = WarpingFunction(lambda t: state(t)[:3], dense.interval,
-                           source="ode-dense-output", label="system-warp")
+    warp = WarpingFunction(lambda t: state(t)[:3], dense.interval)
     return WarpSystemSolution(warp, result, constants, state)

@@ -33,7 +33,6 @@ __all__ = [
     "biconservativity_residual",
     "curvature_trace_term",
     "reduced_criterion",
-    "marginally_trapped_check",
     "codazzi_residuals",
     "frame_identity_residuals",
     "pmcv_structure_check",
@@ -108,11 +107,11 @@ class VerificationReport:
             "verdict": self.verdict,
         }
 
-    def to_json(self, indent: int = 2) -> str:
+    def to_json(self) -> str:
         # strict JSON: the NaN/Infinity constants of the loose text become null
         loose = json.dumps(self.to_dict())
         return json.dumps(json.loads(loose, parse_constant=lambda _: None),
-                          indent=indent, sort_keys=True, allow_nan=False)
+                          indent=2, sort_keys=True, allow_nan=False)
 
     @staticmethod
     def from_dict(d: dict) -> "VerificationReport":
@@ -131,34 +130,21 @@ class VerificationReport:
 
 
 def curvature_trace_term(frame, H, G, warp_state, c: float):
-    """Two independent evaluations of the tangential curvature trace.
-
-    ``direct`` contracts the ambient curvature tensor over the tangent frame
-    and projects; ``closed_form`` is (f''/f - (f'^2 + c)/f^2) <H, eta> T.
-    Both are returned so each can serve as the other's oracle.
-    """
+    """The tangential curvature trace sum_i (R(e_i, H) e_i)^T: the ambient
+    curvature tensor contracted over the tangent frame and projected."""
     f, fp, fpp = warp_state
     e1, e2 = frame.e1, frame.e2
-    direct = np.zeros_like(np.asarray(H, dtype=float))
+    out = np.zeros_like(np.asarray(H, dtype=float))
     for e in (e1, e2):
         R = curvature_rw_values(e, H, e, G, f, fp, fpp, c)
-        direct = (direct + _col(inner(R, e1, G)) * e1
-                  + _col(inner(R, e2, G)) * e2)
-    k1, k2 = curvature_scalars(f, fp, fpp, c)
-    closed = _col((k1 - k2) * inner(H, frame.eta, G)) * frame.T
-    return direct, closed
+        out = out + _col(inner(R, e1, G)) * e1 + _col(inner(R, e2, G)) * e2
+    return out
 
 
 def reduced_criterion(frame, H, G) -> float:
     """|<H, eta>|; vanishing characterizes biconservativity for PMCV
     surfaces away from constant-curvature ambients."""
     return np.abs(inner(H, frame.eta, G))
-
-
-def marginally_trapped_check(H, G, tol: float = 1e-10) -> str:
-    """Causal character of the mean curvature vector ('null' flags the
-    marginally trapped case)."""
-    return causal_character(H, G, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -178,8 +164,8 @@ def _biconservativity_values(grid: SurfaceGrid) -> np.ndarray:
         for jj in range(2):
             middle = middle + _col(inner(nd.sfd.h(idx + 1, jj + 1), dH[idx],
                                          nd.G)) * e[jj]
-    curv, _ = curvature_trace_term(nd.frame, nd.sfd.H, nd.G, nd.warp_state,
-                                   float(grid.space.c))
+    curv = curvature_trace_term(nd.frame, nd.sfd.H, nd.G, nd.warp_state,
+                                float(grid.space.c))
     return frame_norm(2.0 * grad + 4.0 * middle + 4.0 * curv, nd)
 
 
@@ -291,12 +277,13 @@ def pmcv_structure_check(grid: SurfaceGrid) -> dict:
 
 
 def flat_normal_bundle_check(grid: SurfaceGrid) -> float:
-    """max over the grid and the normal frame of |R_perp(e1, e2) xi|."""
+    """max over the grid and the normal frame of |R_perp(e1, e2) xi|, from
+    the frame normals' shape operators the grid holds."""
     nd = grid.node_data
-    normals = nd.frame.normals
-    return _worst([frame_norm(normal_curvature(nd.sfd, normals[..., k, :],
-                                               nd.G), nd)[grid.ok]
-                   for k in range(normals.shape[-2])])
+    A = nd.sfd.A
+    return _worst([frame_norm(normal_curvature(nd.sfd, A[..., k, :, :]),
+                              nd)[grid.ok]
+                   for k in range(A.shape[-3])])
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +365,7 @@ def verify_surface(surface: Jet2Immersion, grid=(17, 17),
                            for hv in (sfd.h11, sfd.h12, sfd.h22)
                            for e in fr.tangents], axis=-1)
     hh = inner(sfd.H, sfd.H, G)[ok]
-    characters = marginally_trapped_check(sfd.H, G)[ok]
+    characters = causal_character(sfd.H, G)[ok]
     has_mean_everywhere = bool(fr.has_mean_direction[ok].all())
 
     add("frame_orthonormality", _worst(ortho[..., upper[0], upper[1]][ok]),

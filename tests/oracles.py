@@ -3,9 +3,10 @@
 Each function restates, one point and one index at a time, a quantity that
 ``rwsurf`` computes in closed or batched form: the Christoffel tensor behind
 ``ambient_covariant_derivative``, the backend-aware curvature behind
-``curvature_rw_values``, the comoving split, signature-aware Gram-Schmidt and
-the normal connection along a frame direction.  The package never imports
-this module.
+``curvature_rw_values``, the closed form of the tangential curvature trace
+behind ``curvature_trace_term``, the comoving split, signature-aware
+Gram-Schmidt and the normal connection along a frame direction.  The package
+never imports this module.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from rwsurf.ambient import AmbientSpace, curvature_rw_values
+from rwsurf.ambient import AmbientSpace, curvature_rw_values, curvature_scalars
 from rwsurf.errors import DegenerateFrameError, DimensionMismatchError
 from rwsurf.linalg import inner, project_out_span
 from rwsurf.shape import SurfaceGrid
@@ -58,6 +59,13 @@ def curvature_rw(space: AmbientSpace, X, Y, Z, p) -> np.ndarray:
     return curvature_rw_values(space.check_vector(X), space.check_vector(Y),
                                space.check_vector(Z), G, f, fp, fpp,
                                float(space.c))
+
+
+def curvature_trace_closed_form(frame, H, G, warp_state, c: float):
+    """The tangential curvature trace (f''/f - (f'^2 + c)/f^2) <H, eta> T,
+    the closed form of ``curvature_trace_term``'s direct contraction."""
+    k1, k2 = curvature_scalars(*warp_state, c)
+    return np.asarray((k1 - k2) * inner(H, frame.eta, G))[..., None] * frame.T
 
 
 def orthonormalize_signature(vectors, G, tol: float = 1e-10,

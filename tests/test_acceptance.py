@@ -17,6 +17,7 @@ from rwsurf.solvers import SolverConfig, rk_integrate
 from rwsurf.verdicts import curvature_trace_term, verify_surface
 
 from conftest import L5_CONSTANTS, random_curvature_config
+from oracles import curvature_trace_closed_form
 
 
 def _report(number, label, ok, detail):
@@ -30,7 +31,8 @@ def test_criterion_1_curvature_trace_cross_oracle():
     t0 = time.time()
     for _ in range(10_000):
         frame, H, G, state, c = random_curvature_config(rng)
-        direct, closed = curvature_trace_term(frame, H, G, state, c)
+        direct = curvature_trace_term(frame, H, G, state, c)
+        closed = curvature_trace_closed_form(frame, H, G, state, c)
         worst = max(worst, float(np.linalg.norm(direct - closed)))
     elapsed = time.time() - t0
     ok = worst < 1e-9 and elapsed < 10.0
@@ -107,7 +109,7 @@ def test_criterion_4_coupled_family_end_to_end(l5_constants, l5_solution,
     ok = eq_res < 1e-6 and rep.passed
     _report(4, "coupled (f, y) family end-to-end",
             ok, f"max equation residual {eq_res:.3e} on "
-                f"[{l5_solution.interval[0]}, {l5_solution.interval[1]}], "
+                f"[{l5_solution.warp.interval[0]}, {l5_solution.warp.interval[1]}], "
                 f"verdict={rep.verdict}, worst residual {worst:.3e}")
 
 
@@ -133,7 +135,8 @@ def test_criterion_6_constant_curvature_shortcut():
     for _ in range(2000):
         frame, H, G, _, _ = random_curvature_config(rng, theta_max=1.5)
         f = math.sqrt(G[1, 1])
-        direct, closed = curvature_trace_term(frame, H, G, (f, f, f), 0.0)
+        direct = curvature_trace_term(frame, H, G, (f, f, f), 0.0)
+        closed = curvature_trace_closed_form(frame, H, G, (f, f, f), 0.0)
         worst = max(worst, float(np.linalg.norm(direct)),
                     float(np.linalg.norm(closed)))
     ok = flag and worst < 1e-12

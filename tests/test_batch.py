@@ -214,7 +214,7 @@ def test_batched_layers_match_pointwise(surface_name, request):
     G = space.metric_at(jet.phi, state)
     assert_stacked(G, [p.G for p in points])
     g = immersion.induced_metric(jet, G)
-    assert_stacked(g, [p.g for p in points])
+    assert_stacked(g, [immersion.induced_metric(p.jet, p.G) for p in points])
     ginv = np.linalg.inv(g)
     assert_stacked(ginv, [p.ginv for p in points])
     W, h, H = chart_second_fundamental(jet, space, G, ginv, state)
@@ -290,7 +290,7 @@ def test_grid_fill_calls_each_layer_once(l4_surface, monkeypatch):
     calls = collections.Counter()
     warp = l4_surface.space.warp
     counted_warp = rw.WarpingFunction(counted(calls, "warp", warp.fn),
-                                      warp.interval, warp.source, warp.label)
+                                      warp.interval)
     space = rw.AmbientSpace.warped_flat(4, counted_warp)
     chart = l4_surface.evaluator
 

@@ -139,6 +139,22 @@ def test_non_finite_initial_condition_exits_2(capsys, argv, name):
     assert f"error: ConstraintError: {name} must be finite" in captured.err
 
 
+@pytest.mark.parametrize("argv, name", [
+    (["solve", "f4", "--a", "2", "--H0", "0.5", "--f0", "1", "--f0p", "2",
+      "--rtol", "inf"], "rtol"),
+    (["solve", "f4", "--a", "2", "--H0", "0.5", "--f0", "1", "--f0p", "2",
+      "--rtol", "nan"], "rtol"),
+    (SYS5_ARGS + ["--atol", "nan"], "atol"),
+    (SYS5_ARGS + ["--atol", "inf"], "atol"),
+], ids=["f4-rtol-inf", "f4-rtol-nan", "sys5-atol-nan", "sys5-atol-inf"])
+def test_non_finite_solver_tolerance_exits_2(capsys, argv, name):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert f"error: ConstraintError: {name} must be finite" in captured.err
+    assert "stop reason" not in captured.out
+
+
 @pytest.mark.parametrize("samples", ["0", "1", "-3"])
 @pytest.mark.parametrize("argv", [
     ["solve", "f4", "--a", "2", "--H0", "0.5", "--f0", "1", "--f0p", "2"],
@@ -238,6 +254,25 @@ def test_config_file_unknown_key_rejected(tmp_path, capsys):
     code = main(THM4_ARGS + ["--config", str(cfg)])
     assert code == 2
     assert "unknown config keys: gird, threads" in capsys.readouterr().err
+
+
+def test_config_file_tolerance_list(tmp_path, capsys):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("grid = 7x7\ntol = pmcv=1e-30, codazzi_1=1e-3\n")
+    out = tmp_path / "r.json"
+    argv = ["verify", "product", "--b1", "1", "--b3", "0.5", "--config",
+            str(cfg), "--out", str(out)]
+    assert main(argv) == 1
+    entries = {e["name"]: e for e in json.loads(out.read_text())["entries"]}
+    assert entries["pmcv"]["tol"] == 1e-30 and not entries["pmcv"]["passed"]
+    assert entries["codazzi_1"]["tol"] == 1e-3
+    assert [e for e in entries.values() if not e["passed"]] == [entries["pmcv"]]
+    assert "[FAIL] pmcv" in capsys.readouterr().out
+    # explicit --tol flags replace the file's whole list
+    assert main(argv + ["--tol", "pmcv=1e-3"]) == 0
+    entries = {e["name"]: e for e in json.loads(out.read_text())["entries"]}
+    assert entries["pmcv"]["tol"] == 1e-3 and entries["pmcv"]["passed"]
+    assert entries["codazzi_1"]["tol"] == 1e-5
 
 
 def test_cli_outputs_bit_identical(tmp_path):

@@ -149,8 +149,8 @@ def test_adapted_frame_bitwise_deterministic(l5_surface):
 
 def _assert_no_sign_flips(surface, points):
     frames = [evaluate_point(surface, u, v).frame for (u, v) in points]
-    for a, b in zip(frames, frames[1:]):
-        phi = surface.jet(a.u, a.v).phi
+    for (u, v), a, b in zip(points, frames, frames[1:]):
+        phi = surface.jet(u, v).phi
         G = surface.space.metric_at(phi, surface.space.warp_state(phi))
         signs = (1, 1, *a.normal_signs)
         for s, ea, eb in zip(signs, (a.e1, a.e2, *a.normals),

@@ -172,7 +172,8 @@ def test_normal_curvature_commuting_operators_vanish():
     h22 = -1.1 * e4 + 0.2 * e3
     sfd = rw.SecondFundamentalData(h11, np.zeros(4), h22, 0.5 * (h11 + h22), {})
     for xi in (e3, e4):
-        assert np.linalg.norm(normal_curvature(sfd, xi, G)) < 1e-15
+        A = shape_operator(sfd, xi, G)
+        assert np.linalg.norm(normal_curvature(sfd, A)) < 1e-15
 
 
 def test_normal_curvature_noncommuting_fixture():
@@ -182,14 +183,15 @@ def test_normal_curvature_noncommuting_fixture():
     # A_{e4} diagonal with distinct eigenvalues, A_{e3} with off-diagonal
     h11, h12, h22 = 1.0 * e4, 0.5 * e3, -1.0 * e4
     sfd = rw.SecondFundamentalData(h11, h12, h22, 0.5 * (h11 + h22), {})
-    assert np.linalg.norm(normal_curvature(sfd, e4, G)) > 0.5
+    assert np.linalg.norm(normal_curvature(sfd, shape_operator(sfd, e4, G))) > 0.5
 
 
 def test_normal_curvature_l4_flat_bundle(l4_grid):
     for (i, j) in [(0, 3), (7, 7)]:
         pd = l4_grid.point(i, j)
         for xi in pd.frame.normals:
-            assert frame_norm(normal_curvature(pd.sfd, xi, pd.G), pd) < 1e-8
+            A = shape_operator(pd.sfd, xi, pd.G)
+            assert frame_norm(normal_curvature(pd.sfd, A), pd) < 1e-8
 
 
 def test_normal_space_dims_catalog(l4_grid, product_grid, tilted_plane_grid):

@@ -150,6 +150,20 @@ def test_degenerate_interval_rejected():
         rk_integrate(lambda t, y: y, [1.0], (1.0, 1.0))
 
 
+@pytest.mark.parametrize("name", ["rtol", "atol", "fixed_step"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_solver_config_rejects_non_finite_values(name, value):
+    with pytest.raises(ConstraintError, match=f"^{name} must be finite"):
+        SolverConfig(**{name: value})
+
+
+def test_solver_config_still_rejects_non_positive_tolerances():
+    for kwargs in ({"rtol": 0.0}, {"atol": -1e-13}):
+        with pytest.raises(ConstraintError, match="must be positive"):
+            SolverConfig(**kwargs)
+    assert SolverConfig(fixed_step=None).fixed_step is None
+
+
 def test_zero_division_in_rhs_rejects_the_step():
     # y' = 1 / (2 - y), y(0) = 0 reaches y = 2 at t = 2, where y' blows up; a
     # float right-hand side past it divides by zero, which must reject the
@@ -434,7 +448,7 @@ def test_max_equation_residual_propagates_nan(l5_solution, monkeypatch):
 
 def test_system_completes_on_fixture(l5_solution):
     assert l5_solution.integration.stop_reason == "completed"
-    assert l5_solution.interval == (0.0, 0.8)
+    assert l5_solution.warp.interval == (0.0, 0.8)
 
 
 def test_system_equation_residuals_along_trajectory(l5_solution):
@@ -510,7 +524,7 @@ def _fresh_l5_solution(l5_constants):
 
 def test_state_cache_evaluates_each_time_once(l5_constants, monkeypatch):
     sol = _fresh_l5_solution(l5_constants)
-    ts = np.linspace(*sol.interval, 50).tolist()
+    ts = np.linspace(*sol.warp.interval, 50).tolist()
     calls = _counting(monkeypatch)
     warps = [sol.warp(t) for t in ts]
     assert calls == {"dense": 50, "solve": 50}
@@ -525,7 +539,7 @@ def test_state_cache_evaluates_each_time_once(l5_constants, monkeypatch):
 def test_state_cache_equals_direct_evaluation(l5_constants):
     sol = _fresh_l5_solution(l5_constants)
     dense = sol.integration.dense
-    for t in np.linspace(*sol.interval, 37).tolist() * 2:
+    for t in np.linspace(*sol.warp.interval, 37).tolist() * 2:
         fv, fp, yv, yp = dense(t)
         fpp, ypp = solvers._second_derivatives(l5_constants, fv, fp, yp)
         want = (fv, fp, fpp, yv, yp, ypp)
@@ -549,7 +563,7 @@ def test_state_cache_does_not_cache_errors(l5_constants, monkeypatch):
 def test_state_cache_is_per_solution(l5_constants, monkeypatch):
     first, second = (_fresh_l5_solution(l5_constants) for _ in range(2))
     assert first.state is not second.state
-    ts = np.linspace(*first.interval, 20).tolist()
+    ts = np.linspace(*first.warp.interval, 20).tolist()
     calls = _counting(monkeypatch)
     assert [first.warp(t) for t in ts] == [second.warp(t) for t in ts]
     assert calls == {"dense": 40, "solve": 40}

@@ -5,17 +5,19 @@ import numpy as np
 import pytest
 
 import rwsurf as rw
-from rwsurf import verdicts
+from rwsurf import shape, verdicts
 from rwsurf.immersion import Jet2Immersion
-from rwsurf.shape import SurfaceGrid, frame_norm, normal_space_dims
+from rwsurf.shape import (SurfaceGrid, _worst, frame_norm, normal_curvature,
+                          normal_space_dims, shape_operator)
 from rwsurf.verdicts import (VerificationReport, biconservativity_residual,
                              codazzi_residuals, curvature_trace_term,
                              flat_normal_bundle_check,
-                             frame_identity_residuals, marginally_trapped_check,
-                             node_residuals, pmcv_structure_check,
-                             reduced_criterion, verify_surface)
+                             frame_identity_residuals, node_residuals,
+                             pmcv_structure_check, reduced_criterion,
+                             verify_surface)
 
 from conftest import random_curvature_config
+from oracles import curvature_trace_closed_form
 
 
 def test_curvature_trace_oracle_equivalence():
@@ -24,7 +26,8 @@ def test_curvature_trace_oracle_equivalence():
     rng = np.random.default_rng(42)
     for _ in range(1000):
         frame, H, G, state, c = random_curvature_config(rng)
-        direct, closed = curvature_trace_term(frame, H, G, state, c)
+        direct = curvature_trace_term(frame, H, G, state, c)
+        closed = curvature_trace_closed_form(frame, H, G, state, c)
         scale = max(1.0, np.linalg.norm(closed))
         assert np.linalg.norm(direct - closed) < 1e-9 * scale
 
@@ -43,7 +46,8 @@ def test_curvature_trace_vanishing_pairing():
     for _ in range(200):
         frame, H, G, state, c = random_curvature_config(rng)
         H0 = project_off_eta(H, frame, G)
-        direct, closed = curvature_trace_term(frame, H0, G, state, c)
+        direct = curvature_trace_term(frame, H0, G, state, c)
+        closed = curvature_trace_closed_form(frame, H0, G, state, c)
         # round-off in the direct contraction scales with cosh^2(theta) |H|
         scale = max(1.0, -rw.inner(frame.eta, frame.eta, G)
                     * np.linalg.norm(H0))
@@ -58,7 +62,8 @@ def test_curvature_trace_constant_curvature_kills_term():
         frame, H, G, _, _ = random_curvature_config(rng, theta_max=1.5)
         f = math.sqrt(G[1, 1])
         t_state = (f, f, f)  # f = e^t jet at the matching point
-        direct, closed = curvature_trace_term(frame, H, G, t_state, 0.0)
+        direct = curvature_trace_term(frame, H, G, t_state, 0.0)
+        closed = curvature_trace_closed_form(frame, H, G, t_state, 0.0)
         assert np.linalg.norm(closed) < 1e-12
         assert np.linalg.norm(direct) < 1e-12
 
@@ -78,10 +83,10 @@ def test_reduced_criterion_catalog_and_synthetic(l4_grid, product_grid):
 
 def test_marginally_trapped_classification(l4_grid):
     pd = l4_grid.point(3, 3)
-    assert marginally_trapped_check(pd.sfd.H, pd.G) == "spacelike"
+    assert rw.causal_character(pd.sfd.H, pd.G) == "spacelike"
     G = np.diag([-1.0, 1, 1, 1])
-    assert marginally_trapped_check(np.array([1.0, 0, 0, 0]), G) == "timelike"
-    assert marginally_trapped_check(np.array([1.0, 1.0, 0, 0]), G) == "null"
+    assert rw.causal_character(np.array([1.0, 0, 0, 0]), G) == "timelike"
+    assert rw.causal_character(np.array([1.0, 1.0, 0, 0]), G) == "null"
 
 
 def test_codazzi_residuals_l4(l4_grid):
@@ -137,6 +142,38 @@ def test_flat_normal_bundle_l4(l4_grid, tilted_plane_grid):
     assert flat_normal_bundle_check(tilted_plane_grid) < 1e-14
 
 
+def _normal_curvature_from_normals(grid):
+    # the former route: each frame normal's shape operator rebuilt from h
+    nd = grid.node_data
+    normals = nd.frame.normals
+    return _worst([frame_norm(normal_curvature(
+        nd.sfd, shape_operator(nd.sfd, normals[..., k, :], nd.G)), nd)[grid.ok]
+        for k in range(normals.shape[-2])])
+
+
+@pytest.mark.parametrize("surface_name",
+                         ["l4_surface", "l5_surface", "product_surface"])
+def test_verify_reads_the_grid_shape_operators(surface_name, request,
+                                               monkeypatch):
+    surface = request.getfixturevalue(surface_name)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    original = shape.shape_operator
+    monkeypatch.setattr(shape, "shape_operator", counting)
+    monkeypatch.setattr(verdicts, "shape_operator", counting, raising=False)
+    rep = verify_surface(surface, grid=(9, 9))
+    assert rep.verdict == "pass" and calls == []
+    monkeypatch.undo()
+    sg = rep.surface_grid
+    value = flat_normal_bundle_check(sg)
+    assert value == _normal_curvature_from_normals(sg)
+    assert rep.entry("normal_curvature").value == value
+
+
 def test_biconservativity_l4(l4_grid):
     assert biconservativity_residual(l4_grid) < 1e-5
 
@@ -147,7 +184,7 @@ def test_biconservativity_decomposition(l4_grid):
     worst = 0.0
     for (i, j) in [(2, 2), (6, 6)]:
         pd = l4_grid.point(i, j)
-        direct, _ = curvature_trace_term(
+        direct = curvature_trace_term(
             pd.frame, pd.sfd.H, pd.G, pd.warp_state, l4_grid.space.c)
         worst = max(worst, 4.0 * frame_norm(direct, pd))
     assert abs(biconservativity_residual(l4_grid) - worst) < 1e-5
