@@ -22,7 +22,8 @@ from typing import Callable
 import numpy as np
 
 from .ambient import AmbientSpace, ambient_covariant_derivative
-from .errors import (ChartDomainError, DegenerateFrameError, GeometryError,
+from .errors import (ChartDomainError, DegenerateFrameError,
+                     DimensionMismatchError, GeometryError,
                      HorizontalSliceError, NotSpaceLikeError, raise_where)
 from .linalg import _col, inner, project_out_span
 
@@ -78,7 +79,9 @@ class Jet2Immersion:
         at arrays u, v: ``(sample, errors)``, ``errors`` mapping the flat
         index of each failing point to ``"<ErrorClass>: <message>"``.  A
         batched evaluator gets the in-domain points (NaN is not) in one call,
-        rerun point by point if it raises; any other gets one call per point."""
+        rerun point by point if it raises; any other gets one call per point.
+        Jet vectors whose length is not the ambient dimension raise
+        DimensionMismatchError for the whole call."""
         uu, vv = np.broadcast_arrays(np.asarray(u, dtype=float),
                                      np.asarray(v, dtype=float))
         us, vs = uu.ravel().tolist(), vv.ravel().tolist()
@@ -93,16 +96,19 @@ class Jet2Immersion:
         parts = np.full((6, len(us), self.space.ambient_dim), np.nan)
         if self.batched and uu.ndim and inside:
             try:
-                parts[:, inside] = self.evaluator(uu.ravel()[inside],
-                                                  vv.ravel()[inside])
-                inside = []
+                vectors = self.evaluator(uu.ravel()[inside], vv.ravel()[inside])
             except GeometryError:  # rerun one by one: each point keeps its error
                 pass
+            else:
+                parts[:, inside] = self._checked(vectors)
+                inside = []
         for k in inside:
             try:
-                parts[:, k] = self.evaluator(us[k], vs[k])
+                vectors = self.evaluator(us[k], vs[k])
             except GeometryError as exc:
                 failed[k] = exc
+            else:
+                parts[:, k] = self._checked(vectors)
         for k in np.flatnonzero(~np.isfinite(parts).all(axis=(0, 2))).tolist():
             failed.setdefault(k, ChartDomainError(
                 f"non-finite jet at (u,v)=({us[k]},{vs[k]})"))
@@ -113,6 +119,19 @@ class Jet2Immersion:
         parts = parts.reshape((6,) + uu.shape + parts.shape[2:])
         return (JetSample(uu, vv, *parts),
                 {k: f"{type(e).__name__}: {e}" for k, e in sorted(failed.items())})
+
+    def _checked(self, vectors):
+        """The evaluator's jet vectors, each of which must have one component
+        per ambient coordinate."""
+        d = self.space.ambient_dim
+        for x in vectors:
+            x = np.asarray(x)  # per point: cheaper than np.shape(x)
+            n = x.shape[-1] if x.ndim else 1
+            if n != d:
+                raise DimensionMismatchError(
+                    f"the chart returned jet vectors of length {n} for an "
+                    f"ambient space of dimension {d}")
+        return vectors
 
 
 def _richardson_first(fn, x0, h):

@@ -388,35 +388,39 @@ class SurfaceGrid:
             np.asarray(extract(self.data), dtype=float)[:, :, 0],
             self.chart_derivative(extract, direction), nd.G, nd.warp_state)
 
-    def frame_covariant(self, extract, idx: int):
-        """Ambient covariant derivative along e_{idx+1} (idx 0 or 1)."""
+    def _along_frame(self, derivative, extract):
+        """(along e1, along e2) of a field from ``derivative`` along u and v."""
+        du, dv = derivative(extract, "u"), derivative(extract, "v")
         c = self.node_data.frame.coeffs
-        return (_col(c[..., idx, 0]) * self.covariant_along(extract, "u")
-                + _col(c[..., idx, 1]) * self.covariant_along(extract, "v"))
+        c = c.reshape(c.shape + (1,) * (du.ndim - 2))  # scalars or vectors
+        return tuple(c[:, :, i, 0] * du + c[:, :, i, 1] * dv for i in range(2))
+
+    def frame_covariant(self, extract):
+        """Ambient covariant derivatives of a vector field along (e1, e2)."""
+        return self._along_frame(self.covariant_along, extract)
 
     def tangential_part(self, W):
         nd = self.node_data
         coef = _tangent_coefficients(W, nd.jet, nd.G, nd.ginv)
         return coef[..., :1] * nd.jet.phi_u + coef[..., 1:] * nd.jet.phi_v
 
-    def nabla_perp(self, extract, idx: int):
-        """Normal connection derivative of a normal field along e_{idx+1}."""
-        W = self.frame_covariant(extract, idx)
-        return W - self.tangential_part(W)
+    def nabla_perp(self, extract):
+        """Normal connection derivatives of a normal field along (e1, e2)."""
+        return tuple(W - self.tangential_part(W)
+                     for W in self.frame_covariant(extract))
 
-    def scalar_derivative(self, extract, idx: int):
-        c = self.node_data.frame.coeffs
-        return (c[..., idx, 0] * self.chart_derivative(extract, "u")
-                + c[..., idx, 1] * self.chart_derivative(extract, "v"))
+    def scalar_derivative(self, extract):
+        """Derivatives of a scalar field along (e1, e2)."""
+        return self._along_frame(self.chart_derivative, extract)
 
     @_per_grid
     def frame_covariants(self):
         """W[a][b] = nabla_{e_(a+1)} e_(b+1), the ambient covariant
         derivatives of the tangent frame along itself."""
-        fields = (lambda p: p.frame.e1, lambda p: p.frame.e2)
-        return tuple(tuple(self.frame_covariant(fld, a) for fld in fields)
-                     for a in range(2))
+        return tuple(zip(self.frame_covariant(lambda p: p.frame.e1),
+                         self.frame_covariant(lambda p: p.frame.e2)))
 
+    @_per_grid
     def tangent_connection(self):
         """Coefficients <nabla_{e_i} e_j, e_k> as a (..., 2, 2, 2) array."""
         nd = self.node_data
@@ -435,9 +439,8 @@ class SurfaceGrid:
         fields = {(1, 1): lambda p: p.sfd.h11, (1, 2): lambda p: p.sfd.h12,
                   (2, 2): lambda p: p.sfd.h22}
         out = {}
-        for ii in range(2):
-            for (ja, jb), fld in fields.items():
-                W = self.nabla_perp(fld, ii)
+        for (ja, jb), fld in fields.items():
+            for ii, W in enumerate(self.nabla_perp(fld)):
                 # subtract h(nabla_{e_i} e_j, e_k) + h(e_j, nabla_{e_i} e_k)
                 for m in range(2):
                     W = W - _col(conn[..., ii, ja - 1, m]) * sfd.h(m + 1, jb)
@@ -448,8 +451,7 @@ class SurfaceGrid:
     @_per_grid
     def mean_curvature_derivatives(self):
         """(nabla^perp_{e1} H, nabla^perp_{e2} H) at every node."""
-        extract = lambda p: p.sfd.H
-        return (self.nabla_perp(extract, 0), self.nabla_perp(extract, 1))
+        return self.nabla_perp(lambda p: p.sfd.H)
 
 
 @_per_grid

@@ -90,6 +90,9 @@ class SolverConfig:
                         fixed_step=self.fixed_step)
         if self.rtol <= 0 or self.atol <= 0:
             raise ConstraintError("solver tolerances must be positive")
+        if self.fixed_step is not None and self.fixed_step <= 0:
+            raise ConstraintError(
+                f"fixed_step must be positive, got {self.fixed_step}")
 
 
 @dataclass(frozen=True)
@@ -213,6 +216,9 @@ def rk_integrate(rhs: Callable, y0, t_span, config: SolverConfig | None = None,
     """
     cfg = config or SolverConfig()
     t0, t1 = float(t_span[0]), float(t_span[1])
+    if math.isnan(t0) or math.isnan(t1):
+        raise ConstraintError(
+            f"integration interval [{t0}, {t1}] has a NaN endpoint")
     if t0 == t1:
         raise ConstraintError("integration interval is degenerate")
     direction = 1.0 if t1 > t0 else -1.0

@@ -4,21 +4,17 @@ Each function restates, one point and one index at a time, a quantity that
 ``rwsurf`` computes in closed or batched form: the Christoffel tensor behind
 ``ambient_covariant_derivative``, the backend-aware curvature behind
 ``curvature_rw_values``, the closed form of the tangential curvature trace
-behind ``curvature_trace_term``, the comoving split, signature-aware
-Gram-Schmidt and the normal connection along a frame direction.  The package
-never imports this module.
+behind ``curvature_trace_term``, the comoving split and signature-aware
+Gram-Schmidt.  The package never imports this module.
 """
 
 from __future__ import annotations
-
-from typing import Callable
 
 import numpy as np
 
 from rwsurf.ambient import AmbientSpace, curvature_rw_values, curvature_scalars
 from rwsurf.errors import DegenerateFrameError, DimensionMismatchError
 from rwsurf.linalg import inner, project_out_span
-from rwsurf.shape import SurfaceGrid
 
 
 def comoving_split(X, space: AmbientSpace, p=None):
@@ -105,15 +101,3 @@ def orthonormalize_signature(vectors, G, tol: float = 1e-10,
         frame.append(w / np.sqrt(abs(s2)))
         signs.append(sign)
     return frame, signs
-
-
-def normal_connection_derivative(grid: SurfaceGrid, field: Callable,
-                                 direction: int):
-    """nabla^perp of a normal field along e_direction (1 or 2) at every node.
-
-    ``field`` maps a PointData with leading axes to the normal vectors with
-    the same leading axes; it must be evaluable on the stencil points.
-    """
-    if direction not in (1, 2):
-        raise ValueError("direction must be 1 or 2")
-    return grid.nabla_perp(field, direction - 1)

@@ -155,6 +155,21 @@ def test_non_finite_solver_tolerance_exits_2(capsys, argv, name):
     assert "stop reason" not in captured.out
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "f4", "--a", "2", "--H0", "0.5", "--f0", "1", "--f0p", "2",
+     "--u0", "nan"],
+    ["solve", "f4", "--a", "2", "--H0", "0.5", "--f0", "1", "--f0p", "2",
+     "--u1", "nan"],
+    THM4_ARGS + ["--u-end", "nan"],
+], ids=["f4-u0", "f4-u1", "verify-thm4-u-end"])
+def test_nan_interval_endpoint_exits_2(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "error: ConstraintError: integration interval" in captured.err
+    assert "NaN endpoint" in captured.err
+
+
 @pytest.mark.parametrize("samples", ["0", "1", "-3"])
 @pytest.mark.parametrize("argv", [
     ["solve", "f4", "--a", "2", "--H0", "0.5", "--f0", "1", "--f0p", "2"],
@@ -337,6 +352,21 @@ def test_verify_user_map_horizontal_slice_degenerate(tmp_path, capsys):
     assert code == 2
     assert "verdict: degenerate" in capsys.readouterr().out
 
+
+@pytest.mark.parametrize("coords", ["u * v + u,", "0.1 * u, u, v, 0.0, 0.0, 0.0"],
+                         ids=["one-coordinate", "six-coordinates"])
+def test_verify_user_map_wrong_chart_length_exits_2(tmp_path, capsys, coords):
+    py = tmp_path / "chart.py"
+    py.write_text(f"def chart(u, v):\n    return ({coords})\n")
+    code = main(["verify", "user-map", "--py", str(py), "--ambient",
+                 "warped-flat", "--n", "4", "--warp", "const:1",
+                 "--chart-u-span=-1:1", "--chart-v-span=-1:1",
+                 "--grid", "3x3"])
+    assert code == 2
+    out = capsys.readouterr().out
+    assert "DimensionMismatchError: the chart returned jet vectors" in out
+    assert "for an ambient space of dimension 4" in out
+    assert "verdict: degenerate" in out
 
 def test_surface_and_residual_csv_exports(tmp_path):
     surf_csv = tmp_path / "surf.csv"

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 import rwsurf as rw
-from rwsurf.errors import (ChartDomainError, HorizontalSliceError,
-                           NotSpaceLikeError)
+from rwsurf.errors import (ChartDomainError, DimensionMismatchError,
+                           HorizontalSliceError, NotSpaceLikeError)
 from rwsurf.immersion import (FD_STEP_FIRST, FD_STEP_SECOND,
                               finite_difference_jet)
 from rwsurf.shape import evaluate_point
@@ -47,6 +47,29 @@ def test_fd_jet_domain_error(minkowski4):
     surf = fd_surface(lambda u, v: np.array([u, v, 0.0, 0.0]), minkowski4)
     with pytest.raises(ChartDomainError):
         surf.jet(3.0, 0.0)
+
+
+@pytest.mark.parametrize("chart", [
+    lambda u, v: (u * v + u,),
+    lambda u, v: (0.1 * u, u, v, 0.0, 0.0, 0.0),
+], ids=["one-coordinate", "six-coordinates"])
+def test_jet_vector_length_must_match_the_ambient(chart, minkowski4):
+    surf = fd_surface(chart, minkowski4)
+    n = len(chart(0.5, 0.5))
+    message = f"jet vectors of length {n} for an ambient space of dimension 4"
+    with pytest.raises(DimensionMismatchError, match=message):
+        surf.jet(0.5, 0.5)
+    # a stack fails as a whole, not as one degenerate point per entry
+    with pytest.raises(DimensionMismatchError, match=message):
+        surf.jet(np.array([0.5, 0.2]), np.array([0.5, 0.1]))
+    batched = rw.Jet2Immersion(minkowski4, lambda u, v: surf.evaluator(0.5, 0.5),
+                               (-1, 1), (-1, 1), batched=True)
+    with pytest.raises(DimensionMismatchError, match=message):
+        batched.jet(np.array([0.5, 0.2]), np.array([0.5, 0.1]))
+    rep = rw.verify_surface(surf, grid=(3, 3))
+    assert rep.verdict == "degenerate"
+    assert rep.degeneracies == [[-1, -1, f"DimensionMismatchError: the chart "
+                                 f"returned {message}"]]
 
 
 @pytest.mark.parametrize("case", ["l4", "l5", "product"])

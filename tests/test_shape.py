@@ -11,8 +11,6 @@ from rwsurf.shape import (SurfaceGrid, frame_norm, normal_curvature,
                           normal_space_dims, pmcv_residual,
                           second_fundamental_form, shape_operator)
 
-from oracles import normal_connection_derivative
-
 
 def test_totally_geodesic_plane_has_zero_h(tilted_plane_grid):
     for i, j in tilted_plane_grid.nodes():
@@ -106,8 +104,7 @@ def test_gauss_formula_consistency(l4_grid):
     for (i, j) in [(2, 2), (6, 5)]:
         pd = l4_grid.point(i, j)
         for jj, fld in enumerate(fields):
-            for ii in range(2):
-                W = l4_grid.frame_covariant(fld, ii)
+            for ii, W in enumerate(l4_grid.frame_covariant(fld)):
                 res = (W - l4_grid.tangential_part(W))[i, j] \
                     - pd.sfd.h(ii + 1, jj + 1)
                 assert frame_norm(res, pd) < 1e-7
@@ -118,9 +115,8 @@ def test_normal_connection_mean_direction_parallel(l4_grid):
     e4 = lambda p: p.frame.normals[..., 1, :]
     for (i, j) in [(1, 1), (4, 6)]:
         pd = l4_grid.point(i, j)
-        for direction in (1, 2):
-            out = normal_connection_derivative(l4_grid, e4, direction)[i, j]
-            assert frame_norm(out, pd) < 1e-6
+        for out in l4_grid.nabla_perp(e4):
+            assert frame_norm(out[i, j], pd) < 1e-6
 
 
 def test_normal_connection_product_e3_rotation(product_grid):
@@ -128,12 +124,13 @@ def test_normal_connection_product_e3_rotation(product_grid):
     e3 = lambda p: p.frame.normals[..., 0, :]
     for (i, j) in [(2, 2), (5, 5)]:
         pd = product_grid.point(i, j)
-        out = normal_connection_derivative(product_grid, e3, 1)[i, j]
+        along_e1, along_e2 = product_grid.nabla_perp(e3)
+        out = along_e1[i, j]
         tau0 = pd.sfd.A[2][0, 0]
         th = pd.frame.theta
         expected = -math.tanh(th) * tau0 * pd.frame.normals[2]
         assert frame_norm(out - expected, pd) < 1e-8
-        out2 = normal_connection_derivative(product_grid, e3, 2)[i, j]
+        out2 = along_e2[i, j]
         assert frame_norm(out2, pd) < 1e-8
 
 
@@ -142,10 +139,8 @@ def test_normal_connection_constant_field_flat(tilted_plane_grid):
                                              p.jet.phi.shape)
     for (i, j) in [(1, 1), (3, 2)]:
         pd = tilted_plane_grid.point(i, j)
-        for direction in (1, 2):
-            out = normal_connection_derivative(
-                tilted_plane_grid, const_normal, direction)[i, j]
-            assert frame_norm(out, pd) < 1e-13
+        for out in tilted_plane_grid.nabla_perp(const_normal):
+            assert frame_norm(out[i, j], pd) < 1e-13
 
 
 def test_pmcv_residual_product_member(product_grid):

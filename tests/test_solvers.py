@@ -164,6 +164,26 @@ def test_solver_config_still_rejects_non_positive_tolerances():
     assert SolverConfig(fixed_step=None).fixed_step is None
 
 
+@pytest.mark.parametrize("value", [0.0, -0.1])
+def test_solver_config_rejects_non_positive_fixed_step(value):
+    with pytest.raises(ConstraintError,
+                       match=f"^fixed_step must be positive, got {value}"):
+        SolverConfig(fixed_step=value)
+
+
+@pytest.mark.parametrize("t_span", [(math.nan, 1.0), (0.0, math.nan)])
+def test_nan_interval_endpoint_rejected(t_span):
+    with pytest.raises(ConstraintError, match="NaN endpoint"):
+        rk_integrate(lambda t, y: y, [1.0], t_span)
+
+
+def test_infinite_interval_endpoint_still_integrates():
+    # an infinite end time runs until the solver stops on its own
+    res = rk_integrate(lambda t, y: [y[0] * y[0]], [1.0], (0.0, math.inf))
+    assert res.stop_reason == "step-underflow"
+    assert abs(res.t_end - 1.0) < 1e-3
+
+
 def test_zero_division_in_rhs_rejects_the_step():
     # y' = 1 / (2 - y), y(0) = 0 reaches y = 2 at t = 2, where y' blows up; a
     # float right-hand side past it divides by zero, which must reject the

@@ -1,3 +1,4 @@
+import collections
 import json
 import math
 
@@ -174,6 +175,32 @@ def test_verify_reads_the_grid_shape_operators(surface_name, request,
     assert rep.entry("normal_curvature").value == value
 
 
+@pytest.mark.parametrize("surface_name",
+                         ["l4_surface", "l5_surface", "product_surface"])
+def test_each_field_is_differentiated_once_per_grid(surface_name, request,
+                                                    monkeypatch):
+    # every (field, chart direction) stencil runs once per verify_surface
+    surface = request.getfixturevalue(surface_name)
+    calls = {"chart_derivative": [], "covariant_along": []}
+
+    def recording(name):
+        original = getattr(SurfaceGrid, name)
+
+        def wrapper(grid, extract, direction):
+            calls[name].append((extract.__code__, direction))
+            return original(grid, extract, direction)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(SurfaceGrid, name, recording(name))
+    rep = verify_surface(surface, grid=(9, 9))
+    assert rep.verdict == "pass"
+    for name, seen in calls.items():
+        assert seen, name
+        repeated = [k for k, n in collections.Counter(seen).items() if n > 1]
+        assert repeated == [], name
+
+
 def test_biconservativity_l4(l4_grid):
     assert biconservativity_residual(l4_grid) < 1e-5
 
@@ -270,6 +297,8 @@ def test_tolerance_entries_name_every_report_entry(l4_surface,
     assert {e.name for e in tiered} == set(verdicts.TOLERANCE_ENTRIES)
     assert len(set(verdicts.TOLERANCE_ENTRIES)) == len(verdicts.TOLERANCE_ENTRIES)
     assert {e.tol for e in tiered} <= set(verdicts.TIERS.values())
+    for e in tiered:
+        assert e.tol == verdicts.TIERS[verdicts.TOLERANCE_ENTRIES[e.name]], e.name
 
 
 def test_unknown_tolerance_override_is_rejected(product_surface):
