@@ -36,13 +36,19 @@ def _fmt(x) -> str:
     return format(float(x), _FMT)
 
 
-def _parse_span(text: str) -> tuple[float, float]:
-    lo, hi = (float(p) for p in text.split(":"))
+def _parse_span(text: str, flag: str) -> tuple[float, float]:
+    try:
+        lo, hi = (float(p) for p in text.split(":"))
+    except ValueError:
+        raise ValueError(f"{flag} must be lo:hi, got {text!r}") from None
     return lo, hi
 
 
 def _parse_grid(text: str) -> tuple[int, int]:
-    a, b = (int(p) for p in text.lower().split("x"))
+    try:
+        a, b = (int(p) for p in text.lower().split("x"))
+    except ValueError:
+        raise ValueError(f"--grid must be NUxNV, got {text!r}") from None
     if a < 3 or b < 3:
         raise ValueError("grid must be at least 3x3")
     return a, b
@@ -293,8 +299,10 @@ def _run_verify(surface, opts: _Options, expect: dict | None) -> int:
     report = verify_surface(
         surface,
         grid=_parse_grid(opts.get("grid")),
-        u_span=_parse_span(opts.get("u_span")) if opts.get("u_span") else None,
-        v_span=_parse_span(opts.get("v_span")) if opts.get("v_span") else None,
+        u_span=(_parse_span(opts.get("u_span"), "--u-span")
+                if opts.get("u_span") else None),
+        v_span=(_parse_span(opts.get("v_span"), "--v-span")
+                if opts.get("v_span") else None),
         tolerances=_tolerances(opts),
         expect=expect,
         substep=opts.get("substep", float),
@@ -361,7 +369,8 @@ def _cmd_verify_user_map(args) -> int:
         space = AmbientSpace.product_space_form(args.n, args.c)
     surface = finite_difference_jet(
         lambda u, v: chart(u, v), space,
-        _parse_span(args.chart_u_span), _parse_span(args.chart_v_span),
+        _parse_span(args.chart_u_span, "--chart-u-span"),
+        _parse_span(args.chart_v_span, "--chart-v-span"),
         name=f"user-map:{os.path.basename(args.py)}")
     return _run_verify(surface, opts, None)
 

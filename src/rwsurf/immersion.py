@@ -77,10 +77,12 @@ class Jet2Immersion:
     def jet(self, u, v):
         """The 2-jet at one point (u, v), raising that point's GeometryError;
         at arrays u, v: ``(sample, errors)``, ``errors`` mapping the flat
-        index of each failing point to ``"<ErrorClass>: <message>"``.  A
-        batched evaluator gets the in-domain points (NaN is not) in one call,
-        rerun point by point if it raises; any other gets one call per point.
-        Jet vectors whose length is not the ambient dimension raise
+        index of each failing point to ``"<ErrorClass>: <message>"``.  An
+        ArithmeticError or ValueError of the evaluator at a point is that
+        point's ChartDomainError, naming (u, v) and the error.  A batched
+        evaluator gets the in-domain points (NaN is not) in one call, rerun
+        point by point if it raises one of these; any other gets one call per
+        point.  Jet vectors whose length is not the ambient dimension raise
         DimensionMismatchError for the whole call."""
         uu, vv = np.broadcast_arrays(np.asarray(u, dtype=float),
                                      np.asarray(v, dtype=float))
@@ -97,7 +99,8 @@ class Jet2Immersion:
         if self.batched and uu.ndim and inside:
             try:
                 vectors = self.evaluator(uu.ravel()[inside], vv.ravel()[inside])
-            except GeometryError:  # rerun one by one: each point keeps its error
+            except (GeometryError, ArithmeticError, ValueError):
+                # rerun one by one: each point keeps its error
                 pass
             else:
                 parts[:, inside] = self._checked(vectors)
@@ -107,6 +110,10 @@ class Jet2Immersion:
                 vectors = self.evaluator(us[k], vs[k])
             except GeometryError as exc:
                 failed[k] = exc
+            except (ArithmeticError, ValueError) as exc:
+                failed[k] = ChartDomainError(
+                    f"chart failed at (u,v)=({us[k]},{vs[k]}): "
+                    f"{type(exc).__name__}: {exc}")
             else:
                 parts[:, k] = self._checked(vectors)
         for k in np.flatnonzero(~np.isfinite(parts).all(axis=(0, 2))).tolist():

@@ -107,9 +107,15 @@ def _warp_length_scale(space: AmbientSpace, u: float) -> float:
     inverse powers of the remaining distance; stencil substeps must shrink
     proportionally to keep truncation error flat.  f''' is estimated by a
     central difference of f''.  A constant warp (the product backend) gives
-    inf.
+    inf.  The warp is read at the chart parameter u, which is the time
+    coordinate of the catalog charts; where it cannot be read there, the
+    scale is inf (the row keeps the unshrunk substep) and the grid fill
+    records whatever fails at the row's points.
     """
-    f, fp, fpp = space.warp(u)
+    try:
+        f, fp, fpp = space.warp(u)
+    except GeometryError:
+        return np.inf
     h = 1e-4 * (1.0 + abs(u))
     lo, hi = space.warp.interval
     try:

@@ -5,14 +5,14 @@ L^5_1 family, and constants validators.
 The integrator is a Dormand-Prince 5(4) pair propagating the 5th-order
 solution, with the standard free quartic interpolant for dense output.  Its
 step loop runs on Python floats: right-hand sides and monitors receive the
-state as a list of floats, and numpy arrays are built once per solve, for
-the dense output.  The family right-hand sides, the pointwise 2x2 solve and
-the dense-output evaluation are scalar as well: dense output takes a float
-time and returns a tuple of floats.  The coupled system's state at a time,
-(f, f', f'', y, y', y''), is computed once per solution and cached.  No
-stiff solver is provided: the warp ODE blows up in finite time for many
-initial conditions, which is detected (step underflow) and reported rather
-than integrated through.
+state as a list of floats, and each accepted step is kept as one row of
+floats that the dense output reads.  The family right-hand sides, the
+pointwise 2x2 solve and the dense-output evaluation are scalar as well:
+dense output takes a float time and returns a tuple of floats.  The coupled
+system's state at a time, (f, f', f'', y, y', y''), is computed once per
+solution and cached.  No stiff solver is provided: the warp ODE blows up in
+finite time for many initial conditions, which is detected (step underflow)
+and reported rather than integrated through.
 """
 
 from __future__ import annotations
@@ -105,26 +105,21 @@ class DenseOutput:
     raises ChartDomainError.
     """
 
-    ts: np.ndarray          # step start times, shape (m,)
-    hs: np.ndarray          # step sizes, shape (m,)
-    ys: np.ndarray          # states at step starts, shape (m, d)
-    qs: np.ndarray          # interpolant coefficients, shape (m, d, 4)
+    steps: list             # (t, h, y, q) floats per accepted step, in order
     t_end: float            # may cut the last step short (monitor stop)
 
     def __post_init__(self):
-        # float copies for _segment: direction-signed step starts (monotone,
-        # for bisect), (lo, hi, slack, direction) and a (t, h, y, q) per step
-        direction = 1.0 if self.hs[0] > 0 else -1.0
-        lo, hi = map(float, self.interval)
+        # for _segment: direction-signed step starts (monotone, for bisect)
+        # and (lo, hi, slack, direction)
+        direction = 1.0 if self.steps[0][1] > 0 else -1.0
+        lo, hi = self.interval
         self.__dict__.update(
-            _starts=(self.ts * direction).tolist(),
-            _bounds=(lo, hi, 1e-12 * max(1.0, abs(lo), abs(hi)), direction),
-            _rows=list(zip(self.ts.tolist(), self.hs.tolist(), self.ys.tolist(),
-                           self.qs.tolist())))
+            _starts=[row[0] * direction for row in self.steps],
+            _bounds=(lo, hi, 1e-12 * max(1.0, abs(lo), abs(hi)), direction))
 
     @property
     def interval(self) -> tuple[float, float]:
-        lo, hi = float(self.ts[0]), self.t_end
+        lo, hi = self.steps[0][0], self.t_end
         return (lo, hi) if lo <= hi else (hi, lo)
 
     def _segment(self, t: float):
@@ -136,14 +131,11 @@ class DenseOutput:
             raise ChartDomainError(
                 f"dense output evaluated at t={t} outside [{lo}, {hi}]")
         t = min(max(t, lo), hi)
-        tk, h, y, q = self._rows[bisect_right(self._starts, t * direction) - 1]
+        tk, h, y, q = self.steps[bisect_right(self._starts, t * direction) - 1]
         return (t - tk) / h, h, y, q
 
     def __call__(self, t: float) -> tuple[float, ...]:
-        th, h, y, q = self._segment(t)
-        th2, th3 = th * th, th * th * th
-        return tuple([yi + h * (a * th + b * th2 + c * th3 + d * th2 * th2)
-                      for yi, (a, b, c, d) in zip(y, q)])
+        return tuple(_quartic(*self._segment(t)))
 
     def derivative(self, t: float) -> tuple[float, ...]:
         th, _, _, q = self._segment(t)
@@ -152,11 +144,19 @@ class DenseOutput:
                       for a, b, c, d in q])
 
 
+def _quartic(th, h, y, q) -> list[float]:
+    """The state at theta = th along the step (h, y, q) of a steps row."""
+    th2, th3 = th * th, th * th * th
+    return [yi + h * (a * th + b * th2 + c * th3 + d * th2 * th2)
+            for yi, (a, b, c, d) in zip(y, q)]
+
+
 @dataclass(frozen=True)
 class IntegrationResult:
+    """A solve's dense output (ending at ``dense.t_end``) and how it ended."""
+
     dense: DenseOutput
     stop_reason: str  # 'completed' | 'step-underflow' | 'monitor:<name>'
-    t_end: float
     n_accepted: int
     n_rejected: int
 
@@ -199,9 +199,10 @@ def rk_integrate(rhs: Callable, y0, t_span, config: SolverConfig | None = None,
     """Integrate y' = rhs(t, y) over t_span with dense output.
 
     ``rhs(t, y)`` receives the state as a list of Python floats and returns a
-    new sequence of its d derivatives (a list, a tuple or an array).  The
-    step loop works on floats and builds no numpy array per stage; the
-    accepted steps become the arrays of the DenseOutput once per solve.  A
+    new sequence of its d derivatives (a list or a tuple of floats, or an
+    array, which is read as its list of floats).  The step loop works on
+    floats and builds no numpy array; each accepted step appends one
+    ``(t, h, y, q)`` row, and the rows are the DenseOutput's steps.  A
     step whose stages raise an arithmetic error (ZeroDivisionError,
     OverflowError, FloatingPointError), SingularWarpError, LinAlgError or
     ValueError, or give a non-finite y_new or error estimate, is rejected and
@@ -226,6 +227,9 @@ def rk_integrate(rhs: Callable, y0, t_span, config: SolverConfig | None = None,
     d = len(y)
     t = t0
     f = rhs(t, y)
+    if isinstance(f, np.ndarray):
+        rhs = lambda t, y, array_rhs=rhs: array_rhs(t, y).tolist()
+        f = f.tolist()
     if len(f) != d:
         raise ValueError(f"rhs returned {len(f)} components for a state of {d}")
     rtol, atol = cfg.rtol, cfg.atol
@@ -245,7 +249,7 @@ def rk_integrate(rhs: Callable, y0, t_span, config: SolverConfig | None = None,
       (p61, p62, p63), (p71, p72, p73))) = _FLOAT_TABLEAU
     isfinite = math.isfinite
 
-    ts, hs, ys, qs = [], [], [], []
+    steps = []
     n_acc = n_rej = 0
     stop_reason = "completed"
     t_end = t1
@@ -304,10 +308,7 @@ def rk_integrate(rhs: Callable, y0, t_span, config: SolverConfig | None = None,
               p12 * p1 + p32 * p3 + p42 * p4 + p52 * p5 + p62 * p6 + p72 * p7,
               p13 * p1 + p33 * p3 + p43 * p4 + p53 * p5 + p63 * p6 + p73 * p7)
              for p1, p3, p4, p5, p6, p7 in zip(k1, k3, k4, k5, k6, k7)]
-        ts.append(t)
-        hs.append(h)
-        ys.append(y)
-        qs.append(Q)
+        steps.append((t, h, y, Q))
         n_acc += 1
 
         t_new = t + h
@@ -321,10 +322,7 @@ def rk_integrate(rhs: Callable, y0, t_span, config: SolverConfig | None = None,
             lo_th, hi_th = 0.0, 1.0
             for _ in range(80):
                 th = 0.5 * (lo_th + hi_th)
-                th2 = th * th
-                y_mid = [yi + h * (qa * th + qb * th2 + qc * th2 * th + qd * th2 * th2)
-                         for yi, (qa, qb, qc, qd) in zip(y, Q)]
-                if g(t + th * h, y_mid) > 0.0:
+                if g(t + th * h, _quartic(th, h, y, Q)) > 0.0:
                     lo_th = th
                 else:
                     hi_th = th
@@ -336,13 +334,11 @@ def rk_integrate(rhs: Callable, y0, t_span, config: SolverConfig | None = None,
         t, y, f = t_new, y_new, k7  # FSAL
         h_abs *= factor
 
-    if not ts:
+    if not steps:
         raise AdmissibilityError("integration could not take a single step")
     if stop_reason == "completed":
         t_end = t
-    dense = DenseOutput(np.array(ts), np.array(hs), np.array(ys),
-                        np.array(qs), t_end)
-    return IntegrationResult(dense, stop_reason, t_end, n_acc, n_rej)
+    return IntegrationResult(DenseOutput(steps, t_end), stop_reason, n_acc, n_rej)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -368,6 +369,29 @@ def test_verify_user_map_wrong_chart_length_exits_2(tmp_path, capsys, coords):
     assert "for an ambient space of dimension 4" in out
     assert "verdict: degenerate" in out
 
+def test_verify_user_map_chart_errors_are_degenerate_nodes(tmp_path, capsys):
+    # math.log fails for u <= -0.5: each such node is a recorded
+    # degeneracy naming its point, and the report is still written
+    py = tmp_path / "chart.py"
+    py.write_text("import math\n"
+                  "def chart(u, v):\n"
+                  "    return (0.1 * math.log(u + 0.5), u, v, 0.0)\n")
+    out = tmp_path / "report.json"
+    code = main(["verify", "user-map", "--py", str(py), "--ambient",
+                 "warped-flat", "--n", "4", "--warp", "exp",
+                 "--chart-u-span=-1:1", "--chart-v-span=-1:1",
+                 "--grid", "5x5", "--out", str(out)])
+    assert code == 2
+    assert "verdict: degenerate" in capsys.readouterr().out
+    report = json.loads(out.read_text())
+    assert report["verdict"] == "degenerate"
+    assert report["degeneracies"]
+    for i, j, text in report["degeneracies"]:
+        assert i >= 0 and j >= 0
+        assert re.fullmatch(r"ChartDomainError: chart failed at \(u,v\)="
+                            r"\(\S+,\S+\): ValueError: math domain error", text)
+
+
 def test_surface_and_residual_csv_exports(tmp_path):
     surf_csv = tmp_path / "surf.csv"
     res_csv = tmp_path / "res.csv"
@@ -466,6 +490,31 @@ def test_residuals_csv_when_grid_cannot_be_built(tmp_path, capsys):
     assert code == 2
     assert "no stencil headroom" in capsys.readouterr().out
     assert res_csv.read_text() == "i,j,u,v,pmcv,reduced,biconservativity\n"
+
+
+@pytest.mark.parametrize("flag", ["--u-span", "--v-span"])
+@pytest.mark.parametrize("value", ["nan:0.1", "0.1:nan", "-inf:0.1", "0.1:inf"])
+def test_non_finite_span_is_invalid_input(capsys, flag, value):
+    code = main(["verify", "product", "--b1", "1", "--b3", "0.5",
+                 "--grid", "5x5", f"{flag}={value}"])
+    assert code == 2
+    captured = capsys.readouterr()
+    name = flag[2:].replace("-", "_")
+    assert f"error: ValueError: {name} ends must be finite" in captured.err
+    assert "verdict" not in captured.out
+
+
+@pytest.mark.parametrize("flag, value, form", [
+    ("--grid", "5x5x2", "NUxNV"), ("--grid", "5", "NUxNV"),
+    ("--u-span", "0.1", "lo:hi"), ("--v-span", "0:1:2", "lo:hi"),
+])
+def test_malformed_grid_or_span_names_the_flag(capsys, flag, value, form):
+    args = {"--grid": "5x5", flag: value}
+    code = main(["verify", "product", "--b1", "1", "--b3", "0.5",
+                 *(f"{k}={v}" for k, v in args.items())])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"error: ValueError: {flag} must be {form}, got {value!r}" in err
 
 
 def test_bad_substep_is_invalid_input(capsys):

@@ -72,6 +72,56 @@ def test_jet_vector_length_must_match_the_ambient(chart, minkowski4):
                                  f"returned {message}"]]
 
 
+def _log_chart(u, v):
+    return (0.1 * math.log(u + 0.5), u, v, 0.0)
+
+
+def _log_chart_batched(u, v):
+    """The 2-jet of _log_chart at arrays u, v; raises as a whole when any u
+    is below the chart's domain."""
+    u, v = np.broadcast_arrays(np.asarray(u, dtype=float), v)
+    if (u <= -0.5).any():
+        raise ZeroDivisionError("log of a non-positive number")
+    cols = lambda *c: np.stack(np.broadcast_arrays(*c), axis=-1)
+    z = cols(0 * u, 0.0, 0.0, 0.0)
+    return (cols(0.1 * np.log(u + 0.5), u, v, 0.0),
+            cols(0.1 / (u + 0.5), 1.0, 0.0, 0.0), cols(0 * u, 0.0, 1.0, 0.0),
+            cols(-0.1 / (u + 0.5) ** 2, 0.0, 0.0, 0.0), z, z)
+
+
+@pytest.mark.parametrize("batched", [False, True], ids=["pointwise", "batched"])
+def test_chart_errors_are_point_errors(batched, minkowski4):
+    # an ArithmeticError or ValueError of the chart is that point's
+    # ChartDomainError, naming (u, v) and the error; the rest of a stack
+    # is evaluated
+    if batched:
+        surf = rw.Jet2Immersion(minkowski4, _log_chart_batched, (-1, 1),
+                                (-1, 1), batched=True)
+        cause = "ZeroDivisionError: log of a non-positive number"
+    else:
+        surf = fd_surface(_log_chart, minkowski4)
+        cause = "ValueError: math domain error"
+    us, vs = np.array([0.3, -0.7, 0.5, -0.9]), np.array([0.1, 0.2, -0.3, 0.4])
+    sample, errors = surf.jet(us, vs)
+    assert sorted(errors) == [1, 3]
+    for k in (1, 3):
+        message = f"chart failed at (u,v)=({us[k]},{vs[k]}): {cause}"
+        assert errors[k] == f"ChartDomainError: {message}"
+        with pytest.raises(ChartDomainError) as exc:
+            surf.jet(us[k], vs[k])
+        assert str(exc.value) == message
+    for k in (0, 2):
+        np.testing.assert_allclose(sample.phi_u[k], surf.jet(us[k], vs[k]).phi_u,
+                                   rtol=1e-12)
+
+
+def test_other_chart_errors_propagate(minkowski4):
+    def chart(u, v):
+        raise TypeError("not a chart")
+    with pytest.raises(TypeError, match="not a chart"):
+        fd_surface(chart, minkowski4).jet(np.array([0.1, 0.2]), np.zeros(2))
+
+
 @pytest.mark.parametrize("case", ["l4", "l5", "product"])
 def test_fd_jet_matches_analytic_catalog(case, l4_surface, l5_surface,
                                          product_surface):

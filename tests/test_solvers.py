@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,7 +10,7 @@ from rwsurf.errors import (AdmissibilityError, ChartDomainError,
 from rwsurf import solvers
 from rwsurf.solvers import SolverConfig, rk_integrate, system_equation_residuals
 
-from conftest import L5_CONSTANTS
+from conftest import L5_CONSTANTS, L5_ICS, L5_INTERVAL
 
 
 def test_exponential_growth():
@@ -45,17 +46,34 @@ def test_integrator_order_ratio():
     assert 24.0 <= ratio <= 40.0
 
 
+def _rows(d):
+    """The dense output's step rows as arrays (ts, hs, ys, qs) of shapes
+    (m,), (m,), (m, d) and (m, d, 4)."""
+    return tuple(np.array(column) for column in zip(*d.steps))
+
+
 def test_dense_output_interpolates_endpoints():
     res = rk_integrate(lambda t, y: np.array([y[1], -y[0]]), [0.3, 0.7],
                        (0.0, 3.0))
     d = res.dense
-    for k in range(len(d.ts)):
-        y = d(float(d.ts[k]))
-        np.testing.assert_allclose(y, d.ys[k], rtol=0, atol=1e-13)
+    ts, hs, ys, _ = _rows(d)
+    for k in range(len(ts)):
+        y = d(float(ts[k]))
+        np.testing.assert_allclose(y, ys[k], rtol=0, atol=1e-13)
     # right endpoints: start of the next step
-    for k in range(len(d.ts) - 1):
-        y = d(float(d.ts[k] + d.hs[k]))
-        np.testing.assert_allclose(y, d.ys[k + 1], rtol=0, atol=1e-13)
+    for k in range(len(ts) - 1):
+        y = d(float(ts[k] + hs[k]))
+        np.testing.assert_allclose(y, ys[k + 1], rtol=0, atol=1e-13)
+
+
+def test_dense_output_holds_no_arrays():
+    d = rk_integrate(lambda t, y: np.array([y[1], -y[0]]), [0.3, 0.7],
+                     (0.0, 3.0)).dense
+    assert [f.name for f in dataclasses.fields(d)] == ["steps", "t_end"]
+    assert not any(isinstance(v, np.ndarray) for v in vars(d).values())
+    for t, h, y, q in d.steps:
+        assert all(type(v) is float
+                   for v in (t, h, d.t_end, *y, *(c for row in q for c in row)))
 
 
 def test_dense_output_outside_interval():
@@ -67,12 +85,13 @@ def test_dense_output_outside_interval():
 def _matrix_form(d, t):
     """Dense output as ys[k] + h qs[k] @ [th, th^2, th^3, th^4] with numpy,
     at the step that holds t."""
-    k = int(np.searchsorted(d.ts * np.sign(d.hs[0]), t * np.sign(d.hs[0]),
+    ts, hs, ys, qs = _rows(d)
+    k = int(np.searchsorted(ts * np.sign(hs[0]), t * np.sign(hs[0]),
                             side="right")) - 1
-    k = min(max(k, 0), len(d.hs) - 1)
-    th = (t - d.ts[k]) / d.hs[k]
-    y = d.ys[k] + d.hs[k] * (d.qs[k] @ np.array([th, th**2, th**3, th**4]))
-    return y, d.qs[k] @ np.array([1.0, 2 * th, 3 * th**2, 4 * th**3])
+    k = min(max(k, 0), len(hs) - 1)
+    th = (t - ts[k]) / hs[k]
+    y = ys[k] + hs[k] * (qs[k] @ np.array([th, th**2, th**3, th**4]))
+    return y, qs[k] @ np.array([1.0, 2 * th, 3 * th**2, 4 * th**3])
 
 
 _OSCILLATOR = (lambda t, y: np.array([y[1], -y[0]]), [0.3, 0.7])
@@ -93,10 +112,11 @@ def test_dense_output_matches_matrix_form(rhs, y0, t_span, monitors):
                                else "completed")
     # step starts, step interiors, and the last step up to its (possibly
     # truncated) end
-    ts = list(d.ts) + [res.t_end]
-    ts += [float(d.ts[k] + th * d.hs[k]) for k in range(len(d.ts) - 1)
+    starts, hs, _, _ = _rows(d)
+    ts = list(starts) + [d.t_end]
+    ts += [float(starts[k] + th * hs[k]) for k in range(len(starts) - 1)
            for th in (0.1, 0.5, 0.93)]
-    ts += [float(d.ts[-1] + th * (res.t_end - d.ts[-1])) for th in (0.3, 0.999)]
+    ts += [float(starts[-1] + th * (d.t_end - starts[-1])) for th in (0.3, 0.999)]
     for t in ts:
         y, yp = d(float(t)), d.derivative(float(t))
         y_ref, yp_ref = _matrix_form(d, float(t))
@@ -132,8 +152,8 @@ def test_monitor_truncates_with_reason():
     res = rk_integrate(lambda t, y: np.ones(1), [0.0], (0.0, 5.0),
                        monitors=[("ceiling", lambda t, y: 2.0 - y[0])])
     assert res.stop_reason == "monitor:ceiling"
-    assert abs(res.t_end - 2.0) < 1e-9
-    y = res.dense(res.t_end)
+    assert abs(res.dense.t_end - 2.0) < 1e-9
+    y = res.dense(res.dense.t_end)
     assert abs(y[0] - 2.0) < 1e-9
 
 
@@ -142,7 +162,7 @@ def test_nan_monitor_value_stops_integration():
                        monitors=[("nan-past-2", lambda t, y:
                                   math.nan if y[0] > 2.0 else 1.0)])
     assert res.stop_reason == "monitor:nan-past-2"
-    assert abs(res.t_end - 2.0) < 1e-9
+    assert abs(res.dense.t_end - 2.0) < 1e-9
 
 
 def test_degenerate_interval_rejected():
@@ -181,7 +201,7 @@ def test_infinite_interval_endpoint_still_integrates():
     # an infinite end time runs until the solver stops on its own
     res = rk_integrate(lambda t, y: [y[0] * y[0]], [1.0], (0.0, math.inf))
     assert res.stop_reason == "step-underflow"
-    assert abs(res.t_end - 1.0) < 1e-3
+    assert abs(res.dense.t_end - 1.0) < 1e-3
 
 
 def test_zero_division_in_rhs_rejects_the_step():
@@ -191,7 +211,7 @@ def test_zero_division_in_rhs_rejects_the_step():
     res = rk_integrate(lambda t, y: [1 / (2 - y[0]) if y[0] < 2 else 1 / 0.0],
                        [0.0], (0.0, 5.0))
     assert res.stop_reason == "step-underflow"
-    assert abs(res.t_end - 2.0) < 1e-6
+    assert abs(res.dense.t_end - 2.0) < 1e-6
 
 
 def _matrix_form_steps(rhs, y0, h, n):
@@ -224,8 +244,9 @@ def test_float_loop_matches_matrix_form_tableau(M, y0):
 
     res = rk_integrate(rhs, y0, (0.0, 2.0), SolverConfig(fixed_step=0.05))
     ys, qs = _matrix_form_steps(rhs, y0, 0.05, 40)
-    assert res.n_accepted == 40 and res.dense.ys.shape == ys.shape
-    for got, want in ((res.dense.ys, ys), (res.dense.qs, qs)):
+    _, _, got_ys, got_qs = _rows(res.dense)
+    assert res.n_accepted == 40 and got_ys.shape == ys.shape
+    for got, want in ((got_ys, ys), (got_qs, qs)):
         np.testing.assert_allclose(got, want, rtol=1e-14,
                                    atol=1e-14 * np.abs(want).max())
 
@@ -311,6 +332,68 @@ def test_numpy_calls_do_not_grow_with_steps(monkeypatch, short, long):
     (n_short, c_short), (n_long, c_long) = counts
     assert n_long >= 50 * n_short
     assert c_short == c_long
+
+
+# The thm4 warp (a 2, H0 0.5, f0 1, f0' 2 on [0, 1]) and the thm5 system (the
+# conftest L5 item): stop reason, accepted and rejected steps, end time and
+# the dense state at 11 evenly spaced times of the covered interval, as the
+# solver gave them when this test was written.  A change to the integrator
+# that moves the warp the certificates read shows here first.
+_PINNED_WARPS = {
+    "thm4": ('step-underflow', 966, 0, 0.17842196609216815, [
+        (1.0, 2.0),
+        (1.0366199705758665, 2.1068661020272947),
+        (1.0752624880492752, 2.2272659893240316),
+        (1.1162027662220233, 2.3652472813823695),
+        (1.1598054654987098, 2.526984657278048),
+        (1.2065762840298193, 2.722522907836247),
+        (1.2572609494192375, 2.9696954192967535),
+        (1.3130603196555801, 3.3044455626938793),
+        (1.3761956176966337, 3.8156235539477756),
+        (1.4520015176181424, 4.831884683347825),
+        (1.5811388207598531, 17833.406069748384),
+    ]),
+    "thm5": ('completed', 142, 1, 0.8, [
+        (1.5, 1.2, 0.4, -0.7),
+        (1.5959367583742754, 1.1915861789372026,
+         0.3446720437922183, -0.684481518400491),
+        (1.6892174333674481, 1.128848540829579,
+         0.29027460939013916, -0.676738382006669),
+        (1.774159798917849, 0.975908291634512,
+         0.23620973270403434, -0.6757678944067881),
+        (1.8417037476427502, 0.6863520478717672,
+         0.18210391971277287, -0.6763038843070038),
+        (1.8797024882516027, 0.24038863044985428,
+         0.12829688080683235, -0.66566630609088),
+        (1.8781259102352048, -0.27866147018246606,
+         0.07624174371976525, -0.6316700423312005),
+        (1.837450459801606, -0.7140078496430817,
+         0.02767841514693462, -0.5812865495888307),
+        (1.7681838238067915, -0.9917261071049072,
+         -0.016829525318827098, -0.5329402412639193),
+        (1.6823382730207728, -1.1362329653109602,
+         -0.05791509966221063, -0.4964039786692549),
+        (1.588692414840651, -1.1937764429642432,
+         -0.09659437805970535, -0.4725464122904337),
+    ]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_PINNED_WARPS))
+def test_pinned_warps(kind, l4_constants, l5_constants):
+    if kind == "thm4":
+        res = rw.solve_rotational_warp(l4_constants, 1.0, 2.0, (0.0, 1.0))
+    else:
+        res = rw.solve_warp_system(l5_constants, L5_ICS, L5_INTERVAL)
+    res = res.integration
+    stop_reason, n_accepted, n_rejected, t_end, samples = _PINNED_WARPS[kind]
+    assert (res.stop_reason, res.n_accepted, res.n_rejected) == (
+        stop_reason, n_accepted, n_rejected)
+    assert math.isclose(res.dense.t_end, t_end, rel_tol=1e-14, abs_tol=0.0)
+    lo, hi = res.dense.interval
+    for k, want in enumerate(samples):
+        np.testing.assert_allclose(res.dense(lo + (hi - lo) * k / 10), want,
+                                   rtol=1e-14, atol=0.0)
 
 
 # -- constants ---------------------------------------------------------------
@@ -601,7 +684,7 @@ def test_accepted_states_have_a_non_singular_system(l5_solution):
         "completed", "step-underflow"}
     for sol in solutions:
         dense = sol.integration.dense
-        for fv, fp, _, yp in [*dense.ys.tolist(), dense(sol.integration.t_end)]:
+        for fv, fp, _, yp in [*_rows(dense)[2].tolist(), dense(dense.t_end)]:
             entries = solvers._system_matrices(sol.constants, fv, fp, yp)[:4]
             assert solvers._det_margin(*entries)[0] > 0.0
 

@@ -405,6 +405,51 @@ def test_bad_substep_rejected_before_grid_work(product_surface, monkeypatch):
                         substep=substep)
 
 
+@pytest.mark.parametrize("name", ["u_span", "v_span"])
+@pytest.mark.parametrize("span", [(math.nan, 0.1), (0.1, math.nan),
+                                  (-math.inf, 0.1), (0.1, math.inf)],
+                         ids=["nan-lo", "nan-hi", "inf-lo", "inf-hi"])
+def test_non_finite_span_rejected_before_grid_work(product_surface,
+                                                   monkeypatch, name, span):
+    def no_grid(*args, **kwargs):
+        raise AssertionError("a grid was built")
+
+    monkeypatch.setattr(verdicts, "SurfaceGrid", no_grid)
+    with pytest.raises(ValueError, match=f"^{name} ends must be finite"):
+        verify_surface(product_surface, grid=(5, 5), **{name: span})
+
+
+def _tube_chart(shift):
+    """A tube about the time axis whose time coordinate is u + shift."""
+    def chart(u, v):
+        r = 0.3 * math.cosh(u)
+        return (u + shift, r * math.cos(v), r * math.sin(v), 0.7 * u)
+    return chart
+
+
+def test_chart_time_offset_from_u_verifies_like_the_shifted_warp():
+    # the same surface twice: time u + 2 under the warp 1 + t/2 + t^2/10 on
+    # (1, 3), and time u under that warp shifted to (-1, 1).  The substep
+    # probe reads the warp at u, outside (1, 3) for the first chart; that
+    # row keeps the unshrunk substep and the grid is evaluated as usual
+    reports = []
+    for shift, coeffs, interval in ((2.0, [1, 0.5, 0.1], (1, 3)),
+                                    (0.0, [2.4, 0.9, 0.1], (-1, 1))):
+        space = rw.AmbientSpace.warped_flat(
+            4, rw.WarpingFunction.polynomial(coeffs, interval))
+        surface = rw.finite_difference_jet(_tube_chart(shift), space,
+                                           (-0.9, 0.9), (0.0, 2 * math.pi))
+        reports.append(verify_surface(surface, grid=(7, 7)))
+    shifted, direct = reports
+    for rep in reports:
+        assert rep.degeneracies == []
+        assert rep.diagnostics["nodes_evaluated"] == 49
+    assert shifted.verdict == direct.verdict
+    assert [e.name for e in shifted.entries] == [e.name for e in direct.entries]
+    for a, b in zip(shifted.entries, direct.entries):
+        assert abs(a.value - b.value) <= 0.25 * a.tol, a.name
+
+
 def test_nan_generator_fails_the_dimension_entries(product_surface,
                                                    monkeypatch):
     class PoisonedGrid(SurfaceGrid):
