@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import importlib.util
 import json
+import math
 import os
 import sys
 
@@ -41,6 +42,9 @@ def _parse_span(text: str, flag: str) -> tuple[float, float]:
         lo, hi = (float(p) for p in text.split(":"))
     except ValueError:
         raise ValueError(f"{flag} must be lo:hi, got {text!r}") from None
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ValueError(
+            f"{flag} must be lo:hi with finite lo < hi, got {text!r}")
     return lo, hi
 
 
@@ -321,7 +325,9 @@ def _cmd_verify_thm4(args) -> int:
     constants = solvers.validate_constants_l4(args.a, args.H0, args.c2)
     solution = solvers.solve_rotational_warp(
         constants, args.f0, args.f0p, (0.0, opts.get("u_end", float)))
-    print(f"warp integration: {solution.integration.stop_reason}, "
+    blow_up = ("" if solution.blow_up_time is None else
+               f", estimated blow-up at t={solution.blow_up_time:.6g}")
+    print(f"warp integration: {solution.integration.stop_reason}{blow_up}, "
           f"admissible interval [{solution.warp.interval[0]:.6g}, "
           f"{solution.warp.interval[1]:.6g}]")
     surface = catalog.rotational_surface_l41(constants, solution.warp)
@@ -403,7 +409,9 @@ def _cmd_solve_f4(args) -> int:
     solution = solvers.solve_rotational_warp(constants, args.f0, args.f0p,
                                              (args.u0, args.u1), cfg)
     lo, hi = solution.warp.interval
-    print(f"stop reason: {solution.integration.stop_reason}")
+    blow_up = ("" if solution.blow_up_time is None else
+               f", estimated blow-up at t={_fmt(solution.blow_up_time)}")
+    print(f"stop reason: {solution.integration.stop_reason}{blow_up}")
     print(f"admissible interval: [{_fmt(lo)}, {_fmt(hi)}]")
     if args.csv:
         _write_dense_csv(args.csv, solution, args.samples, with_y=False)

@@ -11,8 +11,10 @@ pointwise 2x2 solve and the dense-output evaluation are scalar as well:
 dense output takes a float time and returns a tuple of floats.  The coupled
 system's state at a time, (f, f', f'', y, y', y''), is computed once per
 solution and cached.  No stiff solver is provided: the warp ODE blows up in
-finite time for many initial conditions, which is detected (step underflow)
-and reported rather than integrated through.
+finite time for many initial conditions.  The rotational warp's solve stops
+short of its blow-up on an asymptotic estimate of the time left (monitor
+'blow-up', see _BLOW_UP_DELTA); elsewhere a blow-up ends the solve by step
+underflow.  Either way it is reported rather than integrated through.
 """
 
 from __future__ import annotations
@@ -212,8 +214,9 @@ def rk_integrate(rhs: Callable, y0, t_span, config: SolverConfig | None = None,
     along the trajectory, y again a list of floats (a NaN value counts as a
     crossing); the first crossing truncates the output (the stop time is
     located by bisection on the dense segment) and is recorded as stop
-    reason 'monitor:<name>'.  Step underflow near a blow-up stops with
-    'step-underflow' and the last valid time.
+    reason 'monitor:<name>'; it never changes a step size.  Step underflow
+    near a blow-up that no monitor stops ends with 'step-underflow' and the
+    last valid time.
     """
     cfg = config or SolverConfig()
     t0, t1 = float(t_span[0]), float(t_span[1])
@@ -483,11 +486,26 @@ def rotational_warp_rhs(constants: ConstantsL4):
     return rhs
 
 
+# The rotational warp's solve stops once the time left to its blow-up falls
+# below this share of |t - t0|, so its interval ends about _BLOW_UP_DELTA x
+# length short of the blow-up (Stuart and Floater 1990).
+_BLOW_UP_DELTA = 1e-6
+
+
+def _blow_up_time_left(b2, fv, fp) -> float:
+    """Time left to the blow-up, b^2 |f|^3 / (6 |f'|^3), from the asymptotic
+    f'' ~ 2 f'^4 / (b^2 f^3)."""
+    ratio = fv / fp
+    return b2 * abs(ratio * ratio * ratio) / 6.0
+
+
 @dataclass(frozen=True)
 class RotationalWarpSolution:
     warp: WarpingFunction
     integration: IntegrationResult
     constants: ConstantsL4
+    # t_end + direction x time left at t_end after 'monitor:blow-up', else None
+    blow_up_time: float | None = None
 
 
 def solve_rotational_warp(constants: ConstantsL4, f0: float, f0p: float,
@@ -499,6 +517,9 @@ def solve_rotational_warp(constants: ConstantsL4, f0: float, f0p: float,
     required at the start and monitored along the trajectory; the returned
     WarpingFunction is restricted to the admissible subinterval and supplies
     f'' through the ODE right-hand side (self-consistent by construction).
+    While |f'| grows in the direction of integration, the solve stops by
+    'monitor:blow-up' once the time left to the blow-up falls below
+    _BLOW_UP_DELTA |t - t0|, and records the estimated blow-up time.
     """
     _require_finite(f0=f0, f0p=f0p)
     b2 = constants.b2
@@ -510,19 +531,28 @@ def solve_rotational_warp(constants: ConstantsL4, f0: float, f0p: float,
             f"f'^2 > (a^2 - 4 H0^2) f^2 violated at start: {f0p**2} <= {b2 * f0**2}")
     rhs = rotational_warp_rhs(constants)
     sgn = 1.0 if f0 > 0 else -1.0
+    # f'' has the sign of f, so |f'| grows where direction * sgn * f' > 0
+    t0 = float(interval[0])
+    direction = 1.0 if interval[1] > interval[0] else -1.0
+    grows = direction * sgn
     monitors = [
         ("admissible", lambda t, s: s[1] * s[1] - b2 * s[0] * s[0]),
         ("warp-positive", lambda t, s: sgn * s[0] - 1e-12),
+        ("blow-up", lambda t, s: 1.0 if grows * s[1] <= 0.0 else
+         _blow_up_time_left(b2, *s) - _BLOW_UP_DELTA * abs(t - t0)),
     ]
     result = rk_integrate(rhs, [f0, f0p], interval, config, monitors)
     dense = result.dense
+    blow_up_time = (dense.t_end + direction * _blow_up_time_left(
+        b2, *dense(dense.t_end)) if result.stop_reason == "monitor:blow-up"
+        else None)
 
     def fn(t):
         fv, fp = dense(t)
         return (fv, *rhs(t, (fv, fp)))
 
     return RotationalWarpSolution(WarpingFunction(fn, dense.interval), result,
-                                  constants)
+                                  constants, blow_up_time)
 
 
 # ---------------------------------------------------------------------------

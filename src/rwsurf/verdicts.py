@@ -309,12 +309,14 @@ def verify_surface(surface: Jet2Immersion, grid=(17, 17),
     headroom.  ``expect`` may pin {'H0': value, 'dim_N1': k, 'dim_N2': k},
     which adds the corresponding entries.  ``tolerances`` maps entry names
     to tolerances that replace their tier's; a name outside
-    ``TOLERANCE_ENTRIES`` raises ValueError, as does a span with an end that
-    is not finite.  Deterministic for fixed inputs.  The filled grid every
+    ``TOLERANCE_ENTRIES`` raises ValueError, as does a span that is not two
+    finite ends.  Deterministic for fixed inputs.  The filled grid every
     check read is the report's ``surface_grid``.
     """
     substep = _check_substep(substep)
     for name, given in (("u_span", u_span), ("v_span", v_span)):
+        if given is not None and len(given) != 2:
+            raise ValueError(f"{name} must be (lo, hi), got {tuple(given)}")
         if given is not None and not all(map(math.isfinite, given)):
             raise ValueError(f"{name} ends must be finite, got {tuple(given)}")
     overrides = tolerances or {}

@@ -99,7 +99,9 @@ def test_solve_f4_csv(tmp_path, capsys):
     first = [float(x) for x in lines[1].split(",")]
     assert first[:3] == [0.0, 1.0, 2.0]
     assert abs(first[3] - 17.0 / 3.0) < 1e-12
-    assert "step-underflow" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "stop reason: monitor:blow-up, estimated blow-up at t=0.178421966" \
+        in out
 
 
 def test_solve_sys5_csv(tmp_path, capsys):
@@ -493,15 +495,36 @@ def test_residuals_csv_when_grid_cannot_be_built(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flag", ["--u-span", "--v-span"])
-@pytest.mark.parametrize("value", ["nan:0.1", "0.1:nan", "-inf:0.1", "0.1:inf"])
+@pytest.mark.parametrize("value", ["nan:0.1", "0.1:nan", "-inf:0.1", "0.1:inf",
+                                   "0.1:0"])
 def test_non_finite_span_is_invalid_input(capsys, flag, value):
     code = main(["verify", "product", "--b1", "1", "--b3", "0.5",
                  "--grid", "5x5", f"{flag}={value}"])
     assert code == 2
     captured = capsys.readouterr()
-    name = flag[2:].replace("-", "_")
-    assert f"error: ValueError: {name} ends must be finite" in captured.err
+    assert (f"error: ValueError: {flag} must be lo:hi with finite lo < hi, "
+            f"got {value!r}") in captured.err
     assert "verdict" not in captured.out
+
+
+@pytest.mark.parametrize("flag", ["--chart-u-span", "--chart-v-span"])
+@pytest.mark.parametrize("value", ["nan:1", "-1:nan", "-inf:1", "1:0", "0:0"])
+def test_chart_span_must_be_finite_and_ordered(tmp_path, capsys, flag, value):
+    # an unusable chart span is an input error naming the flag, not a
+    # degenerate report of u=nan nodes or a grid with no stencil headroom
+    chart = tmp_path / "chart.py"
+    chart.write_text("def chart(u, v):\n    return (0.1 * u, u, v, 0.0)\n")
+    spans = {"--chart-u-span": "-1:1", "--chart-v-span": "-1:1", flag: value}
+    out = tmp_path / "report.json"
+    code = main(["verify", "user-map", "--py", str(chart), "--ambient",
+                 "warped-flat", "--n", "4", "--warp", "exp", "--grid", "3x3",
+                 *(f"{k}={v}" for k, v in spans.items()), "--out", str(out)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert (f"error: ValueError: {flag} must be lo:hi with finite lo < hi, "
+            f"got {value!r}") in captured.err
+    assert "verdict" not in captured.out
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flag, value, form", [

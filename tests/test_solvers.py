@@ -334,13 +334,23 @@ def test_numpy_calls_do_not_grow_with_steps(monkeypatch, short, long):
     assert c_short == c_long
 
 
+# The end time of the thm4 warp when it stopped by 'step-underflow', before
+# the blow-up monitor: the last time before the blow-up the integrator could
+# step to.
+_THM4_UNDERFLOW_T_END = 0.17842196609216815
+
 # The thm4 warp (a 2, H0 0.5, f0 1, f0' 2 on [0, 1]) and the thm5 system (the
-# conftest L5 item): stop reason, accepted and rejected steps, end time and
-# the dense state at 11 evenly spaced times of the covered interval, as the
-# solver gave them when this test was written.  A change to the integrator
-# that moves the warp the certificates read shows here first.
+# conftest L5 item): stop reason, accepted and rejected steps, end time, the
+# end of the sampled span, and the dense state at 10 evenly spaced times
+# lo + (span end - lo) k / 10 and at the end time, as the solver gave them
+# when this test was written.  A change to the integrator that moves the
+# warp the certificates read shows here first.  The thm4 samples before the
+# end were recorded on the 'step-underflow' interval; the blow-up monitor
+# only truncates the solve, so they must hold bitwise, and only the end state
+# is new.
 _PINNED_WARPS = {
-    "thm4": ('step-underflow', 966, 0, 0.17842196609216815, [
+    "thm4": ('monitor:blow-up', 506, 0, 0.17842178764648978,
+             _THM4_UNDERFLOW_T_END, [
         (1.0, 2.0),
         (1.0366199705758665, 2.1068661020272947),
         (1.0752624880492752, 2.2272659893240316),
@@ -351,9 +361,9 @@ _PINNED_WARPS = {
         (1.3130603196555801, 3.3044455626938793),
         (1.3761956176966337, 3.8156235539477756),
         (1.4520015176181424, 4.831884683347825),
-        (1.5811388207598531, 17833.406069748384),
+        (1.581079164461626, 222.90902633604415),
     ]),
-    "thm5": ('completed', 142, 1, 0.8, [
+    "thm5": ('completed', 142, 1, 0.8, 0.8, [
         (1.5, 1.2, 0.4, -0.7),
         (1.5959367583742754, 1.1915861789372026,
          0.3446720437922183, -0.684481518400491),
@@ -386,14 +396,16 @@ def test_pinned_warps(kind, l4_constants, l5_constants):
     else:
         res = rw.solve_warp_system(l5_constants, L5_ICS, L5_INTERVAL)
     res = res.integration
-    stop_reason, n_accepted, n_rejected, t_end, samples = _PINNED_WARPS[kind]
+    (stop_reason, n_accepted, n_rejected, t_end, span_end,
+     samples) = _PINNED_WARPS[kind]
     assert (res.stop_reason, res.n_accepted, res.n_rejected) == (
         stop_reason, n_accepted, n_rejected)
     assert math.isclose(res.dense.t_end, t_end, rel_tol=1e-14, abs_tol=0.0)
-    lo, hi = res.dense.interval
-    for k, want in enumerate(samples):
-        np.testing.assert_allclose(res.dense(lo + (hi - lo) * k / 10), want,
-                                   rtol=1e-14, atol=0.0)
+    lo = res.dense.interval[0]
+    for k, want in enumerate(samples[:10]):
+        assert res.dense(lo + (span_end - lo) * k / 10) == want, k
+    np.testing.assert_allclose(res.dense(res.dense.t_end), samples[10],
+                               rtol=1e-14, atol=0.0)
 
 
 # -- constants ---------------------------------------------------------------
@@ -482,9 +494,76 @@ def test_rotational_warp_inadmissible_start():
 
 def test_rotational_warp_blowup_stop(l4_solution):
     # the canonical initial data blow up in finite time; the integrator must
-    # stop with step underflow before the horizon, around t ~ 0.1784
-    assert l4_solution.integration.stop_reason == "step-underflow"
+    # stop on the blow-up monitor before the horizon, around t ~ 0.1784
+    assert l4_solution.integration.stop_reason == "monitor:blow-up"
     assert 0.17 < l4_solution.warp.interval[1] < 0.19
+
+
+def _l4_solve(f0, f0p, interval):
+    return rw.solve_rotational_warp(rw.validate_constants_l4(2.0, 0.5), f0,
+                                    f0p, interval)
+
+
+def test_blow_up_monitor_follows_the_signs():
+    # f -> -f maps the ODE to itself, and so does t -> -t with f' -> -f', so
+    # the monitor must fire exactly where |f'| grows toward the blow-up
+    base = _l4_solve(1.0, 2.0, (0.0, 1.0))
+    mirrored = _l4_solve(-1.0, -2.0, (0.0, 1.0))
+    for sol in (base, mirrored):
+        assert sol.integration.stop_reason == "monitor:blow-up"
+        assert sol.integration.n_accepted == 506
+    dense, mirror = base.integration.dense, mirrored.integration.dense
+    assert mirror.t_end == dense.t_end
+    assert mirrored.blow_up_time == base.blow_up_time
+    for t in np.linspace(0.0, dense.t_end, 101).tolist():
+        assert mirror(t) == tuple(-x for x in dense(t))
+
+    backward = _l4_solve(1.0, -2.0, (0.0, -1.0))
+    assert backward.integration.stop_reason == "monitor:blow-up"
+    assert backward.integration.dense.t_end == -dense.t_end
+    assert backward.blow_up_time == -base.blow_up_time
+
+    # backward from f' = 2 the slope shrinks: nothing blows up, and the
+    # solve takes the 130 steps it took before the monitor existed
+    calm = _l4_solve(1.0, 2.0, (0.0, -1.0))
+    assert calm.integration.stop_reason == "completed"
+    assert calm.integration.n_accepted == 130
+    assert calm.blow_up_time is None
+
+
+def test_blow_up_stop_moves_the_end_by_at_most_delta_length(l4_solution):
+    # the monitor stops once the time left falls below delta |t - t0|, so
+    # the end moves back from the blow-up by about delta x length, and the
+    # recorded estimate lands on the step-underflow end
+    delta, length = solvers._BLOW_UP_DELTA, _THM4_UNDERFLOW_T_END
+    t_end = l4_solution.integration.dense.t_end
+    assert _THM4_UNDERFLOW_T_END - 1.01 * delta * length <= t_end
+    assert t_end < _THM4_UNDERFLOW_T_END
+    assert abs(l4_solution.blow_up_time - _THM4_UNDERFLOW_T_END) \
+        <= 1e-3 * delta * length
+
+
+def test_blow_up_monitor_reads_nan_as_a_crossing(l4_constants, monkeypatch):
+    # a NaN state or time-left estimate must read as a crossing, like any
+    # NaN monitor value
+    seen = {}
+
+    def capture(rhs, y0, t_span, config, monitors):
+        seen.update(monitors)
+        return rk_integrate(rhs, y0, t_span, config, monitors)
+
+    monkeypatch.setattr(solvers, "rk_integrate", capture)
+    rw.solve_rotational_warp(l4_constants, 1.0, 2.0, (0.0, 1.0))
+    g = seen["blow-up"]
+    assert g(0.1, [1.0, 2.0]) > 0.0
+    assert g(0.1, [1.0, -2.0]) > 0.0  # |f'| shrinks: inactive
+    for state in ([1.0, math.nan], [math.nan, 2.0]):
+        assert not g(0.1, state) > 0.0
+    monkeypatch.setattr(solvers, "_blow_up_time_left",
+                        lambda b2, fv, fp: math.nan)
+    sol = rw.solve_rotational_warp(l4_constants, 1.0, 2.0, (0.0, 1.0))
+    assert sol.integration.stop_reason == "monitor:blow-up"
+    assert sol.integration.n_accepted == 1
 
 
 def test_rotational_warp_ode_residual(l4_solution):

@@ -419,6 +419,21 @@ def test_non_finite_span_rejected_before_grid_work(product_surface,
         verify_surface(product_surface, grid=(5, 5), **{name: span})
 
 
+@pytest.mark.parametrize("name", ["u_span", "v_span"])
+@pytest.mark.parametrize("span", [(0.1,), (0.1, 0.2, 0.3), ()],
+                         ids=["one", "three", "none"])
+def test_span_of_wrong_length_rejected_before_grid_work(product_surface,
+                                                        monkeypatch, name,
+                                                        span):
+    def no_grid(*args, **kwargs):
+        raise AssertionError("a grid was built")
+
+    monkeypatch.setattr(verdicts, "SurfaceGrid", no_grid)
+    with pytest.raises(ValueError,
+                       match=rf"^{name} must be \(lo, hi\), got \("):
+        verify_surface(product_surface, grid=(5, 5), **{name: span})
+
+
 def _tube_chart(shift):
     """A tube about the time axis whose time coordinate is u + shift."""
     def chart(u, v):
