@@ -58,9 +58,17 @@ def _parse_grid(text: str) -> tuple[int, int]:
     return a, b
 
 
-def _parse_range(text: str) -> np.ndarray:
-    lo, hi, n = text.split(":")
-    return np.linspace(float(lo), float(hi), int(n))
+def _parse_range(text: str, flag: str) -> np.ndarray:
+    form = (f"{flag} must be lo:hi:n with finite lo, hi and an integer "
+            f"n >= 1, got {text!r}")
+    try:
+        lo, hi, n = text.split(":")
+        lo, hi, n = float(lo), float(hi), int(n)
+    except ValueError:
+        raise ValueError(form) from None
+    if not (math.isfinite(lo) and math.isfinite(hi) and n >= 1):
+        raise ValueError(form)
+    return np.linspace(lo, hi, n)
 
 
 def _parse_warp(text: str) -> WarpingFunction:
@@ -441,14 +449,15 @@ def _write_scan_csv(path, result):
     rows = result.residuals.reshape(len(result.thetas), len(taus)).tolist()
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("theta,tau,residual\n")
-        fh.writelines(f"{th:{_FMT}},{ta},{r:{_FMT}}\n"
-                      for th, row in zip(result.thetas.tolist(), rows)
-                      for ta, r in zip(taus, row))
+        for th, row in zip(result.thetas.tolist(), rows):
+            head = f"{th:{_FMT}},"  # once per theta, not once per cell
+            fh.writelines(f"{head}{ta},{r:{_FMT}}\n"
+                          for ta, r in zip(taus, row))
 
 
 def _cmd_scan_h4(args) -> int:
-    result = catalog.nonexistence_scan_e11h4(_parse_range(args.theta),
-                                             _parse_range(args.tau))
+    result = catalog.nonexistence_scan_e11h4(
+        _parse_range(args.theta, "--theta"), _parse_range(args.tau, "--tau"))
     print(f"min |residual| = {_fmt(result.min_abs)}")
     print(f"analytic lower bound = {_fmt(result.lower_bound)}")
     print(f"bound holds at every node: {result.bound_holds}")
@@ -459,7 +468,8 @@ def _cmd_scan_h4(args) -> int:
 
 
 def _cmd_scan_slice(args) -> int:
-    result = catalog.nonexistence_slice_scan(args.c, _parse_range(args.theta))
+    result = catalog.nonexistence_slice_scan(
+        args.c, _parse_range(args.theta, "--theta"))
     print(f"min |residual| = {_fmt(result.min_abs)}")
     print(f"positive at every node: {result.bound_holds}")
     if args.csv:

@@ -212,11 +212,12 @@ def rk_integrate(rhs: Callable, y0, t_span, config: SolverConfig | None = None,
 
     ``monitors`` is a sequence of (name, g) pairs with g(t, y) > 0 required
     along the trajectory, y again a list of floats (a NaN value counts as a
-    crossing); the first crossing truncates the output (the stop time is
-    located by bisection on the dense segment) and is recorded as stop
-    reason 'monitor:<name>'; it never changes a step size.  Step underflow
-    near a blow-up that no monitor stops ends with 'step-underflow' and the
-    last valid time.
+    crossing).  A monitor that already reads <= 0 or NaN at (t0, y0) raises
+    AdmissibilityError naming it, before the first step.  The first crossing
+    after t0 truncates the output (the stop time is located by bisection on
+    the dense segment) and is recorded as stop reason 'monitor:<name>'; it
+    never changes a step size.  Step underflow near a blow-up that no monitor
+    stops ends with 'step-underflow' and the last valid time.
     """
     cfg = config or SolverConfig()
     t0, t1 = float(t_span[0]), float(t_span[1])
@@ -227,6 +228,12 @@ def rk_integrate(rhs: Callable, y0, t_span, config: SolverConfig | None = None,
         raise ConstraintError("integration interval is degenerate")
     direction = 1.0 if t1 > t0 else -1.0
     y = np.atleast_1d(np.asarray(y0, dtype=float)).tolist()
+    for name, g in monitors:
+        g0 = g(t0, y)
+        if not g0 > 0.0:
+            raise AdmissibilityError(
+                f"monitor {name!r} reads {g0!r} at the initial state "
+                f"t={t0!r}; it must be > 0")
     d = len(y)
     t = t0
     f = rhs(t, y)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import pathlib
@@ -173,6 +174,24 @@ def test_nan_interval_endpoint_exits_2(capsys, argv):
     assert "NaN endpoint" in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "f4", "--a", "2", "--H0", "0.5", "--f0", "5e-13",
+     "--f0p", "2e-12"],
+    ["verify", "thm4", "--a", "2", "--H0", "0.5", "--f0", "5e-13",
+     "--f0p", "2e-12", "--grid", "3x3"],
+], ids=["solve-f4", "verify-thm4"])
+def test_warp_below_its_floor_at_the_start_exits_2(capsys, argv):
+    # f0 = 5e-13 is admissible but already below the warp-positive floor
+    # 1e-12: an input error, not a zero-length solve
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert ("error: AdmissibilityError: monitor 'warp-positive' reads "
+            "-5e-13 at the initial state t=0.0") in captured.err
+    assert "admissible interval" not in captured.out
+    assert "verdict" not in captured.out
+
+
 @pytest.mark.parametrize("samples", ["0", "1", "-3"])
 @pytest.mark.parametrize("argv", [
     ["solve", "f4", "--a", "2", "--H0", "0.5", "--f0", "1", "--f0p", "2"],
@@ -229,6 +248,47 @@ def test_scan_h4_bad_range_exits_2(capsys):
     assert code == 2
     code = main(["scan", "h4", "--theta", "1:2:0", "--tau", "0:5:5"])
     assert code == 2  # empty grid
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["scan", "h4"],
+     "34ea8df69d333601e8f5e8bdf3ecdf0685aede7680c8ff9f772dbcb413bc45d1"),
+    (["scan", "slice", "--c", "1"],
+     "a359c52fbd86363a4a19729d5d35686ba9544669abf360b1e29c53c07b840ca0"),
+], ids=["h4", "slice"])
+def test_default_scan_csv_bytes_are_pinned(argv, digest, tmp_path, capsys):
+    csv = tmp_path / "scan.csv"
+    assert main(argv + ["--csv", str(csv)]) == 0
+    assert hashlib.sha256(csv.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv, flag, text", [
+    (["scan", "h4", "--theta", "nan:3:5"], "--theta", "nan:3:5"),
+    (["scan", "slice", "--c", "1", "--theta", "0.1:inf:3"], "--theta",
+     "0.1:inf:3"),
+    (["scan", "h4", "--tau=-inf:5:3"], "--tau", "-inf:5:3"),
+    (["scan", "h4", "--theta", "0.1:3"], "--theta", "0.1:3"),
+    (["scan", "h4", "--theta", "0.1:3:5:7"], "--theta", "0.1:3:5:7"),
+    (["scan", "h4", "--theta", "0.1:3:2.5"], "--theta", "0.1:3:2.5"),
+    (["scan", "h4", "--tau", "0:5:-3"], "--tau", "0:5:-3"),
+    (["scan", "slice", "--c", "-1", "--theta", "0.1:3:0"], "--theta",
+     "0.1:3:0"),
+    (["scan", "h4", "--tau", "a:5:3"], "--tau", "a:5:3"),
+])
+def test_scan_range_must_be_finite_with_a_count(argv, flag, text, tmp_path,
+                                                capsys):
+    csv = tmp_path / "scan.csv"
+    assert main(argv + ["--csv", str(csv)]) == 2
+    captured = capsys.readouterr()
+    assert (f"error: ValueError: {flag} must be lo:hi:n with finite lo, hi "
+            f"and an integer n >= 1, got '{text}'") in captured.err
+    assert "min |residual|" not in captured.out
+    assert not csv.exists()
+
+
+def test_reversed_scan_range_is_accepted(capsys):
+    assert main(["scan", "slice", "--c", "1", "--theta", "3:0.1:4"]) == 0
+    assert main(["scan", "h4", "--theta", "3:0.1:4", "--tau", "5:0:3"]) == 0
 
 
 def test_scan_slice(capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import pickle
 
@@ -9,7 +10,7 @@ from rwsurf.errors import (ChartDomainError, DimensionMismatchError,
                            HorizontalSliceError, NotSpaceLikeError)
 from rwsurf.immersion import (FD_STEP_FIRST, FD_STEP_SECOND,
                               finite_difference_jet)
-from rwsurf.shape import evaluate_point
+from rwsurf.shape import SurfaceGrid, evaluate_point
 
 
 def fd_surface(chart, space, u_dom=(-1, 1), v_dom=(-1, 1), **kw):
@@ -258,3 +259,118 @@ def test_fd_step_config_is_honored(minkowski4):
     assert (FD_STEP_FIRST, FD_STEP_SECOND) == (1e-5, 5e-3)
     assert min(us) == pytest.approx(0.5 * FD_STEP_FIRST)
     assert max(us) == pytest.approx(FD_STEP_SECOND)
+
+
+_JET_FIELDS = ("phi", "phi_u", "phi_v", "phi_uu", "phi_uv", "phi_vv")
+
+
+def _product_member():
+    """A member of the product classification (b1 = 1, b3 = 0.5) entered as
+    a bare chart on the embedded E^1_1 x S^4 backend."""
+    b1, b3 = 1.0, 0.5
+    b2 = math.sqrt(1.0 / (b1 * b1 + 2.0) - b3 * b3)
+    b0 = math.sqrt(1.0 - b2 * b2 - b3 * b3)
+    lam = math.sqrt(1.0 + b1 * b1) / b0
+
+    def chart(u, v):
+        return (-b1 * u, b0 * math.cos(lam * u), b0 * math.sin(lam * u), b2,
+                b3 * math.sin(v / b3), b3 * math.cos(v / b3))
+    return (chart, rw.AmbientSpace.product_space_form(5, 1),
+            (0.0, 2.0 * math.pi / lam), (0.0, 2.0 * math.pi * b3))
+
+
+def _tube():
+    """A tube about the time axis in a warped-flat space."""
+    def chart(u, v):
+        r = 0.3 * math.cosh(u)
+        return (u, r * math.cos(v), r * math.sin(v), 0.7 * u)
+    space = rw.AmbientSpace.warped_flat(4, rw.WarpingFunction.exponential(1.0))
+    return chart, space, (-0.9, 0.9), (0.0, 2.0 * math.pi)
+
+
+_FD_CASES = {"product": _product_member, "warped-flat": _tube}
+
+
+def _pointwise_fd_jet(chart, u, v):
+    """The adaptor's formulas at one point in Python floats, one chart call
+    per abscissa and one numpy vector per call."""
+    fn = lambda a, b: np.asarray(chart(a, b), dtype=float)
+    su, sv = 1.0 + abs(u), 1.0 + abs(v)
+    phi = fn(u, v)
+
+    def first(f, x, h):
+        d_h = (f(x + h) - f(x - h)) / (2 * h)
+        d_h2 = (f(x + h / 2) - f(x - h / 2)) / h
+        return (4.0 * d_h2 - d_h) / 3.0
+
+    def second(f, x, h):
+        d_h = (f(x + h) - 2.0 * phi + f(x - h)) / (h * h)
+        d_h2 = (f(x + h / 2) - 2.0 * phi + f(x - h / 2)) / (h * h / 4)
+        return (4.0 * d_h2 - d_h) / 3.0
+
+    def mixed(h, k):
+        return (fn(u + h, v + k) - fn(u + h, v - k) - fn(u - h, v + k)
+                + fn(u - h, v - k)) / (4 * h * k)
+
+    fu, fv = (lambda x: fn(x, v)), (lambda x: fn(u, x))
+    h2u, h2v = FD_STEP_SECOND * su, FD_STEP_SECOND * sv
+    return (phi, first(fu, u, FD_STEP_FIRST * su),
+            first(fv, v, FD_STEP_FIRST * sv), second(fu, u, h2u),
+            (4.0 * mixed(h2u / 2, h2v / 2) - mixed(h2u, h2v)) / 3.0,
+            second(fv, v, h2v))
+
+
+@pytest.mark.parametrize("case", sorted(_FD_CASES))
+def test_batched_fd_jet_is_bitwise_the_pointwise_jet(case):
+    chart, space, u_dom, v_dom = _FD_CASES[case]()
+    fd = finite_difference_jet(chart, space, u_dom, v_dom)
+    assert fd.batched
+    pointwise = rw.Jet2Immersion(space, fd.evaluator, u_dom, v_dom,
+                                 batched=False)
+    us, vs = np.meshgrid(np.linspace(u_dom[0] + 0.1, u_dom[1] - 0.1, 7),
+                         np.linspace(v_dom[0] + 0.1, v_dom[1] - 0.1, 5),
+                         indexing="ij")
+    got, errors = fd.jet(us, vs)
+    want, want_errors = pointwise.jet(us, vs)
+    assert errors == want_errors == {}
+    for name in _JET_FIELDS:
+        assert getattr(got, name).shape == us.shape + (space.ambient_dim,)
+        assert (getattr(got, name) == getattr(want, name)).all(), name
+    for i, j in ((0, 0), (3, 2), (6, 4)):
+        u, v = float(us[i, j]), float(vs[i, j])
+        one = fd.jet(u, v)
+        for name, ref in zip(_JET_FIELDS, _pointwise_fd_jet(chart, u, v)):
+            assert (getattr(one, name) == ref).all(), name
+            assert (getattr(got, name)[i, j] == ref).all(), name
+
+
+def test_fd_report_is_the_same_on_both_routes():
+    chart, space, u_dom, v_dom = _product_member()
+    fd = finite_difference_jet(chart, space, u_dom, v_dom, name="member")
+    pointwise = dataclasses.replace(fd, batched=False)
+    batched_json = rw.verify_surface(fd, grid=(9, 9)).to_json()
+    assert batched_json == rw.verify_surface(pointwise, grid=(9, 9)).to_json()
+    assert '"verdict": "pass"' in batched_json
+
+
+def test_fd_grid_fill_is_one_evaluator_call():
+    member, space, u_dom, v_dom = _product_member()
+    calls = {"evaluator": 0, "chart": 0}
+
+    def chart(u, v):
+        assert type(u) is float and type(v) is float
+        calls["chart"] += 1
+        return member(u, v)
+
+    fd = finite_difference_jet(chart, space, u_dom, v_dom)
+
+    def evaluator(u, v):
+        calls["evaluator"] += 1
+        return fd.evaluator(u, v)
+
+    counted = dataclasses.replace(fd, evaluator=evaluator)
+    grid = SurfaceGrid(counted, np.linspace(0.5, 3.0, 6),
+                       np.linspace(0.5, 2.5, 4))
+    assert grid.degeneracies == []
+    # each of the 6 x 4 nodes and its 8 cross-stencil points: 25 chart calls
+    assert calls == {"evaluator": 1, "chart": 25 * 6 * 4 * 9}

@@ -157,6 +157,22 @@ def test_monitor_truncates_with_reason():
     assert abs(y[0] - 2.0) < 1e-9
 
 
+@pytest.mark.parametrize("value", [-1.0, 0.0, math.nan])
+def test_monitor_crossed_at_the_initial_state_raises(value):
+    seen = []
+
+    def rhs(t, y):
+        seen.append(t)
+        return [y[0]]
+
+    monitors = [("pos", lambda t, y: 1.0), ("neg", lambda t, y: value)]
+    with pytest.raises(AdmissibilityError,
+                       match=rf"^monitor 'neg' reads {value!r} at the initial "
+                             r"state t=0\.0; it must be > 0$"):
+        rk_integrate(rhs, [1.0], (0, 1), monitors=monitors)
+    assert seen == []  # before the first step
+
+
 def test_nan_monitor_value_stops_integration():
     res = rk_integrate(lambda t, y: np.ones(1), [0.0], (0.0, 5.0),
                        monitors=[("nan-past-2", lambda t, y:
@@ -559,8 +575,15 @@ def test_blow_up_monitor_reads_nan_as_a_crossing(l4_constants, monkeypatch):
     assert g(0.1, [1.0, -2.0]) > 0.0  # |f'| shrinks: inactive
     for state in ([1.0, math.nan], [math.nan, 2.0]):
         assert not g(0.1, state) > 0.0
+    time_left = solvers._blow_up_time_left
+    # NaN everywhere: the monitor is crossed at the initial state already
     monkeypatch.setattr(solvers, "_blow_up_time_left",
                         lambda b2, fv, fp: math.nan)
+    with pytest.raises(AdmissibilityError, match="monitor 'blow-up' reads nan"):
+        rw.solve_rotational_warp(l4_constants, 1.0, 2.0, (0.0, 1.0))
+    # NaN away from the initial state: the first step is a crossing
+    monkeypatch.setattr(solvers, "_blow_up_time_left", lambda b2, fv, fp:
+                        time_left(b2, fv, fp) if fv == 1.0 else math.nan)
     sol = rw.solve_rotational_warp(l4_constants, 1.0, 2.0, (0.0, 1.0))
     assert sol.integration.stop_reason == "monitor:blow-up"
     assert sol.integration.n_accepted == 1
