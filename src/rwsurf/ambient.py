@@ -185,13 +185,12 @@ class AmbientSpace:
     # -- metric ---------------------------------------------------------------
 
     def metric_at(self, p, warp_state) -> np.ndarray:
-        """Metric matrix at p, given the warp state (f, f', f'') there.
+        """The metric's diagonal at p, given the warp state (f, f', f'').
 
-        Warped backend: diag(-1, f^2, ..., f^2).  Product backend: the
-        constant flat metric diag(-1, c, 1, ..., 1); p must satisfy the
-        space-form locus constraint <pbar,pbar>_c = c within 1e-10.  With
-        leading point axes on p (and on the warp state) the result is a
-        stack of metrics.
+        Warped backend: (-1, f^2, ..., f^2).  Product backend: the constant
+        flat weights (-1, c, 1, ..., 1); p must satisfy the space-form locus
+        constraint <pbar,pbar>_c = c within 1e-10.  With leading point axes
+        on p (and on the warp state) the result is a stack ``(..., d)``.
         """
         p = np.asarray(p, dtype=float)
         if p.shape[-1:] != (self.ambient_dim,):
@@ -199,24 +198,19 @@ class AmbientSpace:
                 f"point has shape {p.shape}, backend expects ({self.ambient_dim},)")
         if self.kind == "warped-flat":
             f = np.asarray(warp_state[0], dtype=float)
-            G = np.zeros(p.shape[:-1] + (self.n, self.n))
-            G[..., 0, 0] = -1.0
-            G[..., range(1, self.n), range(1, self.n)] = _col(f * f)
-            return G
-        G = self._flat_metric()
+            g = np.empty(p.shape)
+            g[..., 0] = -1.0
+            g[..., 1:] = _col(f * f)
+            return g
+        g = np.ones(self.ambient_dim)
+        g[0], g[1] = -1.0, float(self.c)
         fiber = p.copy()
         fiber[..., 0] = 0.0
-        locus = np.asarray(inner(fiber, fiber, G)) - self.c
+        locus = np.asarray(inner(fiber, fiber, g)) - self.c
         raise_where(ChartDomainError, np.abs(locus) > 1e-10,
                     "point off the embedded space-form locus (residual {:.3e})",
                     locus)
-        return np.broadcast_to(G, p.shape[:-1] + G.shape)
-
-    def _flat_metric(self) -> np.ndarray:
-        d = np.ones(self.ambient_dim)
-        d[0] = -1.0
-        d[1] = float(self.c)
-        return np.diag(d)
+        return np.broadcast_to(g, p.shape)
 
 
 def ambient_covariant_derivative(space: AmbientSpace, p, x_vec, y_vec,
@@ -224,12 +218,12 @@ def ambient_covariant_derivative(space: AmbientSpace, p, x_vec, y_vec,
     """Covariant derivative of a field Y along X at p.
 
     ``dy_dx`` is the caller-supplied coordinate directional derivative of Y
-    along X (from jets or finite differences); G is the metric and
-    warp_state (f, f', f'') at p.  The warped backend adds the Christoffel
-    correction Gamma(X, Y); the product backend projects the flat derivative
-    back onto the product's tangent space.  This is the one implementation
-    of the connection: chart second derivatives and grid stencils call it
-    too.
+    along X (from jets or finite differences); G is the metric's diagonal
+    (``metric_at``) and warp_state (f, f', f'') at p.  The warped backend
+    adds the Christoffel correction Gamma(X, Y); the product backend
+    projects the flat derivative back onto the product's tangent space.
+    This is the one implementation of the connection: chart second
+    derivatives and grid stencils call it too.
     """
     x, y, dy = (space.check_vector(w) for w in (x_vec, y_vec, dy_dx))
     if space.kind == "warped-flat":
@@ -257,7 +251,7 @@ def curvature_rw_values(X, Y, Z, G, f: float, fp: float, fpp: float,
     """R(X, Y)Z from the comoving split, valid for any (f, c).
 
     Purely algebraic in the scalars k1 = f''/f and k2 = (f'^2 + c)/f^2 and in
-    fiber inner products taken with the supplied metric G.
+    fiber inner products taken with the supplied metric diagonal G.
     """
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)

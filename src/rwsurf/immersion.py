@@ -80,10 +80,10 @@ class Jet2Immersion:
         index of each failing point to ``"<ErrorClass>: <message>"``.  An
         ArithmeticError or ValueError of the evaluator at a point is that
         point's ChartDomainError, naming (u, v) and the error.  A batched
-        evaluator gets the in-domain points (NaN is not) in one call, rerun
-        point by point if it raises one of these; any other gets one call per
-        point.  Jet vectors whose length is not the ambient dimension raise
-        DimensionMismatchError for the whole call."""
+        evaluator gets the in-domain points (NaN is not) in one call, retried
+        in halves down to one float call per point that raises one of these;
+        any other gets one call per point.  Jet vectors whose length is not
+        the ambient dimension raise DimensionMismatchError for the call."""
         uu, vv = np.broadcast_arrays(np.asarray(u, dtype=float),
                                      np.asarray(v, dtype=float))
         us, vs = uu.ravel().tolist(), vv.ravel().tolist()
@@ -97,14 +97,7 @@ class Jet2Immersion:
         inside = [k for k in range(len(us)) if k not in failed]
         parts = np.full((6, len(us), self.space.ambient_dim), np.nan)
         if self.batched and uu.ndim and inside:
-            try:
-                vectors = self.evaluator(uu.ravel()[inside], vv.ravel()[inside])
-            except (GeometryError, ArithmeticError, ValueError):
-                # rerun one by one: each point keeps its error
-                pass
-            else:
-                parts[:, inside] = self._checked(vectors)
-                inside = []
+            inside = self._fill_batched(parts, uu.ravel(), vv.ravel(), inside)
         for k in inside:
             try:
                 vectors = self.evaluator(us[k], vs[k])
@@ -126,6 +119,18 @@ class Jet2Immersion:
         parts = parts.reshape((6,) + uu.shape + parts.shape[2:])
         return (JetSample(uu, vv, *parts),
                 {k: f"{type(e).__name__}: {e}" for k, e in sorted(failed.items())})
+
+    def _fill_batched(self, parts, u, v, ks) -> list:
+        """Fill ``parts`` at ``ks`` by batched calls, halving a stack that
+        raises; return the points of one-point halves, for float calls."""
+        try:
+            vectors = self.evaluator(u[ks], v[ks])
+        except (GeometryError, ArithmeticError, ValueError):
+            half = len(ks) // 2
+            return [k for part in (ks[:half], ks[half:]) if part for k in (
+                part if len(part) == 1 else self._fill_batched(parts, u, v, part))]
+        parts[:, ks] = self._checked(vectors)
+        return []
 
     def _checked(self, vectors):
         """The evaluator's jet vectors, each of which must have one component
@@ -191,7 +196,7 @@ def finite_difference_jet(chart: Callable[[float, float], np.ndarray],
 
 def induced_metric(jet: JetSample, G) -> np.ndarray:
     """First fundamental form g_ij = <phi_i, phi_j> at the jet's point, where
-    G is the ambient metric there.
+    G is the ambient metric's diagonal there.
 
     Raises NotSpaceLikeError when g is not positive definite, which signals
     a failure of the space-likeness hypothesis at that point.
@@ -219,11 +224,11 @@ def chart_second_fundamental(jet: JetSample, space: AmbientSpace, G, ginv,
                              warp_state):
     """Covariant second derivatives of the chart and their normal parts.
 
-    G is the ambient metric at the jet's point, ginv the inverse induced
-    metric and warp_state (f, f', f'') there.  Returns (W, h, H) where
-    W[(a, b)] is the ambient covariant derivative of phi_b along phi_a,
-    h[(a, b)] its normal projection, and H half the g-trace of h.  This needs
-    only the jet, not an adapted frame.
+    G is the ambient metric's diagonal at the jet's point, ginv the inverse
+    induced metric and warp_state (f, f', f'') there.  Returns (W, h, H)
+    where W[(a, b)] is the ambient covariant derivative of phi_b along
+    phi_a, h[(a, b)] its normal projection, and H half the g-trace of h.
+    This needs only the jet, not an adapted frame.
     """
     first = {"u": jet.phi_u, "v": jet.phi_v}
     second = {("u", "u"): jet.phi_uu, ("u", "v"): jet.phi_uv,
@@ -280,8 +285,8 @@ def adapted_frame(jet: JetSample, space: AmbientSpace, G, ginv,
                   H) -> FrameData:
     """Build the adapted frame at a jet sample.
 
-    G is the ambient metric at the jet's point, ginv the inverse induced
-    metric and H the mean curvature vector there.  Raises
+    G is the ambient metric's diagonal at the jet's point, ginv the inverse
+    induced metric and H the mean curvature vector there.  Raises
     HorizontalSliceError when |T| <= TOL_T (the excluded horizontal slice
     case).  When |H| <= TOL_H there is no distinguished mean-curvature
     direction; the frame is completed without e4 and flagged.
@@ -334,7 +339,7 @@ def _complete_normals(space: AmbientSpace, jet: JetSample, G, e1, e2, e3, H,
     priors = [e1, e2]
     if space.is_embedded:
         priors.append(space.product_normal(jet.phi))
-    G, mean = flat(np.broadcast_to(G, lead + (d, d))), flat(has_mean)
+    G, mean = flat(np.broadcast_to(G, lead + (d,))), flat(has_mean)
     basis = np.zeros((len(mean), d, d))  # rows: priors, then the normal frame
     basis[:, :len(priors) + 1] = np.stack([flat(x) for x in priors + [e3]], 1)
     basis[mean, len(priors) + 1] = (flat(H)[mean]

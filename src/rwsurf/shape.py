@@ -170,9 +170,9 @@ def second_fundamental_form(frame: FrameData, G,
     """Normal parts of the ambient covariant derivatives in the frame basis.
 
     ``h_chart`` is the chart-basis h of ``chart_second_fundamental`` and G
-    the ambient metric at the frame's point.  h(e_i, e_j) is obtained from
-    the chart values by the bilinear change of basis, so h12 = h21 holds
-    structurally and H = (h11 + h22) / 2 exactly.
+    the ambient metric's diagonal at the frame's point.  h(e_i, e_j) is
+    obtained from the chart values by the bilinear change of basis, so
+    h12 = h21 holds structurally and H = (h11 + h22) / 2 exactly.
     """
     c = frame.coeffs  # rows: e1, e2 in (phi_u, phi_v)
     huu, huv, hvv = h_chart[("u", "u")], h_chart[("u", "v")], h_chart[("v", "v")]
@@ -185,7 +185,7 @@ def second_fundamental_form(frame: FrameData, G,
     h11, h12, h22 = hframe(0, 0), hframe(0, 1), hframe(1, 1)
     per_normal = lambda x: x[..., None, :]
     A = _pairing_matrix(per_normal(h11), per_normal(h12), per_normal(h22),
-                        frame.normals, np.asarray(G)[..., None, :, :])
+                        frame.normals, np.asarray(G)[..., None, :])
     return SecondFundamentalData(h11, h12, h22, 0.5 * (h11 + h22), A)
 
 
@@ -224,7 +224,7 @@ class PointData:
     (every array then carries the points' leading axes)."""
 
     jet: JetSample
-    G: np.ndarray
+    G: np.ndarray  # the ambient metric's diagonal, ``metric_at``
     ginv: np.ndarray
     warp_state: tuple
     frame: FrameData
@@ -301,7 +301,7 @@ def frame_norm(V, pd: PointData):
     E = np.concatenate([np.stack([fr.e1, fr.e2], axis=-2), fr.normals],
                        axis=-2)
     comps = inner(np.asarray(V, dtype=float)[..., None, :], E,
-                  np.asarray(pd.G)[..., None, :, :])
+                  np.asarray(pd.G)[..., None, :])
     return np.sqrt(np.sum(np.square(comps), axis=-1))
 
 
@@ -434,7 +434,7 @@ class SurfaceGrid:
                      axis=-3)
         E = np.stack(nd.frame.tangents, axis=-2)
         return inner(W[..., None, :], E[..., None, None, :, :],
-                     nd.G[..., None, None, None, :, :])
+                     nd.G[..., None, None, None, :])
 
     @_per_grid
     def nabla_perp_h(self):

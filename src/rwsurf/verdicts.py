@@ -363,7 +363,7 @@ def verify_surface(surface: Jet2Immersion, grid=(17, 17),
     signs = np.concatenate([np.ones(fr.normal_signs.shape[:-1] + (2,)),
                             fr.normal_signs], axis=-1)
     gram = inner(vecs[..., :, None, :], vecs[..., None, :, :],
-                 G[..., None, None, :, :])
+                 G[..., None, None, :])
     upper = np.triu_indices(vecs.shape[-2])
     ortho = np.abs(gram - signs[..., None] * np.eye(vecs.shape[-2]))
     dt = surface.space.dt_vector()

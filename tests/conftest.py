@@ -171,7 +171,7 @@ def random_curvature_config(rng, theta_max=3.0):
         state = (math.cosh(t), math.sinh(t), math.cosh(t))
     c = float(rng.choice([-1.0, 0.0, 1.0]))
     f = state[0]
-    G = np.diag([-1.0] + [f * f] * (n - 1))
+    G = np.array([-1.0] + [f * f] * (n - 1))
 
     def unit_fiber(x):
         return x / math.sqrt(rw.inner(x, x, G))

@@ -4,8 +4,10 @@ Each function restates, one point and one index at a time, a quantity that
 ``rwsurf`` computes in closed or batched form: the Christoffel tensor behind
 ``ambient_covariant_derivative``, the backend-aware curvature behind
 ``curvature_rw_values``, the closed form of the tangential curvature trace
-behind ``curvature_trace_term``, the comoving split and signature-aware
-Gram-Schmidt.  The package never imports this module.
+behind ``curvature_trace_term``, the comoving split, signature-aware
+Gram-Schmidt, and the dense-matrix forms of the inner product, projection
+and rank that ``rwsurf.linalg`` computes from the metric's diagonal.  The
+package never imports this module.
 """
 
 from __future__ import annotations
@@ -15,6 +17,28 @@ import numpy as np
 from rwsurf.ambient import AmbientSpace, curvature_rw_values, curvature_scalars
 from rwsurf.errors import DegenerateFrameError, DimensionMismatchError
 from rwsurf.linalg import inner, project_out_span
+
+
+def dense_inner(u, v, G):
+    """u^T G v with a full metric matrix G (..., d, d), as one three-operand
+    einsum."""
+    return np.einsum("...i,...ij,...j->...", np.asarray(u, dtype=float),
+                     np.asarray(G, dtype=float), np.asarray(v, dtype=float))
+
+
+def dense_project_out_span(x, basis, G):
+    """``project_out_span`` with a full metric matrix G (..., d, d)."""
+    x = np.asarray(x, dtype=float)
+    B = np.stack(basis, axis=-1)
+    BtG = np.swapaxes(B, -1, -2) @ np.asarray(G, dtype=float)
+    coef = np.linalg.solve(BtG @ B, BtG @ x[..., None])
+    return x - (B @ coef)[..., 0]
+
+
+def dense_gram(vectors, G):
+    """The Gram matrix ``numeric_rank`` ranks, with a full metric matrix G."""
+    B = np.stack([np.asarray(v, dtype=float) for v in vectors], axis=-1)
+    return np.swapaxes(B, -1, -2) @ np.asarray(G, dtype=float) @ B
 
 
 def comoving_split(X, space: AmbientSpace, p=None):

@@ -134,7 +134,7 @@ def test_criterion_6_constant_curvature_shortcut():
     worst = 0.0
     for _ in range(2000):
         frame, H, G, _, _ = random_curvature_config(rng, theta_max=1.5)
-        f = math.sqrt(G[1, 1])
+        f = math.sqrt(G[1])
         direct = curvature_trace_term(frame, H, G, (f, f, f), 0.0)
         closed = curvature_trace_closed_form(frame, H, G, (f, f, f), 0.0)
         worst = max(worst, float(np.linalg.norm(direct)),

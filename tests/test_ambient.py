@@ -57,19 +57,17 @@ def test_metric_warped_exponential():
     space = exp_space()
     p0 = np.array([0.0, 0.3, -1.0, 2.0])
     np.testing.assert_allclose(space.metric_at(p0, space.warp_state(p0)),
-                               np.diag([-1.0, 1, 1, 1]),
-                               atol=1e-15)
+                               [-1.0, 1, 1, 1], atol=1e-15)
     p1 = np.array([math.log(2.0), 0.0, 0.0, 0.0])
     np.testing.assert_allclose(space.metric_at(p1, space.warp_state(p1)),
-                               np.diag([-1.0, 4, 4, 4]),
-                               rtol=1e-14)
+                               [-1.0, 4, 4, 4], rtol=1e-14)
 
 
 def test_metric_product_constant_and_locus():
     space = rw.AmbientSpace.product_space_form(5, 1)
     p = np.array([3.0, 1.0, 0.0, 0.0, 0.0, 0.0])  # on E^1_1 x S^4
     np.testing.assert_allclose(space.metric_at(p, space.warp_state(p)),
-                               np.diag([-1.0, 1, 1, 1, 1, 1]), atol=1e-15)
+                               [-1.0, 1, 1, 1, 1, 1], atol=1e-15)
     off = np.array([3.0, 1.1, 0.0, 0.0, 0.0, 0.0])
     with pytest.raises(ChartDomainError):
         space.metric_at(off, space.warp_state(off))
@@ -80,7 +78,44 @@ def test_metric_product_hyperbolic_signature():
     p = np.zeros(6)
     p[1] = 1.0  # -x2^2 + ... = -1 on the hyperboloid
     G = space.metric_at(p, space.warp_state(p))
-    np.testing.assert_allclose(np.diag(G), [-1.0, -1.0, 1, 1, 1, 1], atol=1e-15)
+    np.testing.assert_allclose(G, [-1.0, -1.0, 1, 1, 1, 1], atol=1e-15)
+
+
+@pytest.mark.parametrize("kind", ["warped-flat", "product"])
+def test_metric_at_returns_the_diagonal_on_stacks(kind):
+    # a (3, 2) stack of points gives (3, 2, d) weights, each the diagonal
+    # of the metric at its point
+    rng = np.random.default_rng(3)
+    if kind == "warped-flat":
+        space = exp_space(5)
+        p = np.concatenate([rng.uniform(-1, 1, (3, 2, 1)),
+                            rng.normal(size=(3, 2, 4))], axis=-1)
+        f = np.exp(p[..., 0])
+        g = space.metric_at(p, (f, f, f))
+        want = np.concatenate([-np.ones((3, 2, 1)),
+                               np.repeat((f * f)[..., None], 4, axis=-1)],
+                              axis=-1)
+    else:
+        space = rw.AmbientSpace.product_space_form(5, -1)
+        fiber = rng.normal(size=(3, 2, 5))
+        fiber[..., 0] = np.sqrt(1.0 + np.sum(fiber[..., 1:] ** 2, axis=-1))
+        p = np.concatenate([rng.normal(size=(3, 2, 1)), fiber], axis=-1)
+        g = space.metric_at(p, (1.0, 0.0, 0.0))
+        want = np.broadcast_to([-1.0, -1.0, 1, 1, 1, 1], (3, 2, 6))
+    assert g.shape == p.shape == want.shape
+    assert np.array_equal(g, want)
+    for i, j in np.ndindex(3, 2):
+        one = space.metric_at(p[i, j], space.warp_state(p[i, j]))
+        np.testing.assert_allclose(one, want[i, j], rtol=1e-15)
+
+
+def test_metric_at_locus_check_marks_off_points_in_a_stack():
+    space = rw.AmbientSpace.product_space_form(5, 1)
+    p = np.zeros((4, 6))
+    p[:, 1] = [1.0, 1.1, 1.0, 0.9]
+    with pytest.raises(ChartDomainError, match="off the embedded") as exc:
+        space.metric_at(p, (1.0, 0.0, 0.0))
+    assert exc.value.where.tolist() == [False, True, False, True]
 
 
 def test_comoving_split_examples():
@@ -138,11 +173,11 @@ def test_christoffel_metric_compatibility():
         p = np.array([t, *rng.normal(size=3)])
         h = 1e-6
         pp, pm = np.array([t + h, 0, 0, 0]), np.array([t - h, 0, 0, 0])
-        Gp = space.metric_at(pp, space.warp_state(pp))
-        Gm = space.metric_at(pm, space.warp_state(pm))
+        Gp = np.diag(space.metric_at(pp, space.warp_state(pp)))
+        Gm = np.diag(space.metric_at(pm, space.warp_state(pm)))
         dG = (Gp - Gm) / (2 * h)
         gamma = christoffel_at(space, p)
-        G = space.metric_at(p, space.warp_state(p))
+        G = np.diag(space.metric_at(p, space.warp_state(p)))
         contr = np.einsum("lka,lb->kab", gamma, G)[0] + \
             np.einsum("lkb,la->kab", gamma, G)[0]
         np.testing.assert_allclose(dG, contr, atol=1e-6)
@@ -271,7 +306,7 @@ def test_curvature_first_bianchi():
         n = int(rng.integers(4, 7))
         f, fp, fpp = rng.uniform(0.5, 2.0), rng.normal(), rng.normal()
         c = float(rng.choice([-1.0, 0.0, 1.0]))
-        G = np.diag([-1.0] + [f * f] * (n - 1))
+        G = np.array([-1.0] + [f * f] * (n - 1))
         X, Y, Z = rng.normal(size=(3, n))
         cyc = (curvature_rw_values(X, Y, Z, G, f, fp, fpp, c)
                + curvature_rw_values(Y, Z, X, G, f, fp, fpp, c)
@@ -292,7 +327,7 @@ def test_curvature_constant_curvature_form(warp, c):
         f, fp, fpp = warp(t)
         kappa = fpp / f
         n = 5
-        G = np.diag([-1.0] + [f * f] * (n - 1))
+        G = np.array([-1.0] + [f * f] * (n - 1))
         X, Y, Z = rng.normal(size=(3, n))
         got = curvature_rw_values(X, Y, Z, G, f, fp, fpp, c)
         want = kappa * (rw.inner(Y, Z, G) * X - rw.inner(X, Z, G) * Y)

@@ -160,7 +160,8 @@ def test_batched_jet_records_one_point_errors(minkowski4):
 def test_batched_chart_that_raises_is_rerun_point_by_point(l4_constants,
                                                           l4_solution):
     # a chart domain reaching past the warp's interval: the batched call
-    # raises there, and each point then keeps its own one-point result
+    # raises there, its halves are retried, and each failing point keeps
+    # its own one-point error
     warp = l4_solution.warp
     hi = warp.interval[1]
     surface = rw.rotational_surface_l41(l4_constants, warp,

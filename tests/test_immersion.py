@@ -374,3 +374,75 @@ def test_fd_grid_fill_is_one_evaluator_call():
     assert grid.degeneracies == []
     # each of the 6 x 4 nodes and its 8 cross-stencil points: 25 chart calls
     assert calls == {"evaluator": 1, "chart": 25 * 6 * 4 * 9}
+
+
+def _faulty_fd_chart(calls):
+    """The warped-flat chart (0.1u, u, cos v, sin v), counted, raising
+    ValueError at one abscissa and a GeometryError at another."""
+    def chart(u, v):
+        calls["chart"] += 1
+        if u == 0.5 and v == 0.5:
+            raise ValueError("bad point")
+        if u == 0.25 and v == 0.75:
+            raise ChartDomainError("outside the chart's atlas")
+        return (0.1 * u, u, math.cos(v), math.sin(v))
+    space = rw.AmbientSpace.warped_flat(4, rw.WarpingFunction.exponential(1.0))
+    return chart, space
+
+
+def test_fd_fallback_halves_the_stack_and_keeps_point_errors():
+    # each failing point keeps the message of the pointwise rerun, and every
+    # jet is bitwise the one-point jet
+    calls = {"chart": 0, "evaluator": 0}
+    chart, space = _faulty_fd_chart(calls)
+    fd = finite_difference_jet(chart, space, (-1, 2), (-1, 2))
+
+    def evaluator(u, v):
+        calls["evaluator"] += 1
+        return fd.evaluator(u, v)
+
+    halving = dataclasses.replace(fd, evaluator=evaluator)
+    pointwise = dataclasses.replace(fd, batched=False)
+    us, vs = np.meshgrid(np.linspace(0, 1, 17), np.linspace(0, 1, 17),
+                         indexing="ij")
+    got, errors = halving.jet(us, vs)
+    assert calls["evaluator"] < 40  # the pointwise rerun made 1 + 289
+    want, want_errors = pointwise.jet(us, vs)
+    assert errors == want_errors
+    assert sorted(errors) == [4 * 17 + 12, 8 * 17 + 8]
+    assert errors[8 * 17 + 8] == ("ChartDomainError: chart failed at "
+                                  "(u,v)=(0.5,0.5): ValueError: bad point")
+    assert errors[4 * 17 + 12] == "ChartDomainError: outside the chart's atlas"
+    for name in _JET_FIELDS:
+        assert np.array_equal(getattr(got, name), getattr(want, name),
+                              equal_nan=True), name
+
+
+@pytest.mark.parametrize("bad", [[0], [37], [5, 900]])
+def test_batched_fallback_calls_grow_like_log_n(bad, minkowski4):
+    # one bad point in N = 2^m costs 2m - 1 batched calls and two float calls
+    # (the bad point and its last partner); the parent reran all N points
+    def run(n):
+        calls = {"batched": 0, "float": 0}
+
+        def evaluator(u, v):
+            calls["batched" if np.ndim(u) else "float"] += 1
+            if np.isin(u, bad).any():
+                raise ValueError("bad point")
+            cols = lambda *c: np.stack(np.broadcast_arrays(*c), axis=-1)
+            z = cols(0 * u, 0.0, 0.0, 0.0)
+            return (cols(0 * u, u, v, 0.0), cols(0 * u, 1.0, 0.0, 0.0),
+                    cols(0 * u, 0.0, 1.0, 0.0), z, z, z)
+
+        surface = rw.Jet2Immersion(minkowski4, evaluator, (0, n), (-1, 1),
+                                   batched=True)
+        sample, errors = surface.jet(np.arange(n, dtype=float), np.zeros(n))
+        assert sorted(errors) == [k for k in bad if k < n]
+        assert np.isfinite(np.delete(sample.phi, list(errors), axis=0)).all()
+        return calls
+
+    for m in (6, 10, 14):
+        calls = run(2 ** m)
+        hit = len([k for k in bad if k < 2 ** m])
+        assert calls["float"] == 2 * hit
+        assert calls["batched"] <= hit * (2 * m - 1)

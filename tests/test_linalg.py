@@ -5,35 +5,54 @@ from hypothesis import strategies as st
 
 import rwsurf as rw
 from rwsurf.errors import DegenerateFrameError, DimensionMismatchError
+from rwsurf.linalg import project_out_span
 
-from oracles import orthonormalize_signature
+from oracles import (dense_gram, dense_inner, dense_project_out_span,
+                     orthonormalize_signature)
 
-MINK4 = np.diag([-1.0, 1.0, 1.0, 1.0])
+# metrics are carried as their diagonal (weights)
+MINK4 = np.array([-1.0, 1.0, 1.0, 1.0])
 
 
 def test_inner_comoving_direction_is_timelike():
     # metric of the warped spacetime at any point: dt component squares to -1
-    G = np.diag([-1.0, np.e**2, np.e**2, np.e**2])
+    G = np.array([-1.0, np.e**2, np.e**2, np.e**2])
     dt = np.array([1.0, 0, 0, 0])
     assert rw.inner(dt, dt, G) == -1.0
 
 
 def test_inner_spatial_direction_scales_with_warp():
-    G = np.diag([-1.0, 4.0, 4.0, 4.0])  # f = 2
+    G = np.array([-1.0, 4.0, 4.0, 4.0])  # f = 2
     e1 = np.array([0.0, 1.0, 0, 0])
     assert rw.inner(e1, e1, G) == 4.0
 
 
 def test_inner_block_diagonal_orthogonality():
-    G = np.diag([-1.0, 4.0, 4.0, 4.0])
+    G = np.array([-1.0, 4.0, 4.0, 4.0])
     assert rw.inner([1, 0, 0, 0], [0, 1, 0, 0], G) == 0.0
 
 
 def test_inner_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
-        rw.inner([1.0, 0.0], [1.0, 0.0, 0.0], np.eye(2))
+        rw.inner([1.0, 0.0], [1.0, 0.0, 0.0], np.ones(2))
     with pytest.raises(DimensionMismatchError):
-        rw.inner([1.0, 0.0], [1.0, 0.0], np.eye(3))
+        rw.inner([1.0, 0.0], [1.0, 0.0], np.ones(3))
+
+
+@pytest.mark.parametrize("d", [2, 4, 7])
+def test_inner_refuses_a_metric_matrix(d):
+    # a (d, d) matrix has more axes than single vectors: it must not
+    # broadcast into d row-wise weighted sums
+    u, v = np.arange(1.0, d + 1), np.ones(d)
+    with pytest.raises(DimensionMismatchError):
+        rw.inner(u, v, np.eye(d))
+    with pytest.raises(DimensionMismatchError):
+        rw.inner(u, v, np.diag(np.arange(1.0, d + 1)))
+    assert rw.inner(u, v, np.ones(d)) == u.sum()
+    # stacked vectors still take a stack of weights, or one set for all
+    stack = np.tile(u, (d, 1))
+    assert rw.inner(stack, v, np.ones((d, d))).shape == (d,)
+    assert rw.inner(stack, stack, np.ones(d)).shape == (d,)
 
 
 @settings(max_examples=80, deadline=None)
@@ -41,8 +60,7 @@ def test_inner_dimension_mismatch():
 def test_inner_symmetric_bilinear(seed):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, 8))
-    A = rng.normal(size=(n, n))
-    G = (A + A.T) / 2
+    G = rng.normal(size=n)
     u, v, w = rng.normal(size=(3, n))
     a, b = rng.normal(size=2)
     scale = max(1.0, abs(rw.inner(u, v, G)))
@@ -82,7 +100,7 @@ def test_orthonormalize_pairwise_property():
     rng = np.random.default_rng(7)
     for _ in range(50):
         n = int(rng.integers(3, 7))
-        G = np.diag(np.concatenate(([-1.0], rng.uniform(0.5, 3.0, n - 1))))
+        G = np.concatenate(([-1.0], rng.uniform(0.5, 3.0, n - 1)))
         vecs = list(rng.normal(size=(n - 1, n)))
         vecs[0][0] += 3.0  # give the first candidate a solid timelike part
         try:
@@ -98,7 +116,7 @@ def test_orthonormalize_pairwise_property():
 def test_orthonormalize_deterministic_orientation():
     rng = np.random.default_rng(3)
     vecs = list(rng.normal(size=(3, 4)))
-    frame, _ = orthonormalize_signature(vecs, np.eye(4))
+    frame, _ = orthonormalize_signature(vecs, np.ones(4))
     # output i is in span(inputs[:i+1]) with positive coefficient on input i
     for i in range(3):
         B = np.column_stack(vecs[:i + 1])
@@ -115,7 +133,7 @@ def test_timelike_index_reorders_processing():
 
 def test_numeric_rank_collinear():
     v = np.array([0.3, 1.0, -2.0, 0.0])
-    assert rw.numeric_rank([v, 2.0 * v], np.eye(4)) == 1
+    assert rw.numeric_rank([v, 2.0 * v], np.ones(4)) == 1
 
 
 def test_numeric_rank_two_independent():
@@ -124,13 +142,13 @@ def test_numeric_rank_two_independent():
 
 
 def test_numeric_rank_empty_and_zero():
-    assert rw.numeric_rank([], np.eye(3)) == 0
-    assert rw.numeric_rank([np.zeros(3)], np.eye(3)) == 0
+    assert rw.numeric_rank([], np.ones(3)) == 0
+    assert rw.numeric_rank([np.zeros(3)], np.ones(3)) == 0
 
 
 def test_numeric_rank_requires_positive_tol():
     with pytest.raises(ValueError):
-        rw.numeric_rank([np.ones(3)], np.eye(3), tol=0.0)
+        rw.numeric_rank([np.ones(3)], np.ones(3), tol=0.0)
 
 
 def test_numeric_rank_shuffle_and_rescale_invariance():
@@ -140,7 +158,7 @@ def test_numeric_rank_shuffle_and_rescale_invariance():
         k = int(rng.integers(1, n + 1))
         base = rng.normal(size=(k, n))
         vecs = [base[rng.integers(0, k)] for _ in range(5)]
-        G = np.eye(n)
+        G = np.ones(n)
         r0 = rw.numeric_rank(vecs, G)
         order = rng.permutation(len(vecs))
         scales = rng.uniform(0.1, 10.0, len(vecs)) * rng.choice([-1, 1], len(vecs))
@@ -153,3 +171,78 @@ def test_rank_of_second_fundamental_span(l4_grid):
     # span a plane in the normal bundle
     pd = l4_grid.point(4, 4)
     assert rw.numeric_rank([pd.sfd.h11, pd.sfd.h22], pd.G) == 2
+
+
+def _seeded_stack(d, seed=0, points=(5, 3)):
+    """Signature-like weights (-1, w, ...) and vectors on a stack of points,
+    with exact zeros, huge and tiny components mixed in."""
+    rng = np.random.default_rng(1000 * d + seed)
+    g = np.concatenate([-np.ones(points + (1,)),
+                        rng.uniform(0.01, 50.0, points + (d - 1,))], axis=-1)
+    g[..., 1] *= rng.choice([-1.0, 1.0], points)  # the product's c = +-1 slot
+    vecs = rng.normal(size=(4,) + points + (d,))
+    vecs *= 10.0 ** rng.integers(-8, 9, size=vecs.shape)
+    vecs[rng.random(vecs.shape) < 0.15] = 0.0
+    return g, vecs
+
+
+def _dense(g):
+    G = np.zeros(g.shape + g.shape[-1:])
+    idx = np.arange(g.shape[-1])
+    G[..., idx, idx] = g
+    return G
+
+
+@pytest.mark.parametrize("d", range(2, 8))
+def test_weights_match_the_dense_metric_bitwise(d):
+    # the matmuls after B^T G sum in the dense order only when B^T G is in
+    # C order, as a dense product is; an elementwise product of a transposed
+    # view is not
+    g, (u, v, a, b) = _seeded_stack(d)
+    G = _dense(g)
+    assert np.array_equal(rw.inner(u, v, g), dense_inner(u, v, G))
+    assert np.array_equal(rw.inner(u, u[0, 0], g), dense_inner(u, u[0, 0], G))
+    for i in range(u.shape[0]):  # single vectors give the same float
+        assert rw.inner(u[i, 0], v[i, 0], g[i, 0]) == dense_inner(
+            u[i, 0], v[i, 0], G[i, 0])
+    basis = [a, b][:d - 1]
+    assert np.array_equal(project_out_span(u, basis, g),
+                          dense_project_out_span(u, basis, G))
+
+
+@pytest.mark.parametrize("d", range(2, 8))
+def test_rank_gram_matches_the_dense_metric_bitwise(d, monkeypatch):
+    g, vecs = _seeded_stack(d, seed=1)
+    vecs[1] = 3.0 * vecs[0]  # a dependent pair on every point
+    seen = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd",
+                        lambda M, **kw: seen.append(M) or svd(M, **kw))
+    ranks = rw.numeric_rank(list(vecs), g)
+    assert len(seen) == 1
+    assert np.array_equal(seen[0], dense_gram(list(vecs), _dense(g)))
+    assert ranks.shape == g.shape[:-1] and ranks.max() <= min(d, 3)
+
+
+def test_weights_match_the_dense_metric_at_d8_to_round_off():
+    # numpy sums eight or more terms pairwise, the einsum left to right
+    g, (u, v, _, _) = _seeded_stack(8)
+    want = dense_inner(u, v, _dense(g))
+    scale = np.abs(u * g * v).sum(axis=-1)
+    assert np.all(np.abs(rw.inner(u, v, g) - want) <= 1e-14 * scale)
+
+
+@pytest.mark.parametrize("vec", [[np.nan, 0, 0, 0], [np.inf, 0, 0, 0],
+                                 [1.0, np.inf, 0, 0], [0.0, 0, -np.inf, 1],
+                                 [1e200, 1e200, 0, 0]])
+def test_causal_character_of_non_finite_is_undefined(vec):
+    # [1e200, 1e200, 0, 0] is finite but <v, v> = inf - inf is not
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert rw.causal_character(np.array(vec), MINK4) == "undefined"
+
+
+def test_causal_character_stack_keeps_finite_verdicts():
+    vecs = np.array([[1.0, 0, 0, 0], [0.0, 1, 0, 0], [1.0, 1, 0, 0],
+                     [np.nan, 0, 0, 0], [1.0, np.inf, 0, 0]])
+    assert list(rw.causal_character(vecs, MINK4)) == [
+        "timelike", "spacelike", "null", "undefined", "undefined"]

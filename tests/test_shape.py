@@ -160,7 +160,7 @@ def test_pmcv_residual_plane(tilted_plane_grid):
 
 def test_normal_curvature_commuting_operators_vanish():
     # synthetic data in Minkowski 4-space with commuting shape operators
-    G = np.diag([-1.0, 1.0, 1.0, 1.0])
+    G = np.array([-1.0, 1.0, 1.0, 1.0])
     e3 = np.array([1.0, 0, 0, 0])
     e4 = np.array([0.0, 0, 0, 1.0])
     h11 = 0.7 * e4 - 0.3 * e3
@@ -172,7 +172,7 @@ def test_normal_curvature_commuting_operators_vanish():
 
 
 def test_normal_curvature_noncommuting_fixture():
-    G = np.diag([-1.0, 1.0, 1.0, 1.0])
+    G = np.array([-1.0, 1.0, 1.0, 1.0])
     e3 = np.array([1.0, 0, 0, 0])
     e4 = np.array([0.0, 0, 0, 1.0])
     # A_{e4} diagonal with distinct eigenvalues, A_{e3} with off-diagonal

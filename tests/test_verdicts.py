@@ -61,7 +61,7 @@ def test_curvature_trace_constant_curvature_kills_term():
     rng = np.random.default_rng(2)
     for _ in range(200):
         frame, H, G, _, _ = random_curvature_config(rng, theta_max=1.5)
-        f = math.sqrt(G[1, 1])
+        f = math.sqrt(G[1])
         t_state = (f, f, f)  # f = e^t jet at the matching point
         direct = curvature_trace_term(frame, H, G, t_state, 0.0)
         closed = curvature_trace_closed_form(frame, H, G, t_state, 0.0)
@@ -85,7 +85,7 @@ def test_reduced_criterion_catalog_and_synthetic(l4_grid, product_grid):
 def test_marginally_trapped_classification(l4_grid):
     pd = l4_grid.point(3, 3)
     assert rw.causal_character(pd.sfd.H, pd.G) == "spacelike"
-    G = np.diag([-1.0, 1, 1, 1])
+    G = np.array([-1.0, 1, 1, 1])
     assert rw.causal_character(np.array([1.0, 0, 0, 0]), G) == "timelike"
     assert rw.causal_character(np.array([1.0, 1.0, 0, 0]), G) == "null"
 
