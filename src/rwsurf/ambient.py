@@ -55,11 +55,13 @@ class WarpingFunction:
 
     def __post_init__(self):
         finite = [abs(x) for x in self.interval if np.isfinite(x)]
-        self.__dict__["_slack"] = _INTERVAL_SLACK * max([1.0, *finite])
+        slack = _INTERVAL_SLACK * max([1.0, *finite])
+        self.__dict__["_limits"] = (self.interval[0] - slack, self.interval[1] + slack)
 
     def __call__(self, t: float) -> tuple[float, float, float]:
-        lo, hi = self.interval
-        if not (lo - self._slack <= t <= hi + self._slack):
+        low, high = self._limits
+        if not (low <= t <= high):
+            lo, hi = self.interval
             raise ChartDomainError(
                 f"warp evaluated at t={t} outside interval [{lo}, {hi}]")
         f, fp, fpp = self.fn(t)

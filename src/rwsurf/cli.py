@@ -37,6 +37,12 @@ def _fmt(x) -> str:
     return format(float(x), _FMT)
 
 
+def _row_template(n: int, head: str = "") -> str:
+    """%-template of a CSV row: a fixed ``head`` (no user text, so no stray
+    '%'), then n slots that print a float as format(x, _FMT) does."""
+    return head + ",".join(["%" + _FMT] * n) + "\n"
+
+
 def _parse_span(text: str, flag: str) -> tuple[float, float]:
     try:
         lo, hi = (float(p) for p in text.split(":"))
@@ -253,20 +259,19 @@ def _write_report_files(report: VerificationReport, surface, opts: _Options):
     out = opts.get("out")
     if out:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(report.to_json())
-            fh.write("\n")
+            fh.write(report.to_json() + "\n")
     sg = report.surface_grid
     res_csv = opts.get("residuals_csv")
     if res_csv:
         # rows come from the grid the report's checks read; a grid that could
         # not be built leaves only the header
+        row = _row_template(5, "%d,%d,")
         with open(res_csv, "w", encoding="utf-8") as fh:
             fh.write("i,j,u,v,pmcv,reduced,biconservativity\n")
             for i, j in (sg.nodes() if sg is not None else ()):
                 vals = verdicts.node_residuals(sg, i, j)
-                fh.write(",".join([str(i), str(j), _fmt(sg.us[i]), _fmt(sg.vs[j]),
-                                   _fmt(vals["pmcv"]), _fmt(vals["reduced"]),
-                                   _fmt(vals["biconservativity"])]) + "\n")
+                fh.write(row % (i, j, sg.us[i], sg.vs[j], vals["pmcv"],
+                                vals["reduced"], vals["biconservativity"]))
     surf_csv = opts.get("surface_csv")
     if surf_csv:
         nu, nv = report.grid["nu"], report.grid["nv"]
@@ -275,15 +280,15 @@ def _write_report_files(report: VerificationReport, surface, opts: _Options):
         dim = surface.space.ambient_dim
         # rows from the grid; a degenerate (NaN) node calls the chart, as before
         phis = np.full((nu, nv, dim), np.nan) if sg is None else sg.data.jet.phi[:, :, 0]
+        row = _row_template(2 + dim)
         with open(surf_csv, "w", encoding="utf-8") as fh:
             fh.write("u,v," + ",".join(f"x{k}" for k in range(dim)) + "\n")
-            for i, u in enumerate(us):
-                for j, v in enumerate(vs):
+            for i, u in enumerate(us.tolist()):
+                for j, v in enumerate(vs.tolist()):
                     phi = phis[i, j]
                     if not np.isfinite(phi).all():
-                        phi = surface.jet(float(u), float(v)).phi
-                    fh.write(",".join([_fmt(u), _fmt(v)] +
-                                      [_fmt(x) for x in phi]) + "\n")
+                        phi = surface.jet(u, v).phi
+                    fh.write(row % (u, v, *phi))
 
 
 def _print_report(report: VerificationReport):
@@ -382,8 +387,7 @@ def _cmd_verify_user_map(args) -> int:
     else:
         space = AmbientSpace.product_space_form(args.n, args.c)
     surface = finite_difference_jet(
-        lambda u, v: chart(u, v), space,
-        _parse_span(args.chart_u_span, "--chart-u-span"),
+        chart, space, _parse_span(args.chart_u_span, "--chart-u-span"),
         _parse_span(args.chart_v_span, "--chart-v-span"),
         name=f"user-map:{os.path.basename(args.py)}")
     return _run_verify(surface, opts, None)
@@ -400,14 +404,12 @@ def _require_samples(args):
 
 
 def _write_dense_csv(path, solution, samples, with_y):
-    lo, hi = solution.warp.interval
+    row = _row_template(7 if with_y else 4)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("t,f,fp,fpp" + (",y,yp,ypp" if with_y else "") + "\n")
-        for t in np.linspace(lo, hi, samples).tolist():
-            row = (t, *solution.warp(t))
-            if with_y:
-                row += solution.y_state(t)
-            fh.write(",".join([f"{x:{_FMT}}" for x in row]) + "\n")
+        for t in np.linspace(*solution.warp.interval, samples).tolist():
+            f = solution.warp(t)
+            fh.write(row % ((t, *f, *solution.y_state(t)) if with_y else (t, *f)))
 
 
 def _cmd_solve_f4(args) -> int:
@@ -445,14 +447,13 @@ def _cmd_solve_sys5(args) -> int:
 
 
 def _write_scan_csv(path, result):
-    taus = [""] if result.taus is None else [f"{ta:{_FMT}}" for ta in result.taus.tolist()]
-    rows = result.residuals.reshape(len(result.thetas), len(taus)).tolist()
+    taus = [""] if result.taus is None else [_fmt(ta) for ta in result.taus.tolist()]
+    cells = ["", *(_row_template(1, f",{ta},") for ta in taus)]
+    residuals = result.residuals.reshape(len(result.thetas), len(taus))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("theta,tau,residual\n")
-        for th, row in zip(result.thetas.tolist(), rows):
-            head = f"{th:{_FMT}},"  # once per theta, not once per cell
-            fh.writelines(f"{head}{ta},{r:{_FMT}}\n"
-                          for ta, r in zip(taus, row))
+        for th, row in zip(result.thetas.tolist(), residuals):
+            fh.write(_fmt(th).join(cells) % tuple(row.tolist()))
 
 
 def _cmd_scan_h4(args) -> int:

@@ -112,12 +112,13 @@ class DenseOutput:
 
     def __post_init__(self):
         # for _segment: direction-signed step starts (monotone, for bisect)
-        # and (lo, hi, slack, direction)
+        # and (lo, hi, slack-widened lo, slack-widened hi, direction)
         direction = 1.0 if self.steps[0][1] > 0 else -1.0
         lo, hi = self.interval
+        slack = 1e-12 * max(1.0, abs(lo), abs(hi))
         self.__dict__.update(
             _starts=[row[0] * direction for row in self.steps],
-            _bounds=(lo, hi, 1e-12 * max(1.0, abs(lo), abs(hi)), direction))
+            _bounds=(lo, hi, lo - slack, hi + slack, direction))
 
     @property
     def interval(self) -> tuple[float, float]:
@@ -128,11 +129,11 @@ class DenseOutput:
         """(theta, h, y, q) of the step that holds t, with t clamped to the
         interval; the first step starts at one end of it, so once t is
         clamped the bisection always lands on a step."""
-        lo, hi, slack, direction = self._bounds
-        if not (lo - slack <= t <= hi + slack):
+        lo, hi, low, high, direction = self._bounds
+        if not (low <= t <= high):
             raise ChartDomainError(
                 f"dense output evaluated at t={t} outside [{lo}, {hi}]")
-        t = min(max(t, lo), hi)
+        t = lo if t < lo else hi if t > hi else t
         tk, h, y, q = self.steps[bisect_right(self._starts, t * direction) - 1]
         return (t - tk) / h, h, y, q
 
@@ -598,21 +599,14 @@ _DET_TOL = 1e-10
 _SPACELIKE_FLOOR = 0.02
 
 
-def _det_margin(a11, a12, a21, a22) -> tuple[float, float]:
-    """(|det A| / max|A|^2 - _DET_TOL, det A); a positive margin means safely
-    non-singular.  The scale's floor keeps an all-zero A singular (-_DET_TOL);
-    a non-finite entry makes det NaN, or +-inf with an inf scale, so the
-    margin is NaN (singular) even where max() skips a NaN."""
+def _second_derivatives(constants: ConstantsL5, fv, fp, yp):
+    """(f'', y'') by Cramer's rule; LinAlgError unless |det A| / max|A|^2 >
+    _DET_TOL.  The scale's floor keeps an all-zero A singular; a non-finite
+    entry makes the ratio NaN (singular) even where max() skips a NaN."""
+    a11, a12, a21, a22, r1, r2 = _system_matrices(constants, fv, fp, yp)
     det = a11 * a22 - a12 * a21
     scale = max(abs(a11), abs(a12), abs(a21), abs(a22), 1e-150)
-    return abs(det) / (scale * scale) - _DET_TOL, det
-
-
-def _second_derivatives(constants: ConstantsL5, fv, fp, yp):
-    """(f'', y'') by Cramer's rule with the margin test's determinant."""
-    a11, a12, a21, a22, r1, r2 = _system_matrices(constants, fv, fp, yp)
-    margin, det = _det_margin(a11, a12, a21, a22)
-    if not margin > 0.0:
+    if not abs(det) / (scale * scale) > _DET_TOL:
         raise np.linalg.LinAlgError("pointwise system is near-singular")
     return (a12 * r2 - a22 * r1) / det, (a21 * r1 - a11 * r2) / det
 
@@ -652,14 +646,15 @@ class WarpSystemSolution:
 
     def max_equation_residual(self, samples: int = 200) -> float:
         """Largest |residual| of the two family equations over ``samples``
-        times (0.0 with none); NaN when any residual is NaN."""
-        lo, hi = self.warp.interval
+        >= 1 times (ValueError otherwise); NaN when any residual is NaN."""
+        if samples < 1:
+            raise ValueError(f"samples must be at least 1, got {samples}")
         residuals = []
-        for t in np.linspace(lo, hi, samples).tolist():
+        for t in np.linspace(*self.warp.interval, samples).tolist():
             fv, fp, fpp, _, yp, ypp = self.state(t)
             residuals += system_equation_residuals(self.constants, fv, fp, fpp,
                                                    yp, ypp)
-        return float(np.max(np.abs(residuals), initial=0.0))
+        return float(np.max(np.abs(residuals)))
 
 
 def solve_warp_system(constants: ConstantsL5, ics, interval,
@@ -680,9 +675,11 @@ def solve_warp_system(constants: ConstantsL5, ics, interval,
     _require_finite(f0=f0, f0p=f0p, y0=y0, y0p=y0p)
     if f0 == 0.0:
         raise SingularWarpError("f0 must be non-zero")
-    if not _det_margin(*_system_matrices(constants, f0, f0p, y0p)[:4])[0] > 0.0:
-        raise AdmissibilityError(
-            "pointwise (f'', y'') system is singular at the initial state")
+    try:
+        _second_derivatives(constants, f0, f0p, y0p)
+    except np.linalg.LinAlgError:
+        raise AdmissibilityError("pointwise (f'', y'') system is singular "
+                                 "at the initial state") from None
     if spacelike_margin(constants, f0, f0p, y0p) <= _SPACELIKE_FLOOR:
         raise AdmissibilityError(
             "initial state violates the space-likeness margin "

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import pathlib
 import re
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 import rwsurf as rw
+from rwsurf import catalog, cli
 from rwsurf.cli import main
 from rwsurf.immersion import Jet2Immersion
 from rwsurf.shape import SurfaceGrid
@@ -260,6 +262,85 @@ def test_default_scan_csv_bytes_are_pinned(argv, digest, tmp_path, capsys):
     csv = tmp_path / "scan.csv"
     assert main(argv + ["--csv", str(csv)]) == 0
     assert hashlib.sha256(csv.read_bytes()).hexdigest() == digest
+
+
+# digests of the files a per-cell writer gives: the row templates keep every byte
+@pytest.mark.parametrize("argv, digests", [
+    (["verify", "thm4", "--a", "2", "--H0", "0.5", "--f0", "1", "--f0p", "2",
+      "--grid", "5x5", "--residuals-csv", "{0}", "--surface-csv", "{1}"],
+     ["c730b376cf9f425bf33f8365a913f8c79aec71b13201a53b686e6a711873e854",
+      "101b3a43a35368d86ca2ac1458ddafcad3573505499c5b9652fbac9ac7f038d1"]),
+    (["solve", "f4", "--a", "2", "--H0", "0.5", "--f0", "1", "--f0p", "2",
+      "--csv", "{0}", "--samples", "2001"],
+     ["5ec4b1a60c5ecb9db61d86ed6fa51565ced2af70df0ce9d5235ee2ae3e9a540d"]),
+    (["solve", "sys5", "--a", "2", "--H0", "0.6", "--c2", "0.48", "--c3", "0.64",
+      "--f0", "1.5", "--f0p", "1.2", "--y0", "0.4", "--y0p", "-0.7",
+      "--csv", "{0}", "--samples", "2001"],
+     ["18571144472363592d4df1461c1d28e014a41b300325a57d0bf2443ccb4e644f"]),
+], ids=["thm4-5x5", "f4", "sys5"])
+def test_report_and_dense_csv_bytes_are_pinned(argv, digests, tmp_path, capsys):
+    paths = [tmp_path / f"{k}.csv" for k in range(len(digests))]
+    assert main([a.format(*paths) for a in argv]) == 0
+    assert [hashlib.sha256(p.read_bytes()).hexdigest() for p in paths] == digests
+
+
+SPECIAL_FLOATS = [-0.0, 5e-324, 1.7976931348623157e308, math.inf, -math.inf,
+                  math.nan, 0.1, -2.5e-17]
+
+
+def _reference_row(values) -> str:
+    """One CSV row rendered a cell at a time: what every row template must
+    reproduce."""
+    return ",".join("" if x is None else format(x, ".17g") for x in values) + "\n"
+
+
+def test_row_template_matches_the_per_cell_reference():
+    row = cli._row_template(len(SPECIAL_FLOATS), "%d,%d,")
+    assert row % (3, 11, *SPECIAL_FLOATS) == _reference_row(
+        [3, 11, *SPECIAL_FLOATS])
+    stacked = np.array(SPECIAL_FLOATS)  # numpy scalars render alike
+    assert cli._row_template(stacked.size) % tuple(stacked) == _reference_row(
+        SPECIAL_FLOATS)
+
+
+@pytest.mark.parametrize("kind", ["h4", "slice"])
+def test_scan_csv_matches_the_per_cell_reference(kind, tmp_path):
+    values = np.array(SPECIAL_FLOATS)
+    if kind == "h4":
+        thetas, taus = values[:5], values[[5, 0, 2]]
+        residuals = np.add.outer(values[[0, 1, 2, 3, 4]], values[[5, 1, 0]])
+    else:
+        thetas, taus, residuals = values, None, values[::-1]
+    result = catalog.ScanResult(thetas, taus, residuals, 0.0, 0.0, True)
+    csv = tmp_path / "scan.csv"
+    cli._write_scan_csv(csv, result)
+    assert csv.read_text() == "theta,tau,residual\n" + "".join(
+        _reference_row(r) for r in result.rows())
+
+
+class _SyntheticSolution:
+    """Dense-output stand-in whose states hold the special floats."""
+
+    def __init__(self, interval):
+        self.warp = self
+        self.interval = interval
+
+    def __call__(self, t):
+        return SPECIAL_FLOATS[0], SPECIAL_FLOATS[1], t * SPECIAL_FLOATS[2]
+
+    def y_state(self, t):
+        return tuple(SPECIAL_FLOATS[3:6])
+
+
+@pytest.mark.parametrize("with_y", [False, True])
+def test_dense_csv_matches_the_per_cell_reference(with_y, tmp_path):
+    solution = _SyntheticSolution((-0.0, 5e-324))
+    csv = tmp_path / "dense.csv"
+    cli._write_dense_csv(csv, solution, 5, with_y)
+    rows = [(t, *solution.warp(t), *(solution.y_state(t) if with_y else ()))
+            for t in np.linspace(-0.0, 5e-324, 5).tolist()]
+    header = "t,f,fp,fpp" + (",y,yp,ypp" if with_y else "") + "\n"
+    assert csv.read_text() == header + "".join(_reference_row(r) for r in rows)
 
 
 @pytest.mark.parametrize("argv, flag, text", [

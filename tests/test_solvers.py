@@ -648,7 +648,9 @@ def test_max_equation_residual_propagates_nan(l5_solution, monkeypatch):
     assert len(calls) == 200
     monkeypatch.undo()
     assert 0.0 < l5_solution.max_equation_residual(200) < 1e-6
-    assert l5_solution.max_equation_residual(0) == 0.0
+    for samples in (0, -1):
+        with pytest.raises(ValueError, match="samples"):
+            l5_solution.max_equation_residual(samples)
 
 
 def test_system_completes_on_fixture(l5_solution):
@@ -775,6 +777,16 @@ def test_state_cache_is_per_solution(l5_constants, monkeypatch):
     assert first.state.cache_info().currsize == second.state.cache_info().currsize == 20
 
 
+def _non_singular(c, fv, fp, yp) -> bool:
+    """Whether the pointwise (f'', y'') system passes the solver's
+    determinant test."""
+    try:
+        solvers._second_derivatives(c, fv, fp, yp)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def test_accepted_states_have_a_non_singular_system(l5_solution):
     # the RHS raises on a near-singular system, which rejects the step, so
     # every accepted state keeps a positive determinant margin without a
@@ -787,8 +799,7 @@ def test_accepted_states_have_a_non_singular_system(l5_solution):
     for sol in solutions:
         dense = sol.integration.dense
         for fv, fp, _, yp in [*_rows(dense)[2].tolist(), dense(dense.t_end)]:
-            entries = solvers._system_matrices(sol.constants, fv, fp, yp)[:4]
-            assert solvers._det_margin(*entries)[0] > 0.0
+            assert _non_singular(sol.constants, fv, fp, yp)
 
 
 def _family_equations_literal(c, fv, fp, yp):
@@ -827,8 +838,7 @@ def _admissible_l5_states(seed, count):
         phi = math.atan2(0.64, 0.48) + 0.1 * rng.uniform(-1, 1)
         c = rw.validate_constants_l5(a, h0, r * math.cos(phi), r * math.sin(phi))
         fv, fp, yp = rng.uniform(0.5, 2.5), rng.uniform(-3, 3), rng.uniform(-3, 3)
-        entries = solvers._system_matrices(c, fv, fp, yp)[:4]
-        if (solvers._det_margin(*entries)[0] > 0
+        if (_non_singular(c, fv, fp, yp)
                 and solvers.spacelike_margin(c, fv, fp, yp) > solvers._SPACELIKE_FLOOR):
             count -= 1
             yield c, fv, fp, yp
@@ -872,7 +882,6 @@ def test_non_finite_system_entry_is_singular(l5_constants, monkeypatch,
     # on the determinant carrying it
     entries = [-3.0, 1.5, -0.25, 2.0]
     entries[position] = bad
-    assert not solvers._det_margin(*entries)[0] > 0.0
     monkeypatch.setattr(solvers, "_system_matrices",
                         lambda *args: (*entries, 1.0, -1.0))
     with pytest.raises(np.linalg.LinAlgError, match="near-singular"):
