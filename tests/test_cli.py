@@ -284,6 +284,32 @@ def test_report_and_dense_csv_bytes_are_pinned(argv, digests, tmp_path, capsys):
     assert [hashlib.sha256(p.read_bytes()).hexdigest() for p in paths] == digests
 
 
+# digests (stdout, --out JSON) of the verify subcommands built per family
+@pytest.mark.parametrize("argv, code, digests", [
+    (["verify", "thm4", "--a", "2", "--H0", "0.5", "--f0", "1", "--f0p", "2"],
+     0, ["ae068d91a8ee442feb66e77295d047667114b02a75fb54bf27fa77b4c07027fe",
+         "8b91a935beb14269848ee6a6f8c9c9070ed47e0247db065d4765ee187a12bccd"]),
+    (["verify", "thm5", "--a", "2", "--H0", "0.6", "--c2", "0.48", "--c3", "0.64",
+      "--f0", "1.5", "--f0p", "1.2", "--y0", "0.4", "--y0p", "-0.7"],
+     0, ["f0f586acca6cdfa649b998f8084d28ac5b4ee578d174551a5f1d36991c2c5bd6",
+         "4200defcd5d1fc92e4a5cf57763e7ddb0948d8bce14ac277fffa645ef9f6fe5c"]),
+    (["verify", "product", "--b1", "1", "--b3", "0.5"],
+     0, ["0a770cb2dfabd27d04be2656fc5d0a3f86ea55f34f0714d6fbcce274feda97ad",
+         "c8f006571b0012b69eb1de18c6e76b0a31d34a01df3879284040e9c7e8ee0702"]),
+    (["verify", "product", "--b1", "1", "--b2", "0.4", "--b3", "0.5",
+      "--force-b4"],
+     1, ["29c480a44d4af93ac309b780da067e3a4dca28eb8bd94e7433c5dbabdf8986b2",
+         "4d6d142b46f1cd7b76a8381c7d7dfbf8192fd31987536f0dd89f4814be3b4a8d"]),
+], ids=["thm4", "thm5", "product", "product-force-b4"])
+def test_verify_stdout_and_report_bytes_are_pinned(argv, code, digests,
+                                                   tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert main(argv + ["--grid", "5x5", "--out", str(out)]) == code
+    text = capsys.readouterr().out
+    assert [hashlib.sha256(text.encode()).hexdigest(),
+            hashlib.sha256(out.read_bytes()).hexdigest()] == digests
+
+
 SPECIAL_FLOATS = [-0.0, 5e-324, 1.7976931348623157e308, math.inf, -math.inf,
                   math.nan, 0.1, -2.5e-17]
 
