@@ -1,5 +1,5 @@
-"""The classified surfaces as analytic 2-jet immersions, plus the
-non-existence residual scans.
+"""The classified surfaces as analytic 2-jet immersions, the table of their
+families (``FAMILIES``), and the non-existence residual scans.
 
 Each catalog surface owns hand-differentiated jet formulas in terms of
 (f, f', f''), so warps sourced from dense ODE output plug in without any
@@ -12,9 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
+from . import solvers
 from .ambient import AmbientSpace, WarpingFunction
 from .errors import ConstraintError, InapplicableError
 from .immersion import Jet2Immersion
@@ -27,6 +29,7 @@ __all__ = [
     "surface_l51",
     "product_surface_e11s4",
     "product_surface_family",
+    "Param", "Family", "FAMILIES",
     "ScanResult",
     "nonexistence_scan_e11h4",
     "nonexistence_slice_scan",
@@ -179,6 +182,77 @@ def product_surface_e11s4(constants: ConstantsProduct, u_domain=None,
     """The validated parallel-mean-curvature member of the product family."""
     return product_surface_family(constants.b1, constants.b2, constants.b3,
                                   u_domain, v_domain)
+
+
+# ---------------------------------------------------------------------------
+# the family table
+
+
+@dataclass(frozen=True)
+class Param:
+    """A family parameter; an optional one takes ``default`` (None: derived)."""
+
+    name: str
+    required: bool = True
+    default: float | bool | None = None
+    help: str | None = None
+
+
+@dataclass(frozen=True)
+class Family:
+    """A classified family: its parameters, and ``build(params)``, which takes
+    a value per parameter name and returns ``(surface, expect, solution)``:
+    the validated chart, the theorem's pins for ``verify_surface(expect=)``
+    (None for the negative control) and the warp solution (None for product)."""
+
+    summary: str
+    params: tuple[Param, ...]
+    build: Callable[[dict], tuple]
+
+
+def _build_thm4(p):
+    constants = solvers.validate_constants_l4(p["a"], p["H0"], p["c2"])
+    solution = solvers.solve_rotational_warp(constants, p["f0"], p["f0p"],
+                                             (0.0, p["u_end"]))
+    return (rotational_surface_l41(constants, solution.warp),
+            {"H0": abs(constants.H0), "dim_N1": 2}, solution)
+
+
+def _build_thm5(p):
+    constants = solvers.validate_constants_l5(p["a"], p["H0"], p["c2"], p["c3"])
+    solution = solvers.solve_warp_system(
+        constants, (p["f0"], p["f0p"], p["y0"], p["y0p"]), (0.0, p["u_end"]))
+    return surface_l51(solution), {"H0": abs(constants.H0), "dim_N1": 2}, solution
+
+
+def _build_product(p):
+    if p["force_b4"]:
+        if p["b2"] is None or p["b3"] is None:
+            raise ValueError("--force-b4 needs explicit --b2 and --b3")
+        return product_surface_family(p["b1"], p["b2"], p["b3"]), None, None
+    constants = solvers.validate_constants_product(p["b1"], p["b2"], p["b3"])
+    return product_surface_e11s4(constants), {"dim_N1": 2, "dim_N2": 3}, None
+
+
+# build looks solvers and charts up at call time: a patched one sees each call
+FAMILIES = {
+    "thm4": Family(
+        "rotational surface in the 4-dim warped spacetime (warp from its ODE)",
+        (Param("a"), Param("H0"), Param("c2", False), Param("f0"), Param("f0p"),
+         Param("u_end", False, 1.0, "integration horizon (default 1.0)")),
+        _build_thm4),
+    "thm5": Family(
+        "surface in the 5-dim warped spacetime (coupled warp system)",
+        (*map(Param, ("a", "H0", "c2", "c3", "f0", "f0p", "y0", "y0p")),
+         Param("u_end", False, 0.8)),
+        _build_thm5),
+    "product": Family(
+        "rotational surface in the Lorentzian cylinder over the 4-sphere",
+        (Param("b1"), Param("b2", False), Param("b3", False),
+         Param("force_b4", False, False,
+               "skip the closure constraint (negative control)")),
+        _build_product),
+}
 
 
 # ---------------------------------------------------------------------------

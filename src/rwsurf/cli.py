@@ -43,7 +43,9 @@ def _row_template(n: int, head: str = "") -> str:
     return head + ",".join(["%" + _FMT] * n) + "\n"
 
 
-def _parse_span(text: str, flag: str) -> tuple[float, float]:
+def _parse_span(text: str | None, flag: str) -> tuple[float, float] | None:
+    if text is None:
+        return None
     try:
         lo, hi = (float(p) for p in text.split(":"))
     except ValueError:
@@ -79,16 +81,21 @@ def _parse_range(text: str, flag: str) -> np.ndarray:
 
 def _parse_warp(text: str) -> WarpingFunction:
     head, _, rest = text.partition(":")
-    if head == "exp":
-        return WarpingFunction.exponential(float(rest) if rest else 1.0)
-    if head == "cosh":
-        return WarpingFunction.hyperbolic_cosine()
-    if head == "const":
-        return WarpingFunction.constant(float(rest) if rest else 1.0)
-    if head == "poly":
-        coeffs = [float(c) for c in rest.split(",")]
-        return WarpingFunction.polynomial(coeffs, (-1e6, 1e6))
-    raise ValueError(f"unknown warp spec {text!r} (exp|cosh|const|poly)")
+    try:
+        params = [float(p) for p in rest.split(",")] if rest else []
+    except ValueError:
+        params = None
+    if params is not None and all(map(math.isfinite, params)):
+        if head == "exp" and len(params) <= 1:
+            return WarpingFunction.exponential(*params)
+        if head == "const" and len(params) <= 1:
+            return WarpingFunction.constant(*params)
+        if head == "cosh" and not params:
+            return WarpingFunction.hyperbolic_cosine()
+        if head == "poly" and params:
+            return WarpingFunction.polynomial(params, (-1e6, 1e6))
+    raise ValueError(f"--warp must be exp[:r], cosh, const[:k] or "
+                     f"poly:c0,c1,.. with finite numbers, got {text!r}")
 
 
 def _load_config_file(path: str) -> dict:
@@ -105,28 +112,19 @@ def _load_config_file(path: str) -> dict:
     return values
 
 
-class _Options:
-    """Merged view of hard defaults, config-file values and explicit flags."""
-
-    def __init__(self, defaults: dict, namespace: argparse.Namespace):
-        self._values = dict(defaults)
-        config_path = getattr(namespace, "config", None)
-        if config_path:
-            file_values = _load_config_file(config_path)
-            unknown = set(file_values) - set(defaults)
-            if unknown:
-                raise ValueError(
-                    f"unknown config keys: {', '.join(sorted(unknown))}")
-            self._values.update(file_values)
-        for key, val in vars(namespace).items():
-            if key not in ("config", "_command", "_sub") and val is not None:
-                self._values[key] = val
-
-    def get(self, key, cast=None):
-        val = self._values[key]
-        if val is None or cast is None or not isinstance(val, str):
-            return val
-        return cast(val)
+def _options(defaults: dict, namespace: argparse.Namespace) -> dict:
+    """Hard defaults, then the --config file's values (strings), then flags."""
+    values = dict(defaults)
+    if getattr(namespace, "config", None):
+        file_values = _load_config_file(namespace.config)
+        unknown = set(file_values) - set(defaults)
+        if unknown:
+            raise ValueError(f"unknown config keys: {', '.join(sorted(unknown))}")
+        values.update(file_values)
+    values.update((key, val) for key, val in vars(namespace).items()
+                  if key not in ("config", "_command", "_sub", "_run")
+                  and val is not None)
+    return values
 
 
 def _add_common_verify_flags(p: argparse.ArgumentParser):
@@ -144,11 +142,9 @@ def _add_common_verify_flags(p: argparse.ArgumentParser):
     p.add_argument("--config", help="KEY=VALUE config file; flags override")
 
 
-_VERIFY_DEFAULTS = {
-    "grid": "17x17", "u_span": None, "v_span": None,
-    "substep": DEFAULT_SUBSTEP, "tol": None, "out": None,
-    "residuals_csv": None, "surface_csv": None,
-}
+_VERIFY_DEFAULTS = {"grid": "17x17", "u_span": None, "v_span": None,
+                    "substep": DEFAULT_SUBSTEP, "tol": None, "out": None,
+                    "residuals_csv": None, "surface_csv": None}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -162,35 +158,19 @@ def build_parser() -> argparse.ArgumentParser:
     pv = sub.add_parser("verify", help="run the verification battery")
     pvs = pv.add_subparsers(dest="_sub", required=True)
 
-    p4 = pvs.add_parser("thm4", help="rotational surface in the 4-dim warped "
-                                     "spacetime (warp from its ODE)")
-    p4.add_argument("--a", type=float, required=True)
-    p4.add_argument("--H0", type=float, required=True)
-    p4.add_argument("--c2", type=float, default=None)
-    p4.add_argument("--f0", type=float, required=True)
-    p4.add_argument("--f0p", type=float, required=True)
-    p4.add_argument("--u-end", dest="u_end", type=float,
-                    help="integration horizon (default 1.0)")
-    _add_common_verify_flags(p4)
-
-    p5 = pvs.add_parser("thm5", help="surface in the 5-dim warped spacetime "
-                                     "(coupled warp system)")
-    for flag in ("--a", "--H0", "--c2", "--c3", "--f0", "--f0p", "--y0", "--y0p"):
-        p5.add_argument(flag, type=float, required=True)
-    p5.add_argument("--u-end", dest="u_end", type=float)
-    _add_common_verify_flags(p5)
-
-    pp = pvs.add_parser("product", help="rotational surface in the Lorentzian "
-                                        "cylinder over the 4-sphere")
-    pp.add_argument("--b1", type=float, required=True)
-    pp.add_argument("--b2", type=float, default=None)
-    pp.add_argument("--b3", type=float, default=None)
-    pp.add_argument("--force-b4", dest="force_b4", action="store_true",
-                    help="skip the closure constraint (negative control)")
-    _add_common_verify_flags(pp)
+    for name, family in catalog.FAMILIES.items():
+        pf = pvs.add_parser(name, help=family.summary)
+        for param in family.params:
+            kind = ({"action": "store_true"} if isinstance(param.default, bool)
+                    else {"type": float, "required": param.required})
+            pf.add_argument("--" + param.name.replace("_", "-"),
+                            help=param.help, **kind)
+        _add_common_verify_flags(pf)
+        pf.set_defaults(_run=_cmd_verify_family)
 
     pu = pvs.add_parser("user-map", help="verify a user chart sampled through "
                                          "finite-difference jets")
+    pu.set_defaults(_run=_cmd_verify_user_map)
     pu.add_argument("--py", required=True, help="python file defining the chart")
     pu.add_argument("--attr", default="chart", help="chart function name")
     pu.add_argument("--ambient", choices=("warped-flat", "product"),
@@ -204,39 +184,37 @@ def build_parser() -> argparse.ArgumentParser:
 
     ps = sub.add_parser("solve", help="integrate a warp ODE and export CSV")
     pss = ps.add_subparsers(dest="_sub", required=True)
-    pf = pss.add_parser("f4", help="scalar warp ODE of the rotational family")
-    for flag in ("--a", "--H0", "--f0", "--f0p"):
-        pf.add_argument(flag, type=float, required=True)
-    pf.add_argument("--u0", type=float, default=0.0)
-    pf.add_argument("--u1", type=float, default=1.0)
-    pf.add_argument("--rtol", type=float, default=1e-11)
-    pf.add_argument("--atol", type=float, default=1e-13)
-    pf.add_argument("--csv", help="dense-output CSV path")
-    pf.add_argument("--samples", type=int, default=201)
-
-    py5 = pss.add_parser("sys5", help="coupled (f, y) system of the 5-dim family")
-    for flag in ("--a", "--H0", "--c2", "--c3", "--f0", "--f0p", "--y0", "--y0p"):
-        py5.add_argument(flag, type=float, required=True)
-    py5.add_argument("--u0", type=float, default=0.0)
-    py5.add_argument("--u1", type=float, default=0.8)
-    py5.add_argument("--rtol", type=float, default=1e-11)
-    py5.add_argument("--atol", type=float, default=1e-13)
-    py5.add_argument("--csv")
-    py5.add_argument("--samples", type=int, default=201)
+    for name, kind, u1, summary in (  # flags: the family's required parameters
+            ("f4", "thm4", 1.0, "scalar warp ODE of the rotational family"),
+            ("sys5", "thm5", 0.8, "coupled (f, y) system of the 5-dim family")):
+        pf = pss.add_parser(name, help=summary)
+        for param in catalog.FAMILIES[kind].params:
+            if param.required:
+                pf.add_argument("--" + param.name, type=float, required=True)
+        pf.add_argument("--u0", type=float, default=0.0)
+        pf.add_argument("--u1", type=float, default=u1)
+        pf.add_argument("--rtol", type=float, default=1e-11)
+        pf.add_argument("--atol", type=float, default=1e-13)
+        pf.add_argument("--csv", help="dense-output CSV path")
+        pf.add_argument("--samples", type=int, default=201)
+        pf.set_defaults(_run=_cmd_solve)
 
     pc = sub.add_parser("scan", help="non-existence residual scans")
     pcs = pc.add_subparsers(dest="_sub", required=True)
     ph = pcs.add_parser("h4", help="scan the hyperbolic-fiber obstruction")
+    ph.set_defaults(_run=_cmd_scan)
     ph.add_argument("--theta", default="0.1:3:301", help="lo:hi:n")
     ph.add_argument("--tau", default="0:5:501", help="lo:hi:n")
     ph.add_argument("--csv")
     psl = pcs.add_parser("slice", help="codimension-1 slice obstruction")
+    psl.set_defaults(_run=_cmd_scan)
     psl.add_argument("--c", type=int, required=True, choices=(-1, 1))
     psl.add_argument("--theta", default="0.1:3:301")
     psl.add_argument("--csv")
 
     pr = sub.add_parser("report", help="pretty-print a JSON report")
     pr.add_argument("path")
+    pr.set_defaults(_run=_cmd_report)
     return ap
 
 
@@ -244,18 +222,19 @@ def build_parser() -> argparse.ArgumentParser:
 # verify plumbing
 
 
-def _tolerances(opts: _Options) -> dict:
+def _tolerances(opts: dict) -> dict:
     """The --tol flags, or a config file's comma-separated NAME=VALUE list."""
-    overrides = {}
-    for item in (opts.get("tol", lambda text: text.split(",")) or []):
+    overrides, tol = {}, opts["tol"]
+    for item in (tol.split(",") if isinstance(tol, str) else tol or []):
         name, _, val = item.partition("=")
-        if not val:
-            raise ValueError(f"--tol expects NAME=VALUE, got {item!r}")
-        overrides[name.strip()] = float(val)
+        try:
+            overrides[name.strip()] = float(val)
+        except ValueError:
+            raise ValueError(f"--tol expects NAME=NUMBER, got {item!r}") from None
     return overrides
 
 
-def _write_report_files(report: VerificationReport, surface, opts: _Options):
+def _write_report_files(report: VerificationReport, surface, opts: dict):
     out = opts.get("out")
     if out:
         with open(out, "w", encoding="utf-8") as fh:
@@ -312,72 +291,42 @@ def _print_report(report: VerificationReport):
     print(f"verdict: {report.verdict}")
 
 
-def _run_verify(surface, opts: _Options, expect: dict | None) -> int:
+def _run_verify(surface, opts: dict, expect: dict | None) -> int:
     report = verify_surface(
-        surface,
-        grid=_parse_grid(opts.get("grid")),
-        u_span=(_parse_span(opts.get("u_span"), "--u-span")
-                if opts.get("u_span") else None),
-        v_span=(_parse_span(opts.get("v_span"), "--v-span")
-                if opts.get("v_span") else None),
-        tolerances=_tolerances(opts),
-        expect=expect,
-        substep=opts.get("substep", float),
-    )
+        surface, grid=_parse_grid(opts["grid"]),
+        u_span=_parse_span(opts["u_span"], "--u-span"),
+        v_span=_parse_span(opts["v_span"], "--v-span"),
+        tolerances=_tolerances(opts), expect=expect, substep=opts["substep"])
     _write_report_files(report, surface, opts)
     _print_report(report)
-    if report.verdict == "pass":
-        return EXIT_PASS
-    if report.verdict == "fail":
-        return EXIT_FAIL
-    return EXIT_INVALID
+    return {"pass": EXIT_PASS, "fail": EXIT_FAIL}.get(report.verdict, EXIT_INVALID)
 
 
-def _cmd_verify_thm4(args) -> int:
-    opts = _Options({**_VERIFY_DEFAULTS, "u_end": "1.0"}, args)
-    constants = solvers.validate_constants_l4(args.a, args.H0, args.c2)
-    solution = solvers.solve_rotational_warp(
-        constants, args.f0, args.f0p, (0.0, opts.get("u_end", float)))
-    blow_up = ("" if solution.blow_up_time is None else
-               f", estimated blow-up at t={solution.blow_up_time:.6g}")
-    print(f"warp integration: {solution.integration.stop_reason}{blow_up}, "
-          f"admissible interval [{solution.warp.interval[0]:.6g}, "
-          f"{solution.warp.interval[1]:.6g}]")
-    surface = catalog.rotational_surface_l41(constants, solution.warp)
-    return _run_verify(surface, opts,
-                       {"H0": abs(constants.H0), "dim_N1": 2})
-
-
-def _cmd_verify_thm5(args) -> int:
-    opts = _Options({**_VERIFY_DEFAULTS, "u_end": "0.8"}, args)
-    constants = solvers.validate_constants_l5(args.a, args.H0, args.c2, args.c3)
-    solution = solvers.solve_warp_system(
-        constants, (args.f0, args.f0p, args.y0, args.y0p),
-        (0.0, opts.get("u_end", float)))
-    print(f"system integration: {solution.integration.stop_reason}, "
-          f"interval [{solution.warp.interval[0]:.6g}, "
-          f"{solution.warp.interval[1]:.6g}], "
-          f"max equation residual {solution.max_equation_residual():.3e}")
-    surface = catalog.surface_l51(solution)
-    return _run_verify(surface, opts, {"H0": abs(constants.H0), "dim_N1": 2})
-
-
-def _cmd_verify_product(args) -> int:
-    opts = _Options(_VERIFY_DEFAULTS, args)
-    if args.force_b4:
-        if args.b2 is None or args.b3 is None:
-            raise ValueError("--force-b4 needs explicit --b2 and --b3")
-        surface = catalog.product_surface_family(args.b1, args.b2, args.b3)
-        expect = None
-    else:
-        constants = solvers.validate_constants_product(args.b1, args.b2, args.b3)
-        surface = catalog.product_surface_e11s4(constants)
-        expect = {"dim_N1": 2, "dim_N2": 3}
+def _cmd_verify_family(args) -> int:
+    family = catalog.FAMILIES[args._sub]
+    # a parameter with a number for its default (--u-end) may come from --config
+    settable = {p.name: p.default for p in family.params
+                if isinstance(p.default, float)}
+    opts = _options({**_VERIFY_DEFAULTS, **settable}, args)
+    surface, expect, solution = family.build(
+        {p.name: float(opts[p.name]) if p.name in settable else opts.get(p.name)
+         for p in family.params})
+    if solution is not None:
+        lo, hi = solution.warp.interval
+        stop = solution.integration.stop_reason
+        if isinstance(solution, solvers.WarpSystemSolution):
+            print(f"system integration: {stop}, interval [{lo:.6g}, {hi:.6g}], "
+                  f"max equation residual {solution.max_equation_residual():.3e}")
+        else:
+            blow_up = ("" if solution.blow_up_time is None else
+                       f", estimated blow-up at t={solution.blow_up_time:.6g}")
+            print(f"warp integration: {stop}{blow_up}, "
+                  f"admissible interval [{lo:.6g}, {hi:.6g}]")
     return _run_verify(surface, opts, expect)
 
 
 def _cmd_verify_user_map(args) -> int:
-    opts = _Options(_VERIFY_DEFAULTS, args)
+    opts = _options(_VERIFY_DEFAULTS, args)
     spec = importlib.util.spec_from_file_location("rwsurf_user_map", args.py)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
@@ -397,12 +346,6 @@ def _cmd_verify_user_map(args) -> int:
 # solve / scan / report
 
 
-def _require_samples(args):
-    """Reject a --samples count below 2 before anything is solved or written."""
-    if args.samples < 2:
-        raise ValueError(f"--samples must be at least 2, got {args.samples}")
-
-
 def _write_dense_csv(path, solution, samples, with_y):
     row = _row_template(7 if with_y else 4)
     with open(path, "w", encoding="utf-8") as fh:
@@ -412,36 +355,29 @@ def _write_dense_csv(path, solution, samples, with_y):
             fh.write(row % ((t, *f, *solution.y_state(t)) if with_y else (t, *f)))
 
 
-def _cmd_solve_f4(args) -> int:
-    _require_samples(args)
-    constants = solvers.validate_constants_l4(args.a, args.H0)
+def _cmd_solve(args) -> int:
+    if args.samples < 2:  # before anything is solved or written
+        raise ValueError(f"--samples must be at least 2, got {args.samples}")
+    with_y = args._sub == "sys5"
+    constants = (solvers.validate_constants_l5(args.a, args.H0, args.c2, args.c3)
+                 if with_y else solvers.validate_constants_l4(args.a, args.H0))
     cfg = solvers.SolverConfig(rtol=args.rtol, atol=args.atol)
-    solution = solvers.solve_rotational_warp(constants, args.f0, args.f0p,
-                                             (args.u0, args.u1), cfg)
+    if with_y:
+        solution = solvers.solve_warp_system(
+            constants, (args.f0, args.f0p, args.y0, args.y0p),
+            (args.u0, args.u1), cfg)
+    else:
+        solution = solvers.solve_rotational_warp(
+            constants, args.f0, args.f0p, (args.u0, args.u1), cfg)
     lo, hi = solution.warp.interval
-    blow_up = ("" if solution.blow_up_time is None else
+    blow_up = ("" if with_y or solution.blow_up_time is None else
                f", estimated blow-up at t={_fmt(solution.blow_up_time)}")
     print(f"stop reason: {solution.integration.stop_reason}{blow_up}")
-    print(f"admissible interval: [{_fmt(lo)}, {_fmt(hi)}]")
+    print(f"{'interval' if with_y else 'admissible interval'}: [{_fmt(lo)}, {_fmt(hi)}]")
+    if with_y:
+        print(f"max equation residual: {solution.max_equation_residual():.3e}")
     if args.csv:
-        _write_dense_csv(args.csv, solution, args.samples, with_y=False)
-        print(f"dense output written to {args.csv}")
-    return EXIT_PASS
-
-
-def _cmd_solve_sys5(args) -> int:
-    _require_samples(args)
-    constants = solvers.validate_constants_l5(args.a, args.H0, args.c2, args.c3)
-    cfg = solvers.SolverConfig(rtol=args.rtol, atol=args.atol)
-    solution = solvers.solve_warp_system(
-        constants, (args.f0, args.f0p, args.y0, args.y0p),
-        (args.u0, args.u1), cfg)
-    lo, hi = solution.warp.interval
-    print(f"stop reason: {solution.integration.stop_reason}")
-    print(f"interval: [{_fmt(lo)}, {_fmt(hi)}]")
-    print(f"max equation residual: {solution.max_equation_residual():.3e}")
-    if args.csv:
-        _write_dense_csv(args.csv, solution, args.samples, with_y=True)
+        _write_dense_csv(args.csv, solution, args.samples, with_y)
         print(f"dense output written to {args.csv}")
     return EXIT_PASS
 
@@ -456,23 +392,18 @@ def _write_scan_csv(path, result):
             fh.write(_fmt(th).join(cells) % tuple(row.tolist()))
 
 
-def _cmd_scan_h4(args) -> int:
-    result = catalog.nonexistence_scan_e11h4(
-        _parse_range(args.theta, "--theta"), _parse_range(args.tau, "--tau"))
-    print(f"min |residual| = {_fmt(result.min_abs)}")
-    print(f"analytic lower bound = {_fmt(result.lower_bound)}")
-    print(f"bound holds at every node: {result.bound_holds}")
-    if args.csv:
-        _write_scan_csv(args.csv, result)
-        print(f"scan table written to {args.csv}")
-    return EXIT_PASS if result.bound_holds else EXIT_FAIL
-
-
-def _cmd_scan_slice(args) -> int:
-    result = catalog.nonexistence_slice_scan(
-        args.c, _parse_range(args.theta, "--theta"))
-    print(f"min |residual| = {_fmt(result.min_abs)}")
-    print(f"positive at every node: {result.bound_holds}")
+def _cmd_scan(args) -> int:
+    thetas = _parse_range(args.theta, "--theta")
+    if args._sub == "h4":
+        result = catalog.nonexistence_scan_e11h4(
+            thetas, _parse_range(args.tau, "--tau"))
+        print(f"min |residual| = {_fmt(result.min_abs)}")
+        print(f"analytic lower bound = {_fmt(result.lower_bound)}")
+        print(f"bound holds at every node: {result.bound_holds}")
+    else:
+        result = catalog.nonexistence_slice_scan(args.c, thetas)
+        print(f"min |residual| = {_fmt(result.min_abs)}")
+        print(f"positive at every node: {result.bound_holds}")
     if args.csv:
         _write_scan_csv(args.csv, result)
         print(f"scan table written to {args.csv}")
@@ -486,25 +417,10 @@ def _cmd_report(args) -> int:
     return EXIT_PASS
 
 
-_DISPATCH = {
-    ("verify", "thm4"): _cmd_verify_thm4,
-    ("verify", "thm5"): _cmd_verify_thm5,
-    ("verify", "product"): _cmd_verify_product,
-    ("verify", "user-map"): _cmd_verify_user_map,
-    ("solve", "f4"): _cmd_solve_f4,
-    ("solve", "sys5"): _cmd_solve_sys5,
-    ("scan", "h4"): _cmd_scan_h4,
-    ("scan", "slice"): _cmd_scan_slice,
-    ("report", None): _cmd_report,
-}
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    key = (args._command, getattr(args, "_sub", None))
+    args = build_parser().parse_args(argv)
     try:
-        return _DISPATCH[key](args)
+        return args._run(args)
     except (GeometryError, ValueError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INVALID

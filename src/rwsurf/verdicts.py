@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -305,15 +306,21 @@ def verify_surface(surface: Jet2Immersion, grid=(17, 17),
                    substep: float = DEFAULT_SUBSTEP) -> VerificationReport:
     """Run the full verification battery on a surface.
 
-    ``grid`` is (nu, nv); the span defaults to the chart domain minus stencil
-    headroom.  ``expect`` may pin {'H0': value, 'dim_N1': k, 'dim_N2': k},
-    which adds the corresponding entries.  ``tolerances`` maps entry names
-    to tolerances that replace their tier's; a name outside
-    ``TOLERANCE_ENTRIES`` raises ValueError, as does a span that is not two
-    finite ends.  Deterministic for fixed inputs.  The filled grid every
-    check read is the report's ``surface_grid``.
+    ``grid`` is (nu, nv), two integers >= 1; the span defaults to the chart
+    domain minus stencil headroom.  ``expect`` may pin {'H0': value,
+    'dim_N1': k, 'dim_N2': k}, which adds the corresponding entries.
+    ``tolerances`` maps entry names in ``TOLERANCE_ENTRIES`` to finite
+    positive tolerances that replace their tier's.  Any other grid,
+    tolerance name or value, or a span that is not two finite ends, raises
+    ValueError naming it.  Deterministic for fixed inputs.  The filled grid
+    every check read is the report's ``surface_grid``.
     """
     substep = _check_substep(substep)
+    if np.shape(grid) != (2,) or not all(
+            isinstance(n, numbers.Integral) and not isinstance(n, bool) and n >= 1
+            for n in grid):
+        raise ValueError(f"grid must be two integers >= 1, got {grid!r}")
+    nu, nv = map(int, grid)
     for name, given in (("u_span", u_span), ("v_span", v_span)):
         if given is not None and len(given) != 2:
             raise ValueError(f"{name} must be (lo, hi), got {tuple(given)}")
@@ -323,8 +330,11 @@ def verify_surface(surface: Jet2Immersion, grid=(17, 17),
     unknown = sorted(set(overrides) - set(TOLERANCE_ENTRIES))
     if unknown:
         raise ValueError(f"no tolerance entry named {', '.join(unknown)}")
+    for name, tol in overrides.items():
+        if not 0.0 < float(tol) < math.inf:
+            raise ValueError(f"tolerance {name} must be finite and positive, "
+                             f"got {tol!r}")
     expect = expect or {}
-    nu, nv = grid
 
     def span(given, lo, hi):
         pad = 3.0 * substep * (1.0 + max(abs(lo), abs(hi)))

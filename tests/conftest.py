@@ -1,15 +1,18 @@
 """Shared fixtures: catalog surfaces, evaluation grids and negative controls.
 
-Expensive objects (ODE solutions, filled grids) are session-scoped; they are
-immutable, so sharing them across tests is safe.
+The catalog members are built by their family's recipe in
+``catalog.FAMILIES``.  Expensive objects (ODE solutions, filled grids) are
+session-scoped; they are immutable, so sharing them across tests is safe.
 """
 
+import functools
 import math
 
 import numpy as np
 import pytest
 
 import rwsurf as rw
+from rwsurf import catalog
 from rwsurf.immersion import Jet2Immersion
 from rwsurf.shape import SurfaceGrid
 
@@ -18,19 +21,31 @@ L5_ICS = (1.5, 1.2, 0.4, -0.7)
 L5_INTERVAL = (0.0, 0.8)
 
 
-@pytest.fixture(scope="session")
-def l4_constants():
-    return rw.validate_constants_l4(2.0, 0.5)
+def _member(kind, **params):
+    """Session fixtures of the surface, expect and solution of a member of a
+    catalog family, built once (on first use) by the family's recipe; a
+    parameter not given takes its default.  pytest injects nothing into k."""
+    family = catalog.FAMILIES[kind]
+    member = functools.cache(lambda: family.build(
+        {**{p.name: p.default for p in family.params}, **params}))
+    return [pytest.fixture(scope="session")(lambda k=k: member()[k])
+            for k in range(3)]
+
+
+l4_surface, l4_expect, l4_solution = _member("thm4", a=2.0, H0=0.5, f0=1.0,
+                                             f0p=2.0)
+l5_surface, l5_expect, l5_solution = _member(
+    "thm5", **dict(zip(("a", "H0", "c2", "c3"), L5_CONSTANTS)),
+    **dict(zip(("f0", "f0p", "y0", "y0p"), L5_ICS)), u_end=L5_INTERVAL[1])
+product_surface, product_expect = _member("product", b1=1.0, b3=0.5)[:2]
+# b2^2 + b3^2 = 0.41 != 1/3: the family member with non-parallel H
+broken_product_surface = _member("product", b1=1.0, b2=0.4, b3=0.5,
+                                 force_b4=True)[0]
 
 
 @pytest.fixture(scope="session")
-def l4_solution(l4_constants):
-    return rw.solve_rotational_warp(l4_constants, 1.0, 2.0, (0.0, 1.0))
-
-
-@pytest.fixture(scope="session")
-def l4_surface(l4_constants, l4_solution):
-    return rw.rotational_surface_l41(l4_constants, l4_solution.warp)
+def l4_constants(l4_solution):
+    return l4_solution.constants
 
 
 @pytest.fixture(scope="session")
@@ -41,18 +56,8 @@ def l4_grid(l4_surface):
 
 
 @pytest.fixture(scope="session")
-def l5_constants():
-    return rw.validate_constants_l5(*L5_CONSTANTS)
-
-
-@pytest.fixture(scope="session")
-def l5_solution(l5_constants):
-    return rw.solve_warp_system(l5_constants, L5_ICS, L5_INTERVAL)
-
-
-@pytest.fixture(scope="session")
-def l5_surface(l5_solution):
-    return rw.surface_l51(l5_solution)
+def l5_constants(l5_solution):
+    return l5_solution.constants
 
 
 @pytest.fixture(scope="session")
@@ -68,21 +73,10 @@ def product_constants():
 
 
 @pytest.fixture(scope="session")
-def product_surface(product_constants):
-    return rw.product_surface_e11s4(product_constants)
-
-
-@pytest.fixture(scope="session")
 def product_grid(product_surface):
     us = np.linspace(0.1, 3.4, 9)
     vs = np.linspace(0.1, 3.0, 9)
     return SurfaceGrid(product_surface, us, vs)
-
-
-@pytest.fixture(scope="session")
-def broken_product_surface():
-    # b2^2 + b3^2 = 0.41 != 1/3: the family member with non-parallel H
-    return rw.product_surface_family(1.0, 0.4, 0.5)
 
 
 @pytest.fixture(scope="session")

@@ -180,7 +180,8 @@ def test_batched_chart_that_raises_is_rerun_point_by_point(l4_constants,
         assert np.abs(data.frame.normals[k] - one.frame.normals).max() <= REL
 
 
-def test_pointwise_wrapper_calls_the_chart_once_per_point(product_surface):
+def test_pointwise_wrapper_calls_the_chart_once_per_point(product_surface,
+                                                          product_expect):
     # the benchmark's nan-control surface: a pointwise (scalar-only) wrapper
     # of the batched product chart, NaN on a corner of the grid
     calls = []
@@ -195,8 +196,7 @@ def test_pointwise_wrapper_calls_the_chart_once_per_point(product_surface):
     surface = rw.Jet2Immersion(product_surface.space, evaluator,
                                product_surface.u_domain,
                                product_surface.v_domain)
-    rep = verify_surface(surface, grid=(9, 9),
-                         expect={"dim_N1": 2, "dim_N2": 3})
+    rep = verify_surface(surface, grid=(9, 9), expect=product_expect)
     assert rep.verdict == "degenerate"
     assert len(calls) == len(set(calls)) == 9 * 9 * 9
     assert all(type(u) is float and type(v) is float for u, v in calls)
@@ -326,13 +326,13 @@ def test_grid_fill_calls_each_layer_once(l4_surface, monkeypatch):
 @pytest.mark.parametrize("kind", ["thm4", "thm5", "product", "control"])
 def test_report_pinned_to_pointwise_values(kind, request):
     surface, expect = {
-        "thm4": ("l4_surface", {"H0": 0.5, "dim_N1": 2}),
-        "thm5": ("l5_surface", {"H0": 0.6, "dim_N1": 2}),
-        "product": ("product_surface", {"dim_N1": 2, "dim_N2": 3}),
+        "thm4": ("l4_surface", "l4_expect"),
+        "thm5": ("l5_surface", "l5_expect"),
+        "product": ("product_surface", "product_expect"),
         "control": ("broken_product_surface", None),
     }[kind]
     rep = verify_surface(request.getfixturevalue(surface), grid=(9, 9),
-                         expect=expect)
+                         expect=expect and request.getfixturevalue(expect))
     want = PINNED[kind]
     assert rep.verdict == want["verdict"]
     assert sorted(e.name for e in rep.entries) == sorted(want["entries"])

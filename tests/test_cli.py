@@ -4,6 +4,7 @@ import math
 import os
 import pathlib
 import re
+import shlex
 import subprocess
 import sys
 
@@ -474,6 +475,87 @@ def test_tolerance_override_flag(tmp_path):
     report = json.loads(out.read_text())
     entry = next(e for e in report["entries"] if e["name"] == "pmcv")
     assert entry["tol"] == 1e-15 and not entry["passed"]
+
+
+@pytest.mark.parametrize("item", ["pmcv=nan", "pmcv=inf", "pmcv=0",
+                                  "pmcv=-1e-6"])
+def test_non_finite_or_non_positive_tolerance_exits_2(item, tmp_path, capsys):
+    out = tmp_path / "r.json"
+    code = main(THM4_ARGS + ["--tol", item, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert ("error: ValueError: tolerance pmcv must be finite and positive"
+            in captured.err)
+    assert "verdict" not in captured.out and not out.exists()
+
+
+@pytest.mark.parametrize("item", ["pmcv=abc", "pmcv=", "pmcv"])
+def test_unparsable_tolerance_names_the_flag(item, capsys):
+    code = main(THM4_ARGS + ["--tol", item])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert f"error: ValueError: --tol expects NAME=NUMBER, got {item!r}" \
+        in captured.err
+    assert "verdict" not in captured.out
+
+
+@pytest.mark.parametrize("spec", ["exp:abc", "poly:", "poly:1,x", "const:nan",
+                                  "exp:inf", "poly:1,-inf", "exp:1,2", "cosh:1",
+                                  "sinh", ""])
+def test_malformed_or_non_finite_warp_names_the_flag(spec, tmp_path, capsys):
+    chart = tmp_path / "chart.py"
+    chart.write_text("def chart(u, v):\n    return (0.1 * u, u, v, 0.0)\n")
+    code = main(["verify", "user-map", "--py", str(chart), "--ambient",
+                 "warped-flat", "--n", "4", "--warp", spec, "--grid", "3x3",
+                 "--chart-u-span=-1:1", "--chart-v-span=-1:1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert (f"error: ValueError: --warp must be exp[:r], cosh, const[:k] or "
+            f"poly:c0,c1,.. with finite numbers, got {spec!r}") in captured.err
+    assert "verdict" not in captured.out
+
+
+@pytest.mark.parametrize("spec", ["exp", "exp:0.5", "cosh", "const", "const:2",
+                                  "poly:2,0.1"])
+def test_well_formed_warp_is_accepted(spec):
+    warp = cli._parse_warp(spec)
+    f, fp, fpp = warp(0.3)
+    assert f > 0 and math.isfinite(fp) and math.isfinite(fpp)
+
+
+def test_verify_subcommands_come_from_the_family_table():
+    parser = cli.build_parser()
+    for name, family in catalog.FAMILIES.items():
+        given = {p.name: "1" for p in family.params
+                 if p.required and not isinstance(p.default, bool)}
+        args = parser.parse_args(["verify", name, *(
+            arg for key, val in given.items() for arg in (f"--{key}", val))])
+        for p in family.params:
+            want = 1.0 if p.name in given else (False if p.default is False
+                                                else None)
+            assert getattr(args, p.name) == want, (name, p.name)
+        with pytest.raises(SystemExit):  # a required parameter left out
+            parser.parse_args(["verify", name])
+
+
+def _readme_commands():
+    """Every `rwsurf ...` line of the README's "Command line" block, with
+    backslash continuations joined."""
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines
+            if line.startswith("rwsurf ")]
+
+
+def test_readme_command_lines_parse():
+    commands = _readme_commands()
+    kinds = {tuple(argv[:2]) for argv in commands}
+    assert {("verify", name) for name in catalog.FAMILIES} <= kinds
+    parser = cli.build_parser()
+    for argv in commands:
+        parser.parse_args(argv)  # SystemExit(2) on a flag the parser lacks
 
 
 def test_verify_user_map_plane(tmp_path, capsys):

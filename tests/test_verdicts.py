@@ -243,9 +243,8 @@ def test_reduced_equivalence_on_catalog(l4_grid, product_grid,
     assert pmcv_residual(sg) > 1e-3
 
 
-def test_verify_surface_l4_pass(l4_surface):
-    rep = verify_surface(l4_surface, grid=(9, 9),
-                         expect={"H0": 0.5, "dim_N1": 2})
+def test_verify_surface_l4_pass(l4_surface, l4_expect):
+    rep = verify_surface(l4_surface, grid=(9, 9), expect=l4_expect)
     assert rep.verdict == "pass"
     assert rep.passed
     assert rep.diagnostics["dim_N1"] == 2
@@ -283,15 +282,14 @@ def test_report_roundtrip_and_tolerance_overrides(product_surface):
     assert again.schema == "rwsurf.verification/1"
 
 
-def test_tolerance_entries_name_every_report_entry(l4_surface,
-                                                   product_surface):
+def test_tolerance_entries_name_every_report_entry(
+        l4_surface, l4_expect, product_surface, product_expect,
+        broken_product_surface):
     # thm4, the product member and the --force-b4 control, with the CLI's pins
-    reports = [verify_surface(l4_surface, grid=(5, 5),
-                              expect={"H0": 0.5, "dim_N1": 2}),
+    reports = [verify_surface(l4_surface, grid=(5, 5), expect=l4_expect),
                verify_surface(product_surface, grid=(5, 5),
-                              expect={"dim_N1": 2, "dim_N2": 3}),
-               verify_surface(rw.product_surface_family(1.0, 0.4, 0.5),
-                              grid=(5, 5))]
+                              expect=product_expect),
+               verify_surface(broken_product_surface, grid=(5, 5))]
     tiered = [e for rep in reports for e in rep.entries
               if e.name not in ("dim_N1", "dim_N2")]
     assert {e.name for e in tiered} == set(verdicts.TOLERANCE_ENTRIES)
@@ -310,6 +308,34 @@ def test_unknown_tolerance_override_is_rejected(product_surface):
                        tolerances={"dim_N1": 3})
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -1e-6])
+def test_tolerance_override_must_be_finite_and_positive(product_surface,
+                                                        value):
+    # an invalid tolerance is invalid input, not a failed (or passed) entry
+    with pytest.raises(ValueError, match="tolerance pmcv must be finite and "
+                                         "positive"):
+        verify_surface(product_surface, grid=(3, 3),
+                       tolerances={"codazzi_1": 1e-3, "pmcv": value})
+
+
+@pytest.mark.parametrize("grid", [(0, 5), (5, 0), (-3, 5), (5.5, 5), (5, 5.0),
+                                  (True, 5), (5, False), (5,), (5, 5, 5), 5,
+                                  "55", None])
+def test_grid_must_be_two_integers_at_least_one(product_surface, grid):
+    with pytest.raises(ValueError, match=r"grid must be two integers >= 1, "
+                                         r"got "):
+        verify_surface(product_surface, grid=grid)
+
+
+@pytest.mark.parametrize("grid", [(1, 5), (3, 3), [5, 3],
+                                  (np.int64(5), np.int32(3)), np.array([3, 5])])
+def test_grid_of_integers_is_accepted(product_surface, grid):
+    rep = verify_surface(product_surface, grid=grid)
+    assert (rep.grid["nu"], rep.grid["nv"]) == tuple(int(n) for n in grid)
+    assert all(type(rep.grid[k]) is int for k in ("nu", "nv"))
+    json.loads(rep.to_json())
+
+
 def _nan_beyond(surface, u0=1.5, v0=1.5):
     """``surface`` with NaN jets wherever u > u0 and v > v0."""
     def evaluator(u, v):
@@ -321,8 +347,8 @@ def _nan_beyond(surface, u0=1.5, v0=1.5):
                          surface.v_domain, surface.name)
 
 
-def test_non_finite_jets_become_degeneracies(product_surface):
-    expect = {"dim_N1": 2, "dim_N2": 3}
+def test_non_finite_jets_become_degeneracies(product_surface, product_expect):
+    expect = product_expect
     assert verify_surface(product_surface, grid=(9, 9),
                           expect=expect).verdict == "pass"
     rep = verify_surface(_nan_beyond(product_surface), grid=(9, 9),
@@ -355,15 +381,15 @@ def test_nan_residual_fails_its_entry(product_surface, monkeypatch):
     assert rep.verdict == "fail"
 
 
-def test_report_json_is_strict_with_nan_values(product_surface, monkeypatch):
+def test_report_json_is_strict_with_nan_values(product_surface, product_expect,
+                                               monkeypatch):
     class PoisonedGrid(SurfaceGrid):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
             self.point(2, 2).sfd.h12[:] = np.nan
 
     monkeypatch.setattr(verdicts, "SurfaceGrid", PoisonedGrid)
-    rep = verify_surface(product_surface, grid=(5, 5),
-                         expect={"dim_N1": 2, "dim_N2": 3})
+    rep = verify_surface(product_surface, grid=(5, 5), expect=product_expect)
     assert math.isnan(rep.entry("dim_N1").value)
 
     def no_constants(token):
@@ -466,7 +492,7 @@ def test_chart_time_offset_from_u_verifies_like_the_shifted_warp():
 
 
 def test_nan_generator_fails_the_dimension_entries(product_surface,
-                                                   monkeypatch):
+                                                   product_expect, monkeypatch):
     class PoisonedGrid(SurfaceGrid):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
@@ -476,8 +502,7 @@ def test_nan_generator_fails_the_dimension_entries(product_surface,
     dims = normal_space_dims(PoisonedGrid(product_surface, us, us))
     assert math.isnan(dims.n1) and math.isnan(dims.n2)
     monkeypatch.setattr(verdicts, "SurfaceGrid", PoisonedGrid)
-    rep = verify_surface(product_surface, grid=(5, 5),
-                         expect={"dim_N1": 2, "dim_N2": 3})
+    rep = verify_surface(product_surface, grid=(5, 5), expect=product_expect)
     assert not rep.entry("dim_N1").passed
     assert not rep.entry("dim_N2").passed
     assert rep.verdict == "fail"
