@@ -257,7 +257,8 @@ def _write_report_files(report: VerificationReport, surface, opts: dict):
         us = np.linspace(*report.grid["u"], nu)
         vs = np.linspace(*report.grid["v"], nv)
         dim = surface.space.ambient_dim
-        # rows from the grid; a degenerate (NaN) node calls the chart, as before
+        # rows from the grid; a degenerate (NaN) node calls the chart, and a
+        # node whose chart call fails is written as NaN
         phis = np.full((nu, nv, dim), np.nan) if sg is None else sg.data.jet.phi[:, :, 0]
         row = _row_template(2 + dim)
         with open(surf_csv, "w", encoding="utf-8") as fh:
@@ -266,7 +267,10 @@ def _write_report_files(report: VerificationReport, surface, opts: dict):
                 for j, v in enumerate(vs.tolist()):
                     phi = phis[i, j]
                     if not np.isfinite(phi).all():
-                        phi = surface.jet(u, v).phi
+                        try:
+                            phi = surface.jet(u, v).phi
+                        except GeometryError:
+                            phi = np.full(dim, np.nan)
                     fh.write(row % (u, v, *phi))
 
 
@@ -325,12 +329,27 @@ def _cmd_verify_family(args) -> int:
     return _run_verify(surface, opts, expect)
 
 
+def _load_chart(path: str, attr: str):
+    """The callable ``attr`` of the Python file ``path``; ValueError naming
+    --py or --attr when the file is no loadable module, does not compile,
+    or has no such callable."""
+    spec = importlib.util.spec_from_file_location("rwsurf_user_map", path)
+    if spec is None:
+        raise ValueError(f"--py {path!r} cannot be loaded as a Python module")
+    module = importlib.util.module_from_spec(spec)
+    try:
+        spec.loader.exec_module(module)
+    except SyntaxError as exc:
+        raise ValueError(f"--py {path!r} does not compile: {exc}") from None
+    chart = getattr(module, attr, None)
+    if not callable(chart):
+        raise ValueError(f"--attr {attr!r} is not a callable defined in {path!r}")
+    return chart
+
+
 def _cmd_verify_user_map(args) -> int:
     opts = _options(_VERIFY_DEFAULTS, args)
-    spec = importlib.util.spec_from_file_location("rwsurf_user_map", args.py)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    chart = getattr(module, args.attr)
+    chart = _load_chart(args.py, args.attr)
     if args.ambient == "warped-flat":
         space = AmbientSpace.warped_flat(args.n, _parse_warp(args.warp))
     else:

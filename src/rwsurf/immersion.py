@@ -282,14 +282,15 @@ class FrameData:
 
 
 def adapted_frame(jet: JetSample, space: AmbientSpace, G, ginv,
-                  H) -> FrameData:
+                  H, _full=True) -> FrameData:
     """Build the adapted frame at a jet sample.
 
     G is the ambient metric's diagonal at the jet's point, ginv the inverse
     induced metric and H the mean curvature vector there.  Raises
     HorizontalSliceError when |T| <= TOL_T (the excluded horizontal slice
     case).  When |H| <= TOL_H there is no distinguished mean-curvature
-    direction; the frame is completed without e4 and flagged.
+    direction; the frame is completed without e4 and flagged.  Only there
+    and where ``_full`` (the grid fill's) holds is the frame completed.
     """
     dt = space.dt_vector()
     coef_T = _tangent_coefficients(dt, jet, G, ginv)
@@ -321,18 +322,20 @@ def adapted_frame(jet: JetSample, space: AmbientSpace, G, ginv,
     h_norm2 = inner(H, H, G)
     has_mean = np.abs(h_norm2) > TOL_H * TOL_H
     normals, signs = _complete_normals(space, jet, G, e1, e2, e3, H, h_norm2,
-                                       has_mean)
+                                       has_mean, _full | ~has_mean)
     return FrameData(e1, e2, T, eta, theta, sinh_theta, cosh_theta, normals,
                      signs, has_mean, coeffs)
 
 
 def _complete_normals(space: AmbientSpace, jet: JetSample, G, e1, e2, e3, H,
-                      h_norm2, has_mean):
+                      h_norm2, has_mean, complete):
     """The normal frame (..., k, d) and its causal signs (..., k): e3, then
     e4 = H/|H| where the mean curvature direction exists, then
     signature-aware Gram-Schmidt over the coordinate candidates, which each
     point accepts or skips on its own.  Points holding equally many basis
-    vectors share one batched projection per candidate."""
+    vectors share one batched projection per candidate.  Only the points
+    where ``complete`` holds are completed: elsewhere the rows after e3 and
+    e4 = H/|H| read NaN and their signs 0."""
     d = space.ambient_dim
     lead = np.shape(e1)[:-1]
     flat = lambda x: np.reshape(x, (-1,) + np.shape(x)[len(lead):])
@@ -340,11 +343,11 @@ def _complete_normals(space: AmbientSpace, jet: JetSample, G, e1, e2, e3, H,
     if space.is_embedded:
         priors.append(space.product_normal(jet.phi))
     G, mean = flat(np.broadcast_to(G, lead + (d,))), flat(has_mean)
-    basis = np.zeros((len(mean), d, d))  # rows: priors, then the normal frame
+    basis = np.full((len(mean), d, d), np.nan)  # rows: priors, normal frame
     basis[:, :len(priors) + 1] = np.stack([flat(x) for x in priors + [e3]], 1)
     basis[mean, len(priors) + 1] = (flat(H)[mean]
                                     / _col(np.sqrt(np.abs(flat(h_norm2)[mean]))))
-    start = len(priors) + 1 + mean.astype(int)
+    start = np.where(flat(complete), len(priors) + 1 + mean, d)
     filled = start.copy()
     for c in range(d):
         groups = [(m, np.flatnonzero(filled == m))
@@ -361,8 +364,10 @@ def _complete_normals(space: AmbientSpace, jet: JetSample, G, e1, e2, e3, H,
     # the coordinate-candidate sign rule is not smooth where the candidate
     # component crosses zero; pin the last completion vector to the ambient
     # orientation instead (smooth along catalog grids)
-    basis[(filled > start) & (np.linalg.det(basis) < 0.0), d - 1] *= -1.0
+    flip = np.flatnonzero(filled > start)
+    basis[flip[np.linalg.det(basis[flip]) < 0.0], d - 1] *= -1.0
     normals = basis[:, len(priors):]
-    signs = np.where(inner(normals, normals, G[:, None]) > 0, 1, -1)
+    s2 = inner(normals, normals, G[:, None])
+    signs = np.where(s2 > 0, 1, np.where(s2 < 0, -1, 0))
     k = d - len(priors)
     return normals.reshape(lead + (k, d)), signs.reshape(lead + (k,))

@@ -231,18 +231,19 @@ class PointData:
     sfd: SecondFundamentalData
 
 
-def _point_data(space: AmbientSpace, jet: JetSample, warp_state) -> PointData:
+def _point_data(space: AmbientSpace, jet: JetSample, warp_state,
+                full=True) -> PointData:
     """Every quantity after the jet and the warp, each computed once, for one
-    point or a stack of points."""
+    point or a stack of points; ``full`` as ``adapted_frame``'s ``_full``."""
     G = space.metric_at(jet.phi, warp_state)
     ginv = np.linalg.inv(induced_metric(jet, G))
     _, h_chart, H = chart_second_fundamental(jet, space, G, ginv, warp_state)
-    frame = adapted_frame(jet, space, G, ginv, H)
+    frame = adapted_frame(jet, space, G, ginv, H, _full=full)
     return PointData(jet, G, ginv, warp_state, frame,
                      second_fundamental_form(frame, G, h_chart))
 
 
-def evaluate_point(surface: Jet2Immersion, u, v):
+def evaluate_point(surface: Jet2Immersion, u, v, *, _full=True):
     """Every pointwise quantity at (u, v), each computed exactly once.
 
     With scalar u, v: that point's ``PointData``; a degenerate point raises
@@ -252,7 +253,9 @@ def evaluate_point(surface: Jet2Immersion, u, v):
     ``"<ErrorClass>: <message>"``.  The chart is called once (one ``jet``
     call for all points) and the warp once per distinct time coordinate;
     the rest runs batched over the points still alive.  A point that fails
-    a stage is left out of the later ones and reads NaN.
+    a stage is left out of the later ones and reads NaN.  Only the points
+    ``_full`` (the grid fill's) marks and those without a mean direction
+    form the completion normals and their A rows: elsewhere they read NaN.
     """
     space = surface.space
     if np.ndim(u) == 0 and np.ndim(v) == 0:
@@ -273,10 +276,12 @@ def evaluate_point(surface: Jet2Immersion, u, v):
     states = states[inverse]
     keep = np.isfinite(states).all(axis=1)
     alive, states = alive[keep], states[keep]
+    full = np.broadcast_to(_full, shape).ravel()
+    alive_only = lambda x: x if len(alive) == len(jet.u) else x[alive]
     while True:
         try:
-            data = _point_data(space, _map_arrays(lambda x: x[alive], jet),
-                               tuple(states.T))
+            data = _point_data(space, _map_arrays(alive_only, jet),
+                               tuple(states.T), alive_only(full))
             break
         except GeometryError as exc:
             if getattr(exc, "where", None) is None:
@@ -286,9 +291,11 @@ def evaluate_point(surface: Jet2Immersion, u, v):
             alive, states = alive[~exc.where], states[~exc.where]
 
     def place(x):
-        out = np.full((len(jet.u),) + x.shape[1:],
-                      np.nan if x.dtype.kind == "f" else 0, dtype=x.dtype)
-        out[alive] = x
+        out = x
+        if len(alive) < len(jet.u):
+            out = np.full((len(jet.u),) + x.shape[1:],
+                          np.nan if x.dtype.kind == "f" else 0, dtype=x.dtype)
+            out[alive] = x
         return out.reshape(shape + x.shape[1:])
 
     return _map_arrays(place, data), errors
@@ -310,8 +317,10 @@ class SurfaceGrid:
 
     Phase 1 (construction) evaluates ``data``, the ``PointData`` of each
     report node and its four u- and four v-offsets, leading axes
-    (nu, nv, 9); ``node_data`` is its node slice.  Phase 2 methods
-    differentiate those arrays and return arrays over the (nu, nv) nodes.
+    (nu, nv, 9); ``node_data`` is its node slice.  The completion normals
+    and their A rows are formed at the nodes and at points without a mean
+    direction, and read NaN elsewhere: no stencil reads them.  Phase 2
+    methods differentiate those arrays and return arrays over the nodes.
     Nodes where any point degenerates are recorded in ``degeneracies`` and
     left out of ``ok``, the mask every residual reduction uses.
     """
@@ -344,7 +353,8 @@ class SurfaceGrid:
         ku, kv = np.array(_FILL_OFFSETS, dtype=float).T
         U, V = np.broadcast_arrays(self.us[:, None, None] + ku * self.su[:, None, None],
                                    self.vs[None, :, None] + kv * self.sv[None, :, None])
-        self.data, errors = evaluate_point(surface, U, V)
+        node = np.arange(len(_FILL_OFFSETS)) == 0
+        self.data, errors = evaluate_point(surface, U, V, _full=node)
         self.node_data = _map_arrays(lambda x: x[:, :, 0], self.data)
         # a node reports the failure of its first degenerate point
         self.ok = np.ones((self.nu, self.nv), dtype=bool)

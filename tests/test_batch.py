@@ -21,6 +21,7 @@ from rwsurf.solvers import DenseOutput, WarpSystemSolution
 from rwsurf.verdicts import verify_surface
 
 from conftest import L5_ICS, L5_INTERVAL
+from test_immersion import _product_member
 
 REL = 1e-13
 PINNED = json.loads((pathlib.Path(__file__).parent
@@ -321,6 +322,106 @@ def test_grid_fill_calls_each_layer_once(l4_surface, monkeypatch):
     for name in ("metric_at", "induced_metric", "chart_second_fundamental",
                  "adapted_frame", "second_fundamental_form"):
         assert calls[name] == 1, name
+
+
+def fill_stack(grid):
+    """The (nu, nv, 9) parameter stack of a grid's fill: each node, then its
+    cross stencil."""
+    ku, kv = np.array(shape._FILL_OFFSETS, dtype=float).T
+    return np.broadcast_arrays(
+        grid.us[:, None, None] + ku * grid.su[:, None, None],
+        grid.vs[None, :, None] + kv * grid.sv[None, :, None])
+
+
+def leaves(record, path="data"):
+    """(path, array) for every array of a PointData, nested records too."""
+    if isinstance(record, np.ndarray):
+        yield path, record
+    elif dataclasses.is_dataclass(record):
+        for f in dataclasses.fields(record):
+            yield from leaves(getattr(record, f.name), f"{path}.{f.name}")
+    elif isinstance(record, tuple):
+        for k, x in enumerate(record):
+            yield from leaves(x, f"{path}[{k}]")
+
+
+def grid_of(kind, request):
+    """A filled grid of a catalog member, the product control, the product
+    member through finite-difference jets, or the tilted plane."""
+    if kind == "control":
+        return SurfaceGrid(request.getfixturevalue("broken_product_surface"),
+                           np.linspace(0.1, 3.4, 5), np.linspace(0.1, 3.0, 5))
+    if kind == "fd-product":
+        chart, space, u_dom, v_dom = _product_member()
+        surface = immersion.finite_difference_jet(chart, space, u_dom, v_dom)
+        return SurfaceGrid(surface, np.linspace(0.3, 3.3, 5),
+                           np.linspace(0.3, 2.8, 5))
+    return request.getfixturevalue({
+        "thm4": "l4_grid", "thm5": "l5_grid", "product": "product_grid",
+        "tilted-plane": "tilted_plane_grid"}[kind])
+
+
+@pytest.mark.parametrize("kind",
+                         ["thm4", "thm5", "product", "control", "fd-product"])
+def test_node_data_is_bitwise_the_unmasked_evaluation(kind, request):
+    # the grid fill completes the normal frame only where a check reads it;
+    # every node value equals a full evaluation of the same stack
+    grid = grid_of(kind, request)
+    data, errors = evaluate_point(grid.surface, *fill_stack(grid))
+    assert errors == {} and grid.degeneracies == []
+    got = dict(leaves(grid.node_data))
+    want = dict(leaves(shape._map_arrays(lambda x: x[:, :, 0], data)))
+    assert got.keys() == want.keys()
+    for name, x in want.items():
+        assert np.array_equal(got[name], x, equal_nan=True), name
+
+
+@pytest.mark.parametrize("kind", ["thm5", "product", "control", "fd-product"])
+def test_stencil_points_with_a_mean_direction_skip_the_completion(kind,
+                                                                  request):
+    # rows: e3, e4 = H/|H|, then the completion normals from index 2
+    grid = grid_of(kind, request)
+    fr, A = grid.data.frame, grid.data.sfd.A
+    assert fr.has_mean_direction.all() and fr.normals.shape[-2] >= 3
+    assert np.isnan(fr.normals[:, :, 1:, 2:]).all()
+    assert np.isnan(A[:, :, 1:, 2:]).all()
+    assert (fr.normal_signs[:, :, 1:, 2:] == 0).all()
+    assert np.isfinite(fr.normals[:, :, :, :2]).all()
+    assert np.isfinite(fr.normals[:, :, 0]).all()
+    assert np.isfinite(A[:, :, 0]).all()
+    assert (np.abs(fr.normal_signs[:, :, 0]) == 1).all()
+
+
+def test_points_without_a_mean_direction_keep_the_full_frame(
+        tilted_plane_grid):
+    data = tilted_plane_grid.data
+    assert not data.frame.has_mean_direction.any()
+    assert np.isfinite(data.frame.normals).all()
+    assert np.isfinite(data.sfd.A).all()
+    assert (np.abs(data.frame.normal_signs) == 1).all()
+
+
+@pytest.mark.parametrize("kind", ["thm4", "thm5", "product", "tilted-plane"])
+def test_completion_sees_the_nodes_and_the_points_without_a_mean_direction(
+        kind, request, monkeypatch):
+    seen = []
+
+    def spy(x, basis, g):
+        if x[0] == 1.0:  # the first candidate: each completed point once
+            seen.extend(map(tuple, basis[0].tolist()))  # its e1
+        return project_out_span(x, basis, g)
+
+    monkeypatch.setattr(immersion, "project_out_span", spy)
+    fixture = grid_of(kind, request)
+    grid = SurfaceGrid(fixture.surface, fixture.us, fixture.vs)
+    fr = grid.data.frame
+    # at d = 4 a point with a mean direction has nothing left to complete
+    completes = fr.normals.shape[-2] > 2
+    node = np.arange(len(shape._FILL_OFFSETS)) == 0
+    want = fr.e1[~fr.has_mean_direction | (node & completes)]
+    assert sorted(seen) == sorted(map(tuple, want.tolist()))
+    assert len(seen) == (0 if kind == "thm4" else
+                         225 if kind == "tilted-plane" else 81)
 
 
 @pytest.mark.parametrize("kind", ["thm4", "thm5", "product", "control"])

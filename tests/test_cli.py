@@ -683,9 +683,9 @@ def test_surface_csv_reads_the_verify_grid(tmp_path, monkeypatch):
     assert all(np.isfinite([float(x) for x in r.split(",")]).all() for r in rows)
 
 
-def test_surface_csv_fails_where_the_chart_fails(tmp_path, capsys):
-    # nodes whose chart call fails are degeneracies of the grid; writing the
-    # surface CSV still fails the command there instead of printing NaN rows
+def test_surface_csv_writes_nan_where_the_chart_fails(tmp_path, capsys):
+    # nodes whose chart call fails are degeneracies of the grid; the surface
+    # CSV writes them as NaN rows, and the command ends by its verdict
     py = tmp_path / "holed_plane.py"
     py.write_text(
         "import math\n"
@@ -700,10 +700,41 @@ def test_surface_csv_fails_where_the_chart_fails(tmp_path, capsys):
                  "--chart-u-span=-1:1", "--chart-v-span=-1:1",
                  "--grid", "5x5", "--surface-csv", str(surf_csv)])
     assert code == 2
-    assert "error: ChartDomainError: non-finite jet" in capsys.readouterr().err
-    text = surf_csv.read_text()
-    assert "nan" not in text.lower()
-    assert 1 < len(text.splitlines()) < 1 + 25
+    out = capsys.readouterr()
+    assert out.err == "" and "verdict: degenerate" in out.out
+    rows = [[float(x) for x in line.split(",")]
+            for line in surf_csv.read_text().splitlines()[1:]]
+    assert len(rows) == 25
+    # the finite-difference jet reaches 0.01 past a node: the nodes at
+    # u, v = 0.494 see the hole too
+    for u, v, *phi in rows:
+        assert np.isnan(phi).all() == (u > 0.4 and v > 0.4), (u, v)
+        assert np.isnan(phi).all() or np.isfinite(phi).all()
+
+
+@pytest.mark.parametrize("name, text, attr, flag", [
+    ("chart.py", "def chart(u, v):\n    return (u, v, 0.0, 0.0)\n", "nope",
+     "--attr"),
+    ("chart.py", "chart = 3\n", "chart", "--attr"),
+    ("chart.py", "def chart(u, v):\n    return (u, v,\n", "chart", "--py"),
+    ("chart.txt", "def chart(u, v):\n    return (u, v, 0.0, 0.0)\n", "chart",
+     "--py"),
+], ids=["undefined-attr", "attr-not-callable", "does-not-compile",
+        "not-a-module"])
+def test_user_map_chart_that_cannot_be_loaded_exits_2(name, text, attr, flag,
+                                                      tmp_path, capsys):
+    py = tmp_path / name
+    py.write_text(text)
+    code = main(["verify", "user-map", "--py", str(py), "--attr", attr,
+                 "--ambient", "warped-flat", "--n", "4",
+                 "--chart-u-span=-1:1", "--chart-v-span=-1:1", "--grid", "3x3"])
+    assert code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith(f"error: ValueError: {flag} {attr!r} "
+                              if flag == "--attr" else
+                              f"error: ValueError: --py {str(py)!r} ")
+    assert repr(str(py)) in out.err and out.err.count("\n") == 1
 
 
 def test_residuals_csv_maxima_match_report(tmp_path):
