@@ -84,8 +84,8 @@ def _circle_jet(a, u, v, w, heights):
             _stack(u, 0.0, -a * w * s, -a * w * c, *zero))
 
 
-def rotational_surface_l41(constants: ConstantsL4, warp: WarpingFunction,
-                           u_domain=None, v_domain=None) -> Jet2Immersion:
+def rotational_surface_l41(constants: ConstantsL4,
+                           warp: WarpingFunction) -> Jet2Immersion:
     """The rotational surface in L^4_1(f, 0).
 
     phi(u, v) = (u, sin(a v)/(a f), cos(a v)/(a f), 2 H0 / (a^2 c2 f)); the
@@ -95,21 +95,17 @@ def rotational_surface_l41(constants: ConstantsL4, warp: WarpingFunction,
     a, H0, c2 = constants.a, constants.H0, constants.c2
     k4 = 2.0 * H0 / (a * a * c2)
     space = AmbientSpace.warped_flat(4, warp)
-    if u_domain is None:
-        u_domain = default_warp_domain(warp)
-    if v_domain is None:
-        v_domain = (0.0, 2.0 * math.pi / abs(a))
 
     def evaluator(u, v):
         w = _reciprocal_jet(*_at_times(warp, u))
         return _circle_jet(a, u, v, w, [tuple(k4 * x for x in w)])
 
-    return Jet2Immersion(space, evaluator, tuple(u_domain), tuple(v_domain),
-                         name="rotational-l41", batched=True)
+    return Jet2Immersion(space, evaluator, default_warp_domain(warp),
+                         (0.0, 2.0 * math.pi / abs(a)), name="rotational-l41",
+                         batched=True)
 
 
-def surface_l51(solution: WarpSystemSolution, u_domain=None,
-                v_domain=None) -> Jet2Immersion:
+def surface_l51(solution: WarpSystemSolution) -> Jet2Immersion:
     """The surface in L^5_1(f, 0) built from a coupled (f, y) trajectory.
 
     phi(u, v) = (u, sin(a v)/(a f), cos(a v)/(a f), y, z) with the last
@@ -123,10 +119,6 @@ def surface_l51(solution: WarpSystemSolution, u_domain=None,
         raise ConstraintError("c3 must be non-zero for the plane-solved chart")
     warp = solution.warp
     space = AmbientSpace.warped_flat(5, warp)
-    if u_domain is None:
-        u_domain = default_warp_domain(warp)
-    if v_domain is None:
-        v_domain = (0.0, 2.0 * math.pi / abs(a))
 
     def evaluator(u, v):
         w = _reciprocal_jet(*_at_times(warp, u))
@@ -134,12 +126,12 @@ def surface_l51(solution: WarpSystemSolution, u_domain=None,
         z = tuple((2.0 * H0 * wk / a**2 - c2 * yk) / c3 for wk, yk in zip(w, y))
         return _circle_jet(a, u, v, w, [y, z])
 
-    return Jet2Immersion(space, evaluator, tuple(u_domain), tuple(v_domain),
-                         name="surface-l51", batched=True)
+    return Jet2Immersion(space, evaluator, default_warp_domain(warp),
+                         (0.0, 2.0 * math.pi / abs(a)), name="surface-l51",
+                         batched=True)
 
 
-def product_surface_family(b1: float, b2: float, b3: float, u_domain=None,
-                           v_domain=None) -> Jet2Immersion:
+def product_surface_family(b1: float, b2: float, b3: float) -> Jet2Immersion:
     """The rotational family in E^1_1 x S^4 for arbitrary (b1, b2, b3) with
     b2^2 + b3^2 < 1.
 
@@ -157,10 +149,6 @@ def product_surface_family(b1: float, b2: float, b3: float, u_domain=None,
     ch = math.sqrt(1.0 + b1 * b1)  # cosh(theta0) with sinh(theta0) = b1
     lam = ch / b0
     space = AmbientSpace.product_space_form(5, 1)
-    if u_domain is None:
-        u_domain = (0.0, 2.0 * math.pi / lam)
-    if v_domain is None:
-        v_domain = (0.0, 2.0 * math.pi * abs(b3))
 
     def evaluator(u, v):
         cu, su = np.cos(lam * u), np.sin(lam * u)
@@ -173,15 +161,14 @@ def product_surface_family(b1: float, b2: float, b3: float, u_domain=None,
                 _stack(u, *(0.0,) * 6),
                 _stack(u, 0.0, 0.0, 0.0, 0.0, -sv / b3, -cv / b3))
 
-    return Jet2Immersion(space, evaluator, tuple(u_domain), tuple(v_domain),
-                         name="product-e11s4", batched=True)
+    return Jet2Immersion(space, evaluator, (0.0, 2.0 * math.pi / lam),
+                         (0.0, 2.0 * math.pi * abs(b3)), name="product-e11s4",
+                         batched=True)
 
 
-def product_surface_e11s4(constants: ConstantsProduct, u_domain=None,
-                          v_domain=None) -> Jet2Immersion:
+def product_surface_e11s4(constants: ConstantsProduct) -> Jet2Immersion:
     """The validated parallel-mean-curvature member of the product family."""
-    return product_surface_family(constants.b1, constants.b2, constants.b3,
-                                  u_domain, v_domain)
+    return product_surface_family(constants.b1, constants.b2, constants.b3)
 
 
 # ---------------------------------------------------------------------------
@@ -295,12 +282,13 @@ def nonexistence_scan_e11h4(theta_grid, tau_grid) -> ScanResult:
     if np.any(thetas == 0.0):
         raise ConstraintError("theta grid must exclude the trivial value 0")
     th = thetas[:, None]
-    ta = taus[None, :]
-    r = np.sinh(th) * np.cosh(th) + ta**2 * np.tanh(th)
-    bound = np.abs(np.tanh(th)) * np.ones_like(ta)
-    holds = bool(np.all(np.abs(r) >= bound))
-    return ScanResult(thetas, taus, r, float(np.min(np.abs(r))),
-                      float(np.min(np.abs(np.tanh(thetas)))), holds)
+    tanh = np.tanh(th)
+    r = taus[None, :]**2 * tanh
+    r += np.sinh(th) * np.cosh(th)
+    abs_r = np.abs(r)
+    holds = bool(np.all(abs_r >= np.abs(tanh)))
+    return ScanResult(thetas, taus, r, float(np.min(abs_r)),
+                      float(np.min(np.abs(tanh))), holds)
 
 
 def nonexistence_slice_scan(c: float, theta_grid) -> ScanResult:

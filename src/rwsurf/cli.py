@@ -331,16 +331,17 @@ def _cmd_verify_family(args) -> int:
 
 def _load_chart(path: str, attr: str):
     """The callable ``attr`` of the Python file ``path``; ValueError naming
-    --py or --attr when the file is no loadable module, does not compile,
-    or has no such callable."""
+    --py or --attr when the file is no loadable module, raises anything at
+    import (a SyntaxError too), or has no such callable."""
     spec = importlib.util.spec_from_file_location("rwsurf_user_map", path)
     if spec is None:
         raise ValueError(f"--py {path!r} cannot be loaded as a Python module")
     module = importlib.util.module_from_spec(spec)
     try:
         spec.loader.exec_module(module)
-    except SyntaxError as exc:
-        raise ValueError(f"--py {path!r} does not compile: {exc}") from None
+    except Exception as exc:
+        raise ValueError(f"--py {path!r} failed at import: "
+                         f"{type(exc).__name__}: {exc}") from None
     chart = getattr(module, attr, None)
     if not callable(chart):
         raise ValueError(f"--attr {attr!r} is not a callable defined in {path!r}")

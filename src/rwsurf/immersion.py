@@ -78,8 +78,9 @@ class Jet2Immersion:
         """The 2-jet at one point (u, v), raising that point's GeometryError;
         at arrays u, v: ``(sample, errors)``, ``errors`` mapping the flat
         index of each failing point to ``"<ErrorClass>: <message>"``.  An
-        ArithmeticError or ValueError of the evaluator at a point is that
-        point's ChartDomainError, naming (u, v) and the error.  A batched
+        ArithmeticError, TypeError (a chart of the wrong arity, say) or
+        ValueError of the evaluator at a point is that point's
+        ChartDomainError, naming (u, v) and the error.  A batched
         evaluator gets the in-domain points (NaN is not) in one call, retried
         in halves down to one float call per point that raises one of these;
         any other gets one call per point.  Jet vectors whose length is not
@@ -103,7 +104,7 @@ class Jet2Immersion:
                 vectors = self.evaluator(us[k], vs[k])
             except GeometryError as exc:
                 failed[k] = exc
-            except (ArithmeticError, ValueError) as exc:
+            except (ArithmeticError, TypeError, ValueError) as exc:
                 failed[k] = ChartDomainError(
                     f"chart failed at (u,v)=({us[k]},{vs[k]}): "
                     f"{type(exc).__name__}: {exc}")
@@ -125,7 +126,7 @@ class Jet2Immersion:
         raises; return the points of one-point halves, for float calls."""
         try:
             vectors = self.evaluator(u[ks], v[ks])
-        except (GeometryError, ArithmeticError, ValueError):
+        except (GeometryError, ArithmeticError, TypeError, ValueError):
             half = len(ks) // 2
             return [k for part in (ks[:half], ks[half:]) if part for k in (
                 part if len(part) == 1 else self._fill_batched(parts, u, v, part))]
@@ -253,32 +254,31 @@ class FrameData:
     """Adapted orthonormal frame at one surface point (or a stack of them:
     every field then carries the points' leading axes).
 
-    ``normals`` holds the normal frame row-wise, shape (k, d): the unit
-    timelike e3 first; when the mean curvature direction exists it is
-    followed by e4 = H/|H| and then the space-like completion.
-    ``normal_signs`` are their causal signs.  ``coeffs`` holds e1, e2
-    row-wise in the (phi_u, phi_v) chart basis.
+    ``vectors`` holds the whole frame row-wise, shape (m, d): e1, e2, the
+    unit timelike e3, then e4 = H/|H| when the mean curvature direction
+    exists, then the space-like completion.  ``signs`` (m,) are their causal
+    signs: +1, +1, then the normals' (0 on a row left uncompleted).  ``e1``,
+    ``e2``, ``e3``, ``tangents``, ``normals`` and ``normal_signs`` are views
+    of these.  ``coeffs`` holds e1, e2 row-wise in the (phi_u, phi_v) chart
+    basis.
     """
 
-    e1: np.ndarray
-    e2: np.ndarray
+    vectors: np.ndarray
+    signs: np.ndarray
     T: np.ndarray
     eta: np.ndarray
     theta: float
     sinh_theta: float
     cosh_theta: float
-    normals: np.ndarray
-    normal_signs: np.ndarray
     has_mean_direction: bool
     coeffs: np.ndarray
 
-    @property
-    def e3(self) -> np.ndarray:
-        return self.normals[..., 0, :]
-
-    @property
-    def tangents(self) -> tuple:
-        return (self.e1, self.e2)
+    e1 = property(lambda self: self.vectors[..., 0, :])
+    e2 = property(lambda self: self.vectors[..., 1, :])
+    e3 = property(lambda self: self.vectors[..., 2, :])
+    tangents = property(lambda self: (self.e1, self.e2))
+    normals = property(lambda self: self.vectors[..., 2:, :])
+    normal_signs = property(lambda self: self.signs[..., 2:])
 
 
 def adapted_frame(jet: JetSample, space: AmbientSpace, G, ginv,
@@ -321,21 +321,22 @@ def adapted_frame(jet: JetSample, space: AmbientSpace, G, ginv,
 
     h_norm2 = inner(H, H, G)
     has_mean = np.abs(h_norm2) > TOL_H * TOL_H
-    normals, signs = _complete_normals(space, jet, G, e1, e2, e3, H, h_norm2,
+    vectors, signs = _complete_normals(space, jet, G, e1, e2, e3, H, h_norm2,
                                        has_mean, _full | ~has_mean)
-    return FrameData(e1, e2, T, eta, theta, sinh_theta, cosh_theta, normals,
-                     signs, has_mean, coeffs)
+    return FrameData(vectors, signs, T, eta, theta, sinh_theta, cosh_theta,
+                     has_mean, coeffs)
 
 
 def _complete_normals(space: AmbientSpace, jet: JetSample, G, e1, e2, e3, H,
                       h_norm2, has_mean, complete):
-    """The normal frame (..., k, d) and its causal signs (..., k): e3, then
+    """The frame (..., m, d) and its causal signs (..., m): e1, e2, e3, then
     e4 = H/|H| where the mean curvature direction exists, then
     signature-aware Gram-Schmidt over the coordinate candidates, which each
     point accepts or skips on its own.  Points holding equally many basis
     vectors share one batched projection per candidate.  Only the points
     where ``complete`` holds are completed: elsewhere the rows after e3 and
-    e4 = H/|H| read NaN and their signs 0."""
+    e4 = H/|H| read NaN and their signs 0.  The product backend's normal
+    joins the Gram-Schmidt basis but not the frame."""
     d = space.ambient_dim
     lead = np.shape(e1)[:-1]
     flat = lambda x: np.reshape(x, (-1,) + np.shape(x)[len(lead):])
@@ -353,7 +354,7 @@ def _complete_normals(space: AmbientSpace, jet: JetSample, G, e1, e2, e3, H,
         groups = [(m, np.flatnonzero(filled == m))
                   for m in np.unique(filled[filled < d])]
         for m, idx in groups:
-            w = project_out_span(np.eye(d)[c], list(basis[idx, :m].swapaxes(0, 1)),
+            w = project_out_span(np.eye(d)[c], basis[idx, :m].swapaxes(0, 1),
                                  G[idx])
             s2, ww = inner(w, w, G[idx]), np.sum(w * w, axis=-1)
             take = (np.abs(s2) >= 1e-12 * np.maximum(1.0, ww)) & (ww >= 1e-12)
@@ -366,8 +367,9 @@ def _complete_normals(space: AmbientSpace, jet: JetSample, G, e1, e2, e3, H,
     # orientation instead (smooth along catalog grids)
     flip = np.flatnonzero(filled > start)
     basis[flip[np.linalg.det(basis[flip]) < 0.0], d - 1] *= -1.0
-    normals = basis[:, len(priors):]
-    s2 = inner(normals, normals, G[:, None])
+    if space.is_embedded:  # drop the product normal's row
+        basis = np.delete(basis, 2, axis=1)
+    s2 = inner(basis, basis, G[:, None])
     signs = np.where(s2 > 0, 1, np.where(s2 < 0, -1, 0))
-    k = d - len(priors)
-    return normals.reshape(lead + (k, d)), signs.reshape(lead + (k,))
+    m = basis.shape[1]
+    return basis.reshape(lead + (m, d)), signs.reshape(lead + (m,))

@@ -304,10 +304,7 @@ def evaluate_point(surface: Jet2Immersion, u, v, *, _full=True):
 def frame_norm(V, pd: PointData):
     """Norm of V from its components in the orthonormal frame (a true norm
     regardless of the indefinite signature), one value per point of pd."""
-    fr = pd.frame
-    E = np.concatenate([np.stack([fr.e1, fr.e2], axis=-2), fr.normals],
-                       axis=-2)
-    comps = inner(np.asarray(V, dtype=float)[..., None, :], E,
+    comps = inner(np.asarray(V, dtype=float)[..., None, :], pd.frame.vectors,
                   np.asarray(pd.G)[..., None, :])
     return np.sqrt(np.sum(np.square(comps), axis=-1))
 
@@ -442,8 +439,8 @@ class SurfaceGrid:
         nd = self.node_data
         W = np.stack([np.stack(row, axis=-2) for row in self.frame_covariants()],
                      axis=-3)
-        E = np.stack(nd.frame.tangents, axis=-2)
-        return inner(W[..., None, :], E[..., None, None, :, :],
+        E = nd.frame.vectors[..., None, None, :2, :]
+        return inner(W[..., None, :], E,
                      nd.G[..., None, None, None, :])
 
     @_per_grid
@@ -513,8 +510,9 @@ def normal_space_dims(grid: SurfaceGrid) -> NormalSpaceDims:
                      *grid.nabla_perp_h().values()], axis=-2)
     finite = np.isfinite(gens).all(axis=(-2, -1))
     gens = np.where(finite[..., None, None], gens, 0.0)
-    norms = np.stack([frame_norm(gens[..., m, :], nd)
-                      for m in range(gens.shape[-2])], axis=-1)
+    comps = inner(gens[..., None, :], nd.frame.vectors[..., None, :, :],
+                  nd.G[..., None, None, :])
+    norms = np.sqrt(np.sum(np.square(comps), axis=-1))
     use = grid.ok & finite
     gens = (gens * (norms > ZERO_FLOOR)[..., None])[use].swapaxes(0, 1)
     dims = []

@@ -369,19 +369,17 @@ def verify_surface(surface: Jet2Immersion, grid=(17, 17),
     ok = sg.ok
     nd = sg.node_data
     fr, sfd, G = nd.frame, nd.sfd, nd.G
-    vecs = np.concatenate([np.stack(fr.tangents, axis=-2), fr.normals], axis=-2)
-    signs = np.concatenate([np.ones(fr.normal_signs.shape[:-1] + (2,)),
-                            fr.normal_signs], axis=-1)
+    vecs, m = fr.vectors, fr.vectors.shape[-2]
     gram = inner(vecs[..., :, None, :], vecs[..., None, :, :],
                  G[..., None, None, :])
-    upper = np.triu_indices(vecs.shape[-2])
-    ortho = np.abs(gram - signs[..., None] * np.eye(vecs.shape[-2]))
+    upper = np.triu_indices(m)
+    ortho = np.abs(gram - fr.signs[..., None] * np.eye(m))
     dt = surface.space.dt_vector()
     reassembly = frame_norm(_col(fr.sinh_theta) * fr.e1
                             + _col(fr.cosh_theta) * fr.e3 - dt, nd)
-    h_tangency = np.stack([np.abs(inner(hv, e, G))
-                           for hv in (sfd.h11, sfd.h12, sfd.h22)
-                           for e in fr.tangents], axis=-1)
+    hs = np.stack([sfd.h11, sfd.h12, sfd.h22], axis=-2)
+    h_tangency = np.abs(inner(hs[..., None, :], vecs[..., None, :2, :],
+                              G[..., None, None, :]))
     hh = inner(sfd.H, sfd.H, G)[ok]
     characters = causal_character(sfd.H, G)[ok]
     has_mean_everywhere = bool(fr.has_mean_direction[ok].all())

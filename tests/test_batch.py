@@ -165,8 +165,8 @@ def test_batched_chart_that_raises_is_rerun_point_by_point(l4_constants,
     # its own one-point error
     warp = l4_solution.warp
     hi = warp.interval[1]
-    surface = rw.rotational_surface_l41(l4_constants, warp,
-                                        u_domain=(0.0, 2.0 * hi))
+    surface = dataclasses.replace(
+        rw.rotational_surface_l41(l4_constants, warp), u_domain=(0.0, 2.0 * hi))
     us = np.array([0.3, 0.5, 1.5, 1.9]) * hi
     vs = np.full(4, 0.4)
     data, errors = evaluate_point(surface, us, vs)

@@ -643,6 +643,27 @@ def test_verify_user_map_chart_errors_are_degenerate_nodes(tmp_path, capsys):
                             r"\(\S+,\S+\): ValueError: math domain error", text)
 
 
+def test_verify_user_map_chart_of_the_wrong_arity_is_degenerate(tmp_path,
+                                                                 capsys):
+    # a chart taking one argument raises TypeError at every point: each node
+    # is a degeneracy naming it, and the command exits 2 without a traceback
+    py = tmp_path / "arity.py"
+    py.write_text("def chart(u):\n    return (u, u, 0.0, 0.0)\n")
+    out = tmp_path / "report.json"
+    code = main(["verify", "user-map", "--py", str(py), "--ambient",
+                 "warped-flat", "--n", "4", "--chart-u-span=-1:1",
+                 "--chart-v-span=-1:1", "--grid", "3x3", "--out", str(out)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err == "" and "verdict: degenerate" in captured.out
+    report = json.loads(out.read_text())
+    assert len(report["degeneracies"]) == 9
+    for _, _, text in report["degeneracies"]:
+        assert re.fullmatch(r"ChartDomainError: chart failed at \(u,v\)="
+                            r"\(\S+,\S+\): TypeError: .*positional argument.*",
+                            text)
+
+
 def test_surface_and_residual_csv_exports(tmp_path):
     surf_csv = tmp_path / "surf.csv"
     res_csv = tmp_path / "res.csv"
@@ -719,8 +740,9 @@ def test_surface_csv_writes_nan_where_the_chart_fails(tmp_path, capsys):
     ("chart.py", "def chart(u, v):\n    return (u, v,\n", "chart", "--py"),
     ("chart.txt", "def chart(u, v):\n    return (u, v, 0.0, 0.0)\n", "chart",
      "--py"),
+    ("chart.py", "raise RuntimeError('boom')\n", "chart", "--py"),
 ], ids=["undefined-attr", "attr-not-callable", "does-not-compile",
-        "not-a-module"])
+        "not-a-module", "raises-at-import"])
 def test_user_map_chart_that_cannot_be_loaded_exits_2(name, text, attr, flag,
                                                       tmp_path, capsys):
     py = tmp_path / name
