@@ -289,7 +289,8 @@ def _print_report(report: VerificationReport):
               f"dim N1 = {diag['dim_N1']}, dim N2 = {diag['dim_N2']}; "
               f"H character: {','.join(diag['mean_curvature_character'])}")
     for i, j, msg in report.degeneracies[:5]:
-        print(f"  degenerate node ({i},{j}): {msg}")
+        print(f"  degenerate node ({i},{j}): {msg}" if i >= 0 else
+              f"  degenerate grid: {msg}")
     if len(report.degeneracies) > 5:
         print(f"  ... {len(report.degeneracies) - 5} more degenerate nodes")
     print(f"verdict: {report.verdict}")
@@ -332,14 +333,15 @@ def _cmd_verify_family(args) -> int:
 def _load_chart(path: str, attr: str):
     """The callable ``attr`` of the Python file ``path``; ValueError naming
     --py or --attr when the file is no loadable module, raises anything at
-    import (a SyntaxError too), or has no such callable."""
+    import (a SyntaxError or a sys.exit too, not a KeyboardInterrupt), or
+    has no such callable."""
     spec = importlib.util.spec_from_file_location("rwsurf_user_map", path)
     if spec is None:
         raise ValueError(f"--py {path!r} cannot be loaded as a Python module")
     module = importlib.util.module_from_spec(spec)
     try:
         spec.loader.exec_module(module)
-    except Exception as exc:
+    except (Exception, SystemExit) as exc:
         raise ValueError(f"--py {path!r} failed at import: "
                          f"{type(exc).__name__}: {exc}") from None
     chart = getattr(module, attr, None)

@@ -84,7 +84,8 @@ class Jet2Immersion:
         evaluator gets the in-domain points (NaN is not) in one call, retried
         in halves down to one float call per point that raises one of these;
         any other gets one call per point.  Jet vectors whose length is not
-        the ambient dimension raise DimensionMismatchError for the call."""
+        the ambient dimension, and an evaluator's DimensionMismatchError,
+        raise DimensionMismatchError for the call."""
         uu, vv = np.broadcast_arrays(np.asarray(u, dtype=float),
                                      np.asarray(v, dtype=float))
         us, vs = uu.ravel().tolist(), vv.ravel().tolist()
@@ -102,6 +103,8 @@ class Jet2Immersion:
         for k in inside:
             try:
                 vectors = self.evaluator(us[k], vs[k])
+            except DimensionMismatchError:
+                raise
             except GeometryError as exc:
                 failed[k] = exc
             except (ArithmeticError, TypeError, ValueError) as exc:
@@ -155,10 +158,28 @@ def finite_difference_jet(chart: Callable[[float, float], np.ndarray],
     point, with floats, one (N, d) stack per offset, each jet bitwise its
     one-point jet.  The chart must be evaluable on the declared domain
     inflated by the larger step; grid builders downstream keep that margin.
+    A chart's exception other than a GeometryError is the ChartDomainError
+    of the point it was called at; a value that is no vector of length d
+    (None, a scalar, a vector of another length) a DimensionMismatchError.
     """
     def at(us, vs):
-        pairs = zip(us.tolist(), vs.tolist())
-        return np.array([chart(a, b) for a, b in pairs], dtype=float)
+        rows = []
+        for a, b in zip(us.tolist(), vs.tolist()):
+            try:
+                rows.append(chart(a, b))
+            except GeometryError:
+                raise
+            except Exception as exc:
+                raise ChartDomainError(f"chart failed at (u,v)=({a},{b}): "
+                                       f"{type(exc).__name__}: {exc}") from None
+        stack, d = np.array(rows, dtype=float), space.ambient_dim
+        if stack.shape[1:] != (d,):
+            what = (f"jet vectors of length {stack.shape[1]}" if stack.ndim == 2
+                    else f"a scalar of type {type(rows[0]).__name__}"
+                    if stack.ndim == 1 else f"values of shape {stack.shape[1:]}")
+            raise DimensionMismatchError(f"the chart returned {what} for an "
+                                         f"ambient space of dimension {d}")
+        return stack
 
     def evaluator(u, v):
         single = np.ndim(u) == 0

@@ -6,9 +6,10 @@ The integrator is a Dormand-Prince 5(4) pair propagating the 5th-order
 solution, with the standard free quartic interpolant for dense output.  Its
 step loop runs on Python floats: right-hand sides and monitors receive the
 state as a list of floats, and each accepted step is kept as one row of
-floats that the dense output reads.  The family right-hand sides, the
-pointwise 2x2 solve and the dense-output evaluation are scalar as well:
-dense output takes a float time and returns a tuple of floats.  The coupled
+floats that the dense output reads.  The step and the quartic are generated
+once per state length as straight-line code (no per-component list, zip or
+frame; no user text in the source), bit-identical to the per-component
+form.  Dense output takes a float time and returns a tuple of floats.  The coupled
 system's state at a time, (f, f', f'', y, y', y''), is computed once per
 solution and cached.  No stiff solver is provided: the warp ODE blows up in
 finite time for many initial conditions.  The rotational warp's solve stops
@@ -111,14 +112,15 @@ class DenseOutput:
     t_end: float            # may cut the last step short (monitor stop)
 
     def __post_init__(self):
-        # for _segment: direction-signed step starts (monotone, for bisect)
-        # and (lo, hi, slack-widened lo, slack-widened hi, direction)
+        # direction-signed step starts (monotone, for bisect), (lo, hi,
+        # slack-widened lo, slack-widened hi, direction) and the quartic
         direction = 1.0 if self.steps[0][1] > 0 else -1.0
         lo, hi = self.interval
         slack = 1e-12 * max(1.0, abs(lo), abs(hi))
         self.__dict__.update(
             _starts=[row[0] * direction for row in self.steps],
-            _bounds=(lo, hi, lo - slack, hi + slack, direction))
+            _bounds=(lo, hi, lo - slack, hi + slack, direction),
+            _quartic=_kernels(len(self.steps[0][2]))[1])
 
     @property
     def interval(self) -> tuple[float, float]:
@@ -138,20 +140,20 @@ class DenseOutput:
         return (t - tk) / h, h, y, q
 
     def __call__(self, t: float) -> tuple[float, ...]:
-        return tuple(_quartic(*self._segment(t)))
+        # _segment inlined: one frame fewer per sample
+        lo, hi, low, high, direction = self._bounds
+        if not (low <= t <= high):
+            raise ChartDomainError(
+                f"dense output evaluated at t={t} outside [{lo}, {hi}]")
+        t = lo if t < lo else hi if t > hi else t
+        tk, h, y, q = self.steps[bisect_right(self._starts, t * direction) - 1]
+        return self._quartic((t - tk) / h, h, y, q)
 
     def derivative(self, t: float) -> tuple[float, ...]:
         th, _, _, q = self._segment(t)
         th2, th3 = th * th, th * th * th
         return tuple([a + b * (2 * th) + c * (3 * th2) + d * (4 * th3)
                       for a, b, c, d in q])
-
-
-def _quartic(th, h, y, q) -> list[float]:
-    """The state at theta = th along the step (h, y, q) of a steps row."""
-    th2, th3 = th * th, th * th * th
-    return [yi + h * (a * th + b * th2 + c * th3 + d * th2 * th2)
-            for yi, (a, b, c, d) in zip(y, q)]
 
 
 @dataclass(frozen=True)
@@ -185,16 +187,47 @@ def _initial_step(rhs, t0, y0, f0, direction, rtol, atol, span):
     return min(100 * h0, h1, abs(span))
 
 
-# The tableau as Python floats for the step loop: (c2..c6), the rows a2..a6,
-# b, e and the rows of _P that are not zero (row 1 is) without their first
-# column, which is 1 in row 0 and 0 elsewhere.  _A[6] equals _B[:6] (first
-# same as last), so y_new is the input of the seventh stage and c7 = 1.
-_FLOAT_TABLEAU = (
-    tuple(_C[1:6].tolist()),
-    tuple(tuple(row.tolist()) for row in _A[1:6]),
-    tuple(_B.tolist()),
-    tuple(_E.tolist()),
-    tuple(tuple(row.tolist()) for row in _P[[0, 2, 3, 4, 5, 6], 1:]))
+@functools.lru_cache(maxsize=None)
+def _kernels(d: int):
+    """(step, quartic) for states of length d, compiled once from straight
+    lines in the tableau's floats by name (c2, a21, b1, e1, p11 = _P[0, 1],
+    ...) and the indices 0..d-1, in the operand order of the per-component
+    form.  step(rhs, t, h, y, k1) returns (y_new, k7, err, Q); quartic(th,
+    h, y, q) the state at theta = th of a steps row, as a tuple.  The FSAL
+    pair has c7 = 1 and k7 = rhs(t + h, y_new); b2 = e2 = 0, _P's row 1 is
+    zero, and its first column is 1 in row 0 and 0 elsewhere."""
+    ks = (1, 3, 4, 5, 6)  # the stages y_new reads; err and Q add the seventh
+    names = {f"{v}{s}": x for v, col in (("c", _C), ("b", _B), ("e", _E))
+             for s, x in enumerate(col.tolist(), 1)}
+    names.update({f"a{s}{j}": x for s in range(2, 7)
+                  for j, x in enumerate(_A[s - 1].tolist(), 1)})
+    names.update({f"p{s}{j}": x for s in ks + (7,)
+                  for j, x in enumerate(_P[s - 1, 1:].tolist(), 1)})
+
+    def each(template):  # the d components of one quantity, comma-joined
+        return "".join(template.replace("_i", f"_{i}") + ", " for i in range(d))
+
+    def combo(coef, stages):  # coef(s) * k_s summed over the stages
+        return " + ".join(f"{coef(s)} * k{s}_i" for s in stages)
+
+    def stage(s):  # k_s = rhs(t + c_s h, y + h sum_j a_sj k_j)
+        y_s = each("y_i + h * (" + combo(lambda j: f"a{s}{j}", range(1, s)) + ")")
+        return f"    {each(f'k{s}_i')}= rhs(t + c{s} * h, [{y_s}])\n"
+
+    y_new = each("y_i + h * (" + combo(lambda s: f"b{s}", ks) + ")")
+    err = each("h * (" + combo(lambda s: f"e{s}", ks + (7,)) + ")")
+    q = ", ".join(combo(lambda s: f"p{s}{j}", ks + (7,)) for j in (1, 2, 3))
+    quartic = "y_i + h * (a_i * th + b_i * th2 + c_i * th3 + d_i * th2 * th2)"
+    source = (
+        f"def step(rhs, t, h, y, k1):\n    {each('y_i')}= y\n    {each('k1_i')}= k1\n"
+        + "".join(map(stage, range(2, 7))) +
+        f"    y_new = [{y_new}]\n    k7 = rhs(t + h, y_new)\n    {each('k7_i')}= k7\n"
+        f"    return y_new, k7, [{err}], [{each(f'(k1_i, {q})')}]\n"
+        f"def quartic(th, h, y, q):\n    th2, th3 = th * th, th * th * th\n"
+        f"    {each('y_i')}= y\n    {each('(a_i, b_i, c_i, d_i)')}= q\n"
+        f"    return ({each(quartic)})\n")
+    exec(compile(source, f"<rwsurf.solvers._kernels({d})>", "exec"), names)
+    return names["step"], names["quartic"]
 
 
 def rk_integrate(rhs: Callable, y0, t_span, config: SolverConfig | None = None,
@@ -251,13 +284,7 @@ def rk_integrate(rhs: Callable, y0, t_span, config: SolverConfig | None = None,
         h_abs = _initial_step(rhs, t0, y, f, direction, rtol, atol, t1 - t0)
     h_abs = min(h_abs, abs(t1 - t0))
 
-    ((c2, c3, c4, c5, c6),
-     ((a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54),
-      (a61, a62, a63, a64, a65)),
-     (b1, _, b3, b4, b5, b6, _),
-     (e1, _, e3, e4, e5, e6, e7),
-     ((p11, p12, p13), (p31, p32, p33), (p41, p42, p43), (p51, p52, p53),
-      (p61, p62, p63), (p71, p72, p73))) = _FLOAT_TABLEAU
+    step, quartic = _kernels(d)
     isfinite = math.isfinite
 
     steps = []
@@ -276,23 +303,8 @@ def rk_integrate(rhs: Callable, y0, t_span, config: SolverConfig | None = None,
             t_end = t
             break
         h = h_abs * direction
-        k1 = f
         try:
-            k2 = rhs(t + c2 * h, [yi + h * (a21 * p1) for yi, p1 in zip(y, k1)])
-            k3 = rhs(t + c3 * h, [yi + h * (a31 * p1 + a32 * p2)
-                                  for yi, p1, p2 in zip(y, k1, k2)])
-            k4 = rhs(t + c4 * h, [yi + h * (a41 * p1 + a42 * p2 + a43 * p3)
-                                  for yi, p1, p2, p3 in zip(y, k1, k2, k3)])
-            k5 = rhs(t + c5 * h, [yi + h * (a51 * p1 + a52 * p2 + a53 * p3 + a54 * p4)
-                                  for yi, p1, p2, p3, p4 in zip(y, k1, k2, k3, k4)])
-            k6 = rhs(t + c6 * h, [yi + h * (a61 * p1 + a62 * p2 + a63 * p3 + a64 * p4
-                                            + a65 * p5)
-                                  for yi, p1, p2, p3, p4, p5 in zip(y, k1, k2, k3, k4, k5)])
-            y_new = [yi + h * (b1 * p1 + b3 * p3 + b4 * p4 + b5 * p5 + b6 * p6)
-                     for yi, p1, p3, p4, p5, p6 in zip(y, k1, k3, k4, k5, k6)]
-            k7 = rhs(t + h, y_new)
-            err = [h * (e1 * p1 + e3 * p3 + e4 * p4 + e5 * p5 + e6 * p6 + e7 * p7)
-                   for p1, p3, p4, p5, p6, p7 in zip(k1, k3, k4, k5, k6, k7)]
+            y_new, k7, err, Q = step(rhs, t, h, y, f)
             bad = not (all(map(isfinite, y_new)) and all(map(isfinite, err)))
         except (ArithmeticError, SingularWarpError, np.linalg.LinAlgError,
                 ValueError):
@@ -313,12 +325,6 @@ def rk_integrate(rhs: Callable, y0, t_span, config: SolverConfig | None = None,
         else:
             factor = 1.0
 
-        # Q = K.T @ _P row by row
-        Q = [(p1,
-              p11 * p1 + p31 * p3 + p41 * p4 + p51 * p5 + p61 * p6 + p71 * p7,
-              p12 * p1 + p32 * p3 + p42 * p4 + p52 * p5 + p62 * p6 + p72 * p7,
-              p13 * p1 + p33 * p3 + p43 * p4 + p53 * p5 + p63 * p6 + p73 * p7)
-             for p1, p3, p4, p5, p6, p7 in zip(k1, k3, k4, k5, k6, k7)]
         steps.append((t, h, y, Q))
         n_acc += 1
 
@@ -333,7 +339,7 @@ def rk_integrate(rhs: Callable, y0, t_span, config: SolverConfig | None = None,
             lo_th, hi_th = 0.0, 1.0
             for _ in range(80):
                 th = 0.5 * (lo_th + hi_th)
-                if g(t + th * h, _quartic(th, h, y, Q)) > 0.0:
+                if g(t + th * h, list(quartic(th, h, y, Q))) > 0.0:
                     lo_th = th
                 else:
                     hi_th = th

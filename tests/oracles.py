@@ -5,18 +5,27 @@ Each function restates, one point and one index at a time, a quantity that
 ``ambient_covariant_derivative``, the backend-aware curvature behind
 ``curvature_rw_values``, the closed form of the tangential curvature trace
 behind ``curvature_trace_term``, the comoving split, signature-aware
-Gram-Schmidt, and the dense-matrix forms of the inner product, projection
-and rank that ``rwsurf.linalg`` computes from the metric's diagonal.  The
+Gram-Schmidt, the dense-matrix forms of the inner product, projection
+and rank that ``rwsurf.linalg`` computes from the metric's diagonal, and the
+per-component Dormand-Prince step loop and quartic dense output behind the
+straight-line code ``rwsurf.solvers`` generates per state length.  The
 package never imports this module.
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
+
 import numpy as np
 
 from rwsurf.ambient import AmbientSpace, curvature_rw_values, curvature_scalars
-from rwsurf.errors import DegenerateFrameError, DimensionMismatchError
+from rwsurf.errors import (AdmissibilityError, ChartDomainError, ConstraintError,
+                           DegenerateFrameError, DimensionMismatchError,
+                           SingularWarpError)
 from rwsurf.linalg import inner, project_out_span
+from rwsurf.solvers import (_A, _B, _C, _E, _MAX_STEPS, _P, SolverConfig,
+                            _initial_step, _rms)
 
 
 def dense_inner(u, v, G):
@@ -125,3 +134,190 @@ def orthonormalize_signature(vectors, G, tol: float = 1e-10,
         frame.append(w / np.sqrt(abs(s2)))
         signs.append(sign)
     return frame, signs
+
+
+# The tableau as Python floats for the step loop: (c2..c6), the rows a2..a6,
+# b, e and the rows of _P that are not zero (row 1 is) without their first
+# column, which is 1 in row 0 and 0 elsewhere.  _A[6] equals _B[:6] (first
+# same as last), so y_new is the input of the seventh stage and c7 = 1.
+_FLOAT_TABLEAU = (
+    tuple(_C[1:6].tolist()),
+    tuple(tuple(row.tolist()) for row in _A[1:6]),
+    tuple(_B.tolist()),
+    tuple(_E.tolist()),
+    tuple(tuple(row.tolist()) for row in _P[[0, 2, 3, 4, 5, 6], 1:]))
+
+
+def _reference_quartic(th, h, y, q) -> list[float]:
+    """The state at theta = th along the step (h, y, q) of a steps row, one
+    component at a time."""
+    th2, th3 = th * th, th * th * th
+    return [yi + h * (a * th + b * th2 + c * th3 + d * th2 * th2)
+            for yi, (a, b, c, d) in zip(y, q)]
+
+
+class ReferenceDense:
+    """``DenseOutput``'s evaluation over the rows of ``reference_rk_integrate``:
+    clamp, bisect for the step, then the per-component quartic."""
+
+    def __init__(self, steps, t_end):
+        self.steps, self.t_end = steps, t_end
+        self.direction = 1.0 if steps[0][1] > 0 else -1.0
+        lo, hi = steps[0][0], t_end
+        self.interval = (lo, hi) if lo <= hi else (hi, lo)
+
+    def _segment(self, t):
+        lo, hi = self.interval
+        slack = 1e-12 * max(1.0, abs(lo), abs(hi))
+        if not (lo - slack <= t <= hi + slack):
+            raise ChartDomainError(
+                f"dense output evaluated at t={t} outside [{lo}, {hi}]")
+        t = lo if t < lo else hi if t > hi else t
+        starts = [row[0] * self.direction for row in self.steps]
+        tk, h, y, q = self.steps[bisect_right(starts, t * self.direction) - 1]
+        return (t - tk) / h, h, y, q
+
+    def __call__(self, t):
+        return tuple(_reference_quartic(*self._segment(t)))
+
+    def derivative(self, t):
+        th, _, _, q = self._segment(t)
+        th2, th3 = th * th, th * th * th
+        return tuple([a + b * (2 * th) + c * (3 * th2) + d * (4 * th3)
+                      for a, b, c, d in q])
+
+
+def reference_rk_integrate(rhs, y0, t_span, config=None, monitors=()):
+    """``rk_integrate`` with the Dormand-Prince stages, y_new, the error
+    estimate and the dense rows written as one list comprehension per
+    quantity over zipped components.  Returns (ReferenceDense, stop_reason,
+    n_accepted, n_rejected)."""
+    cfg = config or SolverConfig()
+    t0, t1 = float(t_span[0]), float(t_span[1])
+    if math.isnan(t0) or math.isnan(t1):
+        raise ConstraintError(
+            f"integration interval [{t0}, {t1}] has a NaN endpoint")
+    if t0 == t1:
+        raise ConstraintError("integration interval is degenerate")
+    direction = 1.0 if t1 > t0 else -1.0
+    y = np.atleast_1d(np.asarray(y0, dtype=float)).tolist()
+    for name, g in monitors:
+        g0 = g(t0, y)
+        if not g0 > 0.0:
+            raise AdmissibilityError(
+                f"monitor {name!r} reads {g0!r} at the initial state "
+                f"t={t0!r}; it must be > 0")
+    d = len(y)
+    t = t0
+    f = rhs(t, y)
+    if isinstance(f, np.ndarray):
+        rhs = lambda t, y, array_rhs=rhs: array_rhs(t, y).tolist()
+        f = f.tolist()
+    if len(f) != d:
+        raise ValueError(f"rhs returned {len(f)} components for a state of {d}")
+    rtol, atol = cfg.rtol, cfg.atol
+
+    if cfg.fixed_step is not None:
+        h_abs = float(cfg.fixed_step)
+    else:
+        h_abs = _initial_step(rhs, t0, y, f, direction, rtol, atol, t1 - t0)
+    h_abs = min(h_abs, abs(t1 - t0))
+
+    ((c2, c3, c4, c5, c6),
+     ((a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54),
+      (a61, a62, a63, a64, a65)),
+     (b1, _, b3, b4, b5, b6, _),
+     (e1, _, e3, e4, e5, e6, e7),
+     ((p11, p12, p13), (p31, p32, p33), (p41, p42, p43), (p51, p52, p53),
+      (p61, p62, p63), (p71, p72, p73))) = _FLOAT_TABLEAU
+    isfinite = math.isfinite
+
+    steps = []
+    n_acc = n_rej = 0
+    stop_reason = "completed"
+    t_end = t1
+
+    while (t - t1) * direction < 0:
+        if n_acc + n_rej > _MAX_STEPS:
+            stop_reason = "step-underflow"
+            t_end = t
+            break
+        h_abs = min(h_abs, abs(t1 - t))
+        if h_abs < 1e-14 * max(1.0, abs(t)):
+            stop_reason = "step-underflow"
+            t_end = t
+            break
+        h = h_abs * direction
+        k1 = f
+        try:
+            k2 = rhs(t + c2 * h, [yi + h * (a21 * p1) for yi, p1 in zip(y, k1)])
+            k3 = rhs(t + c3 * h, [yi + h * (a31 * p1 + a32 * p2)
+                                  for yi, p1, p2 in zip(y, k1, k2)])
+            k4 = rhs(t + c4 * h, [yi + h * (a41 * p1 + a42 * p2 + a43 * p3)
+                                  for yi, p1, p2, p3 in zip(y, k1, k2, k3)])
+            k5 = rhs(t + c5 * h, [yi + h * (a51 * p1 + a52 * p2 + a53 * p3 + a54 * p4)
+                                  for yi, p1, p2, p3, p4 in zip(y, k1, k2, k3, k4)])
+            k6 = rhs(t + c6 * h, [yi + h * (a61 * p1 + a62 * p2 + a63 * p3 + a64 * p4
+                                            + a65 * p5)
+                                  for yi, p1, p2, p3, p4, p5 in zip(y, k1, k2, k3, k4, k5)])
+            y_new = [yi + h * (b1 * p1 + b3 * p3 + b4 * p4 + b5 * p5 + b6 * p6)
+                     for yi, p1, p3, p4, p5, p6 in zip(y, k1, k3, k4, k5, k6)]
+            k7 = rhs(t + h, y_new)
+            err = [h * (e1 * p1 + e3 * p3 + e4 * p4 + e5 * p5 + e6 * p6 + e7 * p7)
+                   for p1, p3, p4, p5, p6, p7 in zip(k1, k3, k4, k5, k6, k7)]
+            bad = not (all(map(isfinite, y_new)) and all(map(isfinite, err)))
+        except (ArithmeticError, SingularWarpError, np.linalg.LinAlgError,
+                ValueError):
+            bad = True
+        if bad:
+            h_abs *= 0.25
+            n_rej += 1
+            continue
+
+        if cfg.fixed_step is None:
+            enorm = _rms([e / (atol + rtol * max(abs(a), abs(b)))
+                          for e, a, b in zip(err, y, y_new)])
+            if enorm > 1.0:
+                h_abs *= max(0.2, 0.9 * enorm ** -0.2)
+                n_rej += 1
+                continue
+            factor = min(5.0, max(0.2, 0.9 * (enorm + 1e-300) ** -0.2))
+        else:
+            factor = 1.0
+
+        Q = [(p1,
+              p11 * p1 + p31 * p3 + p41 * p4 + p51 * p5 + p61 * p6 + p71 * p7,
+              p12 * p1 + p32 * p3 + p42 * p4 + p52 * p5 + p62 * p6 + p72 * p7,
+              p13 * p1 + p33 * p3 + p43 * p4 + p53 * p5 + p63 * p6 + p73 * p7)
+             for p1, p3, p4, p5, p6, p7 in zip(k1, k3, k4, k5, k6, k7)]
+        steps.append((t, h, y, Q))
+        n_acc += 1
+
+        t_new = t + h
+        triggered = None
+        for name, g in monitors:
+            if not g(t_new, y_new) > 0.0:
+                triggered = (name, g)
+                break
+        if triggered is not None:
+            name, g = triggered
+            lo_th, hi_th = 0.0, 1.0
+            for _ in range(80):
+                th = 0.5 * (lo_th + hi_th)
+                if g(t + th * h, _reference_quartic(th, h, y, Q)) > 0.0:
+                    lo_th = th
+                else:
+                    hi_th = th
+            t_end = t + lo_th * h
+            stop_reason = f"monitor:{name}"
+            t = t_new
+            break
+
+        t, y, f = t_new, y_new, k7  # FSAL
+        h_abs *= factor
+
+    if not steps:
+        raise AdmissibilityError("integration could not take a single step")
+    if stop_reason == "completed":
+        t_end = t
+    return ReferenceDense(steps, t_end), stop_reason, n_acc, n_rej

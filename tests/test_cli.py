@@ -741,8 +741,9 @@ def test_surface_csv_writes_nan_where_the_chart_fails(tmp_path, capsys):
     ("chart.txt", "def chart(u, v):\n    return (u, v, 0.0, 0.0)\n", "chart",
      "--py"),
     ("chart.py", "raise RuntimeError('boom')\n", "chart", "--py"),
+    ("chart.py", "import sys\nsys.exit(3)\n", "chart", "--py"),
 ], ids=["undefined-attr", "attr-not-callable", "does-not-compile",
-        "not-a-module", "raises-at-import"])
+        "not-a-module", "raises-at-import", "exits-at-import"])
 def test_user_map_chart_that_cannot_be_loaded_exits_2(name, text, attr, flag,
                                                       tmp_path, capsys):
     py = tmp_path / name
@@ -757,6 +758,50 @@ def test_user_map_chart_that_cannot_be_loaded_exits_2(name, text, attr, flag,
                               if flag == "--attr" else
                               f"error: ValueError: --py {str(py)!r} ")
     assert repr(str(py)) in out.err and out.err.count("\n") == 1
+
+
+def test_user_map_chart_file_exiting_at_import_names_the_exit(tmp_path, capsys):
+    # sys.exit at import is the file's failure (exit 2), not the command's
+    # exit code; a KeyboardInterrupt still stops the command
+    py = tmp_path / "chart.py"
+    argv = ["verify", "user-map", "--py", str(py), "--ambient", "warped-flat",
+            "--n", "4", "--chart-u-span=-1:1", "--chart-v-span=-1:1",
+            "--grid", "3x3"]
+    py.write_text("import sys\nsys.exit(3)\n")
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (f"error: ValueError: --py {str(py)!r} "
+                                       f"failed at import: SystemExit: 3\n")
+    py.write_text("raise KeyboardInterrupt\n")
+    with pytest.raises(KeyboardInterrupt):
+        main(argv)
+
+
+@pytest.mark.parametrize("body, pattern", [
+    ("raise KeyError('k')",
+     r"ChartDomainError: chart failed at \(u,v\)=\(\S+,\S+\): KeyError: 'k'"),
+    ("return None",
+     r"DimensionMismatchError: the chart returned a scalar of type NoneType "
+     r"for an ambient space of dimension 4"),
+], ids=["raises-key-error", "returns-none"])
+def test_verify_user_map_invalid_chart_exits_2_without_traceback(
+        body, pattern, tmp_path, capsys):
+    # a chart that raises any exception at a point is a degenerate node per
+    # point; one that returns no vector is one grid-wide degeneracy
+    py = tmp_path / "chart.py"
+    py.write_text(f"def chart(u, v):\n    {body}\n")
+    out = tmp_path / "report.json"
+    code = main(["verify", "user-map", "--py", str(py), "--ambient",
+                 "warped-flat", "--n", "4", "--chart-u-span=-1:1",
+                 "--chart-v-span=-1:1", "--grid", "3x3", "--out", str(out)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err == "" and "verdict: degenerate" in captured.out
+    degeneracies = json.loads(out.read_text())["degeneracies"]
+    assert len(degeneracies) == (9 if body.startswith("raise") else 1)
+    assert all(re.fullmatch(pattern, text) for _, _, text in degeneracies)
+    i, j, text = degeneracies[0]
+    assert (f"  degenerate node ({i},{j}): {text}" if i >= 0 else
+            f"  degenerate grid: {text}") in captured.out.splitlines()
 
 
 def test_residuals_csv_maxima_match_report(tmp_path):

@@ -117,10 +117,58 @@ def test_chart_errors_are_point_errors(batched, minkowski4):
 
 
 def test_other_chart_errors_propagate(minkowski4):
-    def chart(u, v):
+    # an analytic evaluator's programming error is not a point's failure
+    def evaluator(u, v):
         raise RuntimeError("not a chart")
-    with pytest.raises(RuntimeError, match="not a chart"):
-        fd_surface(chart, minkowski4).jet(np.array([0.1, 0.2]), np.zeros(2))
+    for batched in (False, True):
+        surf = rw.Jet2Immersion(minkowski4, evaluator, (-1, 1), (-1, 1),
+                                batched=batched)
+        with pytest.raises(RuntimeError, match="not a chart"):
+            surf.jet(np.array([0.1, 0.2]), np.zeros(2))
+
+
+@pytest.mark.parametrize("error", [KeyError("k"), IndexError("i"),
+                                   RuntimeError("r"), LookupError("l")],
+                         ids=lambda e: type(e).__name__)
+def test_fd_chart_errors_of_any_type_are_point_errors(error, minkowski4):
+    # a user chart that finite_difference_jet wraps: whatever it raises at a
+    # point is that point's ChartDomainError naming the type and (u, v)
+    def chart(u, v):
+        if u < 0:
+            raise error
+        return (0.1 * u, u, v, 0.0)
+    surf = fd_surface(chart, minkowski4)
+    us, vs = np.array([0.3, -0.7, 0.5]), np.array([0.1, 0.2, -0.3])
+    sample, errors = surf.jet(us, vs)
+    assert sorted(errors) == [1]
+    message = f"chart failed at (u,v)=(-0.7,0.2): {type(error).__name__}: {error}"
+    assert errors[1] == f"ChartDomainError: {message}"
+    with pytest.raises(ChartDomainError) as exc:
+        surf.jet(-0.7, 0.2)
+    assert str(exc.value) == message
+    np.testing.assert_array_equal(sample.phi_u[0], surf.jet(0.3, 0.1).phi_u)
+
+
+@pytest.mark.parametrize("chart, what", [
+    (lambda u, v: None, "a scalar of type NoneType"),
+    (lambda u, v: u + v, "a scalar of type float"),
+    (lambda u, v: (u, v, 0.0), "jet vectors of length 3"),
+    (lambda u, v: ((u, v), (0.0, 1.0)), "values of shape (2, 2)"),
+], ids=["none", "scalar", "three-coordinates", "matrix"])
+def test_fd_chart_values_that_are_no_vectors_name_what_they_are(chart, what,
+                                                                minkowski4):
+    # the message names what the chart returned, not the stack size, and
+    # the whole call fails, at one point or at a stack
+    surf = fd_surface(chart, minkowski4)
+    message = (f"the chart returned {what} for an ambient space of "
+               f"dimension 4")
+    for u, v in ((0.5, 0.5), (np.array([0.5, 0.2, 0.1]), np.zeros(3))):
+        with pytest.raises(DimensionMismatchError) as exc:
+            surf.jet(u, v)
+        assert str(exc.value) == message
+    rep = rw.verify_surface(surf, grid=(3, 3))
+    assert rep.verdict == "degenerate"
+    assert rep.degeneracies == [[-1, -1, f"DimensionMismatchError: {message}"]]
 
 
 @pytest.mark.parametrize("case", ["l4", "l5", "product"])

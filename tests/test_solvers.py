@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rwsurf as rw
 from rwsurf.errors import (AdmissibilityError, ChartDomainError,
@@ -11,6 +13,7 @@ from rwsurf import solvers
 from rwsurf.solvers import SolverConfig, rk_integrate, system_equation_residuals
 
 from conftest import L5_CONSTANTS, L5_ICS, L5_INTERVAL
+from oracles import reference_rk_integrate
 
 
 def test_exponential_growth():
@@ -348,6 +351,66 @@ def test_numpy_calls_do_not_grow_with_steps(monkeypatch, short, long):
     (n_short, c_short), (n_long, c_long) = counts
     assert n_long >= 50 * n_short
     assert c_short == c_long
+
+
+def _coupled_rhs(seed, d, form):
+    """A mildly nonlinear float right-hand side of d components, returning
+    a list, a tuple or an array."""
+    rng = np.random.default_rng(seed)
+    M = (0.8 * rng.standard_normal((d, d))).tolist()
+    c = (0.3 * rng.standard_normal(d)).tolist()
+    wrap = {"list": list, "tuple": tuple, "array": np.array}[form]
+
+    def rhs(t, y):
+        return wrap([sum([m * x for m, x in zip(row, y)])
+                     + ci * math.sin(t + y[i - 1])
+                     for i, (row, ci) in enumerate(zip(M, c))])
+    return rhs, (rng.uniform(-1.0, 1.0, d) + 0.5).tolist()
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
+       form=st.sampled_from(["list", "tuple", "array"]),
+       span=st.floats(0.2, 2.0) | st.floats(-2.0, -0.2),
+       fixed_steps=st.none() | st.integers(3, 40), monitored=st.booleans())
+def test_generated_kernels_match_the_per_component_form_bitwise(
+        d, seed, form, span, fixed_steps, monitored):
+    # steps rows, end time, stop reason, step counts, dense samples and
+    # derivatives all equal the list-comprehension form's, bit for bit
+    # (repr of a float round-trips and tells -0.0 from 0.0)
+    rhs, y0 = _coupled_rhs(seed, d, form)
+    config = SolverConfig(fixed_step=None if fixed_steps is None
+                          else abs(span) / fixed_steps)
+    # crosses zero within 1e-3 of mid-span, wherever the state goes
+    half_span = lambda t, y: 0.5 * abs(span) - abs(t) + 1e-3 * math.tanh(y[0])
+    monitors = [("half-span", half_span)] if monitored else []
+    res = rk_integrate(rhs, y0, (0.0, span), config, monitors)
+    ref, stop_reason, n_acc, n_rej = reference_rk_integrate(
+        rhs, y0, (0.0, span), config, monitors)
+    assert (res.stop_reason, res.n_accepted, res.n_rejected) == (
+        stop_reason, n_acc, n_rej)
+    assert res.stop_reason.startswith("monitor:") == monitored
+    dense = res.dense
+    assert repr((dense.steps, dense.t_end)) == repr((ref.steps, ref.t_end))
+    for t in np.linspace(*dense.interval, 50).tolist():
+        assert repr((dense(t), dense.derivative(t))) == repr(
+            (ref(t), ref.derivative(t)))
+
+
+def test_generated_kernels_are_built_once_per_state_length(monkeypatch):
+    built = []
+
+    def counting_compile(source, filename, mode):
+        built.append(filename)
+        return compile(source, filename, mode)
+
+    monkeypatch.setattr(solvers, "compile", counting_compile, raising=False)
+    solvers._kernels.cache_clear()
+    for d in (1, 2, 4, 2, 1, 4, 2):
+        rhs, y0 = _coupled_rhs(d, d, "tuple")
+        dense = rk_integrate(rhs, y0, (0.0, 0.5)).dense
+        solvers.DenseOutput(dense.steps, dense.t_end)(0.25)
+    assert built == [f"<rwsurf.solvers._kernels({d})>" for d in (1, 2, 4)]
 
 
 # The end time of the thm4 warp when it stopped by 'step-underflow', before
