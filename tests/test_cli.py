@@ -21,6 +21,17 @@ from rwsurf.shape import SurfaceGrid
 THM4_ARGS = ["verify", "thm4", "--a", "2", "--H0", "0.5",
              "--f0", "1", "--f0p", "2", "--grid", "7x7"]
 
+# a space-like plane whose chart reads NaN where u > 0.5 and v > 0.5
+HOLED_PLANE = ("import math\n"
+               "S, C = math.sinh(0.8), math.cosh(0.8)\n"
+               "def chart(u, v):\n"
+               "    if u > 0.5 and v > 0.5:\n"
+               "        return (math.nan,) * 4\n"
+               "    return (S * u, C * u, v, 0.0)\n")
+HOLED_PLANE_ARGS = ["verify", "user-map", "--py", "holed_plane.py",
+                    "--ambient", "warped-flat", "--n", "4", "--warp", "const:1",
+                    "--chart-u-span=-1:1", "--chart-v-span=-1:1", "--grid", "5x5"]
+
 
 def test_verify_thm4_passes(tmp_path, capsys):
     out = tmp_path / "report.json"
@@ -309,6 +320,40 @@ def test_verify_stdout_and_report_bytes_are_pinned(argv, code, digests,
     text = capsys.readouterr().out
     assert [hashlib.sha256(text.encode()).hexdigest(),
             hashlib.sha256(out.read_bytes()).hexdigest()] == digests
+
+
+# digests (stdout, then each written file) of commands whose surface CSV
+# rows do not all come from a full grid, and of a backward solve
+@pytest.mark.parametrize("argv, code, digests", [
+    (HOLED_PLANE_ARGS + ["--out", "report.json", "--residuals-csv", "res.csv",
+                         "--surface-csv", "surf.csv"],
+     2, ["efbe6f0b1a5aa694a47a3e7b3b6d0b5b27479f3069af535dfc35b22c072ded35",
+         "c51f7e2722cd0516c06b73c5b5b13796c9671cce64e576b44a5b49db0c5d1afc",
+         "6cc5a227c2488233367c87a136002b33c2fce4e5e595af55ac3d4a45d8d3c4ce",
+         "2b1abdd08d372aa7fffaf1f126b56b7423a659525d8292d67bda400eb6b8d345"]),
+    (["verify", "product", "--b1", "1", "--b3", "0.5", "--grid", "5x5",
+      "--u-span", "0:1", "--out", "report.json", "--residuals-csv", "res.csv",
+      "--surface-csv", "surf.csv"],
+     2, ["53b387cb0588d015db953fb95bd6e47f357509751d9ee53f6ffd8a2d739ef3a4",
+         "314e865651f2d62b7582ed37fb78cb9c5f0433f2b4d1615f2b093e0c34dc1d42",
+         "3b5ae7341390f55e030965ba9e24e8b12489e3fe5bb0ab28982f160c29849535",
+         "51e9a30e128bf6a80704f17f1cb2031cd175887813e18472b3cd1a045ce35bbf"]),
+    (["solve", "f4", "--a", "2", "--H0", "0.5", "--f0", "1", "--f0p", "-2",
+      "--u0", "0.3", "--u1", "-0.5", "--rtol", "1e-9", "--csv", "dense.csv"],
+     0, ["42394aec451148d42c4fbf01ce19c8070c413ddb281aca5f9e3c98522009cf42",
+         "93342286a3c22cf98c3a5fe86d183427ea02be7fd29be2c4d6860e7fdeb720be"]),
+], ids=["holed-plane", "product-no-grid", "f4-backward"])
+def test_partial_grid_and_backward_solve_bytes_are_pinned(
+        argv, code, digests, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "holed_plane.py").write_text(HOLED_PLANE)
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    files = [a for a in argv if a.endswith((".json", ".csv"))]
+    assert [hashlib.sha256(captured.out.encode()).hexdigest(),
+            *(hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
+              for f in files)] == digests
 
 
 SPECIAL_FLOATS = [-0.0, 5e-324, 1.7976931348623157e308, math.inf, -math.inf,
@@ -708,13 +753,7 @@ def test_surface_csv_writes_nan_where_the_chart_fails(tmp_path, capsys):
     # nodes whose chart call fails are degeneracies of the grid; the surface
     # CSV writes them as NaN rows, and the command ends by its verdict
     py = tmp_path / "holed_plane.py"
-    py.write_text(
-        "import math\n"
-        "S, C = math.sinh(0.8), math.cosh(0.8)\n"
-        "def chart(u, v):\n"
-        "    if u > 0.5 and v > 0.5:\n"
-        "        return (math.nan,) * 4\n"
-        "    return (S * u, C * u, v, 0.0)\n")
+    py.write_text(HOLED_PLANE)
     surf_csv = tmp_path / "surf.csv"
     code = main(["verify", "user-map", "--py", str(py), "--ambient",
                  "warped-flat", "--n", "4", "--warp", "const:1",
