@@ -39,7 +39,7 @@ __all__ = [
     "is_constant_curvature",
 ]
 
-_INTERVAL_SLACK = 1e-9
+_INTERVAL_SLACK = 1e-12  # relative, as in DenseOutput and the chart domains
 
 
 @dataclass(frozen=True)

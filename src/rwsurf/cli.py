@@ -21,7 +21,7 @@ import numpy as np
 
 from . import catalog, solvers, verdicts
 from .ambient import AmbientSpace, WarpingFunction
-from .errors import GeometryError
+from .errors import DimensionMismatchError, GeometryError
 from .immersion import finite_difference_jet
 from .shape import DEFAULT_SUBSTEP
 from .verdicts import VerificationReport, verify_surface
@@ -197,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
         pf.add_argument("--atol", type=float, default=1e-13)
         pf.add_argument("--csv", help="dense-output CSV path")
         pf.add_argument("--samples", type=int, default=201)
-        pf.set_defaults(_run=_cmd_solve)
+        pf.set_defaults(_run=_cmd_solve, _family=kind)
 
     pc = sub.add_parser("scan", help="non-existence residual scans")
     pcs = pc.add_subparsers(dest="_sub", required=True)
@@ -253,25 +253,19 @@ def _write_report_files(report: VerificationReport, surface, opts: dict):
                                 vals["reduced"], vals["biconservativity"]))
     surf_csv = opts.get("surface_csv")
     if surf_csv:
-        nu, nv = report.grid["nu"], report.grid["nv"]
-        us = np.linspace(*report.grid["u"], nu)
-        vs = np.linspace(*report.grid["v"], nv)
+        us, vs = (np.linspace(*report.grid[k], report.grid["n" + k]) for k in "uv")
         dim = surface.space.ambient_dim
-        # rows from the grid; a degenerate (NaN) node calls the chart, and a
-        # node whose chart call fails is written as NaN
-        phis = np.full((nu, nv, dim), np.nan) if sg is None else sg.data.jet.phi[:, :, 0]
+        try:  # the grid's jet (NaN where the chart failed), else one jet call
+            phis = (sg.data.jet.phi[:, :, 0] if sg is not None else
+                    surface.jet(us[:, None], vs[None, :])[0].phi).tolist()
+        except DimensionMismatchError:  # a chart whose vectors fit no row
+            phis = np.full((len(us), len(vs), dim), np.nan).tolist()
         row = _row_template(2 + dim)
         with open(surf_csv, "w", encoding="utf-8") as fh:
             fh.write("u,v," + ",".join(f"x{k}" for k in range(dim)) + "\n")
             for i, u in enumerate(us.tolist()):
                 for j, v in enumerate(vs.tolist()):
-                    phi = phis[i, j]
-                    if not np.isfinite(phi).all():
-                        try:
-                            phi = surface.jet(u, v).phi
-                        except GeometryError:
-                            phi = np.full(dim, np.nan)
-                    fh.write(row % (u, v, *phi))
+                    fh.write(row % (u, v, *phis[i][j]))
 
 
 def _print_report(report: VerificationReport):
@@ -380,17 +374,10 @@ def _write_dense_csv(path, solution, samples, with_y):
 def _cmd_solve(args) -> int:
     if args.samples < 2:  # before anything is solved or written
         raise ValueError(f"--samples must be at least 2, got {args.samples}")
-    with_y = args._sub == "sys5"
-    constants = (solvers.validate_constants_l5(args.a, args.H0, args.c2, args.c3)
-                 if with_y else solvers.validate_constants_l4(args.a, args.H0))
-    cfg = solvers.SolverConfig(rtol=args.rtol, atol=args.atol)
-    if with_y:
-        solution = solvers.solve_warp_system(
-            constants, (args.f0, args.f0p, args.y0, args.y0p),
-            (args.u0, args.u1), cfg)
-    else:
-        solution = solvers.solve_rotational_warp(
-            constants, args.f0, args.f0p, (args.u0, args.u1), cfg)
+    solution = catalog.FAMILIES[args._family].solve(
+        vars(args), (args.u0, args.u1),
+        solvers.SolverConfig(rtol=args.rtol, atol=args.atol))
+    with_y = isinstance(solution, solvers.WarpSystemSolution)
     lo, hi = solution.warp.interval
     blow_up = ("" if with_y or solution.blow_up_time is None else
                f", estimated blow-up at t={_fmt(solution.blow_up_time)}")

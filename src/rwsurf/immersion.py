@@ -77,15 +77,15 @@ class Jet2Immersion:
     def jet(self, u, v):
         """The 2-jet at one point (u, v), raising that point's GeometryError;
         at arrays u, v: ``(sample, errors)``, ``errors`` mapping the flat
-        index of each failing point to ``"<ErrorClass>: <message>"``.  An
-        ArithmeticError, TypeError (a chart of the wrong arity, say) or
-        ValueError of the evaluator at a point is that point's
-        ChartDomainError, naming (u, v) and the error.  A batched
-        evaluator gets the in-domain points (NaN is not) in one call, retried
-        in halves down to one float call per point that raises one of these;
-        any other gets one call per point.  Jet vectors whose length is not
-        the ambient dimension, and an evaluator's DimensionMismatchError,
-        raise DimensionMismatchError for the call."""
+        index of each failing point, whose six jet vectors read NaN, to
+        ``"<ErrorClass>: <message>"``.  An ArithmeticError, TypeError (a
+        chart of the wrong arity, say) or ValueError of the evaluator at a
+        point is that point's ChartDomainError, naming (u, v) and the error.
+        A batched evaluator gets the in-domain points (NaN is not) in one
+        call, retried in halves down to one float call per point that raises
+        one of these; any other gets one call per point.  Jet vectors whose
+        length is not the ambient dimension, and an evaluator's
+        DimensionMismatchError, raise DimensionMismatchError for the call."""
         uu, vv = np.broadcast_arrays(np.asarray(u, dtype=float),
                                      np.asarray(v, dtype=float))
         us, vs = uu.ravel().tolist(), vv.ravel().tolist()
@@ -116,6 +116,7 @@ class Jet2Immersion:
         for k in np.flatnonzero(~np.isfinite(parts).all(axis=(0, 2))).tolist():
             failed.setdefault(k, ChartDomainError(
                 f"non-finite jet at (u,v)=({us[k]},{vs[k]})"))
+        parts[:, list(failed)] = np.nan
         if uu.ndim == 0:
             if failed:
                 raise failed[0]

@@ -252,8 +252,9 @@ def evaluate_point(surface: Jet2Immersion, u, v, *, _full=True):
     u) and ``errors`` maps the flat index of each degenerate point to
     ``"<ErrorClass>: <message>"``.  The chart is called once (one ``jet``
     call for all points) and the warp once per distinct time coordinate;
-    the rest runs batched over the points still alive.  A point that fails
-    a stage is left out of the later ones and reads NaN.  Only the points
+    the rest runs batched over the points still alive.  ``data.jet`` is the
+    call's sample (NaN where the chart failed); a point failing a later
+    stage leaves the ones after it, which read NaN.  Only the points
     ``_full`` (the grid fill's) marks and those without a mean direction
     form the completion normals and their A rows: elsewhere they read NaN.
     """
@@ -261,9 +262,9 @@ def evaluate_point(surface: Jet2Immersion, u, v, *, _full=True):
     if np.ndim(u) == 0 and np.ndim(v) == 0:
         jet = surface.jet(u, v)
         return _point_data(space, jet, space.warp_state(jet.phi))
-    jet, errors = surface.jet(u, v)
-    shape = np.shape(jet.u)
-    jet = _map_arrays(lambda x: x.reshape((-1,) + x.shape[len(shape):]), jet)
+    sample, errors = surface.jet(u, v)
+    shape = np.shape(sample.u)
+    jet = _map_arrays(lambda x: x.reshape((-1,) + x.shape[len(shape):]), sample)
     alive = np.setdiff1d(np.arange(len(jet.u)), list(errors))
     times, inverse = np.unique(jet.phi[alive, 0], return_inverse=True)
     states = np.full((len(times), 3), np.nan)
@@ -298,7 +299,7 @@ def evaluate_point(surface: Jet2Immersion, u, v, *, _full=True):
             out[alive] = x
         return out.reshape(shape + x.shape[1:])
 
-    return _map_arrays(place, data), errors
+    return dataclasses.replace(_map_arrays(place, data), jet=sample), errors
 
 
 def frame_norm(V, pd: PointData):

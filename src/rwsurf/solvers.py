@@ -251,7 +251,9 @@ def rk_integrate(rhs: Callable, y0, t_span, config: SolverConfig | None = None,
     after t0 truncates the output (the stop time is located by bisection on
     the dense segment) and is recorded as stop reason 'monitor:<name>'; it
     never changes a step size.  Step underflow near a blow-up that no monitor
-    stops ends with 'step-underflow' and the last valid time.
+    stops ends with 'step-underflow' and the last valid time (a span left
+    below that threshold is 'completed').  A non-finite y0 raises
+    ConstraintError before rhs is called.
     """
     cfg = config or SolverConfig()
     t0, t1 = float(t_span[0]), float(t_span[1])
@@ -262,6 +264,8 @@ def rk_integrate(rhs: Callable, y0, t_span, config: SolverConfig | None = None,
         raise ConstraintError("integration interval is degenerate")
     direction = 1.0 if t1 > t0 else -1.0
     y = np.atleast_1d(np.asarray(y0, dtype=float)).tolist()
+    if not all(map(math.isfinite, y)):
+        raise ConstraintError(f"initial state y0 must be finite, got {y}")
     for name, g in monitors:
         g0 = g(t0, y)
         if not g0 > 0.0:
@@ -289,18 +293,15 @@ def rk_integrate(rhs: Callable, y0, t_span, config: SolverConfig | None = None,
 
     steps = []
     n_acc = n_rej = 0
-    stop_reason = "completed"
-    t_end = t1
+    stop_reason, t_end = "completed", None  # None: where the loop stops
 
     while (t - t1) * direction < 0:
-        if n_acc + n_rej > _MAX_STEPS:
-            stop_reason = "step-underflow"
-            t_end = t
+        tiny = 1e-14 * max(1.0, abs(t))
+        if abs(t1 - t) < tiny:  # the span is covered up to round-off
             break
         h_abs = min(h_abs, abs(t1 - t))
-        if h_abs < 1e-14 * max(1.0, abs(t)):
+        if h_abs < tiny or n_acc + n_rej > _MAX_STEPS:
             stop_reason = "step-underflow"
-            t_end = t
             break
         h = h_abs * direction
         try:
@@ -345,7 +346,6 @@ def rk_integrate(rhs: Callable, y0, t_span, config: SolverConfig | None = None,
                     hi_th = th
             t_end = t + lo_th * h
             stop_reason = f"monitor:{name}"
-            t = t_new
             break
 
         t, y, f = t_new, y_new, k7  # FSAL
@@ -353,9 +353,8 @@ def rk_integrate(rhs: Callable, y0, t_span, config: SolverConfig | None = None,
 
     if not steps:
         raise AdmissibilityError("integration could not take a single step")
-    if stop_reason == "completed":
-        t_end = t
-    return IntegrationResult(DenseOutput(steps, t_end), stop_reason, n_acc, n_rej)
+    return IntegrationResult(DenseOutput(steps, t if t_end is None else t_end),
+                             stop_reason, n_acc, n_rej)
 
 
 # ---------------------------------------------------------------------------

@@ -201,6 +201,8 @@ def reference_rk_integrate(rhs, y0, t_span, config=None, monitors=()):
         raise ConstraintError("integration interval is degenerate")
     direction = 1.0 if t1 > t0 else -1.0
     y = np.atleast_1d(np.asarray(y0, dtype=float)).tolist()
+    if not all(map(math.isfinite, y)):
+        raise ConstraintError(f"initial state y0 must be finite, got {y}")
     for name, g in monitors:
         g0 = g(t0, y)
         if not g0 > 0.0:
@@ -238,12 +240,11 @@ def reference_rk_integrate(rhs, y0, t_span, config=None, monitors=()):
     t_end = t1
 
     while (t - t1) * direction < 0:
-        if n_acc + n_rej > _MAX_STEPS:
-            stop_reason = "step-underflow"
-            t_end = t
+        tiny = 1e-14 * max(1.0, abs(t))
+        if abs(t1 - t) < tiny:
             break
         h_abs = min(h_abs, abs(t1 - t))
-        if h_abs < 1e-14 * max(1.0, abs(t)):
+        if h_abs < tiny or n_acc + n_rej > _MAX_STEPS:
             stop_reason = "step-underflow"
             t_end = t
             break

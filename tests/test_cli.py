@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -730,8 +731,9 @@ def test_surface_and_residual_csv_exports(tmp_path):
 
 
 def test_surface_csv_reads_the_verify_grid(tmp_path, monkeypatch):
-    # the chart runs once per grid point (node and 8 stencil offsets), and
-    # the surface CSV adds no call of its own
+    # the grid fill's one jet call covers every grid point (node and 8
+    # stencil offsets), and the surface CSV adds no call of its own, not
+    # even at the nodes of the holed plane where the chart fails
     calls = []
     jet = Jet2Immersion.jet
 
@@ -740,13 +742,44 @@ def test_surface_csv_reads_the_verify_grid(tmp_path, monkeypatch):
         return jet(self, u, v)
 
     monkeypatch.setattr(Jet2Immersion, "jet", counting_jet)
+    monkeypatch.chdir(tmp_path)
     surf_csv = tmp_path / "surf.csv"
     code = main(THM4_ARGS + ["--surface-csv", str(surf_csv)])
     assert code == 0
-    assert sum(calls) == 9 * 7 * 7
+    assert calls == [9 * 7 * 7]
     rows = surf_csv.read_text().strip().splitlines()[1:]
     assert len(rows) == 7 * 7
     assert all(np.isfinite([float(x) for x in r.split(",")]).all() for r in rows)
+
+    calls.clear()
+    (tmp_path / "holed_plane.py").write_text(HOLED_PLANE)
+    code = main(HOLED_PLANE_ARGS + ["--surface-csv", str(surf_csv)])
+    assert code == 2
+    assert calls == [9 * 5 * 5]
+    rows = [[float(x) for x in r.split(",")]
+            for r in surf_csv.read_text().splitlines()[1:]]
+    assert sum(np.isnan(row[2:]).all() for row in rows) == 4
+
+
+@pytest.mark.parametrize("argv, kind", [
+    (["solve", "f4", "--a", "2", "--H0", "0.5", "--f0", "1", "--f0p", "2"],
+     "thm4"),
+    (["solve", "sys5", "--a", "2", "--H0", "0.6", "--c2", "0.48", "--c3", "0.64",
+      "--f0", "1.5", "--f0p", "1.2", "--y0", "0.4", "--y0p", "-0.7"], "thm5"),
+], ids=["f4", "sys5"])
+def test_solve_runs_the_family_recipe_once(argv, kind, monkeypatch, capsys):
+    # solve f4|sys5 solve through catalog.FAMILIES, with their span and
+    # tolerances, as verify thm4|thm5 do
+    family, calls = catalog.FAMILIES[kind], []
+
+    def counting_solve(params, interval, config=None):
+        calls.append((interval, config))
+        return family.solve(params, interval, config)
+
+    monkeypatch.setitem(catalog.FAMILIES, kind,
+                        dataclasses.replace(family, solve=counting_solve))
+    assert main(argv + ["--u0", "0.1", "--u1", "0.6", "--rtol", "1e-9"]) == 0
+    assert calls == [((0.1, 0.6), rw.SolverConfig(rtol=1e-9, atol=1e-13))]
 
 
 def test_surface_csv_writes_nan_where_the_chart_fails(tmp_path, capsys):

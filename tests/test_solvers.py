@@ -49,6 +49,32 @@ def test_integrator_order_ratio():
     assert 24.0 <= ratio <= 40.0
 
 
+@pytest.mark.parametrize("h, n", [(0.1, 10), (0.2, 5), (0.05, 20), (0.3, 4)])
+def test_fixed_step_run_that_covers_its_span_completes(h, n):
+    # ten steps of 0.1 end 1.1e-16 short of 1.0, a remainder below the
+    # underflow threshold: the span is covered, so the run ends 'completed'
+    # where it stands
+    res = rk_integrate(lambda t, y: y, [1.0], (0.0, 1.0),
+                       SolverConfig(fixed_step=h))
+    assert (res.stop_reason, res.n_accepted, res.n_rejected) == (
+        "completed", n, 0)
+    assert res.dense.t_end == res.dense.steps[-1][0] + res.dense.steps[-1][1]
+    assert abs(res.dense.t_end - 1.0) < 1e-15
+
+
+@pytest.mark.parametrize("y0", [[math.nan], [1.0, math.inf], [-math.inf, 0.0]])
+def test_non_finite_initial_state_is_refused_before_any_rhs_call(y0):
+    calls = []
+
+    def rhs(t, y):
+        calls.append(t)
+        return y
+
+    with pytest.raises(ConstraintError, match="y0 must be finite"):
+        rk_integrate(rhs, y0, (0.0, 1.0))
+    assert calls == []
+
+
 def _rows(d):
     """The dense output's step rows as arrays (ts, hs, ys, qs) of shapes
     (m,), (m,), (m, d) and (m, d, 4)."""
@@ -557,6 +583,18 @@ def test_non_finite_constants_are_rejected(build, args, name):
 
 
 # -- the rotational-family warp ODE ------------------------------------------
+
+
+def test_solved_warp_refuses_times_past_its_slack_itself(l4_solution):
+    # the warp's slack is the dense output's: past it, the warp's own error
+    warp = l4_solution.warp
+    lo, hi = warp.interval
+    slack = 1e-12 * max(1.0, abs(lo), abs(hi))
+    assert warp(hi + 0.5 * slack) == warp(hi)
+    assert warp(lo - 0.5 * slack) == warp(lo)
+    for t in (hi + 5e-11, lo - 5e-11):
+        with pytest.raises(ChartDomainError, match="^warp evaluated at"):
+            warp(t)
 
 
 def test_rotational_warp_initial_second_derivative(l4_solution):
