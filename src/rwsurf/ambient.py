@@ -46,8 +46,8 @@ _INTERVAL_SLACK = 1e-12  # relative, as in DenseOutput and the chart domains
 class WarpingFunction:
     """Pointwise access to (f, f', f'') on a validity interval.
 
-    f must not vanish on the interval and f, f', f'' must be finite;
-    evaluation raises SingularWarpError otherwise.
+    ``fn(t)`` starts with f, f', f''.  They must be finite and f non-zero on
+    the interval; evaluation raises SingularWarpError otherwise.
     """
 
     fn: Callable[[float], tuple[float, float, float]]
@@ -64,7 +64,7 @@ class WarpingFunction:
             lo, hi = self.interval
             raise ChartDomainError(
                 f"warp evaluated at t={t} outside interval [{lo}, {hi}]")
-        f, fp, fpp = self.fn(t)
+        f, fp, fpp = self.fn(t)[:3]
         if not (math.isfinite(f) and math.isfinite(fp) and math.isfinite(fpp)):
             raise SingularWarpError(f"warping function is not finite at t={t}")
         if abs(f) < 1e-14:

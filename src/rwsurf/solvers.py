@@ -6,16 +6,15 @@ The integrator is a Dormand-Prince 5(4) pair propagating the 5th-order
 solution, with the standard free quartic interpolant for dense output.  Its
 step loop runs on Python floats: right-hand sides and monitors receive the
 state as a list of floats, and each accepted step is kept as one row of
-floats that the dense output reads.  The step and the quartic are generated
-once per state length as straight-line code (no per-component list, zip or
-frame; no user text in the source), bit-identical to the per-component
-form.  Dense output takes a float time and returns a tuple of floats.  The coupled
-system's state at a time, (f, f', f'', y, y', y''), is computed once per
-solution and cached.  No stiff solver is provided: the warp ODE blows up in
-finite time for many initial conditions.  The rotational warp's solve stops
-short of its blow-up on an asymptotic estimate of the time left (monitor
-'blow-up', see _BLOW_UP_DELTA); elsewhere a blow-up ends the solve by step
-underflow.  Either way it is reported rather than integrated through.
+floats that the dense output reads.  The step, with its error norm, and the
+quartic are generated once per state length as straight-line code that is
+bit-identical to the per-component form.  Dense output maps a float time to a
+tuple of floats, a family's full state (f, f', f'', ...) where it carries a
+completion.  No stiff solver is provided: the warp ODE blows up in finite
+time for many initial conditions.  The rotational warp's solve stops short of
+its blow-up on an asymptotic estimate of the time left (monitor 'blow-up', see
+_BLOW_UP_DELTA); elsewhere a blow-up ends the solve by step underflow.  Either
+way it is reported rather than integrated through.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from __future__ import annotations
 import functools
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -75,8 +74,7 @@ _P = np.array([
 ])
 
 
-# attempted steps (accepted plus rejected) before rk_integrate gives up with
-# 'step-underflow'
+# attempted steps (accepted plus rejected) before rk_integrate ends 'max-steps'
 _MAX_STEPS = 200_000
 
 
@@ -102,24 +100,25 @@ class SolverConfig:
 class DenseOutput:
     """Piecewise-quartic interpolant over the accepted-step mesh.
 
-    Calling it at a float t returns the state as a tuple of Python floats;
-    ``derivative(t)`` returns the interpolant's derivative the same way.
-    Neither makes a numpy call.  Evaluation outside the covered interval
-    raises ChartDomainError.
+    Calling it at a float t returns the state as a tuple of Python floats,
+    mapped by ``completion`` if given; ``derivative(t)`` returns the raw
+    interpolant's derivative.  Neither makes a numpy call.  Evaluation
+    outside the covered interval raises ChartDomainError.
     """
 
     steps: list             # (t, h, y, q) floats per accepted step, in order
     t_end: float            # may cut the last step short (monitor stop)
+    completion: Callable | None = None  # interpolated state -> full state
 
     def __post_init__(self):
-        # direction-signed step starts (monotone, for bisect), (lo, hi,
-        # slack-widened lo, slack-widened hi, direction) and the quartic
+        # direction-signed step starts (monotone, for bisect), the one tuple
+        # __call__ reads (lo, hi, both widened by slack, direction, completion)
         direction = 1.0 if self.steps[0][1] > 0 else -1.0
         lo, hi = self.interval
         slack = 1e-12 * max(1.0, abs(lo), abs(hi))
         self.__dict__.update(
             _starts=[row[0] * direction for row in self.steps],
-            _bounds=(lo, hi, lo - slack, hi + slack, direction),
+            _bounds=(lo, hi, lo - slack, hi + slack, direction, self.completion),
             _quartic=_kernels(len(self.steps[0][2]))[1])
 
     @property
@@ -127,30 +126,26 @@ class DenseOutput:
         lo, hi = self.steps[0][0], self.t_end
         return (lo, hi) if lo <= hi else (hi, lo)
 
-    def _segment(self, t: float):
-        """(theta, h, y, q) of the step that holds t, with t clamped to the
-        interval; the first step starts at one end of it, so once t is
-        clamped the bisection always lands on a step."""
-        lo, hi, low, high, direction = self._bounds
-        if not (low <= t <= high):
-            raise ChartDomainError(
-                f"dense output evaluated at t={t} outside [{lo}, {hi}]")
-        t = lo if t < lo else hi if t > hi else t
-        tk, h, y, q = self.steps[bisect_right(self._starts, t * direction) - 1]
-        return (t - tk) / h, h, y, q
-
     def __call__(self, t: float) -> tuple[float, ...]:
-        # _segment inlined: one frame fewer per sample
-        lo, hi, low, high, direction = self._bounds
+        # t is clamped to the interval; the first step starts at one end of
+        # it, so once t is clamped the bisection always lands on a step
+        lo, hi, low, high, direction, complete = self._bounds
         if not (low <= t <= high):
             raise ChartDomainError(
                 f"dense output evaluated at t={t} outside [{lo}, {hi}]")
         t = lo if t < lo else hi if t > hi else t
         tk, h, y, q = self.steps[bisect_right(self._starts, t * direction) - 1]
-        return self._quartic((t - tk) / h, h, y, q)
+        y = self._quartic((t - tk) / h, h, y, q)
+        return y if complete is None else complete(y)
 
     def derivative(self, t: float) -> tuple[float, ...]:
-        th, _, _, q = self._segment(t)
+        lo, hi, low, high, direction, _ = self._bounds  # as in __call__
+        if not (low <= t <= high):
+            raise ChartDomainError(
+                f"dense output evaluated at t={t} outside [{lo}, {hi}]")
+        t = lo if t < lo else hi if t > hi else t
+        tk, h, _, q = self.steps[bisect_right(self._starts, t * direction) - 1]
+        th = (t - tk) / h
         th2, th3 = th * th, th * th * th
         return tuple([a + b * (2 * th) + c * (3 * th2) + d * (4 * th3)
                       for a, b, c, d in q])
@@ -161,15 +156,15 @@ class IntegrationResult:
     """A solve's dense output (ending at ``dense.t_end``) and how it ended."""
 
     dense: DenseOutput
-    stop_reason: str  # 'completed' | 'step-underflow' | 'monitor:<name>'
+    stop_reason: str  # 'completed' | 'step-underflow' | 'max-steps' | 'monitor:<name>'
     n_accepted: int
     n_rejected: int
 
 
 def _rms(values) -> float:
-    """Root mean square of a list of floats (squares by multiplication, so a
-    huge ratio overflows to inf instead of raising)."""
-    return math.sqrt(sum([x * x for x in values]) / len(values))
+    """Root mean square of a list of floats, summed left to right (squares by
+    multiplication, so a huge ratio overflows to inf instead of raising)."""
+    return math.sqrt(functools.reduce(lambda s, x: s + x * x, values, 0.0) / len(values))
 
 
 def _initial_step(rhs, t0, y0, f0, direction, rtol, atol, span):
@@ -192,10 +187,10 @@ def _kernels(d: int):
     """(step, quartic) for states of length d, compiled once from straight
     lines in the tableau's floats by name (c2, a21, b1, e1, p11 = _P[0, 1],
     ...) and the indices 0..d-1, in the operand order of the per-component
-    form.  step(rhs, t, h, y, k1) returns (y_new, k7, err, Q); quartic(th,
-    h, y, q) the state at theta = th of a steps row, as a tuple.  The FSAL
-    pair has c7 = 1 and k7 = rhs(t + h, y_new); b2 = e2 = 0, _P's row 1 is
-    zero, and its first column is 1 in row 0 and 0 elsewhere."""
+    form.  step(rhs, t, h, y, k1, atol, rtol) returns (y_new, k7, the _rms of
+    err / (atol + rtol max(|y|, |y_new|)), whether y_new and err are finite,
+    Q); quartic(th, h, y, q) the state at theta = th of a steps row.  c7 = 1,
+    b2 = e2 = 0, _P's row 1 is 0 and its first column is 1 in row 0 only."""
     ks = (1, 3, 4, 5, 6)  # the stages y_new reads; err and Q add the seventh
     names = {f"{v}{s}": x for v, col in (("c", _C), ("b", _B), ("e", _E))
              for s, x in enumerate(col.tolist(), 1)}
@@ -203,6 +198,7 @@ def _kernels(d: int):
                   for j, x in enumerate(_A[s - 1].tolist(), 1)})
     names.update({f"p{s}{j}": x for s in ks + (7,)
                   for j, x in enumerate(_P[s - 1, 1:].tolist(), 1)})
+    names.update(isfinite=math.isfinite, sqrt=math.sqrt)
 
     def each(template):  # the d components of one quantity, comma-joined
         return "".join(template.replace("_i", f"_{i}") + ", " for i in range(d))
@@ -216,13 +212,20 @@ def _kernels(d: int):
 
     y_new = each("y_i + h * (" + combo(lambda s: f"b{s}", ks) + ")")
     err = each("h * (" + combo(lambda s: f"e{s}", ks + (7,)) + ")")
+    scaled = each("e_i / (atol + rtol * max(abs(y_i), abs(n_i)))")
+    squares = " + ".join(f"s_{i} * s_{i}" for i in range(d))  # as in _rms
+    finite = " and ".join(f"isfinite({v}_{i})" for v in "ne" for i in range(d))
     q = ", ".join(combo(lambda s: f"p{s}{j}", ks + (7,)) for j in (1, 2, 3))
     quartic = "y_i + h * (a_i * th + b_i * th2 + c_i * th3 + d_i * th2 * th2)"
     source = (
-        f"def step(rhs, t, h, y, k1):\n    {each('y_i')}= y\n    {each('k1_i')}= k1\n"
+        f"def step(rhs, t, h, y, k1, atol, rtol):\n"
+        f"    {each('y_i')}= y\n    {each('k1_i')}= k1\n"
         + "".join(map(stage, range(2, 7))) +
-        f"    y_new = [{y_new}]\n    k7 = rhs(t + h, y_new)\n    {each('k7_i')}= k7\n"
-        f"    return y_new, k7, [{err}], [{each(f'(k1_i, {q})')}]\n"
+        f"    {each('n_i')}= {y_new}\n    y_new = [{each('n_i')}]\n"
+        f"    k7 = rhs(t + h, y_new)\n    {each('k7_i')}= k7\n"
+        f"    {each('e_i')}= {err}\n    {each('s_i')}= {scaled}\n"
+        f"    return y_new, k7, sqrt(({squares}) / {d}), {finite}, "
+        f"[{each(f'(k1_i, {q})')}]\n"
         f"def quartic(th, h, y, q):\n    th2, th3 = th * th, th * th * th\n"
         f"    {each('y_i')}= y\n    {each('(a_i, b_i, c_i, d_i)')}= q\n"
         f"    return ({each(quartic)})\n")
@@ -252,8 +255,8 @@ def rk_integrate(rhs: Callable, y0, t_span, config: SolverConfig | None = None,
     the dense segment) and is recorded as stop reason 'monitor:<name>'; it
     never changes a step size.  Step underflow near a blow-up that no monitor
     stops ends with 'step-underflow' and the last valid time (a span left
-    below that threshold is 'completed').  A non-finite y0 raises
-    ConstraintError before rhs is called.
+    below that threshold is 'completed'), _MAX_STEPS attempts with
+    'max-steps'.  A non-finite y0 raises ConstraintError before rhs is called.
     """
     cfg = config or SolverConfig()
     t0, t1 = float(t_span[0]), float(t_span[1])
@@ -289,7 +292,6 @@ def rk_integrate(rhs: Callable, y0, t_span, config: SolverConfig | None = None,
     h_abs = min(h_abs, abs(t1 - t0))
 
     step, quartic = _kernels(d)
-    isfinite = math.isfinite
 
     steps = []
     n_acc = n_rej = 0
@@ -300,24 +302,21 @@ def rk_integrate(rhs: Callable, y0, t_span, config: SolverConfig | None = None,
         if abs(t1 - t) < tiny:  # the span is covered up to round-off
             break
         h_abs = min(h_abs, abs(t1 - t))
-        if h_abs < tiny or n_acc + n_rej > _MAX_STEPS:
-            stop_reason = "step-underflow"
+        if h_abs < tiny or n_acc + n_rej >= _MAX_STEPS:
+            stop_reason = "step-underflow" if h_abs < tiny else "max-steps"
             break
         h = h_abs * direction
         try:
-            y_new, k7, err, Q = step(rhs, t, h, y, f)
-            bad = not (all(map(isfinite, y_new)) and all(map(isfinite, err)))
+            y_new, k7, enorm, ok, Q = step(rhs, t, h, y, f, atol, rtol)
         except (ArithmeticError, SingularWarpError, np.linalg.LinAlgError,
                 ValueError):
-            bad = True
-        if bad:
+            ok = False
+        if not ok:
             h_abs *= 0.25
             n_rej += 1
             continue
 
         if cfg.fixed_step is None:
-            enorm = _rms([e / (atol + rtol * max(abs(a), abs(b)))
-                          for e, a, b in zip(err, y, y_new)])
             if enorm > 1.0:
                 h_abs *= max(0.2, 0.9 * enorm ** -0.2)
                 n_rej += 1
@@ -330,22 +329,19 @@ def rk_integrate(rhs: Callable, y0, t_span, config: SolverConfig | None = None,
         n_acc += 1
 
         t_new = t + h
-        triggered = None
         for name, g in monitors:
-            if not g(t_new, y_new) > 0.0:
-                triggered = (name, g)
+            if not g(t_new, y_new) > 0.0:  # bisect for the crossing
+                lo_th, hi_th = 0.0, 1.0
+                for _ in range(80):
+                    th = 0.5 * (lo_th + hi_th)
+                    if g(t + th * h, list(quartic(th, h, y, Q))) > 0.0:
+                        lo_th = th
+                    else:
+                        hi_th = th
+                t_end = t + lo_th * h
+                stop_reason = f"monitor:{name}"
                 break
-        if triggered is not None:
-            name, g = triggered
-            lo_th, hi_th = 0.0, 1.0
-            for _ in range(80):
-                th = 0.5 * (lo_th + hi_th)
-                if g(t + th * h, list(quartic(th, h, y, Q))) > 0.0:
-                    lo_th = th
-                else:
-                    hi_th = th
-            t_end = t + lo_th * h
-            stop_reason = f"monitor:{name}"
+        if t_end is not None:
             break
 
         t, y, f = t_new, y_new, k7  # FSAL
@@ -383,16 +379,10 @@ class ConstantsL5:
     b2: float  # a^2 - 4 H0^2
 
     def __post_init__(self):
-        # the constant factors of _system_matrices, in the order it unpacks them
-        a, H0, c2, c3, c4, b2 = self.a, self.H0, self.c2, self.c3, self.c4, self.b2
-        g = 12 * a**2 * (c3**2 - 1) * H0**2
-        self.__dict__["_k"] = (
-            a**2 * c3**2, a**4 * c3**2, 2 * a**6 * c2 * c3**2 * H0, -a**4 * c3**2 * c4,
-            -a**6 * b2 * c3**2, -2 * a**2 * c4, 4 * a**4 * b2, a**2,
-            -12 * a**4 * c2 * c3**2 * H0, 4 * (a**4 * c3**2 - g - 48 * H0**4),
-            2 * a**4 * b2**2, a**8 * c3**4, 2 * c4**2, -a**2 * b2**2, a**2 * b2,
-            2 * a**4 * c2 * c3**2 * H0, a**4 * c3**2 + g + 48 * H0**4, 2 * c2 * c4 * H0,
-            4 * c2 * H0, 6 * c2 * H0, 8 * c2 * H0)
+        self.__dict__["_matrices"] = _system_matrices(self)
+
+    def __reduce__(self):  # rebuilt from the fields: a closure does not pickle
+        return ConstantsL5, astuple(self)
 
 
 @dataclass(frozen=True)
@@ -559,12 +549,9 @@ def solve_rotational_warp(constants: ConstantsL4, f0: float, f0p: float,
     blow_up_time = (dense.t_end + direction * _blow_up_time_left(
         b2, *dense(dense.t_end)) if result.stop_reason == "monitor:blow-up"
         else None)
-
-    def fn(t):
-        fv, fp = dense(t)
-        return (fv, *rhs(t, (fv, fp)))
-
-    return RotationalWarpSolution(WarpingFunction(fn, dense.interval), result,
+    # the ODE is autonomous: (f, f') completes to (f, f', f'') at any t
+    warp = DenseOutput(dense.steps, dense.t_end, lambda s: (s[0], *rhs(t0, s)))
+    return RotationalWarpSolution(WarpingFunction(warp, dense.interval), result,
                                   constants, blow_up_time)
 
 
@@ -572,30 +559,42 @@ def solve_rotational_warp(constants: ConstantsL4, f0: float, f0p: float,
 # the coupled (f, y) system
 
 
-def _system_matrices(constants: ConstantsL5, fv, fp, yp):
-    """The two family equations written as A @ (f'', y'') = -R, as the floats
-    (A11, A12, A21, A22, R1, R2)."""
+def _system_matrices(constants: ConstantsL5):
+    """matrices(fv, fp, yp) -> (A11, A12, A21, A22, R1, R2), the family
+    equations as A @ (f'', y'') = -R, its constant factors formed once."""
+    a, H0, c2, c3, c4, b2 = astuple(constants)
+    g = 12 * a**2 * (c3**2 - 1) * H0**2
     (ac, q, m, k11, k12, r1a, r1b, a2, r1c, r1d, r1e, r1f, r1g,
-     r2a, r2b, r2c, r2d, r2e, e4, e6, e8) = constants._k
-    f2, fp2, pq, yp2 = fv * fv, fp * fp, fp * yp, yp * yp
-    f3, f4, f6 = f2 * fv, f2 * f2, f2 * f2 * f2
-    A11 = k11 * f3 * fp - m * f4 * fv * yp
-    A12 = k12 * f6 * fv * yp - m * f4 * fv * fp
-    R1 = (r1a * f2 * fp2 * fp * (ac - e8 * pq)
-          - r1b * f6 * fp * yp2 * (ac - e4 * pq)
-          + a2 * f4 * fp * (r1c * pq + r1d * fp2 * yp2)
-          + r1e * f4 * f4 * fp * yp2 * yp2
-          + r1f * f4 * fp
-          + r1g * fp2 * fp2 * fp)
-    R2 = (r2a * f6 * yp2 * yp + r2b * f4 * yp * (ac - e6 * pq)
-          + f2 * fp * (r2c + r2d * pq) - r2e * fp2 * fp)
-    return A11, A12, -q * f3 * yp, q * f3 * fp, R1, R2
+     r2a, r2b, r2c, r2d, r2e, e4, e6, e8) = (
+        a**2 * c3**2, a**4 * c3**2, 2 * a**6 * c2 * c3**2 * H0, -a**4 * c3**2 * c4,
+        -a**6 * b2 * c3**2, -2 * a**2 * c4, 4 * a**4 * b2, a**2,
+        -12 * a**4 * c2 * c3**2 * H0, 4 * (a**4 * c3**2 - g - 48 * H0**4),
+        2 * a**4 * b2**2, a**8 * c3**4, 2 * c4**2, -a**2 * b2**2, a**2 * b2,
+        2 * a**4 * c2 * c3**2 * H0, a**4 * c3**2 + g + 48 * H0**4, 2 * c2 * c4 * H0,
+        4 * c2 * H0, 6 * c2 * H0, 8 * c2 * H0)
+
+    def matrices(fv, fp, yp):
+        f2, fp2, pq, yp2 = fv * fv, fp * fp, fp * yp, yp * yp
+        f3, f4, f6 = f2 * fv, f2 * f2, f2 * f2 * f2
+        A11 = k11 * f3 * fp - m * f4 * fv * yp
+        A12 = k12 * f6 * fv * yp - m * f4 * fv * fp
+        R1 = (r1a * f2 * fp2 * fp * (ac - e8 * pq)
+              - r1b * f6 * fp * yp2 * (ac - e4 * pq)
+              + a2 * f4 * fp * (r1c * pq + r1d * fp2 * yp2)
+              + r1e * f4 * f4 * fp * yp2 * yp2
+              + r1f * f4 * fp
+              + r1g * fp2 * fp2 * fp)
+        R2 = (r2a * f6 * yp2 * yp + r2b * f4 * yp * (ac - e6 * pq)
+              + f2 * fp * (r2c + r2d * pq) - r2e * fp2 * fp)
+        return A11, A12, -q * f3 * yp, q * f3 * fp, R1, R2
+
+    return matrices
 
 
 def system_equation_residuals(constants: ConstantsL5, fv, fp, fpp, yp, ypp):
     """Raw residuals of the two family equations at a state (back-substitution
     oracle for the pointwise linear extraction)."""
-    a11, a12, a21, a22, r1, r2 = _system_matrices(constants, fv, fp, yp)
+    a11, a12, a21, a22, r1, r2 = constants._matrices(fv, fp, yp)
     return float(a11 * fpp + a12 * ypp + r1), float(a21 * fpp + a22 * ypp + r2)
 
 
@@ -604,16 +603,22 @@ _DET_TOL = 1e-10
 _SPACELIKE_FLOOR = 0.02
 
 
-def _second_derivatives(constants: ConstantsL5, fv, fp, yp):
-    """(f'', y'') by Cramer's rule; LinAlgError unless |det A| / max|A|^2 >
-    _DET_TOL.  The scale's floor keeps an all-zero A singular; a non-finite
-    entry makes the ratio NaN (singular) even where max() skips a NaN."""
-    a11, a12, a21, a22, r1, r2 = _system_matrices(constants, fv, fp, yp)
-    det = a11 * a22 - a12 * a21
-    scale = max(abs(a11), abs(a12), abs(a21), abs(a22), 1e-150)
-    if not abs(det) / (scale * scale) > _DET_TOL:
-        raise np.linalg.LinAlgError("pointwise system is near-singular")
-    return (a12 * r2 - a22 * r1) / det, (a21 * r1 - a11 * r2) / det
+def _system_completion(constants: ConstantsL5):
+    """complete: (f, f', y, y') -> (f, f', f'', y, y', y''), (f'', y'') by
+    Cramer's rule; LinAlgError unless |det A| / max|A|^2 > _DET_TOL.  The
+    scale's floor keeps an all-zero A singular; a non-finite entry makes the
+    ratio NaN (singular) even where max() skips a NaN."""
+    def complete(s, matrices=constants._matrices):
+        fv, fp, yv, yp = s
+        a11, a12, a21, a22, r1, r2 = matrices(fv, fp, yp)
+        det = a11 * a22 - a12 * a21
+        scale = max(abs(a11), abs(a12), abs(a21), abs(a22), 1e-150)
+        if not abs(det) / (scale * scale) > _DET_TOL:
+            raise np.linalg.LinAlgError("pointwise system is near-singular")
+        return (fv, fp, (a12 * r2 - a22 * r1) / det,
+                yv, yp, (a21 * r1 - a11 * r2) / det)
+
+    return complete
 
 
 def spacelike_margin(constants: ConstantsL5, fv, fp, yp) -> float:
@@ -636,9 +641,9 @@ _STATE_CACHE_SIZE = 4096
 class WarpSystemSolution:
     """Joint (f, y) trajectory with self-consistent second derivatives.
 
-    ``state(t)`` is (f, f', f'', y, y', y'') at t, from the dense output and
-    the pointwise 2x2 solve; it is cached per solution, so the warp, y_state
-    and max_equation_residual evaluate each distinct time once.
+    ``state(t)`` is (f, f', f'', y, y', y'') at t, the dense output completed
+    by the 2x2 solve, in a bounded cache that the warp, y_state and
+    max_equation_residual share (exceptions are not cached).
     """
 
     warp: WarpingFunction
@@ -672,16 +677,16 @@ def solve_warp_system(constants: ConstantsL5, ics, interval,
     step, so a trajectory that runs into a singular system ends by
     'step-underflow'.  The initial state must be non-singular.  Monitored:
     the space-likeness margin g_11 > _SPACELIKE_FLOOR, and f bounded away
-    from zero.  The solution's (f, f', f'', y, y', y'') at a time is computed
-    once, on the first request, and kept in a bounded cache of the solution
-    (exceptions are not cached).
+    from zero.  One completion serves the right-hand side, the initial-state
+    check and the solution's state.
     """
     f0, f0p, y0, y0p = map(float, ics)
     _require_finite(f0=f0, f0p=f0p, y0=y0, y0p=y0p)
     if f0 == 0.0:
         raise SingularWarpError("f0 must be non-zero")
+    complete = _system_completion(constants)
     try:
-        _second_derivatives(constants, f0, f0p, y0p)
+        complete((f0, f0p, y0, y0p))
     except np.linalg.LinAlgError:
         raise AdmissibilityError("pointwise (f'', y'') system is singular "
                                  "at the initial state") from None
@@ -691,8 +696,7 @@ def solve_warp_system(constants: ConstantsL5, ics, interval,
             f"g_11 > {_SPACELIKE_FLOOR}")
 
     def rhs(t, s):
-        fv, fp, yv, yp = s
-        fpp, ypp = _second_derivatives(constants, fv, fp, yp)
+        _, fp, fpp, _, yp, ypp = complete(s)
         return fp, fpp, yp, ypp
 
     sgn = 1.0 if f0 > 0 else -1.0
@@ -703,12 +707,7 @@ def solve_warp_system(constants: ConstantsL5, ics, interval,
     ]
     result = rk_integrate(rhs, [f0, f0p, y0, y0p], interval, config, monitors)
     dense = result.dense
-
-    @functools.lru_cache(maxsize=_STATE_CACHE_SIZE)
-    def state(t):
-        fv, fp, yv, yp = dense(t)
-        fpp, ypp = _second_derivatives(constants, fv, fp, yp)
-        return fv, fp, fpp, yv, yp, ypp
-
-    warp = WarpingFunction(lambda t: state(t)[:3], dense.interval)
-    return WarpSystemSolution(warp, result, constants, state)
+    state = functools.lru_cache(maxsize=_STATE_CACHE_SIZE)(
+        DenseOutput(dense.steps, dense.t_end, complete))
+    return WarpSystemSolution(WarpingFunction(state, dense.interval), result,
+                              constants, state)

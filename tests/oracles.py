@@ -6,10 +6,11 @@ Each function restates, one point and one index at a time, a quantity that
 ``curvature_rw_values``, the closed form of the tangential curvature trace
 behind ``curvature_trace_term``, the comoving split, signature-aware
 Gram-Schmidt, the dense-matrix forms of the inner product, projection
-and rank that ``rwsurf.linalg`` computes from the metric's diagonal, and the
+and rank that ``rwsurf.linalg`` computes from the metric's diagonal, the
 per-component Dormand-Prince step loop and quartic dense output behind the
-straight-line code ``rwsurf.solvers`` generates per state length.  The
-package never imports this module.
+straight-line code ``rwsurf.solvers`` generates per state length, and the
+family warps as a per-sample completion of that dense output.  The package
+never imports this module.
 """
 
 from __future__ import annotations
@@ -23,9 +24,9 @@ from rwsurf.ambient import AmbientSpace, curvature_rw_values, curvature_scalars
 from rwsurf.errors import (AdmissibilityError, ChartDomainError, ConstraintError,
                            DegenerateFrameError, DimensionMismatchError,
                            SingularWarpError)
+from rwsurf import solvers
 from rwsurf.linalg import inner, project_out_span
-from rwsurf.solvers import (_A, _B, _C, _E, _MAX_STEPS, _P, SolverConfig,
-                            _initial_step, _rms)
+from rwsurf.solvers import _A, _B, _C, _E, _P, SolverConfig, _initial_step, _rms
 
 
 def dense_inner(u, v, G):
@@ -244,8 +245,12 @@ def reference_rk_integrate(rhs, y0, t_span, config=None, monitors=()):
         if abs(t1 - t) < tiny:
             break
         h_abs = min(h_abs, abs(t1 - t))
-        if h_abs < tiny or n_acc + n_rej > _MAX_STEPS:
+        if h_abs < tiny:
             stop_reason = "step-underflow"
+            t_end = t
+            break
+        if n_acc + n_rej >= solvers._MAX_STEPS:
+            stop_reason = "max-steps"
             t_end = t
             break
         h = h_abs * direction
@@ -322,3 +327,90 @@ def reference_rk_integrate(rhs, y0, t_span, config=None, monitors=()):
     if stop_reason == "completed":
         t_end = t
     return ReferenceDense(steps, t_end), stop_reason, n_acc, n_rej
+
+
+def _warp_values(t, values):
+    """What ``WarpingFunction`` returns for fn(t) = values: (f, f', f'') as
+    Python floats, after its finiteness and non-vanishing checks."""
+    f, fp, fpp = values
+    if not (math.isfinite(f) and math.isfinite(fp) and math.isfinite(fpp)):
+        raise SingularWarpError(f"warping function is not finite at t={t}")
+    if abs(f) < 1e-14:
+        raise SingularWarpError(f"warping function vanishes at t={t}")
+    return float(f), float(fp), float(fpp)
+
+
+def reference_rotational_warp(constants, f0, f0p, interval, config=None):
+    """``solve_rotational_warp`` over ``reference_rk_integrate``, with the
+    warp completed per sample as fn(t) = (f, *rhs(t, (f, f'))).  Returns
+    (warp, blow_up_time, stop_reason, n_accepted, n_rejected)."""
+    b2 = constants.b2
+    rhs = solvers.rotational_warp_rhs(constants)
+    sgn = 1.0 if f0 > 0 else -1.0
+    t0 = float(interval[0])
+    direction = 1.0 if interval[1] > interval[0] else -1.0
+    grows = direction * sgn
+    monitors = [
+        ("admissible", lambda t, s: s[1] * s[1] - b2 * s[0] * s[0]),
+        ("warp-positive", lambda t, s: sgn * s[0] - 1e-12),
+        ("blow-up", lambda t, s: 1.0 if grows * s[1] <= 0.0 else
+         solvers._blow_up_time_left(b2, *s)
+         - solvers._BLOW_UP_DELTA * abs(t - t0)),
+    ]
+    dense, stop_reason, n_acc, n_rej = reference_rk_integrate(
+        rhs, [f0, f0p], interval, config, monitors)
+    blow_up_time = (dense.t_end + direction * solvers._blow_up_time_left(
+        b2, *dense(dense.t_end)) if stop_reason == "monitor:blow-up" else None)
+
+    def warp(t):
+        fv, fp = dense(t)
+        return _warp_values(t, (fv, *rhs(t, (fv, fp))))
+
+    return warp, blow_up_time, stop_reason, n_acc, n_rej
+
+
+def reference_warp_system(constants, ics, interval, config=None):
+    """``solve_warp_system`` over ``reference_rk_integrate``, each sample
+    completed by its own 2x2 solve: Cramer's rule on the family's matrices
+    behind the same determinant test.  Returns (state, max_equation_residual,
+    stop_reason, n_accepted, n_rejected); state(t) is (f, f', f'', y, y',
+    y'')."""
+    matrices = solvers._system_matrices(constants)
+
+    def second(fv, fp, yp):
+        a11, a12, a21, a22, r1, r2 = matrices(fv, fp, yp)
+        det = a11 * a22 - a12 * a21
+        scale = max(abs(a11), abs(a12), abs(a21), abs(a22), 1e-150)
+        if not abs(det) / (scale * scale) > solvers._DET_TOL:
+            raise np.linalg.LinAlgError("pointwise system is near-singular")
+        return (a12 * r2 - a22 * r1) / det, (a21 * r1 - a11 * r2) / det
+
+    def rhs(t, s):
+        fv, fp, yv, yp = s
+        fpp, ypp = second(fv, fp, yp)
+        return fp, fpp, yp, ypp
+
+    f0 = float(ics[0])
+    sgn = 1.0 if f0 > 0 else -1.0
+    monitors = [
+        ("spacelike", lambda t, s: solvers.spacelike_margin(
+            constants, s[0], s[1], s[3]) - solvers._SPACELIKE_FLOOR),
+        ("warp-positive", lambda t, s: sgn * s[0] - 1e-12),
+    ]
+    dense, stop_reason, n_acc, n_rej = reference_rk_integrate(
+        rhs, [float(x) for x in ics], interval, config, monitors)
+
+    def state(t):
+        fv, fp, yv, yp = dense(t)
+        fpp, ypp = second(fv, fp, yp)
+        return fv, fp, fpp, yv, yp, ypp
+
+    def max_equation_residual(samples=200):
+        residuals = []
+        for t in np.linspace(*dense.interval, samples).tolist():
+            fv, fp, fpp, _, yp, ypp = state(t)
+            residuals += solvers.system_equation_residuals(
+                constants, fv, fp, fpp, yp, ypp)
+        return float(np.max(np.abs(residuals)))
+
+    return state, max_equation_residual, stop_reason, n_acc, n_rej

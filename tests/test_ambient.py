@@ -52,6 +52,17 @@ def test_warp_interval_slack_is_relative_1e12():
             w(t)
 
 
+def test_warp_reads_the_leading_three_values():
+    # a solved system's cached state is (f, f', f'', y, y', y''): the warp
+    # reads its leading three, and a fn with fewer values fails to unpack
+    six = rw.WarpingFunction(lambda t: (2.0, 1.0, 0.5, 9.0, 8.0, 7.0))
+    assert six(0.0) == (2.0, 1.0, 0.5)
+    with pytest.raises(ValueError, match=r"expected 3, got 2"):
+        rw.WarpingFunction(lambda t: (2.0, 1.0))(0.0)
+    # values of other types still come back as Python floats
+    assert all(type(x) is float for x in rw.WarpingFunction.exponential()(0.5))
+
+
 def test_backend_validation():
     with pytest.raises(DimensionMismatchError):
         rw.AmbientSpace("warped-flat", 4, 1, rw.WarpingFunction.constant())

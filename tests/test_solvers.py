@@ -1,9 +1,12 @@
+import copy
 import dataclasses
 import math
+import pickle
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import rwsurf as rw
@@ -13,7 +16,8 @@ from rwsurf import solvers
 from rwsurf.solvers import SolverConfig, rk_integrate, system_equation_residuals
 
 from conftest import L5_CONSTANTS, L5_ICS, L5_INTERVAL
-from oracles import reference_rk_integrate
+from oracles import (reference_rk_integrate, reference_rotational_warp,
+                     reference_warp_system)
 
 
 def test_exponential_growth():
@@ -98,7 +102,8 @@ def test_dense_output_interpolates_endpoints():
 def test_dense_output_holds_no_arrays():
     d = rk_integrate(lambda t, y: np.array([y[1], -y[0]]), [0.3, 0.7],
                      (0.0, 3.0)).dense
-    assert [f.name for f in dataclasses.fields(d)] == ["steps", "t_end"]
+    assert [f.name for f in dataclasses.fields(d)] == [
+        "steps", "t_end", "completion"]
     assert not any(isinstance(v, np.ndarray) for v in vars(d).values())
     for t, h, y, q in d.steps:
         assert all(type(v) is float
@@ -423,6 +428,55 @@ def test_generated_kernels_match_the_per_component_form_bitwise(
             (ref(t), ref.derivative(t)))
 
 
+@settings(max_examples=60, deadline=None)
+@given(d=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
+       span=st.floats(0.2, 2.0) | st.floats(-2.0, -0.2),
+       fixed_steps=st.none() | st.integers(3, 40),
+       value=st.sampled_from([math.inf, -math.inf, math.nan]),
+       where=st.integers(3, 150) | st.floats(0.1, 0.9))
+# the seventh stage alone: call 44 of an adaptive run (after the initial
+# state's two calls, six per attempt) and call 13 of a fixed-step one
+@example(d=1, seed=0, span=1.0, fixed_steps=None, value=math.inf, where=44)
+@example(d=2, seed=1, span=1.0, fixed_steps=10, value=math.nan, where=13)
+def test_non_finite_stages_are_rejected_as_in_the_per_component_form(
+        d, seed, span, fixed_steps, value, where):
+    # the right-hand side reads ``value`` at its call number ``where`` (an
+    # int past the calls at the initial state: one stage, so at times the
+    # seventh alone, which leaves y_new finite and only the error estimate
+    # not) or, for a float, wherever its first component is past the level
+    # it has at that share of the span (a region every later step runs
+    # into).  Such steps must be rejected with x0.25, and everything the
+    # run records must equal the per-component form's
+    rhs, y0 = _coupled_rhs(seed, d, "list")
+    config = SolverConfig(fixed_step=None if fixed_steps is None
+                          else abs(span) / fixed_steps)
+    if isinstance(where, float):
+        level = rk_integrate(rhs, y0, (0.0, span), config).dense(where * span)[0]
+        side = 1.0 if level >= y0[0] else -1.0
+
+    def outcome(integrate):  # a run that takes no step raises in both
+        calls = []
+
+        def poisoned(t, y):
+            calls.append(t)
+            hit = (len(calls) == where if isinstance(where, int)
+                   else (y[0] - level) * side > 0.0)
+            return [value] * d if hit else rhs(t, y)
+
+        try:
+            res = integrate(poisoned, y0, (0.0, span), config)
+        except AdmissibilityError as exc:
+            return str(exc)
+        if isinstance(res, tuple):
+            dense, stop_reason, n_acc, n_rej = res
+        else:
+            dense, stop_reason = res.dense, res.stop_reason
+            n_acc, n_rej = res.n_accepted, res.n_rejected
+        return repr((stop_reason, n_acc, n_rej, dense.steps, dense.t_end))
+
+    assert outcome(rk_integrate) == outcome(reference_rk_integrate)
+
+
 def test_generated_kernels_are_built_once_per_state_length(monkeypatch):
     built = []
 
@@ -437,6 +491,42 @@ def test_generated_kernels_are_built_once_per_state_length(monkeypatch):
         dense = rk_integrate(rhs, y0, (0.0, 0.5)).dense
         solvers.DenseOutput(dense.steps, dense.t_end)(0.25)
     assert built == [f"<rwsurf.solvers._kernels({d})>" for d in (1, 2, 4)]
+
+
+def test_rms_sums_left_to_right():
+    # Python 3.12's sum compensates float sums and reads ...258 here; the
+    # step norm and the initial step must not move with the Python version
+    values = [1.0, 1e-8, 1e-8]
+    want = math.sqrt((((0.0 + 1.0) + 1e-16) + 1e-16) / 3)
+    assert repr(solvers._rms(values)) == repr(want) == "0.5773502691896257"
+
+
+def test_run_that_exhausts_the_step_budget_ends_max_steps(monkeypatch):
+    # no step ever shrinks here: the run ends for its budget, after exactly
+    # that many attempts, where the last accepted step ended
+    monkeypatch.setattr(solvers, "_MAX_STEPS", 1000)
+    config = SolverConfig(fixed_step=1e-4)
+    res = rk_integrate(lambda t, y: y, [1.0], (0.0, 1.0), config)
+    assert (res.stop_reason, res.n_accepted, res.n_rejected) == (
+        "max-steps", 1000, 0)
+    assert res.dense.t_end == res.dense.steps[-1][0] + 1e-4
+    assert abs(res.dense.t_end - 0.1) < 1e-12
+    ref, stop_reason, n_acc, n_rej = reference_rk_integrate(
+        lambda t, y: y, [1.0], (0.0, 1.0), config)
+    assert (stop_reason, n_acc, n_rej, ref.t_end) == (
+        "max-steps", 1000, 0, res.dense.t_end)
+    # rejected attempts count against the budget too: a budget one short of
+    # the attempts of a run that underflows ends it by the budget
+    monkeypatch.undo()
+    blow_up = (lambda t, y: [1 / (2 - y[0]) if y[0] < 2 else 1 / 0.0], [0.0],
+               (0.0, 5.0))
+    res = rk_integrate(*blow_up)
+    attempts = res.n_accepted + res.n_rejected
+    assert res.stop_reason == "step-underflow" and res.n_rejected > 100
+    monkeypatch.setattr(solvers, "_MAX_STEPS", attempts - 1)
+    res = rk_integrate(*blow_up)
+    assert res.stop_reason == "max-steps"
+    assert res.n_accepted + res.n_rejected == attempts - 1
 
 
 # The end time of the thm4 warp when it stopped by 'step-underflow', before
@@ -808,20 +898,26 @@ def test_system_warp_self_consistency(l5_solution):
 
 
 def _counting(monkeypatch):
-    """Count DenseOutput.__call__ and _second_derivatives calls from here on."""
+    """Count DenseOutput.__call__ calls and the 2x2 solves of the solutions
+    built from here on; the caller zeroes the counts after its solves."""
     calls = {"dense": 0, "solve": 0}
-    dense_call, second = solvers.DenseOutput.__call__, solvers._second_derivatives
+    dense_call, bind = solvers.DenseOutput.__call__, solvers._system_completion
 
     def counted_dense(self, t):
         calls["dense"] += 1
         return dense_call(self, t)
 
-    def counted_second(*args):
-        calls["solve"] += 1
-        return second(*args)
+    def counted_bind(constants):
+        second = bind(constants)
+
+        def counted_second(*args):
+            calls["solve"] += 1
+            return second(*args)
+
+        return counted_second
 
     monkeypatch.setattr(solvers.DenseOutput, "__call__", counted_dense)
-    monkeypatch.setattr(solvers, "_second_derivatives", counted_second)
+    monkeypatch.setattr(solvers, "_system_completion", counted_bind)
     return calls
 
 
@@ -831,9 +927,10 @@ def _fresh_l5_solution(l5_constants):
 
 
 def test_state_cache_evaluates_each_time_once(l5_constants, monkeypatch):
-    sol = _fresh_l5_solution(l5_constants)
-    ts = np.linspace(*sol.warp.interval, 50).tolist()
     calls = _counting(monkeypatch)
+    sol = _fresh_l5_solution(l5_constants)
+    calls.update(dense=0, solve=0)
+    ts = np.linspace(*sol.warp.interval, 50).tolist()
     warps = [sol.warp(t) for t in ts]
     assert calls == {"dense": 50, "solve": 50}
     ys = [sol.y_state(t) for t in ts]
@@ -848,16 +945,15 @@ def test_state_cache_equals_direct_evaluation(l5_constants):
     sol = _fresh_l5_solution(l5_constants)
     dense = sol.integration.dense
     for t in np.linspace(*sol.warp.interval, 37).tolist() * 2:
-        fv, fp, yv, yp = dense(t)
-        fpp, ypp = solvers._second_derivatives(l5_constants, fv, fp, yp)
-        want = (fv, fp, fpp, yv, yp, ypp)
+        want = solvers._system_completion(l5_constants)(dense(t))
         assert sol.state(t) == want
         assert sol.warp(t) == want[:3] and sol.y_state(t) == want[3:]
 
 
 def test_state_cache_does_not_cache_errors(l5_constants, monkeypatch):
-    sol = _fresh_l5_solution(l5_constants)
     calls = _counting(monkeypatch)
+    sol = _fresh_l5_solution(l5_constants)
+    calls.update(dense=0, solve=0)
     for _ in range(3):
         with pytest.raises(ChartDomainError):
             sol.y_state(1.5)
@@ -869,20 +965,94 @@ def test_state_cache_does_not_cache_errors(l5_constants, monkeypatch):
 
 
 def test_state_cache_is_per_solution(l5_constants, monkeypatch):
+    calls = _counting(monkeypatch)
     first, second = (_fresh_l5_solution(l5_constants) for _ in range(2))
+    calls.update(dense=0, solve=0)
     assert first.state is not second.state
     ts = np.linspace(*first.warp.interval, 20).tolist()
-    calls = _counting(monkeypatch)
     assert [first.warp(t) for t in ts] == [second.warp(t) for t in ts]
     assert calls == {"dense": 40, "solve": 40}
     assert first.state.cache_info().currsize == second.state.cache_info().currsize == 20
+
+
+# Members near the reference constants, sampled at the ends of the solved
+# interval and between them.  repr compares bits (and tells -0.0 and a
+# numpy float from a float); a sample that raises compares by its type.
+_PATH_SAMPLES = 41
+
+
+def _samples(fn, ts):
+    out = []
+    for t in ts:
+        try:
+            out.append(repr(fn(t)))
+        except Exception as exc:
+            out.append(type(exc).__name__)
+    return out
+
+
+@settings(max_examples=25, deadline=None)
+@given(a=st.floats(1.9, 2.1), h0=st.floats(0.45, 0.55), f0=st.floats(0.9, 1.1),
+       q=st.floats(0.5, 1.5), f0_sign=st.sampled_from([1.0, -1.0]),
+       f0p_sign=st.sampled_from([1.0, -1.0]), backward=st.booleans(),
+       fixed_step=st.none() | st.floats(0.005, 0.1))
+def test_rotational_warp_path_matches_the_reference(a, h0, f0, q, f0_sign,
+                                                    f0p_sign, backward,
+                                                    fixed_step):
+    # fixed steps run into the blow-up, where stages overflow and reject
+    c = rw.validate_constants_l4(a, h0)
+    f0 *= f0_sign
+    f0p = f0p_sign * math.sqrt(c.b2 * f0 * f0 + q)
+    interval = (0.0, -1.0 if backward else 1.0)
+    config = SolverConfig(fixed_step=fixed_step)
+    sol = rw.solve_rotational_warp(c, f0, f0p, interval, config)
+    warp, blow_up_time, *ending = reference_rotational_warp(c, f0, f0p,
+                                                            interval, config)
+    res = sol.integration
+    assert [res.stop_reason, res.n_accepted, res.n_rejected] == ending
+    assert repr(sol.blow_up_time) == repr(blow_up_time)
+    ts = np.linspace(*sol.warp.interval, _PATH_SAMPLES).tolist()
+    assert _samples(sol.warp, ts) == _samples(warp, ts)
+
+
+@settings(max_examples=25, deadline=None)
+@given(a=st.floats(1.9, 2.1), h0=st.floats(0.54, 0.66), dphi=st.floats(-0.1, 0.1),
+       f0=st.floats(1.425, 1.575), f0p=st.floats(1.14, 1.26),
+       y0=st.floats(0.35, 0.45), y0p=st.floats(-0.735, -0.665))
+def test_warp_system_path_matches_the_reference(a, h0, dphi, f0, f0p, y0, y0p):
+    r = math.sqrt(1.0 - 4.0 * h0 * h0 / (a * a))
+    phi = math.atan2(0.64, 0.48) + dphi
+    c = rw.validate_constants_l5(a, h0, r * math.cos(phi), r * math.sin(phi))
+    ics = (f0, f0p, y0, y0p)
+    try:
+        sol = rw.solve_warp_system(c, ics, L5_INTERVAL)
+    except AdmissibilityError:
+        assume(False)
+    state, max_residual, *ending = reference_warp_system(c, ics, L5_INTERVAL)
+    res = sol.integration
+    assert [res.stop_reason, res.n_accepted, res.n_rejected] == ending
+    ts = np.linspace(*sol.warp.interval, _PATH_SAMPLES).tolist()
+    want = [state(t) for t in ts]
+    # the warp first, so y_state and state read what it left in the cache
+    assert repr([sol.warp(t) for t in ts]) == repr(
+        [tuple(map(float, s[:3])) for s in want])
+    assert repr([sol.y_state(t) for t in ts]) == repr([s[3:] for s in want])
+    assert repr([sol.state(t) for t in ts]) == repr(want)
+    assert repr(sol.max_equation_residual()) == repr(max_residual())
+
+
+def _second_derivatives(c, fv, fp, yp):
+    """(f'', y'') of the pointwise 2x2 solve at (f, f', y'); y does not
+    enter it."""
+    _, _, fpp, _, _, ypp = solvers._system_completion(c)((fv, fp, 0.0, yp))
+    return fpp, ypp
 
 
 def _non_singular(c, fv, fp, yp) -> bool:
     """Whether the pointwise (f'', y'') system passes the solver's
     determinant test."""
     try:
-        solvers._second_derivatives(c, fv, fp, yp)
+        _second_derivatives(c, fv, fp, yp)
     except np.linalg.LinAlgError:
         return False
     return True
@@ -948,7 +1118,7 @@ def _admissible_l5_states(seed, count):
 def test_system_matrices_match_the_family_equations():
     for c, fv, fp, yp in _admissible_l5_states(7, 300):
         A, R = _family_equations_literal(c, fv, fp, yp)
-        got = np.array(solvers._system_matrices(c, fv, fp, yp))
+        got = np.array(solvers._system_matrices(c)(fv, fp, yp))
         want = np.concatenate([A.ravel(), R])
         np.testing.assert_allclose(got, want, rtol=1e-13,
                                    atol=1e-13 * np.abs(want).max())
@@ -956,11 +1126,24 @@ def test_system_matrices_match_the_family_equations():
 
 def test_closed_form_solve_matches_linalg_solve():
     for c, fv, fp, yp in _admissible_l5_states(11, 500):
-        a11, a12, a21, a22, r1, r2 = solvers._system_matrices(c, fv, fp, yp)
+        a11, a12, a21, a22, r1, r2 = solvers._system_matrices(c)(fv, fp, yp)
         want = np.linalg.solve(np.array([[a11, a12], [a21, a22]]),
                                -np.array([r1, r2]))
-        got = np.array(solvers._second_derivatives(c, fv, fp, yp))
+        got = np.array(_second_derivatives(c, fv, fp, yp))
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("duplicate", [
+    lambda c: pickle.loads(pickle.dumps(c)), copy.copy, copy.deepcopy],
+    ids=["pickle", "copy", "deepcopy"])
+def test_l5_constants_round_trip(l5_constants, duplicate):
+    # the constants keep a bound closure of their factors, which does not
+    # pickle: a copy is rebuilt from the fields, with its own closure
+    c = duplicate(l5_constants)
+    assert c == l5_constants and type(c) is solvers.ConstantsL5
+    args = (1.5, 1.2, 0.7, 0.4, -0.7)
+    assert (repr(system_equation_residuals(c, *args))
+            == repr(system_equation_residuals(l5_constants, *args)))
 
 
 def test_system_solve_makes_no_linalg_solve_call(l5_constants, monkeypatch):
@@ -976,14 +1159,13 @@ def test_system_solve_makes_no_linalg_solve_call(l5_constants, monkeypatch):
 
 @pytest.mark.parametrize("position", range(4))
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-def test_non_finite_system_entry_is_singular(l5_constants, monkeypatch,
-                                             position, bad):
+def test_non_finite_system_entry_is_singular(position, bad):
     # one non-finite entry anywhere must fail the determinant test; Python's
     # max() drops a NaN that is not its first argument, so the margin relies
     # on the determinant carrying it
     entries = [-3.0, 1.5, -0.25, 2.0]
     entries[position] = bad
-    monkeypatch.setattr(solvers, "_system_matrices",
-                        lambda *args: (*entries, 1.0, -1.0))
+    complete = solvers._system_completion(
+        SimpleNamespace(_matrices=lambda *args: (*entries, 1.0, -1.0)))
     with pytest.raises(np.linalg.LinAlgError, match="near-singular"):
-        solvers._second_derivatives(l5_constants, 1.5, 1.2, -0.7)
+        complete((1.5, 1.2, 0.4, -0.7))
