@@ -323,6 +323,37 @@ def test_verify_stdout_and_report_bytes_are_pinned(argv, code, digests,
             hashlib.sha256(out.read_bytes()).hexdigest()] == digests
 
 
+# digests (stdout, --out JSON) at the default 17x17 grid, and thm4 at 33x33:
+# the grids the certificates are read at, where every short-axis sum runs
+@pytest.mark.parametrize("argv, code, digests", [
+    (["verify", "thm4", "--a", "2", "--H0", "0.5", "--f0", "1", "--f0p", "2"],
+     0, ["9d53bb28db1119270635c65ca49b695c707c4ec12751a8b20687c345db597476",
+         "9d10c41cb24c459a332ade9ad637e38270a9f9768185488657a9ac66254b4567"]),
+    (["verify", "thm5", "--a", "2", "--H0", "0.6", "--c2", "0.48", "--c3", "0.64",
+      "--f0", "1.5", "--f0p", "1.2", "--y0", "0.4", "--y0p", "-0.7"],
+     0, ["3aba0484a50e2a67426e77a50a20abc3150fb53dcc4d68c4417c06fe5d843adf",
+         "8ceea76e8bc08aaae8b4e3bbe0ea36748902cbf9acfb126d651084cbd848342f"]),
+    (["verify", "product", "--b1", "1", "--b3", "0.5"],
+     0, ["61f484b50ebec0e0fd6cad9651801607ed0d520bc88589ad742d429bde49daeb",
+         "4f311f09b1ab4b442ce3a9187bda4101a0ed7a9b708790cabca0c21432422beb"]),
+    (["verify", "product", "--b1", "1", "--b2", "0.4", "--b3", "0.5",
+      "--force-b4"],
+     1, ["5633c1dd245ec86b6a64a7fcec957fa9378c55ce7421f12a019957049e907b69",
+         "b6cc0d086f82149f7036cdd1092681b8dd9eac5a6ae162624674b536afd14416"]),
+    (["verify", "thm4", "--a", "2", "--H0", "0.5", "--f0", "1", "--f0p", "2",
+      "--grid", "33x33"],
+     0, ["4ad2277f8428bd0db6590a18e48a5a9c6897daa036ce6547de39c38f6d3231b8",
+         "c8be7b7c04765397cfc238f24724b2c13531db6f747de60f59e296283df5fc74"]),
+], ids=["thm4", "thm5", "product", "product-force-b4", "thm4-33x33"])
+def test_verify_report_bytes_are_pinned_at_certificate_grids(
+        argv, code, digests, tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert main(argv + ["--out", str(out)]) == code
+    text = capsys.readouterr().out
+    assert [hashlib.sha256(text.encode()).hexdigest(),
+            hashlib.sha256(out.read_bytes()).hexdigest()] == digests
+
+
 # digests (stdout, then each written file) of commands whose surface CSV
 # rows do not all come from a full grid, and of a backward solve
 @pytest.mark.parametrize("argv, code, digests", [
