@@ -47,7 +47,8 @@ class WarpingFunction:
     """Pointwise access to (f, f', f'') on a validity interval.
 
     ``fn(t)`` starts with f, f', f''.  They must be finite and f non-zero on
-    the interval; evaluation raises SingularWarpError otherwise.
+    the interval; evaluation raises SingularWarpError otherwise, and also
+    where ``fn`` raises an ArithmeticError.
     """
 
     fn: Callable[[float], tuple[float, float, float]]
@@ -64,7 +65,12 @@ class WarpingFunction:
             lo, hi = self.interval
             raise ChartDomainError(
                 f"warp evaluated at t={t} outside interval [{lo}, {hi}]")
-        f, fp, fpp = self.fn(t)[:3]
+        try:
+            f, fp, fpp = self.fn(t)[:3]
+        except ArithmeticError as exc:  # an overflow past a blow-up, say
+            raise SingularWarpError(
+                f"warping function is not finite at t={t} "
+                f"({type(exc).__name__}: {exc})") from exc
         if not (math.isfinite(f) and math.isfinite(fp) and math.isfinite(fpp)):
             raise SingularWarpError(f"warping function is not finite at t={t}")
         if abs(f) < 1e-14:

@@ -25,7 +25,7 @@ from .ambient import AmbientSpace, ambient_covariant_derivative
 from .errors import (ChartDomainError, DegenerateFrameError,
                      DimensionMismatchError, GeometryError,
                      HorizontalSliceError, NotSpaceLikeError, raise_where)
-from .linalg import _col, inner, project_out_span
+from .linalg import _all_last, _col, _sum_last, inner, project_out_span
 
 __all__ = [
     "JetSample",
@@ -82,59 +82,71 @@ class Jet2Immersion:
         chart of the wrong arity, say) or ValueError of the evaluator at a
         point is that point's ChartDomainError, naming (u, v) and the error.
         A batched evaluator gets the in-domain points (NaN is not) in one
-        call, retried in halves down to one float call per point that raises
-        one of these; any other gets one call per point.  Jet vectors whose
-        length is not the ambient dimension, and an evaluator's
+        call, the flattened u and v themselves when every point is in the
+        domain, retried in halves down to one float call per point that
+        raises one of these; any other gets one call per point.  Jet vectors
+        whose length is not the ambient dimension, and an evaluator's
         DimensionMismatchError, raise DimensionMismatchError for the call."""
         uu, vv = np.broadcast_arrays(np.asarray(u, dtype=float),
                                      np.asarray(v, dtype=float))
-        us, vs = uu.ravel().tolist(), vv.ravel().tolist()
+        u, v = uu.ravel(), vv.ravel()
         failed = {}
-        for x, name, dom in ((uu, "u", self.u_domain), (vv, "v", self.v_domain)):
+        for x, name, dom in ((u, "u", self.u_domain), (v, "v", self.v_domain)):
             slack = 1e-12 * max(1.0, abs(dom[0]), abs(dom[1]))
             bad = ~((dom[0] - slack <= x) & (x <= dom[1] + slack))
             for k in np.flatnonzero(bad).tolist():
                 failed.setdefault(k, ChartDomainError(
-                    f"{name}={x.flat[k]} outside {dom}"))
-        inside = [k for k in range(len(us)) if k not in failed]
-        parts = np.full((6, len(us), self.space.ambient_dim), np.nan)
+                    f"{name}={x[k]} outside {dom}"))
+        parts = np.full((6, len(u), self.space.ambient_dim), np.nan)
+        inside = range(len(u))
+        if failed:
+            inside = [k for k in inside if k not in failed]
         if self.batched and uu.ndim and inside:
-            inside = self._fill_batched(parts, uu.ravel(), vv.ravel(), inside)
+            inside = self._fill_batched(parts, u, v, inside)
         for k in inside:
+            uk, vk = float(u[k]), float(v[k])
             try:
-                vectors = self.evaluator(us[k], vs[k])
+                vectors = self.evaluator(uk, vk)
             except DimensionMismatchError:
                 raise
             except GeometryError as exc:
                 failed[k] = exc
             except (ArithmeticError, TypeError, ValueError) as exc:
                 failed[k] = ChartDomainError(
-                    f"chart failed at (u,v)=({us[k]},{vs[k]}): "
+                    f"chart failed at (u,v)=({uk},{vk}): "
                     f"{type(exc).__name__}: {exc}")
             else:
                 parts[:, k] = self._checked(vectors)
-        for k in np.flatnonzero(~np.isfinite(parts).all(axis=(0, 2))).tolist():
+        finite = _all_last(np.isfinite(parts).all(axis=0))
+        for k in np.flatnonzero(~finite).tolist():
             failed.setdefault(k, ChartDomainError(
-                f"non-finite jet at (u,v)=({us[k]},{vs[k]})"))
-        parts[:, list(failed)] = np.nan
+                f"non-finite jet at (u,v)=({float(u[k])},{float(v[k])})"))
+        if failed:
+            parts[:, list(failed)] = np.nan
         if uu.ndim == 0:
             if failed:
                 raise failed[0]
-            return JetSample(us[0], vs[0], *parts[:, 0])
+            return JetSample(float(u[0]), float(v[0]), *parts[:, 0])
         parts = parts.reshape((6,) + uu.shape + parts.shape[2:])
         return (JetSample(uu, vv, *parts),
                 {k: f"{type(e).__name__}: {e}" for k, e in sorted(failed.items())})
 
     def _fill_batched(self, parts, u, v, ks) -> list:
         """Fill ``parts`` at ``ks`` by batched calls, halving a stack that
-        raises; return the points of one-point halves, for float calls."""
+        raises; return the points of one-point halves, for float calls.  When
+        ``ks`` holds every point, the evaluator gets ``u`` and ``v``
+        themselves and ``parts`` is filled whole, without an index list."""
+        whole = len(ks) == len(u)
         try:
-            vectors = self.evaluator(u[ks], v[ks])
+            vectors = self.evaluator(*((u, v) if whole else (u[ks], v[ks])))
         except (GeometryError, ArithmeticError, TypeError, ValueError):
             half = len(ks) // 2
             return [k for part in (ks[:half], ks[half:]) if part for k in (
                 part if len(part) == 1 else self._fill_batched(parts, u, v, part))]
-        parts[:, ks] = self._checked(vectors)
+        if whole:
+            parts[:] = self._checked(vectors)
+        else:
+            parts[:, ks] = self._checked(vectors)
         return []
 
     def _checked(self, vectors):
@@ -378,7 +390,7 @@ def _complete_normals(space: AmbientSpace, jet: JetSample, G, e1, e2, e3, H,
         for m, idx in groups:
             w = project_out_span(np.eye(d)[c], basis[idx, :m].swapaxes(0, 1),
                                  G[idx])
-            s2, ww = inner(w, w, G[idx]), np.sum(w * w, axis=-1)
+            s2, ww = inner(w, w, G[idx]), _sum_last(w * w)
             take = (np.abs(s2) >= 1e-12 * np.maximum(1.0, ww)) & (ww >= 1e-12)
             basis[idx[take], m] = w[take] / _col(np.sqrt(np.abs(s2[take])))
             filled[idx[take]] += 1

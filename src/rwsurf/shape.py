@@ -26,7 +26,7 @@ from .errors import GeometryError
 from .immersion import (FrameData, Jet2Immersion, JetSample,
                         _tangent_coefficients, adapted_frame,
                         chart_second_fundamental, induced_metric)
-from .linalg import _col, inner, numeric_rank
+from .linalg import _all_last, _col, _sum_last, inner, numeric_rank
 
 __all__ = [
     "SecondFundamentalData",
@@ -275,7 +275,7 @@ def evaluate_point(surface: Jet2Immersion, u, v, *, _full=True):
             errors.update(dict.fromkeys(alive[inverse == m].tolist(),
                                         f"{type(exc).__name__}: {exc}"))
     states = states[inverse]
-    keep = np.isfinite(states).all(axis=1)
+    keep = _all_last(np.isfinite(states))
     alive, states = alive[keep], states[keep]
     full = np.broadcast_to(_full, shape).ravel()
     alive_only = lambda x: x if len(alive) == len(jet.u) else x[alive]
@@ -307,7 +307,7 @@ def frame_norm(V, pd: PointData):
     regardless of the indefinite signature), one value per point of pd."""
     comps = inner(np.asarray(V, dtype=float)[..., None, :], pd.frame.vectors,
                   np.asarray(pd.G)[..., None, :])
-    return np.sqrt(np.sum(np.square(comps), axis=-1))
+    return np.sqrt(_sum_last(np.square(comps)))
 
 
 class SurfaceGrid:
@@ -513,7 +513,7 @@ def normal_space_dims(grid: SurfaceGrid) -> NormalSpaceDims:
     gens = np.where(finite[..., None, None], gens, 0.0)
     comps = inner(gens[..., None, :], nd.frame.vectors[..., None, :, :],
                   nd.G[..., None, None, :])
-    norms = np.sqrt(np.sum(np.square(comps), axis=-1))
+    norms = np.sqrt(_sum_last(np.square(comps)))
     use = grid.ok & finite
     gens = (gens * (norms > ZERO_FLOOR)[..., None])[use].swapaxes(0, 1)
     dims = []

@@ -256,7 +256,9 @@ def rk_integrate(rhs: Callable, y0, t_span, config: SolverConfig | None = None,
     never changes a step size.  Step underflow near a blow-up that no monitor
     stops ends with 'step-underflow' and the last valid time (a span left
     below that threshold is 'completed'), _MAX_STEPS attempts with
-    'max-steps'.  A non-finite y0 raises ConstraintError before rhs is called.
+    'max-steps'.  A non-finite y0 raises ConstraintError before rhs is called,
+    and a non-finite derivative at (t0, y0) AdmissibilityError before any
+    step.
     """
     cfg = config or SolverConfig()
     t0, t1 = float(t_span[0]), float(t_span[1])
@@ -283,6 +285,9 @@ def rk_integrate(rhs: Callable, y0, t_span, config: SolverConfig | None = None,
         f = f.tolist()
     if len(f) != d:
         raise ValueError(f"rhs returned {len(f)} components for a state of {d}")
+    if not all(map(math.isfinite, f)):
+        raise AdmissibilityError(
+            f"the derivative at the initial state t={t0!r} is not finite: {f}")
     rtol, atol = cfg.rtol, cfg.atol
 
     if cfg.fixed_step is not None:

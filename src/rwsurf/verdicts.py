@@ -70,6 +70,18 @@ class CheckEntry:
     passed: bool
 
 
+def _strict_json(x):
+    """``x`` (dicts with string keys, lists, tuples and scalars) with every
+    non-finite float replaced by None and every tuple by a list."""
+    if isinstance(x, float):
+        return x if math.isfinite(x) else None
+    if isinstance(x, dict):
+        return {k: _strict_json(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_strict_json(v) for v in x]
+    return x
+
+
 @dataclass
 class VerificationReport:
     """Named residuals, diagnostics and the aggregated verdict.
@@ -113,10 +125,9 @@ class VerificationReport:
         }
 
     def to_json(self) -> str:
-        # strict JSON: the NaN/Infinity constants of the loose text become null
-        loose = json.dumps(self.to_dict())
-        return json.dumps(json.loads(loose, parse_constant=lambda _: None),
-                          indent=2, sort_keys=True, allow_nan=False)
+        # strict JSON: a non-finite number is null
+        return json.dumps(_strict_json(self.to_dict()), indent=2,
+                          sort_keys=True, allow_nan=False)
 
     @staticmethod
     def from_dict(d: dict) -> "VerificationReport":

@@ -218,6 +218,9 @@ def reference_rk_integrate(rhs, y0, t_span, config=None, monitors=()):
         f = f.tolist()
     if len(f) != d:
         raise ValueError(f"rhs returned {len(f)} components for a state of {d}")
+    if not all(map(math.isfinite, f)):
+        raise AdmissibilityError(
+            f"the derivative at the initial state t={t0!r} is not finite: {f}")
     rtol, atol = cfg.rtol, cfg.atol
 
     if cfg.fixed_step is not None:
@@ -363,8 +366,14 @@ def reference_rotational_warp(constants, f0, f0p, interval, config=None):
         b2, *dense(dense.t_end)) if stop_reason == "monitor:blow-up" else None)
 
     def warp(t):
-        fv, fp = dense(t)
-        return _warp_values(t, (fv, *rhs(t, (fv, fp))))
+        try:
+            fv, fp = dense(t)
+            values = (fv, *rhs(t, (fv, fp)))
+        except ArithmeticError as exc:  # as WarpingFunction reads fn's
+            raise SingularWarpError(
+                f"warping function is not finite at t={t} "
+                f"({type(exc).__name__}: {exc})") from exc
+        return _warp_values(t, values)
 
     return warp, blow_up_time, stop_reason, n_acc, n_rej
 

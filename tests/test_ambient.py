@@ -63,6 +63,35 @@ def test_warp_reads_the_leading_three_values():
     assert all(type(x) is float for x in rw.WarpingFunction.exponential()(0.5))
 
 
+def test_arithmetic_error_of_the_warp_is_singular():
+    def overflowing(t):
+        return (1.0, 1e200 ** 2, 0.0)  # OverflowError: float ** int
+
+    with pytest.raises(SingularWarpError,
+                       match=r"not finite at t=0\.5 \(OverflowError: "):
+        rw.WarpingFunction(overflowing)(0.5)
+    with pytest.raises(SingularWarpError, match="ZeroDivisionError"):
+        rw.WarpingFunction(lambda t: (1.0 / t, 0.0, 0.0))(0.0)
+
+
+def test_grid_over_an_overflowing_solved_warp_records_degeneracies():
+    # a fixed-step solve that accepts a step across the blow-up: its dense
+    # state overflows in the completion (f'**4) near the end of the interval
+    solution = rw.solve_rotational_warp(
+        rw.validate_constants_l4(2.0, 0.5), 0.90625,
+        -math.sqrt(3 * 0.90625**2 + 1), (0.0, -1.0),
+        rw.SolverConfig(fixed_step=0.0625))
+    t_end = solution.warp.interval[0]
+    with pytest.raises(SingularWarpError, match="OverflowError"):
+        solution.warp(t_end)
+    surface = rw.rotational_surface_l41(solution.constants, solution.warp)
+    rep = rw.verify_surface(surface, grid=(9, 5))
+    assert rep.verdict == "degenerate"
+    assert rep.degeneracies and all(
+        "SingularWarpError: warping function is not finite" in text
+        for _, _, text in rep.degeneracies)
+
+
 def test_backend_validation():
     with pytest.raises(DimensionMismatchError):
         rw.AmbientSpace("warped-flat", 4, 1, rw.WarpingFunction.constant())

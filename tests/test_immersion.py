@@ -116,6 +116,38 @@ def test_chart_errors_are_point_errors(batched, minkowski4):
                                    rtol=1e-12)
 
 
+def test_batched_evaluator_gets_the_unindexed_arrays_once(minkowski4):
+    # every point in the domain: one call with the flattened u, v
+    # themselves, no index list and no copy; a point outside the domain: one
+    # call with copies of the others
+    calls = []
+
+    def evaluator(u, v):
+        calls.append((u, v))
+        return _log_chart_batched(u, v)
+
+    surf = rw.Jet2Immersion(minkowski4, evaluator, (-1, 1), (-1, 1),
+                            batched=True)
+    us, vs = np.meshgrid(np.linspace(-0.4, 0.9, 5), np.linspace(-1, 1, 3),
+                         indexing="ij")
+    sample, errors = surf.jet(us, vs)
+    assert errors == {} and len(calls) == 1
+    u, v = calls[0]
+    assert u.shape == v.shape == (15,)
+    assert np.shares_memory(u, us) and np.shares_memory(v, vs)
+    want = _log_chart_batched(us.ravel().copy(), vs.ravel().copy())
+    for name, x in zip(_JET_FIELDS, want):
+        assert np.array_equal(getattr(sample, name), x.reshape(5, 3, 4)), name
+    calls.clear()
+    us[2, 1] = 1.5
+    sample, errors = surf.jet(us, vs)
+    assert list(errors) == [7] and len(calls) == 1
+    u, v = calls[0]
+    assert u.shape == (14,) and not np.shares_memory(u, us)
+    assert np.array_equal(u, np.delete(us.ravel(), 7))
+    assert np.isnan(sample.phi[2, 1]).all()
+
+
 def test_other_chart_errors_propagate(minkowski4):
     # an analytic evaluator's programming error is not a point's failure
     def evaluator(u, v):

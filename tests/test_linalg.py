@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 
 import rwsurf as rw
 from rwsurf.errors import DegenerateFrameError, DimensionMismatchError
-from rwsurf.linalg import project_out_span
+from rwsurf.linalg import _all_last, _sum_last, project_out_span
 
 from oracles import (dense_gram, dense_inner, dense_project_out_span,
                      orthonormalize_signature)
@@ -246,3 +248,51 @@ def test_causal_character_stack_keeps_finite_verdicts():
                      [np.nan, 0, 0, 0], [1.0, np.inf, 0, 0]])
     assert list(rw.causal_character(vecs, MINK4)) == [
         "timelike", "spacelike", "null", "undefined", "undefined"]
+
+
+_SPECIAL_TERMS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                  1.7976931348623157e308, -1.7976931348623157e308, 1e16, 1.0,
+                  math.inf, -math.inf, math.nan, -math.nan]
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 12), lead=st.sampled_from([(), (1,), (3,), (2, 3)]),
+       data=st.data())
+def test_sum_last_is_bitwise_the_numpy_sum(n, lead, data):
+    # signed zeros, subnormals, overflow, +-inf and NaN of any payload; the
+    # column sum up to length 7 and numpy's own (pairwise) sum from 8 on
+    size = math.prod(lead) * n
+    terms = data.draw(st.lists(st.one_of(st.floats(), st.sampled_from(
+        _SPECIAL_TERMS)), min_size=size, max_size=size))
+    p = np.array(terms, dtype=float).reshape(lead + (n,))
+    with np.errstate(all="ignore"):
+        got, want = _sum_last(p), p.sum(-1)
+    assert np.shape(got) == want.shape
+    assert np.asarray(got).tobytes() == want.tobytes()
+
+
+def test_sum_last_adds_all_negative_zeros_to_positive_zero():
+    for n in range(1, 8):
+        got = _sum_last(np.full((2, n), -0.0))
+        assert got.tobytes() == np.zeros(2).tobytes()
+
+
+def test_sum_last_falls_back_to_numpy_from_length_eight():
+    # numpy sums eight terms pairwise: adding them column by column differs
+    p = np.array([1e16, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0])
+    column_order = p[0]
+    for x in p[1:]:
+        column_order += x
+    assert column_order == 1e16 != p.sum()
+    assert _sum_last(p) == p.sum() == _sum_last(p[None])[0]
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 9), rows=st.integers(1, 6), data=st.data())
+def test_all_last_is_numpy_all(n, rows, data):
+    mask = np.array(data.draw(st.lists(st.booleans(), min_size=rows * n,
+                                       max_size=rows * n))).reshape(rows, n)
+    before = mask.copy()
+    got = _all_last(mask)
+    assert got.dtype == bool and np.array_equal(got, mask.all(-1))
+    assert np.array_equal(mask, before)  # the sweep writes to a copy

@@ -79,6 +79,28 @@ def test_non_finite_initial_state_is_refused_before_any_rhs_call(y0):
     assert calls == []
 
 
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("integrate", [rk_integrate, reference_rk_integrate],
+                         ids=["rk_integrate", "reference"])
+@pytest.mark.parametrize("config", [None, SolverConfig(fixed_step=0.1)],
+                         ids=["adaptive", "fixed"])
+def test_non_finite_derivative_at_the_initial_state_is_refused(value, integrate,
+                                                                config):
+    # an infinite right-hand side divided by zero in the initial step size,
+    # and a NaN one failed every step; both are refused before any step
+    calls = []
+
+    def rhs(t, y):
+        calls.append(t)
+        return [value, 1.0]
+
+    with pytest.raises(AdmissibilityError,
+                       match=r"derivative at the initial state t=0\.0 is not "
+                             r"finite: \[-?(inf|nan), 1\.0\]"):
+        integrate(rhs, [1.0, 2.0], (0.0, 1.0), config)
+    assert calls == [0.0]
+
+
 def _rows(d):
     """The dense output's step rows as arrays (ts, hs, ys, qs) of shapes
     (m,), (m,), (m, d) and (m, d, 4)."""

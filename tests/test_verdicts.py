@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import json
 import math
 
@@ -408,6 +409,35 @@ def test_report_json_is_strict_with_nan_values(product_surface, product_expect,
     for e, f in zip(rep.entries, back.entries):
         assert e.name == f.name and e.passed == f.passed
         assert e.value == f.value or (math.isnan(e.value) and math.isnan(f.value))
+
+
+def _three_pass_json(report) -> str:
+    """The strict report text as dumps, loads (non-finite constants to null)
+    and dumps again: what ``to_json`` writes in one pass."""
+    loose = json.dumps(report.to_dict())
+    return json.dumps(json.loads(loose, parse_constant=lambda _: None),
+                      indent=2, sort_keys=True, allow_nan=False)
+
+
+def test_report_json_is_one_pass_of_the_three_pass_form(product_surface,
+                                                        product_expect):
+    rep = verify_surface(product_surface, grid=(5, 5), expect=product_expect)
+    assert rep.to_json() == _three_pass_json(rep)
+    specials = [math.nan, math.inf, -math.inf, -0.0, 5e-324, np.float64(np.nan),
+                np.float64(-np.inf), np.float64(0.1)]
+    entries = [rw.CheckEntry(f"x{k}", x, specials[-1 - k], False)
+               for k, x in enumerate(specials)]
+    diagnostics = dict(rep.diagnostics, theta={"max": math.inf, "min": -math.inf,
+                                               "mean": math.nan, "var": 0.5},
+                       dim_N1=math.nan, nested=[(math.nan, 1, "s", None, True)],
+                       dim_N2_range=(math.inf, 3))
+    poisoned = dataclasses.replace(rep, entries=entries, diagnostics=diagnostics)
+    text = poisoned.to_json()
+    assert text == _three_pass_json(poisoned)
+    loaded = json.loads(text)
+    assert [e["value"] for e in loaded["entries"]] == [
+        None, None, None, -0.0, 5e-324, None, None, 0.1]
+    assert loaded["diagnostics"]["nested"] == [[None, 1, "s", None, True]]
 
 
 def test_verify_expectation_mismatch_fails(product_surface):
