@@ -103,17 +103,17 @@ class Jet2Immersion:
             inside = [k for k in inside if k not in failed]
         if self.batched and uu.ndim and inside:
             inside = self._fill_batched(parts, u, v, inside)
+        us, vs = (u.tolist(), v.tolist()) if inside else ((), ())
         for k in inside:
-            uk, vk = float(u[k]), float(v[k])
             try:
-                vectors = self.evaluator(uk, vk)
+                vectors = self.evaluator(us[k], vs[k])
             except DimensionMismatchError:
                 raise
             except GeometryError as exc:
                 failed[k] = exc
             except (ArithmeticError, TypeError, ValueError) as exc:
                 failed[k] = ChartDomainError(
-                    f"chart failed at (u,v)=({uk},{vk}): "
+                    f"chart failed at (u,v)=({us[k]},{vs[k]}): "
                     f"{type(exc).__name__}: {exc}")
             else:
                 parts[:, k] = self._checked(vectors)

@@ -27,10 +27,10 @@ def _col(x) -> np.ndarray:
 
 
 def _sum_last(p) -> np.ndarray:
-    """``p.sum(-1)``, bitwise.  numpy adds a last axis shorter than 8 left to
-    right from +0.0 (a sum of -0.0s reads +0.0), 2-4x slower than the column
-    additions here, which keep that order; from length 8 numpy sums
-    pairwise, and ``p.sum(-1)`` runs."""
+    """``p.sum(-1)``, bitwise but for the sign and payload of a NaN.  numpy
+    adds a last axis shorter than 8 left to right from +0.0 (a sum of -0.0s
+    reads +0.0), 2-4x slower than the column additions here, which keep that
+    order; from length 8 numpy sums pairwise, and ``p.sum(-1)`` runs."""
     n = p.shape[-1]
     if not 0 < n < 8:
         return p.sum(-1)
