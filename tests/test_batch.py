@@ -4,6 +4,7 @@ implementation."""
 
 import collections
 import dataclasses
+import hashlib
 import json
 import math
 import pathlib
@@ -14,6 +15,7 @@ import pytest
 import rwsurf as rw
 from rwsurf import immersion, shape
 from rwsurf.ambient import ambient_covariant_derivative
+from rwsurf.errors import DimensionMismatchError
 from rwsurf.immersion import JetSample, chart_second_fundamental
 from rwsurf.linalg import numeric_rank, project_out_span
 from rwsurf.shape import SurfaceGrid, evaluate_point, second_fundamental_form
@@ -181,26 +183,76 @@ def test_batched_chart_that_raises_is_rerun_point_by_point(l4_constants,
         assert np.abs(data.frame.normals[k] - one.frame.normals).max() <= REL
 
 
-def test_pointwise_wrapper_calls_the_chart_once_per_point(product_surface,
-                                                          product_expect):
-    # the benchmark's nan-control surface: a pointwise (scalar-only) wrapper
-    # of the batched product chart, NaN on a corner of the grid
-    calls = []
-
+def nan_cornered(surface, calls):
+    """The benchmark's nan-control surface: a pointwise (scalar-only) wrapper
+    of a batched chart, NaN on a corner of the grid; ``calls`` records the
+    points it is called at."""
     def evaluator(u, v):
         calls.append((u, v))
-        jet = product_surface.evaluator(u, v)
+        jet = surface.evaluator(u, v)
         if u > 1.5 and v > 1.5:
             return tuple(np.full(np.shape(x), np.nan) for x in jet)
         return jet
 
-    surface = rw.Jet2Immersion(product_surface.space, evaluator,
-                               product_surface.u_domain,
-                               product_surface.v_domain)
+    return rw.Jet2Immersion(surface.space, evaluator, surface.u_domain,
+                            surface.v_domain, surface.name)
+
+
+def test_pointwise_wrapper_calls_the_chart_once_per_point(product_surface,
+                                                          product_expect):
+    calls = []
+    surface = nan_cornered(product_surface, calls)
     rep = verify_surface(surface, grid=(9, 9), expect=product_expect)
     assert rep.verdict == "degenerate"
     assert len(calls) == len(set(calls)) == 9 * 9 * 9
     assert all(type(u) is float and type(v) is float for u, v in calls)
+
+
+def test_pointwise_wrapper_report_bytes_are_pinned(product_surface,
+                                                   product_expect):
+    # the benchmark's nan-control certificate
+    rep = verify_surface(nan_cornered(product_surface, []), grid=(17, 17),
+                         expect=product_expect)
+    assert rep.verdict == "degenerate"
+    assert hashlib.sha256(rep.to_json().encode()).hexdigest() == (
+        "45b99c7c0951258af3b3804e98c613371f983f0b14ad81b427236178715f55c7")
+
+
+def _plane_jet(u, v):
+    return (np.array([u, v, 0.0, 0.0]), np.array([1.0, 0.0, 0.0, 0.0]),
+            np.array([0.0, 1.0, 0.0, 0.0]), np.zeros(4), np.zeros(4),
+            np.zeros(4))
+
+
+# the exception a pointwise evaluator's malformed jet raises, at one point
+# and at a stack, where only the second of three points is malformed
+@pytest.mark.parametrize("bad, error, message", [
+    (lambda u, v: tuple(x[:3] for x in _plane_jet(u, v)),
+     DimensionMismatchError,
+     "the chart returned jet vectors of length 3 for an ambient space of "
+     "dimension 4"),
+    (lambda u, v: (_plane_jet(u, v)[0], np.ones(5)) + _plane_jet(u, v)[2:],
+     DimensionMismatchError,
+     "the chart returned jet vectors of length 5 for an ambient space of "
+     "dimension 4"),
+    (lambda u, v: _plane_jet(u, v)[:5], ValueError,
+     "could not broadcast input array from shape (5,4) into shape (6,4)"),
+    (lambda u, v: None, TypeError, "'NoneType' object is not iterable"),
+], ids=["short-vectors", "ragged", "five-vectors", "none"])
+def test_pointwise_jet_that_is_malformed_raises_for_the_call(
+        bad, error, message, minkowski4):
+    def evaluator(u, v):
+        if u == 0.2:
+            return bad(u, v)
+        if u == 0.1:  # after the malformed point, which is reported first
+            raise KeyError("late")
+        return _plane_jet(u, v)
+
+    surface = rw.Jet2Immersion(minkowski4, evaluator, (-1, 1), (-1, 1))
+    for u, v in ((0.2, 0.5), (np.array([0.5, 0.2, 0.1]), np.zeros(3))):
+        with pytest.raises(error) as exc:
+            surface.jet(u, v)
+        assert type(exc.value) is error and str(exc.value) == message
 
 
 @pytest.mark.parametrize("surface_name",
