@@ -4,8 +4,9 @@ families (``FAMILIES``), and the non-existence residual scans.
 Each catalog surface owns hand-differentiated jet formulas in terms of
 (f, f', f''), so warps sourced from dense ODE output plug in without any
 extra numerical differentiation.  The evaluators are batched: one expression
-per component serves one point (floats) or a stack of points (arrays u, v),
-and the warp is called once per distinct time coordinate.
+per component serves one point (floats, computed with ``math``) or a stack
+of points (arrays u, v, with numpy), the jet comes back as one array, and the
+warp is called once per distinct time coordinate.
 """
 
 from __future__ import annotations
@@ -47,20 +48,29 @@ def default_warp_domain(warp: WarpingFunction):
 
 
 def _at_times(fn, t):
-    """``fn`` (a time to a tuple of floats) once per distinct value of t, as
-    a tuple of arrays shaped like t."""
+    """``fn`` (a time to a tuple of floats) at a float t; at an array t,
+    once per distinct value, as a tuple of arrays shaped like t."""
+    if not isinstance(t, np.ndarray):
+        return fn(t)
     times, inverse = np.unique(t, return_inverse=True)
     return tuple(np.array([fn(x) for x in times.tolist()])[inverse].T)
 
 
-def _stack(u, *components):
-    """Components (floats, or arrays shaped like the 1-D point array u) as
-    columns; one vector at a float u."""
+def _xp(u):
+    """The module that computes at u: math at a float, numpy at an array."""
+    return np if isinstance(u, np.ndarray) else math
+
+
+def _jet(u, *rows):
+    """The jet vectors from their components, one row of floats or arrays
+    shaped like the 1-D point array u per vector: an ``(m, d)`` array at a
+    float u, else ``(m, n, d)``."""
     if not isinstance(u, np.ndarray):
-        return np.array(components)
-    out = np.empty(u.shape + (len(components),))
-    for k, x in enumerate(components):
-        out[:, k] = x
+        return np.array(rows, dtype=float)
+    out = np.empty((len(rows),) + u.shape + (len(rows[0]),))
+    for vec, row in zip(out, rows):
+        for k, x in enumerate(row):
+            vec[:, k] = x
     return out
 
 
@@ -75,13 +85,14 @@ def _circle_jet(a, u, v, w, heights):
     come as (value, d/du, d^2/du^2)."""
     (w, wp, wpp), (h, hp, hpp) = w, zip(*heights)
     zero = (0.0,) * len(h)
-    s, c = np.sin(a * v), np.cos(a * v)
-    return (_stack(u, u, w * s / a, w * c / a, *h),
-            _stack(u, 1.0, wp * s / a, wp * c / a, *hp),
-            _stack(u, 0.0, w * c, -w * s, *zero),
-            _stack(u, 0.0, wpp * s / a, wpp * c / a, *hpp),
-            _stack(u, 0.0, wp * c, -wp * s, *zero),
-            _stack(u, 0.0, -a * w * s, -a * w * c, *zero))
+    xp = _xp(v)
+    s, c = xp.sin(a * v), xp.cos(a * v)
+    return _jet(u, (u, w * s / a, w * c / a, *h),
+                (1.0, wp * s / a, wp * c / a, *hp),
+                (0.0, w * c, -w * s, *zero),
+                (0.0, wpp * s / a, wpp * c / a, *hpp),
+                (0.0, wp * c, -wp * s, *zero),
+                (0.0, -a * w * s, -a * w * c, *zero))
 
 
 def rotational_surface_l41(constants: ConstantsL4,
@@ -151,15 +162,15 @@ def product_surface_family(b1: float, b2: float, b3: float) -> Jet2Immersion:
     space = AmbientSpace.product_space_form(5, 1)
 
     def evaluator(u, v):
-        cu, su = np.cos(lam * u), np.sin(lam * u)
-        sv, cv = np.sin(v / b3), np.cos(v / b3)
-        return (_stack(u, -b1 * u, b0 * cu, b0 * su, b2, b3 * sv, b3 * cv),
-                _stack(u, -b1, -b0 * lam * su, b0 * lam * cu, 0.0, 0.0, 0.0),
-                _stack(u, 0.0, 0.0, 0.0, 0.0, cv, -sv),
-                _stack(u, 0.0, -b0 * lam**2 * cu, -b0 * lam**2 * su, 0.0, 0.0,
-                       0.0),
-                _stack(u, *(0.0,) * 6),
-                _stack(u, 0.0, 0.0, 0.0, 0.0, -sv / b3, -cv / b3))
+        xp = _xp(u)
+        cu, su = xp.cos(lam * u), xp.sin(lam * u)
+        sv, cv = xp.sin(v / b3), xp.cos(v / b3)
+        return _jet(u, (-b1 * u, b0 * cu, b0 * su, b2, b3 * sv, b3 * cv),
+                    (-b1, -b0 * lam * su, b0 * lam * cu, 0.0, 0.0, 0.0),
+                    (0.0, 0.0, 0.0, 0.0, cv, -sv),
+                    (0.0, -b0 * lam**2 * cu, -b0 * lam**2 * su, 0.0, 0.0, 0.0),
+                    (0.0,) * 6,
+                    (0.0, 0.0, 0.0, 0.0, -sv / b3, -cv / b3))
 
     return Jet2Immersion(space, evaluator, (0.0, 2.0 * math.pi / lam),
                          (0.0, 2.0 * math.pi * abs(b3)), name="product-e11s4",

@@ -84,9 +84,11 @@ class Jet2Immersion:
         A batched evaluator gets the in-domain points (NaN is not) in one
         call, the flattened u and v themselves when every point is in the
         domain, retried in halves down to one float call per point that
-        raises one of these; any other gets one call per point.  Jet vectors
-        whose length is not the ambient dimension, and an evaluator's
-        DimensionMismatchError, raise DimensionMismatchError for the call."""
+        raises one of these; any other gets one call per point, and its
+        results (six vectors, or one ``(6, d)`` array, per point) convert
+        to an array in one call.  Jet vectors whose length is not the
+        ambient dimension, and an evaluator's DimensionMismatchError, raise
+        DimensionMismatchError for the call."""
         uu, vv = np.broadcast_arrays(np.asarray(u, dtype=float),
                                      np.asarray(v, dtype=float))
         u, v = uu.ravel(), vv.ravel()
@@ -104,19 +106,24 @@ class Jet2Immersion:
         if self.batched and uu.ndim and inside:
             inside = self._fill_batched(parts, u, v, inside)
         us, vs = (u.tolist(), v.tolist()) if inside else ((), ())
-        for k in inside:
-            try:
-                vectors = self.evaluator(us[k], vs[k])
-            except DimensionMismatchError:
-                raise
-            except GeometryError as exc:
-                failed[k] = exc
-            except (ArithmeticError, TypeError, ValueError) as exc:
-                failed[k] = ChartDomainError(
-                    f"chart failed at (u,v)=({us[k]},{vs[k]}): "
-                    f"{type(exc).__name__}: {exc}")
-            else:
-                parts[:, k] = self._checked(vectors)
+        rows, done = [], []
+        try:
+            for k in inside:
+                try:
+                    vectors = self.evaluator(us[k], vs[k])
+                except DimensionMismatchError:
+                    raise
+                except GeometryError as exc:
+                    failed[k] = exc
+                except (ArithmeticError, TypeError, ValueError) as exc:
+                    failed[k] = ChartDomainError(
+                        f"chart failed at (u,v)=({us[k]},{vs[k]}): "
+                        f"{type(exc).__name__}: {exc}")
+                else:
+                    rows.append(vectors)
+                    done.append(k)
+        finally:  # a malformed jet outranks an error at a later point
+            self._fill_rows(parts, rows, done)
         finite = _all_last(np.isfinite(parts).all(axis=0))
         for k in np.flatnonzero(~finite).tolist():
             failed.setdefault(k, ChartDomainError(
@@ -149,9 +156,28 @@ class Jet2Immersion:
             parts[:, ks] = self._checked(vectors)
         return []
 
+    def _fill_rows(self, parts, rows, ks):
+        """Fill ``parts`` at ``ks`` from the pointwise results ``rows``, by
+        one conversion to an ``(n, 6, d)`` block; rows that do not convert
+        to one are checked and assigned point by point, which raises the
+        first malformed point's error."""
+        try:
+            block = np.array(rows, dtype=float)
+        except Exception:  # the point-by-point pass raises the point's error
+            block = None
+        if block is None or block.shape != (len(ks), 6, parts.shape[2]):
+            for k, vectors in zip(ks, rows):
+                parts[:, k] = self._checked(vectors)
+        elif len(ks) == parts.shape[1]:
+            parts[:] = block.swapaxes(0, 1)
+        else:
+            parts[:, ks] = block.swapaxes(0, 1)
+
     def _checked(self, vectors):
-        """The evaluator's jet vectors, each of which must have one component
-        per ambient coordinate."""
+        """``vectors`` as given, once the last axis of each is the ambient
+        dimension (a scalar counts as length 1); DimensionMismatchError
+        otherwise.  How many vectors there are is left to the assignment
+        into ``parts``, whose ValueError names the shapes."""
         d = self.space.ambient_dim
         for x in vectors:
             x = np.asarray(x)  # per point: cheaper than np.shape(x)
@@ -241,7 +267,7 @@ def induced_metric(jet: JetSample, G) -> np.ndarray:
     g22 = inner(jet.phi_v, jet.phi_v, G)
     g = np.stack([np.stack([g11, g12], axis=-1),
                   np.stack([g12, g22], axis=-1)], axis=-2)
-    det = np.linalg.det(g)
+    det = g11 * g22 - g12 * g12
     raise_where(NotSpaceLikeError, (g11 <= 0.0) | (det <= 0.0),
                 "induced metric not positive definite at (u,v)=({},{}): "
                 "g11={:.6g}, det={:.6g}", jet.u, jet.v, g11, det)

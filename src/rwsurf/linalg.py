@@ -101,15 +101,25 @@ def project_out_span(x, basis, g):
 def numeric_rank(vectors, g, tol: float = 1e-8) -> int:
     """Rank of the Gram matrix of ``vectors`` under the metric weights g.
 
-    Counts singular values above tol times the largest one.  An empty list or
-    an all-zero Gram matrix has rank 0.
+    Counts the eigenvalues of the symmetric Gram matrix whose absolute value
+    exceeds tol times the largest absolute one (they are its singular
+    values).  An empty list or an all-zero Gram matrix has rank 0.  A Gram
+    matrix with an inf or NaN entry, an overflowing one included, raises
+    LinAlgError naming it and, in a stack, its point.
     """
     if tol <= 0:
         raise ValueError("numeric_rank: tol must be positive")
     if not len(vectors):
         return 0
     Bt = np.stack([np.asarray(v, dtype=float) for v in vectors], axis=-2)
-    M = (Bt * np.asarray(g)[..., None, :]) @ np.swapaxes(Bt, -1, -2)
-    sv = np.linalg.svd(M, compute_uv=False)
-    rank = np.sum(sv > tol * sv[..., :1], axis=-1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        M = (Bt * np.asarray(g)[..., None, :]) @ np.swapaxes(Bt, -1, -2)
+    finite = np.isfinite(M).all(axis=(-2, -1))
+    if not finite.all():
+        at = tuple(np.argwhere(~finite)[0].tolist()) if finite.ndim else ()
+        raise np.linalg.LinAlgError(
+            "numeric_rank: the Gram matrix" + (f" at point {at}" if at else "")
+            + f" is not finite: {M[at].tolist()}")
+    ev = np.abs(np.linalg.eigvalsh(M))
+    rank = np.sum(ev > tol * ev.max(axis=-1, keepdims=True), axis=-1)
     return int(rank) if rank.ndim == 0 else rank

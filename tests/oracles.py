@@ -7,6 +7,7 @@ Each function restates, one point and one index at a time, a quantity that
 behind ``curvature_trace_term``, the comoving split, signature-aware
 Gram-Schmidt, the dense-matrix forms of the inner product, projection
 and rank that ``rwsurf.linalg`` computes from the metric's diagonal, the
+rank as a count of singular values, the
 per-component Dormand-Prince step loop and quartic dense output behind the
 straight-line code ``rwsurf.solvers`` generates per state length, and the
 family warps as a per-sample completion of that dense output.  The package
@@ -49,6 +50,18 @@ def dense_gram(vectors, G):
     """The Gram matrix ``numeric_rank`` ranks, with a full metric matrix G."""
     B = np.stack([np.asarray(v, dtype=float) for v in vectors], axis=-1)
     return np.swapaxes(B, -1, -2) @ np.asarray(G, dtype=float) @ B
+
+
+def svd_rank(vectors, g, tol: float = 1e-8):
+    """``numeric_rank`` as the count of the Gram matrix's singular values
+    above tol times the largest one, by a full batched SVD."""
+    if not len(vectors):
+        return 0
+    Bt = np.stack([np.asarray(v, dtype=float) for v in vectors], axis=-2)
+    M = (Bt * np.asarray(g)[..., None, :]) @ np.swapaxes(Bt, -1, -2)
+    sv = np.linalg.svd(M, compute_uv=False)
+    rank = np.sum(sv > tol * sv[..., :1], axis=-1)
+    return int(rank) if rank.ndim == 0 else rank
 
 
 def comoving_split(X, space: AmbientSpace, p=None):

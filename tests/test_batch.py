@@ -8,12 +8,13 @@ import hashlib
 import json
 import math
 import pathlib
+import types
 
 import numpy as np
 import pytest
 
 import rwsurf as rw
-from rwsurf import immersion, shape
+from rwsurf import catalog, immersion, shape
 from rwsurf.ambient import ambient_covariant_derivative
 from rwsurf.errors import DimensionMismatchError
 from rwsurf.immersion import JetSample, chart_second_fundamental
@@ -23,6 +24,7 @@ from rwsurf.solvers import DenseOutput, WarpSystemSolution
 from rwsurf.verdicts import verify_surface
 
 from conftest import L5_ICS, L5_INTERVAL
+from oracles import svd_rank
 from test_immersion import _product_member
 
 REL = 1e-13
@@ -69,6 +71,27 @@ def test_batched_jet_matches_one_point_jets(surface_name, request):
     ones = [surface.jet(u, v) for u, v in zip(us, vs)]
     for name in JET_FIELDS:
         assert_stacked(getattr(batch, name), [getattr(j, name) for j in ones])
+    # a float call returns one (6, d) float array: its batched row
+    rows = [surface.evaluator(u, v) for u, v in zip(us.tolist(), vs.tolist())]
+    d = surface.space.ambient_dim
+    for row in rows:
+        assert type(row) is np.ndarray and row.dtype == float
+        assert row.shape == (6, d)
+    assert_stacked(np.stack(surface.evaluator(us, vs), axis=1), rows)
+
+
+@pytest.mark.parametrize("surface_name",
+                         ["l4_surface", "l5_surface", "product_surface"])
+def test_float_call_makes_no_numpy_math_call(surface_name, request,
+                                             monkeypatch):
+    # at a float point the catalog computes with math and calls the warp
+    # directly: numpy only builds the (6, d) array
+    surface = request.getfixturevalue(surface_name)
+    u, v = (x[0] for x in sample_points(surface, 1))
+    want = surface.evaluator(float(u), float(v))
+    monkeypatch.setattr(catalog, "np", types.SimpleNamespace(
+        ndarray=np.ndarray, array=np.array))
+    assert surface.evaluator(float(u), float(v)).tobytes() == want.tobytes()
 
 
 def counted(calls, name, fn, times=None):
@@ -216,6 +239,33 @@ def test_pointwise_wrapper_report_bytes_are_pinned(product_surface,
     assert rep.verdict == "degenerate"
     assert hashlib.sha256(rep.to_json().encode()).hexdigest() == (
         "45b99c7c0951258af3b3804e98c613371f983f0b14ad81b427236178715f55c7")
+
+
+@pytest.mark.parametrize("surface_name, grid", [
+    ("l4_surface", (17, 17)), ("l5_surface", (17, 17)),
+    ("product_surface", (17, 17)), ("broken_product_surface", (17, 17)),
+    ("nan-cornered", (17, 17)), ("l4_surface", (33, 33))],
+    ids=["thm4", "thm5", "product", "product-force-b4", "nan-cornered",
+         "thm4-33x33"])
+def test_certificate_ranks_are_the_singular_value_ranks(surface_name, grid,
+                                                        request, monkeypatch):
+    # every per-node rank array a certificate reads, against the oracle
+    if surface_name == "nan-cornered":
+        surface = nan_cornered(request.getfixturevalue("product_surface"), [])
+    else:
+        surface = request.getfixturevalue(surface_name)
+    calls, rank = [], shape.numeric_rank
+
+    def spy(vectors, g, tol):
+        calls.append((vectors, g, tol, rank(vectors, g, tol)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(shape, "numeric_rank", spy)
+    verify_surface(surface, grid=grid)
+    assert len(calls) == 2  # N1, N2
+    for vectors, g, tol, got in calls:
+        assert got.shape == g.shape[:1]
+        assert np.array_equal(got, svd_rank(vectors, g, tol))
 
 
 def _plane_jet(u, v):

@@ -10,7 +10,7 @@ from rwsurf.errors import DegenerateFrameError, DimensionMismatchError
 from rwsurf.linalg import _all_last, _sum_last, project_out_span
 
 from oracles import (dense_gram, dense_inner, dense_project_out_span,
-                     orthonormalize_signature)
+                     orthonormalize_signature, svd_rank)
 
 # metrics are carried as their diagonal (weights)
 MINK4 = np.array([-1.0, 1.0, 1.0, 1.0])
@@ -217,13 +217,47 @@ def test_rank_gram_matches_the_dense_metric_bitwise(d, monkeypatch):
     g, vecs = _seeded_stack(d, seed=1)
     vecs[1] = 3.0 * vecs[0]  # a dependent pair on every point
     seen = []
-    svd = np.linalg.svd
-    monkeypatch.setattr(np.linalg, "svd",
-                        lambda M, **kw: seen.append(M) or svd(M, **kw))
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda M, **kw: seen.append(M) or eigvalsh(M, **kw))
     ranks = rw.numeric_rank(list(vecs), g)
     assert len(seen) == 1
     assert np.array_equal(seen[0], dense_gram(list(vecs), _dense(g)))
     assert ranks.shape == g.shape[:-1] and ranks.max() <= min(d, 3)
+
+
+@pytest.mark.parametrize("d", range(2, 8))
+def test_rank_from_eigenvalues_is_the_singular_value_rank(d):
+    # 200 seeds x 15 points x three spans per dimension
+    for seed in range(200):
+        g, vecs = _seeded_stack(d, seed)
+        for m in (2, 3, 4):
+            assert np.array_equal(rw.numeric_rank(list(vecs[:m]), g),
+                                  svd_rank(list(vecs[:m]), g))
+
+
+@pytest.mark.parametrize("vectors", [
+    [[np.inf, 0.0, 0.0]],
+    [[np.nan, 0.0, 0.0], [0.0, 1.0, 0.0]],
+    [[1e200, 0.0, 0.0], [0.0, 1.0, 0.0]],  # finite vectors, overflowing Gram
+], ids=["inf", "nan", "overflow"])
+def test_numeric_rank_refuses_a_non_finite_gram(vectors):
+    vectors = np.array(vectors)
+    with pytest.raises(np.linalg.LinAlgError) as exc:
+        rw.numeric_rank(list(vectors), np.ones(3))
+    assert str(exc.value).startswith(
+        "numeric_rank: the Gram matrix is not finite: [[")
+    # in a stack of finite points, the one non-finite point is named
+    stack = np.zeros((len(vectors), 2, 3, 3))
+    stack[:, :, :, 1] = 1.0
+    stack[:, 1, 2] = vectors
+    with pytest.raises(np.linalg.LinAlgError) as exc:
+        rw.numeric_rank(list(stack), np.ones(3))
+    assert str(exc.value).startswith(
+        "numeric_rank: the Gram matrix at point (1, 2) is not finite: [[")
+    stack[:, 1, 2] = [0.0, 1.0, 0.0]
+    assert np.array_equal(rw.numeric_rank(list(stack), np.ones(3)),
+                          np.ones((2, 3)))
 
 
 def test_weights_match_the_dense_metric_at_d8_to_round_off():
