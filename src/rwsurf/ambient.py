@@ -20,8 +20,10 @@ but the warp itself then works on the whole stack at once.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
+from string import Template
 from typing import Callable
 
 import numpy as np
@@ -39,7 +41,51 @@ __all__ = [
     "is_constant_curvature",
 ]
 
-_INTERVAL_SLACK = 1e-12  # relative, as in DenseOutput and the chart domains
+_INTERVAL_SLACK = 1e-12  # relative, as in the chart domains
+
+
+def _widened(lo, hi) -> tuple[float, float]:
+    """[lo, hi] widened at both ends by _INTERVAL_SLACK x max(1, |finite ends|)."""
+    finite = [abs(x) for x in (lo, hi) if math.isfinite(x)]
+    slack = _INTERVAL_SLACK * max([1.0, *finite])
+    return lo - slack, hi + slack
+
+
+# One warp evaluation as the source of make(lo, hi, low, high, $params), which
+# returns sample(t): the interval test, the lines $locate, the checks on the
+# leading three values of $state, and (f, f', f'') as floats.  WarpingFunction
+# compiles it around fn(t); solvers._kernels around a dense output's
+# interpolant and completion, so that a solved warp's sample runs in one frame.
+_WARP_SAMPLE = Template("""\
+def make(lo, hi, low, high, $params):
+    def sample(t):
+        if not (low <= t <= high):
+            raise ChartDomainError(
+                f"warp evaluated at t={t} outside interval [{lo}, {hi}]")
+$locate        try:
+            f, fp, fpp = $state[:3]
+        except ArithmeticError as exc:  # an overflow past a blow-up, say
+            raise SingularWarpError(
+                f"warping function is not finite at t={t} "
+                f"({type(exc).__name__}: {exc})") from exc
+        if not (isfinite(f) and isfinite(fp) and isfinite(fpp)):
+            raise SingularWarpError(f"warping function is not finite at t={t}")
+        if abs(f) < 1e-14:
+            raise SingularWarpError(f"warping function vanishes at t={t}")
+        return float(f), float(fp), float(fpp)
+    return sample
+""")
+_SAMPLE_NAMES = {"ChartDomainError": ChartDomainError,
+                "SingularWarpError": SingularWarpError, "isfinite": math.isfinite}
+
+
+@functools.cache
+def _fn_sample():
+    """_WARP_SAMPLE around fn(t), compiled on first use."""
+    names = dict(_SAMPLE_NAMES)
+    source = _WARP_SAMPLE.substitute(params="fn", locate="", state="fn(t)")
+    exec(compile(source, "<rwsurf.ambient.WarpingFunction>", "exec"), names)
+    return names["make"]
 
 
 @dataclass(frozen=True)
@@ -48,34 +94,24 @@ class WarpingFunction:
 
     ``fn(t)`` starts with f, f', f''.  They must be finite and f non-zero on
     the interval; evaluation raises SingularWarpError otherwise, and also
-    where ``fn`` raises an ArithmeticError.
+    where ``fn`` raises an ArithmeticError.  A ``fn`` whose
+    ``_warp_sample(interval)`` returns a function (a solved warp's dense
+    output) supplies the whole evaluation, these checks included; otherwise
+    each call runs _WARP_SAMPLE around ``fn(t)``.
     """
 
     fn: Callable[[float], tuple[float, float, float]]
     interval: tuple[float, float] = (-np.inf, np.inf)
 
     def __post_init__(self):
-        finite = [abs(x) for x in self.interval if np.isfinite(x)]
-        slack = _INTERVAL_SLACK * max([1.0, *finite])
-        self.__dict__["_limits"] = (self.interval[0] - slack, self.interval[1] + slack)
+        lo, hi = self.interval
+        fused = getattr(self.fn, "_warp_sample", None)
+        sample = fused and fused(self.interval)
+        self.__dict__["_sample"] = sample or _fn_sample()(
+            lo, hi, *_widened(lo, hi), self.fn)
 
     def __call__(self, t: float) -> tuple[float, float, float]:
-        low, high = self._limits
-        if not (low <= t <= high):
-            lo, hi = self.interval
-            raise ChartDomainError(
-                f"warp evaluated at t={t} outside interval [{lo}, {hi}]")
-        try:
-            f, fp, fpp = self.fn(t)[:3]
-        except ArithmeticError as exc:  # an overflow past a blow-up, say
-            raise SingularWarpError(
-                f"warping function is not finite at t={t} "
-                f"({type(exc).__name__}: {exc})") from exc
-        if not (math.isfinite(f) and math.isfinite(fp) and math.isfinite(fpp)):
-            raise SingularWarpError(f"warping function is not finite at t={t}")
-        if abs(f) < 1e-14:
-            raise SingularWarpError(f"warping function vanishes at t={t}")
-        return float(f), float(fp), float(fpp)
+        return self._sample(t)
 
     # -- common closed forms ------------------------------------------------
 

@@ -6,15 +6,20 @@ The integrator is a Dormand-Prince 5(4) pair propagating the 5th-order
 solution, with the standard free quartic interpolant for dense output.  Its
 step loop runs on Python floats: right-hand sides and monitors receive the
 state as a list of floats, and each accepted step is kept as one row of
-floats that the dense output reads.  The step, with its error norm, and the
-quartic are generated once per state length as straight-line code that is
-bit-identical to the per-component form.  Dense output maps a float time to a
-tuple of floats, a family's full state (f, f', f'', ...) where it carries a
-completion.  No stiff solver is provided: the warp ODE blows up in finite
-time for many initial conditions.  The rotational warp's solve stops short of
-its blow-up on an asymptotic estimate of the time left (monitor 'blow-up', see
-_BLOW_UP_DELTA); elsewhere a blow-up ends the solve by step underflow.  Either
-way it is reported rather than integrated through.
+floats that the dense output reads.  The step, with its error norm, the
+quartic and the samples of the dense output are generated once per state
+length as straight-line code that is bit-identical to the per-component
+form.  Dense output maps a float time to a tuple of floats, a family's full
+state (f, f', f'', ...) where it carries a completion.  A solved warp's
+sample is one generated function: the warp's interval test, the step's
+bisection, the quartic, one call to the completion and the warp's checks
+(ambient._WARP_SAMPLE).  The coupled system's state cache wraps the dense
+sample, and its warp reads the cache.  No stiff solver is provided: the warp
+ODE blows up in finite time for many initial conditions.  The rotational
+warp's solve stops short of its blow-up on an asymptotic estimate of the time
+left (monitor 'blow-up', see _BLOW_UP_DELTA); elsewhere a blow-up ends the
+solve by step underflow.  Either way it is reported rather than integrated
+through.
 """
 
 from __future__ import annotations
@@ -27,7 +32,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .ambient import WarpingFunction
+from .ambient import (_SAMPLE_NAMES, _WARP_SAMPLE, WarpingFunction,
+                      _widened)
 from .errors import (AdmissibilityError, ChartDomainError, ConstraintError,
                      SingularWarpError)
 
@@ -102,8 +108,9 @@ class DenseOutput:
 
     Calling it at a float t returns the state as a tuple of Python floats,
     mapped by ``completion`` if given; ``derivative(t)`` returns the raw
-    interpolant's derivative.  Neither makes a numpy call.  Evaluation
-    outside the covered interval raises ChartDomainError.
+    interpolant's derivative.  Both run functions generated by _kernels and
+    make no numpy call.  Evaluation outside the covered interval raises
+    ChartDomainError.
     """
 
     steps: list             # (t, h, y, q) floats per accepted step, in order
@@ -111,15 +118,17 @@ class DenseOutput:
     completion: Callable | None = None  # interpolated state -> full state
 
     def __post_init__(self):
-        # direction-signed step starts (monotone, for bisect), the one tuple
-        # __call__ reads (lo, hi, both widened by slack, direction, completion)
+        # the arguments of _kernels' samples: the limits, the rows, their
+        # direction-signed starts (monotone, for bisect), the direction and
+        # the completion
         direction = 1.0 if self.steps[0][1] > 0 else -1.0
         lo, hi = self.interval
-        slack = 1e-12 * max(1.0, abs(lo), abs(hi))
-        self.__dict__.update(
-            _starts=[row[0] * direction for row in self.steps],
-            _bounds=(lo, hi, lo - slack, hi + slack, direction, self.completion),
-            _quartic=_kernels(len(self.steps[0][2]))[1])
+        args = (lo, hi, *_widened(lo, hi), self.steps,
+                [row[0] * direction for row in self.steps], direction,
+                self.completion)
+        _, _, dense, derivative, _ = _kernels(len(self.steps[0][2]))
+        self.__dict__.update(_args=args, _sample=dense(*args),
+                             _derivative=derivative(*args))
 
     @property
     def interval(self) -> tuple[float, float]:
@@ -127,28 +136,19 @@ class DenseOutput:
         return (lo, hi) if lo <= hi else (hi, lo)
 
     def __call__(self, t: float) -> tuple[float, ...]:
-        # t is clamped to the interval; the first step starts at one end of
-        # it, so once t is clamped the bisection always lands on a step
-        lo, hi, low, high, direction, complete = self._bounds
-        if not (low <= t <= high):
-            raise ChartDomainError(
-                f"dense output evaluated at t={t} outside [{lo}, {hi}]")
-        t = lo if t < lo else hi if t > hi else t
-        tk, h, y, q = self.steps[bisect_right(self._starts, t * direction) - 1]
-        y = self._quartic((t - tk) / h, h, y, q)
-        return y if complete is None else complete(y)
+        return self._sample(t)
 
     def derivative(self, t: float) -> tuple[float, ...]:
-        lo, hi, low, high, direction, _ = self._bounds  # as in __call__
-        if not (low <= t <= high):
-            raise ChartDomainError(
-                f"dense output evaluated at t={t} outside [{lo}, {hi}]")
-        t = lo if t < lo else hi if t > hi else t
-        tk, h, _, q = self.steps[bisect_right(self._starts, t * direction) - 1]
-        th = (t - tk) / h
-        th2, th3 = th * th, th * th * th
-        return tuple([a + b * (2 * th) + c * (3 * th2) + d * (4 * th3)
-                      for a, b, c, d in q])
+        return self._derivative(t)
+
+    def _warp_sample(self, interval):
+        """For a WarpingFunction over ``interval``: its sample, with the
+        completion in the same frame; None without a completion or over
+        another interval."""
+        if self.completion is None or tuple(interval) != self.interval:
+            return None
+        *_, warp = _kernels(len(self.steps[0][2]))
+        return warp(*self._args)
 
 
 @dataclass(frozen=True)
@@ -184,13 +184,23 @@ def _initial_step(rhs, t0, y0, f0, direction, rtol, atol, span):
 
 @functools.lru_cache(maxsize=None)
 def _kernels(d: int):
-    """(step, quartic) for states of length d, compiled once from straight
-    lines in the tableau's floats by name (c2, a21, b1, e1, p11 = _P[0, 1],
-    ...) and the indices 0..d-1, in the operand order of the per-component
-    form.  step(rhs, t, h, y, k1, atol, rtol) returns (y_new, k7, the _rms of
-    err / (atol + rtol max(|y|, |y_new|)), whether y_new and err are finite,
-    Q); quartic(th, h, y, q) the state at theta = th of a steps row.  c7 = 1,
-    b2 = e2 = 0, _P's row 1 is 0 and its first column is 1 in row 0 only."""
+    """(step, quartic, dense, derivative, warp) for states of length d,
+    compiled once from straight lines in the tableau's floats by name (c2,
+    a21, b1, e1, p11 = _P[0, 1], ...) and the indices 0..d-1, in the operand
+    order of the per-component form.  step(rhs, t, h, y, k1, atol, rtol)
+    returns (y_new, k7, the _rms of err / (atol + rtol max(|y|, |y_new|)),
+    whether y_new and err are finite, Q); quartic(th, h, y, q) the state at
+    theta = th of a steps row.  c7 = 1, b2 = e2 = 0, _P's row 1 is 0 and its
+    first column is 1 in row 0 only.
+
+    dense, derivative and warp take (lo, hi, low, high, steps, starts,
+    direction, complete) and return a function of t.  Each tests t against
+    [low, high], clamps it to [lo, hi], bisects the direction-signed step
+    starts for its row and evaluates that row inline.  dense returns the
+    quartic's state, mapped by complete unless it is None; derivative the
+    quartic's derivative in theta.  warp is ambient's warp sample
+    (_WARP_SAMPLE) around complete(quartic's state): its own interval
+    message, and the checks on (f, f', f'')."""
     ks = (1, 3, 4, 5, 6)  # the stages y_new reads; err and Q add the seventh
     names = {f"{v}{s}": x for v, col in (("c", _C), ("b", _B), ("e", _E))
              for s, x in enumerate(col.tolist(), 1)}
@@ -198,7 +208,7 @@ def _kernels(d: int):
                   for j, x in enumerate(_A[s - 1].tolist(), 1)})
     names.update({f"p{s}{j}": x for s in ks + (7,)
                   for j, x in enumerate(_P[s - 1, 1:].tolist(), 1)})
-    names.update(isfinite=math.isfinite, sqrt=math.sqrt)
+    names.update(_SAMPLE_NAMES, sqrt=math.sqrt, bisect_right=bisect_right)
 
     def each(template):  # the d components of one quantity, comma-joined
         return "".join(template.replace("_i", f"_{i}") + ", " for i in range(d))
@@ -210,13 +220,39 @@ def _kernels(d: int):
         y_s = each("y_i + h * (" + combo(lambda j: f"a{s}{j}", range(1, s)) + ")")
         return f"    {each(f'k{s}_i')}= rhs(t + c{s} * h, [{y_s}])\n"
 
+    def lines(indent, statements):
+        return "".join(f"{' ' * indent}{line}\n" for line in statements)
+
     y_new = each("y_i + h * (" + combo(lambda s: f"b{s}", ks) + ")")
     err = each("h * (" + combo(lambda s: f"e{s}", ks + (7,)) + ")")
     scaled = each("e_i / (atol + rtol * max(abs(y_i), abs(n_i)))")
     squares = " + ".join(f"s_{i} * s_{i}" for i in range(d))  # as in _rms
     finite = " and ".join(f"isfinite({v}_{i})" for v in "ne" for i in range(d))
     q = ", ".join(combo(lambda s: f"p{s}{j}", ks + (7,)) for j in (1, 2, 3))
-    quartic = "y_i + h * (a_i * th + b_i * th2 + c_i * th3 + d_i * th2 * th2)"
+    # theta's powers and a row's components, then the quartic and its
+    # derivative in theta
+    row = ["th2, th3 = th * th, th * th * th", f"{each('y_i')}= y",
+           f"{each('(a_i, b_i, c_i, d_i)')}= q"]
+    quartic = "(" + each(
+        "y_i + h * (a_i * th + b_i * th2 + c_i * th3 + d_i * th2 * th2)") + ")"
+    slope = "(" + each(
+        "a_i + b_i * (2 * th) + c_i * (3 * th2) + d_i * (4 * th3)") + ")"
+    # the lines every sample runs after its interval test: x is t clamped to
+    # [lo, hi] (t stays as given for the warp's messages); the first step
+    # starts at one end of it, so the bisection always lands on a step
+    locate = ["x = lo if t < lo else hi if t > hi else t",
+              "tk, h, y, q = steps[bisect_right(starts, x * direction) - 1]",
+              "th = (x - tk) / h", *row]
+    params = "steps, starts, direction, complete"
+
+    def factory(name, value):  # a dense output's sample, ending by ``value``
+        return (f"def {name}(lo, hi, low, high, {params}):\n"
+                "    def sample(t):\n"
+                "        if not (low <= t <= high):\n"
+                "            raise ChartDomainError(\n"
+                '                f"dense output evaluated at t={t} outside [{lo}, {hi}]")\n'
+                + lines(8, locate + value) + "    return sample\n")
+
     source = (
         f"def step(rhs, t, h, y, k1, atol, rtol):\n"
         f"    {each('y_i')}= y\n    {each('k1_i')}= k1\n"
@@ -226,11 +262,15 @@ def _kernels(d: int):
         f"    {each('e_i')}= {err}\n    {each('s_i')}= {scaled}\n"
         f"    return y_new, k7, sqrt(({squares}) / {d}), {finite}, "
         f"[{each(f'(k1_i, {q})')}]\n"
-        f"def quartic(th, h, y, q):\n    th2, th3 = th * th, th * th * th\n"
-        f"    {each('y_i')}= y\n    {each('(a_i, b_i, c_i, d_i)')}= q\n"
-        f"    return ({each(quartic)})\n")
+        "def quartic(th, h, y, q):\n" + lines(4, row) + f"    return {quartic}\n"
+        + factory("dense", [f"y = {quartic}",
+                            "return y if complete is None else complete(y)"])
+        + factory("derivative", [f"return {slope}"])
+        + _WARP_SAMPLE.substitute(params=params, state="complete(y)",
+                                  locate=lines(8, locate + [f"y = {quartic}"])))
     exec(compile(source, f"<rwsurf.solvers._kernels({d})>", "exec"), names)
-    return names["step"], names["quartic"]
+    return tuple(names[k] for k in ("step", "quartic", "dense", "derivative",
+                                    "make"))
 
 
 def rk_integrate(rhs: Callable, y0, t_span, config: SolverConfig | None = None,
@@ -296,7 +336,7 @@ def rk_integrate(rhs: Callable, y0, t_span, config: SolverConfig | None = None,
         h_abs = _initial_step(rhs, t0, y, f, direction, rtol, atol, t1 - t0)
     h_abs = min(h_abs, abs(t1 - t0))
 
-    step, quartic = _kernels(d)
+    step, quartic, *_ = _kernels(d)
 
     steps = []
     n_acc = n_rej = 0
@@ -554,8 +594,11 @@ def solve_rotational_warp(constants: ConstantsL4, f0: float, f0p: float,
     blow_up_time = (dense.t_end + direction * _blow_up_time_left(
         b2, *dense(dense.t_end)) if result.stop_reason == "monitor:blow-up"
         else None)
-    # the ODE is autonomous: (f, f') completes to (f, f', f'') at any t
-    warp = DenseOutput(dense.steps, dense.t_end, lambda s: (s[0], *rhs(t0, s)))
+    def complete(s):  # the ODE is autonomous: (f, f') -> (f, f', f'') at any t
+        fp, fpp = rhs(t0, s)
+        return s[0], fp, fpp
+
+    warp = DenseOutput(dense.steps, dense.t_end, complete)
     return RotationalWarpSolution(WarpingFunction(warp, dense.interval), result,
                                   constants, blow_up_time)
 
@@ -713,6 +756,6 @@ def solve_warp_system(constants: ConstantsL5, ics, interval,
     result = rk_integrate(rhs, [f0, f0p, y0, y0p], interval, config, monitors)
     dense = result.dense
     state = functools.lru_cache(maxsize=_STATE_CACHE_SIZE)(
-        DenseOutput(dense.steps, dense.t_end, complete))
+        DenseOutput(dense.steps, dense.t_end, complete)._sample)
     return WarpSystemSolution(WarpingFunction(state, dense.interval), result,
                               constants, state)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import rwsurf as rw
-from rwsurf import catalog
+from rwsurf import catalog, solvers
 from rwsurf.immersion import Jet2Immersion
 from rwsurf.shape import SurfaceGrid
 
@@ -41,6 +41,34 @@ product_surface, product_expect = _member("product", b1=1.0, b3=0.5)[:2]
 # b2^2 + b3^2 = 0.41 != 1/3: the family member with non-parallel H
 broken_product_surface = _member("product", b1=1.0, b2=0.4, b3=0.5,
                                  force_b4=True)[0]
+
+
+def count_generated_samples(monkeypatch, calls):
+    """Count in ``calls`` (a dict) the calls into the samples that
+    ``solvers._kernels`` generates, under "dense" (a DenseOutput's, the one
+    a solved system's state cache wraps) and "warp" (a solved warp's, the
+    interpolant and completion inline), for every dense output and warp
+    built from here on.  A call that raises is counted too."""
+    kernels = solvers._kernels
+
+    def counted(name, make):
+        def factory(*args):
+            sample = make(*args)
+
+            def counted_sample(t):
+                calls[name] = calls.get(name, 0) + 1
+                return sample(t)
+
+            return counted_sample
+
+        return factory
+
+    def counting_kernels(d):
+        step, quartic, dense, derivative, warp = kernels(d)
+        return (step, quartic, counted("dense", dense), derivative,
+                counted("warp", warp))
+
+    monkeypatch.setattr(solvers, "_kernels", counting_kernels)
 
 
 @pytest.fixture(scope="session")

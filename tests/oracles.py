@@ -345,20 +345,38 @@ def reference_rk_integrate(rhs, y0, t_span, config=None, monitors=()):
     return ReferenceDense(steps, t_end), stop_reason, n_acc, n_rej
 
 
-def _warp_values(t, values):
-    """What ``WarpingFunction`` returns for fn(t) = values: (f, f', f'') as
-    Python floats, after its finiteness and non-vanishing checks."""
-    f, fp, fpp = values
-    if not (math.isfinite(f) and math.isfinite(fp) and math.isfinite(fpp)):
-        raise SingularWarpError(f"warping function is not finite at t={t}")
-    if abs(f) < 1e-14:
-        raise SingularWarpError(f"warping function vanishes at t={t}")
-    return float(f), float(fp), float(fpp)
+def reference_warp(interval, values):
+    """What ``WarpingFunction(values, interval)`` does per call, for a finite
+    interval: the interval test with its relative 1e-12 slack, an
+    ArithmeticError of ``values`` read as SingularWarpError, then the
+    finiteness and non-vanishing checks of (f, f', f''), returned as Python
+    floats."""
+    lo, hi = interval
+    slack = 1e-12 * max(1.0, abs(lo), abs(hi))
+
+    def warp(t):
+        if not (lo - slack <= t <= hi + slack):
+            raise ChartDomainError(
+                f"warp evaluated at t={t} outside interval [{lo}, {hi}]")
+        try:
+            f, fp, fpp = values(t)[:3]
+        except ArithmeticError as exc:  # an overflow past a blow-up, say
+            raise SingularWarpError(
+                f"warping function is not finite at t={t} "
+                f"({type(exc).__name__}: {exc})") from exc
+        if not (math.isfinite(f) and math.isfinite(fp) and math.isfinite(fpp)):
+            raise SingularWarpError(f"warping function is not finite at t={t}")
+        if abs(f) < 1e-14:
+            raise SingularWarpError(f"warping function vanishes at t={t}")
+        return float(f), float(fp), float(fpp)
+
+    return warp
 
 
 def reference_rotational_warp(constants, f0, f0p, interval, config=None):
     """``solve_rotational_warp`` over ``reference_rk_integrate``, with the
-    warp completed per sample as fn(t) = (f, *rhs(t, (f, f'))).  Returns
+    warp completed per sample as (f, *rhs(t, (f, f'))) behind
+    ``reference_warp``.  Returns
     (warp, blow_up_time, stop_reason, n_accepted, n_rejected)."""
     b2 = constants.b2
     rhs = solvers.rotational_warp_rhs(constants)
@@ -378,25 +396,20 @@ def reference_rotational_warp(constants, f0, f0p, interval, config=None):
     blow_up_time = (dense.t_end + direction * solvers._blow_up_time_left(
         b2, *dense(dense.t_end)) if stop_reason == "monitor:blow-up" else None)
 
-    def warp(t):
-        try:
-            fv, fp = dense(t)
-            values = (fv, *rhs(t, (fv, fp)))
-        except ArithmeticError as exc:  # as WarpingFunction reads fn's
-            raise SingularWarpError(
-                f"warping function is not finite at t={t} "
-                f"({type(exc).__name__}: {exc})") from exc
-        return _warp_values(t, values)
+    def values(t):
+        fv, fp = dense(t)
+        return (fv, *rhs(t, (fv, fp)))
 
-    return warp, blow_up_time, stop_reason, n_acc, n_rej
+    return (reference_warp(dense.interval, values), blow_up_time, stop_reason,
+            n_acc, n_rej)
 
 
 def reference_warp_system(constants, ics, interval, config=None):
     """``solve_warp_system`` over ``reference_rk_integrate``, each sample
     completed by its own 2x2 solve: Cramer's rule on the family's matrices
-    behind the same determinant test.  Returns (state, max_equation_residual,
-    stop_reason, n_accepted, n_rejected); state(t) is (f, f', f'', y, y',
-    y'')."""
+    behind the same determinant test.  Returns (state, warp,
+    max_equation_residual, stop_reason, n_accepted, n_rejected); state(t) is
+    (f, f', f'', y, y', y''), and warp ``reference_warp`` over it."""
     matrices = solvers._system_matrices(constants)
 
     def second(fv, fp, yp):
@@ -435,4 +448,5 @@ def reference_warp_system(constants, ics, interval, config=None):
                 constants, fv, fp, fpp, yp, ypp)
         return float(np.max(np.abs(residuals)))
 
-    return state, max_equation_residual, stop_reason, n_acc, n_rej
+    return (state, reference_warp(dense.interval, state), max_equation_residual,
+            stop_reason, n_acc, n_rej)

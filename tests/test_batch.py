@@ -20,10 +20,10 @@ from rwsurf.errors import DimensionMismatchError
 from rwsurf.immersion import JetSample, chart_second_fundamental
 from rwsurf.linalg import numeric_rank, project_out_span
 from rwsurf.shape import SurfaceGrid, evaluate_point, second_fundamental_form
-from rwsurf.solvers import DenseOutput, WarpSystemSolution
+from rwsurf.solvers import WarpSystemSolution
 from rwsurf.verdicts import verify_surface
 
-from conftest import L5_ICS, L5_INTERVAL
+from conftest import L5_ICS, L5_INTERVAL, count_generated_samples
 from oracles import svd_rank
 from test_immersion import _product_member
 
@@ -108,14 +108,18 @@ def counted(calls, name, fn, times=None):
 @pytest.mark.parametrize("surface_name", ["l4_surface", "l5_surface"])
 def test_catalog_grid_calls_the_chart_once(surface_name, request,
                                            monkeypatch):
-    calls, times = collections.Counter(), set()
+    calls, times, samples = collections.Counter(), set(), {}
+    # fresh solutions, built with their generated samples counted (and the
+    # session fixture's state cache holds the times earlier tests asked for)
+    count_generated_samples(monkeypatch, samples)
     if surface_name == "l5_surface":
-        # a fresh solution: the session fixture's state cache holds the
-        # times that earlier tests asked for
         surface = rw.surface_l51(rw.solve_warp_system(
             request.getfixturevalue("l5_constants"), L5_ICS, L5_INTERVAL))
     else:
-        surface = request.getfixturevalue(surface_name)
+        constants = request.getfixturevalue("l4_constants")
+        surface = rw.rotational_surface_l41(constants, rw.solve_rotational_warp(
+            constants, 1.0, 2.0, (0.0, 1.0)).warp)
+    samples.clear()
     surface = dataclasses.replace(
         surface, evaluator=counted(calls, "chart", surface.evaluator))
     monkeypatch.setattr(rw.Jet2Immersion, "jet",
@@ -124,8 +128,6 @@ def test_catalog_grid_calls_the_chart_once(surface_name, request,
                         counted(calls, "warp", rw.WarpingFunction.__call__, times))
     monkeypatch.setattr(WarpSystemSolution, "y_state",
                         counted(calls, "y_state", WarpSystemSolution.y_state, times))
-    monkeypatch.setattr(DenseOutput, "__call__",
-                        counted(calls, "dense", DenseOutput.__call__))
     (u0, u1), (v0, v1) = surface.u_domain, surface.v_domain
     us = np.linspace(0.8 * u0 + 0.2 * u1, 0.2 * u0 + 0.8 * u1, 5)
     vs = np.linspace(0.8 * v0 + 0.2 * v1, 0.2 * v0 + 0.8 * v1, 4)
@@ -140,10 +142,10 @@ def test_catalog_grid_calls_the_chart_once(surface_name, request,
     # once in the chart, once for the metric's warp state
     assert calls["warp"] <= 2 * distinct
     assert calls["y_state"] == (distinct if surface_name == "l5_surface" else 0)
-    # the L5 state is cached per time; the L4 warp reads the dense output
-    # on every call
-    assert calls["dense"] == (len(times) if surface_name == "l5_surface"
-                              else calls["warp"])
+    # the L5 state is cached per time, the interpolant evaluated once per
+    # time; the L4 warp evaluates its interpolant on every call
+    assert samples == ({"dense": len(times)} if surface_name == "l5_surface"
+                       else {"warp": calls["warp"]})
     calls.clear()
     grid = SurfaceGrid(surface, us, vs)
     assert grid.n_ok == len(us) * len(vs)

@@ -15,7 +15,8 @@ from rwsurf.errors import (AdmissibilityError, ChartDomainError,
 from rwsurf import solvers
 from rwsurf.solvers import SolverConfig, rk_integrate, system_equation_residuals
 
-from conftest import L5_CONSTANTS, L5_ICS, L5_INTERVAL
+from conftest import (L5_CONSTANTS, L5_ICS, L5_INTERVAL,
+                      count_generated_samples)
 from oracles import (reference_rk_integrate, reference_rotational_warp,
                      reference_warp_system)
 
@@ -445,9 +446,9 @@ def test_generated_kernels_match_the_per_component_form_bitwise(
     assert res.stop_reason.startswith("monitor:") == monitored
     dense = res.dense
     assert repr((dense.steps, dense.t_end)) == repr((ref.steps, ref.t_end))
-    for t in np.linspace(*dense.interval, 50).tolist():
-        assert repr((dense(t), dense.derivative(t))) == repr(
-            (ref(t), ref.derivative(t)))
+    ts = np.linspace(*dense.interval, 50).tolist() + _path_times(dense.interval)
+    for evaluate, want in ((dense, ref), (dense.derivative, ref.derivative)):
+        assert _samples(evaluate, ts) == _samples(want, ts)
 
 
 @settings(max_examples=60, deadline=None)
@@ -920,14 +921,13 @@ def test_system_warp_self_consistency(l5_solution):
 
 
 def _counting(monkeypatch):
-    """Count DenseOutput.__call__ calls and the 2x2 solves of the solutions
-    built from here on; the caller zeroes the counts after its solves."""
+    """Count the calls into the generated dense samples (the interpolant
+    evaluations that the state cache wraps) and the 2x2 solves of the
+    solutions built from here on; the caller zeroes the counts after its
+    solves."""
     calls = {"dense": 0, "solve": 0}
-    dense_call, bind = solvers.DenseOutput.__call__, solvers._system_completion
-
-    def counted_dense(self, t):
-        calls["dense"] += 1
-        return dense_call(self, t)
+    count_generated_samples(monkeypatch, calls)
+    bind = solvers._system_completion
 
     def counted_bind(constants):
         second = bind(constants)
@@ -938,7 +938,6 @@ def _counting(monkeypatch):
 
         return counted_second
 
-    monkeypatch.setattr(solvers.DenseOutput, "__call__", counted_dense)
     monkeypatch.setattr(solvers, "_system_completion", counted_bind)
     return calls
 
@@ -998,9 +997,18 @@ def test_state_cache_is_per_solution(l5_constants, monkeypatch):
 
 
 # Members near the reference constants, sampled at the ends of the solved
-# interval and between them.  repr compares bits (and tells -0.0 and a
-# numpy float from a float); a sample that raises compares by its type.
+# interval and between them, and past each end within the 1e-12 slack band
+# (clamped) and beyond it (rejected).  repr compares bits (and tells -0.0
+# and a numpy float from a float); a sample that raises compares by its
+# type and message.
 _PATH_SAMPLES = 41
+
+
+def _path_times(interval):
+    lo, hi = interval
+    slack = 1e-12 * max(1.0, abs(lo), abs(hi))
+    return np.linspace(lo, hi, _PATH_SAMPLES).tolist() + [
+        lo - 0.5 * slack, hi + 0.5 * slack, lo - 2.0 * slack, hi + 2.0 * slack]
 
 
 def _samples(fn, ts):
@@ -1009,7 +1017,7 @@ def _samples(fn, ts):
         try:
             out.append(repr(fn(t)))
         except Exception as exc:
-            out.append(type(exc).__name__)
+            out.append(f"{type(exc).__name__}: {exc}")
     return out
 
 
@@ -1033,7 +1041,7 @@ def test_rotational_warp_path_matches_the_reference(a, h0, f0, q, f0_sign,
     res = sol.integration
     assert [res.stop_reason, res.n_accepted, res.n_rejected] == ending
     assert repr(sol.blow_up_time) == repr(blow_up_time)
-    ts = np.linspace(*sol.warp.interval, _PATH_SAMPLES).tolist()
+    ts = _path_times(sol.warp.interval)
     assert _samples(sol.warp, ts) == _samples(warp, ts)
 
 
@@ -1050,17 +1058,49 @@ def test_warp_system_path_matches_the_reference(a, h0, dphi, f0, f0p, y0, y0p):
         sol = rw.solve_warp_system(c, ics, L5_INTERVAL)
     except AdmissibilityError:
         assume(False)
-    state, max_residual, *ending = reference_warp_system(c, ics, L5_INTERVAL)
+    state, warp, max_residual, *ending = reference_warp_system(c, ics,
+                                                               L5_INTERVAL)
     res = sol.integration
     assert [res.stop_reason, res.n_accepted, res.n_rejected] == ending
-    ts = np.linspace(*sol.warp.interval, _PATH_SAMPLES).tolist()
-    want = [state(t) for t in ts]
+    ts = _path_times(sol.warp.interval)
     # the warp first, so y_state and state read what it left in the cache
-    assert repr([sol.warp(t) for t in ts]) == repr(
-        [tuple(map(float, s[:3])) for s in want])
-    assert repr([sol.y_state(t) for t in ts]) == repr([s[3:] for s in want])
-    assert repr([sol.state(t) for t in ts]) == repr(want)
+    assert _samples(sol.warp, ts) == _samples(warp, ts)
+    assert _samples(sol.y_state, ts) == _samples(lambda t: state(t)[3:], ts)
+    assert _samples(sol.state, ts) == _samples(state, ts)
     assert repr(sol.max_equation_residual()) == repr(max_residual())
+
+
+def test_fixed_step_warp_across_its_blow_up_matches_the_reference():
+    # fixed steps of 0.005 carry this member past its blow-up before the
+    # blow-up monitor fires: the last step crosses it and the solve ends
+    # 'monitor:warp-positive', and inside that step the interpolant reaches
+    # an f' whose f'^4 in the completion overflows
+    c = rw.validate_constants_l4(2.0, 0.5)
+    f0p = math.sqrt(c.b2 + 0.5)
+    config = SolverConfig(fixed_step=0.005)
+    sol = rw.solve_rotational_warp(c, 1.0, f0p, (0.0, 1.0), config)
+    warp = reference_rotational_warp(c, 1.0, f0p, (0.0, 1.0), config)[0]
+    ts = _path_times(sol.warp.interval) + np.linspace(
+        *sol.warp.interval, 401).tolist()
+    got = _samples(sol.warp, ts)
+    assert got == _samples(warp, ts)
+    overflow = [g for g in got if "(OverflowError: " in g]
+    assert overflow and all(g.startswith(
+        "SingularWarpError: warping function is not finite at t=")
+        for g in overflow)
+    with pytest.raises(rw.SingularWarpError) as exc:
+        sol.warp(0.30072533418659664)
+    assert isinstance(exc.value.__cause__, OverflowError)
+
+
+def test_warp_samples_are_python_floats(l4_solution, l5_solution):
+    warps = [l4_solution.warp, l5_solution.warp,
+             rw.WarpingFunction.exponential(0.5, (-1.0, 1.0))]
+    for warp in warps:
+        for t in _path_times(warp.interval)[:-2]:  # those past the band raise
+            assert all(type(x) is float for x in warp(t))
+    for t in _path_times(l5_solution.warp.interval)[:-2]:
+        assert all(type(x) is float for x in l5_solution.state(t))
 
 
 def _second_derivatives(c, fv, fp, yp):
