@@ -204,7 +204,7 @@ class AmbientSpace:
         return v
 
     def check_vector(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
+        X = np.asarray(X)
         if X.shape[-1:] != (self.ambient_dim,):
             raise DimensionMismatchError(
                 f"vector has shape {X.shape}, backend expects ({self.ambient_dim},)")
@@ -222,7 +222,7 @@ class AmbientSpace:
         if not self.is_embedded:
             raise DimensionMismatchError("product normal exists only on the "
                                          "product-space-form backend")
-        nu = np.array(p, dtype=float)
+        nu = np.array(p)
         nu[..., 0] = 0.0
         return nu
 
@@ -233,16 +233,17 @@ class AmbientSpace:
 
         Warped backend: (-1, f^2, ..., f^2).  Product backend: the constant
         flat weights (-1, c, 1, ..., 1); p must satisfy the space-form locus
-        constraint <pbar,pbar>_c = c within 1e-10.  With leading point axes
-        on p (and on the warp state) the result is a stack ``(..., d)``.
+        constraint <pbar,pbar>_c = c within 1e-10, which a NaN point does
+        not.  With leading point axes on p (and on the warp state) the result
+        is a stack ``(..., d)``.
         """
-        p = np.asarray(p, dtype=float)
+        p = np.asarray(p)
         if p.shape[-1:] != (self.ambient_dim,):
             raise DimensionMismatchError(
                 f"point has shape {p.shape}, backend expects ({self.ambient_dim},)")
         if self.kind == "warped-flat":
-            f = np.asarray(warp_state[0], dtype=float)
-            g = np.empty(p.shape)
+            f = np.asarray(warp_state[0])
+            g = np.empty(p.shape, np.result_type(f, float))
             g[..., 0] = -1.0
             g[..., 1:] = _col(f * f)
             return g
@@ -251,7 +252,7 @@ class AmbientSpace:
         fiber = p.copy()
         fiber[..., 0] = 0.0
         locus = np.asarray(inner(fiber, fiber, g)) - self.c
-        raise_where(ChartDomainError, np.abs(locus) > 1e-10,
+        raise_where(ChartDomainError, ~(np.abs(locus) <= 1e-10),
                     "point off the embedded space-form locus (residual {:.3e})",
                     locus)
         return np.broadcast_to(g, p.shape)
@@ -271,13 +272,11 @@ def ambient_covariant_derivative(space: AmbientSpace, p, x_vec, y_vec,
     """
     x, y, dy = (space.check_vector(w) for w in (x_vec, y_vec, dy_dx))
     if space.kind == "warped-flat":
-        f, fp, _ = (np.asarray(w, dtype=float) for w in warp_state)
-        out = np.empty_like(dy)
-        out[..., 0] = dy[..., 0] + f * fp * np.einsum("...i,...i->...",
-                                                      x[..., 1:], y[..., 1:])
-        out[..., 1:] = dy[..., 1:] + _col(fp / f) * (
-            x[..., :1] * y[..., 1:] + y[..., :1] * x[..., 1:])
-        return out
+        f, fp, _ = warp_state
+        return dy + np.concatenate([
+            _col(f * fp * np.einsum("...i,...i->...", x[..., 1:], y[..., 1:])),
+            _col(fp / f) * (x[..., :1] * y[..., 1:] + y[..., :1] * x[..., 1:])],
+            axis=-1)
     nu = space.product_normal(p)
     return dy - space.c * _col(inner(dy, nu, G)) * nu
 
@@ -297,9 +296,7 @@ def curvature_rw_values(X, Y, Z, G, f: float, fp: float, fpp: float,
     Purely algebraic in the scalars k1 = f''/f and k2 = (f'^2 + c)/f^2 and in
     fiber inner products taken with the supplied metric diagonal G.
     """
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    Z = np.asarray(Z, dtype=float)
+    X, Y, Z = np.asarray(X), np.asarray(Y), np.asarray(Z)
     k1, k2 = (_col(k) for k in curvature_scalars(f, fp, fpp, c))
     X0, Y0, Z0 = X[..., :1], Y[..., :1], Z[..., :1]
     Xb = X.copy(); Xb[..., 0] = 0.0
@@ -319,8 +316,11 @@ def is_constant_curvature(warp: WarpingFunction, c: float, interval,
 
     Returns (flag, max_deviation) where the flag is True when the supremum of
     the defect over uniformly sampled points stays below tol.  A NaN defect
-    at any sample makes the deviation NaN and the flag False.
+    at any sample makes the deviation NaN and the flag False.  ``samples``
+    must be at least 1.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     ks = (curvature_scalars(*warp(float(t)), c)
           for t in np.linspace(*interval, samples))
     dev = float(np.max([abs(k1 - k2) for k1, k2 in ks]))

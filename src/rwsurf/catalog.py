@@ -64,10 +64,10 @@ def _xp(u):
 def _jet(u, *rows):
     """The jet vectors from their components, one row of floats or arrays
     shaped like the 1-D point array u per vector: an ``(m, d)`` array at a
-    float u, else ``(m, n, d)``."""
+    float u, else ``(m, n, d)`` of u's dtype."""
     if not isinstance(u, np.ndarray):
         return np.array(rows, dtype=float)
-    out = np.empty((len(rows),) + u.shape + (len(rows[0]),))
+    out = np.empty((len(rows),) + u.shape + (len(rows[0]),), u.dtype)
     for vec, row in zip(out, rows):
         for k, x in enumerate(row):
             vec[:, k] = x

@@ -49,15 +49,14 @@ class InapplicableError(GeometryError):
 
 def raise_where(exc_type, bad, message: str, *values):
     """Raise ``exc_type`` when ``bad`` (one point or an array over points)
-    holds anywhere, with ``message`` formatted from each failing point's
-    ``values``.  ``where`` (the mask) and ``texts`` (the messages, in flat
-    order) on the exception let a caller that evaluated many points at once
-    record each failure and go on with the rest."""
+    holds anywhere, with ``message`` formatted from the real parts of each
+    failing point's ``values``.  ``where`` (the mask) and ``texts`` (the
+    messages, in flat order) on the exception let a caller that evaluated
+    many points at once record each failure and go on with the rest."""
     bad = np.asarray(bad, dtype=bool)
     if not bad.any():
         return
-    cols = [np.broadcast_to(np.asarray(v, dtype=float), bad.shape)[bad]
-            for v in values]
+    cols = [np.broadcast_to(np.real(v), bad.shape)[bad] for v in values]
     texts = [message.format(*(c[k] for c in cols)) for k in range(bad.sum())]
     exc = exc_type(texts[0])
     exc.where, exc.texts = bad, texts

@@ -88,18 +88,20 @@ class Jet2Immersion:
         results (six vectors, or one ``(6, d)`` array, per point) convert
         to an array in one call.  Jet vectors whose length is not the
         ambient dimension, and an evaluator's DimensionMismatchError, raise
-        DimensionMismatchError for the call."""
-        uu, vv = np.broadcast_arrays(np.asarray(u, dtype=float),
-                                     np.asarray(v, dtype=float))
+        DimensionMismatchError for the call.  The jet's dtype, which every
+        later layer follows, is ``np.result_type(u, v, float)``."""
+        dtype = np.result_type(np.asarray(u), np.asarray(v), float)
+        uu, vv = np.broadcast_arrays(np.asarray(u, dtype), np.asarray(v, dtype))
         u, v = uu.ravel(), vv.ravel()
+        at = lambda k: f"(u,v)=({float(u.real[k])},{float(v.real[k])})"
         failed = {}
         for x, name, dom in ((u, "u", self.u_domain), (v, "v", self.v_domain)):
             slack = 1e-12 * max(1.0, abs(dom[0]), abs(dom[1]))
-            bad = ~((dom[0] - slack <= x) & (x <= dom[1] + slack))
+            bad = ~((dom[0] - slack <= x.real) & (x.real <= dom[1] + slack))
             for k in np.flatnonzero(bad).tolist():
                 failed.setdefault(k, ChartDomainError(
-                    f"{name}={x[k]} outside {dom}"))
-        parts = np.full((6, len(u), self.space.ambient_dim), np.nan)
+                    f"{name}={x.real[k]} outside {dom}"))
+        parts = np.full((6, len(u), self.space.ambient_dim), np.nan, dtype)
         inside = range(len(u))
         if failed:
             inside = [k for k in inside if k not in failed]
@@ -117,8 +119,7 @@ class Jet2Immersion:
                     failed[k] = exc
                 except (ArithmeticError, TypeError, ValueError) as exc:
                     failed[k] = ChartDomainError(
-                        f"chart failed at (u,v)=({us[k]},{vs[k]}): "
-                        f"{type(exc).__name__}: {exc}")
+                        f"chart failed at {at(k)}: {type(exc).__name__}: {exc}")
                 else:
                     rows.append(vectors)
                     done.append(k)
@@ -126,14 +127,13 @@ class Jet2Immersion:
             self._fill_rows(parts, rows, done)
         finite = _all_last(np.isfinite(parts).all(axis=0))
         for k in np.flatnonzero(~finite).tolist():
-            failed.setdefault(k, ChartDomainError(
-                f"non-finite jet at (u,v)=({float(u[k])},{float(v[k])})"))
+            failed.setdefault(k, ChartDomainError(f"non-finite jet at {at(k)}"))
         if failed:
             parts[:, list(failed)] = np.nan
         if uu.ndim == 0:
             if failed:
                 raise failed[0]
-            return JetSample(float(u[0]), float(v[0]), *parts[:, 0])
+            return JetSample(u[0].item(), v[0].item(), *parts[:, 0])
         parts = parts.reshape((6,) + uu.shape + parts.shape[2:])
         return (JetSample(uu, vv, *parts),
                 {k: f"{type(e).__name__}: {e}" for k, e in sorted(failed.items())})
@@ -158,11 +158,11 @@ class Jet2Immersion:
 
     def _fill_rows(self, parts, rows, ks):
         """Fill ``parts`` at ``ks`` from the pointwise results ``rows``, by
-        one conversion to an ``(n, 6, d)`` block; rows that do not convert
-        to one are checked and assigned point by point, which raises the
-        first malformed point's error."""
+        one conversion to an ``(n, 6, d)`` block of ``parts.dtype``; rows
+        that do not convert to one are checked and assigned point by point,
+        which raises the first malformed point's error."""
         try:
-            block = np.array(rows, dtype=float)
+            block = np.array(rows, dtype=parts.dtype)
         except Exception:  # the point-by-point pass raises the point's error
             block = None
         if block is None or block.shape != (len(ks), 6, parts.shape[2]):
@@ -404,10 +404,11 @@ def _complete_normals(space: AmbientSpace, jet: JetSample, G, e1, e2, e3, H,
     if space.is_embedded:
         priors.append(space.product_normal(jet.phi))
     G, mean = flat(np.broadcast_to(G, lead + (d,))), flat(has_mean)
-    basis = np.full((len(mean), d, d), np.nan)  # rows: priors, normal frame
+    basis = np.full((len(mean), d, d), np.nan, e1.dtype)  # priors, normals
     basis[:, :len(priors) + 1] = np.stack([flat(x) for x in priors + [e3]], 1)
+    s2 = flat(h_norm2)[mean]
     basis[mean, len(priors) + 1] = (flat(H)[mean]
-                                    / _col(np.sqrt(np.abs(flat(h_norm2)[mean]))))
+                                    / _col(np.sqrt(s2 * np.sign(s2.real))))
     start = np.where(flat(complete), len(priors) + 1 + mean, d)
     filled = start.copy()
     for c in range(d):
@@ -418,7 +419,8 @@ def _complete_normals(space: AmbientSpace, jet: JetSample, G, e1, e2, e3, H,
                                  G[idx])
             s2, ww = inner(w, w, G[idx]), _sum_last(w * w)
             take = (np.abs(s2) >= 1e-12 * np.maximum(1.0, ww)) & (ww >= 1e-12)
-            basis[idx[take], m] = w[take] / _col(np.sqrt(np.abs(s2[take])))
+            s2 = s2[take]
+            basis[idx[take], m] = w[take] / _col(np.sqrt(s2 * np.sign(s2.real)))
             filled[idx[take]] += 1
     raise_where(DegenerateFrameError, (filled < d).reshape(lead),
                 "could not complete the normal frame")
@@ -426,10 +428,10 @@ def _complete_normals(space: AmbientSpace, jet: JetSample, G, e1, e2, e3, H,
     # component crosses zero; pin the last completion vector to the ambient
     # orientation instead (smooth along catalog grids)
     flip = np.flatnonzero(filled > start)
-    basis[flip[np.linalg.det(basis[flip]) < 0.0], d - 1] *= -1.0
+    basis[flip[np.linalg.det(basis[flip].real) < 0.0], d - 1] *= -1.0
     if space.is_embedded:  # drop the product normal's row
         basis = np.delete(basis, 2, axis=1)
-    s2 = inner(basis, basis, G[:, None])
+    s2 = inner(basis, basis, G[:, None]).real
     signs = np.where(s2 > 0, 1, np.where(s2 < 0, -1, 0))
     m = basis.shape[1]
     return basis.reshape(lead + (m, d)), signs.reshape(lead + (m,))

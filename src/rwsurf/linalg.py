@@ -5,6 +5,8 @@ its diagonal, weights ``(..., d)`` from the AmbientSpace that interprets the
 vectors (both backends are diagonal at every point).  Every function here
 also takes stacks of points: leading axes broadcast and the result gains the
 same leading axes, so one call serves a whole grid.  d <= 8 throughout.
+Results take the dtype of the inputs (float64, complex128 or longdouble);
+``numeric_rank``, which decides, reads the real part.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ __all__ = [
 
 def _col(x) -> np.ndarray:
     """Per-point scalars as a trailing column, to scale ``(..., d)`` vectors."""
-    return np.asarray(x, dtype=float)[..., None]
+    return np.asarray(x)[..., None]
 
 
 def _sum_last(p) -> np.ndarray:
@@ -54,19 +56,17 @@ def inner(u, v, g):
     """Indefinite inner product sum_i u_i g_i v_i, g the metric's diagonal.
 
     u, v and g must agree in the coordinate dimension, and g may not have
-    more axes than u and v broadcast (a (d, d) matrix is refused).  A float
+    more axes than u and v broadcast (a (d, d) matrix is refused).  A scalar
     for single vectors, an array over the broadcast leading axes otherwise.
     """
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    g = np.asarray(g, dtype=float)
+    u, v, g = np.asarray(u), np.asarray(v), np.asarray(g)
     d = u.shape[-1:]
     if (u.ndim == 0 or v.shape[-1:] != d or g.shape[-1:] != d
             or g.ndim > max(u.ndim, v.ndim)):
         raise DimensionMismatchError(
             f"inner: shapes {u.shape}, {v.shape}, metric weights {g.shape}")
     out = _sum_last(u * g * v)
-    return float(out) if out.ndim == 0 else out
+    return out.item() if out.ndim == 0 else out
 
 
 def causal_character(v, g) -> str:
@@ -89,7 +89,7 @@ def project_out_span(x, basis, g):
     Works for mildly non-orthogonal bases: the projection coefficients solve
     the Gram system exactly instead of assuming the basis orthonormal.
     """
-    x = np.asarray(x, dtype=float)
+    x = np.asarray(x)
     if not len(basis):
         return x.copy()
     B = np.stack(basis, axis=-1)
@@ -101,8 +101,8 @@ def project_out_span(x, basis, g):
 def numeric_rank(vectors, g, tol: float = 1e-8) -> int:
     """Rank of the Gram matrix of ``vectors`` under the metric weights g.
 
-    Counts the eigenvalues of the symmetric Gram matrix whose absolute value
-    exceeds tol times the largest absolute one (they are its singular
+    Counts the eigenvalues of the Gram matrix's real part whose absolute
+    value exceeds tol times the largest absolute one (they are its singular
     values).  An empty list or an all-zero Gram matrix has rank 0.  A Gram
     matrix with an inf or NaN entry, an overflowing one included, raises
     LinAlgError naming it and, in a stack, its point.
@@ -111,7 +111,7 @@ def numeric_rank(vectors, g, tol: float = 1e-8) -> int:
         raise ValueError("numeric_rank: tol must be positive")
     if not len(vectors):
         return 0
-    Bt = np.stack([np.asarray(v, dtype=float) for v in vectors], axis=-2)
+    Bt = np.stack(vectors, axis=-2)
     with np.errstate(over="ignore", invalid="ignore"):
         M = (Bt * np.asarray(g)[..., None, :]) @ np.swapaxes(Bt, -1, -2)
     finite = np.isfinite(M).all(axis=(-2, -1))
@@ -120,6 +120,6 @@ def numeric_rank(vectors, g, tol: float = 1e-8) -> int:
         raise np.linalg.LinAlgError(
             "numeric_rank: the Gram matrix" + (f" at point {at}" if at else "")
             + f" is not finite: {M[at].tolist()}")
-    ev = np.abs(np.linalg.eigvalsh(M))
+    ev = np.abs(np.linalg.eigvalsh(M.real))
     rank = np.sum(ev > tol * ev.max(axis=-1, keepdims=True), axis=-1)
     return int(rank) if rank.ndim == 0 else rank

@@ -11,6 +11,8 @@ truncation error stays orders of magnitude below the stencil-tier
 tolerances even on coarse grids.  Stencil quantities that several checks
 read are computed once per grid, on first use (``_per_grid``), and
 ``SurfaceGrid.point(i, j)`` is a record of views into the grid's arrays.
+Every layer works in the jet's dtype: complex128 runs through
+``evaluate_point`` for charts that take complex u, v; grids are float64.
 """
 
 from __future__ import annotations
@@ -74,7 +76,7 @@ def _per_grid(fn):
 def _worst(values) -> float:
     """Largest of ``values`` (0.0 when there are none), or NaN when any value
     is NaN; the built-in max keeps whichever operand comes first."""
-    arr = np.asarray(values, dtype=float)
+    arr = np.asarray(values)
     return float(arr.max()) if arr.size else 0.0
 
 
@@ -195,14 +197,14 @@ def shape_operator(sfd: SecondFundamentalData, xi, G,
     tangent frame: (A_xi)_ij = <h(e_i, e_j), xi>.
 
     xi must satisfy |<xi, xi>| = 1; when ``frame`` is supplied, orthogonality
-    to the tangent plane is checked as well.
+    to the tangent plane is checked as well.  A NaN fails both checks.
     """
-    if np.any(np.abs(np.abs(inner(xi, xi, G)) - 1.0) > 1e-8):
+    if not np.all(np.abs(np.abs(inner(xi, xi, G)) - 1.0) <= 1e-8):
         raise ValueError("shape_operator needs a unit normal direction")
     if frame is not None:
         tilt = np.maximum(np.abs(inner(xi, frame.e1, G)),
                           np.abs(inner(xi, frame.e2, G)))
-        if np.any(tilt > 1e-8):
+        if not np.all(tilt <= 1e-8):
             raise ValueError("shape_operator: xi is not normal to the surface")
     return _pairing_matrix(sfd.h11, sfd.h12, sfd.h22, xi, G)
 
@@ -295,7 +297,7 @@ def evaluate_point(surface: Jet2Immersion, u, v, *, _full=True):
         out = x
         if len(alive) < len(jet.u):
             out = np.full((len(jet.u),) + x.shape[1:],
-                          np.nan if x.dtype.kind == "f" else 0, dtype=x.dtype)
+                          np.nan if x.dtype.kind in "fc" else 0, dtype=x.dtype)
             out[alive] = x
         return out.reshape(shape + x.shape[1:])
 
@@ -305,7 +307,7 @@ def evaluate_point(surface: Jet2Immersion, u, v, *, _full=True):
 def frame_norm(V, pd: PointData):
     """Norm of V from its components in the orthonormal frame (a true norm
     regardless of the indefinite signature), one value per point of pd."""
-    comps = inner(np.asarray(V, dtype=float)[..., None, :], pd.frame.vectors,
+    comps = inner(np.asarray(V)[..., None, :], pd.frame.vectors,
                   np.asarray(pd.G)[..., None, :])
     return np.sqrt(_sum_last(np.square(comps)))
 
@@ -328,8 +330,7 @@ class SurfaceGrid:
         substep = _check_substep(substep)
         self.surface = surface
         self.space = surface.space
-        self.us = np.asarray(us, dtype=float)
-        self.vs = np.asarray(vs, dtype=float)
+        self.us, self.vs = np.asarray(us), np.asarray(vs)
         self.nu, self.nv = len(self.us), len(self.vs)
 
         (u_lo, u_hi), (v_lo, v_hi) = surface.u_domain, surface.v_domain
@@ -385,7 +386,7 @@ class SurfaceGrid:
 
     def chart_derivative(self, extract: Callable, direction: str):
         """5-point stencil d/du or d/dv of a per-point field."""
-        field = np.asarray(extract(self.data), dtype=float)
+        field = extract(self.data)
         if direction == "u":
             slots, step = _U_SLOTS, self.su[:, None]
         else:
@@ -398,8 +399,7 @@ class SurfaceGrid:
         nd = self.node_data
         x = nd.jet.phi_u if direction == "u" else nd.jet.phi_v
         return ambient_covariant_derivative(
-            self.space, nd.jet.phi, x,
-            np.asarray(extract(self.data), dtype=float)[:, :, 0],
+            self.space, nd.jet.phi, x, extract(self.data)[:, :, 0],
             self.chart_derivative(extract, direction), nd.G, nd.warp_state)
 
     def _along_frame(self, derivative, extract):

@@ -150,7 +150,7 @@ def curvature_trace_term(frame, H, G, warp_state, c: float):
     curvature tensor contracted over the tangent frame and projected."""
     f, fp, fpp = warp_state
     e1, e2 = frame.e1, frame.e2
-    out = np.zeros_like(np.asarray(H, dtype=float))
+    out = np.zeros_like(H)
     for e in (e1, e2):
         R = curvature_rw_values(e, H, e, G, f, fp, fpp, c)
         out = out + _col(inner(R, e1, G)) * e1 + _col(inner(R, e2, G)) * e2
@@ -304,8 +304,7 @@ def flat_normal_bundle_check(grid: SurfaceGrid) -> float:
 # aggregator
 
 
-def _stats(values) -> dict:
-    arr = np.asarray(values, dtype=float)
+def _stats(arr) -> dict:
     return {"mean": float(arr.mean()), "min": float(arr.min()),
             "max": float(arr.max()), "var": float(arr.var())}
 

@@ -160,11 +160,11 @@ def test_metric_at_returns_the_diagonal_on_stacks(kind):
 
 def test_metric_at_locus_check_marks_off_points_in_a_stack():
     space = rw.AmbientSpace.product_space_form(5, 1)
-    p = np.zeros((4, 6))
-    p[:, 1] = [1.0, 1.1, 1.0, 0.9]
+    p = np.zeros((5, 6))
+    p[:, 1] = [1.0, 1.1, 1.0, 0.9, np.nan]  # a NaN point is off it too
     with pytest.raises(ChartDomainError, match="off the embedded") as exc:
         space.metric_at(p, (1.0, 0.0, 0.0))
-    assert exc.value.where.tolist() == [False, True, False, True]
+    assert exc.value.where.tolist() == [False, True, False, True, True]
 
 
 def test_comoving_split_examples():
@@ -392,6 +392,8 @@ def test_is_constant_curvature_cases():
     assert flag
     flag, dev = rw.is_constant_curvature(const, 1.0, (-1, 1))
     assert not flag and abs(dev - 1.0) < 1e-15
+    with pytest.raises(ValueError, match="samples must be at least 1, got 0"):
+        rw.is_constant_curvature(const, 0.0, (-1, 1), samples=0)
 
 
 def test_is_constant_curvature_generic_warp_fails():

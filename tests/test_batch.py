@@ -392,6 +392,42 @@ def test_evaluate_point_batch_records_failures(minkowski4):
     assert np.isfinite(data.frame.e1[[1, 3]]).all()
 
 
+# complex128 points with zero imaginary parts against float64, relative to
+# max(1, |x|): the two differ only in how complex arithmetic rounds
+COMPLEX_REL = 1e-13
+
+
+@pytest.mark.filterwarnings("error")  # a ComplexWarning fails the test
+def test_evaluate_point_computes_in_the_dtype_of_u_and_v(product_surface):
+    us, vs = sample_points(product_surface, 6)
+    us[2] = -1.0  # outside the chart domain
+    want, errors = evaluate_point(product_surface, us, vs)
+    got, complex_errors = evaluate_point(product_surface, us + 0j, vs + 0j)
+    assert list(errors) == [2] and complex_errors == errors
+    assert got.frame.vectors.dtype == complex
+    # the point outside the domain reads NaN, as in float64
+    for x in (got.ginv, got.frame.vectors, got.sfd.H):
+        assert np.isnan(x[2]).all()
+    for (path, x), (_, z) in zip(leaves(want), leaves(got)):
+        assert not np.imag(z).any(), path
+        dead = np.isnan(x)
+        assert np.array_equal(np.isnan(z), dead), path
+        x, z = x[~dead].astype(float), z.real[~dead].astype(float)
+        assert (np.abs(z - x) <= COMPLEX_REL * np.maximum(1.0, np.abs(x))).all(), path
+    # integer points are float64 points, bitwise
+    for ints in ((np.array([1, 2, 3]), np.array([2, 1, 3])), (1, 2)):
+        one = evaluate_point(product_surface, *ints)
+        two = evaluate_point(product_surface, *(x * 1.0 for x in ints))
+        for (path, x), (_, y) in zip(leaves(one), leaves(two)):
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), path
+    # longdouble is carried to LAPACK, which has no kernel for it
+    if np.finfo(np.longdouble).eps < np.finfo(float).eps:
+        ld = us[:2].astype(np.longdouble), vs[:2].astype(np.longdouble)
+        assert product_surface.jet(*ld)[0].phi.dtype == np.longdouble
+        with pytest.raises(TypeError, match="unsupported in linalg"):
+            evaluate_point(product_surface, *ld)
+
+
 def test_grid_fill_calls_each_layer_once(l4_surface, monkeypatch):
     calls = collections.Counter()
     warp = l4_surface.space.warp

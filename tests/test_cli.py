@@ -32,6 +32,15 @@ HOLED_PLANE = ("import math\n"
 HOLED_PLANE_ARGS = ["verify", "user-map", "--py", "holed_plane.py",
                     "--ambient", "warped-flat", "--n", "4", "--warp", "const:1",
                     "--chart-u-span=-1:1", "--chart-v-span=-1:1", "--grid", "5x5"]
+# the validated product member as a bare chart written with math, as in CI
+SPHERE_CHART = ("import math\n"
+                "B1, B3 = 1.0, 0.5\n"
+                "B2 = 1.0 / math.sqrt(12.0)\n"
+                "B0 = math.sqrt(1.0 - B2 * B2 - B3 * B3)\n"
+                "LAM = math.sqrt(1.0 + B1 * B1) / B0\n"
+                "def chart(u, v):\n"
+                "    return (-B1 * u, B0 * math.cos(LAM * u), B0 * math.sin(LAM * u),\n"
+                "            B2, B3 * math.sin(v / B3), B3 * math.cos(v / B3))\n")
 
 
 def test_verify_thm4_passes(tmp_path, capsys):
@@ -313,9 +322,17 @@ def test_report_and_dense_csv_bytes_are_pinned(argv, digests, tmp_path, capsys):
       "--force-b4"],
      1, ["29c480a44d4af93ac309b780da067e3a4dca28eb8bd94e7433c5dbabdf8986b2",
          "4d6d142b46f1cd7b76a8381c7d7dfbf8192fd31987536f0dd89f4814be3b4a8d"]),
-], ids=["thm4", "thm5", "product", "product-force-b4"])
+    # the finite-difference jet path; CI's sphere-chart run writes these bytes
+    (["verify", "user-map", "--py", "sphere_chart.py", "--ambient", "product",
+      "--n", "5", "--chart-u-span", "0.1:3.3", "--chart-v-span", "0.1:3.0"],
+     0, ["c79c4386b1341e9ba7aa73abcdca370de21e3cf38d2b8bf4418351cf730e2e42",
+         "23b52e89f7ece721c958cd321ddad81636e8fa395411a5726c5020f6a6616114"]),
+], ids=["thm4", "thm5", "product", "product-force-b4", "user-map-sphere"])
 def test_verify_stdout_and_report_bytes_are_pinned(argv, code, digests,
-                                                   tmp_path, capsys):
+                                                   tmp_path, monkeypatch,
+                                                   capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sphere_chart.py").write_text(SPHERE_CHART)
     out = tmp_path / "report.json"
     assert main(argv + ["--grid", "5x5", "--out", str(out)]) == code
     text = capsys.readouterr().out
@@ -654,15 +671,7 @@ def test_verify_user_map_product_member(tmp_path, capsys):
     # the product family passed back in as a bare chart: the whole pipeline
     # runs through finite-difference jets on the embedded backend
     py = tmp_path / "member.py"
-    py.write_text(
-        "import math\n"
-        "B1, B3 = 1.0, 0.5\n"
-        "B2 = 1.0 / math.sqrt(12.0)\n"
-        "B0 = math.sqrt(1.0 - B2 * B2 - B3 * B3)\n"
-        "LAM = math.sqrt(1.0 + B1 * B1) / B0\n"
-        "def chart(u, v):\n"
-        "    return (-B1 * u, B0 * math.cos(LAM * u), B0 * math.sin(LAM * u),\n"
-        "            B2, B3 * math.sin(v / B3), B3 * math.cos(v / B3))\n")
+    py.write_text(SPHERE_CHART)
     code = main(["verify", "user-map", "--py", str(py), "--ambient", "product",
                  "--n", "5", "--c", "1", "--chart-u-span", "0.1:3.3",
                  "--chart-v-span", "0.1:3.0", "--grid", "5x5"])

@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import math
 
 import numpy as np
@@ -82,6 +83,13 @@ def test_shape_operator_rejects_bad_directions(l5_grid):
         shape_operator(pd.sfd, 2.0 * pd.frame.normals[0], pd.G)
     with pytest.raises(ValueError):
         shape_operator(pd.sfd, pd.frame.e1, pd.G, frame=pd.frame)
+    # NaN trips both guards
+    with pytest.raises(ValueError, match="unit normal"):
+        shape_operator(pd.sfd, np.full_like(pd.frame.e1, np.nan), pd.G)
+    nan_frame = dataclasses.replace(
+        pd.frame, vectors=np.full_like(pd.frame.vectors, np.nan))
+    with pytest.raises(ValueError, match="not normal"):
+        shape_operator(pd.sfd, pd.frame.normals[0], pd.G, frame=nan_frame)
 
 
 def test_h_is_normal_valued(l5_grid):
