@@ -222,7 +222,8 @@ def finite_difference_jet(chart: Callable[[float, float], np.ndarray],
 
     def evaluator(u, v):
         single = np.ndim(u) == 0
-        u, v = np.atleast_1d(np.asarray(u, float), np.asarray(v, float))
+        u, v = (np.atleast_1d(x).astype(float, casting="same_kind")
+                for x in (u, v))
         su, sv = 1.0 + np.abs(u), 1.0 + np.abs(v)
         h2u, h2v = FD_STEP_SECOND * su, FD_STEP_SECOND * sv
         phi = at(u, v)
@@ -268,7 +269,7 @@ def induced_metric(jet: JetSample, G) -> np.ndarray:
     g = np.stack([np.stack([g11, g12], axis=-1),
                   np.stack([g12, g22], axis=-1)], axis=-2)
     det = g11 * g22 - g12 * g12
-    raise_where(NotSpaceLikeError, (g11 <= 0.0) | (det <= 0.0),
+    raise_where(NotSpaceLikeError, (g11.real <= 0.0) | (det.real <= 0.0),
                 "induced metric not positive definite at (u,v)=({},{}): "
                 "g11={:.6g}, det={:.6g}", jet.u, jet.v, g11, det)
     return g
@@ -357,7 +358,7 @@ def adapted_frame(jet: JetSample, space: AmbientSpace, G, ginv,
     T = coef_T[..., :1] * jet.phi_u + coef_T[..., 1:] * jet.phi_v
     eta = dt - T
     sinh2 = inner(T, T, G)
-    raise_where(HorizontalSliceError, sinh2 <= TOL_T * TOL_T,
+    raise_where(HorizontalSliceError, sinh2.real <= TOL_T * TOL_T,
                 "tangential comoving part vanishes at (u,v)=({},{})",
                 jet.u, jet.v)
     sinh_theta = np.sqrt(sinh2)
@@ -369,8 +370,7 @@ def adapted_frame(jet: JetSample, space: AmbientSpace, G, ginv,
     v1 = inner(jet.phi_v, e1, G)
     w2 = jet.phi_v - _col(v1) * e1
     n2 = inner(w2, w2, G)
-    raise_where(DegenerateFrameError, (n2 <= 0.0) | (n2 < 1e-24),
-                "phi_v is parallel to e1")
+    raise_where(DegenerateFrameError, n2.real < 1e-24, "phi_v is parallel to e1")
     e2 = w2 / _col(np.sqrt(n2))
 
     #  e1, e2 expressed in the chart basis (for directional derivatives)
@@ -392,11 +392,11 @@ def _complete_normals(space: AmbientSpace, jet: JetSample, G, e1, e2, e3, H,
     """The frame (..., m, d) and its causal signs (..., m): e1, e2, e3, then
     e4 = H/|H| where the mean curvature direction exists, then
     signature-aware Gram-Schmidt over the coordinate candidates, which each
-    point accepts or skips on its own.  Points holding equally many basis
-    vectors share one batched projection per candidate.  Only the points
-    where ``complete`` holds are completed: elsewhere the rows after e3 and
-    e4 = H/|H| read NaN and their signs 0.  The product backend's normal
-    joins the Gram-Schmidt basis but not the frame."""
+    point accepts or skips on its own.  The basis is zero-padded, so every
+    point still completing shares one batched projection per candidate.
+    Only the points where ``complete`` holds are completed: elsewhere the
+    rows after e3 and e4 = H/|H| read NaN and their signs 0.  The product
+    backend's normal joins the Gram-Schmidt basis but not the frame."""
     d = space.ambient_dim
     lead = np.shape(e1)[:-1]
     flat = lambda x: np.reshape(x, (-1,) + np.shape(x)[len(lead):])
@@ -404,31 +404,31 @@ def _complete_normals(space: AmbientSpace, jet: JetSample, G, e1, e2, e3, H,
     if space.is_embedded:
         priors.append(space.product_normal(jet.phi))
     G, mean = flat(np.broadcast_to(G, lead + (d,))), flat(has_mean)
-    basis = np.full((len(mean), d, d), np.nan, e1.dtype)  # priors, normals
+    basis = np.zeros((len(mean), d, d), e1.dtype)  # priors, normals
     basis[:, :len(priors) + 1] = np.stack([flat(x) for x in priors + [e3]], 1)
     s2 = flat(h_norm2)[mean]
     basis[mean, len(priors) + 1] = (flat(H)[mean]
                                     / _col(np.sqrt(s2 * np.sign(s2.real))))
-    start = np.where(flat(complete), len(priors) + 1 + mean, d)
-    filled = start.copy()
+    start = len(priors) + 1 + mean
+    filled, active = start.copy(), flat(complete)
     for c in range(d):
-        groups = [(m, np.flatnonzero(filled == m))
-                  for m in np.unique(filled[filled < d])]
-        for m, idx in groups:
-            w = project_out_span(np.eye(d)[c], basis[idx, :m].swapaxes(0, 1),
-                                 G[idx])
-            s2, ww = inner(w, w, G[idx]), _sum_last(w * w)
-            take = (np.abs(s2) >= 1e-12 * np.maximum(1.0, ww)) & (ww >= 1e-12)
-            s2 = s2[take]
-            basis[idx[take], m] = w[take] / _col(np.sqrt(s2 * np.sign(s2.real)))
-            filled[idx[take]] += 1
-    raise_where(DegenerateFrameError, (filled < d).reshape(lead),
+        idx = np.flatnonzero(active & (filled < d))
+        if not len(idx):
+            break
+        w = project_out_span(np.eye(d)[c], basis[idx].swapaxes(0, 1), G[idx])
+        s2, ww = inner(w, w, G[idx]), _sum_last(w * w).real
+        take = (np.abs(s2) >= 1e-12 * np.maximum(1.0, ww)) & (ww >= 1e-12)
+        s2, idx = s2[take], idx[take]
+        basis[idx, filled[idx]] = w[take] / _col(np.sqrt(s2 * np.sign(s2.real)))
+        filled[idx] += 1
+    raise_where(DegenerateFrameError, (active & (filled < d)).reshape(lead),
                 "could not complete the normal frame")
+    basis[np.arange(d) >= filled[:, None]] = np.nan
     # the coordinate-candidate sign rule is not smooth where the candidate
     # component crosses zero; pin the last completion vector to the ambient
     # orientation instead (smooth along catalog grids)
     flip = np.flatnonzero(filled > start)
-    basis[flip[np.linalg.det(basis[flip].real) < 0.0], d - 1] *= -1.0
+    basis[flip[np.linalg.det(basis[flip].real.astype(float)) < 0], d - 1] *= -1
     if space.is_embedded:  # drop the product normal's row
         basis = np.delete(basis, 2, axis=1)
     s2 = inner(basis, basis, G[:, None]).real

@@ -6,7 +6,8 @@ vectors (both backends are diagonal at every point).  Every function here
 also takes stacks of points: leading axes broadcast and the result gains the
 same leading axes, so one call serves a whole grid.  d <= 8 throughout.
 Results take the dtype of the inputs (float64, complex128 or longdouble);
-``numeric_rank``, which decides, reads the real part.
+``numeric_rank``, which decides, reads the real part in float64, and
+``project_out_span`` projects off a g-orthonormal span twice, without LAPACK.
 """
 
 from __future__ import annotations
@@ -84,18 +85,19 @@ def causal_character(v, g) -> str:
 
 
 def project_out_span(x, basis, g):
-    """Return x minus its g-orthogonal projection onto span(basis).
-
-    Works for mildly non-orthogonal bases: the projection coefficients solve
-    the Gram system exactly instead of assuming the basis orthonormal.
-    """
+    """Return x minus its g-orthogonal projection onto span(basis), for a
+    g-orthonormal basis (a zero vector adds nothing): x - sum_k sign<b_k,b_k>
+    <x,b_k> b_k, applied twice (Giraud, Langou and Rozloznik 2005)."""
     x = np.asarray(x)
     if not len(basis):
         return x.copy()
-    B = np.stack(basis, axis=-1)
-    BtG = np.stack(basis, axis=-2) * np.asarray(g)[..., None, :]
-    coef = np.linalg.solve(BtG @ B, BtG @ x[..., None])
-    return x - (B @ coef)[..., 0]
+    B, gB = np.stack(basis, axis=-2), np.asarray(g)[..., None, :]
+    signs = np.sign(inner(B, B, gB).real)
+    for _ in range(2):
+        coef = inner(x[..., None, :], B, gB) * signs
+        for k in range(B.shape[-2]):
+            x = x - _col(coef[..., k]) * B[..., k, :]
+    return x
 
 
 def numeric_rank(vectors, g, tol: float = 1e-8) -> int:
@@ -120,6 +122,6 @@ def numeric_rank(vectors, g, tol: float = 1e-8) -> int:
         raise np.linalg.LinAlgError(
             "numeric_rank: the Gram matrix" + (f" at point {at}" if at else "")
             + f" is not finite: {M[at].tolist()}")
-    ev = np.abs(np.linalg.eigvalsh(M.real))
+    ev = np.abs(np.linalg.eigvalsh(M.real.astype(float)))
     rank = np.sum(ev > tol * ev.max(axis=-1, keepdims=True), axis=-1)
     return int(rank) if rank.ndim == 0 else rank

@@ -238,7 +238,9 @@ def _point_data(space: AmbientSpace, jet: JetSample, warp_state,
     """Every quantity after the jet and the warp, each computed once, for one
     point or a stack of points; ``full`` as ``adapted_frame``'s ``_full``."""
     G = space.metric_at(jet.phi, warp_state)
-    ginv = np.linalg.inv(induced_metric(jet, G))
+    g = induced_metric(jet, G)
+    det = g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] * g[..., 1, 0]
+    ginv = g[..., ::-1, ::-1] * [[1.0, -1.0], [-1.0, 1.0]] / _col(_col(det))
     _, h_chart, H = chart_second_fundamental(jet, space, G, ginv, warp_state)
     frame = adapted_frame(jet, space, G, ginv, H, _full=full)
     return PointData(jet, G, ginv, warp_state, frame,
@@ -441,8 +443,7 @@ class SurfaceGrid:
         W = np.stack([np.stack(row, axis=-2) for row in self.frame_covariants()],
                      axis=-3)
         E = nd.frame.vectors[..., None, None, :2, :]
-        return inner(W[..., None, :], E,
-                     nd.G[..., None, None, None, :])
+        return inner(W[..., None, :], E, nd.G[..., None, None, None, :])
 
     @_per_grid
     def nabla_perp_h(self):
@@ -489,10 +490,6 @@ class NormalSpaceDims(NamedTuple):
     n2_range: tuple[int, int]
 
 
-def _dimension(x: float):
-    return int(x) if np.isfinite(x) else float("nan")
-
-
 def normal_space_dims(grid: SurfaceGrid) -> NormalSpaceDims:
     """Numeric dimensions of the first and second normal spaces.
 
@@ -521,6 +518,7 @@ def normal_space_dims(grid: SurfaceGrid) -> NormalSpaceDims:
         ranks = np.full(use.shape, np.nan)
         ranks[use] = numeric_rank(list(gens[:m]), nd.G[use], RANK_TOL)
         ranks = ranks[grid.ok]
-        dims.append([_dimension(x) for x in (_worst(ranks), np.min(ranks))])
+        dims.append([int(x) if np.isfinite(x) else float("nan")
+                     for x in (_worst(ranks), np.min(ranks))])
     (n1, n1_lo), (n2, n2_lo) = dims
     return NormalSpaceDims(n1, n2, (n1_lo, n1), (n2_lo, n2))

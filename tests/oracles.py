@@ -38,7 +38,9 @@ def dense_inner(u, v, G):
 
 
 def dense_project_out_span(x, basis, G):
-    """``project_out_span`` with a full metric matrix G (..., d, d)."""
+    """x minus its G-orthogonal projection onto span(basis) by the Gram
+    solve, with a full metric matrix G (..., d, d): the oracle of
+    ``project_out_span``, exact for any basis, orthonormal or not."""
     x = np.asarray(x, dtype=float)
     B = np.stack(basis, axis=-1)
     BtG = np.swapaxes(B, -1, -2) @ np.asarray(G, dtype=float)

@@ -240,7 +240,7 @@ def test_pointwise_wrapper_report_bytes_are_pinned(product_surface,
                          expect=product_expect)
     assert rep.verdict == "degenerate"
     assert hashlib.sha256(rep.to_json().encode()).hexdigest() == (
-        "45b99c7c0951258af3b3804e98c613371f983f0b14ad81b427236178715f55c7")
+        "6b8aa778799dbe5959582b4596c5b9ef9f5c28a2d3410aace93a333a6e06ea8b")
 
 
 @pytest.mark.parametrize("surface_name, grid", [
@@ -392,8 +392,8 @@ def test_evaluate_point_batch_records_failures(minkowski4):
     assert np.isfinite(data.frame.e1[[1, 3]]).all()
 
 
-# complex128 points with zero imaginary parts against float64, relative to
-# max(1, |x|): the two differ only in how complex arithmetic rounds
+# complex128 points with zero imaginary parts, and longdouble points, against
+# float64, relative to max(1, |x|): they differ only in how each rounds
 COMPLEX_REL = 1e-13
 
 
@@ -420,12 +420,26 @@ def test_evaluate_point_computes_in_the_dtype_of_u_and_v(product_surface):
         two = evaluate_point(product_surface, *(x * 1.0 for x in ints))
         for (path, x), (_, y) in zip(leaves(one), leaves(two)):
             assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), path
-    # longdouble is carried to LAPACK, which has no kernel for it
+    # longdouble runs end to end, where it is wider than float64: every field
+    # computed from the jet is longdouble; the product backend's constant
+    # metric weights and the warp state, read at real float times, stay float64
     if np.finfo(np.longdouble).eps < np.finfo(float).eps:
-        ld = us[:2].astype(np.longdouble), vs[:2].astype(np.longdouble)
-        assert product_surface.jet(*ld)[0].phi.dtype == np.longdouble
-        with pytest.raises(TypeError, match="unsupported in linalg"):
-            evaluate_point(product_surface, *ld)
+        got, ld_errors = evaluate_point(
+            product_surface, us.astype(np.longdouble), vs.astype(np.longdouble))
+        assert ld_errors == errors
+        for x in (got.ginv, got.frame.vectors, got.sfd.H):
+            assert np.isnan(x[2]).all()
+        for (path, x), (_, z) in zip(leaves(want), leaves(got)):
+            if x.dtype.kind != "f":
+                assert np.array_equal(z, x), path
+                continue
+            floats = path == "data.G" or path.startswith("data.warp_state")
+            assert z.dtype == (np.float64 if floats else np.longdouble), path
+            dead = np.isnan(x)
+            assert np.array_equal(np.isnan(z), dead), path
+            x, z = x[~dead], z[~dead].astype(float)
+            bound = COMPLEX_REL * np.maximum(1.0, np.abs(x))
+            assert (np.abs(z - x) <= bound).all(), path
 
 
 def test_grid_fill_calls_each_layer_once(l4_surface, monkeypatch):
@@ -544,15 +558,18 @@ def test_points_without_a_mean_direction_keep_the_full_frame(
 @pytest.mark.parametrize("kind", ["thm4", "thm5", "product", "tilted-plane"])
 def test_completion_sees_the_nodes_and_the_points_without_a_mean_direction(
         kind, request, monkeypatch):
-    seen = []
+    # the fixture's grid is filled first: a session grid built under the spy
+    # would be a second completion
+    fixture = grid_of(kind, request)
+    seen, candidates = [], []
 
     def spy(x, basis, g):
+        candidates.append(int(np.flatnonzero(x)[0]))
         if x[0] == 1.0:  # the first candidate: each completed point once
             seen.extend(map(tuple, basis[0].tolist()))  # its e1
         return project_out_span(x, basis, g)
 
     monkeypatch.setattr(immersion, "project_out_span", spy)
-    fixture = grid_of(kind, request)
     grid = SurfaceGrid(fixture.surface, fixture.us, fixture.vs)
     fr = grid.data.frame
     # at d = 4 a point with a mean direction has nothing left to complete
@@ -562,6 +579,44 @@ def test_completion_sees_the_nodes_and_the_points_without_a_mean_direction(
     assert sorted(seen) == sorted(map(tuple, want.tolist()))
     assert len(seen) == (0 if kind == "thm4" else
                          225 if kind == "tilted-plane" else 81)
+    # one batched projection per coordinate candidate, whatever the points'
+    # basis sizes: candidates 0, 1, ... in turn, each once
+    assert candidates == list(range(len(candidates)))
+    assert (len(candidates) == 0) == (kind == "thm4")
+
+
+def test_completion_projects_once_per_candidate_across_basis_sizes(
+        monkeypatch):
+    # the tilted graph (S u, C u, v, 0, v^3) in R^5_1 has H = 0 at v = 0 only,
+    # and H orthogonal to e3 elsewhere: the completion starts from e1, e2, e3
+    # at v = 0 and from e4 = H/|H| as well at v = 0.5, and both points share
+    # each candidate's projection
+    S, C = math.sinh(0.8), math.cosh(0.8)
+    zero = np.zeros(5)
+
+    def evaluator(u, v):
+        return (np.array([S * u, C * u, v, 0.0, v ** 3]),
+                np.array([S, C, 0.0, 0.0, 0.0]),
+                np.array([0.0, 0.0, 1.0, 0.0, 3.0 * v * v]),
+                zero, zero, np.array([0.0, 0.0, 0.0, 0.0, 6.0 * v]))
+
+    space = rw.AmbientSpace.warped_flat(5, rw.WarpingFunction.constant(1.0))
+    surface = rw.Jet2Immersion(space, evaluator, (-1.0, 1.0), (-1.0, 1.0))
+    candidates = []
+
+    def spy(x, basis, g):
+        candidates.append(int(np.flatnonzero(x)[0]))
+        return project_out_span(x, basis, g)
+
+    monkeypatch.setattr(immersion, "project_out_span", spy)
+    data, errors = evaluate_point(surface, np.zeros(2), np.array([0.0, 0.5]))
+    assert errors == {}
+    assert data.frame.has_mean_direction.tolist() == [False, True]
+    assert candidates == list(range(len(candidates))) and candidates
+    fr = data.frame
+    gram = rw.inner(fr.vectors[:, :, None], fr.vectors[:, None],
+                    data.G[:, None, None])
+    assert np.abs(gram - np.eye(5) * fr.signs[:, None]).max() < 1e-14
 
 
 @pytest.mark.parametrize("kind", ["thm4", "thm5", "product", "control"])

@@ -290,7 +290,7 @@ def test_default_scan_csv_bytes_are_pinned(argv, digest, tmp_path, capsys):
 @pytest.mark.parametrize("argv, digests", [
     (["verify", "thm4", "--a", "2", "--H0", "0.5", "--f0", "1", "--f0p", "2",
       "--grid", "5x5", "--residuals-csv", "{0}", "--surface-csv", "{1}"],
-     ["c730b376cf9f425bf33f8365a913f8c79aec71b13201a53b686e6a711873e854",
+     ["a02e30ff041a27ec5e12f4661d579d51d8d694cb90f15ab1416f0a60668b04d3",
       "101b3a43a35368d86ca2ac1458ddafcad3573505499c5b9652fbac9ac7f038d1"]),
     (["solve", "f4", "--a", "2", "--H0", "0.5", "--f0", "1", "--f0p", "2",
       "--csv", "{0}", "--samples", "2001"],
@@ -309,24 +309,24 @@ def test_report_and_dense_csv_bytes_are_pinned(argv, digests, tmp_path, capsys):
 # digests (stdout, --out JSON) of the verify subcommands built per family
 @pytest.mark.parametrize("argv, code, digests", [
     (["verify", "thm4", "--a", "2", "--H0", "0.5", "--f0", "1", "--f0p", "2"],
-     0, ["ae068d91a8ee442feb66e77295d047667114b02a75fb54bf27fa77b4c07027fe",
-         "8b91a935beb14269848ee6a6f8c9c9070ed47e0247db065d4765ee187a12bccd"]),
+     0, ["9d1150c82bd82ce13311cc62df06cbe60e7ddc6dff9a31961911bc04fcada803",
+         "777cf9ba8e5d40e4ce1f3408fc43775b4bdcc8f70af0705b2234f03d41bfa4d7"]),
     (["verify", "thm5", "--a", "2", "--H0", "0.6", "--c2", "0.48", "--c3", "0.64",
       "--f0", "1.5", "--f0p", "1.2", "--y0", "0.4", "--y0p", "-0.7"],
-     0, ["f0f586acca6cdfa649b998f8084d28ac5b4ee578d174551a5f1d36991c2c5bd6",
-         "4200defcd5d1fc92e4a5cf57763e7ddb0948d8bce14ac277fffa645ef9f6fe5c"]),
+     0, ["8d5c7ab6e0ba94c74852ee201c1b16f1b67902429f133a1a47b1c5510e553af4",
+         "ebe2935e88d1a88e9fa9cd8021fb7f54a7138cd31becffa7f065ac8bfcdeb118"]),
     (["verify", "product", "--b1", "1", "--b3", "0.5"],
-     0, ["0a770cb2dfabd27d04be2656fc5d0a3f86ea55f34f0714d6fbcce274feda97ad",
-         "c8f006571b0012b69eb1de18c6e76b0a31d34a01df3879284040e9c7e8ee0702"]),
+     0, ["1abd4a30825e1da362c07116ae021d89f933075e867672e9b920aecb961913af",
+         "a1e994e0314a9a352fbc729fc8cf8cd28c90dd5e05e1967fa89976d402ff6820"]),
     (["verify", "product", "--b1", "1", "--b2", "0.4", "--b3", "0.5",
       "--force-b4"],
-     1, ["29c480a44d4af93ac309b780da067e3a4dca28eb8bd94e7433c5dbabdf8986b2",
-         "4d6d142b46f1cd7b76a8381c7d7dfbf8192fd31987536f0dd89f4814be3b4a8d"]),
+     1, ["dedb94c6e307623ffccb884e3693049d7387f0b7e0f92e50f39d2bb0fd80ea5a",
+         "731f848420f58eaf38d20fd5f0ef4a0a160ff763e96dca6029342e15b335155b"]),
     # the finite-difference jet path; CI's sphere-chart run writes these bytes
     (["verify", "user-map", "--py", "sphere_chart.py", "--ambient", "product",
       "--n", "5", "--chart-u-span", "0.1:3.3", "--chart-v-span", "0.1:3.0"],
      0, ["c79c4386b1341e9ba7aa73abcdca370de21e3cf38d2b8bf4418351cf730e2e42",
-         "23b52e89f7ece721c958cd321ddad81636e8fa395411a5726c5020f6a6616114"]),
+         "66f82399dc1e9b5815132c5bdca2b036319fb36d5c4bfec1a2b1f8f16ac188a0"]),
 ], ids=["thm4", "thm5", "product", "product-force-b4", "user-map-sphere"])
 def test_verify_stdout_and_report_bytes_are_pinned(argv, code, digests,
                                                    tmp_path, monkeypatch,
@@ -344,23 +344,23 @@ def test_verify_stdout_and_report_bytes_are_pinned(argv, code, digests,
 # the grids the certificates are read at, where every short-axis sum runs
 @pytest.mark.parametrize("argv, code, digests", [
     (["verify", "thm4", "--a", "2", "--H0", "0.5", "--f0", "1", "--f0p", "2"],
-     0, ["9d53bb28db1119270635c65ca49b695c707c4ec12751a8b20687c345db597476",
-         "9d10c41cb24c459a332ade9ad637e38270a9f9768185488657a9ac66254b4567"]),
+     0, ["d6b566e98113674398be5dbf875c962c3269c2fa293b02c619cacd0106fa2020",
+         "c471e0a7a6dce1bbae52b8709308d65918b52e759ff21bc4d591a174aba4e85d"]),
     (["verify", "thm5", "--a", "2", "--H0", "0.6", "--c2", "0.48", "--c3", "0.64",
       "--f0", "1.5", "--f0p", "1.2", "--y0", "0.4", "--y0p", "-0.7"],
-     0, ["3aba0484a50e2a67426e77a50a20abc3150fb53dcc4d68c4417c06fe5d843adf",
-         "8ceea76e8bc08aaae8b4e3bbe0ea36748902cbf9acfb126d651084cbd848342f"]),
+     0, ["46e0fda8d1138105f1eac139364480da0c0cbd478a1f7038c5dfc3a8f1028035",
+         "e368805bc290fa3123cca648172b657c04a0d2bb05a4216d5539335bad2dc172"]),
     (["verify", "product", "--b1", "1", "--b3", "0.5"],
-     0, ["61f484b50ebec0e0fd6cad9651801607ed0d520bc88589ad742d429bde49daeb",
-         "4f311f09b1ab4b442ce3a9187bda4101a0ed7a9b708790cabca0c21432422beb"]),
+     0, ["3ca0261ff363d79f28b6fe1be959a9378383ef93caec993df0477886106e3220",
+         "9b83c5bba24c9cb0bd69076cc3d7538aa0c34447b5c5ba8186a4cd2b1d363eb8"]),
     (["verify", "product", "--b1", "1", "--b2", "0.4", "--b3", "0.5",
       "--force-b4"],
-     1, ["5633c1dd245ec86b6a64a7fcec957fa9378c55ce7421f12a019957049e907b69",
-         "b6cc0d086f82149f7036cdd1092681b8dd9eac5a6ae162624674b536afd14416"]),
+     1, ["e5702ec61bcbdd31b3c934728d17e3ffc54f8134ee75690dc3c6e0d46f9357d2",
+         "22cdb0b751723b92f0c00ce8c7980a913dd14ed3601cf43422f428dc294abf04"]),
     (["verify", "thm4", "--a", "2", "--H0", "0.5", "--f0", "1", "--f0p", "2",
       "--grid", "33x33"],
-     0, ["4ad2277f8428bd0db6590a18e48a5a9c6897daa036ce6547de39c38f6d3231b8",
-         "c8be7b7c04765397cfc238f24724b2c13531db6f747de60f59e296283df5fc74"]),
+     0, ["b23406281c360da3e5cdfeafd67ade047d766675a3b22fb5bc26d43ccfbc5252",
+         "e8479d43b1d35e8a6e88136835605028872a216a071a643def89f0dce38d9e37"]),
 ], ids=["thm4", "thm5", "product", "product-force-b4", "thm4-33x33"])
 def test_verify_report_bytes_are_pinned_at_certificate_grids(
         argv, code, digests, tmp_path, capsys):

@@ -8,7 +8,7 @@ import pytest
 import rwsurf as rw
 from rwsurf.errors import (ChartDomainError, DimensionMismatchError,
                            HorizontalSliceError, NotSpaceLikeError)
-from rwsurf.immersion import (FD_STEP_FIRST, FD_STEP_SECOND,
+from rwsurf.immersion import (FD_STEP_FIRST, FD_STEP_SECOND, JetSample,
                               finite_difference_jet)
 from rwsurf.shape import SurfaceGrid, evaluate_point
 
@@ -255,6 +255,21 @@ def test_induced_metric_rejects_timelike_chart(minkowski4):
             jet.phi, minkowski4.warp_state(jet.phi)))
 
 
+def test_induced_metric_reads_the_real_part_of_a_complex_metric():
+    # g11 = -1 + (1 + 5e-31j)^2 = 0 + 1e-30j: not positive, at one point and
+    # in a stack of one
+    zero = np.zeros(4, complex)
+    vecs = (zero, np.array([1.0, 1.0 + 5e-31j, 0.0, 0.0]),
+            np.array([0.0, 0.0, 1.0, 0.0], complex), zero, zero, zero)
+    G = np.array([-1.0, 1.0, 1.0, 1.0])
+    with pytest.raises(NotSpaceLikeError, match="g11=0, det=0"):
+        rw.induced_metric(JetSample(0.0, 0.0, *vecs), G)
+    stack = JetSample(np.zeros(1), np.zeros(1), *(x[None] for x in vecs))
+    with pytest.raises(NotSpaceLikeError) as exc:
+        rw.induced_metric(stack, G)
+    assert exc.value.where.tolist() == [True]
+
+
 def test_adapted_frame_orthonormal_and_reassembles(l4_surface):
     space = l4_surface.space
     jet = l4_surface.jet(0.06, 1.1)
@@ -454,6 +469,25 @@ def test_fd_grid_fill_is_one_evaluator_call():
     assert grid.degeneracies == []
     # each of the 6 x 4 nodes and its 8 cross-stencil points: 25 chart calls
     assert calls == {"evaluator": 1, "chart": 25 * 6 * 4 * 9}
+
+
+@pytest.mark.filterwarnings("error")  # a ComplexWarning fails the test
+def test_fd_jet_refuses_complex_points():
+    # a user chart is called at floats: a complex point is that point's chart
+    # failure, never a sample at its real part
+    chart, space, u_dom, v_dom = _product_member()
+    fd = finite_difference_jet(chart, space, u_dom, v_dom)
+    uv = np.array([0.5, 1.0]) + 0j
+    data, errors = evaluate_point(fd, uv, uv)
+    assert sorted(errors) == [0, 1]
+    assert all(e.startswith("ChartDomainError: chart failed at")
+               for e in errors.values())
+    for x in (data.jet.phi, data.ginv, data.frame.vectors, data.sfd.H):
+        assert np.isnan(x).all()
+    # int points are float points, bitwise
+    ints = fd.evaluator(np.array([1, 2]), np.array([1, 1]))
+    floats = fd.evaluator(np.array([1.0, 2.0]), np.array([1.0, 1.0]))
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(ints, floats))
 
 
 def _faulty_fd_chart(calls):

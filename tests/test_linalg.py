@@ -197,19 +197,56 @@ def _dense(g):
 
 @pytest.mark.parametrize("d", range(2, 8))
 def test_weights_match_the_dense_metric_bitwise(d):
-    # the matmuls after B^T G sum in the dense order only when B^T G is in
-    # C order, as a dense product is; an elementwise product of a transposed
-    # view is not
-    g, (u, v, a, b) = _seeded_stack(d)
+    g, (u, v, _, _) = _seeded_stack(d)
     G = _dense(g)
     assert np.array_equal(rw.inner(u, v, g), dense_inner(u, v, G))
     assert np.array_equal(rw.inner(u, u[0, 0], g), dense_inner(u, u[0, 0], G))
     for i in range(u.shape[0]):  # single vectors give the same float
         assert rw.inner(u[i, 0], v[i, 0], g[i, 0]) == dense_inner(
             u[i, 0], v[i, 0], G[i, 0])
-    basis = [a, b][:d - 1]
-    assert np.array_equal(project_out_span(u, basis, g),
-                          dense_project_out_span(u, basis, G))
+
+
+def _orthonormal_basis(d, m, seed, points=(5, 3)):
+    """Lorentzian weights (-1, w, ...) on a stack of points, m vectors of a
+    random g-orthonormal frame there and a vector x: the frame is the
+    weights' unit coordinate vectors under a spatial rotation, a boost of
+    rapidity up to 1 along the first spatial axis and another rotation.  The
+    Gram-solve oracle's own error grows with the boost: at rapidity 2 and
+    d = 7 it was 1.0e-13 off a 40-digit projection, ``project_out_span``
+    4.4e-16."""
+    rng = np.random.default_rng(100 * d + seed)
+    g = np.concatenate([-np.ones(points + (1,)),
+                        rng.uniform(0.1, 10.0, points + (d - 1,))], axis=-1)
+
+    def rotation():
+        R = np.zeros(points + (d, d))
+        R[..., 0, 0] = 1.0
+        R[..., 1:, 1:] = np.linalg.qr(rng.normal(size=points + (d - 1,) * 2))[0]
+        return R
+
+    eta = rng.uniform(-1.0, 1.0, points)
+    boost = np.broadcast_to(np.eye(d), points + (d, d)).copy()
+    boost[..., 0, 0] = boost[..., 1, 1] = np.cosh(eta)
+    boost[..., 0, 1] = boost[..., 1, 0] = np.sinh(eta)
+    frame = rotation() @ boost @ rotation() / np.sqrt(np.abs(g))[..., None]
+    basis = [frame[..., :, k] for k in rng.permutation(d)[:m]]
+    return g, _dense(g), basis, rng.normal(size=points + (d,))
+
+
+@pytest.mark.parametrize("d", range(2, 8))
+def test_projection_off_an_orthonormal_basis_matches_the_gram_solve(d):
+    for seed in range(20):
+        for m in range(1, d):
+            g, G, basis, x = _orthonormal_basis(d, m, seed)
+            want = dense_project_out_span(x, basis, G)
+            got = project_out_span(x, basis, g)
+            bound = 1e-13 * np.maximum(1.0, np.abs(want))
+            assert (np.abs(got - want) <= bound).all()
+            # a zero vector adds nothing, wherever it sits in the basis
+            zero = np.zeros_like(x)
+            for padded in (basis + [zero, zero], [zero] + basis,
+                           basis[:1] + [zero] + basis[1:]):
+                assert project_out_span(x, padded, g).tobytes() == got.tobytes()
 
 
 @pytest.mark.parametrize("d", range(2, 8))
