@@ -52,8 +52,8 @@ def _widened(lo, hi) -> tuple[float, float]:
 
 
 # One warp evaluation as the source of make(lo, hi, low, high, $params), which
-# returns sample(t): the interval test, the lines $locate, the checks on the
-# leading three values of $state, and (f, f', f'') as floats.  WarpingFunction
+# returns sample(t): the interval test, the lines $locate and $complete, the
+# checks on the three values $state, and (f, f', f'') as floats.  WarpingFunction
 # compiles it around fn(t); solvers._kernels around a dense output's
 # interpolant and completion, so that a solved warp's sample runs in one frame.
 _WARP_SAMPLE = Template("""\
@@ -63,8 +63,8 @@ def make(lo, hi, low, high, $params):
             raise ChartDomainError(
                 f"warp evaluated at t={t} outside interval [{lo}, {hi}]")
 $locate        try:
-            f, fp, fpp = $state[:3]
-        except ArithmeticError as exc:  # an overflow past a blow-up, say
+$complete            f, fp, fpp = $state
+        except (ArithmeticError, LinAlgError) as exc:  # an overflow, say
             raise SingularWarpError(
                 f"warping function is not finite at t={t} "
                 f"({type(exc).__name__}: {exc})") from exc
@@ -76,14 +76,16 @@ $locate        try:
     return sample
 """)
 _SAMPLE_NAMES = {"ChartDomainError": ChartDomainError,
-                "SingularWarpError": SingularWarpError, "isfinite": math.isfinite}
+                 "LinAlgError": np.linalg.LinAlgError,
+                 "SingularWarpError": SingularWarpError, "isfinite": math.isfinite}
 
 
 @functools.cache
 def _fn_sample():
     """_WARP_SAMPLE around fn(t), compiled on first use."""
     names = dict(_SAMPLE_NAMES)
-    source = _WARP_SAMPLE.substitute(params="fn", locate="", state="fn(t)")
+    source = _WARP_SAMPLE.substitute(params="fn", locate="", complete="",
+                                     state="fn(t)[:3]")
     exec(compile(source, "<rwsurf.ambient.WarpingFunction>", "exec"), names)
     return names["make"]
 
@@ -94,7 +96,7 @@ class WarpingFunction:
 
     ``fn(t)`` starts with f, f', f''.  They must be finite and f non-zero on
     the interval; evaluation raises SingularWarpError otherwise, and also
-    where ``fn`` raises an ArithmeticError.  A ``fn`` whose
+    where ``fn`` raises an ArithmeticError or LinAlgError.  A ``fn`` whose
     ``_warp_sample(interval)`` returns a function (a solved warp's dense
     output) supplies the whole evaluation, these checks included; otherwise
     each call runs _WARP_SAMPLE around ``fn(t)``.

@@ -11,6 +11,7 @@ bit-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import importlib.util
 import json
 import math
@@ -426,8 +427,11 @@ def _cmd_report(args) -> int:
     return EXIT_PASS
 
 
+_parser = functools.cache(build_parser)  # main's, built on its first call
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args._run(args)
     except (GeometryError, ValueError, OSError) as exc:

@@ -8,18 +8,18 @@ step loop runs on Python floats: right-hand sides and monitors receive the
 state as a list of floats, and each accepted step is kept as one row of
 floats that the dense output reads.  The step, with its error norm, the
 quartic and the samples of the dense output are generated once per state
-length as straight-line code that is bit-identical to the per-component
-form.  Dense output maps a float time to a tuple of floats, a family's full
-state (f, f', f'', ...) where it carries a completion.  A solved warp's
-sample is one generated function: the warp's interval test, the step's
-bisection, the quartic, one call to the completion and the warp's checks
-(ambient._WARP_SAMPLE).  The coupled system's state cache wraps the dense
-sample, and its warp reads the cache.  No stiff solver is provided: the warp
-ODE blows up in finite time for many initial conditions.  The rotational
-warp's solve stops short of its blow-up on an asymptotic estimate of the time
-left (monitor 'blow-up', see _BLOW_UP_DELTA); elsewhere a blow-up ends the
-solve by step underflow.  Either way it is reported rather than integrated
-through.
+length, and once per solved family, as straight-line code that is
+bit-identical to the per-component form.  Each family's equations are one
+source text (_L4, _L5), compiled inline into its step's stages, its dense
+state sample and its warp sample: the warp's interval test, the step's
+bisection, the quartic, the equations and the warp's checks
+(ambient._WARP_SAMPLE) in one frame.  The coupled system's state cache wraps
+the dense sample, and its warp reads the cache.  No stiff solver is provided:
+the warp ODE blows up in finite time for many initial conditions.  The
+rotational warp's solve stops short of its blow-up on an asymptotic estimate
+of the time left (monitor 'blow-up', see _BLOW_UP_DELTA); elsewhere a blow-up
+ends the solve by step underflow.  Either way it is reported rather than
+integrated through.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from __future__ import annotations
 import functools
 import math
 from bisect import bisect_right
+from collections import namedtuple
 from dataclasses import astuple, dataclass, field
 from typing import Callable, Sequence
 
@@ -107,10 +108,10 @@ class DenseOutput:
     """Piecewise-quartic interpolant over the accepted-step mesh.
 
     Calling it at a float t returns the state as a tuple of Python floats,
-    mapped by ``completion`` if given; ``derivative(t)`` returns the raw
-    interpolant's derivative.  Both run functions generated by _kernels and
-    make no numpy call.  Evaluation outside the covered interval raises
-    ChartDomainError.
+    mapped by ``completion`` if given (a family's, from _bind, runs inline);
+    ``derivative(t)`` returns the raw interpolant's derivative.  Both run
+    functions generated by _kernels and make no numpy call.  Evaluation
+    outside the covered interval raises ChartDomainError.
     """
 
     steps: list             # (t, h, y, q) floats per accepted step, in order
@@ -123,11 +124,12 @@ class DenseOutput:
         # the completion
         direction = 1.0 if self.steps[0][1] > 0 else -1.0
         lo, hi = self.interval
+        key, fn = getattr(self.completion, "inline",
+                          (len(self.steps[0][2]), (self.completion,)))
         args = (lo, hi, *_widened(lo, hi), self.steps,
-                [row[0] * direction for row in self.steps], direction,
-                self.completion)
-        _, _, dense, derivative, _ = _kernels(len(self.steps[0][2]))
-        self.__dict__.update(_args=args, _sample=dense(*args),
+                [row[0] * direction for row in self.steps], direction, *fn)
+        _, _, dense, derivative, *_ = _kernels(key)
+        self.__dict__.update(_args=args, _key=key, _sample=dense(*args),
                              _derivative=derivative(*args))
 
     @property
@@ -147,8 +149,7 @@ class DenseOutput:
         another interval."""
         if self.completion is None or tuple(interval) != self.interval:
             return None
-        *_, warp = _kernels(len(self.steps[0][2]))
-        return warp(*self._args)
+        return _kernels(self._key)[4](*self._args)
 
 
 @dataclass(frozen=True)
@@ -183,24 +184,37 @@ def _initial_step(rhs, t0, y0, f0, direction, rtol, atol, span):
 
 
 @functools.lru_cache(maxsize=None)
-def _kernels(d: int):
-    """(step, quartic, dense, derivative, warp) for states of length d,
-    compiled once from straight lines in the tableau's floats by name (c2,
-    a21, b1, e1, p11 = _P[0, 1], ...) and the indices 0..d-1, in the operand
-    order of the per-component form.  step(rhs, t, h, y, k1, atol, rtol)
-    returns (y_new, k7, the _rms of err / (atol + rtol max(|y|, |y_new|)),
-    whether y_new and err are finite, Q); quartic(th, h, y, q) the state at
-    theta = th of a steps row.  c7 = 1, b2 = e2 = 0, _P's row 1 is 0 and its
-    first column is 1 in row 0 only.
+def _kernels(key):
+    """(step, quartic, dense, derivative, warp) for states of length ``key``,
+    or, for a _Family ``key``, with its text inline in place of every call of
+    the right-hand side or the completion, and its bind last.  Compiled once
+    per key from straight lines in the tableau's floats by name (c2, a21, b1,
+    e1, p11 = _P[0, 1], ...) and the indices 0..d-1, in the operand order of
+    the per-component form.  c7 = 1, b2 = e2 = 0 (never read: a factor may
+    take the name), _P's row 1 is 0 and its first column is 1 in row 0 only.
 
+    fn is (rhs,) for step, (complete,) for the samples, or the family's
+    factors.  step(*fn)(t, h, y, k1, atol, rtol) returns (y_new, k7, the _rms
+    of err / (atol + rtol max(|y|, |y_new|)), whether y_new and err are
+    finite, Q); quartic(th, h, y, q) the state at theta = th of a steps row.
     dense, derivative and warp take (lo, hi, low, high, steps, starts,
-    direction, complete) and return a function of t.  Each tests t against
-    [low, high], clamps it to [lo, hi], bisects the direction-signed step
-    starts for its row and evaluates that row inline.  dense returns the
-    quartic's state, mapped by complete unless it is None; derivative the
-    quartic's derivative in theta.  warp is ambient's warp sample
-    (_WARP_SAMPLE) around complete(quartic's state): its own interval
-    message, and the checks on (f, f', f'')."""
+    direction, *fn) and return a function of t, which tests t against [low,
+    high], clamps it to [lo, hi], bisects the direction-signed step starts
+    for its row and evaluates that row inline.  dense returns the quartic's
+    state, completed unless complete is None; derivative the quartic's
+    derivative in theta; warp is ambient's _WARP_SAMPLE around the completed
+    state.  A family's bind(*factors) returns its (rhs, complete)."""
+    family = None if isinstance(key, int) else key
+    if family is None:
+        fn, d = "fn", key
+        call = lambda t, items, out: [f"{out}= fn({t}, [{items}])"]
+    else:  # the text on the state's names, which ignores t
+        fn, text = family.factors, family.text.splitlines()
+        pairs = list(zip(*[iter(family.state.split(", "))] * 2))
+        d, slope = 2 * len(pairs), "".join(f"{p}, {p}p, " for _, p in pairs)
+        full = "".join(f"{v}, {p}, {p}p, " for v, p in pairs)
+        bound = lambda items: [f"{family.state}, = {items}", *text]
+        call = lambda t, items, out: bound(items) + [f"{out}= {slope}"]
     ks = (1, 3, 4, 5, 6)  # the stages y_new reads; err and Q add the seventh
     names = {f"{v}{s}": x for v, col in (("c", _C), ("b", _B), ("e", _E))
              for s, x in enumerate(col.tolist(), 1)}
@@ -208,7 +222,8 @@ def _kernels(d: int):
                   for j, x in enumerate(_A[s - 1].tolist(), 1)})
     names.update({f"p{s}{j}": x for s in ks + (7,)
                   for j, x in enumerate(_P[s - 1, 1:].tolist(), 1)})
-    names.update(_SAMPLE_NAMES, sqrt=math.sqrt, bisect_right=bisect_right)
+    names.update(_SAMPLE_NAMES, sqrt=math.sqrt, bisect_right=bisect_right,
+                 _DET_TOL=_DET_TOL)
 
     def each(template):  # the d components of one quantity, comma-joined
         return "".join(template.replace("_i", f"_{i}") + ", " for i in range(d))
@@ -216,34 +231,44 @@ def _kernels(d: int):
     def combo(coef, stages):  # coef(s) * k_s summed over the stages
         return " + ".join(f"{coef(s)} * k{s}_i" for s in stages)
 
-    def stage(s):  # k_s = rhs(t + c_s h, y + h sum_j a_sj k_j)
-        y_s = each("y_i + h * (" + combo(lambda j: f"a{s}{j}", range(1, s)) + ")")
-        return f"    {each(f'k{s}_i')}= rhs(t + c{s} * h, [{y_s}])\n"
-
     def lines(indent, statements):
         return "".join(f"{' ' * indent}{line}\n" for line in statements)
 
+    stages = [f"{each('y_i')}= y", f"{each('k1_i')}= k1"]
+    for s in range(2, 7):  # k_s = rhs(t + c_s h, y + h sum_j a_sj k_j)
+        stages += call(f"t + c{s} * h", each(
+            "y_i + h * (" + combo(lambda j: f"a{s}{j}", range(1, s)) + ")"),
+            each(f"k{s}_i"))
     y_new = each("y_i + h * (" + combo(lambda s: f"b{s}", ks) + ")")
     err = each("h * (" + combo(lambda s: f"e{s}", ks + (7,)) + ")")
     scaled = each("e_i / (atol + rtol * max(abs(y_i), abs(n_i)))")
     squares = " + ".join(f"s_{i} * s_{i}" for i in range(d))  # as in _rms
     finite = " and ".join(f"isfinite({v}_{i})" for v in "ne" for i in range(d))
     q = ", ".join(combo(lambda s: f"p{s}{j}", ks + (7,)) for j in (1, 2, 3))
+    stages += [f"{each('n_i')}= {y_new}", f"y_new = [{each('n_i')}]",
+               *call("t + h", each("n_i"), each("k7_i")), f"k7 = {each('k7_i')}",
+               f"{each('e_i')}= {err}", f"{each('s_i')}= {scaled}",
+               f"return y_new, k7, sqrt(({squares}) / {d}), {finite}, "
+               f"[{each(f'(k1_i, {q})')}]"]
     # theta's powers and a row's components, then the quartic and its
     # derivative in theta
     row = ["th2, th3 = th * th, th * th * th", f"{each('y_i')}= y",
            f"{each('(a_i, b_i, c_i, d_i)')}= q"]
-    quartic = "(" + each(
-        "y_i + h * (a_i * th + b_i * th2 + c_i * th3 + d_i * th2 * th2)") + ")"
-    slope = "(" + each(
-        "a_i + b_i * (2 * th) + c_i * (3 * th2) + d_i * (4 * th3)") + ")"
+    quartic = each("y_i + h * (a_i * th + b_i * th2 + c_i * th3 + d_i * th2 * th2)")
+    slope_th = each("a_i + b_i * (2 * th) + c_i * (3 * th2) + d_i * (4 * th3)")
     # the lines every sample runs after its interval test: x is t clamped to
     # [lo, hi] (t stays as given for the warp's messages); the first step
     # starts at one end of it, so the bisection always lands on a step
     locate = ["x = lo if t < lo else hi if t > hi else t",
               "tk, h, y, q = steps[bisect_right(starts, x * direction) - 1]",
               "th = (x - tk) / h", *row]
-    params = "steps, starts, direction, complete"
+    if family is None:
+        value = [f"y = ({quartic})", "return y if fn is None else fn(y)"]
+        warp = dict(complete="", state="fn(y)[:3]")
+    else:
+        value = bound(quartic) + [f"return {full}"]
+        warp = dict(complete=lines(12, text), state="{0}, {1}, {1}p".format(*pairs[0]))
+    params = f"steps, starts, direction, {fn}"
 
     def factory(name, value):  # a dense output's sample, ending by ``value``
         return (f"def {name}(lo, hi, low, high, {params}):\n"
@@ -254,23 +279,22 @@ def _kernels(d: int):
                 + lines(8, locate + value) + "    return sample\n")
 
     source = (
-        f"def step(rhs, t, h, y, k1, atol, rtol):\n"
-        f"    {each('y_i')}= y\n    {each('k1_i')}= k1\n"
-        + "".join(map(stage, range(2, 7))) +
-        f"    {each('n_i')}= {y_new}\n    y_new = [{each('n_i')}]\n"
-        f"    k7 = rhs(t + h, y_new)\n    {each('k7_i')}= k7\n"
-        f"    {each('e_i')}= {err}\n    {each('s_i')}= {scaled}\n"
-        f"    return y_new, k7, sqrt(({squares}) / {d}), {finite}, "
-        f"[{each(f'(k1_i, {q})')}]\n"
-        "def quartic(th, h, y, q):\n" + lines(4, row) + f"    return {quartic}\n"
-        + factory("dense", [f"y = {quartic}",
-                            "return y if complete is None else complete(y)"])
-        + factory("derivative", [f"return {slope}"])
-        + _WARP_SAMPLE.substitute(params=params, state="complete(y)",
-                                  locate=lines(8, locate + [f"y = {quartic}"])))
-    exec(compile(source, f"<rwsurf.solvers._kernels({d})>", "exec"), names)
+        f"def step({fn}):\n    def run(t, h, y, k1, atol, rtol):\n"
+        + lines(8, stages) + "    return run\n"
+        "def quartic(th, h, y, q):\n" + lines(4, row) + f"    return ({quartic})\n"
+        + factory("dense", value) + factory("derivative", [f"return ({slope_th})"])
+        + _WARP_SAMPLE.substitute(params=params, **warp,
+                                  locate=lines(8, locate + value[:1])))
+    if family is not None:
+        source += (f"def bind({fn}):\n    def rhs(t, s):\n"
+                   + lines(8, call("t", "s", "ds ") + ["return ds"])
+                   + "    def complete(s):\n"
+                   + lines(8, bound("s") + [f"return {full}"])
+                   + "    return rhs, complete\n")
+    exec(compile(source, f"<rwsurf.solvers._kernels({getattr(family, 'name', d)})>",
+                 "exec"), names)
     return tuple(names[k] for k in ("step", "quartic", "dense", "derivative",
-                                    "make"))
+                                    "make", "bind") if k in names)
 
 
 def rk_integrate(rhs: Callable, y0, t_span, config: SolverConfig | None = None,
@@ -279,7 +303,8 @@ def rk_integrate(rhs: Callable, y0, t_span, config: SolverConfig | None = None,
 
     ``rhs(t, y)`` receives the state as a list of Python floats and returns a
     new sequence of its d derivatives (a list or a tuple of floats, or an
-    array, which is read as its list of floats).  The step loop works on
+    array, which is read as its list of floats); a family's rhs, from _bind,
+    runs inline in the step's stages.  The step loop works on
     floats and builds no numpy array; each accepted step appends one
     ``(t, h, y, q)`` row, and the rows are the DenseOutput's steps.  A
     step whose stages raise an arithmetic error (ZeroDivisionError,
@@ -336,7 +361,9 @@ def rk_integrate(rhs: Callable, y0, t_span, config: SolverConfig | None = None,
         h_abs = _initial_step(rhs, t0, y, f, direction, rtol, atol, t1 - t0)
     h_abs = min(h_abs, abs(t1 - t0))
 
-    step, quartic, *_ = _kernels(d)
+    key, fn = getattr(rhs, "inline", (d, (rhs,)))  # a family's: _bind
+    make_step, quartic, *_ = _kernels(key)
+    step = make_step(*fn)
 
     steps = []
     n_acc = n_rej = 0
@@ -352,7 +379,7 @@ def rk_integrate(rhs: Callable, y0, t_span, config: SolverConfig | None = None,
             break
         h = h_abs * direction
         try:
-            y_new, k7, enorm, ok, Q = step(rhs, t, h, y, f, atol, rtol)
+            y_new, k7, enorm, ok, Q = step(t, h, y, f, atol, rtol)
         except (ArithmeticError, SingularWarpError, np.linalg.LinAlgError,
                 ValueError):
             ok = False
@@ -424,10 +451,7 @@ class ConstantsL5:
     b2: float  # a^2 - 4 H0^2
 
     def __post_init__(self):
-        self.__dict__["_matrices"] = _system_matrices(self)
-
-    def __reduce__(self):  # rebuilt from the fields: a closure does not pickle
-        return ConstantsL5, astuple(self)
+        self.__dict__["_factors"] = _system_factors(self)
 
 
 @dataclass(frozen=True)
@@ -522,16 +546,26 @@ def validate_constants_product(b1: float, b2: float | None = None,
 # the rotational-warp scalar ODE
 
 
-def rotational_warp_rhs(constants: ConstantsL4):
-    """f'' = ((f'^2 - b^2 f^2)^2 + f'^4) / (b^2 f^3) as a first-order system."""
-    b2 = constants.b2
+# A solved family's equations as straight-line source text over its constant
+# factors (names, comma-joined): from its state's names, pairs of a value and
+# its slope (fv, fp, ...), to each slope's derivative, the slope's name with
+# one more p (fpp, ...).  _kernels compiles the text inline.
+_Family = namedtuple("_Family", "name state factors text")
 
-    def rhs(t, s):
-        fv, fp = s
-        q = fp * fp - b2 * fv * fv
-        return fp, (q * q + fp**4) / (b2 * fv**3)
 
-    return rhs
+def _bind(family: _Family, factors):
+    """The family's generated rhs(t, s) and completion at its factors, each
+    with (family, factors) as ``inline``: rk_integrate and DenseOutput then
+    run the family's kernels."""
+    rhs, complete = _kernels(family)[5](*factors)
+    rhs.inline = complete.inline = family, factors
+    return rhs, complete
+
+
+# f'' = ((f'^2 - b^2 f^2)^2 + f'^4) / (b^2 f^3)
+_L4 = _Family("l4", "fv, fp", "b2", """\
+q = fp * fp - b2 * fv * fv
+fpp = (q * q + fp**4) / (b2 * fv**3)""")
 
 
 # The rotational warp's solve stops once the time left to its blow-up falls
@@ -577,7 +611,7 @@ def solve_rotational_warp(constants: ConstantsL4, f0: float, f0p: float,
     if q0 <= 0.0:
         raise AdmissibilityError(
             f"f'^2 > (a^2 - 4 H0^2) f^2 violated at start: {f0p**2} <= {b2 * f0**2}")
-    rhs = rotational_warp_rhs(constants)
+    rhs, complete = _bind(_L4, (b2,))
     sgn = 1.0 if f0 > 0 else -1.0
     # f'' has the sign of f, so |f'| grows where direction * sgn * f' > 0
     t0 = float(interval[0])
@@ -586,18 +620,15 @@ def solve_rotational_warp(constants: ConstantsL4, f0: float, f0p: float,
     monitors = [
         ("admissible", lambda t, s: s[1] * s[1] - b2 * s[0] * s[0]),
         ("warp-positive", lambda t, s: sgn * s[0] - 1e-12),
+        # _blow_up_time_left's time left, in the monitor's own frame
         ("blow-up", lambda t, s: 1.0 if grows * s[1] <= 0.0 else
-         _blow_up_time_left(b2, *s) - _BLOW_UP_DELTA * abs(t - t0)),
+         b2 * abs((r := s[0] / s[1]) * r * r) / 6.0 - _BLOW_UP_DELTA * abs(t - t0)),
     ]
     result = rk_integrate(rhs, [f0, f0p], interval, config, monitors)
     dense = result.dense
     blow_up_time = (dense.t_end + direction * _blow_up_time_left(
         b2, *dense(dense.t_end)) if result.stop_reason == "monitor:blow-up"
         else None)
-    def complete(s):  # the ODE is autonomous: (f, f') -> (f, f', f'') at any t
-        fp, fpp = rhs(t0, s)
-        return s[0], fp, fpp
-
     warp = DenseOutput(dense.steps, dense.t_end, complete)
     return RotationalWarpSolution(WarpingFunction(warp, dense.interval), result,
                                   constants, blow_up_time)
@@ -607,66 +638,71 @@ def solve_rotational_warp(constants: ConstantsL4, f0: float, f0p: float,
 # the coupled (f, y) system
 
 
-def _system_matrices(constants: ConstantsL5):
-    """matrices(fv, fp, yp) -> (A11, A12, A21, A22, R1, R2), the family
-    equations as A @ (f'', y'') = -R, its constant factors formed once."""
+def _system_factors(constants: ConstantsL5):
+    """The constant factors of _L5's text, in the order of _L5.factors."""
     a, H0, c2, c3, c4, b2 = astuple(constants)
     g = 12 * a**2 * (c3**2 - 1) * H0**2
-    (ac, q, m, k11, k12, r1a, r1b, a2, r1c, r1d, r1e, r1f, r1g,
-     r2a, r2b, r2c, r2d, r2e, e4, e6, e8) = (
-        a**2 * c3**2, a**4 * c3**2, 2 * a**6 * c2 * c3**2 * H0, -a**4 * c3**2 * c4,
-        -a**6 * b2 * c3**2, -2 * a**2 * c4, 4 * a**4 * b2, a**2,
-        -12 * a**4 * c2 * c3**2 * H0, 4 * (a**4 * c3**2 - g - 48 * H0**4),
-        2 * a**4 * b2**2, a**8 * c3**4, 2 * c4**2, -a**2 * b2**2, a**2 * b2,
-        2 * a**4 * c2 * c3**2 * H0, a**4 * c3**2 + g + 48 * H0**4, 2 * c2 * c4 * H0,
-        4 * c2 * H0, 6 * c2 * H0, 8 * c2 * H0)
+    return (a**2 * c3**2, a**4 * c3**2, 2 * a**6 * c2 * c3**2 * H0, -a**4 * c3**2 * c4,
+            -a**6 * b2 * c3**2, -2 * a**2 * c4, 4 * a**4 * b2, a**2,
+            -12 * a**4 * c2 * c3**2 * H0, 4 * (a**4 * c3**2 - g - 48 * H0**4),
+            2 * a**4 * b2**2, a**8 * c3**4, 2 * c4**2, -a**2 * b2**2, a**2 * b2,
+            2 * a**4 * c2 * c3**2 * H0, a**4 * c3**2 + g + 48 * H0**4, 2 * c2 * c4 * H0,
+            4 * c2 * H0, 6 * c2 * H0, 8 * c2 * H0)
 
-    def matrices(fv, fp, yp):
-        f2, fp2, pq, yp2 = fv * fv, fp * fp, fp * yp, yp * yp
-        f3, f4, f6 = f2 * fv, f2 * f2, f2 * f2 * f2
-        A11 = k11 * f3 * fp - m * f4 * fv * yp
-        A12 = k12 * f6 * fv * yp - m * f4 * fv * fp
-        R1 = (r1a * f2 * fp2 * fp * (ac - e8 * pq)
-              - r1b * f6 * fp * yp2 * (ac - e4 * pq)
-              + a2 * f4 * fp * (r1c * pq + r1d * fp2 * yp2)
-              + r1e * f4 * f4 * fp * yp2 * yp2
-              + r1f * f4 * fp
-              + r1g * fp2 * fp2 * fp)
-        R2 = (r2a * f6 * yp2 * yp + r2b * f4 * yp * (ac - e6 * pq)
-              + f2 * fp * (r2c + r2d * pq) - r2e * fp2 * fp)
-        return A11, A12, -q * f3 * yp, q * f3 * fp, R1, R2
 
-    return matrices
+# the two family equations as A @ (f'', y'') = -R at (f, f', y')
+_L5_MATRICES = """\
+f2, fp2, pq, yp2 = fv * fv, fp * fp, fp * yp, yp * yp
+f3, f4, f6 = f2 * fv, f2 * f2, f2 * f2 * f2
+A11 = k11 * f3 * fp - m * f4 * fv * yp
+A12 = k12 * f6 * fv * yp - m * f4 * fv * fp
+R1 = (r1a * f2 * fp2 * fp * (ac - w8 * pq)
+      - r1b * f6 * fp * yp2 * (ac - w4 * pq)
+      + a2 * f4 * fp * (r1c * pq + r1d * fp2 * yp2)
+      + r1e * f4 * f4 * fp * yp2 * yp2
+      + r1f * f4 * fp
+      + r1g * fp2 * fp2 * fp)
+R2 = (r2a * f6 * yp2 * yp + r2b * f4 * yp * (ac - w6 * pq)
+      + f2 * fp * (r2c + r2d * pq) - r2e * fp2 * fp)
+A21, A22 = -k22 * f3 * yp, k22 * f3 * fp"""
+# (f'', y'') by Cramer's rule; LinAlgError unless |det A| / max|A|^2 >
+# _DET_TOL.  The scale's floor keeps an all-zero A singular; a non-finite
+# entry makes the ratio NaN (singular) even where max() skips a NaN.
+_CRAMER = """\
+det = A11 * A22 - A12 * A21
+scale = max(abs(A11), abs(A12), abs(A21), abs(A22), 1e-150)
+if not abs(det) / (scale * scale) > _DET_TOL:
+    raise LinAlgError("pointwise system is near-singular")
+fpp = (A12 * R2 - A22 * R1) / det
+ypp = (A21 * R1 - A11 * R2) / det"""
+_L5 = _Family("l5", "fv, fp, yv, yp", "ac, k22, m, k11, k12, r1a, r1b, a2, "
+              "r1c, r1d, r1e, r1f, r1g, r2a, r2b, r2c, r2d, r2e, w4, w6, w8",
+              _L5_MATRICES + "\n" + _CRAMER)
+
+
+@functools.cache
+def _system_residuals():
+    """residuals(factors, fv, fp, fpp, yp, ypp): A @ (f'', y'') + R of
+    _L5_MATRICES as two floats, compiled on first use."""
+    names = {}
+    exec(compile("".join(f"    {line}\n" for line in [
+        f"{_L5.factors}, = factors", *_L5_MATRICES.splitlines(),
+        "return (float(A11 * fpp + A12 * ypp + R1),",
+        "        float(A21 * fpp + A22 * ypp + R2))"]).join(
+            ["def residuals(factors, fv, fp, fpp, yp, ypp):\n", ""]),
+        "<rwsurf.solvers._system_residuals>", "exec"), names)
+    return names["residuals"]
 
 
 def system_equation_residuals(constants: ConstantsL5, fv, fp, fpp, yp, ypp):
     """Raw residuals of the two family equations at a state (back-substitution
     oracle for the pointwise linear extraction)."""
-    a11, a12, a21, a22, r1, r2 = constants._matrices(fv, fp, yp)
-    return float(a11 * fpp + a12 * ypp + r1), float(a21 * fpp + a22 * ypp + r2)
+    return _system_residuals()(constants._factors, fv, fp, fpp, yp, ypp)
 
 
 _DET_TOL = 1e-10
 # space-likeness margin g_11 the coupled system must keep
 _SPACELIKE_FLOOR = 0.02
-
-
-def _system_completion(constants: ConstantsL5):
-    """complete: (f, f', y, y') -> (f, f', f'', y, y', y''), (f'', y'') by
-    Cramer's rule; LinAlgError unless |det A| / max|A|^2 > _DET_TOL.  The
-    scale's floor keeps an all-zero A singular; a non-finite entry makes the
-    ratio NaN (singular) even where max() skips a NaN."""
-    def complete(s, matrices=constants._matrices):
-        fv, fp, yv, yp = s
-        a11, a12, a21, a22, r1, r2 = matrices(fv, fp, yp)
-        det = a11 * a22 - a12 * a21
-        scale = max(abs(a11), abs(a12), abs(a21), abs(a22), 1e-150)
-        if not abs(det) / (scale * scale) > _DET_TOL:
-            raise np.linalg.LinAlgError("pointwise system is near-singular")
-        return (fv, fp, (a12 * r2 - a22 * r1) / det,
-                yv, yp, (a21 * r1 - a11 * r2) / det)
-
-    return complete
 
 
 def spacelike_margin(constants: ConstantsL5, fv, fp, yp) -> float:
@@ -707,11 +743,10 @@ class WarpSystemSolution:
         >= 1 times (ValueError otherwise); NaN when any residual is NaN."""
         if samples < 1:
             raise ValueError(f"samples must be at least 1, got {samples}")
-        residuals = []
+        residuals, at, factors = [], _system_residuals(), self.constants._factors
         for t in np.linspace(*self.warp.interval, samples).tolist():
             fv, fp, fpp, _, yp, ypp = self.state(t)
-            residuals += system_equation_residuals(self.constants, fv, fp, fpp,
-                                                   yp, ypp)
+            residuals += at(factors, fv, fp, fpp, yp, ypp)
         return float(np.max(np.abs(residuals)))
 
 
@@ -725,14 +760,14 @@ def solve_warp_system(constants: ConstantsL5, ics, interval,
     step, so a trajectory that runs into a singular system ends by
     'step-underflow'.  The initial state must be non-singular.  Monitored:
     the space-likeness margin g_11 > _SPACELIKE_FLOOR, and f bounded away
-    from zero.  One completion serves the right-hand side, the initial-state
-    check and the solution's state.
+    from zero.  One text (_L5) serves the right-hand side, the initial-state
+    check, the solution's state and the equation residuals.
     """
     f0, f0p, y0, y0p = map(float, ics)
     _require_finite(f0=f0, f0p=f0p, y0=y0, y0p=y0p)
     if f0 == 0.0:
         raise SingularWarpError("f0 must be non-zero")
-    complete = _system_completion(constants)
+    rhs, complete = _bind(_L5, constants._factors)
     try:
         complete((f0, f0p, y0, y0p))
     except np.linalg.LinAlgError:
@@ -742,10 +777,6 @@ def solve_warp_system(constants: ConstantsL5, ics, interval,
         raise AdmissibilityError(
             "initial state violates the space-likeness margin "
             f"g_11 > {_SPACELIKE_FLOOR}")
-
-    def rhs(t, s):
-        _, fp, fpp, _, yp, ypp = complete(s)
-        return fp, fpp, yp, ypp
 
     sgn = 1.0 if f0 > 0 else -1.0
     monitors = [

@@ -43,30 +43,36 @@ broken_product_surface = _member("product", b1=1.0, b2=0.4, b3=0.5,
                                  force_b4=True)[0]
 
 
-def count_generated_samples(monkeypatch, calls):
+def count_generated_samples(monkeypatch, calls, inline=None):
     """Count in ``calls`` (a dict) the calls into the samples that
     ``solvers._kernels`` generates, under "dense" (a DenseOutput's, the one
     a solved system's state cache wraps) and "warp" (a solved warp's, the
     interpolant and completion inline), for every dense output and warp
-    built from here on.  A call that raises is counted too."""
+    built from here on.  A call that raises is counted too.  With ``inline``
+    given, the calls of a family's samples that pass the interval test, and
+    so run the family's equations inline, are counted under that key too."""
     kernels = solvers._kernels
 
-    def counted(name, make):
+    def counted(name, make, family):
         def factory(*args):
             sample = make(*args)
+            low, high = args[2:4]
 
             def counted_sample(t):
                 calls[name] = calls.get(name, 0) + 1
+                if inline and family and low <= t <= high:
+                    calls[inline] = calls.get(inline, 0) + 1
                 return sample(t)
 
             return counted_sample
 
         return factory
 
-    def counting_kernels(d):
-        step, quartic, dense, derivative, warp = kernels(d)
-        return (step, quartic, counted("dense", dense), derivative,
-                counted("warp", warp))
+    def counting_kernels(key):
+        step, quartic, dense, derivative, warp, *bind = kernels(key)
+        family = not isinstance(key, int)
+        return (step, quartic, counted("dense", dense, family), derivative,
+                counted("warp", warp, family), *bind)
 
     monkeypatch.setattr(solvers, "_kernels", counting_kernels)
 

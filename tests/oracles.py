@@ -9,15 +9,17 @@ Gram-Schmidt, the dense-matrix forms of the inner product, projection
 and rank that ``rwsurf.linalg`` computes from the metric's diagonal, the
 rank as a count of singular values, the
 per-component Dormand-Prince step loop and quartic dense output behind the
-straight-line code ``rwsurf.solvers`` generates per state length, and the
-family warps as a per-sample completion of that dense output.  The package
-never imports this module.
+straight-line code ``rwsurf.solvers`` generates per state length, the
+family equations as closures (the text the package compiles inline, written
+out by hand), and the family warps as a per-sample completion of that dense
+output.  The package never imports this module.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from dataclasses import astuple
 
 import numpy as np
 
@@ -347,12 +349,79 @@ def reference_rk_integrate(rhs, y0, t_span, config=None, monitors=()):
     return ReferenceDense(steps, t_end), stop_reason, n_acc, n_rej
 
 
+# The family equations as closures, the form the package ran before it
+# compiled them from one source text: the rotational warp's right-hand side,
+# and the coupled system's matrices and their Cramer's-rule completion.
+
+
+def rotational_warp_rhs(constants):
+    """f'' = ((f'^2 - b^2 f^2)^2 + f'^4) / (b^2 f^3) as a first-order system."""
+    b2 = constants.b2
+
+    def rhs(t, s):
+        fv, fp = s
+        q = fp * fp - b2 * fv * fv
+        return fp, (q * q + fp**4) / (b2 * fv**3)
+
+    return rhs
+
+
+def system_matrices(constants):
+    """matrices(fv, fp, yp) -> (A11, A12, A21, A22, R1, R2), the family
+    equations as A @ (f'', y'') = -R, its constant factors formed once."""
+    a, H0, c2, c3, c4, b2 = astuple(constants)
+    g = 12 * a**2 * (c3**2 - 1) * H0**2
+    (ac, q, m, k11, k12, r1a, r1b, a2, r1c, r1d, r1e, r1f, r1g,
+     r2a, r2b, r2c, r2d, r2e, e4, e6, e8) = (
+        a**2 * c3**2, a**4 * c3**2, 2 * a**6 * c2 * c3**2 * H0, -a**4 * c3**2 * c4,
+        -a**6 * b2 * c3**2, -2 * a**2 * c4, 4 * a**4 * b2, a**2,
+        -12 * a**4 * c2 * c3**2 * H0, 4 * (a**4 * c3**2 - g - 48 * H0**4),
+        2 * a**4 * b2**2, a**8 * c3**4, 2 * c4**2, -a**2 * b2**2, a**2 * b2,
+        2 * a**4 * c2 * c3**2 * H0, a**4 * c3**2 + g + 48 * H0**4, 2 * c2 * c4 * H0,
+        4 * c2 * H0, 6 * c2 * H0, 8 * c2 * H0)
+
+    def matrices(fv, fp, yp):
+        f2, fp2, pq, yp2 = fv * fv, fp * fp, fp * yp, yp * yp
+        f3, f4, f6 = f2 * fv, f2 * f2, f2 * f2 * f2
+        A11 = k11 * f3 * fp - m * f4 * fv * yp
+        A12 = k12 * f6 * fv * yp - m * f4 * fv * fp
+        R1 = (r1a * f2 * fp2 * fp * (ac - e8 * pq)
+              - r1b * f6 * fp * yp2 * (ac - e4 * pq)
+              + a2 * f4 * fp * (r1c * pq + r1d * fp2 * yp2)
+              + r1e * f4 * f4 * fp * yp2 * yp2
+              + r1f * f4 * fp
+              + r1g * fp2 * fp2 * fp)
+        R2 = (r2a * f6 * yp2 * yp + r2b * f4 * yp * (ac - e6 * pq)
+              + f2 * fp * (r2c + r2d * pq) - r2e * fp2 * fp)
+        return A11, A12, -q * f3 * yp, q * f3 * fp, R1, R2
+
+    return matrices
+
+
+def system_completion(constants):
+    """complete: (f, f', y, y') -> (f, f', f'', y, y', y''), (f'', y'') by
+    Cramer's rule; LinAlgError unless |det A| / max|A|^2 > _DET_TOL.  The
+    scale's floor keeps an all-zero A singular; a non-finite entry makes the
+    ratio NaN (singular) even where max() skips a NaN."""
+    def complete(s, matrices=system_matrices(constants)):
+        fv, fp, yv, yp = s
+        a11, a12, a21, a22, r1, r2 = matrices(fv, fp, yp)
+        det = a11 * a22 - a12 * a21
+        scale = max(abs(a11), abs(a12), abs(a21), abs(a22), 1e-150)
+        if not abs(det) / (scale * scale) > solvers._DET_TOL:
+            raise np.linalg.LinAlgError("pointwise system is near-singular")
+        return (fv, fp, (a12 * r2 - a22 * r1) / det,
+                yv, yp, (a21 * r1 - a11 * r2) / det)
+
+    return complete
+
+
 def reference_warp(interval, values):
     """What ``WarpingFunction(values, interval)`` does per call, for a finite
     interval: the interval test with its relative 1e-12 slack, an
-    ArithmeticError of ``values`` read as SingularWarpError, then the
-    finiteness and non-vanishing checks of (f, f', f''), returned as Python
-    floats."""
+    ArithmeticError or LinAlgError of ``values`` read as SingularWarpError,
+    then the finiteness and non-vanishing checks of (f, f', f''), returned
+    as Python floats."""
     lo, hi = interval
     slack = 1e-12 * max(1.0, abs(lo), abs(hi))
 
@@ -362,7 +431,7 @@ def reference_warp(interval, values):
                 f"warp evaluated at t={t} outside interval [{lo}, {hi}]")
         try:
             f, fp, fpp = values(t)[:3]
-        except ArithmeticError as exc:  # an overflow past a blow-up, say
+        except (ArithmeticError, np.linalg.LinAlgError) as exc:
             raise SingularWarpError(
                 f"warping function is not finite at t={t} "
                 f"({type(exc).__name__}: {exc})") from exc
@@ -381,7 +450,7 @@ def reference_rotational_warp(constants, f0, f0p, interval, config=None):
     ``reference_warp``.  Returns
     (warp, blow_up_time, stop_reason, n_accepted, n_rejected)."""
     b2 = constants.b2
-    rhs = solvers.rotational_warp_rhs(constants)
+    rhs = rotational_warp_rhs(constants)
     sgn = 1.0 if f0 > 0 else -1.0
     t0 = float(interval[0])
     direction = 1.0 if interval[1] > interval[0] else -1.0
@@ -412,7 +481,7 @@ def reference_warp_system(constants, ics, interval, config=None):
     behind the same determinant test.  Returns (state, warp,
     max_equation_residual, stop_reason, n_accepted, n_rejected); state(t) is
     (f, f', f'', y, y', y''), and warp ``reference_warp`` over it."""
-    matrices = solvers._system_matrices(constants)
+    matrices = system_matrices(constants)
 
     def second(fv, fp, yp):
         a11, a12, a21, a22, r1, r2 = matrices(fv, fp, yp)

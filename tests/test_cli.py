@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import rwsurf as rw
-from rwsurf import catalog, cli
+from rwsurf import catalog, cli, verdicts
 from rwsurf.cli import main
 from rwsurf.immersion import Jet2Immersion
 from rwsurf.shape import SurfaceGrid
@@ -553,6 +553,27 @@ def test_config_file_tolerance_list(tmp_path, capsys):
     entries = {e["name"]: e for e in json.loads(out.read_text())["entries"]}
     assert entries["pmcv"]["tol"] == 1e-3 and entries["pmcv"]["passed"]
     assert entries["codazzi_1"]["tol"] == 1e-5
+
+
+def test_main_parses_with_one_parser_that_keeps_no_state(tmp_path):
+    # main builds its parser once per process; a --tol of one call and a
+    # bad argv must not reach the next call, and build_parser stays fresh
+    out = tmp_path / "r.json"
+    argv = THM4_ARGS[:-1] + ["3x3", "--out", str(out)]
+
+    def pmcv_tol(extra):
+        assert main(argv + extra) == 0
+        return next(e["tol"] for e in json.loads(out.read_text())["entries"]
+                    if e["name"] == "pmcv")
+
+    tier = verdicts.TIERS[verdicts.TOLERANCE_ENTRIES["pmcv"]]
+    assert [pmcv_tol(["--tol", "pmcv=1e-3"]), pmcv_tol([])] == [1e-3, tier]
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "thm4", "--grid"])
+    assert exc.value.code == 2
+    assert pmcv_tol([]) == tier
+    assert cli._parser() is cli._parser()
+    assert cli.build_parser() is not cli.build_parser()
 
 
 def test_cli_outputs_bit_identical(tmp_path):

@@ -1,8 +1,12 @@
 import copy
 import dataclasses
+import functools
 import math
+import os
+import pathlib
 import pickle
-from types import SimpleNamespace
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -18,7 +22,8 @@ from rwsurf.solvers import SolverConfig, rk_integrate, system_equation_residuals
 from conftest import (L5_CONSTANTS, L5_ICS, L5_INTERVAL,
                       count_generated_samples)
 from oracles import (reference_rk_integrate, reference_rotational_warp,
-                     reference_warp_system)
+                     reference_warp_system, rotational_warp_rhs,
+                     system_completion, system_matrices)
 
 
 def test_exponential_growth():
@@ -789,15 +794,19 @@ def test_blow_up_monitor_reads_nan_as_a_crossing(l4_constants, monkeypatch):
     assert g(0.1, [1.0, -2.0]) > 0.0  # |f'| shrinks: inactive
     for state in ([1.0, math.nan], [math.nan, 2.0]):
         assert not g(0.1, state) > 0.0
-    time_left = solvers._blow_up_time_left
-    # NaN everywhere: the monitor is crossed at the initial state already
-    monkeypatch.setattr(solvers, "_blow_up_time_left",
-                        lambda b2, fv, fp: math.nan)
+    # the monitor computes its time left in its own frame, so a NaN margin
+    # comes in through delta: NaN everywhere, and the monitor is crossed at
+    # the initial state already
+    monkeypatch.setattr(solvers, "_BLOW_UP_DELTA", math.nan)
     with pytest.raises(AdmissibilityError, match="monitor 'blow-up' reads nan"):
         rw.solve_rotational_warp(l4_constants, 1.0, 2.0, (0.0, 1.0))
+
+    class NanAwayFromStart(float):  # delta x |t - t0|: 0 at t0, NaN after
+        def __mul__(self, other):
+            return 0.0 if other == 0.0 else math.nan
+
     # NaN away from the initial state: the first step is a crossing
-    monkeypatch.setattr(solvers, "_blow_up_time_left", lambda b2, fv, fp:
-                        time_left(b2, fv, fp) if fv == 1.0 else math.nan)
+    monkeypatch.setattr(solvers, "_BLOW_UP_DELTA", NanAwayFromStart())
     sol = rw.solve_rotational_warp(l4_constants, 1.0, 2.0, (0.0, 1.0))
     assert sol.integration.stop_reason == "monitor:blow-up"
     assert sol.integration.n_accepted == 1
@@ -851,13 +860,14 @@ def test_warp_self_consistency_off_mesh(l4_solution):
 def test_max_equation_residual_propagates_nan(l5_solution, monkeypatch):
     # a NaN residual at one sample must not vanish into the reduction
     calls = []
+    residuals = solvers._system_residuals()
 
     def nan_at_100th(*args):
         calls.append(None)
-        r1, r2 = system_equation_residuals(*args)
+        r1, r2 = residuals(*args)
         return (math.nan, r2) if len(calls) == 100 else (r1, r2)
 
-    monkeypatch.setattr(solvers, "system_equation_residuals", nan_at_100th)
+    monkeypatch.setattr(solvers, "_system_residuals", lambda: nan_at_100th)
     assert math.isnan(l5_solution.max_equation_residual(200))
     assert len(calls) == 200
     monkeypatch.undo()
@@ -922,23 +932,11 @@ def test_system_warp_self_consistency(l5_solution):
 
 def _counting(monkeypatch):
     """Count the calls into the generated dense samples (the interpolant
-    evaluations that the state cache wraps) and the 2x2 solves of the
-    solutions built from here on; the caller zeroes the counts after its
-    solves."""
+    evaluations that the state cache wraps) and the 2x2 solves they run
+    inline (those past the interval test) of the solutions built from here
+    on; the caller zeroes the counts after its solves."""
     calls = {"dense": 0, "solve": 0}
-    count_generated_samples(monkeypatch, calls)
-    bind = solvers._system_completion
-
-    def counted_bind(constants):
-        second = bind(constants)
-
-        def counted_second(*args):
-            calls["solve"] += 1
-            return second(*args)
-
-        return counted_second
-
-    monkeypatch.setattr(solvers, "_system_completion", counted_bind)
+    count_generated_samples(monkeypatch, calls, inline="solve")
     return calls
 
 
@@ -966,7 +964,7 @@ def test_state_cache_equals_direct_evaluation(l5_constants):
     sol = _fresh_l5_solution(l5_constants)
     dense = sol.integration.dense
     for t in np.linspace(*sol.warp.interval, 37).tolist() * 2:
-        want = solvers._system_completion(l5_constants)(dense(t))
+        want = system_completion(l5_constants)(dense(t))
         assert sol.state(t) == want
         assert sol.warp(t) == want[:3] and sol.y_state(t) == want[3:]
 
@@ -1106,7 +1104,8 @@ def test_warp_samples_are_python_floats(l4_solution, l5_solution):
 def _second_derivatives(c, fv, fp, yp):
     """(f'', y'') of the pointwise 2x2 solve at (f, f', y'); y does not
     enter it."""
-    _, _, fpp, _, _, ypp = solvers._system_completion(c)((fv, fp, 0.0, yp))
+    _, complete = solvers._bind(solvers._L5, c._factors)
+    _, _, fpp, _, _, ypp = complete((fv, fp, 0.0, yp))
     return fpp, ypp
 
 
@@ -1177,10 +1176,20 @@ def _admissible_l5_states(seed, count):
             yield c, fv, fp, yp
 
 
+def _system_matrices(c, fv, fp, yp):
+    """(A11, A12, A21, A22, R1, R2) of the package's compiled equations, read
+    off their residuals A @ (f'', y'') + R at (f'', y'') = (0, 0), (1, 0) and
+    (0, 1): each entry of A to round-off in the larger of it and R."""
+    r = lambda fpp, ypp: system_equation_residuals(c, fv, fp, fpp, yp, ypp)
+    R, fpp1, ypp1 = r(0.0, 0.0), r(1.0, 0.0), r(0.0, 1.0)
+    return (fpp1[0] - R[0], ypp1[0] - R[0], fpp1[1] - R[1], ypp1[1] - R[1],
+            *R)
+
+
 def test_system_matrices_match_the_family_equations():
     for c, fv, fp, yp in _admissible_l5_states(7, 300):
         A, R = _family_equations_literal(c, fv, fp, yp)
-        got = np.array(solvers._system_matrices(c)(fv, fp, yp))
+        got = np.array(_system_matrices(c, fv, fp, yp))
         want = np.concatenate([A.ravel(), R])
         np.testing.assert_allclose(got, want, rtol=1e-13,
                                    atol=1e-13 * np.abs(want).max())
@@ -1188,7 +1197,7 @@ def test_system_matrices_match_the_family_equations():
 
 def test_closed_form_solve_matches_linalg_solve():
     for c, fv, fp, yp in _admissible_l5_states(11, 500):
-        a11, a12, a21, a22, r1, r2 = solvers._system_matrices(c)(fv, fp, yp)
+        a11, a12, a21, a22, r1, r2 = system_matrices(c)(fv, fp, yp)
         want = np.linalg.solve(np.array([[a11, a12], [a21, a22]]),
                                -np.array([r1, r2]))
         got = np.array(_second_derivatives(c, fv, fp, yp))
@@ -1199,8 +1208,8 @@ def test_closed_form_solve_matches_linalg_solve():
     lambda c: pickle.loads(pickle.dumps(c)), copy.copy, copy.deepcopy],
     ids=["pickle", "copy", "deepcopy"])
 def test_l5_constants_round_trip(l5_constants, duplicate):
-    # the constants keep a bound closure of their factors, which does not
-    # pickle: a copy is rebuilt from the fields, with its own closure
+    # the constants keep their text's factors beside the fields, and a copy
+    # carries them over
     c = duplicate(l5_constants)
     assert c == l5_constants and type(c) is solvers.ConstantsL5
     args = (1.5, 1.2, 0.7, 0.4, -0.7)
@@ -1224,10 +1233,125 @@ def test_system_solve_makes_no_linalg_solve_call(l5_constants, monkeypatch):
 def test_non_finite_system_entry_is_singular(position, bad):
     # one non-finite entry anywhere must fail the determinant test; Python's
     # max() drops a NaN that is not its first argument, so the margin relies
-    # on the determinant carrying it
+    # on the determinant carrying it.  The test runs compiled as in the L5
+    # family, here with the entries of A and R given as the factors
     entries = [-3.0, 1.5, -0.25, 2.0]
     entries[position] = bad
-    complete = solvers._system_completion(
-        SimpleNamespace(_matrices=lambda *args: (*entries, 1.0, -1.0)))
+    cramer = solvers._Family("cramer", "fv, fp, yv, yp",
+                             "A11, A12, A21, A22, R1, R2", solvers._CRAMER)
+    _, complete = solvers._bind(cramer, (*entries, 1.0, -1.0))
     with pytest.raises(np.linalg.LinAlgError, match="near-singular"):
         complete((1.5, 1.2, 0.4, -0.7))
+
+
+def _l5_member(dphi):
+    """Constants of the L5 family near the fixture's, turned by dphi."""
+    r = math.sqrt(1.0 - 4.0 * 0.6 * 0.6 / 4.0)
+    phi = math.atan2(0.64, 0.48) + dphi
+    return rw.validate_constants_l5(2.0, 0.6, r * math.cos(phi),
+                                    r * math.sin(phi))
+
+
+def _outcome(fn, *args):
+    try:
+        return repr(fn(*args))
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+_coordinate = (st.floats(-3.0, 3.0) | st.sampled_from([0.0, -0.0])
+               | st.floats(-1e100, 1e100))  # f'**4 overflows past 1e77
+
+
+@settings(max_examples=80, deadline=None)
+@given(l5=st.booleans(), dphi=st.floats(-0.1, 0.1),
+       state=st.lists(_coordinate, min_size=4, max_size=4),
+       slopes=st.lists(st.floats(-5.0, 5.0), min_size=20, max_size=20),
+       h=st.floats(-0.2, 0.2), th=st.floats(0.0, 1.0),
+       singular=st.booleans())
+# f' = y' = 0: all of A is zero; a huge f' overflows f'**4 in the L4 text
+@example(l5=True, dphi=0.0, state=[1.5, 0.0, 0.4, 0.0], slopes=[0.0] * 20,
+         h=0.1, th=0.5, singular=False)
+@example(l5=False, dphi=0.0, state=[1.0, 1e90, 0.0, 0.0], slopes=[0.0] * 20,
+         h=0.1, th=0.5, singular=False)
+def test_family_kernels_match_the_generic_path_bitwise(l5, dphi, state, slopes,
+                                                       h, th, singular):
+    # each family's compiled step, state sample and warp sample against the
+    # generic kernels of its state length around the closures of
+    # tests/oracles.py: results by repr, exceptions by type and message
+    if l5:
+        c = _l5_member(dphi)
+        family, factors, complete = solvers._L5, c._factors, system_completion(c)
+        rhs = lambda t, s: complete(s)[1:3] + complete(s)[4:]
+        if singular:
+            state[1] = state[3] = 0.0
+    else:
+        c = rw.validate_constants_l4(2.0, 0.5 + 0.05 * dphi)
+        family, factors, rhs = solvers._L4, (c.b2,), rotational_warp_rhs(c)
+        complete = lambda s: (s[0], *rhs(0.0, s))
+    d = 4 if l5 else 2
+    y, k1 = state[:d], slopes[:d]
+    family_rhs, family_complete = solvers._bind(family, factors)
+    generic_step = solvers._kernels(d)[0](rhs)
+    step = solvers._kernels(family)[0](*factors)
+    args = (0.25, h, y, k1, 1e-13, 1e-11)
+    assert _outcome(step, *args) == _outcome(generic_step, *args)
+    assert _outcome(family_rhs, 0.25, y) == _outcome(rhs, 0.25, y)
+    # one step row (0, 1, y, q) with drawn quartic coefficients
+    q = [tuple(slopes[4 * i:4 * i + 4]) for i in range(d)]
+    dense, generic = (solvers.DenseOutput([(0.0, 1.0, y, q)], 1.0, fn)
+                      for fn in (family_complete, complete))
+    for t in (th, 0.0, 1.0, 1.0 + 1e-13, -2e-12):
+        assert _outcome(dense, t) == _outcome(generic, t)
+        assert _outcome(dense.derivative, t) == _outcome(generic.derivative, t)
+        assert (_outcome(rw.WarpingFunction(dense, (0.0, 1.0)), t)
+                == _outcome(rw.WarpingFunction(generic, (0.0, 1.0)), t))
+
+
+def test_singular_solved_warp_sample_is_a_singular_warp_error():
+    # A is all zero at f' = y' = 0: the state sample raises LinAlgError, and
+    # a warp over it, cached or fused, raises SingularWarpError naming t
+    c = rw.validate_constants_l5(2.0, 0.6, 0.48, 0.64)
+    _, complete = solvers._bind(solvers._L5, c._factors)
+    dense = solvers.DenseOutput(
+        [(0.0, 1.0, [1.0, 0.0, 0.0, 0.0], [(0.0,) * 4] * 4)], 1.0, complete)
+    with pytest.raises(np.linalg.LinAlgError, match="near-singular"):
+        dense(0.5)
+    cached = rw.WarpingFunction(functools.lru_cache(maxsize=None)(dense),
+                                (0.0, 1.0))
+    fused = rw.WarpingFunction(dense, (0.0, 1.0))
+    for warp in (cached, fused):
+        space = rw.AmbientSpace.warped_flat(5, warp)
+        for evaluate in (warp, lambda t: space.warp_state((t,))):
+            with pytest.raises(rw.SingularWarpError, match=(
+                    r"not finite at t=0\.5 \(LinAlgError: pointwise system "
+                    r"is near-singular\)")) as exc:
+                evaluate(0.5)
+            assert isinstance(exc.value.__cause__, np.linalg.LinAlgError)
+
+
+def test_family_kernels_compile_on_first_use_once(monkeypatch):
+    # importing the package compiles nothing; then each family compiles
+    # once, beside the kernels of its state length (the solve's raw dense
+    # output, which has no completion)
+    code = ("import rwsurf.cli\n"
+            "from rwsurf import ambient, solvers\n"
+            "for cached in (solvers._kernels, solvers._system_residuals,\n"
+            "               ambient._fn_sample):\n"
+            "    assert cached.cache_info().currsize == 0, cached\n")
+    src = str(pathlib.Path(solvers.__file__).parents[1])
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={**os.environ, "PYTHONPATH": src})
+    built = []
+
+    def counting_compile(source, filename, mode):
+        built.append(filename)
+        return compile(source, filename, mode)
+
+    monkeypatch.setattr(solvers, "compile", counting_compile, raising=False)
+    solvers._kernels.cache_clear()
+    for _ in range(3):
+        _l4_solve(1.0, 2.0, (0.0, 0.1))
+        rw.solve_warp_system(_l5_member(0.0), L5_ICS, (0.0, 0.1)).warp(0.05)
+    assert built == [f"<rwsurf.solvers._kernels({key})>"
+                     for key in ("l4", 2, "l5", 4)]
