@@ -11,8 +11,10 @@ bit-identical.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import importlib.util
+import io
 import json
 import math
 import os
@@ -422,8 +424,20 @@ def _cmd_scan(args) -> int:
 
 def _cmd_report(args) -> int:
     with open(args.path, "r", encoding="utf-8") as fh:
-        report = VerificationReport.from_dict(json.load(fh))
-    _print_report(report)
+        data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError(f"{args.path}: a report is a JSON object, not "
+                         f"{type(data).__name__}")
+    text = io.StringIO()  # printed only once the whole report has formatted
+    try:
+        with contextlib.redirect_stdout(text):
+            _print_report(VerificationReport.from_dict(data))
+    except KeyError as exc:
+        raise ValueError(f"{args.path}: report field {exc} is missing") from None
+    except (IndexError, TypeError, AttributeError, ValueError) as exc:
+        raise ValueError(f"{args.path}: report field is malformed "
+                         f"({type(exc).__name__}: {exc})") from None
+    sys.stdout.write(text.getvalue())
     return EXIT_PASS
 
 

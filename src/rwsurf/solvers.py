@@ -19,7 +19,8 @@ the warp ODE blows up in finite time for many initial conditions.  The
 rotational warp's solve stops short of its blow-up on an asymptotic estimate
 of the time left (monitor 'blow-up', see _BLOW_UP_DELTA); elsewhere a blow-up
 ends the solve by step underflow.  Either way it is reported rather than
-integrated through.
+integrated through.  A dense output binds its sample on its first call, so a
+family's solve compiles its family's kernels only.
 """
 
 from __future__ import annotations
@@ -108,40 +109,38 @@ class DenseOutput:
     """Piecewise-quartic interpolant over the accepted-step mesh.
 
     Calling it at a float t returns the state as a tuple of Python floats,
-    mapped by ``completion`` if given (a family's, from _bind, runs inline);
-    ``derivative(t)`` returns the raw interpolant's derivative.  Both run
-    functions generated by _kernels and make no numpy call.  Evaluation
-    outside the covered interval raises ChartDomainError.
+    mapped by ``completion`` if given (a family's, from _bind, runs inline).
+    It runs a function generated by _kernels, bound on the first call, and
+    makes no numpy call.  Evaluation outside the covered interval raises
+    ChartDomainError.
     """
 
     steps: list             # (t, h, y, q) floats per accepted step, in order
     t_end: float            # may cut the last step short (monitor stop)
     completion: Callable | None = None  # interpolated state -> full state
 
-    def __post_init__(self):
-        # the arguments of _kernels' samples: the limits, the rows, their
-        # direction-signed starts (monotone, for bisect), the direction and
-        # the completion
+    def _bound(self, kernel: int):
+        """_kernels' sample ``kernel`` (2 dense, 3 warp) over this output,
+        given the limits, the rows, their direction-signed starts (monotone,
+        for bisect), the direction and the completion."""
         direction = 1.0 if self.steps[0][1] > 0 else -1.0
         lo, hi = self.interval
         key, fn = getattr(self.completion, "inline",
                           (len(self.steps[0][2]), (self.completion,)))
-        args = (lo, hi, *_widened(lo, hi), self.steps,
-                [row[0] * direction for row in self.steps], direction, *fn)
-        _, _, dense, derivative, *_ = _kernels(key)
-        self.__dict__.update(_args=args, _key=key, _sample=dense(*args),
-                             _derivative=derivative(*args))
+        return _kernels(key)[kernel](lo, hi, *_widened(lo, hi), self.steps, [
+            row[0] * direction for row in self.steps], direction, *fn)
 
     @property
     def interval(self) -> tuple[float, float]:
         lo, hi = self.steps[0][0], self.t_end
         return (lo, hi) if lo <= hi else (hi, lo)
 
+    @functools.cached_property
+    def _sample(self):  # bound on the first call, then an instance attribute
+        return self._bound(2)
+
     def __call__(self, t: float) -> tuple[float, ...]:
         return self._sample(t)
-
-    def derivative(self, t: float) -> tuple[float, ...]:
-        return self._derivative(t)
 
     def _warp_sample(self, interval):
         """For a WarpingFunction over ``interval``: its sample, with the
@@ -149,7 +148,7 @@ class DenseOutput:
         another interval."""
         if self.completion is None or tuple(interval) != self.interval:
             return None
-        return _kernels(self._key)[4](*self._args)
+        return self._bound(3)
 
 
 @dataclass(frozen=True)
@@ -173,6 +172,8 @@ def _initial_step(rhs, t0, y0, f0, direction, rtol, atol, span):
     d0 = _rms([v / s for v, s in zip(y0, scale)])
     d1 = _rms([v / s for v, s in zip(f0, scale)])
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    if h0 == 0.0:  # d1 overflowed: rk_integrate takes no step
+        return 0.0
     step = h0 * direction
     f1 = rhs(t0 + step, [v + step * p for v, p in zip(y0, f0)])
     d2 = _rms([(p1 - p) / s for p1, p, s in zip(f1, f0, scale)]) / h0
@@ -185,7 +186,7 @@ def _initial_step(rhs, t0, y0, f0, direction, rtol, atol, span):
 
 @functools.lru_cache(maxsize=None)
 def _kernels(key):
-    """(step, quartic, dense, derivative, warp) for states of length ``key``,
+    """(step, quartic, dense, warp) for states of length ``key``,
     or, for a _Family ``key``, with its text inline in place of every call of
     the right-hand side or the completion, and its bind last.  Compiled once
     per key from straight lines in the tableau's floats by name (c2, a21, b1,
@@ -197,13 +198,12 @@ def _kernels(key):
     factors.  step(*fn)(t, h, y, k1, atol, rtol) returns (y_new, k7, the _rms
     of err / (atol + rtol max(|y|, |y_new|)), whether y_new and err are
     finite, Q); quartic(th, h, y, q) the state at theta = th of a steps row.
-    dense, derivative and warp take (lo, hi, low, high, steps, starts,
-    direction, *fn) and return a function of t, which tests t against [low,
-    high], clamps it to [lo, hi], bisects the direction-signed step starts
-    for its row and evaluates that row inline.  dense returns the quartic's
-    state, completed unless complete is None; derivative the quartic's
-    derivative in theta; warp is ambient's _WARP_SAMPLE around the completed
-    state.  A family's bind(*factors) returns its (rhs, complete)."""
+    dense and warp take (lo, hi, low, high, steps, starts, direction, *fn)
+    and return a function of t, which tests t against [low, high], clamps it
+    to [lo, hi], bisects the direction-signed step starts for its row and
+    evaluates that row inline.  dense returns the quartic's state, completed
+    unless complete is None; warp is ambient's _WARP_SAMPLE around the
+    completed state.  A family's bind(*factors) returns its (rhs, complete)."""
     family = None if isinstance(key, int) else key
     if family is None:
         fn, d = "fn", key
@@ -250,12 +250,10 @@ def _kernels(key):
                f"{each('e_i')}= {err}", f"{each('s_i')}= {scaled}",
                f"return y_new, k7, sqrt(({squares}) / {d}), {finite}, "
                f"[{each(f'(k1_i, {q})')}]"]
-    # theta's powers and a row's components, then the quartic and its
-    # derivative in theta
+    # theta's powers and a row's components, then the quartic
     row = ["th2, th3 = th * th, th * th * th", f"{each('y_i')}= y",
            f"{each('(a_i, b_i, c_i, d_i)')}= q"]
     quartic = each("y_i + h * (a_i * th + b_i * th2 + c_i * th3 + d_i * th2 * th2)")
-    slope_th = each("a_i + b_i * (2 * th) + c_i * (3 * th2) + d_i * (4 * th3)")
     # the lines every sample runs after its interval test: x is t clamped to
     # [lo, hi] (t stays as given for the warp's messages); the first step
     # starts at one end of it, so the bisection always lands on a step
@@ -270,19 +268,16 @@ def _kernels(key):
         warp = dict(complete=lines(12, text), state="{0}, {1}, {1}p".format(*pairs[0]))
     params = f"steps, starts, direction, {fn}"
 
-    def factory(name, value):  # a dense output's sample, ending by ``value``
-        return (f"def {name}(lo, hi, low, high, {params}):\n"
-                "    def sample(t):\n"
-                "        if not (low <= t <= high):\n"
-                "            raise ChartDomainError(\n"
-                '                f"dense output evaluated at t={t} outside [{lo}, {hi}]")\n'
-                + lines(8, locate + value) + "    return sample\n")
-
     source = (
         f"def step({fn}):\n    def run(t, h, y, k1, atol, rtol):\n"
         + lines(8, stages) + "    return run\n"
         "def quartic(th, h, y, q):\n" + lines(4, row) + f"    return ({quartic})\n"
-        + factory("dense", value) + factory("derivative", [f"return ({slope_th})"])
+        f"def dense(lo, hi, low, high, {params}):\n"
+        "    def sample(t):\n"
+        "        if not (low <= t <= high):\n"
+        "            raise ChartDomainError(\n"
+        '                f"dense output evaluated at t={t} outside [{lo}, {hi}]")\n'
+        + lines(8, locate + value) + "    return sample\n"
         + _WARP_SAMPLE.substitute(params=params, **warp,
                                   locate=lines(8, locate + value[:1])))
     if family is not None:
@@ -293,8 +288,8 @@ def _kernels(key):
                    + "    return rhs, complete\n")
     exec(compile(source, f"<rwsurf.solvers._kernels({getattr(family, 'name', d)})>",
                  "exec"), names)
-    return tuple(names[k] for k in ("step", "quartic", "dense", "derivative",
-                                    "make", "bind") if k in names)
+    return tuple(names[k] for k in ("step", "quartic", "dense", "make", "bind")
+                 if k in names)
 
 
 def rk_integrate(rhs: Callable, y0, t_span, config: SolverConfig | None = None,
@@ -322,8 +317,8 @@ def rk_integrate(rhs: Callable, y0, t_span, config: SolverConfig | None = None,
     stops ends with 'step-underflow' and the last valid time (a span left
     below that threshold is 'completed'), _MAX_STEPS attempts with
     'max-steps'.  A non-finite y0 raises ConstraintError before rhs is called,
-    and a non-finite derivative at (t0, y0) AdmissibilityError before any
-    step.
+    and a non-finite derivative at (t0, y0), or an ArithmeticError from rhs
+    there, AdmissibilityError before any step.
     """
     cfg = config or SolverConfig()
     t0, t1 = float(t_span[0]), float(t_span[1])
@@ -344,7 +339,12 @@ def rk_integrate(rhs: Callable, y0, t_span, config: SolverConfig | None = None,
                 f"t={t0!r}; it must be > 0")
     d = len(y)
     t = t0
-    f = rhs(t, y)
+    try:
+        f = rhs(t, y)
+    except ArithmeticError as exc:
+        raise AdmissibilityError(
+            f"the derivative at the initial state t={t0!r} is not finite "
+            f"({type(exc).__name__}: {exc})") from exc
     if isinstance(f, np.ndarray):
         rhs = lambda t, y, array_rhs=rhs: array_rhs(t, y).tolist()
         f = f.tolist()
@@ -557,7 +557,7 @@ def _bind(family: _Family, factors):
     """The family's generated rhs(t, s) and completion at its factors, each
     with (family, factors) as ``inline``: rk_integrate and DenseOutput then
     run the family's kernels."""
-    rhs, complete = _kernels(family)[5](*factors)
+    rhs, complete = _kernels(family)[4](*factors)
     rhs.inline = complete.inline = family, factors
     return rhs, complete
 
@@ -626,10 +626,10 @@ def solve_rotational_warp(constants: ConstantsL4, f0: float, f0p: float,
     ]
     result = rk_integrate(rhs, [f0, f0p], interval, config, monitors)
     dense = result.dense
-    blow_up_time = (dense.t_end + direction * _blow_up_time_left(
-        b2, *dense(dense.t_end)) if result.stop_reason == "monitor:blow-up"
-        else None)
     warp = DenseOutput(dense.steps, dense.t_end, complete)
+    blow_up_time = (dense.t_end + direction * _blow_up_time_left(
+        b2, *warp(dense.t_end)[:2]) if result.stop_reason == "monitor:blow-up"
+        else None)
     return RotationalWarpSolution(WarpingFunction(warp, dense.interval), result,
                                   constants, blow_up_time)
 

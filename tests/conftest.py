@@ -69,9 +69,9 @@ def count_generated_samples(monkeypatch, calls, inline=None):
         return factory
 
     def counting_kernels(key):
-        step, quartic, dense, derivative, warp, *bind = kernels(key)
+        step, quartic, dense, warp, *bind = kernels(key)
         family = not isinstance(key, int)
-        return (step, quartic, counted("dense", dense, family), derivative,
+        return (step, quartic, counted("dense", dense, family),
                 counted("warp", warp, family), *bind)
 
     monkeypatch.setattr(solvers, "_kernels", counting_kernels)

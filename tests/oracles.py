@@ -229,7 +229,12 @@ def reference_rk_integrate(rhs, y0, t_span, config=None, monitors=()):
                 f"t={t0!r}; it must be > 0")
     d = len(y)
     t = t0
-    f = rhs(t, y)
+    try:
+        f = rhs(t, y)
+    except ArithmeticError as exc:
+        raise AdmissibilityError(
+            f"the derivative at the initial state t={t0!r} is not finite "
+            f"({type(exc).__name__}: {exc})") from exc
     if isinstance(f, np.ndarray):
         rhs = lambda t, y, array_rhs=rhs: array_rhs(t, y).tolist()
         f = f.tolist()

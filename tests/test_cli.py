@@ -148,6 +148,23 @@ def test_solve_f4_inadmissible_exits_2(capsys):
     assert "AdmissibilityError" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["solve", "f4"], ["verify", "thm4"]],
+                         ids=["solve", "verify"])
+@pytest.mark.parametrize("f0p, message", [
+    ("1e60", "integration could not take a single step\n"),
+    ("-1e60", "integration could not take a single step\n"),
+    ("1e80", "the derivative at the initial state t=0.0 is not finite "
+             "(OverflowError: "),
+], ids=["1e60", "-1e60", "1e80"])
+def test_huge_initial_slope_exits_2(capsys, command, f0p, message):
+    # an admissible slope too steep to take a step from, not a failed check
+    code = main([*command, "--a", "2", "--H0", "0.5", "--f0", "1", f"--f0p={f0p}"])
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: AdmissibilityError: {message}")
+
+
 SYS5_ARGS = ["solve", "sys5", "--a", "2", "--H0", "0.6", "--c2", "0.48",
              "--c3", "0.64", "--f0", "1.5", "--f0p", "1.2", "--y0", "0.4",
              "--y0p", "-0.7"]
@@ -512,6 +529,51 @@ def test_report_pretty_print(tmp_path, capsys):
 def test_report_missing_file(capsys):
     code = main(["report", "/nonexistent/report.json"])
     assert code == 2
+
+
+def test_report_prints_the_report_verify_printed(tmp_path, capsys):
+    # a round-tripped report prints the lines verify printed after its
+    # integration line, degenerate nodes included
+    for argv in (THM4_ARGS + ["--grid", "3x3"],
+                 THM4_ARGS + ["--grid", "3x3", "--u-span", "0.1:0.4"]):
+        out = tmp_path / "report.json"
+        main(argv + ["--out", str(out)])
+        printed = capsys.readouterr().out.split("\n", 1)[1]
+        assert main(["report", str(out)]) == 0
+        assert capsys.readouterr().out == printed
+
+
+_REPORT = {"surface": "s", "grid": {"nu": 1, "nv": 1, "u": [0, 1], "v": [0, 1]},
+           "entries": [{"name": "pmcv", "value": 0.0, "tol": 1e-5,
+                        "passed": True}],
+           "diagnostics": {}, "degeneracies": [], "verdict": "pass"}
+
+
+@pytest.mark.parametrize("data, message", [
+    ({}, "report field 'entries' is missing"),
+    ([1, 2], "a report is a JSON object, not list"),
+    (None, "a report is a JSON object, not NoneType"),
+    ({**_REPORT, "grid": {"nu": 1}}, "report field 'nv' is missing"),
+    ({**_REPORT, "entries": [{"name": "pmcv"}]},
+     "report field 'value' is missing"),
+    ({**_REPORT, "entries": 3}, "report field is malformed (TypeError: "),
+    ({**_REPORT, "entries": [{**_REPORT["entries"][0], "value": "x"}]},
+     "report field is malformed (ValueError: Unknown format code 'e'"),
+], ids=["empty", "list", "null", "grid", "entry", "entries", "value"])
+def test_report_of_json_that_is_not_a_report_exits_2(tmp_path, capsys, data,
+                                                      message):
+    # invalid input, as a file that is not JSON: nothing is printed but the
+    # error, which names the file and the field
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert main(["report", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: ValueError: {path}")
+    assert message in err
+    path.write_text("{")
+    assert main(["report", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: JSONDecodeError: ")
 
 
 def test_config_file_defaults_and_override(tmp_path, capsys):

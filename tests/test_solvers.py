@@ -7,6 +7,7 @@ import pathlib
 import pickle
 import subprocess
 import sys
+from operator import itemgetter
 
 import numpy as np
 import pytest
@@ -21,9 +22,9 @@ from rwsurf.solvers import SolverConfig, rk_integrate, system_equation_residuals
 
 from conftest import (L5_CONSTANTS, L5_ICS, L5_INTERVAL,
                       count_generated_samples)
-from oracles import (reference_rk_integrate, reference_rotational_warp,
-                     reference_warp_system, rotational_warp_rhs,
-                     system_completion, system_matrices)
+from oracles import (ReferenceDense, reference_rk_integrate,
+                     reference_rotational_warp, reference_warp_system,
+                     rotational_warp_rhs, system_completion, system_matrices)
 
 
 def test_exponential_growth():
@@ -107,6 +108,61 @@ def test_non_finite_derivative_at_the_initial_state_is_refused(value, integrate,
     assert calls == [0.0]
 
 
+@pytest.mark.parametrize("error", [ZeroDivisionError, OverflowError])
+@pytest.mark.parametrize("integrate", [rk_integrate, reference_rk_integrate],
+                         ids=["rk_integrate", "reference"])
+@pytest.mark.parametrize("config", [None, SolverConfig(fixed_step=0.1)],
+                         ids=["adaptive", "fixed"])
+def test_arithmetic_error_at_the_initial_state_is_refused(error, integrate,
+                                                         config):
+    # an rhs that raises at (t0, y0) has no derivative there: refused as a
+    # non-finite one, naming the error, before any step
+    calls = []
+
+    def rhs(t, y):
+        calls.append(t)
+        raise error("boom")
+
+    with pytest.raises(AdmissibilityError,
+                       match=r"^the derivative at the initial state t=0\.0 is "
+                             rf"not finite \({error.__name__}: boom\)$") as exc:
+        integrate(rhs, [1.0, 2.0], (0.0, 1.0), config)
+    assert isinstance(exc.value.__cause__, error)
+    assert calls == [0.0]
+
+
+@pytest.mark.parametrize("integrate", [rk_integrate, reference_rk_integrate],
+                         ids=["rk_integrate", "reference"])
+def test_initial_step_that_underflows_takes_no_step(integrate):
+    # |f| / (atol + rtol |y|) overflows the RMS, so the initial step size is
+    # 0.0, returned before a second rhs call, and no step can start
+    calls = []
+
+    def rhs(t, y):
+        calls.append(t)
+        return [1e300]
+
+    assert solvers._initial_step(rhs, 0.0, [1.0], [1e300], 1.0, 1e-11, 1e-13,
+                                 1.0) == 0.0
+    assert calls == []
+    with pytest.raises(AdmissibilityError,
+                       match="^integration could not take a single step$"):
+        integrate(rhs, [1.0], (0.0, 1.0))
+    assert calls == [0.0]
+
+
+@pytest.mark.parametrize("f0p", [1e10, 1e40, 1e50, 1e60, 1.158e77, 1e80])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_huge_admissible_initial_slope_is_refused(f0p, sign):
+    # from 1e50 the initial step size is 0.0; from 1.158e77 f'**4 overflows
+    # in the right-hand side at the initial state
+    message = ("^integration could not take a single step$" if f0p < 1e77 else
+               r"^the derivative at the initial state t=0\.0 is not finite "
+               r"\(OverflowError: ")
+    with pytest.raises(AdmissibilityError, match=message):
+        _l4_solve(1.0, sign * f0p, (0.0, 1.0))
+
+
 def _rows(d):
     """The dense output's step rows as arrays (ts, hs, ys, qs) of shapes
     (m,), (m,), (m, d) and (m, d, 4)."""
@@ -152,8 +208,7 @@ def _matrix_form(d, t):
                             side="right")) - 1
     k = min(max(k, 0), len(hs) - 1)
     th = (t - ts[k]) / hs[k]
-    y = ys[k] + hs[k] * (qs[k] @ np.array([th, th**2, th**3, th**4]))
-    return y, qs[k] @ np.array([1.0, 2 * th, 3 * th**2, 4 * th**3])
+    return ys[k] + hs[k] * (qs[k] @ np.array([th, th**2, th**3, th**4]))
 
 
 _OSCILLATOR = (lambda t, y: np.array([y[1], -y[0]]), [0.3, 0.7])
@@ -180,11 +235,10 @@ def test_dense_output_matches_matrix_form(rhs, y0, t_span, monitors):
            for th in (0.1, 0.5, 0.93)]
     ts += [float(starts[-1] + th * (d.t_end - starts[-1])) for th in (0.3, 0.999)]
     for t in ts:
-        y, yp = d(float(t)), d.derivative(float(t))
-        y_ref, yp_ref = _matrix_form(d, float(t))
-        assert all(type(v) is float for v in (*y, *yp))
-        np.testing.assert_allclose(y, y_ref, rtol=1e-14, atol=1e-15)
-        np.testing.assert_allclose(yp, yp_ref, rtol=1e-14, atol=1e-15)
+        y = d(float(t))
+        assert all(type(v) is float for v in y)
+        np.testing.assert_allclose(y, _matrix_form(d, float(t)), rtol=1e-14,
+                                   atol=1e-15)
 
 
 @pytest.mark.parametrize("t_span", [(0.0, 1.0), (0.0, -1.0)])
@@ -196,17 +250,16 @@ def test_dense_output_slack_clamps_and_rejects(t_span):
         inside = d(edge + 0.5 * outward * slack)
         at_edge = d(edge)
         np.testing.assert_array_equal(inside, at_edge)
-        np.testing.assert_array_equal(d.derivative(edge + 0.5 * outward * slack),
-                                      d.derivative(edge))
-        for evaluate in (d, d.derivative):
-            with pytest.raises(ChartDomainError, match="outside"):
-                evaluate(edge + 2.0 * outward * slack)
+        with pytest.raises(ChartDomainError, match="outside"):
+            d(edge + 2.0 * outward * slack)
 
 
 def test_dense_output_derivative_consistency():
+    # the rows' quartic coefficients, differentiated by the oracle
     res = rk_integrate(lambda t, y: y, [1.0], (0.0, 1.0))
+    derivative = ReferenceDense(res.dense.steps, res.dense.t_end).derivative
     for t in np.linspace(0.05, 0.95, 20):
-        y, yp = res.dense(float(t)), res.dense.derivative(float(t))
+        y, yp = res.dense(float(t)), derivative(float(t))
         assert abs(yp[0] - y[0]) < 1e-8  # y' = y
 
 
@@ -382,15 +435,14 @@ def _oscillator_steps(**kwargs):
 
 
 def _dense_samples(n):
-    """A run whose size is the number of dense-output samples (state and
-    derivative) of one fixed solve."""
+    """A run whose size is the number of dense-output samples of one fixed
+    solve."""
     def run():
         d = rk_integrate(lambda t, y: (y[1], -y[0]), [0.3, 0.7], (0.0, 3.0)).dense
         lo, hi = d.interval
         for k in range(n):
             t = lo + (hi - lo) * k / (n - 1)
             d(t)
-            d.derivative(t)
         return n
     return run
 
@@ -434,8 +486,8 @@ def _coupled_rhs(seed, d, form):
        fixed_steps=st.none() | st.integers(3, 40), monitored=st.booleans())
 def test_generated_kernels_match_the_per_component_form_bitwise(
         d, seed, form, span, fixed_steps, monitored):
-    # steps rows, end time, stop reason, step counts, dense samples and
-    # derivatives all equal the list-comprehension form's, bit for bit
+    # steps rows, end time, stop reason, step counts and dense samples all
+    # equal the list-comprehension form's, bit for bit
     # (repr of a float round-trips and tells -0.0 from 0.0)
     rhs, y0 = _coupled_rhs(seed, d, form)
     config = SolverConfig(fixed_step=None if fixed_steps is None
@@ -452,8 +504,7 @@ def test_generated_kernels_match_the_per_component_form_bitwise(
     dense = res.dense
     assert repr((dense.steps, dense.t_end)) == repr((ref.steps, ref.t_end))
     ts = np.linspace(*dense.interval, 50).tolist() + _path_times(dense.interval)
-    for evaluate, want in ((dense, ref), (dense.derivative, ref.derivative)):
-        assert _samples(evaluate, ts) == _samples(want, ts)
+    assert _samples(dense, ts) == _samples(ref, ts)
 
 
 @settings(max_examples=60, deadline=None)
@@ -839,10 +890,11 @@ def test_rotational_warp_admissible_along_output(l4_solution):
 
 
 def test_warp_self_consistency_off_mesh(l4_solution):
-    # derivative of the dense f' component against the ODE right-hand side;
+    # the oracle's derivative of the interpolated f' against the ODE's f'';
     # absolute on the tame part, scale-relative where f'' grows toward the
     # blow-up
-    dense = l4_solution.integration.dense
+    raw = l4_solution.integration.dense
+    dense = ReferenceDense(raw.steps, raw.t_end)
     lo, hi = l4_solution.warp.interval
     for t in np.linspace(lo + 1e-3, lo + 0.8 * (hi - lo), 60):
         yp = dense.derivative(float(t))
@@ -921,7 +973,8 @@ def test_system_spacelike_margin_at_start(l5_constants):
 
 
 def test_system_warp_self_consistency(l5_solution):
-    dense = l5_solution.integration.dense
+    raw = l5_solution.integration.dense
+    dense = ReferenceDense(raw.steps, raw.t_end)
     for t in np.linspace(1e-3, 0.799, 60):
         yp = dense.derivative(float(t))
         _, _, fpp = l5_solution.warp(float(t))
@@ -1303,7 +1356,6 @@ def test_family_kernels_match_the_generic_path_bitwise(l5, dphi, state, slopes,
                       for fn in (family_complete, complete))
     for t in (th, 0.0, 1.0, 1.0 + 1e-13, -2e-12):
         assert _outcome(dense, t) == _outcome(generic, t)
-        assert _outcome(dense.derivative, t) == _outcome(generic.derivative, t)
         assert (_outcome(rw.WarpingFunction(dense, (0.0, 1.0)), t)
                 == _outcome(rw.WarpingFunction(generic, (0.0, 1.0)), t))
 
@@ -1332,8 +1384,8 @@ def test_singular_solved_warp_sample_is_a_singular_warp_error():
 
 def test_family_kernels_compile_on_first_use_once(monkeypatch):
     # importing the package compiles nothing; then each family compiles
-    # once, beside the kernels of its state length (the solve's raw dense
-    # output, which has no completion)
+    # once, and nothing else: the solve's raw dense output, which has no
+    # completion, is never called, not even for the blow-up time
     code = ("import rwsurf.cli\n"
             "from rwsurf import ambient, solvers\n"
             "for cached in (solvers._kernels, solvers._system_residuals,\n"
@@ -1352,6 +1404,53 @@ def test_family_kernels_compile_on_first_use_once(monkeypatch):
     solvers._kernels.cache_clear()
     for _ in range(3):
         _l4_solve(1.0, 2.0, (0.0, 0.1))
+        blown = _l4_solve(1.0, 2.0, (0.0, 1.0))
+        assert blown.integration.stop_reason == "monitor:blow-up"
+        assert blown.blow_up_time is not None
         rw.solve_warp_system(_l5_member(0.0), L5_ICS, (0.0, 0.1)).warp(0.05)
-    assert built == [f"<rwsurf.solvers._kernels({key})>"
-                     for key in ("l4", 2, "l5", 4)]
+    assert built == [f"<rwsurf.solvers._kernels({key})>" for key in ("l4", "l5")]
+
+
+def _l4_sweep(n):
+    """n thm4 members from the family sweep's sampler (seed 11), solved
+    over (0, 1); about half stop by 'monitor:blow-up'."""
+    rng = np.random.default_rng(11)
+    for _ in range(n):
+        a = rng.uniform(1.0, 5.0)
+        H0 = rng.uniform(0.05, 0.45) * a
+        f0 = rng.uniform(0.5, 3.0)
+        q = rng.uniform(0.05, 3.0) * f0 * f0
+        f0p = math.sqrt((a * a - 4 * H0 * H0) * f0 * f0 + q)
+        if rng.uniform() < 0.5:
+            f0p = -f0p
+        yield rw.solve_rotational_warp(rw.validate_constants_l4(a, H0), f0,
+                                       f0p, (0.0, 1.0))
+
+
+def test_raw_dense_output_binds_on_first_call(l5_solution, monkeypatch):
+    # a family solve's raw interpolant (integration.dense) compiles and binds
+    # nothing until it is called; then it is the completed output's leading
+    # state, bitwise, at the end time and across the interval
+    built = []
+
+    def counting_compile(source, filename, mode):
+        built.append(filename)
+        return compile(source, filename, mode)
+
+    monkeypatch.setattr(solvers, "compile", counting_compile, raising=False)
+    solvers._kernels.cache_clear()
+    l4 = list(_l4_sweep(40))
+    l5 = rw.solve_warp_system(l5_solution.constants, L5_ICS, L5_INTERVAL)
+    reasons = {sol.integration.stop_reason for sol in l4}
+    assert {"completed", "monitor:blow-up"} <= reasons
+    assert built == [f"<rwsurf.solvers._kernels({key})>" for key in ("l4", "l5")]
+    for sol in (*l4, l5):
+        assert "_sample" not in vars(sol.integration.dense)
+    leading = [(sol.integration.dense, lambda t, w=sol.warp.fn: w(t)[:2])
+               for sol in l4]
+    leading.append((l5.integration.dense, lambda t: itemgetter(0, 1, 3, 4)(
+        l5.state(t))))
+    for raw, completed in leading:
+        for t in [raw.t_end, *np.linspace(*raw.interval, 50).tolist()]:
+            assert repr(raw(t)) == repr(completed(t))
+    assert built[2:] == [f"<rwsurf.solvers._kernels({d})>" for d in (2, 4)]
