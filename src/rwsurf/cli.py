@@ -259,7 +259,7 @@ def _write_report_files(report: VerificationReport, surface, opts: dict):
         us, vs = (np.linspace(*report.grid[k], report.grid["n" + k]) for k in "uv")
         dim = surface.space.ambient_dim
         try:  # the grid's jet (NaN where the chart failed), else one jet call
-            phis = (sg.data.jet.phi[:, :, 0] if sg is not None else
+            phis = (sg.node_data.jet.phi if sg is not None else
                     surface.jet(us[:, None], vs[None, :])[0].phi).tolist()
         except DimensionMismatchError:  # a chart whose vectors fit no row
             phis = np.full((len(us), len(vs), dim), np.nan).tolist()
@@ -425,13 +425,14 @@ def _cmd_scan(args) -> int:
 def _cmd_report(args) -> int:
     with open(args.path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    if not isinstance(data, dict):
-        raise ValueError(f"{args.path}: a report is a JSON object, not "
-                         f"{type(data).__name__}")
+    try:
+        report = VerificationReport.from_dict(data)
+    except ValueError as exc:
+        raise ValueError(f"{args.path}: {exc}") from None
     text = io.StringIO()  # printed only once the whole report has formatted
     try:
         with contextlib.redirect_stdout(text):
-            _print_report(VerificationReport.from_dict(data))
+            _print_report(report)
     except KeyError as exc:
         raise ValueError(f"{args.path}: report field {exc} is missing") from None
     except (IndexError, TypeError, AttributeError, ValueError) as exc:

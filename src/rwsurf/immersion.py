@@ -343,16 +343,47 @@ class FrameData:
 
 
 def adapted_frame(jet: JetSample, space: AmbientSpace, G, ginv,
-                  H, _full=True) -> FrameData:
+                  H, _full=True):
     """Build the adapted frame at a jet sample.
 
     G is the ambient metric's diagonal at the jet's point, ginv the inverse
     induced metric and H the mean curvature vector there.  Raises
     HorizontalSliceError when |T| <= TOL_T (the excluded horizontal slice
     case).  When |H| <= TOL_H there is no distinguished mean-curvature
-    direction; the frame is completed without e4 and flagged.  Only there
-    and where ``_full`` (the grid fill's) holds is the frame completed.
+    direction; the frame is completed without e4 and flagged.
+
+    ``_full`` is the grid fill's mask over a flat stack of points.  It gives
+    the pair (the ``FrameData`` of the masked points, the frame up to e4 at
+    the others): the latter holds ``vectors`` e1, e2, e3, e4, ``theta`` and
+    ``coeffs``, and None for every other field.  The frame is completed only
+    at the masked points and at the points without a mean direction, where
+    the first completion stands in for e4.
     """
+    T, eta, theta, sinh_theta, cosh_theta, e1, e2, e3, coeffs = (
+        _tangent_frame(jet, space, G, ginv))
+    h_norm2 = inner(H, H, G)
+    has_mean = np.abs(h_norm2) > TOL_H * TOL_H
+    complete = _full | ~has_mean
+    e4, vectors, signs = _complete_normals(space, jet, G, e1, e2, e3, H,
+                                           h_norm2, has_mean, complete)
+    if _full is True:
+        return FrameData(vectors, signs, T, eta, theta, sinh_theta,
+                         cosh_theta, has_mean, coeffs)
+    node, rest = _full[complete], ~_full
+    heads = np.empty((int(rest.sum()), 4) + e1.shape[1:], e1.dtype)
+    for k, e in enumerate((e1, e2, e3, e4)):
+        heads[:, k] = e[rest]
+    return (FrameData(vectors[node], signs[node], T[_full], eta[_full],
+                      theta[_full], sinh_theta[_full], cosh_theta[_full],
+                      has_mean[_full], coeffs[_full]),
+            FrameData(heads, None, None, None, theta[rest], None, None, None,
+                      coeffs[rest]))
+
+
+def _tangent_frame(jet: JetSample, space: AmbientSpace, G, ginv):
+    """``adapted_frame``'s T, eta, theta, sinh(theta), cosh(theta), e1, e2,
+    e3 and the chart coefficients of e1, e2 (rows); a function of its own so
+    that its intermediates are freed before the completion."""
     dt = space.dt_vector()
     coef_T = _tangent_coefficients(dt, jet, G, ginv)
     T = coef_T[..., :1] * jet.phi_u + coef_T[..., 1:] * jet.phi_v
@@ -377,42 +408,43 @@ def adapted_frame(jet: JetSample, space: AmbientSpace, G, ginv,
     c1 = coef_T / _col(sinh_theta)
     c2 = np.stack([-v1 * c1[..., 0], 1.0 - v1 * c1[..., 1]],
                   axis=-1) / _col(np.sqrt(n2))
-    coeffs = np.stack([c1, c2], axis=-2)
-
-    h_norm2 = inner(H, H, G)
-    has_mean = np.abs(h_norm2) > TOL_H * TOL_H
-    vectors, signs = _complete_normals(space, jet, G, e1, e2, e3, H, h_norm2,
-                                       has_mean, _full | ~has_mean)
-    return FrameData(vectors, signs, T, eta, theta, sinh_theta, cosh_theta,
-                     has_mean, coeffs)
+    return (T, eta, theta, sinh_theta, cosh_theta, e1, e2, e3,
+            np.stack([c1, c2], axis=-2))
 
 
 def _complete_normals(space: AmbientSpace, jet: JetSample, G, e1, e2, e3, H,
                       h_norm2, has_mean, complete):
-    """The frame (..., m, d) and its causal signs (..., m): e1, e2, e3, then
-    e4 = H/|H| where the mean curvature direction exists, then
-    signature-aware Gram-Schmidt over the coordinate candidates, which each
-    point accepts or skips on its own.  The basis is zero-padded, so every
-    point still completing shares one batched projection per candidate.
-    Only the points where ``complete`` holds are completed: elsewhere the
-    rows after e3 and e4 = H/|H| read NaN and their signs 0.  The product
-    backend's normal joins the Gram-Schmidt basis but not the frame."""
+    """e4 at every point, then the frame (c, m, d) and its causal signs
+    (c, m) at the c points where ``complete`` holds (the leading axes of e1
+    when it holds everywhere).  The frame is e1, e2, e3, then e4 = H/|H|
+    where the mean curvature direction exists, then signature-aware
+    Gram-Schmidt over the coordinate candidates, which each point accepts or
+    skips on its own; where there is no mean direction, e4 is the first
+    completion.  ``complete`` must hold there.  Only the completing points
+    get a basis, zero-padded, so they share one batched projection per
+    candidate.  The product backend's normal joins the Gram-Schmidt basis
+    but not the frame."""
     d = space.ambient_dim
     lead = np.shape(e1)[:-1]
     flat = lambda x: np.reshape(x, (-1,) + np.shape(x)[len(lead):])
-    priors = [e1, e2]
-    if space.is_embedded:
-        priors.append(space.product_normal(jet.phi))
-    G, mean = flat(np.broadcast_to(G, lead + (d,))), flat(has_mean)
-    basis = np.zeros((len(mean), d, d), e1.dtype)  # priors, normals
-    basis[:, :len(priors) + 1] = np.stack([flat(x) for x in priors + [e3]], 1)
+    mean = flat(has_mean)
     s2 = flat(h_norm2)[mean]
-    basis[mean, len(priors) + 1] = (flat(H)[mean]
-                                    / _col(np.sqrt(s2 * np.sign(s2.real))))
-    start = len(priors) + 1 + mean
-    filled, active = start.copy(), flat(complete)
+    e4 = np.empty(mean.shape + (d,), e1.dtype)
+    e4[mean] = flat(H)[mean] / _col(np.sqrt(s2 * np.sign(s2.real)))
+    at = np.flatnonzero(np.broadcast_to(complete, lead))
+    phi = flat(jet.phi)[at]
+    priors = [flat(e1)[at], flat(e2)[at]]
+    if space.is_embedded:
+        priors.append(space.product_normal(phi))
+    priors.append(flat(e3)[at])
+    G, mean = flat(np.broadcast_to(G, lead + (d,)))[at], mean[at]
+    basis = np.zeros((len(at), d, d), e1.dtype)  # priors, normals
+    basis[:, :len(priors)] = np.stack(priors, 1)
+    basis[mean, len(priors)] = e4[at[mean]]
+    start = len(priors) + mean
+    filled = start.copy()
     for c in range(d):
-        idx = np.flatnonzero(active & (filled < d))
+        idx = np.flatnonzero(filled < d)
         if not len(idx):
             break
         w = project_out_span(np.eye(d)[c], basis[idx].swapaxes(0, 1), G[idx])
@@ -421,9 +453,10 @@ def _complete_normals(space: AmbientSpace, jet: JetSample, G, e1, e2, e3, H,
         s2, idx = s2[take], idx[take]
         basis[idx, filled[idx]] = w[take] / _col(np.sqrt(s2 * np.sign(s2.real)))
         filled[idx] += 1
-    raise_where(DegenerateFrameError, (active & (filled < d)).reshape(lead),
+    failed = np.zeros(len(e4), bool)
+    failed[at[filled < d]] = True
+    raise_where(DegenerateFrameError, failed.reshape(lead),
                 "could not complete the normal frame")
-    basis[np.arange(d) >= filled[:, None]] = np.nan
     # the coordinate-candidate sign rule is not smooth where the candidate
     # component crosses zero; pin the last completion vector to the ambient
     # orientation instead (smooth along catalog grids)
@@ -431,7 +464,9 @@ def _complete_normals(space: AmbientSpace, jet: JetSample, G, e1, e2, e3, H,
     basis[flip[np.linalg.det(basis[flip].real.astype(float)) < 0], d - 1] *= -1
     if space.is_embedded:  # drop the product normal's row
         basis = np.delete(basis, 2, axis=1)
+    e4[at[~mean]] = basis[~mean, 3]
     s2 = inner(basis, basis, G[:, None]).real
     signs = np.where(s2 > 0, 1, np.where(s2 < 0, -1, 0))
-    m = basis.shape[1]
-    return basis.reshape(lead + (m, d)), signs.reshape(lead + (m,))
+    m, lead_c = basis.shape[1], lead if len(at) == len(e4) else (len(at),)
+    return (e4.reshape(lead + (d,)), basis.reshape(lead_c + (m, d)),
+            signs.reshape(lead_c + (m,)))

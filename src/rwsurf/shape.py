@@ -1,14 +1,16 @@
 """Second fundamental form, shape operators, normal connection and
 normal-space dimensions.
 
-Grid evaluation is two-phase.  ``SurfaceGrid`` first fills one
-array-of-points ``PointData`` with leading axes (nu, nv, 9): every report
+Grid evaluation is two-phase.  ``SurfaceGrid`` first fills every report
 node and its cross stencil, one jet call for all of them and every later
-layer batched (``evaluate_point``).  Derivatives are then 5-point central
-stencils, one weighted sum over the offset axis at every node at once.  The
-stencil substep is small and decoupled from the report-grid spacing so that
-truncation error stays orders of magnitude below the stencil-tier
-tolerances even on coarse grids.  Stencil quantities that several checks
+layer batched (``evaluate_point``), into two records: the nodes'
+``PointData`` (leading axes (nu, nv)) and, at the eight stencil points per
+node (leading axes (nu, nv, 8)), only the fields the stencils
+differentiate.  Derivatives are then 5-point central stencils, one weighted
+sum over the offset axis at every node at once.  The stencil substep is
+small and decoupled from the report-grid spacing so that truncation error
+stays orders of magnitude below the stencil-tier tolerances even on coarse
+grids.  Stencil quantities that several checks
 read are computed once per grid, on first use (``_per_grid``), and
 ``SurfaceGrid.point(i, j)`` is a record of views into the grid's arrays.
 Every layer works in the jet's dtype: complex128 runs through
@@ -54,11 +56,12 @@ RANK_TOL = 1e-8
 ZERO_FLOOR = 1e-7
 _SCALE_FRACTION = 4e-3
 # (u, v) offsets of the points filled per node: the node, then its cross
-# stencil; the u- and v-stencil points sit at these positions on the offset axis
-_FILL_OFFSETS = ((0, 0),) + tuple(p for k in _STENCIL_OFFSETS
-                                  for p in ((k, 0), (0, k)))
-_U_SLOTS = [_FILL_OFFSETS.index((k, 0)) for k in _STENCIL_OFFSETS]
-_V_SLOTS = [_FILL_OFFSETS.index((0, k)) for k in _STENCIL_OFFSETS]
+# stencil; the u- and v-stencil points sit at these positions on the stencil
+# record's offset axis
+_STENCIL_POINTS = tuple(p for k in _STENCIL_OFFSETS for p in ((k, 0), (0, k)))
+_FILL_OFFSETS = ((0, 0),) + _STENCIL_POINTS
+_U_SLOTS = [_STENCIL_POINTS.index((k, 0)) for k in _STENCIL_OFFSETS]
+_V_SLOTS = [_STENCIL_POINTS.index((0, k)) for k in _STENCIL_OFFSETS]
 
 
 def _per_grid(fn):
@@ -151,7 +154,7 @@ class SecondFundamentalData:
     h12: np.ndarray
     h22: np.ndarray
     H: np.ndarray
-    A: np.ndarray
+    A: np.ndarray | None
 
     def h(self, i: int, j: int) -> np.ndarray:
         if i == j:
@@ -167,6 +170,21 @@ def _pairing_matrix(h11, h12, h22, xi, G) -> np.ndarray:
                      np.stack([a12, inner(h22, xi, G)], axis=-1)], axis=-2)
 
 
+def _frame_h(c, h_chart) -> SecondFundamentalData:
+    """h in the frame whose tangents have the chart coefficients ``c`` (rows
+    e1, e2 in (phi_u, phi_v)), by the bilinear change of basis from the
+    chart-basis ``h_chart``, and H = (h11 + h22) / 2; A is None."""
+    huu, huv, hvv = h_chart[("u", "u")], h_chart[("u", "v")], h_chart[("v", "v")]
+
+    def hframe(i, j):
+        return (_col(c[..., i, 0] * c[..., j, 0]) * huu
+                + _col(c[..., i, 0] * c[..., j, 1] + c[..., i, 1] * c[..., j, 0]) * huv
+                + _col(c[..., i, 1] * c[..., j, 1]) * hvv)
+
+    h11, h12, h22 = hframe(0, 0), hframe(0, 1), hframe(1, 1)
+    return SecondFundamentalData(h11, h12, h22, 0.5 * (h11 + h22), None)
+
+
 def second_fundamental_form(frame: FrameData, G,
                             h_chart: dict) -> SecondFundamentalData:
     """Normal parts of the ambient covariant derivatives in the frame basis.
@@ -176,19 +194,12 @@ def second_fundamental_form(frame: FrameData, G,
     obtained from the chart values by the bilinear change of basis, so
     h12 = h21 holds structurally and H = (h11 + h22) / 2 exactly.
     """
-    c = frame.coeffs  # rows: e1, e2 in (phi_u, phi_v)
-    huu, huv, hvv = h_chart[("u", "u")], h_chart[("u", "v")], h_chart[("v", "v")]
-
-    def hframe(i, j):
-        return (_col(c[..., i, 0] * c[..., j, 0]) * huu
-                + _col(c[..., i, 0] * c[..., j, 1] + c[..., i, 1] * c[..., j, 0]) * huv
-                + _col(c[..., i, 1] * c[..., j, 1]) * hvv)
-
-    h11, h12, h22 = hframe(0, 0), hframe(0, 1), hframe(1, 1)
+    sfd = _frame_h(frame.coeffs, h_chart)
     per_normal = lambda x: x[..., None, :]
-    A = _pairing_matrix(per_normal(h11), per_normal(h12), per_normal(h22),
-                        frame.normals, np.asarray(G)[..., None, :])
-    return SecondFundamentalData(h11, h12, h22, 0.5 * (h11 + h22), A)
+    A = _pairing_matrix(per_normal(sfd.h11), per_normal(sfd.h12),
+                        per_normal(sfd.h22), frame.normals,
+                        np.asarray(G)[..., None, :])
+    return dataclasses.replace(sfd, A=A)
 
 
 def shape_operator(sfd: SecondFundamentalData, xi, G,
@@ -223,7 +234,9 @@ def normal_curvature(sfd: SecondFundamentalData, A) -> np.ndarray:
 @dataclass(frozen=True)
 class PointData:
     """Everything pointwise at one parameter value, or at a stack of them
-    (every array then carries the points' leading axes)."""
+    (every array then carries the points' leading axes).  A grid's stencil
+    record holds only the fields its stencils differentiate, and None for
+    the others (``SurfaceGrid``)."""
 
     jet: JetSample
     G: np.ndarray  # the ambient metric's diagonal, ``metric_at``
@@ -234,17 +247,33 @@ class PointData:
 
 
 def _point_data(space: AmbientSpace, jet: JetSample, warp_state,
-                full=True) -> PointData:
+                full=True):
     """Every quantity after the jet and the warp, each computed once, for one
-    point or a stack of points; ``full`` as ``adapted_frame``'s ``_full``."""
+    point or a stack of points.  With ``full`` a mask over a flat stack (the
+    grid fill's, as ``adapted_frame``'s ``_full``): the pair (the
+    ``PointData`` of the masked points, the differentiated fields of the
+    others: G, the frame up to e4, theta and the sfd without A)."""
     G = space.metric_at(jet.phi, warp_state)
     g = induced_metric(jet, G)
     det = g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] * g[..., 1, 0]
     ginv = g[..., ::-1, ::-1] * [[1.0, -1.0], [-1.0, 1.0]] / _col(_col(det))
-    _, h_chart, H = chart_second_fundamental(jet, space, G, ginv, warp_state)
+    h_chart, H = chart_second_fundamental(jet, space, G, ginv, warp_state)[1:]
     frame = adapted_frame(jet, space, G, ginv, H, _full=full)
-    return PointData(jet, G, ginv, warp_state, frame,
-                     second_fundamental_form(frame, G, h_chart))
+    if full is True:
+        return PointData(jet, G, ginv, warp_state, frame,
+                         second_fundamental_form(frame, G, h_chart))
+    frame, stencil_frame = frame
+    node, rest = (lambda x: x[full]), ~full
+    G_node = node(G)
+    sfd = second_fundamental_form(frame, G_node,
+                                  {k: node(x) for k, x in h_chart.items()})
+    stencil_sfd = _frame_h(stencil_frame.coeffs,
+                           {k: x[rest] for k, x in h_chart.items()})
+    return (PointData(_map_arrays(node, jet), G_node, node(ginv),
+                      _map_arrays(node, warp_state), frame, sfd),
+            PointData(None, G[rest], None, None,
+                      dataclasses.replace(stencil_frame, coeffs=None),
+                      stencil_sfd))
 
 
 def evaluate_point(surface: Jet2Immersion, u, v, *, _full=True):
@@ -258,9 +287,12 @@ def evaluate_point(surface: Jet2Immersion, u, v, *, _full=True):
     call for all points) and the warp once per distinct time coordinate;
     the rest runs batched over the points still alive.  ``data.jet`` is the
     call's sample (NaN where the chart failed); a point failing a later
-    stage leaves the ones after it, which read NaN.  Only the points
-    ``_full`` (the grid fill's) marks and those without a mean direction
-    form the completion normals and their A rows: elsewhere they read NaN.
+    stage leaves the ones after it, which read NaN.
+
+    ``_full`` is the grid fill's mask over the last axis of u.  ``data`` is
+    then the pair (the ``PointData`` of the masked points, the stencil
+    record of the others: ``_point_data``'s differentiated fields), each
+    with the leading axes of u, the last cut to the points it holds.
     """
     space = surface.space
     if np.ndim(u) == 0 and np.ndim(v) == 0:
@@ -268,7 +300,8 @@ def evaluate_point(surface: Jet2Immersion, u, v, *, _full=True):
         return _point_data(space, jet, space.warp_state(jet.phi))
     sample, errors = surface.jet(u, v)
     shape = np.shape(sample.u)
-    jet = _map_arrays(lambda x: x.reshape((-1,) + x.shape[len(shape):]), sample)
+    flat = lambda x: x.reshape((-1,) + x.shape[len(shape):])
+    jet = _map_arrays(flat, sample)
     alive = np.setdiff1d(np.arange(len(jet.u)), list(errors))
     times, inverse = np.unique(jet.phi[alive, 0], return_inverse=True)
     states = np.full((len(times), 3), np.nan)
@@ -281,12 +314,12 @@ def evaluate_point(surface: Jet2Immersion, u, v, *, _full=True):
     states = states[inverse]
     keep = _all_last(np.isfinite(states))
     alive, states = alive[keep], states[keep]
-    full = np.broadcast_to(_full, shape).ravel()
+    full = True if _full is True else np.broadcast_to(_full, shape).ravel()
     alive_only = lambda x: x if len(alive) == len(jet.u) else x[alive]
     while True:
         try:
             data = _point_data(space, _map_arrays(alive_only, jet),
-                               tuple(states.T), alive_only(full))
+                               tuple(states.T), _map_arrays(alive_only, full))
             break
         except GeometryError as exc:
             if getattr(exc, "where", None) is None:
@@ -295,15 +328,31 @@ def evaluate_point(surface: Jet2Immersion, u, v, *, _full=True):
                 errors[int(k)] = f"{type(exc).__name__}: {text}"
             alive, states = alive[~exc.where], states[~exc.where]
 
-    def place(x):
-        out = x
-        if len(alive) < len(jet.u):
-            out = np.full((len(jet.u),) + x.shape[1:],
-                          np.nan if x.dtype.kind in "fc" else 0, dtype=x.dtype)
-            out[alive] = x
-        return out.reshape(shape + x.shape[1:])
+    def placed(record, group, lead):
+        """``record``, at the alive points of ``group`` (a mask over the
+        flat stack), at all of the group's points with the leading axes
+        ``lead``, NaN (0) at the dead ones."""
+        here = alive[group[alive]]
+        n, slots = int(group.sum()), (np.cumsum(group) - 1)[here]
 
-    return dataclasses.replace(_map_arrays(place, data), jet=sample), errors
+        def place(x):
+            out = x
+            if len(here) < n:
+                out = np.full((n,) + x.shape[1:], np.nan if x.dtype.kind in
+                              "fc" else 0, dtype=x.dtype)
+                out[slots] = x
+            return out.reshape(lead + x.shape[1:])
+        return _map_arrays(place, record)
+
+    if full is True:
+        every = np.ones(len(jet.u), bool)
+        return dataclasses.replace(placed(data, every, shape),
+                                   jet=sample), errors
+    lead = shape[:-1] + (-1,)
+    nodes, stencil = placed(data[0], full, lead), placed(data[1], ~full, lead)
+    sample = _map_arrays(
+        lambda x: flat(x)[full].reshape(lead + x.shape[len(shape):]), sample)
+    return (dataclasses.replace(nodes, jet=sample), stencil), errors
 
 
 def frame_norm(V, pd: PointData):
@@ -317,14 +366,16 @@ def frame_norm(V, pd: PointData):
 class SurfaceGrid:
     """Filled evaluation grid with local cross stencils at every node.
 
-    Phase 1 (construction) evaluates ``data``, the ``PointData`` of each
-    report node and its four u- and four v-offsets, leading axes
-    (nu, nv, 9); ``node_data`` is its node slice.  The completion normals
-    and their A rows are formed at the nodes and at points without a mean
-    direction, and read NaN elsewhere: no stencil reads them.  Phase 2
-    methods differentiate those arrays and return arrays over the nodes.
-    Nodes where any point degenerates are recorded in ``degeneracies`` and
-    left out of ``ok``, the mask every residual reduction uses.
+    Phase 1 (construction) evaluates each report node and its four u- and
+    four v-offsets in one ``evaluate_point`` call.  ``node_data`` is the
+    nodes' ``PointData``, leading axes (nu, nv).  ``stencil_data``, leading
+    axes (nu, nv, 8), holds at the offsets only what the stencils
+    differentiate: G, the frame rows e1, e2, e3, e4 (``normals[..., 1, :]``),
+    theta, and the sfd's H, h11, h12 and h22; its other fields are None.
+    Phase 2 methods differentiate those arrays and return arrays over the
+    nodes.  Nodes where any point degenerates are recorded in
+    ``degeneracies`` and left out of ``ok``, the mask every residual
+    reduction uses.
     """
 
     def __init__(self, surface: Jet2Immersion, us, vs,
@@ -355,8 +406,9 @@ class SurfaceGrid:
         U, V = np.broadcast_arrays(self.us[:, None, None] + ku * self.su[:, None, None],
                                    self.vs[None, :, None] + kv * self.sv[None, :, None])
         node = np.arange(len(_FILL_OFFSETS)) == 0
-        self.data, errors = evaluate_point(surface, U, V, _full=node)
-        self.node_data = _map_arrays(lambda x: x[:, :, 0], self.data)
+        (nodes, self.stencil_data), errors = evaluate_point(surface, U, V,
+                                                            _full=node)
+        self.node_data = _map_arrays(lambda x: x[:, :, 0], nodes)
         # a node reports the failure of its first degenerate point
         self.ok = np.ones((self.nu, self.nv), dtype=bool)
         self.degeneracies: list[tuple[int, int, str]] = []
@@ -384,11 +436,12 @@ class SurfaceGrid:
 
     # -- stencil derivatives ---------------------------------------------------
     # ``extract`` maps a PointData with leading axes to a field with the same
-    # leading axes; every method returns the quantity at all nodes.
+    # leading axes, reading only the fields ``stencil_data`` holds; every
+    # method returns the quantity at all nodes.
 
     def chart_derivative(self, extract: Callable, direction: str):
         """5-point stencil d/du or d/dv of a per-point field."""
-        field = extract(self.data)
+        field = extract(self.stencil_data)
         if direction == "u":
             slots, step = _U_SLOTS, self.su[:, None]
         else:
@@ -401,7 +454,7 @@ class SurfaceGrid:
         nd = self.node_data
         x = nd.jet.phi_u if direction == "u" else nd.jet.phi_v
         return ambient_covariant_derivative(
-            self.space, nd.jet.phi, x, extract(self.data)[:, :, 0],
+            self.space, nd.jet.phi, x, extract(nd),
             self.chart_derivative(extract, direction), nd.G, nd.warp_state)
 
     def _along_frame(self, derivative, extract):

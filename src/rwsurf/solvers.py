@@ -121,14 +121,20 @@ class DenseOutput:
 
     def _bound(self, kernel: int):
         """_kernels' sample ``kernel`` (2 dense, 3 warp) over this output,
-        given the limits, the rows, their direction-signed starts (monotone,
-        for bisect), the direction and the completion."""
-        direction = 1.0 if self.steps[0][1] > 0 else -1.0
+        given the limits, the rows, their direction-signed starts, the
+        direction and the completion."""
         lo, hi = self.interval
         key, fn = getattr(self.completion, "inline",
                           (len(self.steps[0][2]), (self.completion,)))
-        return _kernels(key)[kernel](lo, hi, *_widened(lo, hi), self.steps, [
-            row[0] * direction for row in self.steps], direction, *fn)
+        return _kernels(key)[kernel](lo, hi, *_widened(lo, hi), self.steps,
+                                     *self._starts, *fn)
+
+    @functools.cached_property
+    def _starts(self):
+        """The step starts times the direction (monotone, for bisect), and
+        the direction; formed once, for both samples."""
+        direction = 1.0 if self.steps[0][1] > 0 else -1.0
+        return [row[0] * direction for row in self.steps], direction
 
     @property
     def interval(self) -> tuple[float, float]:

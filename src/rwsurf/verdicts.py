@@ -131,14 +131,31 @@ class VerificationReport:
 
     @staticmethod
     def from_dict(d: dict) -> "VerificationReport":
+        """The report ``d`` (``to_dict``'s form) describes.  ValueError when
+        ``d`` is no JSON object, or naming the field that is missing or
+        malformed."""
+        if not isinstance(d, dict):
+            raise ValueError(
+                f"a report is a JSON object, not {type(d).__name__}")
         nan = lambda x: math.nan if x is None else x  # null is a non-finite number
-        entries = [CheckEntry(e["name"], nan(e["value"]), nan(e["tol"]),
-                              e["passed"]) for e in d["entries"]]
-        diagnostics = {k: nan(v) if k in ("dim_N1", "dim_N2") else v
-                       for k, v in d["diagnostics"].items()}
-        return VerificationReport(d["surface"], d["grid"], entries,
-                                  diagnostics, d["degeneracies"],
-                                  d["verdict"], d.get("schema", SCHEMA))
+
+        def read(key, parse=lambda x: x):
+            try:
+                return parse(d[key])
+            except KeyError as exc:
+                raise ValueError(f"report field {exc} is missing") from None
+            except (TypeError, AttributeError) as exc:
+                raise ValueError(f"report field is malformed ({type(exc).__name__}"
+                                 f": {exc}) in {key!r}") from None
+
+        entries = read("entries", lambda es: [
+            CheckEntry(e["name"], nan(e["value"]), nan(e["tol"]), e["passed"])
+            for e in es])
+        diagnostics = read("diagnostics", lambda ds: {
+            k: nan(v) if k in ("dim_N1", "dim_N2") else v for k, v in ds.items()})
+        return VerificationReport(read("surface"), read("grid"), entries,
+                                  diagnostics, read("degeneracies"),
+                                  read("verdict"), d.get("schema", SCHEMA))
 
 
 # ---------------------------------------------------------------------------

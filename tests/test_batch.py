@@ -515,11 +515,18 @@ def grid_of(kind, request):
         "tilted-plane": "tilted_plane_grid"}[kind])
 
 
+# what the stencils differentiate, the stencil record's only arrays
+STENCIL_FIELDS = ["data.G", "data.frame.theta", "data.frame.vectors",
+                  "data.sfd.H", "data.sfd.h11", "data.sfd.h12", "data.sfd.h22"]
+
+
 @pytest.mark.parametrize("kind",
                          ["thm4", "thm5", "product", "control", "fd-product"])
 def test_node_data_is_bitwise_the_unmasked_evaluation(kind, request):
-    # the grid fill completes the normal frame only where a check reads it;
-    # every node value equals a full evaluation of the same stack
+    # the grid fill completes the normal frame only where a check reads it,
+    # and keeps only the differentiated fields at the stencil points; every
+    # node value, and every stencil value, equals a full evaluation of the
+    # same stack
     grid = grid_of(kind, request)
     data, errors = evaluate_point(grid.surface, *fill_stack(grid))
     assert errors == {} and grid.degeneracies == []
@@ -528,31 +535,93 @@ def test_node_data_is_bitwise_the_unmasked_evaluation(kind, request):
     assert got.keys() == want.keys()
     for name, x in want.items():
         assert np.array_equal(got[name], x, equal_nan=True), name
+    got = dict(leaves(grid.stencil_data))
+    want = dict(leaves(shape._map_arrays(lambda x: x[:, :, 1:], data)))
+    want["data.frame.vectors"] = want["data.frame.vectors"][..., :4, :]
+    assert sorted(got) == STENCIL_FIELDS
+    for name, x in got.items():
+        assert x.shape[:3] == (grid.nu, grid.nv, 8), name
+        assert np.array_equal(x, want[name]), name
+
+
+def held_bytes(grid) -> int:
+    """Bytes of the distinct arrays a grid holds, each array's owner counted
+    once (the surface and its ambient space are the caller's)."""
+    owners = {}
+
+    def walk(x):
+        if isinstance(x, np.ndarray):
+            while isinstance(x.base, np.ndarray):
+                x = x.base
+            owners[id(x)] = x.nbytes
+        elif dataclasses.is_dataclass(x):
+            for f in dataclasses.fields(x):
+                walk(getattr(x, f.name))
+        elif isinstance(x, (tuple, list)):
+            for y in x:
+                walk(y)
+        elif isinstance(x, dict):
+            for y in x.values():
+                walk(y)
+
+    for name, x in vars(grid).items():
+        if name not in ("surface", "space"):
+            walk(x)
+    return sum(owners.values())
+
+
+def test_a_filled_grid_keeps_node_only_fields_at_the_nodes(l4_surface):
+    # thm4 at the 33x33 certificate grid: 7.04 MiB while every field was
+    # kept at all nine points per node, 3.26 MiB with the node record and
+    # the stencil record's differentiated fields
+    (u_lo, u_hi), (v_lo, v_hi) = l4_surface.u_domain, l4_surface.v_domain
+    grid = SurfaceGrid(l4_surface, np.linspace(u_lo + 0.01, u_hi - 0.01, 33),
+                       np.linspace(v_lo + 0.01, v_hi - 0.01, 33))
+    assert grid.n_ok == 33 * 33
+    assert held_bytes(grid) <= 4.0 * 2 ** 20
 
 
 @pytest.mark.parametrize("kind", ["thm5", "product", "control", "fd-product"])
 def test_stencil_points_with_a_mean_direction_skip_the_completion(kind,
                                                                   request):
-    # rows: e3, e4 = H/|H|, then the completion normals from index 2
+    # nodes: e1, e2, e3, e4 = H/|H|, then the completion normals; stencil
+    # points: e1, e2, e3, e4 = H/|H| alone, and no node-only field
     grid = grid_of(kind, request)
-    fr, A = grid.data.frame, grid.data.sfd.A
+    fr, st = grid.node_data.frame, grid.stencil_data
     assert fr.has_mean_direction.all() and fr.normals.shape[-2] >= 3
-    assert np.isnan(fr.normals[:, :, 1:, 2:]).all()
-    assert np.isnan(A[:, :, 1:, 2:]).all()
-    assert (fr.normal_signs[:, :, 1:, 2:] == 0).all()
-    assert np.isfinite(fr.normals[:, :, :, :2]).all()
-    assert np.isfinite(fr.normals[:, :, 0]).all()
-    assert np.isfinite(A[:, :, 0]).all()
-    assert (np.abs(fr.normal_signs[:, :, 0]) == 1).all()
+    assert np.isfinite(fr.vectors).all() and np.isfinite(grid.node_data.sfd.A).all()
+    assert (np.abs(fr.signs) == 1).all()
+    assert st.frame.vectors.shape[-2:] == (4, fr.vectors.shape[-1])
+    assert np.isfinite(st.frame.vectors).all()
+    H, G = st.sfd.H, st.G
+    assert (np.abs(rw.inner(H, H, G)) > immersion.TOL_H ** 2).all()
+    e4 = st.frame.normals[..., 1, :]
+    assert np.allclose(rw.inner(H, e4, G) ** 2, np.abs(rw.inner(H, H, G)),
+                       rtol=1e-12, atol=0.0)
+    for record, names in ((st, ("jet", "ginv", "warp_state")),
+                          (st.frame, ("signs", "T", "eta", "sinh_theta",
+                                      "cosh_theta", "has_mean_direction",
+                                      "coeffs")),
+                          (st.sfd, ("A",))):
+        for name in names:
+            assert getattr(record, name) is None, name
 
 
 def test_points_without_a_mean_direction_keep_the_full_frame(
         tilted_plane_grid):
-    data = tilted_plane_grid.data
-    assert not data.frame.has_mean_direction.any()
-    assert np.isfinite(data.frame.normals).all()
-    assert np.isfinite(data.sfd.A).all()
-    assert (np.abs(data.frame.normal_signs) == 1).all()
+    # every point completes the frame: the nodes keep it whole, and the
+    # stencil points keep its first completion as e4
+    grid = tilted_plane_grid
+    nd = grid.node_data
+    assert not nd.frame.has_mean_direction.any()
+    assert np.isfinite(nd.frame.normals).all()
+    assert np.isfinite(nd.sfd.A).all()
+    assert (np.abs(nd.frame.normal_signs) == 1).all()
+    data, errors = evaluate_point(grid.surface, *fill_stack(grid))
+    assert errors == {} and not data.frame.has_mean_direction.any()
+    e4 = grid.stencil_data.frame.normals[..., 1, :]
+    assert np.array_equal(e4, data.frame.vectors[:, :, 1:, 3])
+    assert np.isfinite(e4).all()
 
 
 @pytest.mark.parametrize("kind", ["thm4", "thm5", "product", "tilted-plane"])
@@ -561,24 +630,29 @@ def test_completion_sees_the_nodes_and_the_points_without_a_mean_direction(
     # the fixture's grid is filled first: a session grid built under the spy
     # would be a second completion
     fixture = grid_of(kind, request)
-    seen, candidates = [], []
+    seen, candidates, bases = [], [], []
 
     def spy(x, basis, g):
         candidates.append(int(np.flatnonzero(x)[0]))
         if x[0] == 1.0:  # the first candidate: each completed point once
             seen.extend(map(tuple, basis[0].tolist()))  # its e1
+            bases.append(len(basis[0]))
         return project_out_span(x, basis, g)
 
     monkeypatch.setattr(immersion, "project_out_span", spy)
     grid = SurfaceGrid(fixture.surface, fixture.us, fixture.vs)
-    fr = grid.data.frame
-    # at d = 4 a point with a mean direction has nothing left to complete
-    completes = fr.normals.shape[-2] > 2
-    node = np.arange(len(shape._FILL_OFFSETS)) == 0
-    want = fr.e1[~fr.has_mean_direction | (node & completes)]
-    assert sorted(seen) == sorted(map(tuple, want.tolist()))
+    nd, st = grid.node_data.frame, grid.stencil_data.frame
+    # at d = 4 a point with a mean direction has nothing left to complete;
+    # the tilted plane has no mean direction anywhere
+    completes = (nd.normals.shape[-2] > 2) | ~nd.has_mean_direction
+    want = nd.e1[completes].tolist()
+    if kind == "tilted-plane":
+        want += st.e1.reshape(-1, st.e1.shape[-1]).tolist()
+    assert sorted(seen) == sorted(map(tuple, want))
     assert len(seen) == (0 if kind == "thm4" else
                          225 if kind == "tilted-plane" else 81)
+    # only the completing points get a basis, so its length is theirs
+    assert bases == ([] if kind == "thm4" else [len(seen)])
     # one batched projection per coordinate candidate, whatever the points'
     # basis sizes: candidates 0, 1, ... in turn, each once
     assert candidates == list(range(len(candidates)))

@@ -143,8 +143,7 @@ def test_normal_connection_product_e3_rotation(product_grid):
 
 
 def test_normal_connection_constant_field_flat(tilted_plane_grid):
-    const_normal = lambda p: np.broadcast_to([0.0, 0.0, 0.0, 1.0],
-                                             p.jet.phi.shape)
+    const_normal = lambda p: np.broadcast_to([0.0, 0.0, 0.0, 1.0], p.G.shape)
     for (i, j) in [(1, 1), (3, 2)]:
         pd = tilted_plane_grid.point(i, j)
         for out in tilted_plane_grid.nabla_perp(const_normal):

@@ -1411,6 +1411,31 @@ def test_family_kernels_compile_on_first_use_once(monkeypatch):
     assert built == [f"<rwsurf.solvers._kernels({key})>" for key in ("l4", "l5")]
 
 
+def test_a_dense_output_forms_its_step_starts_once(monkeypatch):
+    # a solve that stops by 'monitor:blow-up' binds the dense sample of its
+    # completed output (for the blow-up time) and then the warp sample: both
+    # read the one starts list of that output
+    kernels, starts = solvers._kernels, []
+
+    def recording(key):
+        step, quartic, dense, warp, *bind = kernels(key)
+
+        def record(make):
+            def factory(*args):  # lo, hi, low, high, steps, starts, ...
+                starts.append(args[5])
+                return make(*args)
+            return factory
+        return (step, quartic, record(dense), record(warp), *bind)
+
+    monkeypatch.setattr(solvers, "_kernels", recording)
+    blown = _l4_solve(1.0, 2.0, (0.0, 1.0))
+    assert blown.integration.stop_reason == "monitor:blow-up"
+    blown.warp(0.1)
+    assert len(starts) == 2 and starts[0] is starts[1]
+    rows = blown.integration.dense.steps
+    assert starts[0] == [row[0] for row in rows]
+
+
 def _l4_sweep(n):
     """n thm4 members from the family sweep's sampler (seed 11), solved
     over (0, 1); about half stop by 'monitor:blow-up'."""

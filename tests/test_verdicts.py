@@ -411,6 +411,36 @@ def test_report_json_is_strict_with_nan_values(product_surface, product_expect,
         assert e.value == f.value or (math.isnan(e.value) and math.isnan(f.value))
 
 
+
+_REPORT = {"surface": "s", "grid": {"nu": 1, "nv": 1, "u": [0, 1], "v": [0, 1]},
+           "entries": [{"name": "pmcv", "value": 0.0, "tol": 1e-5,
+                        "passed": True}],
+           "diagnostics": {}, "degeneracies": [], "verdict": "pass"}
+
+
+@pytest.mark.parametrize("data, message", [
+    ({}, "report field 'entries' is missing"),
+    ([1, 2], "a report is a JSON object, not list"),
+    (None, "a report is a JSON object, not NoneType"),
+    ({**_REPORT, "entries": [{"name": "pmcv"}]},
+     "report field 'value' is missing"),
+    ({**_REPORT, "entries": 3}, "report field is malformed (TypeError: "),
+    ({**_REPORT, "entries": [1]}, "in 'entries'"),
+    ({**_REPORT, "diagnostics": []},
+     "report field is malformed (AttributeError: "),
+    ({k: v for k, v in _REPORT.items() if k != "verdict"},
+     "report field 'verdict' is missing"),
+], ids=["empty", "list", "null", "entry", "entries", "entry-type",
+        "diagnostics", "verdict"])
+def test_from_dict_of_json_that_is_not_a_report_raises_value_error(data,
+                                                                   message):
+    # a library caller gets the field, not a bare KeyError or TypeError
+    with pytest.raises(ValueError) as info:
+        VerificationReport.from_dict(data)
+    assert message in str(info.value)
+    assert VerificationReport.from_dict(_REPORT).entries[0].name == "pmcv"
+
+
 def _three_pass_json(report) -> str:
     """The strict report text as dumps, loads (non-finite constants to null)
     and dumps again: what ``to_json`` writes in one pass."""
