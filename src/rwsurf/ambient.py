@@ -177,8 +177,9 @@ class AmbientSpace:
                     "product-space-form backend requires f == 1")
         else:
             raise DimensionMismatchError(f"unknown backend kind {self.kind!r}")
-        if self.n < 3:
-            raise DimensionMismatchError("need n >= 3")
+        if self.n < 4:  # the product backend's normal takes its extra slot
+            raise DimensionMismatchError("need n >= 4 (the adapted frame needs "
+                                         f"room for e4), got n = {self.n}")
 
     @staticmethod
     def warped_flat(n: int, warp: WarpingFunction) -> "AmbientSpace":

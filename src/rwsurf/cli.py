@@ -116,14 +116,20 @@ def _load_config_file(path: str) -> dict:
 
 
 def _options(defaults: dict, namespace: argparse.Namespace) -> dict:
-    """Hard defaults, then the --config file's values (strings), then flags."""
+    """Hard defaults, then the --config file's values (strings, or floats
+    where the default is one: ValueError naming the key), then flags."""
     values = dict(defaults)
     if getattr(namespace, "config", None):
         file_values = _load_config_file(namespace.config)
         unknown = set(file_values) - set(defaults)
         if unknown:
             raise ValueError(f"unknown config keys: {', '.join(sorted(unknown))}")
-        values.update(file_values)
+        for key, val in file_values.items():
+            try:
+                values[key] = float(val) if isinstance(defaults[key], float) else val
+            except ValueError:
+                raise ValueError(f"config key {key} expects a number, "
+                                 f"got {val!r}") from None
     values.update((key, val) for key, val in vars(namespace).items()
                   if key not in ("config", "_command", "_sub", "_run")
                   and val is not None)
@@ -311,8 +317,7 @@ def _cmd_verify_family(args) -> int:
                 if isinstance(p.default, float)}
     opts = _options({**_VERIFY_DEFAULTS, **settable}, args)
     surface, expect, solution = family.build(
-        {p.name: float(opts[p.name]) if p.name in settable else opts.get(p.name)
-         for p in family.params})
+        {p.name: opts.get(p.name) for p in family.params})
     if solution is not None:
         lo, hi = solution.warp.interval
         stop = solution.integration.stop_reason

@@ -343,7 +343,7 @@ class FrameData:
 
 
 def adapted_frame(jet: JetSample, space: AmbientSpace, G, ginv,
-                  H, _full=True):
+                  H, _stencil=False) -> FrameData:
     """Build the adapted frame at a jet sample.
 
     G is the ambient metric's diagonal at the jet's point, ginv the inverse
@@ -352,32 +352,23 @@ def adapted_frame(jet: JetSample, space: AmbientSpace, G, ginv,
     case).  When |H| <= TOL_H there is no distinguished mean-curvature
     direction; the frame is completed without e4 and flagged.
 
-    ``_full`` is the grid fill's mask over a flat stack of points.  It gives
-    the pair (the ``FrameData`` of the masked points, the frame up to e4 at
-    the others): the latter holds ``vectors`` e1, e2, e3, e4, ``theta`` and
-    ``coeffs``, and None for every other field.  The frame is completed only
-    at the masked points and at the points without a mean direction, where
-    the first completion stands in for e4.
+    ``_stencil`` is the grid fill's, for its stencil points: the frame then
+    holds ``vectors`` e1, e2, e3, e4, ``theta`` and ``coeffs``, and None for
+    every other field, and is completed only at the points without a mean
+    direction, where the first completion stands in for e4.
     """
     T, eta, theta, sinh_theta, cosh_theta, e1, e2, e3, coeffs = (
         _tangent_frame(jet, space, G, ginv))
     h_norm2 = inner(H, H, G)
     has_mean = np.abs(h_norm2) > TOL_H * TOL_H
-    complete = _full | ~has_mean
     e4, vectors, signs = _complete_normals(space, jet, G, e1, e2, e3, H,
-                                           h_norm2, has_mean, complete)
-    if _full is True:
-        return FrameData(vectors, signs, T, eta, theta, sinh_theta,
-                         cosh_theta, has_mean, coeffs)
-    node, rest = _full[complete], ~_full
-    heads = np.empty((int(rest.sum()), 4) + e1.shape[1:], e1.dtype)
-    for k, e in enumerate((e1, e2, e3, e4)):
-        heads[:, k] = e[rest]
-    return (FrameData(vectors[node], signs[node], T[_full], eta[_full],
-                      theta[_full], sinh_theta[_full], cosh_theta[_full],
-                      has_mean[_full], coeffs[_full]),
-            FrameData(heads, None, None, None, theta[rest], None, None, None,
-                      coeffs[rest]))
+                                           h_norm2, has_mean,
+                                           ~has_mean if _stencil else True)
+    if _stencil:
+        return FrameData(np.stack([e1, e2, e3, e4], axis=-2), None, None,
+                         None, theta, None, None, None, coeffs)
+    return FrameData(vectors, signs, T, eta, theta, sinh_theta, cosh_theta,
+                     has_mean, coeffs)
 
 
 def _tangent_frame(jet: JetSample, space: AmbientSpace, G, ginv):

@@ -1,16 +1,15 @@
 """Second fundamental form, shape operators, normal connection and
 normal-space dimensions.
 
-Grid evaluation is two-phase.  ``SurfaceGrid`` first fills every report
-node and its cross stencil, one jet call for all of them and every later
-layer batched (``evaluate_point``), into two records: the nodes'
-``PointData`` (leading axes (nu, nv)) and, at the eight stencil points per
-node (leading axes (nu, nv, 8)), only the fields the stencils
-differentiate.  Derivatives are then 5-point central stencils, one weighted
-sum over the offset axis at every node at once.  The stencil substep is
-small and decoupled from the report-grid spacing so that truncation error
-stays orders of magnitude below the stencil-tier tolerances even on coarse
-grids.  Stencil quantities that several checks
+Grid evaluation is two-phase.  ``SurfaceGrid`` first fills two records,
+each by one ``evaluate_point`` call (one jet call, every later layer
+batched): the nodes' ``PointData`` (leading axes (nu, nv)) and, at the
+eight cross-stencil points per node (leading axes (nu, nv, 8)), only the
+fields the stencils differentiate.  Derivatives are then 5-point central
+stencils, one weighted sum over the offset axis at every node at once.  The
+stencil substep is small and decoupled from the report-grid spacing so that
+truncation error stays orders of magnitude below the stencil-tier
+tolerances even on coarse grids.  Stencil quantities that several checks
 read are computed once per grid, on first use (``_per_grid``), and
 ``SurfaceGrid.point(i, j)`` is a record of views into the grid's arrays.
 Every layer works in the jet's dtype: complex128 runs through
@@ -55,11 +54,9 @@ DEFAULT_SUBSTEP = 2e-3
 RANK_TOL = 1e-8
 ZERO_FLOOR = 1e-7
 _SCALE_FRACTION = 4e-3
-# (u, v) offsets of the points filled per node: the node, then its cross
-# stencil; the u- and v-stencil points sit at these positions on the stencil
-# record's offset axis
+# (u, v) offsets of each node's cross-stencil points; the u- and v-stencil
+# points sit at these positions on the stencil record's offset axis
 _STENCIL_POINTS = tuple(p for k in _STENCIL_OFFSETS for p in ((k, 0), (0, k)))
-_FILL_OFFSETS = ((0, 0),) + _STENCIL_POINTS
 _U_SLOTS = [_STENCIL_POINTS.index((k, 0)) for k in _STENCIL_OFFSETS]
 _V_SLOTS = [_STENCIL_POINTS.index((0, k)) for k in _STENCIL_OFFSETS]
 
@@ -247,36 +244,27 @@ class PointData:
 
 
 def _point_data(space: AmbientSpace, jet: JetSample, warp_state,
-                full=True):
+                stencil=False) -> PointData:
     """Every quantity after the jet and the warp, each computed once, for one
-    point or a stack of points.  With ``full`` a mask over a flat stack (the
-    grid fill's, as ``adapted_frame``'s ``_full``): the pair (the
-    ``PointData`` of the masked points, the differentiated fields of the
-    others: G, the frame up to e4, theta and the sfd without A)."""
+    point or a stack of points.  With ``stencil`` (the grid fill's stencil
+    points), only the fields the stencils differentiate: G, the frame up to
+    e4 and theta (``adapted_frame``'s ``_stencil``), and the sfd without
+    A."""
     G = space.metric_at(jet.phi, warp_state)
     g = induced_metric(jet, G)
     det = g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] * g[..., 1, 0]
     ginv = g[..., ::-1, ::-1] * [[1.0, -1.0], [-1.0, 1.0]] / _col(_col(det))
     h_chart, H = chart_second_fundamental(jet, space, G, ginv, warp_state)[1:]
-    frame = adapted_frame(jet, space, G, ginv, H, _full=full)
-    if full is True:
-        return PointData(jet, G, ginv, warp_state, frame,
-                         second_fundamental_form(frame, G, h_chart))
-    frame, stencil_frame = frame
-    node, rest = (lambda x: x[full]), ~full
-    G_node = node(G)
-    sfd = second_fundamental_form(frame, G_node,
-                                  {k: node(x) for k, x in h_chart.items()})
-    stencil_sfd = _frame_h(stencil_frame.coeffs,
-                           {k: x[rest] for k, x in h_chart.items()})
-    return (PointData(_map_arrays(node, jet), G_node, node(ginv),
-                      _map_arrays(node, warp_state), frame, sfd),
-            PointData(None, G[rest], None, None,
-                      dataclasses.replace(stencil_frame, coeffs=None),
-                      stencil_sfd))
+    frame = adapted_frame(jet, space, G, ginv, H, _stencil=stencil)
+    if stencil:
+        return PointData(None, G, None, None,
+                         dataclasses.replace(frame, coeffs=None),
+                         _frame_h(frame.coeffs, h_chart))
+    return PointData(jet, G, ginv, warp_state, frame,
+                     second_fundamental_form(frame, G, h_chart))
 
 
-def evaluate_point(surface: Jet2Immersion, u, v, *, _full=True):
+def evaluate_point(surface: Jet2Immersion, u, v, *, _stencil=False):
     """Every pointwise quantity at (u, v), each computed exactly once.
 
     With scalar u, v: that point's ``PointData``; a degenerate point raises
@@ -287,21 +275,17 @@ def evaluate_point(surface: Jet2Immersion, u, v, *, _full=True):
     call for all points) and the warp once per distinct time coordinate;
     the rest runs batched over the points still alive.  ``data.jet`` is the
     call's sample (NaN where the chart failed); a point failing a later
-    stage leaves the ones after it, which read NaN.
-
-    ``_full`` is the grid fill's mask over the last axis of u.  ``data`` is
-    then the pair (the ``PointData`` of the masked points, the stencil
-    record of the others: ``_point_data``'s differentiated fields), each
-    with the leading axes of u, the last cut to the points it holds.
+    stage leaves the ones after it, which read NaN.  ``_stencil`` is the
+    grid fill's, for its stencil points: ``data`` then holds
+    ``_point_data``'s differentiated fields alone, and None for the others.
     """
     space = surface.space
     if np.ndim(u) == 0 and np.ndim(v) == 0:
         jet = surface.jet(u, v)
-        return _point_data(space, jet, space.warp_state(jet.phi))
+        return _point_data(space, jet, space.warp_state(jet.phi), _stencil)
     sample, errors = surface.jet(u, v)
     shape = np.shape(sample.u)
-    flat = lambda x: x.reshape((-1,) + x.shape[len(shape):])
-    jet = _map_arrays(flat, sample)
+    jet = _map_arrays(lambda x: x.reshape((-1,) + x.shape[len(shape):]), sample)
     alive = np.setdiff1d(np.arange(len(jet.u)), list(errors))
     times, inverse = np.unique(jet.phi[alive, 0], return_inverse=True)
     states = np.full((len(times), 3), np.nan)
@@ -314,12 +298,11 @@ def evaluate_point(surface: Jet2Immersion, u, v, *, _full=True):
     states = states[inverse]
     keep = _all_last(np.isfinite(states))
     alive, states = alive[keep], states[keep]
-    full = True if _full is True else np.broadcast_to(_full, shape).ravel()
     alive_only = lambda x: x if len(alive) == len(jet.u) else x[alive]
     while True:
         try:
             data = _point_data(space, _map_arrays(alive_only, jet),
-                               tuple(states.T), _map_arrays(alive_only, full))
+                               tuple(states.T), _stencil)
             break
         except GeometryError as exc:
             if getattr(exc, "where", None) is None:
@@ -328,31 +311,16 @@ def evaluate_point(surface: Jet2Immersion, u, v, *, _full=True):
                 errors[int(k)] = f"{type(exc).__name__}: {text}"
             alive, states = alive[~exc.where], states[~exc.where]
 
-    def placed(record, group, lead):
-        """``record``, at the alive points of ``group`` (a mask over the
-        flat stack), at all of the group's points with the leading axes
-        ``lead``, NaN (0) at the dead ones."""
-        here = alive[group[alive]]
-        n, slots = int(group.sum()), (np.cumsum(group) - 1)[here]
+    def place(x):
+        out = x
+        if len(alive) < len(jet.u):
+            out = np.full((len(jet.u),) + x.shape[1:],
+                          np.nan if x.dtype.kind in "fc" else 0, dtype=x.dtype)
+            out[alive] = x
+        return out.reshape(shape + x.shape[1:])
 
-        def place(x):
-            out = x
-            if len(here) < n:
-                out = np.full((n,) + x.shape[1:], np.nan if x.dtype.kind in
-                              "fc" else 0, dtype=x.dtype)
-                out[slots] = x
-            return out.reshape(lead + x.shape[1:])
-        return _map_arrays(place, record)
-
-    if full is True:
-        every = np.ones(len(jet.u), bool)
-        return dataclasses.replace(placed(data, every, shape),
-                                   jet=sample), errors
-    lead = shape[:-1] + (-1,)
-    nodes, stencil = placed(data[0], full, lead), placed(data[1], ~full, lead)
-    sample = _map_arrays(
-        lambda x: flat(x)[full].reshape(lead + x.shape[len(shape):]), sample)
-    return (dataclasses.replace(nodes, jet=sample), stencil), errors
+    data = _map_arrays(place, data)
+    return (data if _stencil else dataclasses.replace(data, jet=sample)), errors
 
 
 def frame_norm(V, pd: PointData):
@@ -366,16 +334,17 @@ def frame_norm(V, pd: PointData):
 class SurfaceGrid:
     """Filled evaluation grid with local cross stencils at every node.
 
-    Phase 1 (construction) evaluates each report node and its four u- and
-    four v-offsets in one ``evaluate_point`` call.  ``node_data`` is the
-    nodes' ``PointData``, leading axes (nu, nv).  ``stencil_data``, leading
-    axes (nu, nv, 8), holds at the offsets only what the stencils
-    differentiate: G, the frame rows e1, e2, e3, e4 (``normals[..., 1, :]``),
+    Phase 1 (construction) makes two ``evaluate_point`` calls.
+    ``node_data`` is the nodes' full evaluation, leading axes (nu, nv).
+    ``stencil_data``, leading axes (nu, nv, 8), is that of each node's four
+    u- and four v-offsets with ``_stencil``: only what the stencils
+    differentiate, G, the frame rows e1, e2, e3, e4 (``normals[..., 1, :]``),
     theta, and the sfd's H, h11, h12 and h22; its other fields are None.
     Phase 2 methods differentiate those arrays and return arrays over the
     nodes.  Nodes where any point degenerates are recorded in
-    ``degeneracies`` and left out of ``ok``, the mask every residual
-    reduction uses.
+    ``degeneracies``, each with its first failing point's error (the node,
+    then ``_STENCIL_POINTS``), and left out of ``ok``, the mask every
+    residual reduction uses.
     """
 
     def __init__(self, surface: Jet2Immersion, us, vs,
@@ -402,21 +371,24 @@ class SurfaceGrid:
         self.sv = np.array([min(substep * (1.0 + abs(v)), margin_v)
                             for v in self.vs])
 
-        ku, kv = np.array(_FILL_OFFSETS, dtype=float).T
+        self.node_data, node_errors = evaluate_point(
+            surface, *np.broadcast_arrays(self.us[:, None], self.vs[None, :]))
+        ku, kv = np.array(_STENCIL_POINTS, dtype=float).T
         U, V = np.broadcast_arrays(self.us[:, None, None] + ku * self.su[:, None, None],
                                    self.vs[None, :, None] + kv * self.sv[None, :, None])
-        node = np.arange(len(_FILL_OFFSETS)) == 0
-        (nodes, self.stencil_data), errors = evaluate_point(surface, U, V,
-                                                            _full=node)
-        self.node_data = _map_arrays(lambda x: x[:, :, 0], nodes)
-        # a node reports the failure of its first degenerate point
+        self.stencil_data, stencil_errors = evaluate_point(surface, U, V,
+                                                           _stencil=True)
+        m = len(_STENCIL_POINTS)
+        failures = sorted([(k, -1, text) for k, text in node_errors.items()]
+                          + [(*divmod(k, m), text)
+                             for k, text in stencil_errors.items()])
         self.ok = np.ones((self.nu, self.nv), dtype=bool)
         self.degeneracies: list[tuple[int, int, str]] = []
-        for k in sorted(errors):
-            i, j, _ = (int(x) for x in np.unravel_index(k, U.shape))
+        for k, _, text in failures:
+            i, j = divmod(k, self.nv)
             if self.ok[i, j]:
                 self.ok[i, j] = False
-                self.degeneracies.append((i, j, errors[k]))
+                self.degeneracies.append((i, j, text))
         self._cache: dict = {}
 
     # -- node access ---------------------------------------------------------

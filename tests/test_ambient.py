@@ -102,6 +102,20 @@ def test_backend_validation():
                         rw.WarpingFunction.exponential())
 
 
+@pytest.mark.parametrize("make", [
+    lambda n: rw.AmbientSpace.warped_flat(n, rw.WarpingFunction.constant()),
+    lambda n: rw.AmbientSpace.product_space_form(n, 1),
+], ids=["warped-flat", "product"])
+def test_an_ambient_with_no_room_for_e4_is_refused(make):
+    # the adapted frame is e1, e2, e3, e4 (and on the product backend the
+    # normal of the embedding besides): n = 3 leaves no room for e4
+    for n in (2, 3):
+        with pytest.raises(DimensionMismatchError, match=r"^need n >= 4 \(the "
+                           rf"adapted frame needs room for e4\), got n = {n}$"):
+            make(n)
+    assert make(4).n == 4
+
+
 def test_metric_warped_exponential():
     space = exp_space()
     p0 = np.array([0.0, 0.3, -1.0, 2.0])

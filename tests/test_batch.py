@@ -131,7 +131,7 @@ def test_catalog_grid_calls_the_chart_once(surface_name, request,
     (u0, u1), (v0, v1) = surface.u_domain, surface.v_domain
     us = np.linspace(0.8 * u0 + 0.2 * u1, 0.2 * u0 + 0.8 * u1, 5)
     vs = np.linspace(0.8 * v0 + 0.2 * v1, 0.2 * v0 + 0.8 * v1, 4)
-    ku, kv = np.array(shape._FILL_OFFSETS, dtype=float).T
+    ku, kv = np.array(((0, 0),) + shape._STENCIL_POINTS, dtype=float).T
     U, V = np.broadcast_arrays(us[:, None, None] + 1e-3 * ku,
                                vs[None, :, None] + 1e-3 * kv)
     data, errors = evaluate_point(surface, U, V)
@@ -146,10 +146,17 @@ def test_catalog_grid_calls_the_chart_once(surface_name, request,
     # time; the L4 warp evaluates its interpolant on every call
     assert samples == ({"dense": len(times)} if surface_name == "l5_surface"
                        else {"warp": calls["warp"]})
+    # a grid charts each record's points in one call, each point once: the
+    # nodes, then their eight stencil points
     calls.clear()
+    charted = []
+    chart = surface.evaluator
+    surface = dataclasses.replace(
+        surface, evaluator=lambda u, v: charted.append(np.shape(u)) or chart(u, v))
     grid = SurfaceGrid(surface, us, vs)
     assert grid.n_ok == len(us) * len(vs)
-    assert calls["jet"] == calls["chart"] == 1
+    assert calls["jet"] == calls["chart"] == 2
+    assert charted == [(len(us) * len(vs),), (8 * len(us) * len(vs),)]
 
 
 def test_batched_jet_records_one_point_errors(minkowski4):
@@ -183,6 +190,61 @@ def test_batched_jet_records_one_point_errors(minkowski4):
         assert errors[k] == f"{type(exc.value).__name__}: {exc.value}"
         assert np.isnan(data.frame.e1[k]).all()
     assert np.isfinite(data.frame.e1[0]).all()
+
+
+def _vanishing_warp_chart():
+    """The chart (1 + u/10, 10 u, v, 0) in L^4_1(t - 1, 0): its time is 1, and
+    the warp vanishes, along u = 0; space-like where |u| > 0.1."""
+    space = rw.AmbientSpace.warped_flat(
+        4, rw.WarpingFunction.polynomial([-1.0, 1.0], (-5.0, 5.0)))
+    zero = np.zeros(4)
+
+    def evaluator(u, v):
+        return (np.array([1.0 + 0.1 * u, 10.0 * u, v, 0.0]),
+                np.array([0.1, 10.0, 0.0, 0.0]), np.array([0.0, 0.0, 1.0, 0.0]),
+                zero, zero, zero)
+
+    return rw.Jet2Immersion(space, evaluator, (-1.0, 1.0), (-1.0, 1.0))
+
+
+VANISHES = "SingularWarpError: warping function vanishes at t=1.0"
+
+
+def test_a_time_whose_warp_fails_records_its_points():
+    # the warp state is read once per distinct time: the time it fails at
+    # is each of its points' error, and the other times evaluate
+    surface = _vanishing_warp_chart()
+    us, vs = np.array([0.5, 0.0, -0.5, 0.0]), np.array([0.1, 0.2, 0.3, 0.4])
+    data, errors = evaluate_point(surface, us, vs)
+    assert errors == {1: VANISHES, 3: VANISHES}
+    for k in (1, 3):
+        with pytest.raises(rw.SingularWarpError) as exc:
+            evaluate_point(surface, us[k], vs[k])
+        assert f"SingularWarpError: {exc.value}" == VANISHES
+    for path, x in leaves(data):
+        if path.startswith("data.jet"):  # the chart's sample, finite throughout
+            assert np.isfinite(x).all(), path
+        elif x.dtype.kind == "f":
+            assert np.isnan(x[[1, 3]]).all(), path
+            assert np.isfinite(x[[0, 2]]).all(), path
+    one = evaluate_point(surface, us[0], vs[0])
+    assert np.array_equal(data.frame.vectors[0], one.frame.vectors)
+
+
+def test_a_grid_lists_the_nodes_at_a_time_whose_warp_fails():
+    # the middle row sits at the vanishing time: each of its nodes reports
+    # its own warp failure, which comes before its stencil points' (the
+    # u-offsets are not space-like, the v-offsets share the node's time)
+    surface = _vanishing_warp_chart()
+    grid = SurfaceGrid(surface, np.linspace(-0.5, 0.5, 5),
+                       np.linspace(-0.5, 0.5, 3))
+    assert grid.degeneracies == [(2, j, VANISHES) for j in range(3)]
+    assert grid.ok.tolist() == [[True] * 3] * 2 + [[False] * 3] + [[True] * 3] * 2
+    assert np.isnan(grid.node_data.G[2]).all()
+    assert np.isfinite(grid.node_data.G[grid.ok]).all()
+    _, errors = evaluate_point(surface, *stencil_stack(grid))
+    first = [errors[(2 * 3 + j) * 8] for j in range(3)]  # at offset (-2, 0)
+    assert all(text.startswith("NotSpaceLikeError: ") for text in first)
 
 
 def test_batched_chart_that_raises_is_rerun_point_by_point(l4_constants,
@@ -442,7 +504,7 @@ def test_evaluate_point_computes_in_the_dtype_of_u_and_v(product_surface):
             assert (np.abs(z - x) <= bound).all(), path
 
 
-def test_grid_fill_calls_each_layer_once(l4_surface, monkeypatch):
+def test_grid_fill_calls_each_layer_once_per_record(l4_surface, monkeypatch):
     calls = collections.Counter()
     warp = l4_surface.space.warp
     counted_warp = rw.WarpingFunction(counted(calls, "warp", warp.fn),
@@ -457,31 +519,43 @@ def test_grid_fill_calls_each_layer_once(l4_surface, monkeypatch):
 
     surface = rw.Jet2Immersion(space, evaluator, l4_surface.u_domain,
                                l4_surface.v_domain)
+    jet_sizes = []
+    jet = rw.Jet2Immersion.jet
+    monkeypatch.setattr(rw.Jet2Immersion, "jet", lambda self, u, v: (
+        jet_sizes.append(np.size(u)) or jet(self, u, v)))
     monkeypatch.setattr(rw.AmbientSpace, "metric_at",
                         counted(calls, "metric_at", rw.AmbientSpace.metric_at))
     for name in ("induced_metric", "chart_second_fundamental", "adapted_frame"):
         wrapper = counted(calls, name, getattr(immersion, name))
         for module in (immersion, shape):
             monkeypatch.setattr(module, name, wrapper)
-    monkeypatch.setattr(shape, "second_fundamental_form",
-                        counted(calls, "second_fundamental_form",
-                                shape.second_fundamental_form))
-    sg = SurfaceGrid(surface, np.linspace(0.03, 0.14, 5),
-                     np.linspace(0.2, 2.9, 6))
-    points = 5 * 6 * 9
-    assert sg.n_ok == 30
-    assert calls["chart"] == points
-    # the wrapped chart above calls the warp once itself, like the catalog's
-    assert calls["warp"] <= 2 * points
+    for name in ("second_fundamental_form", "_frame_h"):
+        monkeypatch.setattr(shape, name,
+                            counted(calls, name, getattr(shape, name)))
+    nu, nv = 5, 6
+    sg = SurfaceGrid(surface, np.linspace(0.03, 0.14, nu),
+                     np.linspace(0.2, 2.9, nv))
+    assert sg.n_ok == nu * nv
+    # the nodes' jet call, then their stencil points', each point once
+    assert jet_sizes == [nu * nv, 8 * nu * nv]
+    assert calls["chart"] == 9 * nu * nv
+    # the wrapped chart calls the warp once itself, like the catalog's; the
+    # warp state once per distinct time of each record (the node times,
+    # then the node times again and the four u-offsets of each); and
+    # 3 per row for the row's stencil substep
+    assert calls["warp"] == 9 * nu * nv + nu + 5 * nu + 3 * nu
     for name in ("metric_at", "induced_metric", "chart_second_fundamental",
-                 "adapted_frame", "second_fundamental_form"):
-        assert calls[name] == 1, name
+                 "adapted_frame"):
+        assert calls[name] == 2, name
+    # A at the nodes alone; the basis change of h once in it, and once for
+    # the stencil points
+    assert calls["second_fundamental_form"] == 1
+    assert calls["_frame_h"] == 2
 
 
-def fill_stack(grid):
-    """The (nu, nv, 9) parameter stack of a grid's fill: each node, then its
-    cross stencil."""
-    ku, kv = np.array(shape._FILL_OFFSETS, dtype=float).T
+def stencil_stack(grid):
+    """The (nu, nv, 8) parameter stack of a grid's stencil points."""
+    ku, kv = np.array(shape._STENCIL_POINTS, dtype=float).T
     return np.broadcast_arrays(
         grid.us[:, None, None] + ku * grid.su[:, None, None],
         grid.vs[None, :, None] + kv * grid.sv[None, :, None])
@@ -523,25 +597,37 @@ STENCIL_FIELDS = ["data.G", "data.frame.theta", "data.frame.vectors",
 @pytest.mark.parametrize("kind",
                          ["thm4", "thm5", "product", "control", "fd-product"])
 def test_node_data_is_bitwise_the_unmasked_evaluation(kind, request):
-    # the grid fill completes the normal frame only where a check reads it,
-    # and keeps only the differentiated fields at the stencil points; every
-    # node value, and every stencil value, equals a full evaluation of the
-    # same stack
+    # the grid fill evaluates the nodes in full, and keeps only the
+    # differentiated fields at the stencil points: every node value is a
+    # full evaluation of the nodes, every stencil value one of the stencil
+    # points, and both equal a full evaluation of each node's nine points
+    # in one stack
     grid = grid_of(kind, request)
-    data, errors = evaluate_point(grid.surface, *fill_stack(grid))
+    node_fields = dict(leaves(grid.node_data))
+    stencil_fields = dict(leaves(grid.stencil_data))
+    assert sorted(stencil_fields) == STENCIL_FIELDS
+    for x in stencil_fields.values():
+        assert x.shape[:3] == (grid.nu, grid.nv, 8)
+    nodes, errors = evaluate_point(
+        grid.surface, *np.broadcast_arrays(grid.us[:, None], grid.vs[None, :]))
     assert errors == {} and grid.degeneracies == []
-    got = dict(leaves(grid.node_data))
-    want = dict(leaves(shape._map_arrays(lambda x: x[:, :, 0], data)))
-    assert got.keys() == want.keys()
-    for name, x in want.items():
-        assert np.array_equal(got[name], x, equal_nan=True), name
-    got = dict(leaves(grid.stencil_data))
-    want = dict(leaves(shape._map_arrays(lambda x: x[:, :, 1:], data)))
-    want["data.frame.vectors"] = want["data.frame.vectors"][..., :4, :]
-    assert sorted(got) == STENCIL_FIELDS
-    for name, x in got.items():
-        assert x.shape[:3] == (grid.nu, grid.nv, 8), name
-        assert np.array_equal(x, want[name]), name
+    U, V = stencil_stack(grid)
+    stencil, errors = evaluate_point(grid.surface, U, V)
+    assert errors == {}
+    nine, errors = evaluate_point(
+        grid.surface, *(np.concatenate([x[..., None], X], axis=-1)
+                        for x, X in ((nodes.jet.u, U), (nodes.jet.v, V))))
+    assert errors == {}
+    for want in (nodes, shape._map_arrays(lambda x: x[:, :, 0], nine)):
+        want = dict(leaves(want))
+        assert node_fields.keys() == want.keys()
+        for name, x in want.items():
+            assert np.array_equal(node_fields[name], x), name
+    for want in (stencil, shape._map_arrays(lambda x: x[:, :, 1:], nine)):
+        want = dict(leaves(want))
+        want["data.frame.vectors"] = want["data.frame.vectors"][..., :4, :]
+        for name, x in stencil_fields.items():
+            assert np.array_equal(x, want[name]), name
 
 
 def held_bytes(grid) -> int:
@@ -617,10 +703,10 @@ def test_points_without_a_mean_direction_keep_the_full_frame(
     assert np.isfinite(nd.frame.normals).all()
     assert np.isfinite(nd.sfd.A).all()
     assert (np.abs(nd.frame.normal_signs) == 1).all()
-    data, errors = evaluate_point(grid.surface, *fill_stack(grid))
+    data, errors = evaluate_point(grid.surface, *stencil_stack(grid))
     assert errors == {} and not data.frame.has_mean_direction.any()
     e4 = grid.stencil_data.frame.normals[..., 1, :]
-    assert np.array_equal(e4, data.frame.vectors[:, :, 1:, 3])
+    assert np.array_equal(e4, data.frame.vectors[..., 3, :])
     assert np.isfinite(e4).all()
 
 
@@ -630,33 +716,32 @@ def test_completion_sees_the_nodes_and_the_points_without_a_mean_direction(
     # the fixture's grid is filled first: a session grid built under the spy
     # would be a second completion
     fixture = grid_of(kind, request)
-    seen, candidates, bases = [], [], []
+    completions = []  # per completion: its candidates and its points' e1
 
     def spy(x, basis, g):
-        candidates.append(int(np.flatnonzero(x)[0]))
         if x[0] == 1.0:  # the first candidate: each completed point once
-            seen.extend(map(tuple, basis[0].tolist()))  # its e1
-            bases.append(len(basis[0]))
+            completions.append(([], basis[0].tolist()))
+        completions[-1][0].append(int(np.flatnonzero(x)[0]))
         return project_out_span(x, basis, g)
 
     monkeypatch.setattr(immersion, "project_out_span", spy)
     grid = SurfaceGrid(fixture.surface, fixture.us, fixture.vs)
-    nd, st = grid.node_data.frame, grid.stencil_data.frame
-    # at d = 4 a point with a mean direction has nothing left to complete;
-    # the tilted plane has no mean direction anywhere
+    nd, st = grid.node_data.frame, grid.stencil_data
+    # the node record completes every node, but at d = 4 a node with a mean
+    # direction has nothing left to complete; the stencil record completes
+    # its points without a mean direction alone (the tilted plane has no
+    # mean direction anywhere)
     completes = (nd.normals.shape[-2] > 2) | ~nd.has_mean_direction
-    want = nd.e1[completes].tolist()
-    if kind == "tilted-plane":
-        want += st.e1.reshape(-1, st.e1.shape[-1]).tolist()
-    assert sorted(seen) == sorted(map(tuple, want))
-    assert len(seen) == (0 if kind == "thm4" else
-                         225 if kind == "tilted-plane" else 81)
-    # only the completing points get a basis, so its length is theirs
-    assert bases == ([] if kind == "thm4" else [len(seen)])
+    no_mean = np.abs(rw.inner(st.sfd.H, st.sfd.H, st.G)) <= immersion.TOL_H ** 2
+    want = [nd.e1[completes].tolist(), st.frame.e1[no_mean].tolist()]
+    want = [sorted(map(tuple, e1)) for e1 in want if e1]
+    assert [sorted(map(tuple, e1)) for _, e1 in completions] == want
+    assert [len(e1) for _, e1 in completions] == (
+        [] if kind == "thm4" else [25, 200] if kind == "tilted-plane" else [81])
     # one batched projection per coordinate candidate, whatever the points'
-    # basis sizes: candidates 0, 1, ... in turn, each once
-    assert candidates == list(range(len(candidates)))
-    assert (len(candidates) == 0) == (kind == "thm4")
+    # basis sizes: candidates 0, 1, ... in turn, each once per completion
+    for candidates, _ in completions:
+        assert candidates == list(range(len(candidates)))
 
 
 def test_completion_projects_once_per_candidate_across_basis_sizes(

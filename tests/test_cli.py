@@ -598,6 +598,24 @@ def test_config_file_unknown_key_rejected(tmp_path, capsys):
     assert "unknown config keys: gird, threads" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["substep", "u_end"])
+def test_config_value_that_is_no_number_names_its_key(key, tmp_path, capsys,
+                                                     monkeypatch):
+    # refused while the options are read: no solve, no jet, no report
+    def no_grid_work(*args, **kwargs):
+        raise AssertionError("grid work before the options were checked")
+
+    monkeypatch.setattr(cli, "verify_surface", no_grid_work)
+    monkeypatch.setattr(Jet2Immersion, "jet", no_grid_work)
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(f"{key} = abc\n")
+    assert main(THM4_ARGS + ["--config", str(cfg)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"error: ValueError: config key {key} expects a number, "
+                   "got 'abc'\n")
+
+
 def test_config_file_tolerance_list(tmp_path, capsys):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text("grid = 7x7\ntol = pmcv=1e-30, codazzi_1=1e-3\n")
@@ -854,9 +872,9 @@ def test_surface_and_residual_csv_exports(tmp_path):
 
 
 def test_surface_csv_reads_the_verify_grid(tmp_path, monkeypatch):
-    # the grid fill's one jet call covers every grid point (node and 8
-    # stencil offsets), and the surface CSV adds no call of its own, not
-    # even at the nodes of the holed plane where the chart fails
+    # the grid fill's two jet calls cover every grid point once (the nodes,
+    # then their 8 stencil offsets), and the surface CSV adds no call of its
+    # own, not even at the nodes of the holed plane where the chart fails
     calls = []
     jet = Jet2Immersion.jet
 
@@ -869,7 +887,7 @@ def test_surface_csv_reads_the_verify_grid(tmp_path, monkeypatch):
     surf_csv = tmp_path / "surf.csv"
     code = main(THM4_ARGS + ["--surface-csv", str(surf_csv)])
     assert code == 0
-    assert calls == [9 * 7 * 7]
+    assert calls == [7 * 7, 8 * 7 * 7]
     rows = surf_csv.read_text().strip().splitlines()[1:]
     assert len(rows) == 7 * 7
     assert all(np.isfinite([float(x) for x in r.split(",")]).all() for r in rows)
@@ -878,10 +896,52 @@ def test_surface_csv_reads_the_verify_grid(tmp_path, monkeypatch):
     (tmp_path / "holed_plane.py").write_text(HOLED_PLANE)
     code = main(HOLED_PLANE_ARGS + ["--surface-csv", str(surf_csv)])
     assert code == 2
-    assert calls == [9 * 5 * 5]
+    assert calls == [5 * 5, 8 * 5 * 5]
     rows = [[float(x) for x in r.split(",")]
             for r in surf_csv.read_text().splitlines()[1:]]
     assert sum(np.isnan(row[2:]).all() for row in rows) == 4
+
+
+SHORT_CHART = ("import math\n"
+               "S, C = math.sinh(0.8), math.cosh(0.8)\n"
+               "def chart(u, v):\n"
+               "    return (S * u, C * u, v)\n")
+
+
+def test_surface_csv_without_a_grid_is_all_nan(tmp_path, monkeypatch, capsys):
+    # jet vectors of length 3 in a 4-dimensional ambient fail the grid, and
+    # the surface CSV's own jet call as well: its rows keep u and v, and
+    # every coordinate reads nan
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "short_chart.py").write_text(SHORT_CHART)
+    surf_csv = tmp_path / "surf.csv"
+    code = main(["verify", "user-map", "--py", "short_chart.py", "--ambient",
+                 "warped-flat", "--n", "4", "--chart-u-span=-1:1",
+                 "--chart-v-span=-1:1", "--grid", "3x4",
+                 "--surface-csv", str(surf_csv)])
+    assert code == 2
+    assert ("degenerate grid: DimensionMismatchError: the chart returned jet "
+            "vectors of length 3") in capsys.readouterr().out
+    lines = surf_csv.read_text().splitlines()
+    assert lines[0] == "u,v,x0,x1,x2,x3"
+    us, vs = np.linspace(-0.988, 0.988, 3), np.linspace(-0.988, 0.988, 4)
+    assert lines[1:] == [f"{u:.17g},{v:.17g},nan,nan,nan,nan"
+                         for u in us for v in vs]
+
+
+@pytest.mark.parametrize("ambient", ["warped-flat", "product"])
+def test_user_map_with_no_room_for_e4_exits_2(ambient, tmp_path, capsys):
+    # n = 3 is refused when the ambient is built, before any chart call
+    py = tmp_path / "short_chart.py"
+    py.write_text(SHORT_CHART)
+    code = main(["verify", "user-map", "--py", str(py), "--ambient", ambient,
+                 "--n", "3", "--chart-u-span=-1:1", "--chart-v-span=-1:1",
+                 "--grid", "3x3"])
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: DimensionMismatchError: need n >= 4 (the adapted "
+                   "frame needs room for e4), got n = 3\n")
 
 
 @pytest.mark.parametrize("argv, kind", [

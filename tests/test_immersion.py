@@ -448,9 +448,9 @@ def test_fd_report_is_the_same_on_both_routes():
     assert '"verdict": "pass"' in batched_json
 
 
-def test_fd_grid_fill_is_one_evaluator_call():
+def test_fd_grid_fill_is_one_evaluator_call_per_record():
     member, space, u_dom, v_dom = _product_member()
-    calls = {"evaluator": 0, "chart": 0}
+    calls = {"evaluator": [], "chart": 0}
 
     def chart(u, v):
         assert type(u) is float and type(v) is float
@@ -460,15 +460,16 @@ def test_fd_grid_fill_is_one_evaluator_call():
     fd = finite_difference_jet(chart, space, u_dom, v_dom)
 
     def evaluator(u, v):
-        calls["evaluator"] += 1
+        calls["evaluator"].append(np.size(u))
         return fd.evaluator(u, v)
 
     counted = dataclasses.replace(fd, evaluator=evaluator)
     grid = SurfaceGrid(counted, np.linspace(0.5, 3.0, 6),
                        np.linspace(0.5, 2.5, 4))
     assert grid.degeneracies == []
-    # each of the 6 x 4 nodes and its 8 cross-stencil points: 25 chart calls
-    assert calls == {"evaluator": 1, "chart": 25 * 6 * 4 * 9}
+    # one call for the 6 x 4 nodes, one for their 8 cross-stencil points
+    # each, and 25 chart calls per point
+    assert calls == {"evaluator": [6 * 4, 8 * 6 * 4], "chart": 25 * 6 * 4 * 9}
 
 
 @pytest.mark.filterwarnings("error")  # a ComplexWarning fails the test
