@@ -215,10 +215,17 @@ class AmbientSpace:
 
     def warp_state(self, p) -> tuple[float, float, float]:
         """(f, f', f'') at the time coordinate of one point p (identically
-        (1,0,0) on the product backend)."""
+        (1,0,0) on the product backend).  The warp is read at real times: a
+        time that does not convert to a float, such as a complex one, is a
+        ChartDomainError naming it."""
         if self.is_embedded:
             return (1.0, 0.0, 0.0)
-        return self.warp(float(p[0]))
+        try:
+            t = float(p[0])
+        except TypeError:
+            raise ChartDomainError(
+                f"warp state needs a real time, got t={p[0]}") from None
+        return self.warp(t)
 
     def product_normal(self, p) -> np.ndarray:
         """Unit normal of the product inside flat space: fiber position."""

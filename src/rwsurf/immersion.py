@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .ambient import AmbientSpace, ambient_covariant_derivative
+from .ambient import AmbientSpace, _widened, ambient_covariant_derivative
 from .errors import (ChartDomainError, DegenerateFrameError,
                      DimensionMismatchError, GeometryError,
                      HorizontalSliceError, NotSpaceLikeError, raise_where)
@@ -78,9 +78,10 @@ class Jet2Immersion:
         """The 2-jet at one point (u, v), raising that point's GeometryError;
         at arrays u, v: ``(sample, errors)``, ``errors`` mapping the flat
         index of each failing point, whose six jet vectors read NaN, to
-        ``"<ErrorClass>: <message>"``.  An ArithmeticError, TypeError (a
-        chart of the wrong arity, say) or ValueError of the evaluator at a
-        point is that point's ChartDomainError, naming (u, v) and the error.
+        ``"<ErrorClass>: <message>"``.  A point outside the domains (widened
+        by ``ambient._widened``) is a ChartDomainError; so is an
+        ArithmeticError, TypeError (a chart of the wrong arity, say) or
+        ValueError of the evaluator at a point, naming (u, v) and the error.
         A batched evaluator gets the in-domain points (NaN is not) in one
         call, the flattened u and v themselves when every point is in the
         domain, retried in halves down to one float call per point that
@@ -96,8 +97,8 @@ class Jet2Immersion:
         at = lambda k: f"(u,v)=({float(u.real[k])},{float(v.real[k])})"
         failed = {}
         for x, name, dom in ((u, "u", self.u_domain), (v, "v", self.v_domain)):
-            slack = 1e-12 * max(1.0, abs(dom[0]), abs(dom[1]))
-            bad = ~((dom[0] - slack <= x.real) & (x.real <= dom[1] + slack))
+            lo, hi = _widened(*dom)
+            bad = ~((lo <= x.real) & (x.real <= hi))
             for k in np.flatnonzero(bad).tolist():
                 failed.setdefault(k, ChartDomainError(
                     f"{name}={x.real[k]} outside {dom}"))

@@ -102,31 +102,26 @@ def _check_substep(substep: float) -> float:
     return substep
 
 
-def _warp_length_scale(space: AmbientSpace, u: float) -> float:
-    """Characteristic u-length of warp variation, min_k (f / |f^(k)|)^(1/k).
+def _warp_length_scale(space: AmbientSpace, t: float, f: float, fp: float,
+                       fpp: float) -> float:
+    """Characteristic time-length of warp variation at the time t, given the
+    warp state (f, f', f'') there: min_k (f / |f^(k)|)^(1/k).
 
     Dense-output warps can approach a blow-up where derivatives grow like
     inverse powers of the remaining distance; stencil substeps must shrink
-    proportionally to keep truncation error flat.  f''' is estimated by a
-    central difference of f''.  A constant warp (the product backend) gives
-    inf.  The warp is read at the chart parameter u, which is the time
-    coordinate of the catalog charts; where it cannot be read there, the
-    scale is inf (the row keeps the unshrunk substep) and the grid fill
-    records whatever fails at the row's points.
+    proportionally to keep truncation error flat.  f''' is a difference of
+    f'' at t +- h, one-sided at an end of the warp's interval, and 0 where
+    those reads fail.  A constant warp (the product backend) gives inf.
     """
-    try:
-        f, fp, fpp = space.warp(u)
-    except GeometryError:
-        return np.inf
-    h = 1e-4 * (1.0 + abs(u))
+    h = 1e-4 * (1.0 + abs(t))
     lo, hi = space.warp.interval
     try:
-        if u - h < lo:
-            f3 = (space.warp(u + h)[2] - fpp) / h
-        elif u + h > hi:
-            f3 = (fpp - space.warp(u - h)[2]) / h
+        if t - h < lo:
+            f3 = (space.warp(t + h)[2] - fpp) / h
+        elif t + h > hi:
+            f3 = (fpp - space.warp(t - h)[2]) / h
         else:
-            f3 = (space.warp(u + h)[2] - space.warp(u - h)[2]) / (2 * h)
+            f3 = (space.warp(t + h)[2] - space.warp(t - h)[2]) / (2 * h)
     except GeometryError:
         f3 = 0.0
     scale = np.inf
@@ -282,7 +277,7 @@ def evaluate_point(surface: Jet2Immersion, u, v, *, _stencil=False):
     space = surface.space
     if np.ndim(u) == 0 and np.ndim(v) == 0:
         jet = surface.jet(u, v)
-        return _point_data(space, jet, space.warp_state(jet.phi), _stencil)
+        return _point_data(space, jet, space.warp_state(jet.phi.tolist()), _stencil)
     sample, errors = surface.jet(u, v)
     shape = np.shape(sample.u)
     jet = _map_arrays(lambda x: x.reshape((-1,) + x.shape[len(shape):]), sample)
@@ -335,7 +330,10 @@ class SurfaceGrid:
     """Filled evaluation grid with local cross stencils at every node.
 
     Phase 1 (construction) makes two ``evaluate_point`` calls.
-    ``node_data`` is the nodes' full evaluation, leading axes (nu, nv).
+    ``node_data`` is the nodes' full evaluation, leading axes (nu, nv); a
+    row's u-substep follows the least ``_warp_length_scale`` at its nodes'
+    times ``phi[..., 0]`` and warp states, each over the node's |dt/du|
+    (``phi_u[..., 0]``), probed once per distinct node time.
     ``stencil_data``, leading axes (nu, nv, 8), is that of each node's four
     u- and four v-offsets with ``_stencil``: only what the stencils
     differentiate, G, the frame rows e1, e2, e3, e4 (``normals[..., 1, :]``),
@@ -361,18 +359,29 @@ class SurfaceGrid:
         if margin_u <= 0 or margin_v <= 0:
             raise GeometryError("report grid leaves no stencil headroom "
                                 "inside the chart domain")
-        # Near a warp blow-up the k-th field derivatives grow like L^-k, so
-        # keeping 5-point truncation (~ s^4 L^-5) flat needs s ~ L^(5/4).
-        self.su = np.array([
-            min(substep * (1.0 + abs(u)),
-                _SCALE_FRACTION * _warp_length_scale(self.space, float(u)) ** 1.25,
-                margin_u)
-            for u in self.us])
-        self.sv = np.array([min(substep * (1.0 + abs(v)), margin_v)
-                            for v in self.vs])
-
         self.node_data, node_errors = evaluate_point(
             surface, *np.broadcast_arrays(self.us[:, None], self.vs[None, :]))
+        # Near a warp blow-up the k-th field derivatives grow like L^-k, so
+        # keeping 5-point truncation (~ s^4 L^-5) flat needs s ~ L^(5/4),
+        # with L in u: the warp's time-length over |dt/du| at the node.
+        jet = self.node_data.jet
+        keys = np.stack([jet.phi[..., 0].real, *self.node_data.warp_state],
+                        axis=-1)
+        rates = np.abs(jet.phi_u[..., 0].real)
+        probed = _all_last(np.isfinite(keys)) & (rates > 0)
+        # a node's warp state is the warp's at its time: one probe per time
+        _, first, inverse = np.unique(keys[probed, 0], return_index=True,
+                                      return_inverse=True)
+        time_scales = np.array([_warp_length_scale(self.space, *key)
+                                for key in keys[probed][first].tolist()])
+        scales = np.full(rates.shape, np.inf)
+        scales[probed] = time_scales[inverse] / rates[probed]
+        self.su = np.array([
+            min(substep * (1.0 + abs(u)), _SCALE_FRACTION * scale ** 1.25,
+                margin_u)
+            for u, scale in zip(self.us.tolist(), scales.min(axis=1).tolist())])
+        self.sv = np.array([min(substep * (1.0 + abs(v)), margin_v)
+                            for v in self.vs])
         ku, kv = np.array(_STENCIL_POINTS, dtype=float).T
         U, V = np.broadcast_arrays(self.us[:, None, None] + ku * self.su[:, None, None],
                                    self.vs[None, :, None] + kv * self.sv[None, :, None])

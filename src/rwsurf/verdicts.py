@@ -334,13 +334,14 @@ def verify_surface(surface: Jet2Immersion, grid=(17, 17),
     """Run the full verification battery on a surface.
 
     ``grid`` is (nu, nv), two integers >= 1; the span defaults to the chart
-    domain minus stencil headroom.  ``expect`` may pin {'H0': value,
-    'dim_N1': k, 'dim_N2': k}, which adds the corresponding entries.
-    ``tolerances`` maps entry names in ``TOLERANCE_ENTRIES`` to finite
-    positive tolerances that replace their tier's.  Any other grid,
-    tolerance name or value, or a span that is not two finite ends, raises
-    ValueError naming it.  Deterministic for fixed inputs.  The filled grid
-    every check read is the report's ``surface_grid``.
+    domain minus stencil headroom, and is required where that domain is
+    unbounded.  ``expect`` may pin {'H0': value, 'dim_N1': k, 'dim_N2': k},
+    which adds the corresponding entries.  ``tolerances`` maps entry names
+    in ``TOLERANCE_ENTRIES`` to finite positive tolerances that replace
+    their tier's.  Any other grid, tolerance name or value, or a span that
+    is missing there or is not two finite ends, raises ValueError naming
+    it.  Deterministic for fixed inputs.  The filled grid every check read
+    is the report's ``surface_grid``.
     """
     substep = _check_substep(substep)
     if np.shape(grid) != (2,) or not all(
@@ -348,7 +349,11 @@ def verify_surface(surface: Jet2Immersion, grid=(17, 17),
             for n in grid):
         raise ValueError(f"grid must be two integers >= 1, got {grid!r}")
     nu, nv = map(int, grid)
-    for name, given in (("u_span", u_span), ("v_span", v_span)):
+    for name, given, domain in (("u_span", u_span, surface.u_domain),
+                                ("v_span", v_span, surface.v_domain)):
+        if given is None and not all(map(math.isfinite, domain)):
+            raise ValueError(f"{name} is required: the chart domain "
+                             f"{tuple(domain)} is unbounded")
         if given is not None and len(given) != 2:
             raise ValueError(f"{name} must be (lo, hi), got {tuple(given)}")
         if given is not None and not all(map(math.isfinite, given)):

@@ -247,6 +247,84 @@ def test_a_grid_lists_the_nodes_at_a_time_whose_warp_fails():
     assert all(text.startswith("NotSpaceLikeError: ") for text in first)
 
 
+def test_a_grid_row_substep_reads_the_warp_at_the_row_time(monkeypatch):
+    # the rows' time is 1 + u/10, not u: the warp t - 1 varies on the time
+    # scale |t - 1| = |u|/10 there, which is |u| in u since dt/du = 1/10, and
+    # the rows' substeps follow |u| to the 5/4 power; the middle row, at the
+    # vanishing time, keeps the plain substep
+    surface = _vanishing_warp_chart()
+    probed = []
+    scale = shape._warp_length_scale
+    monkeypatch.setattr(shape, "_warp_length_scale", lambda space, *state: (
+        probed.append(state) or scale(space, *state)))
+    us = np.linspace(-0.5, 0.5, 5)
+    grid = SurfaceGrid(surface, us, np.linspace(-0.5, 0.5, 3))
+    # once per distinct time, at the node record's time and warp state; not
+    # at all for the row whose nodes all failed
+    times = [t for t in (1.0 + 0.1 * us).tolist() if t != 1.0]
+    assert probed == [(t, *surface.space.warp(t)) for t in times]
+    want = [shape._SCALE_FRACTION * abs(u) ** 1.25 for u in us]
+    want[2] = shape.DEFAULT_SUBSTEP
+    np.testing.assert_allclose(grid.su, want, rtol=1e-12)
+    assert grid.su[2] == shape.DEFAULT_SUBSTEP
+
+
+def test_a_grid_row_substep_ignores_a_time_that_does_not_move_along_u(
+        monkeypatch):
+    # the time 1 + v/10 moves along v alone: the warp's variation is not
+    # stepped over in u, whatever its scale, so no row is probed or shrunk
+    space = _vanishing_warp_chart().space
+    zero = np.zeros(4)
+    surface = rw.Jet2Immersion(space, lambda u, v: (
+        np.array([1.0 + 0.1 * v, u, u + 10.0 * v, 0.0]),
+        np.array([0.0, 1.0, 1.0, 0.0]), np.array([0.1, 0.0, 10.0, 0.0]),
+        zero, zero, zero), (-1.0, 1.0), (-1.0, 1.0))
+    monkeypatch.setattr(shape, "_warp_length_scale", None)
+    us = np.linspace(-0.5, 0.5, 5)
+    grid = SurfaceGrid(surface, us, np.array([-0.5, 0.5]))
+    assert grid.degeneracies == []
+    np.testing.assert_array_equal(
+        grid.su, shape.DEFAULT_SUBSTEP * (1.0 + np.abs(us)))
+
+
+@pytest.mark.parametrize("imag", [1e-30, 0.0], ids=["tiny", "zero"])
+def test_a_complex_grid_sizes_its_rows_from_the_real_times(product_surface,
+                                                           imag):
+    # on the product backend the warp is constant: the complex grid's rows
+    # keep the real grid's substeps; under a warp, a complex time fails
+    # every node, and the rows keep the unshrunk substep
+    us, vs = np.linspace(0.1, 3.4, 5), np.linspace(0.1, 3.0, 3)
+    grid = SurfaceGrid(product_surface, us + imag * 1j, vs + 0j)
+    assert grid.degeneracies == []
+    np.testing.assert_array_equal(grid.su,
+                                  SurfaceGrid(product_surface, us, vs).su)
+    us = np.linspace(-0.5, 0.5, 5)
+    grid = SurfaceGrid(_vanishing_warp_chart(), us + imag * 1j,
+                       np.linspace(-0.5, 0.5, 3) + 0j)
+    assert grid.n_ok == 0
+    assert all(text.startswith("ChartDomainError: warp state needs a real "
+                               "time") for *_, text in grid.degeneracies)
+    np.testing.assert_array_equal(
+        grid.su, shape.DEFAULT_SUBSTEP * (1.0 + np.abs(us)))
+
+
+@pytest.mark.parametrize("imag", [1e-30, 0.0], ids=["tiny", "zero"])
+def test_a_complex_time_is_each_point_s_chart_domain_error(imag):
+    # the warp is read at real times: a complex time coordinate, even one
+    # with a zero imaginary part, is recorded at its points, not raised
+    surface = _vanishing_warp_chart()
+    us, vs = np.array([0.5, -0.5, 0.5]), np.array([0.1, 0.2, 0.3])
+    _, errors = evaluate_point(surface, us + imag * 1j, vs + 0j)
+    assert sorted(errors) == [0, 1, 2]
+    for k, t in ((0, 1.05), (1, 0.95), (2, 1.05)):
+        assert errors[k] == ("ChartDomainError: warp state needs a real "
+                             f"time, got t={complex(t, imag / 10)}")
+    with pytest.raises(rw.ChartDomainError) as exc:
+        evaluate_point(surface, us[0] + imag * 1j, vs[0] + 0j)
+    assert errors[0] == f"ChartDomainError: {exc.value}"
+    assert evaluate_point(surface, us, vs)[1] == {}
+
+
 def test_batched_chart_that_raises_is_rerun_point_by_point(l4_constants,
                                                           l4_solution):
     # a chart domain reaching past the warp's interval: the batched call
@@ -542,8 +620,9 @@ def test_grid_fill_calls_each_layer_once_per_record(l4_surface, monkeypatch):
     # the wrapped chart calls the warp once itself, like the catalog's; the
     # warp state once per distinct time of each record (the node times,
     # then the node times again and the four u-offsets of each); and
-    # 3 per row for the row's stencil substep
-    assert calls["warp"] == 9 * nu * nv + nu + 5 * nu + 3 * nu
+    # 2 per row for the row's stencil substep, f'' at t +- h around the
+    # row's one time (its f, f', f'' are the node record's)
+    assert calls["warp"] == 9 * nu * nv + nu + 5 * nu + 2 * nu
     for name in ("metric_at", "induced_metric", "chart_second_fundamental",
                  "adapted_frame"):
         assert calls[name] == 2, name

@@ -50,6 +50,31 @@ def test_fd_jet_domain_error(minkowski4):
         surf.jet(3.0, 0.0)
 
 
+def _plane_jet(u, v):
+    z = np.zeros(4)
+    return (np.array([0.0, u, v, 0.0]), np.array([0.0, 1.0, 0.0, 0.0]),
+            np.array([0.0, 0.0, 1.0, 0.0]), z, z, z)
+
+
+def test_chart_domains_widen_like_warp_intervals(minkowski4):
+    # the slack is the warp interval's: relative to the finite ends, so a
+    # finite domain admits its widened ends and nothing past them, and a
+    # half-infinite one keeps a finite slack at its finite end
+    from rwsurf.ambient import _widened
+
+    lo, hi = _widened(-3.0, 2.0)
+    surface = rw.Jet2Immersion(minkowski4, _plane_jet, (-3.0, 2.0), (-1, 1))
+    us = np.array([lo, np.nextafter(lo, -np.inf), hi, np.nextafter(hi, np.inf)])
+    _, errors = surface.jet(us, np.zeros(4))
+    assert sorted(errors) == [1, 3]
+    half = rw.Jet2Immersion(minkowski4, _plane_jet, (0.0, math.inf), (-1, 1))
+    _, errors = half.jet(np.array([-5.0, -1e-13, -2e-12, 3e9]), np.zeros(4))
+    assert errors == {0: "ChartDomainError: u=-5.0 outside (0.0, inf)",
+                      2: "ChartDomainError: u=-2e-12 outside (0.0, inf)"}
+    with pytest.raises(ChartDomainError, match=r"^u=-5\.0 outside"):
+        half.jet(-5.0, 0.0)
+
+
 @pytest.mark.parametrize("chart", [
     lambda u, v: (u * v + u,),
     lambda u, v: (0.1 * u, u, v, 0.0, 0.0, 0.0),

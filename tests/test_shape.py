@@ -307,3 +307,54 @@ def test_grid_records_degeneracies(minkowski4, tilted_plane):
     assert len(sg.degeneracies) == 9
     assert "HorizontalSliceError" in sg.degeneracies[0][2]
 
+
+
+def _read_times(warp, times):
+    """L^4_1 over ``warp``, recording in ``times`` each time it is read at."""
+    def fn(t):
+        times.append(t)
+        return warp.fn(t)
+    return rw.AmbientSpace.warped_flat(4, rw.WarpingFunction(fn, warp.interval))
+
+
+def test_warp_length_scale_of_a_constant_warp_is_infinite():
+    # the state (f, f', f'') is the caller's; the warp is read at t +- h alone
+    times = []
+    space = _read_times(rw.WarpingFunction.constant(2.0), times)
+    assert shape._warp_length_scale(space, 0.3, 2.0, 0.0, 0.0) == math.inf
+    h = 1e-4 * 1.3
+    assert times == [0.3 + h, 0.3 - h]
+
+
+@pytest.mark.parametrize("rate", [2.0, -0.5])
+@pytest.mark.parametrize("t", [-3.0, 0.0, 1.7])
+def test_warp_length_scale_of_an_exponential_warp_is_one_over_its_rate(rate, t):
+    warp = rw.WarpingFunction.exponential(rate)
+    space = rw.AmbientSpace.warped_flat(4, warp)
+    scale = shape._warp_length_scale(space, t, *warp(t))
+    assert scale == pytest.approx(1.0 / abs(rate), rel=1e-7)
+
+
+@pytest.mark.parametrize("interval, read_at", [((0.0, 1.0), 1e-4),
+                                               ((-1.0, 0.0), -1e-4)],
+                         ids=["low-end", "high-end"])
+def test_warp_length_scale_takes_one_sided_differences_at_the_ends(interval,
+                                                                  read_at):
+    # f = 1 + t^3 / 2 at t = 0: f' = f'' = 0 and f''' = 3, which a one-sided
+    # difference of the linear f'' reads exactly, from inside the interval
+    times = []
+    space = _read_times(
+        rw.WarpingFunction.polynomial([1.0, 0.0, 0.0, 0.5], interval), times)
+    scale = shape._warp_length_scale(space, 0.0, 1.0, 0.0, 0.0)
+    assert times == [read_at]
+    assert scale == pytest.approx(3.0 ** (-1.0 / 3.0), rel=1e-12)
+
+
+def test_warp_length_scale_without_a_third_derivative_reads_f_and_f_prime():
+    # both t - h and t + h lie outside the interval: f''' counts as 0, and
+    # the scale is f / |f'| = 2 (f''' = 3 would give 3^(-1/3))
+    times = []
+    space = _read_times(rw.WarpingFunction.polynomial(
+        [1.0, 0.5, 0.0, 0.5], (-1e-5, 1e-5)), times)
+    assert shape._warp_length_scale(space, 0.0, 1.0, 0.5, 0.0) == 2.0
+    assert times == []  # refused by the interval test before fn is called

@@ -531,8 +531,8 @@ def _tube_chart(shift):
 def test_chart_time_offset_from_u_verifies_like_the_shifted_warp():
     # the same surface twice: time u + 2 under the warp 1 + t/2 + t^2/10 on
     # (1, 3), and time u under that warp shifted to (-1, 1).  The substep
-    # probe reads the warp at u, outside (1, 3) for the first chart; that
-    # row keeps the unshrunk substep and the grid is evaluated as usual
+    # probe reads the warp state of each row's nodes, at their time, so
+    # both grids are evaluated alike
     reports = []
     for shift, coeffs, interval in ((2.0, [1, 0.5, 0.1], (1, 3)),
                                     (0.0, [2.4, 0.9, 0.1], (-1, 1))):
@@ -566,3 +566,23 @@ def test_nan_generator_fails_the_dimension_entries(product_surface,
     assert not rep.entry("dim_N1").passed
     assert not rep.entry("dim_N2").passed
     assert rep.verdict == "fail"
+
+
+@pytest.mark.parametrize("name", ["u_span", "v_span"])
+def test_unbounded_domain_without_a_span_rejected_before_grid_work(
+        product_surface, monkeypatch, name):
+    def no_grid(*args, **kwargs):
+        raise AssertionError("a grid was built")
+
+    domain = name[0] + "_domain"
+    lo = getattr(product_surface, domain)[0]
+    surface = dataclasses.replace(product_surface, **{domain: (lo, math.inf)})
+    monkeypatch.setattr(verdicts, "SurfaceGrid", no_grid)
+    with pytest.raises(ValueError, match=rf"^{name} is required: the chart "
+                                         rf"domain \({lo}, inf\) is unbounded"):
+        verify_surface(surface, grid=(3, 3))
+    monkeypatch.undo()
+    span = (lo + 0.2, lo + 1.0)
+    rep = verify_surface(surface, grid=(3, 3), **{name: span})
+    assert rep.grid[name[0]] == list(span)
+    assert rep.diagnostics["nodes_evaluated"] == 9
