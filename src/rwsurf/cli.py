@@ -26,7 +26,6 @@ from . import catalog, solvers, verdicts
 from .ambient import AmbientSpace, WarpingFunction
 from .errors import DimensionMismatchError, GeometryError
 from .immersion import finite_difference_jet
-from .shape import DEFAULT_SUBSTEP
 from .verdicts import VerificationReport, verify_surface
 
 EXIT_PASS = 0
@@ -140,7 +139,6 @@ def _add_common_verify_flags(p: argparse.ArgumentParser):
     p.add_argument("--grid", help="report grid as NUxNV (default 17x17)")
     p.add_argument("--u-span", dest="u_span", help="report span lo:hi")
     p.add_argument("--v-span", dest="v_span", help="report span lo:hi")
-    p.add_argument("--substep", type=float, help="stencil substep base")
     p.add_argument("--tol", action="append", default=None, metavar="NAME=VALUE",
                    help="tolerance override, repeatable")
     p.add_argument("--out", help="write the JSON report here")
@@ -152,8 +150,8 @@ def _add_common_verify_flags(p: argparse.ArgumentParser):
 
 
 _VERIFY_DEFAULTS = {"grid": "17x17", "u_span": None, "v_span": None,
-                    "substep": DEFAULT_SUBSTEP, "tol": None, "out": None,
-                    "residuals_csv": None, "surface_csv": None}
+                    "tol": None, "out": None, "residuals_csv": None,
+                    "surface_csv": None}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -193,17 +191,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     ps = sub.add_parser("solve", help="integrate a warp ODE and export CSV")
     pss = ps.add_subparsers(dest="_sub", required=True)
-    for name, kind, u1, summary in (  # flags: the family's required parameters
-            ("f4", "thm4", 1.0, "scalar warp ODE of the rotational family"),
-            ("sys5", "thm5", 0.8, "coupled (f, y) system of the 5-dim family")):
+    for name, kind, summary in (  # flags: the family's required parameters
+            ("f4", "thm4", "scalar warp ODE of the rotational family"),
+            ("sys5", "thm5", "coupled (f, y) system of the 5-dim family")):
         pf = pss.add_parser(name, help=summary)
-        for param in catalog.FAMILIES[kind].params:
+        params = catalog.FAMILIES[kind].params
+        for param in params:
             if param.required:
                 pf.add_argument("--" + param.name, type=float, required=True)
+        u_end = {p.name: p.default for p in params}["u_end"]
         pf.add_argument("--u0", type=float, default=0.0)
-        pf.add_argument("--u1", type=float, default=u1)
-        pf.add_argument("--rtol", type=float, default=1e-11)
-        pf.add_argument("--atol", type=float, default=1e-13)
+        pf.add_argument("--u1", type=float, default=u_end)
+        pf.add_argument("--rtol", type=float, default=solvers.SolverConfig.rtol)
+        pf.add_argument("--atol", type=float, default=solvers.SolverConfig.atol)
         pf.add_argument("--csv", help="dense-output CSV path")
         pf.add_argument("--samples", type=int, default=201)
         pf.set_defaults(_run=_cmd_solve, _family=kind)
@@ -299,12 +299,17 @@ def _print_report(report: VerificationReport):
     print(f"verdict: {report.verdict}")
 
 
-def _run_verify(surface, opts: dict, expect: dict | None) -> int:
-    report = verify_surface(
-        surface, grid=_parse_grid(opts["grid"]),
-        u_span=_parse_span(opts["u_span"], "--u-span"),
-        v_span=_parse_span(opts["v_span"], "--v-span"),
-        tolerances=_tolerances(opts), expect=expect, substep=opts["substep"])
+def _verify_inputs(opts: dict) -> dict:
+    """verify_surface's grid, spans and tolerance overrides, parsed from the
+    options before any solve or chart work (ValueError naming the flag)."""
+    return {"grid": _parse_grid(opts["grid"]),
+            "u_span": _parse_span(opts["u_span"], "--u-span"),
+            "v_span": _parse_span(opts["v_span"], "--v-span"),
+            "tolerances": _tolerances(opts)}
+
+
+def _run_verify(surface, inputs: dict, opts: dict, expect: dict | None) -> int:
+    report = verify_surface(surface, expect=expect, **inputs)
     _write_report_files(report, surface, opts)
     _print_report(report)
     return {"pass": EXIT_PASS, "fail": EXIT_FAIL}.get(report.verdict, EXIT_INVALID)
@@ -316,6 +321,7 @@ def _cmd_verify_family(args) -> int:
     settable = {p.name: p.default for p in family.params
                 if isinstance(p.default, float)}
     opts = _options({**_VERIFY_DEFAULTS, **settable}, args)
+    inputs = _verify_inputs(opts)
     surface, expect, solution = family.build(
         {p.name: opts.get(p.name) for p in family.params})
     if solution is not None:
@@ -329,7 +335,7 @@ def _cmd_verify_family(args) -> int:
                        f", estimated blow-up at t={solution.blow_up_time:.6g}")
             print(f"warp integration: {stop}{blow_up}, "
                   f"admissible interval [{lo:.6g}, {hi:.6g}]")
-    return _run_verify(surface, opts, expect)
+    return _run_verify(surface, inputs, opts, expect)
 
 
 def _load_chart(path: str, attr: str):
@@ -354,6 +360,7 @@ def _load_chart(path: str, attr: str):
 
 def _cmd_verify_user_map(args) -> int:
     opts = _options(_VERIFY_DEFAULTS, args)
+    inputs = _verify_inputs(opts)
     chart = _load_chart(args.py, args.attr)
     if args.ambient == "warped-flat":
         space = AmbientSpace.warped_flat(args.n, _parse_warp(args.warp))
@@ -363,7 +370,7 @@ def _cmd_verify_user_map(args) -> int:
         chart, space, _parse_span(args.chart_u_span, "--chart-u-span"),
         _parse_span(args.chart_v_span, "--chart-v-span"),
         name=f"user-map:{os.path.basename(args.py)}")
-    return _run_verify(surface, opts, None)
+    return _run_verify(surface, inputs, opts, None)
 
 
 # ---------------------------------------------------------------------------

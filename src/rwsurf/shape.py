@@ -93,15 +93,6 @@ def _map_arrays(fn, record):
     return record
 
 
-def _check_substep(substep: float) -> float:
-    """The stencil substep as a float; ValueError unless positive and
-    finite."""
-    substep = float(substep)
-    if not (np.isfinite(substep) and substep > 0.0):
-        raise ValueError(f"substep must be positive and finite, got {substep}")
-    return substep
-
-
 def _warp_length_scale(space: AmbientSpace, t: float, f: float, fp: float,
                        fpp: float) -> float:
     """Characteristic time-length of warp variation at the time t, given the
@@ -345,9 +336,7 @@ class SurfaceGrid:
     residual reduction uses.
     """
 
-    def __init__(self, surface: Jet2Immersion, us, vs,
-                 substep: float = DEFAULT_SUBSTEP):
-        substep = _check_substep(substep)
+    def __init__(self, surface: Jet2Immersion, us, vs):
         self.surface = surface
         self.space = surface.space
         self.us, self.vs = np.asarray(us), np.asarray(vs)
@@ -377,10 +366,10 @@ class SurfaceGrid:
         scales = np.full(rates.shape, np.inf)
         scales[probed] = time_scales[inverse] / rates[probed]
         self.su = np.array([
-            min(substep * (1.0 + abs(u)), _SCALE_FRACTION * scale ** 1.25,
-                margin_u)
+            min(DEFAULT_SUBSTEP * (1.0 + abs(u)),
+                _SCALE_FRACTION * scale ** 1.25, margin_u)
             for u, scale in zip(self.us.tolist(), scales.min(axis=1).tolist())])
-        self.sv = np.array([min(substep * (1.0 + abs(v)), margin_v)
+        self.sv = np.array([min(DEFAULT_SUBSTEP * (1.0 + abs(v)), margin_v)
                             for v in self.vs])
         ku, kv = np.array(_STENCIL_POINTS, dtype=float).T
         U, V = np.broadcast_arrays(self.us[:, None, None] + ku * self.su[:, None, None],

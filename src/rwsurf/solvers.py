@@ -525,18 +525,13 @@ def validate_constants_product(b1: float, b2: float | None = None,
     target = 1.0 / (b1 * b1 + 2.0)
     if b2 is None and b3 is None:
         raise ConstraintError("at least one of b2, b3 must be given")
-    if b2 is None:
-        rem = target - b3 * b3
+    if b2 is None or b3 is None:
+        name, given = ("b3", b3) if b2 is None else ("b2", b2)
+        rem = target - given * given
         if rem <= 0:
             raise ConstraintError(
-                f"b2^2 + b3^2 = 1/(b1^2+2) unsolvable: b3^2 exceeds {target}")
-        b2 = math.sqrt(rem)
-    elif b3 is None:
-        rem = target - b2 * b2
-        if rem <= 0:
-            raise ConstraintError(
-                f"b2^2 + b3^2 = 1/(b1^2+2) unsolvable: b2^2 exceeds {target}")
-        b3 = math.sqrt(rem)
+                f"b2^2 + b3^2 = 1/(b1^2+2) unsolvable: {name}^2 exceeds {target}")
+        b2, b3 = (math.sqrt(rem), b3) if b2 is None else (b2, math.sqrt(rem))
     else:
         defect = b2 * b2 + b3 * b3 - target
         if abs(defect) > _CTOL:

@@ -24,9 +24,9 @@ from .ambient import curvature_rw_values, curvature_scalars
 from .errors import GeometryError, MinimalDirectionError
 from .immersion import Jet2Immersion
 from .linalg import _col, causal_character, inner
-from .shape import (DEFAULT_SUBSTEP, SurfaceGrid, _check_substep, _per_grid,
-                    _worst, frame_norm, normal_space_dims, pmcv_values,
-                    pmcv_residual, normal_curvature)
+from .shape import (DEFAULT_SUBSTEP, SurfaceGrid, _per_grid, _worst,
+                    frame_norm, normal_space_dims, pmcv_values, pmcv_residual,
+                    normal_curvature)
 
 __all__ = [
     "CheckEntry",
@@ -329,8 +329,7 @@ def _stats(arr) -> dict:
 def verify_surface(surface: Jet2Immersion, grid=(17, 17),
                    u_span=None, v_span=None,
                    tolerances: dict | None = None,
-                   expect: dict | None = None,
-                   substep: float = DEFAULT_SUBSTEP) -> VerificationReport:
+                   expect: dict | None = None) -> VerificationReport:
     """Run the full verification battery on a surface.
 
     ``grid`` is (nu, nv), two integers >= 1; the span defaults to the chart
@@ -343,7 +342,6 @@ def verify_surface(surface: Jet2Immersion, grid=(17, 17),
     it.  Deterministic for fixed inputs.  The filled grid every check read
     is the report's ``surface_grid``.
     """
-    substep = _check_substep(substep)
     if np.shape(grid) != (2,) or not all(
             isinstance(n, numbers.Integral) and not isinstance(n, bool) and n >= 1
             for n in grid):
@@ -369,7 +367,7 @@ def verify_surface(surface: Jet2Immersion, grid=(17, 17),
     expect = expect or {}
 
     def span(given, lo, hi):
-        pad = 3.0 * substep * (1.0 + max(abs(lo), abs(hi)))
+        pad = 3.0 * DEFAULT_SUBSTEP * (1.0 + max(abs(lo), abs(hi)))
         return given if given is not None else (lo + pad, hi - pad)
 
     (u_lo, u_hi), (v_lo, v_hi) = (span(u_span, *surface.u_domain),
@@ -377,10 +375,10 @@ def verify_surface(surface: Jet2Immersion, grid=(17, 17),
     us, vs = np.linspace(u_lo, u_hi, nu), np.linspace(v_lo, v_hi, nv)
 
     grid_meta = {"nu": nu, "nv": nv, "u": [float(u_lo), float(u_hi)],
-                 "v": [float(v_lo), float(v_hi)], "substep": float(substep)}
+                 "v": [float(v_lo), float(v_hi)], "substep": DEFAULT_SUBSTEP}
 
     try:
-        sg = SurfaceGrid(surface, us, vs, substep=substep)
+        sg = SurfaceGrid(surface, us, vs)
     except GeometryError as exc:
         return VerificationReport(surface.name, grid_meta, [], {},
                                   [[-1, -1, f"{type(exc).__name__}: {exc}"]],

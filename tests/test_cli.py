@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import rwsurf as rw
-from rwsurf import catalog, cli, verdicts
+from rwsurf import catalog, cli, solvers, verdicts
 from rwsurf.cli import main
 from rwsurf.immersion import Jet2Immersion
 from rwsurf.shape import SurfaceGrid
@@ -139,6 +139,29 @@ def test_solve_sys5_csv(tmp_path, capsys):
     lines = csv.read_text().strip().splitlines()
     assert lines[0] == "t,f,fp,fpp,y,yp,ypp"
     assert "max equation residual" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv, fixture", [
+    (["solve", "f4", "--a", "2", "--H0", "0.5", "--f0", "1", "--f0p", "2"],
+     "l4_solution"),
+    (["solve", "sys5", "--a", "2", "--H0", "0.6", "--c2", "0.48", "--c3",
+      "0.64", "--f0", "1.5", "--f0p", "1.2", "--y0", "0.4", "--y0p", "-0.7"],
+     "l5_solution"),
+], ids=["f4", "sys5"])
+def test_solve_defaults_are_the_certified_family_solve(argv, fixture, request,
+                                                       tmp_path, capsys):
+    # --u1, --rtol and --atol default to the family's u_end and SolverConfig's
+    # tolerances, so the CSV is the warp (and y) that verify certifies
+    solution = request.getfixturevalue(fixture)
+    csv = tmp_path / "dense.csv"
+    assert main(argv + ["--csv", str(csv), "--samples", "41"]) == 0
+    rows = [[float(x) for x in line.split(",")]
+            for line in csv.read_text().splitlines()[1:]]
+    ts = np.linspace(*solution.warp.interval, 41).tolist()
+    want = [[t, *solution.warp(t),
+             *(solution.y_state(t) if fixture == "l5_solution" else ())]
+            for t in ts]
+    assert rows == want
 
 
 def test_solve_f4_inadmissible_exits_2(capsys):
@@ -590,6 +613,18 @@ def test_config_file_defaults_and_override(tmp_path, capsys):
     assert "grid: 7x7" in capsys.readouterr().out
 
 
+def test_config_file_skips_comments_and_blank_lines(tmp_path, capsys):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("# report grid\n\n   \ngrid = 5x5  # coarse\n")
+    assert main(THM4_ARGS[:-2] + ["--config", str(cfg)]) == 0
+    assert "grid: 5x5" in capsys.readouterr().out
+    cfg.write_text("# report grid\n\ngrid 5x5\n")
+    assert main(THM4_ARGS + ["--config", str(cfg)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: ValueError: {cfg}:3: expected KEY=VALUE\n"
+
+
 def test_config_file_unknown_key_rejected(tmp_path, capsys):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text("gird = 5x5\nthreads = 2\n")
@@ -598,7 +633,7 @@ def test_config_file_unknown_key_rejected(tmp_path, capsys):
     assert "unknown config keys: gird, threads" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("key", ["substep", "u_end"])
+@pytest.mark.parametrize("key", ["u_end"])
 def test_config_value_that_is_no_number_names_its_key(key, tmp_path, capsys,
                                                      monkeypatch):
     # refused while the options are read: no solve, no jet, no report
@@ -1142,13 +1177,54 @@ def test_malformed_grid_or_span_names_the_flag(capsys, flag, value, form):
     assert f"error: ValueError: {flag} must be {form}, got {value!r}" in err
 
 
-def test_bad_substep_is_invalid_input(capsys):
-    # rejected before any grid work: exit 2, not a failed verdict
-    for value in ("0", "-1e-3", "nan"):
-        code = main(["verify", "product", "--b1", "1", "--b3", "0.5",
-                     "--grid", "5x5", f"--substep={value}"])
-        assert code == 2, value
-        captured = capsys.readouterr()
-        assert "error: ValueError: substep must be positive and finite" \
-            in captured.err
-        assert "verdict" not in captured.out
+@pytest.mark.parametrize("flag, value, message", [
+    ("--grid", "2x5", "grid must be at least 3x3"),
+    ("--grid", "5", "--grid must be NUxNV, got '5'"),
+    ("--u-span", "1:0", "--u-span must be lo:hi with finite lo < hi"),
+    ("--v-span", "0.1", "--v-span must be lo:hi, got '0.1'"),
+    ("--tol", "pmcv=abc", "--tol expects NAME=NUMBER, got 'pmcv=abc'"),
+], ids=["grid-below-3", "grid-form", "u-span-reversed", "v-span-form",
+        "tol-value"])
+def test_bad_verify_flag_is_refused_before_the_family_solve(
+        monkeypatch, capsys, flag, value, message):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the family was solved")
+
+    monkeypatch.setattr(solvers, "solve_rotational_warp", no_solve)
+    with pytest.raises(AssertionError, match="the family was solved"):
+        main(THM4_ARGS)
+    assert main(THM4_ARGS + [f"{flag}={value}"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: ValueError: {message}")
+
+
+def test_product_member_from_b2_verifies(capsys):
+    # b3 derived from b2 = 0.4: sqrt(1/3 - 0.16)
+    argv = ["verify", "product", "--b1", "1", "--grid", "5x5"]
+    assert main(argv + ["--b2", "0.4"]) == 0
+    assert capsys.readouterr().out.endswith("verdict: pass\n")
+    assert main(argv + ["--b2", "0.6"]) == 2
+    assert "b2^2 exceeds" in capsys.readouterr().err
+
+
+def test_substep_is_no_flag_and_no_config_key(tmp_path, capsys):
+    # the stencil substep is shape.DEFAULT_SUBSTEP: a --substep flag and a
+    # substep key are invalid input (exit 2) and nothing is verified
+    argv = ["verify", "product", "--b1", "1", "--b3", "0.5", "--grid", "5x5"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--substep", "1e-3"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "unrecognized arguments: --substep 1e-3" in err
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("substep = 1e-3\n")
+    assert main(argv + ["--config", str(cfg)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: ValueError: unknown config keys: substep\n"
+    for kind in [*catalog.FAMILIES, "user-map"]:
+        with pytest.raises(SystemExit):
+            main(["verify", kind, "--help"])
+        text = capsys.readouterr().out
+        assert "--grid" in text and "--substep" not in text

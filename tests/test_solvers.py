@@ -5,6 +5,7 @@ import math
 import os
 import pathlib
 import pickle
+import re
 import subprocess
 import sys
 from operator import itemgetter
@@ -713,12 +714,16 @@ def test_validate_product_derives_member():
     c = rw.validate_constants_product(1.0, None, 0.5)
     assert abs(c.b2 - 1.0 / math.sqrt(12.0)) < 1e-15
     assert abs(c.theta0 - math.asinh(1.0)) < 1e-15
+    c = rw.validate_constants_product(1.0, 0.4)
+    assert (c.b2, c.b3) == (0.4, math.sqrt(1.0 / 3.0 - 0.4 * 0.4))
     with pytest.raises(ConstraintError, match="b2\\^2"):
         rw.validate_constants_product(1.0, 0.4, 0.5)
     with pytest.raises(ConstraintError):
         rw.validate_constants_product(0.0, 0.3, 0.4)
-    with pytest.raises(ConstraintError):
-        rw.validate_constants_product(1.0, None, 0.7)  # b3^2 > 1/3
+    for b2, b3, name in ((None, 0.7, "b3"), (0.7, None, "b2")):  # 0.49 > 1/3
+        with pytest.raises(ConstraintError,
+                           match=f"unsolvable: {name}\\^2 exceeds 0.333"):
+            rw.validate_constants_product(1.0, b2, b3)
 
 
 _L4 = rw.validate_constants_l4(2.0, 0.5)
@@ -752,6 +757,22 @@ def test_non_finite_constants_are_rejected(build, args, name):
 
 
 # -- the rotational-family warp ODE ------------------------------------------
+
+
+def test_warp_over_a_sub_interval_samples_the_dense_output(l4_solution):
+    # the dense output's fused warp sample serves only its own interval; over
+    # a sub-interval the warp samples the dense output through _WARP_SAMPLE
+    warp = l4_solution.warp
+    lo, hi = warp.interval
+    sub = (lo + 0.25 * (hi - lo), lo + 0.75 * (hi - lo))
+    assert warp.fn._warp_sample(sub) is None
+    restricted = rw.WarpingFunction(warp.fn, sub)
+    for t in np.linspace(*sub, 41).tolist():
+        assert restricted(t) == warp(t)
+    for t in (lo, hi):
+        with pytest.raises(ChartDomainError,
+                           match=re.escape(f"outside interval [{sub[0]}, {sub[1]}]")):
+            restricted(t)
 
 
 def test_solved_warp_refuses_times_past_its_slack_itself(l4_solution):

@@ -476,21 +476,6 @@ def test_verify_expectation_mismatch_fails(product_surface):
     assert rep.verdict == "fail"
 
 
-def test_bad_substep_rejected_before_grid_work(product_surface, monkeypatch):
-    def no_grid(*args, **kwargs):
-        raise AssertionError("a grid was built")
-
-    monkeypatch.setattr(verdicts, "SurfaceGrid", no_grid)
-    for substep in (0.0, -1e-3, float("nan")):
-        with pytest.raises(ValueError, match="substep"):
-            verify_surface(product_surface, grid=(5, 5), substep=substep)
-    monkeypatch.undo()
-    for substep in (0.0, -1e-3, float("nan")):
-        with pytest.raises(ValueError, match="substep"):
-            SurfaceGrid(product_surface, [1.0, 2.0], [1.0, 2.0],
-                        substep=substep)
-
-
 @pytest.mark.parametrize("name", ["u_span", "v_span"])
 @pytest.mark.parametrize("span", [(math.nan, 0.1), (0.1, math.nan),
                                   (-math.inf, 0.1), (0.1, math.inf)],
