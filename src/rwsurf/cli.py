@@ -361,14 +361,15 @@ def _load_chart(path: str, attr: str):
 def _cmd_verify_user_map(args) -> int:
     opts = _options(_VERIFY_DEFAULTS, args)
     inputs = _verify_inputs(opts)
-    chart = _load_chart(args.py, args.attr)
     if args.ambient == "warped-flat":
         space = AmbientSpace.warped_flat(args.n, _parse_warp(args.warp))
     else:
         space = AmbientSpace.product_space_form(args.n, args.c)
+    spans = (_parse_span(args.chart_u_span, "--chart-u-span"),
+             _parse_span(args.chart_v_span, "--chart-v-span"))
+    # every flag is refused before the chart file runs
     surface = finite_difference_jet(
-        chart, space, _parse_span(args.chart_u_span, "--chart-u-span"),
-        _parse_span(args.chart_v_span, "--chart-v-span"),
+        _load_chart(args.py, args.attr), space, *spans,
         name=f"user-map:{os.path.basename(args.py)}")
     return _run_verify(surface, inputs, opts, None)
 

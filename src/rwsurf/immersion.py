@@ -128,7 +128,8 @@ class Jet2Immersion:
             self._fill_rows(parts, rows, done)
         finite = _all_last(np.isfinite(parts).all(axis=0))
         for k in np.flatnonzero(~finite).tolist():
-            failed.setdefault(k, ChartDomainError(f"non-finite jet at {at(k)}"))
+            if k not in failed:  # a refused point's jet is NaN already
+                failed[k] = ChartDomainError(f"non-finite jet at {at(k)}")
         if failed:
             parts[:, list(failed)] = np.nan
         if uu.ndim == 0:

@@ -4,14 +4,15 @@ normal-space dimensions.
 Grid evaluation is two-phase.  ``SurfaceGrid`` first fills two records,
 each by one ``evaluate_point`` call (one jet call, every later layer
 batched): the nodes' ``PointData`` (leading axes (nu, nv)) and, at the
-eight cross-stencil points per node (leading axes (nu, nv, 8)), only the
-fields the stencils differentiate.  Derivatives are then 5-point central
-stencils, one weighted sum over the offset axis at every node at once.  The
-stencil substep is small and decoupled from the report-grid spacing so that
-truncation error stays orders of magnitude below the stencil-tier
-tolerances even on coarse grids.  Stencil quantities that several checks
-read are computed once per grid, on first use (``_per_grid``), and
-``SurfaceGrid.point(i, j)`` is a record of views into the grid's arrays.
+eight cross-stencil points of each node the node record kept (leading axes
+(nu, nv, 8)), only the fields the stencils differentiate.  Derivatives are
+then 5-point central stencils, one weighted sum over the offset axis at
+every node at once.  The stencil substep is small and decoupled from the
+report-grid spacing so that truncation error stays orders of magnitude
+below the stencil-tier tolerances even on coarse grids.  Stencil
+quantities that several checks read are computed once per grid, on first
+use (``_per_grid``), and ``SurfaceGrid.point(i, j)`` is a record of views
+into the grid's arrays.
 Every layer works in the jet's dtype: complex128 runs through
 ``evaluate_point`` for charts that take complex u, v; grids are float64.
 """
@@ -272,7 +273,9 @@ def evaluate_point(surface: Jet2Immersion, u, v, *, _stencil=False):
     sample, errors = surface.jet(u, v)
     shape = np.shape(sample.u)
     jet = _map_arrays(lambda x: x.reshape((-1,) + x.shape[len(shape):]), sample)
-    alive = np.setdiff1d(np.arange(len(jet.u)), list(errors))
+    alive = np.ones(len(jet.u), dtype=bool)
+    alive[list(errors)] = False
+    alive = np.flatnonzero(alive)
     times, inverse = np.unique(jet.phi[alive, 0], return_inverse=True)
     states = np.full((len(times), 3), np.nan)
     for m, t in enumerate(times.tolist()):
@@ -329,6 +332,8 @@ class SurfaceGrid:
     u- and four v-offsets with ``_stencil``: only what the stencils
     differentiate, G, the frame rows e1, e2, e3, e4 (``normals[..., 1, :]``),
     theta, and the sfd's H, h11, h12 and h22; its other fields are None.
+    Only the kept nodes' stencil points are charted: those of a node the
+    node record dropped are NaN, refused by the jet, and read NaN.
     Phase 2 methods differentiate those arrays and return arrays over the
     nodes.  Nodes where any point degenerates are recorded in
     ``degeneracies``, each with its first failing point's error (the node,
@@ -374,6 +379,11 @@ class SurfaceGrid:
         ku, kv = np.array(_STENCIL_POINTS, dtype=float).T
         U, V = np.broadcast_arrays(self.us[:, None, None] + ku * self.su[:, None, None],
                                    self.vs[None, :, None] + kv * self.sv[None, :, None])
+        # a dropped node's stencil points are NaN, which the jet refuses
+        # without calling the chart; its own error sorts first below
+        dropped = np.zeros((self.nu, self.nv, 1), dtype=bool)
+        dropped.flat[list(node_errors)] = True
+        U = np.where(dropped, np.nan, U)
         self.stencil_data, stencil_errors = evaluate_point(surface, U, V,
                                                            _stencil=True)
         m = len(_STENCIL_POINTS)

@@ -74,17 +74,21 @@ def test_arithmetic_error_of_the_warp_is_singular():
         rw.WarpingFunction(lambda t: (1.0 / t, 0.0, 0.0))(0.0)
 
 
-def test_grid_over_an_overflowing_solved_warp_records_degeneracies():
-    # a fixed-step solve that accepts a step across the blow-up: its dense
-    # state overflows in the completion (f'**4) near the end of the interval
+def overflowing_warp_surface():
+    """thm4 over a fixed-step solve that accepts a step across the blow-up:
+    its dense state overflows in the completion (f'**4) near the end of the
+    interval."""
     solution = rw.solve_rotational_warp(
         rw.validate_constants_l4(2.0, 0.5), 0.90625,
         -math.sqrt(3 * 0.90625**2 + 1), (0.0, -1.0),
         rw.SolverConfig(fixed_step=0.0625))
-    t_end = solution.warp.interval[0]
+    return rw.rotational_surface_l41(solution.constants, solution.warp)
+
+
+def test_grid_over_an_overflowing_solved_warp_records_degeneracies():
+    surface = overflowing_warp_surface()
     with pytest.raises(SingularWarpError, match="OverflowError"):
-        solution.warp(t_end)
-    surface = rw.rotational_surface_l41(solution.constants, solution.warp)
+        surface.space.warp(surface.space.warp.interval[0])
     rep = rw.verify_surface(surface, grid=(9, 5))
     assert rep.verdict == "degenerate"
     assert rep.degeneracies and all(

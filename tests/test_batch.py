@@ -25,6 +25,8 @@ from rwsurf.verdicts import verify_surface
 
 from conftest import L5_ICS, L5_INTERVAL, count_generated_samples
 from oracles import svd_rank
+from test_ambient import overflowing_warp_surface
+from test_cli import HOLED_PLANE
 from test_immersion import _product_member
 
 REL = 1e-13
@@ -365,12 +367,79 @@ def nan_cornered(surface, calls):
 
 def test_pointwise_wrapper_calls_the_chart_once_per_point(product_surface,
                                                           product_expect):
+    # each node once, and the 8 stencil points of each node the node record
+    # kept
     calls = []
     surface = nan_cornered(product_surface, calls)
     rep = verify_surface(surface, grid=(9, 9), expect=product_expect)
     assert rep.verdict == "degenerate"
-    assert len(calls) == len(set(calls)) == 9 * 9 * 9
+    _, dropped = evaluate_point(nan_cornered(product_surface, []),
+                                *np.array(calls[:81]).T)
+    assert len(dropped) == 25
+    assert len(calls) == len(set(calls)) == 81 + 8 * (81 - len(dropped))
     assert all(type(u) is float and type(v) is float for u, v in calls)
+
+
+def dropping_grid(kind, request):
+    """A 9x9 grid whose node record drops nodes: the NaN-cornered product
+    member, the holed plane through finite-difference jets, or thm4 over a
+    warp whose completion overflows."""
+    if kind == "nan-cornered":
+        surface = nan_cornered(request.getfixturevalue("product_surface"), [])
+        return SurfaceGrid(surface, np.linspace(0.1, 3.4, 9),
+                           np.linspace(0.1, 3.0, 9))
+    if kind == "holed-plane":
+        space = rw.AmbientSpace.warped_flat(4, rw.WarpingFunction.constant(1.0))
+        chart = {}
+        exec(HOLED_PLANE, chart)
+        surface = immersion.finite_difference_jet(chart["chart"], space,
+                                                  (-1.0, 1.0), (-1.0, 1.0))
+        return SurfaceGrid(surface, np.linspace(-0.9, 0.9, 9),
+                           np.linspace(-0.9, 0.9, 9))
+    surface = overflowing_warp_surface()
+    (u_lo, u_hi), (v_lo, v_hi) = surface.u_domain, surface.v_domain
+    return SurfaceGrid(surface, np.linspace(u_lo + 2e-3, u_hi - 2e-3, 9),
+                       np.linspace(v_lo + 0.1, v_hi - 0.1, 9))
+
+
+@pytest.mark.parametrize("kind",
+                         ["nan-cornered", "holed-plane", "overflowing-warp"])
+def test_a_grid_charts_only_the_kept_nodes_stencil_points(kind, request):
+    # against the nodes' evaluation and one of every stencil point, each
+    # node's first failing point (the node, then its stencil points) gives
+    # the degeneracies and the mask; the node record, and the stencil record
+    # at the kept nodes, are bitwise those evaluations; a dropped node's
+    # stencil fields read NaN
+    grid = dropping_grid(kind, request)
+    nodes, node_errors = evaluate_point(
+        grid.surface, *np.broadcast_arrays(grid.us[:, None], grid.vs[None, :]))
+    stencil, stencil_errors = evaluate_point(grid.surface, *stencil_stack(grid),
+                                             _stencil=True)
+    failures = sorted([(k, -1, text) for k, text in node_errors.items()]
+                      + [(*divmod(k, 8), text)
+                         for k, text in stencil_errors.items()])
+    first = {}
+    for k, _, text in failures:
+        first.setdefault(k, text)
+    assert node_errors and len(first) < grid.nu * grid.nv
+    assert grid.degeneracies == [(*divmod(k, grid.nv), text)
+                                 for k, text in first.items()]
+    ok = np.ones(grid.nu * grid.nv, dtype=bool)
+    ok[list(first)] = False
+    assert np.array_equal(grid.ok, ok.reshape(grid.nu, grid.nv))
+    node_fields = dict(leaves(grid.node_data))
+    assert node_fields.keys() == dict(leaves(nodes)).keys()
+    for name, x in leaves(nodes):
+        assert np.array_equal(node_fields[name], x, equal_nan=True), name
+    dropped = np.zeros(grid.nu * grid.nv, dtype=bool)
+    dropped[list(node_errors)] = True
+    dropped = dropped.reshape(grid.nu, grid.nv)
+    stencil_fields = dict(leaves(grid.stencil_data))
+    assert sorted(stencil_fields) == STENCIL_FIELDS
+    for name, x in leaves(stencil):
+        assert np.array_equal(stencil_fields[name][grid.ok], x[grid.ok],
+                              equal_nan=True), name
+        assert np.isnan(stencil_fields[name][dropped]).all(), name
 
 
 def test_pointwise_wrapper_report_bytes_are_pinned(product_surface,

@@ -89,6 +89,25 @@ def test_package_imports_no_test_code(tmp_path):
                    env={**os.environ, "PYTHONPATH": str(src)})
 
 
+def test_commands_do_not_import_numpy_ma(tmp_path):
+    # numpy.ma costs a process about 14 ms to import, and a plain np.unique
+    # (np.setdiff1d's, say) imports it through np.ma.is_masked
+    (tmp_path / "holed_plane.py").write_text(HOLED_PLANE)
+    runs = [THM4_ARGS[:-1] + ["3x3"], HOLED_PLANE_ARGS,
+            SYS5_ARGS + ["--samples", "5", "--csv", "sys5.csv"],
+            ["scan", "h4", "--theta", "0.1:3:7", "--tau", "0:5:5",
+             "--csv", "h4.csv"]]
+    probe = ("import json, sys\n"
+             "from rwsurf.cli import main\n"
+             f"codes = [main(argv) for argv in {runs!r}]\n"
+             "print(json.dumps([codes, 'numpy.ma' in sys.modules]))\n")
+    src = pathlib.Path(rw.__file__).resolve().parents[1]
+    out = subprocess.run([sys.executable, "-c", probe], cwd=tmp_path,
+                         check=True, capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src)}).stdout
+    assert json.loads(out.splitlines()[-1]) == [[0, 2, 0, 0], False]
+
+
 def test_verify_product_forced_break_fails(capsys):
     code = main(["verify", "product", "--b1", "1", "--b3", "0.5",
                  "--b2", "0.4", "--force-b4", "--grid", "7x7"])
@@ -1048,6 +1067,27 @@ def test_user_map_chart_that_cannot_be_loaded_exits_2(name, text, attr, flag,
                               if flag == "--attr" else
                               f"error: ValueError: --py {str(py)!r} ")
     assert repr(str(py)) in out.err and out.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--warp", "bogus"], "--warp must be"),
+    (["--chart-u-span=1:0"], "--chart-u-span must be lo:hi with finite lo < hi"),
+    (["--n", "3"], "need n >= 4"),
+], ids=["warp", "chart-u-span", "n"])
+def test_user_map_flags_are_refused_before_the_chart_file_runs(
+        flags, message, tmp_path, capsys):
+    py = tmp_path / "chart.py"
+    py.write_text("print('chart imported')\n"
+                  "def chart(u, v):\n    return (u, v, 0.0, 0.0)\n")
+    argv = ["verify", "user-map", "--py", str(py), "--ambient", "warped-flat",
+            "--n", "4", "--chart-u-span=-1:1", "--chart-v-span=-1:1",
+            "--grid", "3x3"]
+    main(argv)
+    assert "chart imported" in capsys.readouterr().out
+    assert main(argv + flags) == 2
+    out = capsys.readouterr()
+    assert "chart imported" not in out.out
+    assert message in out.err
 
 
 def test_user_map_chart_file_exiting_at_import_names_the_exit(tmp_path, capsys):

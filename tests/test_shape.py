@@ -293,8 +293,10 @@ def test_evaluate_point_computes_each_quantity_once(l4_surface, monkeypatch):
 
 def test_grid_records_degeneracies(minkowski4, tilted_plane):
     from rwsurf.immersion import Jet2Immersion
+    calls = []
 
     def evaluator(u, v):
+        calls.append((u, v))
         z = np.zeros(4)
         return (np.array([0.0, u, v, 0.0]), np.array([0.0, 1, 0, 0]),
                 np.array([0.0, 0, 1, 0]), z, z, z)
@@ -306,6 +308,8 @@ def test_grid_records_degeneracies(minkowski4, tilted_plane):
     assert sg.n_ok == 0
     assert len(sg.degeneracies) == 9
     assert "HorizontalSliceError" in sg.degeneracies[0][2]
+    # every node is dropped, so no stencil point is charted
+    assert len(calls) == 9
 
 
 
