@@ -16,6 +16,7 @@ set (``errors.raise_where``).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -94,14 +95,18 @@ class Jet2Immersion:
         dtype = np.result_type(np.asarray(u), np.asarray(v), float)
         uu, vv = np.broadcast_arrays(np.asarray(u, dtype), np.asarray(v, dtype))
         u, v = uu.ravel(), vv.ravel()
-        at = lambda k: f"(u,v)=({float(u.real[k])},{float(v.real[k])})"
+        # the points' real parts as Python floats, formed at a first refusal
+        # (not per call: the lists of a large stack would raise peak RSS)
+        real = functools.cache(lambda: (u.real.tolist(), v.real.tolist()))
+        at = lambda k: f"(u,v)=({real()[0][k]},{real()[1][k]})"
         failed = {}
-        for x, name, dom in ((u, "u", self.u_domain), (v, "v", self.v_domain)):
+        for axis, (x, name, dom) in enumerate(((u, "u", self.u_domain),
+                                               (v, "v", self.v_domain))):
             lo, hi = _widened(*dom)
             bad = ~((lo <= x.real) & (x.real <= hi))
             for k in np.flatnonzero(bad).tolist():
                 failed.setdefault(k, ChartDomainError(
-                    f"{name}={x.real[k]} outside {dom}"))
+                    f"{name}={real()[axis][k]} outside {dom}"))
         parts = np.full((6, len(u), self.space.ambient_dim), np.nan, dtype)
         inside = range(len(u))
         if failed:

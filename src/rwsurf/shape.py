@@ -380,23 +380,19 @@ class SurfaceGrid:
         U, V = np.broadcast_arrays(self.us[:, None, None] + ku * self.su[:, None, None],
                                    self.vs[None, :, None] + kv * self.sv[None, :, None])
         # a dropped node's stencil points are NaN, which the jet refuses
-        # without calling the chart; its own error sorts first below
+        # without calling the chart; its own error stays first below
         dropped = np.zeros((self.nu, self.nv, 1), dtype=bool)
         dropped.flat[list(node_errors)] = True
         U = np.where(dropped, np.nan, U)
         self.stencil_data, stencil_errors = evaluate_point(surface, U, V,
                                                            _stencil=True)
-        m = len(_STENCIL_POINTS)
-        failures = sorted([(k, -1, text) for k, text in node_errors.items()]
-                          + [(*divmod(k, m), text)
-                             for k, text in stencil_errors.items()])
+        first = dict(node_errors)  # each node's first failing point's error
+        for k, text in sorted(stencil_errors.items()):
+            first.setdefault(k // len(_STENCIL_POINTS), text)
+        self.degeneracies: list[tuple[int, int, str]] = [
+            (*divmod(k, self.nv), first[k]) for k in sorted(first)]
         self.ok = np.ones((self.nu, self.nv), dtype=bool)
-        self.degeneracies: list[tuple[int, int, str]] = []
-        for k, _, text in failures:
-            i, j = divmod(k, self.nv)
-            if self.ok[i, j]:
-                self.ok[i, j] = False
-                self.degeneracies.append((i, j, text))
+        self.ok.flat[list(first)] = False
         self._cache: dict = {}
 
     # -- node access ---------------------------------------------------------

@@ -88,20 +88,15 @@ _MAX_STEPS = 200_000
 
 @dataclass
 class SolverConfig:
-    """Step-control knobs for rk_integrate."""
+    """The tolerances of rk_integrate's error control."""
 
     rtol: float = 1e-11
     atol: float = 1e-13
-    fixed_step: float | None = None  # disables adaptivity (order studies)
 
     def __post_init__(self):
-        _require_finite(rtol=self.rtol, atol=self.atol,
-                        fixed_step=self.fixed_step)
+        _require_finite(rtol=self.rtol, atol=self.atol)
         if self.rtol <= 0 or self.atol <= 0:
             raise ConstraintError("solver tolerances must be positive")
-        if self.fixed_step is not None and self.fixed_step <= 0:
-            raise ConstraintError(
-                f"fixed_step must be positive, got {self.fixed_step}")
 
 
 @dataclass(frozen=True)
@@ -307,11 +302,14 @@ def rk_integrate(rhs: Callable, y0, t_span, config: SolverConfig | None = None,
     array, which is read as its list of floats); a family's rhs, from _bind,
     runs inline in the step's stages.  The step loop works on
     floats and builds no numpy array; each accepted step appends one
-    ``(t, h, y, q)`` row, and the rows are the DenseOutput's steps.  A
-    step whose stages raise an arithmetic error (ZeroDivisionError,
-    OverflowError, FloatingPointError), SingularWarpError, LinAlgError or
-    ValueError, or give a non-finite y_new or error estimate, is rejected and
-    retried with a quarter of the step.
+    ``(t, h, y, q)`` row, and the rows are the DenseOutput's steps.  The
+    first step size comes from _initial_step, and every step is under error
+    control: a step whose error norm exceeds 1 is rejected, and each step
+    scales the next by 0.9 norm^-1/5, within [0.2, 5].  A step whose stages
+    raise an arithmetic error (ZeroDivisionError, OverflowError,
+    FloatingPointError), SingularWarpError, LinAlgError or ValueError, or
+    give a non-finite y_new or error estimate, is rejected and retried with a
+    quarter of the step.
 
     ``monitors`` is a sequence of (name, g) pairs with g(t, y) > 0 required
     along the trajectory, y again a list of floats (a NaN value counts as a
@@ -321,7 +319,7 @@ def rk_integrate(rhs: Callable, y0, t_span, config: SolverConfig | None = None,
     the dense segment) and is recorded as stop reason 'monitor:<name>'; it
     never changes a step size.  Step underflow near a blow-up that no monitor
     stops ends with 'step-underflow' and the last valid time (a span left
-    below that threshold is 'completed'), _MAX_STEPS attempts with
+    below 1e-14 max(1, |t|) is 'completed'), _MAX_STEPS attempts with
     'max-steps'.  A non-finite y0 raises ConstraintError before rhs is called,
     and a non-finite derivative at (t0, y0), or an ArithmeticError from rhs
     there, AdmissibilityError before any step.
@@ -360,12 +358,7 @@ def rk_integrate(rhs: Callable, y0, t_span, config: SolverConfig | None = None,
         raise AdmissibilityError(
             f"the derivative at the initial state t={t0!r} is not finite: {f}")
     rtol, atol = cfg.rtol, cfg.atol
-
-    if cfg.fixed_step is not None:
-        h_abs = float(cfg.fixed_step)
-    else:
-        h_abs = _initial_step(rhs, t0, y, f, direction, rtol, atol, t1 - t0)
-    h_abs = min(h_abs, abs(t1 - t0))
+    h_abs = _initial_step(rhs, t0, y, f, direction, rtol, atol, t1 - t0)
 
     key, fn = getattr(rhs, "inline", (d, (rhs,)))  # a family's: _bind
     make_step, quartic, *_ = _kernels(key)
@@ -393,15 +386,10 @@ def rk_integrate(rhs: Callable, y0, t_span, config: SolverConfig | None = None,
             h_abs *= 0.25
             n_rej += 1
             continue
-
-        if cfg.fixed_step is None:
-            if enorm > 1.0:
-                h_abs *= max(0.2, 0.9 * enorm ** -0.2)
-                n_rej += 1
-                continue
-            factor = min(5.0, max(0.2, 0.9 * (enorm + 1e-300) ** -0.2))
-        else:
-            factor = 1.0
+        if enorm > 1.0:
+            h_abs *= max(0.2, 0.9 * enorm ** -0.2)
+            n_rej += 1
+            continue
 
         steps.append((t, h, y, Q))
         n_acc += 1
@@ -423,7 +411,7 @@ def rk_integrate(rhs: Callable, y0, t_span, config: SolverConfig | None = None,
             break
 
         t, y, f = t_new, y_new, k7  # FSAL
-        h_abs *= factor
+        h_abs *= min(5.0, max(0.2, 0.9 * (enorm + 1e-300) ** -0.2))
 
     if not steps:
         raise AdmissibilityError("integration could not take a single step")

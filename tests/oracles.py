@@ -12,7 +12,11 @@ per-component Dormand-Prince step loop and quartic dense output behind the
 straight-line code ``rwsurf.solvers`` generates per state length, the
 family equations as closures (the text the package compiles inline, written
 out by hand), and the family warps as a per-sample completion of that dense
-output.  The package never imports this module.
+output.  It also holds the fixed-step runs that the package's solver, which
+controls the error of every step, does not take: the generated step looped
+at a constant h (order studies), and the oracle's fixed steps in a
+DenseOutput (warps whose rows step across a blow-up).  The package never
+imports this module.
 """
 
 from __future__ import annotations
@@ -23,7 +27,8 @@ from dataclasses import astuple
 
 import numpy as np
 
-from rwsurf.ambient import AmbientSpace, curvature_rw_values, curvature_scalars
+from rwsurf.ambient import (AmbientSpace, WarpingFunction, curvature_rw_values,
+                            curvature_scalars)
 from rwsurf.errors import (AdmissibilityError, ChartDomainError, ConstraintError,
                            DegenerateFrameError, DimensionMismatchError,
                            SingularWarpError)
@@ -205,11 +210,14 @@ class ReferenceDense:
                       for a, b, c, d in q])
 
 
-def reference_rk_integrate(rhs, y0, t_span, config=None, monitors=()):
+def reference_rk_integrate(rhs, y0, t_span, config=None, monitors=(),
+                           fixed_step=None):
     """``rk_integrate`` with the Dormand-Prince stages, y_new, the error
     estimate and the dense rows written as one list comprehension per
-    quantity over zipped components.  Returns (ReferenceDense, stop_reason,
-    n_accepted, n_rejected)."""
+    quantity over zipped components.  A ``fixed_step`` replaces the step
+    control: steps of that size (the last one cut to the span) with no error
+    control, each still rejected with x0.25 where a stage fails.  Returns
+    (ReferenceDense, stop_reason, n_accepted, n_rejected)."""
     cfg = config or SolverConfig()
     t0, t1 = float(t_span[0]), float(t_span[1])
     if math.isnan(t0) or math.isnan(t1):
@@ -245,8 +253,8 @@ def reference_rk_integrate(rhs, y0, t_span, config=None, monitors=()):
             f"the derivative at the initial state t={t0!r} is not finite: {f}")
     rtol, atol = cfg.rtol, cfg.atol
 
-    if cfg.fixed_step is not None:
-        h_abs = float(cfg.fixed_step)
+    if fixed_step is not None:
+        h_abs = float(fixed_step)
     else:
         h_abs = _initial_step(rhs, t0, y, f, direction, rtol, atol, t1 - t0)
     h_abs = min(h_abs, abs(t1 - t0))
@@ -305,7 +313,7 @@ def reference_rk_integrate(rhs, y0, t_span, config=None, monitors=()):
             n_rej += 1
             continue
 
-        if cfg.fixed_step is None:
+        if fixed_step is None:
             enorm = _rms([e / (atol + rtol * max(abs(a), abs(b)))
                           for e, a, b in zip(err, y, y_new)])
             if enorm > 1.0:
@@ -352,6 +360,20 @@ def reference_rk_integrate(rhs, y0, t_span, config=None, monitors=()):
     if stop_reason == "completed":
         t_end = t
     return ReferenceDense(steps, t_end), stop_reason, n_acc, n_rej
+
+
+def fixed_step_dense(rhs, y0, t_span, h):
+    """The package's generated step (``_kernels``) looped forward at constant
+    steps of ``h``, the last one cut to the span, with no error control: the
+    runs of an order study, as a DenseOutput."""
+    (t, t1), y = map(float, t_span), list(y0)
+    step, f, steps = solvers._kernels(len(y))[0](rhs), rhs(t, y), []
+    while t1 - t >= 1e-14 * max(1.0, abs(t)):
+        h = min(h, t1 - t)
+        y_new, f, _, _, q = step(t, h, y, f, 1.0, 1.0)
+        steps.append((t, h, y, q))
+        t, y = t + h, y_new
+    return solvers.DenseOutput(steps, t)
 
 
 # The family equations as closures, the form the package ran before it
@@ -449,26 +471,33 @@ def reference_warp(interval, values):
     return warp
 
 
-def reference_rotational_warp(constants, f0, f0p, interval, config=None):
-    """``solve_rotational_warp`` over ``reference_rk_integrate``, with the
-    warp completed per sample as (f, *rhs(t, (f, f'))) behind
-    ``reference_warp``.  Returns
-    (warp, blow_up_time, stop_reason, n_accepted, n_rejected)."""
+def rotational_monitors(constants, f0, interval):
+    """``solve_rotational_warp``'s monitors, as (name, g) pairs."""
     b2 = constants.b2
-    rhs = rotational_warp_rhs(constants)
     sgn = 1.0 if f0 > 0 else -1.0
     t0 = float(interval[0])
-    direction = 1.0 if interval[1] > interval[0] else -1.0
-    grows = direction * sgn
-    monitors = [
+    grows = (1.0 if interval[1] > interval[0] else -1.0) * sgn
+    return [
         ("admissible", lambda t, s: s[1] * s[1] - b2 * s[0] * s[0]),
         ("warp-positive", lambda t, s: sgn * s[0] - 1e-12),
         ("blow-up", lambda t, s: 1.0 if grows * s[1] <= 0.0 else
          solvers._blow_up_time_left(b2, *s)
          - solvers._BLOW_UP_DELTA * abs(t - t0)),
     ]
+
+
+def reference_rotational_warp(constants, f0, f0p, interval, config=None,
+                              fixed_step=None):
+    """``solve_rotational_warp`` over ``reference_rk_integrate``, with the
+    warp completed per sample as (f, *rhs(t, (f, f'))) behind
+    ``reference_warp``.  Returns
+    (warp, blow_up_time, stop_reason, n_accepted, n_rejected)."""
+    b2 = constants.b2
+    rhs = rotational_warp_rhs(constants)
+    direction = 1.0 if interval[1] > interval[0] else -1.0
     dense, stop_reason, n_acc, n_rej = reference_rk_integrate(
-        rhs, [f0, f0p], interval, config, monitors)
+        rhs, [f0, f0p], interval, config,
+        rotational_monitors(constants, f0, interval), fixed_step)
     blow_up_time = (dense.t_end + direction * solvers._blow_up_time_left(
         b2, *dense(dense.t_end)) if stop_reason == "monitor:blow-up" else None)
 
@@ -478,6 +507,19 @@ def reference_rotational_warp(constants, f0, f0p, interval, config=None):
 
     return (reference_warp(dense.interval, values), blow_up_time, stop_reason,
             n_acc, n_rej)
+
+
+def fixed_step_warp(constants, f0, f0p, interval, h):
+    """The rotational warp over ``reference_rk_integrate``'s steps of ``h``
+    under ``solve_rotational_warp``'s monitors: the rows in a DenseOutput
+    with the family's completion, wrapped as a solve wraps its own.  Returns
+    (warp, stop_reason, n_accepted, n_rejected)."""
+    dense, *ending = reference_rk_integrate(
+        rotational_warp_rhs(constants), [f0, f0p], interval,
+        monitors=rotational_monitors(constants, f0, interval), fixed_step=h)
+    complete = solvers._bind(solvers._L4, (constants.b2,))[1]
+    warp = solvers.DenseOutput(dense.steps, dense.t_end, complete)
+    return (WarpingFunction(warp, dense.interval), *ending)
 
 
 def reference_warp_system(constants, ics, interval, config=None):

@@ -13,11 +13,10 @@ import rwsurf as rw
 from rwsurf.catalog import nonexistence_scan_e11h4, nonexistence_slice_scan
 from rwsurf.immersion import finite_difference_jet
 from rwsurf.shape import SurfaceGrid, pmcv_residual
-from rwsurf.solvers import SolverConfig, rk_integrate
 from rwsurf.verdicts import curvature_trace_term, verify_surface
 
 from conftest import L5_CONSTANTS, random_curvature_config
-from oracles import curvature_trace_closed_form
+from oracles import curvature_trace_closed_form, fixed_step_dense
 
 
 def _report(number, label, ok, detail):
@@ -161,12 +160,12 @@ def test_criterion_7_numerical_hygiene(l4_surface, l5_surface,
                 rel = np.linalg.norm(got - ref) / (1.0 + np.linalg.norm(ref))
                 fd_worst = max(fd_worst, float(rel))
 
-    # (b) integrator order: fixed-step error ratio in [24, 40]
+    # (b) integrator order: fixed-step error ratio in [24, 40], the
+    # package's generated step at h and h/2
     errs = []
     for h in (0.2, 0.1):
-        res = rk_integrate(lambda t, y: y, [1.0], (0.0, 1.0),
-                           SolverConfig(fixed_step=h))
-        errs.append(abs(res.dense(1.0)[0] - math.e))
+        dense = fixed_step_dense(lambda t, y: y, [1.0], (0.0, 1.0), h)
+        errs.append(abs(dense(1.0)[0] - math.e))
     ratio = errs[0] / errs[1]
 
     # (c) closed-form identities at round-off: fiber norm and plane constraint

@@ -8,7 +8,7 @@ from rwsurf.ambient import curvature_rw_values
 from rwsurf.errors import (ChartDomainError, DimensionMismatchError,
                            SingularWarpError)
 
-from oracles import christoffel_at, comoving_split, curvature_rw
+from oracles import christoffel_at, comoving_split, curvature_rw, fixed_step_warp
 
 
 def exp_space(n=4):
@@ -75,14 +75,15 @@ def test_arithmetic_error_of_the_warp_is_singular():
 
 
 def overflowing_warp_surface():
-    """thm4 over a fixed-step solve that accepts a step across the blow-up:
-    its dense state overflows in the completion (f'**4) near the end of the
+    """thm4 over a dense output whose rows step across the blow-up (fixed
+    steps of 0.0625, which end 'monitor:warp-positive' after 3 steps): its
+    dense state overflows in the completion (f'**4) near the end of the
     interval."""
-    solution = rw.solve_rotational_warp(
-        rw.validate_constants_l4(2.0, 0.5), 0.90625,
-        -math.sqrt(3 * 0.90625**2 + 1), (0.0, -1.0),
-        rw.SolverConfig(fixed_step=0.0625))
-    return rw.rotational_surface_l41(solution.constants, solution.warp)
+    constants = rw.validate_constants_l4(2.0, 0.5)
+    warp, *_ = fixed_step_warp(constants, 0.90625,
+                               -math.sqrt(3 * 0.90625**2 + 1), (0.0, -1.0),
+                               0.0625)
+    return rw.rotational_surface_l41(constants, warp)
 
 
 def test_grid_over_an_overflowing_solved_warp_records_degeneracies():

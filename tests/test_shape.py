@@ -312,6 +312,28 @@ def test_grid_records_degeneracies(minkowski4, tilted_plane):
     assert len(calls) == 9
 
 
+def test_a_kept_node_records_its_first_failing_stencil_point(tilted_plane):
+    # every stencil point fails, each with a text naming it: each node
+    # records the first in _STENCIL_POINTS order
+    us = vs = np.linspace(-0.5, 0.5, 3)
+    nodes = {(u, v) for u in us.tolist() for v in vs.tolist()}
+
+    def evaluator(u, v):
+        if (u, v) not in nodes:
+            raise ValueError("off the nodes")
+        return tilted_plane.evaluator(u, v)
+
+    sg = SurfaceGrid(dataclasses.replace(tilted_plane, evaluator=evaluator),
+                     us, vs)
+    (ku, kv), = shape._STENCIL_POINTS[:1]
+    assert sg.degeneracies == [
+        (i, j, f"ChartDomainError: chart failed at (u,v)=({u + ku * su},"
+               f"{v + kv * sv}): ValueError: off the nodes")
+        for i, (u, su) in enumerate(zip(us.tolist(), sg.su.tolist()))
+        for j, (v, sv) in enumerate(zip(vs.tolist(), sg.sv.tolist()))]
+    assert not sg.ok.any()
+
+
 
 def _read_times(warp, times):
     """L^4_1 over ``warp``, recording in ``times`` each time it is read at."""

@@ -23,9 +23,10 @@ from rwsurf.solvers import SolverConfig, rk_integrate, system_equation_residuals
 
 from conftest import (L5_CONSTANTS, L5_ICS, L5_INTERVAL,
                       count_generated_samples)
-from oracles import (ReferenceDense, reference_rk_integrate,
-                     reference_rotational_warp, reference_warp_system,
-                     rotational_warp_rhs, system_completion, system_matrices)
+from oracles import (ReferenceDense, fixed_step_dense, fixed_step_warp,
+                     reference_rk_integrate, reference_rotational_warp,
+                     reference_warp_system, rotational_warp_rhs,
+                     system_completion, system_matrices)
 
 
 def test_exponential_growth():
@@ -49,29 +50,26 @@ def test_backward_integration():
 
 
 def test_integrator_order_ratio():
-    # fixed-step runs at h and h/2: a 5th-order propagated pair shrinks the
-    # global error by ~2^5
+    # the generated step at constant h and h/2: a 5th-order propagated pair
+    # shrinks the global error by ~2^5
     errs = []
     for h in (0.2, 0.1):
-        res = rk_integrate(lambda t, y: y, [1.0], (0.0, 1.0),
-                           SolverConfig(fixed_step=h))
-        y = res.dense(1.0)
+        y = fixed_step_dense(lambda t, y: y, [1.0], (0.0, 1.0), h)(1.0)
         errs.append(abs(y[0] - math.e))
     ratio = errs[0] / errs[1]
     assert 24.0 <= ratio <= 40.0
 
 
-@pytest.mark.parametrize("h, n", [(0.1, 10), (0.2, 5), (0.05, 20), (0.3, 4)])
-def test_fixed_step_run_that_covers_its_span_completes(h, n):
-    # ten steps of 0.1 end 1.1e-16 short of 1.0, a remainder below the
-    # underflow threshold: the span is covered, so the run ends 'completed'
-    # where it stands
-    res = rk_integrate(lambda t, y: y, [1.0], (0.0, 1.0),
-                       SolverConfig(fixed_step=h))
-    assert (res.stop_reason, res.n_accepted, res.n_rejected) == (
-        "completed", n, 0)
+@pytest.mark.parametrize("t_span", [(-1.0, 1e-20), (1.0, -1e-20),
+                                    (-2.0, -1e-18), (0.3, -3e-17)])
+def test_run_that_covers_its_span_completes(t_span):
+    # the last step, of t1 - t, ends where t + (t1 - t) rounds: short of t1
+    # by less than 1e-14 max(1, |t|), a remainder no step can take; the span
+    # is covered, so the run ends 'completed' where it stands
+    res = rk_integrate(lambda t, y: y, [1.0], t_span)
+    assert (res.stop_reason, res.n_rejected) == ("completed", 0)
     assert res.dense.t_end == res.dense.steps[-1][0] + res.dense.steps[-1][1]
-    assert abs(res.dense.t_end - 1.0) < 1e-15
+    assert 0.0 < abs(res.dense.t_end - t_span[1]) < 1e-14
 
 
 @pytest.mark.parametrize("y0", [[math.nan], [1.0, math.inf], [-math.inf, 0.0]])
@@ -89,11 +87,8 @@ def test_non_finite_initial_state_is_refused_before_any_rhs_call(y0):
 
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
 @pytest.mark.parametrize("integrate", [rk_integrate, reference_rk_integrate],
-                         ids=["rk_integrate", "reference"])
-@pytest.mark.parametrize("config", [None, SolverConfig(fixed_step=0.1)],
-                         ids=["adaptive", "fixed"])
-def test_non_finite_derivative_at_the_initial_state_is_refused(value, integrate,
-                                                                config):
+                         ids=["adaptive-rk_integrate", "adaptive-reference"])
+def test_non_finite_derivative_at_the_initial_state_is_refused(value, integrate):
     # an infinite right-hand side divided by zero in the initial step size,
     # and a NaN one failed every step; both are refused before any step
     calls = []
@@ -105,17 +100,14 @@ def test_non_finite_derivative_at_the_initial_state_is_refused(value, integrate,
     with pytest.raises(AdmissibilityError,
                        match=r"derivative at the initial state t=0\.0 is not "
                              r"finite: \[-?(inf|nan), 1\.0\]"):
-        integrate(rhs, [1.0, 2.0], (0.0, 1.0), config)
+        integrate(rhs, [1.0, 2.0], (0.0, 1.0))
     assert calls == [0.0]
 
 
 @pytest.mark.parametrize("error", [ZeroDivisionError, OverflowError])
 @pytest.mark.parametrize("integrate", [rk_integrate, reference_rk_integrate],
-                         ids=["rk_integrate", "reference"])
-@pytest.mark.parametrize("config", [None, SolverConfig(fixed_step=0.1)],
-                         ids=["adaptive", "fixed"])
-def test_arithmetic_error_at_the_initial_state_is_refused(error, integrate,
-                                                         config):
+                         ids=["adaptive-rk_integrate", "adaptive-reference"])
+def test_arithmetic_error_at_the_initial_state_is_refused(error, integrate):
     # an rhs that raises at (t0, y0) has no derivative there: refused as a
     # non-finite one, naming the error, before any step
     calls = []
@@ -127,7 +119,7 @@ def test_arithmetic_error_at_the_initial_state_is_refused(error, integrate,
     with pytest.raises(AdmissibilityError,
                        match=r"^the derivative at the initial state t=0\.0 is "
                              rf"not finite \({error.__name__}: boom\)$") as exc:
-        integrate(rhs, [1.0, 2.0], (0.0, 1.0), config)
+        integrate(rhs, [1.0, 2.0], (0.0, 1.0))
     assert isinstance(exc.value.__cause__, error)
     assert calls == [0.0]
 
@@ -302,7 +294,7 @@ def test_degenerate_interval_rejected():
         rk_integrate(lambda t, y: y, [1.0], (1.0, 1.0))
 
 
-@pytest.mark.parametrize("name", ["rtol", "atol", "fixed_step"])
+@pytest.mark.parametrize("name", ["rtol", "atol"])
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
 def test_solver_config_rejects_non_finite_values(name, value):
     with pytest.raises(ConstraintError, match=f"^{name} must be finite"):
@@ -313,13 +305,19 @@ def test_solver_config_still_rejects_non_positive_tolerances():
     for kwargs in ({"rtol": 0.0}, {"atol": -1e-13}):
         with pytest.raises(ConstraintError, match="must be positive"):
             SolverConfig(**kwargs)
-    assert SolverConfig(fixed_step=None).fixed_step is None
+
+
+def test_solver_config_is_the_two_tolerances():
+    # every step is under error control: there is no step-size field
+    assert [f.name for f in dataclasses.fields(SolverConfig)] == ["rtol", "atol"]
+    with pytest.raises(TypeError, match="fixed_step"):
+        SolverConfig(fixed_step=0.1)
 
 
 @pytest.mark.parametrize("value", [0.0, -0.1])
 def test_solver_config_rejects_non_positive_fixed_step(value):
-    with pytest.raises(ConstraintError,
-                       match=f"^fixed_step must be positive, got {value}"):
+    # no step size is accepted at all, a non-positive one included
+    with pytest.raises(TypeError, match="fixed_step"):
         SolverConfig(fixed_step=value)
 
 
@@ -374,10 +372,10 @@ def test_float_loop_matches_matrix_form_tableau(M, y0):
     def rhs(t, y):
         return (M @ np.asarray(y)).tolist()
 
-    res = rk_integrate(rhs, y0, (0.0, 2.0), SolverConfig(fixed_step=0.05))
+    dense = fixed_step_dense(rhs, y0, (0.0, 2.0), 0.05)
     ys, qs = _matrix_form_steps(rhs, y0, 0.05, 40)
-    _, _, got_ys, got_qs = _rows(res.dense)
-    assert res.n_accepted == 40 and got_ys.shape == ys.shape
+    _, _, got_ys, got_qs = _rows(dense)
+    assert got_ys.shape == ys.shape
     for got, want in ((got_ys, ys), (got_qs, qs)):
         np.testing.assert_allclose(got, want, rtol=1e-14,
                                    atol=1e-14 * np.abs(want).max())
@@ -449,11 +447,9 @@ def _dense_samples(n):
 
 
 @pytest.mark.parametrize("short, long", [
-    (_oscillator_steps(t_span=(0.0, 1.0), config=SolverConfig(fixed_step=0.1)),
-     _oscillator_steps(t_span=(0.0, 1.0), config=SolverConfig(fixed_step=0.001))),
     (_oscillator_steps(t_span=(0.0, 1.0)), _oscillator_steps(t_span=(0.0, 100.0))),
     (_dense_samples(10), _dense_samples(1000)),
-], ids=["fixed-step", "adaptive", "dense-samples"])
+], ids=["adaptive", "dense-samples"])
 def test_numpy_calls_do_not_grow_with_steps(monkeypatch, short, long):
     counts = []
     for run in (short, long):
@@ -483,22 +479,19 @@ def _coupled_rhs(seed, d, form):
 @settings(max_examples=40, deadline=None)
 @given(d=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
        form=st.sampled_from(["list", "tuple", "array"]),
-       span=st.floats(0.2, 2.0) | st.floats(-2.0, -0.2),
-       fixed_steps=st.none() | st.integers(3, 40), monitored=st.booleans())
+       span=st.floats(0.2, 2.0) | st.floats(-2.0, -0.2), monitored=st.booleans())
 def test_generated_kernels_match_the_per_component_form_bitwise(
-        d, seed, form, span, fixed_steps, monitored):
+        d, seed, form, span, monitored):
     # steps rows, end time, stop reason, step counts and dense samples all
     # equal the list-comprehension form's, bit for bit
     # (repr of a float round-trips and tells -0.0 from 0.0)
     rhs, y0 = _coupled_rhs(seed, d, form)
-    config = SolverConfig(fixed_step=None if fixed_steps is None
-                          else abs(span) / fixed_steps)
     # crosses zero within 1e-3 of mid-span, wherever the state goes
     half_span = lambda t, y: 0.5 * abs(span) - abs(t) + 1e-3 * math.tanh(y[0])
     monitors = [("half-span", half_span)] if monitored else []
-    res = rk_integrate(rhs, y0, (0.0, span), config, monitors)
+    res = rk_integrate(rhs, y0, (0.0, span), monitors=monitors)
     ref, stop_reason, n_acc, n_rej = reference_rk_integrate(
-        rhs, y0, (0.0, span), config, monitors)
+        rhs, y0, (0.0, span), monitors=monitors)
     assert (res.stop_reason, res.n_accepted, res.n_rejected) == (
         stop_reason, n_acc, n_rej)
     assert res.stop_reason.startswith("monitor:") == monitored
@@ -511,15 +504,15 @@ def test_generated_kernels_match_the_per_component_form_bitwise(
 @settings(max_examples=60, deadline=None)
 @given(d=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
        span=st.floats(0.2, 2.0) | st.floats(-2.0, -0.2),
-       fixed_steps=st.none() | st.integers(3, 40),
        value=st.sampled_from([math.inf, -math.inf, math.nan]),
        where=st.integers(3, 150) | st.floats(0.1, 0.9))
-# the seventh stage alone: call 44 of an adaptive run (after the initial
-# state's two calls, six per attempt) and call 13 of a fixed-step one
-@example(d=1, seed=0, span=1.0, fixed_steps=None, value=math.inf, where=44)
-@example(d=2, seed=1, span=1.0, fixed_steps=10, value=math.nan, where=13)
+# after the initial state's two calls, six per attempt: call 44 is the
+# seventh stage alone of the seventh attempt, and call 35 the fourth stage
+# of the sixth, in a run of 27 attempts
+@example(d=1, seed=0, span=1.0, value=math.inf, where=44)
+@example(d=2, seed=1, span=1.0, value=math.nan, where=35)
 def test_non_finite_stages_are_rejected_as_in_the_per_component_form(
-        d, seed, span, fixed_steps, value, where):
+        d, seed, span, value, where):
     # the right-hand side reads ``value`` at its call number ``where`` (an
     # int past the calls at the initial state: one stage, so at times the
     # seventh alone, which leaves y_new finite and only the error estimate
@@ -528,10 +521,8 @@ def test_non_finite_stages_are_rejected_as_in_the_per_component_form(
     # into).  Such steps must be rejected with x0.25, and everything the
     # run records must equal the per-component form's
     rhs, y0 = _coupled_rhs(seed, d, "list")
-    config = SolverConfig(fixed_step=None if fixed_steps is None
-                          else abs(span) / fixed_steps)
     if isinstance(where, float):
-        level = rk_integrate(rhs, y0, (0.0, span), config).dense(where * span)[0]
+        level = rk_integrate(rhs, y0, (0.0, span)).dense(where * span)[0]
         side = 1.0 if level >= y0[0] else -1.0
 
     def outcome(integrate):  # a run that takes no step raises in both
@@ -544,7 +535,7 @@ def test_non_finite_stages_are_rejected_as_in_the_per_component_form(
             return [value] * d if hit else rhs(t, y)
 
         try:
-            res = integrate(poisoned, y0, (0.0, span), config)
+            res = integrate(poisoned, y0, (0.0, span))
         except AdmissibilityError as exc:
             return str(exc)
         if isinstance(res, tuple):
@@ -582,19 +573,19 @@ def test_rms_sums_left_to_right():
 
 
 def test_run_that_exhausts_the_step_budget_ends_max_steps(monkeypatch):
-    # no step ever shrinks here: the run ends for its budget, after exactly
-    # that many attempts, where the last accepted step ended
-    monkeypatch.setattr(solvers, "_MAX_STEPS", 1000)
-    config = SolverConfig(fixed_step=1e-4)
-    res = rk_integrate(lambda t, y: y, [1.0], (0.0, 1.0), config)
-    assert (res.stop_reason, res.n_accepted, res.n_rejected) == (
-        "max-steps", 1000, 0)
-    assert res.dense.t_end == res.dense.steps[-1][0] + 1e-4
-    assert abs(res.dense.t_end - 0.1) < 1e-12
-    ref, stop_reason, n_acc, n_rej = reference_rk_integrate(
-        lambda t, y: y, [1.0], (0.0, 1.0), config)
+    # an oscillator over (0, 100) takes hundreds of steps: with a budget of
+    # 50 the run ends for it, after exactly that many attempts, where the
+    # last accepted step ended
+    monkeypatch.setattr(solvers, "_MAX_STEPS", 50)
+    oscillator = (lambda t, y: (y[1], -y[0]), [0.3, 0.7], (0.0, 100.0))
+    res = rk_integrate(*oscillator)
+    assert res.stop_reason == "max-steps"
+    assert res.n_accepted + res.n_rejected == 50
+    assert res.dense.t_end == res.dense.steps[-1][0] + res.dense.steps[-1][1]
+    assert res.dense.t_end < 100.0
+    ref, stop_reason, n_acc, n_rej = reference_rk_integrate(*oscillator)
     assert (stop_reason, n_acc, n_rej, ref.t_end) == (
-        "max-steps", 1000, 0, res.dense.t_end)
+        "max-steps", res.n_accepted, res.n_rejected, res.dense.t_end)
     # rejected attempts count against the budget too: a budget one short of
     # the attempts of a run that underflows ends it by the budget
     monkeypatch.undo()
@@ -1096,20 +1087,16 @@ def _samples(fn, ts):
 @settings(max_examples=25, deadline=None)
 @given(a=st.floats(1.9, 2.1), h0=st.floats(0.45, 0.55), f0=st.floats(0.9, 1.1),
        q=st.floats(0.5, 1.5), f0_sign=st.sampled_from([1.0, -1.0]),
-       f0p_sign=st.sampled_from([1.0, -1.0]), backward=st.booleans(),
-       fixed_step=st.none() | st.floats(0.005, 0.1))
+       f0p_sign=st.sampled_from([1.0, -1.0]), backward=st.booleans())
 def test_rotational_warp_path_matches_the_reference(a, h0, f0, q, f0_sign,
-                                                    f0p_sign, backward,
-                                                    fixed_step):
-    # fixed steps run into the blow-up, where stages overflow and reject
+                                                    f0p_sign, backward):
     c = rw.validate_constants_l4(a, h0)
     f0 *= f0_sign
     f0p = f0p_sign * math.sqrt(c.b2 * f0 * f0 + q)
     interval = (0.0, -1.0 if backward else 1.0)
-    config = SolverConfig(fixed_step=fixed_step)
-    sol = rw.solve_rotational_warp(c, f0, f0p, interval, config)
+    sol = rw.solve_rotational_warp(c, f0, f0p, interval)
     warp, blow_up_time, *ending = reference_rotational_warp(c, f0, f0p,
-                                                            interval, config)
+                                                            interval)
     res = sol.integration
     assert [res.stop_reason, res.n_accepted, res.n_rejected] == ending
     assert repr(sol.blow_up_time) == repr(blow_up_time)
@@ -1144,24 +1131,26 @@ def test_warp_system_path_matches_the_reference(a, h0, dphi, f0, f0p, y0, y0p):
 
 def test_fixed_step_warp_across_its_blow_up_matches_the_reference():
     # fixed steps of 0.005 carry this member past its blow-up before the
-    # blow-up monitor fires: the last step crosses it and the solve ends
+    # blow-up monitor fires: the last step crosses it and the run ends
     # 'monitor:warp-positive', and inside that step the interpolant reaches
-    # an f' whose f'^4 in the completion overflows
+    # an f' whose f'^4 in the completion overflows.  The warp sample over
+    # those rows must match the per-sample completion
     c = rw.validate_constants_l4(2.0, 0.5)
     f0p = math.sqrt(c.b2 + 0.5)
-    config = SolverConfig(fixed_step=0.005)
-    sol = rw.solve_rotational_warp(c, 1.0, f0p, (0.0, 1.0), config)
-    warp = reference_rotational_warp(c, 1.0, f0p, (0.0, 1.0), config)[0]
-    ts = _path_times(sol.warp.interval) + np.linspace(
-        *sol.warp.interval, 401).tolist()
-    got = _samples(sol.warp, ts)
+    solved, *ending = fixed_step_warp(c, 1.0, f0p, (0.0, 1.0), 0.005)
+    assert ending == ["monitor:warp-positive", 61, 1]
+    warp = reference_rotational_warp(c, 1.0, f0p, (0.0, 1.0),
+                                     fixed_step=0.005)[0]
+    ts = _path_times(solved.interval) + np.linspace(
+        *solved.interval, 401).tolist()
+    got = _samples(solved, ts)
     assert got == _samples(warp, ts)
     overflow = [g for g in got if "(OverflowError: " in g]
     assert overflow and all(g.startswith(
         "SingularWarpError: warping function is not finite at t=")
         for g in overflow)
     with pytest.raises(rw.SingularWarpError) as exc:
-        sol.warp(0.30072533418659664)
+        solved(0.30072533418659664)
     assert isinstance(exc.value.__cause__, OverflowError)
 
 
