@@ -28,9 +28,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (ChartDomainError, DimensionMismatchError,
-                     SingularWarpError, raise_where)
-from .linalg import _col, inner
+from .errors import ChartDomainError, DimensionMismatchError, SingularWarpError
+from .linalg import _col, inner, raise_where
 
 __all__ = [
     "WarpingFunction",

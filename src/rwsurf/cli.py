@@ -5,7 +5,7 @@ Subcommands: ``verify {thm4|thm5|product|user-map}``, ``solve {f4|sys5}``,
 check failed, 2 degenerate or invalid input.  Flags may be preloaded from a
 KEY=VALUE config file (--config); explicit flags override the file.  Outputs
 carry no timestamps, so repeated runs with the same configuration are
-bit-identical.
+bit-identical.  The geometry and numpy load with the command that runs them.
 """
 
 from __future__ import annotations
@@ -20,13 +20,8 @@ import math
 import os
 import sys
 
-import numpy as np
-
-from . import catalog, solvers, verdicts
-from .ambient import AmbientSpace, WarpingFunction
 from .errors import DimensionMismatchError, GeometryError
-from .immersion import finite_difference_jet
-from .verdicts import VerificationReport, verify_surface
+from .families import FAMILIES
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -68,7 +63,8 @@ def _parse_grid(text: str) -> tuple[int, int]:
     return a, b
 
 
-def _parse_range(text: str, flag: str) -> np.ndarray:
+def _parse_range(text: str, flag: str):
+    import numpy as np
     form = (f"{flag} must be lo:hi:n with finite lo, hi and an integer "
             f"n >= 1, got {text!r}")
     try:
@@ -81,7 +77,8 @@ def _parse_range(text: str, flag: str) -> np.ndarray:
     return np.linspace(lo, hi, n)
 
 
-def _parse_warp(text: str) -> WarpingFunction:
+def _parse_warp(text: str):
+    from .ambient import WarpingFunction
     head, _, rest = text.partition(":")
     try:
         params = [float(p) for p in rest.split(",")] if rest else []
@@ -165,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv = sub.add_parser("verify", help="run the verification battery")
     pvs = pv.add_subparsers(dest="_sub", required=True)
 
-    for name, family in catalog.FAMILIES.items():
+    for name, family in FAMILIES.items():
         pf = pvs.add_parser(name, help=family.summary)
         for param in family.params:
             kind = ({"action": "store_true"} if isinstance(param.default, bool)
@@ -195,15 +192,15 @@ def build_parser() -> argparse.ArgumentParser:
             ("f4", "thm4", "scalar warp ODE of the rotational family"),
             ("sys5", "thm5", "coupled (f, y) system of the 5-dim family")):
         pf = pss.add_parser(name, help=summary)
-        params = catalog.FAMILIES[kind].params
+        params = FAMILIES[kind].params
         for param in params:
             if param.required:
                 pf.add_argument("--" + param.name, type=float, required=True)
         u_end = {p.name: p.default for p in params}["u_end"]
         pf.add_argument("--u0", type=float, default=0.0)
         pf.add_argument("--u1", type=float, default=u_end)
-        pf.add_argument("--rtol", type=float, default=solvers.SolverConfig.rtol)
-        pf.add_argument("--atol", type=float, default=solvers.SolverConfig.atol)
+        pf.add_argument("--rtol", type=float)  # None: SolverConfig's default
+        pf.add_argument("--atol", type=float)
         pf.add_argument("--csv", help="dense-output CSV path")
         pf.add_argument("--samples", type=int, default=201)
         pf.set_defaults(_run=_cmd_solve, _family=kind)
@@ -243,7 +240,9 @@ def _tolerances(opts: dict) -> dict:
     return overrides
 
 
-def _write_report_files(report: VerificationReport, surface, opts: dict):
+def _write_report_files(report, surface, opts: dict):
+    import numpy as np
+    from . import verdicts
     out = opts.get("out")
     if out:
         with open(out, "w", encoding="utf-8") as fh:
@@ -277,7 +276,7 @@ def _write_report_files(report: VerificationReport, surface, opts: dict):
                     fh.write(row % (u, v, *phis[i][j]))
 
 
-def _print_report(report: VerificationReport):
+def _print_report(report):
     print(f"surface: {report.surface}")
     print(f"grid: {report.grid['nu']}x{report.grid['nv']} "
           f"u=[{report.grid['u'][0]:.6g}, {report.grid['u'][1]:.6g}] "
@@ -309,6 +308,7 @@ def _verify_inputs(opts: dict) -> dict:
 
 
 def _run_verify(surface, inputs: dict, opts: dict, expect: dict | None) -> int:
+    from .verdicts import verify_surface
     report = verify_surface(surface, expect=expect, **inputs)
     _write_report_files(report, surface, opts)
     _print_report(report)
@@ -316,7 +316,7 @@ def _run_verify(surface, inputs: dict, opts: dict, expect: dict | None) -> int:
 
 
 def _cmd_verify_family(args) -> int:
-    family = catalog.FAMILIES[args._sub]
+    family = FAMILIES[args._sub]
     # a parameter with a number for its default (--u-end) may come from --config
     settable = {p.name: p.default for p in family.params
                 if isinstance(p.default, float)}
@@ -325,6 +325,7 @@ def _cmd_verify_family(args) -> int:
     surface, expect, solution = family.build(
         {p.name: opts.get(p.name) for p in family.params})
     if solution is not None:
+        from . import solvers
         lo, hi = solution.warp.interval
         stop = solution.integration.stop_reason
         if isinstance(solution, solvers.WarpSystemSolution):
@@ -361,6 +362,8 @@ def _load_chart(path: str, attr: str):
 def _cmd_verify_user_map(args) -> int:
     opts = _options(_VERIFY_DEFAULTS, args)
     inputs = _verify_inputs(opts)
+    from .ambient import AmbientSpace
+    from .immersion import finite_difference_jet
     if args.ambient == "warped-flat":
         space = AmbientSpace.warped_flat(args.n, _parse_warp(args.warp))
     else:
@@ -379,6 +382,7 @@ def _cmd_verify_user_map(args) -> int:
 
 
 def _write_dense_csv(path, solution, samples, with_y):
+    import numpy as np
     row = _row_template(7 if with_y else 4)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("t,f,fp,fpp" + (",y,yp,ypp" if with_y else "") + "\n")
@@ -390,9 +394,11 @@ def _write_dense_csv(path, solution, samples, with_y):
 def _cmd_solve(args) -> int:
     if args.samples < 2:  # before anything is solved or written
         raise ValueError(f"--samples must be at least 2, got {args.samples}")
-    solution = catalog.FAMILIES[args._family].solve(
-        vars(args), (args.u0, args.u1),
-        solvers.SolverConfig(rtol=args.rtol, atol=args.atol))
+    from . import solvers
+    tols = {k: getattr(args, k) for k in ("rtol", "atol")
+            if getattr(args, k) is not None}
+    solution = FAMILIES[args._family].solve(
+        vars(args), (args.u0, args.u1), solvers.SolverConfig(**tols))
     with_y = isinstance(solution, solvers.WarpSystemSolution)
     lo, hi = solution.warp.interval
     blow_up = ("" if with_y or solution.blow_up_time is None else
@@ -418,6 +424,7 @@ def _write_scan_csv(path, result):
 
 
 def _cmd_scan(args) -> int:
+    from . import catalog
     thetas = _parse_range(args.theta, "--theta")
     if args._sub == "h4":
         result = catalog.nonexistence_scan_e11h4(
@@ -436,6 +443,7 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    from .verdicts import VerificationReport
     with open(args.path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     try:

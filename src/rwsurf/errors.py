@@ -1,7 +1,5 @@
 """Exception hierarchy for geometric and numerical failure modes."""
 
-import numpy as np
-
 
 class GeometryError(Exception):
     """Base class for all rwsurf errors."""
@@ -45,19 +43,3 @@ class ConstraintError(GeometryError):
 
 class InapplicableError(GeometryError):
     """The requested check does not apply to the given configuration."""
-
-
-def raise_where(exc_type, bad, message: str, *values):
-    """Raise ``exc_type`` when ``bad`` (one point or an array over points)
-    holds anywhere, with ``message`` formatted from the real parts of each
-    failing point's ``values``.  ``where`` (the mask) and ``texts`` (the
-    messages, in flat order) on the exception let a caller that evaluated
-    many points at once record each failure and go on with the rest."""
-    bad = np.asarray(bad, dtype=bool)
-    if not bad.any():
-        return
-    cols = [np.broadcast_to(np.real(v), bad.shape)[bad] for v in values]
-    texts = [message.format(*(c[k] for c in cols)) for k in range(bad.sum())]
-    exc = exc_type(texts[0])
-    exc.where, exc.texts = bad, texts
-    raise exc

@@ -11,7 +11,7 @@ are reproducible bitwise and vary smoothly along grids.
 A jet is taken at one point or at a stack of points; everything after it
 also takes jets whose arrays carry leading point axes and works on the whole
 stack.  A check failing at some points raises with ``where`` and ``texts``
-set (``errors.raise_where``).
+set (``linalg.raise_where``).
 """
 
 from __future__ import annotations
@@ -25,8 +25,9 @@ import numpy as np
 from .ambient import AmbientSpace, _widened, ambient_covariant_derivative
 from .errors import (ChartDomainError, DegenerateFrameError,
                      DimensionMismatchError, GeometryError,
-                     HorizontalSliceError, NotSpaceLikeError, raise_where)
-from .linalg import _all_last, _col, _sum_last, inner, project_out_span
+                     HorizontalSliceError, NotSpaceLikeError)
+from .linalg import (_all_last, _col, _sum_last, inner, project_out_span,
+                     raise_where)
 
 __all__ = [
     "JetSample",

@@ -8,6 +8,7 @@ same leading axes, so one call serves a whole grid.  d <= 8 throughout.
 Results take the dtype of the inputs (float64, complex128 or longdouble);
 ``numeric_rank``, which decides, reads the real part in float64, and
 ``project_out_span`` projects off a g-orthonormal span twice, without LAPACK.
+``raise_where`` raises a check's failure at the points where it holds.
 """
 
 from __future__ import annotations
@@ -51,6 +52,22 @@ def _all_last(mask) -> np.ndarray:
     for k in range(1, mask.shape[-1]):
         out &= mask[..., k]
     return out
+
+
+def raise_where(exc_type, bad, message: str, *values):
+    """Raise ``exc_type`` when ``bad`` (one point or an array over points)
+    holds anywhere, with ``message`` formatted from the real parts of each
+    failing point's ``values``.  ``where`` (the mask) and ``texts`` (the
+    messages, in flat order) on the exception let a caller that evaluated
+    many points at once record each failure and go on with the rest."""
+    bad = np.asarray(bad, dtype=bool)
+    if not bad.any():
+        return
+    cols = [np.broadcast_to(np.real(v), bad.shape)[bad] for v in values]
+    texts = [message.format(*(c[k] for c in cols)) for k in range(bad.sum())]
+    exc = exc_type(texts[0])
+    exc.where, exc.texts = bad, texts
+    raise exc
 
 
 def inner(u, v, g):

@@ -108,6 +108,42 @@ def test_commands_do_not_import_numpy_ma(tmp_path):
     assert json.loads(out.splitlines()[-1]) == [[0, 2, 0, 0], False]
 
 
+def test_commands_without_geometry_work_import_no_numpy(tmp_path):
+    # the package, the parser, --help and refused flags load no geometry:
+    # numpy is imported by the first command that runs some
+    (tmp_path / "cfg.txt").write_text("grid 5x5\n")
+    runs = [["--help"],
+            *(["verify", kind, "--help"]
+              for kind in [*catalog.FAMILIES, "user-map"]),
+            ["solve", "f4", "--help"],
+            THM4_ARGS[:-1] + ["2x5"],
+            THM4_ARGS + ["--config", "cfg.txt"],
+            ["verify", "product", "--b1", "1", "--b3", "0.5",
+             "--substep", "1e-3"]]
+    probe = ("import contextlib, io, json, sys\n"
+             "import rwsurf, rwsurf.cli\n"
+             "from rwsurf.cli import main\n"
+             "def code(argv):\n"
+             "    try:\n"
+             "        with contextlib.redirect_stdout(io.StringIO()), \\\n"
+             "                contextlib.redirect_stderr(io.StringIO()):\n"
+             "            return main(argv)\n"
+             "    except SystemExit as exc:\n"
+             "        return exc.code\n"
+             f"codes = [code(argv) for argv in {runs!r}]\n"
+             "loaded = 'numpy' in sys.modules\n"
+             "codes.append(code(['verify', 'product', '--b1', '1', '--b3',\n"
+             "                   '0.5', '--grid', '5x5']))\n"
+             "print(json.dumps([codes, loaded, 'numpy' in sys.modules]))\n")
+    src = pathlib.Path(rw.__file__).resolve().parents[1]
+    out = subprocess.run([sys.executable, "-c", probe], cwd=tmp_path,
+                         check=True, capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src)}).stdout
+    helps = [0] * (len(catalog.FAMILIES) + 3)
+    assert json.loads(out.splitlines()[-1]) == [helps + [2, 2, 2, 0], False,
+                                                True]
+
+
 def test_verify_product_forced_break_fails(capsys):
     code = main(["verify", "product", "--b1", "1", "--b3", "0.5",
                  "--b2", "0.4", "--force-b4", "--grid", "7x7"])
@@ -659,7 +695,7 @@ def test_config_value_that_is_no_number_names_its_key(key, tmp_path, capsys,
     def no_grid_work(*args, **kwargs):
         raise AssertionError("grid work before the options were checked")
 
-    monkeypatch.setattr(cli, "verify_surface", no_grid_work)
+    monkeypatch.setattr(verdicts, "verify_surface", no_grid_work)
     monkeypatch.setattr(Jet2Immersion, "jet", no_grid_work)
     cfg = tmp_path / "cfg.txt"
     cfg.write_text(f"{key} = abc\n")

@@ -1,0 +1,85 @@
+import importlib
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+import rwsurf as rw
+from rwsurf import catalog, families
+
+# the names the package bound when it imported every module eagerly
+PUBLIC_NAMES = [
+    "AdmissibilityError", "AmbientSpace", "ChartDomainError", "CheckEntry",
+    "ConstantsL4", "ConstantsL5", "ConstantsProduct", "ConstraintError",
+    "DegenerateFrameError", "DenseOutput", "DimensionMismatchError",
+    "FrameData", "GeometryError", "HorizontalSliceError", "InapplicableError",
+    "IntegrationResult", "Jet2Immersion", "JetSample", "MinimalDirectionError",
+    "NormalSpaceDims", "NotSpaceLikeError", "PointData",
+    "RotationalWarpSolution", "ScanResult", "SecondFundamentalData",
+    "SingularWarpError", "SolverConfig", "SurfaceGrid", "VerificationReport",
+    "WarpSystemSolution", "WarpingFunction", "adapted_frame",
+    "ambient_covariant_derivative", "biconservativity_residual",
+    "causal_character", "codazzi_residuals", "curvature_rw_values",
+    "curvature_scalars", "curvature_trace_term", "default_warp_domain",
+    "evaluate_point", "finite_difference_jet", "flat_normal_bundle_check",
+    "frame_identity_residuals", "induced_metric", "inner",
+    "is_constant_curvature", "nonexistence_scan_e11h4",
+    "nonexistence_slice_scan", "normal_curvature", "normal_space_dims",
+    "numeric_rank", "pmcv_residual", "pmcv_structure_check",
+    "product_surface_e11s4", "product_surface_family", "reduced_criterion",
+    "rk_integrate", "rotational_surface_l41", "second_fundamental_form",
+    "shape_operator", "solve_rotational_warp", "solve_warp_system",
+    "surface_l51", "system_equation_residuals", "validate_constants_l4",
+    "validate_constants_l5", "validate_constants_product", "verify_surface",
+]
+
+
+def test_the_package_exports_the_same_names():
+    assert sorted(rw.__all__) == PUBLIC_NAMES
+    assert set(PUBLIC_NAMES) <= set(dir(rw))
+
+
+@pytest.mark.parametrize("name", PUBLIC_NAMES)
+def test_each_name_is_its_module_attribute(name):
+    module = importlib.import_module(f"rwsurf.{rw._MODULE_OF[name]}")
+    assert getattr(rw, name) is getattr(module, name)
+
+
+def test_a_name_reads_its_module_at_each_access(monkeypatch):
+    # nothing is cached in the package: a patched function shows through it
+    from rwsurf import verdicts
+
+    def patched(*args, **kwargs):
+        return None
+
+    monkeypatch.setattr(verdicts, "verify_surface", patched)
+    assert rw.verify_surface is patched
+    assert "verify_surface" not in vars(rw)
+
+
+def test_star_import_binds_every_name():
+    namespace = {}
+    exec("from rwsurf import *", namespace)
+    assert {n for n in namespace if not n.startswith("__")} == set(PUBLIC_NAMES)
+
+
+def test_an_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="'nope'"):
+        rw.nope
+    assert not hasattr(rw, "nope")
+
+
+def test_a_submodule_is_an_attribute_after_import_rwsurf():
+    code = ("import rwsurf\n"
+            "assert rwsurf.catalog.FAMILIES is rwsurf.families.FAMILIES\n")
+    src = pathlib.Path(rw.__file__).resolve().parents[1]
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={**os.environ, "PYTHONPATH": str(src)})
+
+
+def test_the_catalog_re_exports_the_family_table():
+    # so a test that patches catalog.FAMILIES patches what the CLI reads
+    assert catalog.FAMILIES is families.FAMILIES
+    assert (catalog.Family, catalog.Param) == (families.Family, families.Param)
