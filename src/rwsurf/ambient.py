@@ -326,10 +326,12 @@ def is_constant_curvature(warp: WarpingFunction, c: float, interval,
     Returns (flag, max_deviation) where the flag is True when the supremum of
     the defect over uniformly sampled points stays below tol.  A NaN defect
     at any sample makes the deviation NaN and the flag False.  ``samples``
-    must be at least 1.
+    must be at least 1, and ``interval`` must have finite ends.
     """
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
+    if not all(map(math.isfinite, interval)):
+        raise ValueError(f"interval must have finite ends, got {interval}")
     ks = (curvature_scalars(*warp(float(t)), c)
           for t in np.linspace(*interval, samples))
     dev = float(np.max([abs(k1 - k2) for k1, k2 in ks]))

@@ -1,5 +1,6 @@
-"""The classified surfaces as analytic 2-jet immersions, their family table
-(``FAMILIES``, re-exported from ``families``) and the non-existence scans.
+"""The classified surfaces as analytic 2-jet immersions and the
+non-existence scans; the family table that builds them is
+``families.FAMILIES``.
 
 Each catalog surface owns hand-differentiated jet formulas in terms of
 (f, f', f''), so warps sourced from dense ODE output plug in without any
@@ -18,7 +19,6 @@ import numpy as np
 
 from .ambient import AmbientSpace, WarpingFunction
 from .errors import ConstraintError, InapplicableError
-from .families import FAMILIES, Family, Param
 from .immersion import Jet2Immersion
 from .solvers import (ConstantsL4, ConstantsProduct, WarpSystemSolution,
                       _require_finite)
@@ -29,7 +29,6 @@ __all__ = [
     "surface_l51",
     "product_surface_e11s4",
     "product_surface_family",
-    "Param", "Family", "FAMILIES",
     "ScanResult",
     "nonexistence_scan_e11h4",
     "nonexistence_slice_scan",

@@ -1,36 +1,22 @@
-"""The table of the classified families (``FAMILIES``): each family's
-parameters, warp solve and chart build.  It imports no numpy, so the parser
-reads it for its flags; the charts and solvers load when a family runs."""
+"""The family table (``FAMILIES``), the one home of the classified families:
+each family's parameters, warp solve and chart build.  It imports no numpy
+and no record machinery beyond ``collections``, so the parser reads it for
+its flags; the charts and solvers load when a family runs."""
 
-from __future__ import annotations
+from collections import namedtuple
 
-from dataclasses import dataclass
-from typing import Callable
+Param = namedtuple("Param", "name required default help",
+                   defaults=(True, None, None))
+Param.__doc__ = ("A family parameter; an optional one takes ``default`` "
+                 "(None: derived).")
 
-
-@dataclass(frozen=True)
-class Param:
-    """A family parameter; an optional one takes ``default`` (None: derived)."""
-
-    name: str
-    required: bool = True
-    default: float | bool | None = None
-    help: str | None = None
-
-
-@dataclass(frozen=True)
-class Family:
-    """A classified family: its parameters; ``solve(params, interval,
-    config=None)``, which validates the constants and solves the warp (None
-    for product); and ``build(params)``, which takes a value per parameter
-    name and returns ``(surface, expect, solution)``: the validated chart,
-    the theorem's pins for ``verify_surface(expect=)`` (None for the negative
-    control) and the solve over (0, u_end) (None for product)."""
-
-    summary: str
-    params: tuple[Param, ...]
-    build: Callable[[dict], tuple]
-    solve: Callable | None = None
+Family = namedtuple("Family", "summary params build solve", defaults=(None,))
+Family.__doc__ = """A classified family: its parameters; ``solve(params,
+interval, config=None)``, which validates the constants and solves the warp
+(None for product); and ``build(params)``, which takes a value per parameter
+name and returns ``(surface, expect, solution)``: the validated chart, the
+theorem's pins for ``verify_surface(expect=)`` (None for the negative
+control) and the solve over (0, u_end) (None for product)."""
 
 
 def _solve_thm4(p, interval, config=None):

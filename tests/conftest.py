@@ -1,7 +1,7 @@
 """Shared fixtures: catalog surfaces, evaluation grids and negative controls.
 
 The catalog members are built by their family's recipe in
-``catalog.FAMILIES``.  Expensive objects (ODE solutions, filled grids) are
+``families.FAMILIES``.  Expensive objects (ODE solutions, filled grids) are
 session-scoped; they are immutable, so sharing them across tests is safe.
 """
 
@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import rwsurf as rw
-from rwsurf import catalog, solvers
+from rwsurf import families, solvers
 from rwsurf.immersion import Jet2Immersion
 from rwsurf.shape import SurfaceGrid
 
@@ -25,7 +25,7 @@ def _member(kind, **params):
     """Session fixtures of the surface, expect and solution of a member of a
     catalog family, built once (on first use) by the family's recipe; a
     parameter not given takes its default.  pytest injects nothing into k."""
-    family = catalog.FAMILIES[kind]
+    family = families.FAMILIES[kind]
     member = functools.cache(lambda: family.build(
         {**{p.name: p.default for p in family.params}, **params}))
     return [pytest.fixture(scope="session")(lambda k=k: member()[k])

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -413,6 +414,12 @@ def test_is_constant_curvature_cases():
     assert not flag and abs(dev - 1.0) < 1e-15
     with pytest.raises(ValueError, match="samples must be at least 1, got 0"):
         rw.is_constant_curvature(const, 0.0, (-1, 1), samples=0)
+    # refused before linspace and the warp see the end
+    for interval in [(0, math.inf), (-math.inf, 1), (0, math.nan)]:
+        with pytest.raises(ValueError, match=re.escape(
+                f"interval must have finite ends, got {interval}")):
+            rw.is_constant_curvature(rw.WarpingFunction.exponential(), 0.0,
+                                     interval)
 
 
 def test_is_constant_curvature_generic_warp_fails():

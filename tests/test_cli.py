@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import math
@@ -13,7 +12,7 @@ import numpy as np
 import pytest
 
 import rwsurf as rw
-from rwsurf import catalog, cli, solvers, verdicts
+from rwsurf import catalog, cli, families, solvers, verdicts
 from rwsurf.cli import main
 from rwsurf.immersion import Jet2Immersion
 from rwsurf.shape import SurfaceGrid
@@ -114,7 +113,7 @@ def test_commands_without_geometry_work_import_no_numpy(tmp_path):
     (tmp_path / "cfg.txt").write_text("grid 5x5\n")
     runs = [["--help"],
             *(["verify", kind, "--help"]
-              for kind in [*catalog.FAMILIES, "user-map"]),
+              for kind in [*families.FAMILIES, "user-map"]),
             ["solve", "f4", "--help"],
             THM4_ARGS[:-1] + ["2x5"],
             THM4_ARGS + ["--config", "cfg.txt"],
@@ -139,7 +138,7 @@ def test_commands_without_geometry_work_import_no_numpy(tmp_path):
     out = subprocess.run([sys.executable, "-c", probe], cwd=tmp_path,
                          check=True, capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": str(src)}).stdout
-    helps = [0] * (len(catalog.FAMILIES) + 3)
+    helps = [0] * (len(families.FAMILIES) + 3)
     assert json.loads(out.splitlines()[-1]) == [helps + [2, 2, 2, 0], False,
                                                 True]
 
@@ -810,7 +809,7 @@ def test_well_formed_warp_is_accepted(spec):
 
 def test_verify_subcommands_come_from_the_family_table():
     parser = cli.build_parser()
-    for name, family in catalog.FAMILIES.items():
+    for name, family in families.FAMILIES.items():
         given = {p.name: "1" for p in family.params
                  if p.required and not isinstance(p.default, bool)}
         args = parser.parse_args(["verify", name, *(
@@ -837,7 +836,7 @@ def _readme_commands():
 def test_readme_command_lines_parse():
     commands = _readme_commands()
     kinds = {tuple(argv[:2]) for argv in commands}
-    assert {("verify", name) for name in catalog.FAMILIES} <= kinds
+    assert {("verify", name) for name in families.FAMILIES} <= kinds
     parser = cli.build_parser()
     for argv in commands:
         parser.parse_args(argv)  # SystemExit(2) on a flag the parser lacks
@@ -1041,16 +1040,16 @@ def test_user_map_with_no_room_for_e4_exits_2(ambient, tmp_path, capsys):
       "--f0", "1.5", "--f0p", "1.2", "--y0", "0.4", "--y0p", "-0.7"], "thm5"),
 ], ids=["f4", "sys5"])
 def test_solve_runs_the_family_recipe_once(argv, kind, monkeypatch, capsys):
-    # solve f4|sys5 solve through catalog.FAMILIES, with their span and
+    # solve f4|sys5 solve through families.FAMILIES, with their span and
     # tolerances, as verify thm4|thm5 do
-    family, calls = catalog.FAMILIES[kind], []
+    family, calls = families.FAMILIES[kind], []
 
     def counting_solve(params, interval, config=None):
         calls.append((interval, config))
         return family.solve(params, interval, config)
 
-    monkeypatch.setitem(catalog.FAMILIES, kind,
-                        dataclasses.replace(family, solve=counting_solve))
+    monkeypatch.setitem(families.FAMILIES, kind,
+                        family._replace(solve=counting_solve))
     assert main(argv + ["--u0", "0.1", "--u1", "0.6", "--rtol", "1e-9"]) == 0
     assert calls == [((0.1, 0.6), rw.SolverConfig(rtol=1e-9, atol=1e-13))]
 
@@ -1299,7 +1298,7 @@ def test_substep_is_no_flag_and_no_config_key(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "error: ValueError: unknown config keys: substep\n"
-    for kind in [*catalog.FAMILIES, "user-map"]:
+    for kind in [*families.FAMILIES, "user-map"]:
         with pytest.raises(SystemExit):
             main(["verify", kind, "--help"])
         text = capsys.readouterr().out

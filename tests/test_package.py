@@ -45,6 +45,8 @@ def test_the_package_exports_the_same_names():
 def test_each_name_is_its_module_attribute(name):
     module = importlib.import_module(f"rwsurf.{rw._MODULE_OF[name]}")
     assert getattr(rw, name) is getattr(module, name)
+    # every module but errors lists its exports in __all__
+    assert rw._MODULE_OF[name] == "errors" or name in module.__all__
 
 
 def test_a_name_reads_its_module_at_each_access(monkeypatch):
@@ -73,13 +75,26 @@ def test_an_unknown_name_raises_attribute_error():
 
 def test_a_submodule_is_an_attribute_after_import_rwsurf():
     code = ("import rwsurf\n"
-            "assert rwsurf.catalog.FAMILIES is rwsurf.families.FAMILIES\n")
+            "assert rwsurf.catalog.surface_l51 is rwsurf.surface_l51\n")
     src = pathlib.Path(rw.__file__).resolve().parents[1]
     subprocess.run([sys.executable, "-c", code], check=True,
                    env={**os.environ, "PYTHONPATH": str(src)})
 
 
-def test_the_catalog_re_exports_the_family_table():
-    # so a test that patches catalog.FAMILIES patches what the CLI reads
-    assert catalog.FAMILIES is families.FAMILIES
-    assert (catalog.Family, catalog.Param) == (families.Family, families.Param)
+def test_the_family_table_has_one_home():
+    # the CLI and the fixtures read families.FAMILIES; catalog keeps no alias
+    assert not {"FAMILIES", "Family", "Param"} & {*vars(catalog),
+                                                  *catalog.__all__}
+    assert set(families.FAMILIES) == {"thm4", "thm5", "product"}
+
+
+def test_the_front_end_loads_no_record_machinery_and_no_numpy():
+    # -S keeps site .pth files (certifi's, say) out of sys.modules
+    code = ("import sys, rwsurf.cli\n"
+            "print(sorted({'dataclasses', 'typing', 'numpy'}"
+            " & set(sys.modules)))\n")
+    src = pathlib.Path(rw.__file__).resolve().parents[1]
+    out = subprocess.run([sys.executable, "-S", "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src)}).stdout
+    assert out == "[]\n"
