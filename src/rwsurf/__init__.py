@@ -2,7 +2,7 @@
 Lorentzian warped products.  A public name imports its module on first read
 (PEP 562), so ``import rwsurf`` loads no geometry and no numpy."""
 
-import importlib
+import importlib.util
 
 __version__ = "0.1.0"
 
@@ -38,11 +38,10 @@ __all__ = sorted(_MODULE_OF)
 
 
 def __getattr__(name):
-    if name in _MODULE_OF.values():  # a submodule, bound here once imported
-        return importlib.import_module(f"{__name__}.{name}")
-    if name not in _MODULE_OF:
+    if name not in _MODULE_OF and not importlib.util.find_spec(f"{__name__}.{name}"):
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(importlib.import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
+    module = importlib.import_module(f"{__name__}.{_MODULE_OF.get(name, name)}")
+    return getattr(module, name) if name in _MODULE_OF else module  # any submodule
 
 
 def __dir__():

@@ -7,7 +7,7 @@ Each catalog surface owns hand-differentiated jet formulas in terms of
 extra numerical differentiation.  The evaluators are batched: one expression
 per component serves one point (floats, computed with ``math``) or a stack
 of points (arrays u, v, with numpy), the jet comes back as one array, and the
-warp is called once per distinct time coordinate.
+warp (the 5-dim chart's whole (f, y) state) is read once per distinct time.
 """
 
 from __future__ import annotations
@@ -126,16 +126,15 @@ def surface_l51(solution: WarpSystemSolution) -> Jet2Immersion:
     a, H0, c2, c3 = constants.a, constants.H0, constants.c2, constants.c3
     if abs(c3) < 1e-14:
         raise ConstraintError("c3 must be non-zero for the plane-solved chart")
-    warp = solution.warp
-    space = AmbientSpace.warped_flat(5, warp)
+    space = AmbientSpace.warped_flat(5, solution.warp)
 
     def evaluator(u, v):
-        w = _reciprocal_jet(*_at_times(warp, u))
-        y = _at_times(solution.y_state, u)
+        f, fp, fpp, *y = _at_times(solution.state, u)
+        w = _reciprocal_jet(f, fp, fpp)
         z = tuple((2.0 * H0 * wk / a**2 - c2 * yk) / c3 for wk, yk in zip(w, y))
         return _circle_jet(a, u, v, w, [y, z])
 
-    return Jet2Immersion(space, evaluator, default_warp_domain(warp),
+    return Jet2Immersion(space, evaluator, default_warp_domain(solution.warp),
                          (0.0, 2.0 * math.pi / abs(a)), name="surface-l51",
                          batched=True)
 

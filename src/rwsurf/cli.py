@@ -384,11 +384,11 @@ def _cmd_verify_user_map(args) -> int:
 def _write_dense_csv(path, solution, samples, with_y):
     import numpy as np
     row = _row_template(7 if with_y else 4)
+    read = solution.state if with_y else solution.warp  # one read per row
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("t,f,fp,fpp" + (",y,yp,ypp" if with_y else "") + "\n")
         for t in np.linspace(*solution.warp.interval, samples).tolist():
-            f = solution.warp(t)
-            fh.write(row % ((t, *f, *solution.y_state(t)) if with_y else (t, *f)))
+            fh.write(row % (t, *read(t)))
 
 
 def _cmd_solve(args) -> int:

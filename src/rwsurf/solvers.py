@@ -703,12 +703,12 @@ def spacelike_margin(constants: ConstantsL5, fv, fp, yp) -> float:
     return fv * fv * (xp * xp + yp * yp + zp * zp) - 1.0
 
 
-# Entries of one solution's state cache.  It is sized for two 2001-sample
-# passes over the same times (the warp, then y_state, as in the warp-sweep
-# benchmark and `solve sys5 --samples 2001`) plus the 200 times of
-# max_equation_residual; a verify grid asks for at most 7 nu distinct times
-# (each report time, its four stencil offsets, and the substep probe's f''
-# at t +- h of each node time, shape._warp_length_scale).
+# Entries of one solution's state cache.  Two 2001-sample passes over the
+# same times fit (warp-sweep's warp, then its y_state, which hits) with the
+# 200 times of max_equation_residual; a verify grid asks for at most 7 nu
+# distinct times (report times, four stencil offsets, and the substep
+# probe's f'' at t +- h, shape._warp_length_scale), and its metric's warp
+# reads hit the times the surface_l51 chart's state reads filled.
 _STATE_CACHE_SIZE = 4096
 
 
@@ -727,6 +727,7 @@ class WarpSystemSolution:
     state: Callable[[float], tuple[float, ...]] = field(repr=False, compare=False)
 
     def y_state(self, t: float) -> tuple[float, float, float]:
+        """(y, y', y'') at t: the tail of ``state(t)``, which holds f too."""
         return self.state(t)[3:]
 
     def max_equation_residual(self, samples: int = 200) -> float:

@@ -15,8 +15,10 @@ out by hand), and the family warps as a per-sample completion of that dense
 output.  It also holds the fixed-step runs that the package's solver, which
 controls the error of every step, does not take: the generated step looped
 at a constant h (order studies), and the oracle's fixed steps in a
-DenseOutput (warps whose rows step across a blow-up).  The package never
-imports this module.
+DenseOutput (warps whose rows step across a blow-up).  And it holds a
+surface's image under an ambient isometry or a reversed v, the same
+surface in another chart, whose verdicts and residuals must not move.  The
+package never imports this module.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from rwsurf.ambient import (AmbientSpace, WarpingFunction, curvature_rw_values,
 from rwsurf.errors import (AdmissibilityError, ChartDomainError, ConstraintError,
                            DegenerateFrameError, DimensionMismatchError,
                            SingularWarpError)
+from rwsurf.immersion import Jet2Immersion
 from rwsurf import solvers
 from rwsurf.linalg import inner, project_out_span
 from rwsurf.solvers import _A, _B, _C, _E, _P, SolverConfig, _initial_step, _rms
@@ -157,6 +160,36 @@ def orthonormalize_signature(vectors, G, tol: float = 1e-10,
         frame.append(w / np.sqrt(abs(s2)))
         signs.append(sign)
     return frame, signs
+
+
+def isometric_image(surface, Q=None, b=None,
+                    reverse_v: bool = False) -> Jet2Immersion:
+    """``surface`` moved by an ambient isometry and, with ``reverse_v``,
+    charted at -v: the same surface, so every verdict and residual of it.
+
+    The isometry keeps the time and maps the fiber coordinates x -> Q x + b
+    (Q orthogonal; default the identity and 0): on ``L^n_1(f, 0)`` any b, on
+    the sphere of ``E^1_1 x S^k`` b = 0.  The jet follows exactly: each of
+    the six vectors' fiber part is multiplied by Q, the position's is
+    shifted by b, and at -v phi_v and phi_uv change sign and the v-domain
+    is reflected.  ``batched`` is kept."""
+    k = surface.space.ambient_dim - 1
+    Q = np.eye(k) if Q is None else np.asarray(Q, dtype=float)
+    b = np.zeros(k) if b is None else np.asarray(b, dtype=float)
+    sign = -1.0 if reverse_v else 1.0
+    signs = np.array([1.0, 1.0, sign, 1.0, sign, 1.0])
+
+    def evaluator(u, v):
+        jet = np.array(surface.evaluator(u, sign * v))
+        jet *= signs.reshape((6,) + (1,) * (jet.ndim - 1))
+        jet[..., 1:] = jet[..., 1:] @ Q.T
+        jet[0, ..., 1:] += b
+        return jet
+
+    v0, v1 = surface.v_domain
+    return Jet2Immersion(surface.space, evaluator, surface.u_domain,
+                         (-v1, -v0) if reverse_v else (v0, v1), surface.name,
+                         surface.batched)
 
 
 # The tableau as Python floats for the step loop: (c2..c6), the rows a2..a6,

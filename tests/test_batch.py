@@ -107,16 +107,43 @@ def counted(calls, name, fn, times=None):
     return wrapper
 
 
+def test_a_singular_state_at_one_chart_time_degenerates_its_nodes(
+        l5_solution):
+    # the L5 chart reads the solution's state alone: where that raises
+    # LinAlgError, exactly the nodes at that time are degenerate, each
+    # naming the point and the error
+    us, vs = np.linspace(0.1, 0.7, 7), np.linspace(0.1, 3.0, 5)
+    singular, state = us[3].item(), l5_solution.state
+
+    def state_singular_once(t):
+        if t == singular:
+            raise np.linalg.LinAlgError("pointwise system is near-singular")
+        return state(t)
+
+    surface = rw.surface_l51(dataclasses.replace(l5_solution,
+                                                 state=state_singular_once))
+    grid = SurfaceGrid(surface, us, vs)
+    assert grid.degeneracies == [
+        (3, j, f"ChartDomainError: chart failed at (u,v)=({singular},{v}): "
+               "LinAlgError: pointwise system is near-singular")
+        for j, v in enumerate(vs.tolist())]
+    assert grid.n_ok == len(us) * len(vs) - len(vs)
+
+
 @pytest.mark.parametrize("surface_name", ["l4_surface", "l5_surface"])
 def test_catalog_grid_calls_the_chart_once(surface_name, request,
                                            monkeypatch):
     calls, times, samples = collections.Counter(), set(), {}
+    state_times = []
     # fresh solutions, built with their generated samples counted (and the
     # session fixture's state cache holds the times earlier tests asked for)
     count_generated_samples(monkeypatch, samples)
     if surface_name == "l5_surface":
-        surface = rw.surface_l51(rw.solve_warp_system(
-            request.getfixturevalue("l5_constants"), L5_ICS, L5_INTERVAL))
+        solution = rw.solve_warp_system(
+            request.getfixturevalue("l5_constants"), L5_ICS, L5_INTERVAL)
+        state = solution.state
+        surface = rw.surface_l51(dataclasses.replace(
+            solution, state=lambda t: state_times.append(t) or state(t)))
     else:
         constants = request.getfixturevalue("l4_constants")
         surface = rw.rotational_surface_l41(constants, rw.solve_rotational_warp(
@@ -141,13 +168,19 @@ def test_catalog_grid_calls_the_chart_once(surface_name, request,
     distinct = len(np.unique(U))
     assert distinct == 5 * len(us)
     assert calls["jet"] == calls["chart"] == 1
-    # once in the chart, once for the metric's warp state
-    assert calls["warp"] <= 2 * distinct
-    assert calls["y_state"] == (distinct if surface_name == "l5_surface" else 0)
-    # the L5 state is cached per time, the interpolant evaluated once per
-    # time; the L4 warp evaluates its interpolant on every call
-    assert samples == ({"dense": len(times)} if surface_name == "l5_surface"
-                       else {"warp": calls["warp"]})
+    if surface_name == "l5_surface":
+        # the chart reads all six values of a time from one state read, the
+        # metric the warp once per time, which the state cache serves: the
+        # interpolant is evaluated and completed once per time
+        assert len(state_times) == len(set(state_times)) == distinct
+        assert calls["warp"] == len(times) == distinct
+        assert set(state_times) == times and calls["y_state"] == 0
+        assert samples == {"dense": distinct}
+    else:
+        # once in the chart, once for the metric's warp state; the L4 warp
+        # evaluates its interpolant on every call
+        assert calls["warp"] <= 2 * distinct and calls["y_state"] == 0
+        assert samples == {"warp": calls["warp"]}
     # a grid charts each record's points in one call, each point once: the
     # nodes, then their eight stencil points
     calls.clear()

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -546,6 +547,9 @@ class _SyntheticSolution:
     def y_state(self, t):
         return tuple(SPECIAL_FLOATS[3:6])
 
+    def state(self, t):
+        return (*self(t), *self.y_state(t))
+
 
 @pytest.mark.parametrize("with_y", [False, True])
 def test_dense_csv_matches_the_per_cell_reference(with_y, tmp_path):
@@ -556,6 +560,32 @@ def test_dense_csv_matches_the_per_cell_reference(with_y, tmp_path):
             for t in np.linspace(-0.0, 5e-324, 5).tolist()]
     header = "t,f,fp,fpp" + (",y,yp,ypp" if with_y else "") + "\n"
     assert csv.read_text() == header + "".join(_reference_row(r) for r in rows)
+
+
+def test_solve_sys5_csv_reads_each_row_from_one_state_read(tmp_path,
+                                                           monkeypatch):
+    # a row's six values come from one state read and none from the warp,
+    # after the 200 state reads of the printed max equation residual
+    family, solutions, reads, warp_reads = families.FAMILIES["thm5"], [], [], []
+
+    def counting_solve(params, interval, config=None):
+        solution = family.solve(params, interval, config)
+        state = solution.state
+        solutions.append(solution)
+        return dataclasses.replace(
+            solution, state=lambda t: reads.append(t) or state(t))
+
+    monkeypatch.setitem(families.FAMILIES, "thm5",
+                        family._replace(solve=counting_solve))
+    warp = rw.WarpingFunction.__call__
+    monkeypatch.setattr(rw.WarpingFunction, "__call__",
+                        lambda self, t: warp_reads.append(t) or warp(self, t))
+    csv = tmp_path / "sys5.csv"
+    assert main(SYS5_ARGS + ["--csv", str(csv), "--samples", "7"]) == 0
+    assert warp_reads == [] and len(reads) == 200 + 7
+    [solution] = solutions
+    assert reads[200:] == np.linspace(*solution.warp.interval, 7).tolist()
+    assert len(csv.read_text().splitlines()) == 1 + 7
 
 
 @pytest.mark.parametrize("argv, flag, text", [

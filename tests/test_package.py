@@ -81,6 +81,17 @@ def test_a_submodule_is_an_attribute_after_import_rwsurf():
                    env={**os.environ, "PYTHONPATH": str(src)})
 
 
+def test_every_submodule_is_an_attribute_without_numpy():
+    # families and cli are in no name's row of the package's table
+    code = ("import sys, rwsurf\n"
+            "assert rwsurf.families is sys.modules['rwsurf.families']\n"
+            "assert rwsurf.cli is sys.modules['rwsurf.cli']\n"
+            "assert 'numpy' not in sys.modules\n")
+    src = pathlib.Path(rw.__file__).resolve().parents[1]
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={**os.environ, "PYTHONPATH": str(src)})
+
+
 def test_the_family_table_has_one_home():
     # the CLI and the fixtures read families.FAMILIES; catalog keeps no alias
     assert not {"FAMILIES", "Family", "Param"} & {*vars(catalog),

@@ -19,7 +19,7 @@ from rwsurf.verdicts import (VerificationReport, biconservativity_residual,
                              verify_surface)
 
 from conftest import random_curvature_config
-from oracles import curvature_trace_closed_form
+from oracles import curvature_trace_closed_form, isometric_image
 
 
 def test_curvature_trace_oracle_equivalence():
@@ -257,6 +257,39 @@ def test_verify_surface_negative_control(broken_product_surface):
     assert rep.verdict == "fail"
     assert not rep.entry("pmcv").passed
     assert rep.entry("pmcv").value > 1e-3
+
+
+# catalog members and the negative control, each with its verdict
+CHART_MEMBERS = {"l4": "pass", "l5": "pass", "product": "pass",
+                 "broken_product": "fail"}
+
+
+@pytest.mark.parametrize("transform", ["isometry", "v-reversed"])
+@pytest.mark.parametrize("member", list(CHART_MEMBERS))
+def test_a_verdict_is_a_property_of_the_surface_not_its_chart(member, transform,
+                                                              request):
+    # an ambient isometry (seeded: Q orthogonal, b on the warped fibers
+    # only) or v reversed gives the same surface in another chart: each
+    # verdict holds and each entry moves by round-off, far below its tol
+    surface = request.getfixturevalue(f"{member}_surface")
+    expect = (None if member == "broken_product"
+              else request.getfixturevalue(f"{member}_expect"))
+    if transform == "isometry":
+        rng = np.random.default_rng(19)
+        k = surface.space.ambient_dim - 1
+        Q = np.linalg.qr(rng.standard_normal((k, k)))[0]
+        b = None if surface.space.is_embedded else rng.standard_normal(k)
+        image = isometric_image(surface, Q, b)
+    else:
+        image = isometric_image(surface, reverse_v=True)
+    want = verify_surface(surface, grid=(17, 17), expect=expect)
+    got = verify_surface(image, grid=(17, 17), expect=expect)
+    assert want.verdict == got.verdict == CHART_MEMBERS[member]
+    assert got.degeneracies == want.degeneracies == []
+    assert [e.name for e in got.entries] == [e.name for e in want.entries]
+    for g, w in zip(got.entries, want.entries):
+        assert g.passed == w.passed and g.tol == w.tol
+        assert abs(g.value - w.value) <= 1e-4 * w.tol, g.name
 
 
 def test_verify_surface_degenerate_slice(minkowski4):
