@@ -15,15 +15,15 @@ the scalars f''/f and (f'^2 + c)/f^2, so it also covers warped metrics with
 c != 0 that have no coordinate backend here.
 
 Points, vectors and warp states may carry leading point axes; everything
-but the warp itself then works on the whole stack at once.
+but the warp itself then works on the whole stack at once.  The warp is
+read one time at a time, through the one sample a WarpingFunction builds
+around its ``fn``, closed form and solved warp alike.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
-from string import Template
 from typing import Callable
 
 import numpy as np
@@ -50,66 +50,43 @@ def _widened(lo, hi) -> tuple[float, float]:
     return lo - slack, hi + slack
 
 
-# One warp evaluation as the source of make(lo, hi, low, high, $params), which
-# returns sample(t): the interval test, the lines $locate and $complete, the
-# checks on the three values $state, and (f, f', f'') as floats.  WarpingFunction
-# compiles it around fn(t); solvers._kernels around a dense output's
-# interpolant and completion, so that a solved warp's sample runs in one frame.
-_WARP_SAMPLE = Template("""\
-def make(lo, hi, low, high, $params):
-    def sample(t):
-        if not (low <= t <= high):
-            raise ChartDomainError(
-                f"warp evaluated at t={t} outside interval [{lo}, {hi}]")
-$locate        try:
-$complete            f, fp, fpp = $state
-        except (ArithmeticError, LinAlgError) as exc:  # an overflow, say
-            raise SingularWarpError(
-                f"warping function is not finite at t={t} "
-                f"({type(exc).__name__}: {exc})") from exc
-        if not (isfinite(f) and isfinite(fp) and isfinite(fpp)):
-            raise SingularWarpError(f"warping function is not finite at t={t}")
-        if abs(f) < 1e-14:
-            raise SingularWarpError(f"warping function vanishes at t={t}")
-        return float(f), float(fp), float(fpp)
-    return sample
-""")
-_SAMPLE_NAMES = {"ChartDomainError": ChartDomainError,
-                 "LinAlgError": np.linalg.LinAlgError,
-                 "SingularWarpError": SingularWarpError, "isfinite": math.isfinite}
-
-
-@functools.cache
-def _fn_sample():
-    """_WARP_SAMPLE around fn(t), compiled on first use."""
-    names = dict(_SAMPLE_NAMES)
-    source = _WARP_SAMPLE.substitute(params="fn", locate="", complete="",
-                                     state="fn(t)[:3]")
-    exec(compile(source, "<rwsurf.ambient.WarpingFunction>", "exec"), names)
-    return names["make"]
-
-
 @dataclass(frozen=True)
 class WarpingFunction:
     """Pointwise access to (f, f', f'') on a validity interval.
 
     ``fn(t)`` starts with f, f', f''.  They must be finite and f non-zero on
     the interval; evaluation raises SingularWarpError otherwise, and also
-    where ``fn`` raises an ArithmeticError or LinAlgError.  A ``fn`` whose
-    ``_warp_sample(interval)`` returns a function (a solved warp's dense
-    output) supplies the whole evaluation, these checks included; otherwise
-    each call runs _WARP_SAMPLE around ``fn(t)``.
+    where ``fn`` raises an ArithmeticError or LinAlgError.  Every warp,
+    closed form or solved, runs the one sample that __post_init__ builds
+    around ``fn``: the interval test, ``fn(t)[:3]``, these checks, and
+    (f, f', f'') as floats.
     """
 
     fn: Callable[[float], tuple[float, float, float]]
     interval: tuple[float, float] = (-np.inf, np.inf)
 
     def __post_init__(self):
-        lo, hi = self.interval
-        fused = getattr(self.fn, "_warp_sample", None)
-        sample = fused and fused(self.interval)
-        self.__dict__["_sample"] = sample or _fn_sample()(
-            lo, hi, *_widened(lo, hi), self.fn)
+        fn, (lo, hi) = self.fn, self.interval
+        low, high = _widened(lo, hi)
+        isfinite = math.isfinite
+
+        def sample(t):
+            if not (low <= t <= high):
+                raise ChartDomainError(
+                    f"warp evaluated at t={t} outside interval [{lo}, {hi}]")
+            try:
+                f, fp, fpp = fn(t)[:3]
+            except (ArithmeticError, np.linalg.LinAlgError) as exc:  # overflow
+                raise SingularWarpError(
+                    f"warping function is not finite at t={t} "
+                    f"({type(exc).__name__}: {exc})") from exc
+            if not (isfinite(f) and isfinite(fp) and isfinite(fpp)):
+                raise SingularWarpError(f"warping function is not finite at t={t}")
+            if abs(f) < 1e-14:
+                raise SingularWarpError(f"warping function vanishes at t={t}")
+            return float(f), float(fp), float(fpp)
+
+        self.__dict__["_sample"] = sample
 
     def __call__(self, t: float) -> tuple[float, float, float]:
         return self._sample(t)

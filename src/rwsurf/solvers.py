@@ -7,14 +7,14 @@ solution, with the standard free quartic interpolant for dense output.  Its
 step loop runs on Python floats: right-hand sides and monitors receive the
 state as a list of floats, and each accepted step is kept as one row of
 floats that the dense output reads.  The step, with its error norm, the
-quartic and the samples of the dense output are generated once per state
-length, and once per solved family, as straight-line code that is
-bit-identical to the per-component form.  Each family's equations are one
-source text (_L4, _L5), compiled inline into its step's stages, its dense
-state sample and its warp sample: the warp's interval test, the step's
-bisection, the quartic, the equations and the warp's checks
-(ambient._WARP_SAMPLE) in one frame.  The coupled system's state cache wraps
-the dense sample, and its warp reads the cache.  No stiff solver is provided:
+quartic and the dense state sample are generated once per state length, and
+once per solved family, as straight-line code that is bit-identical to the
+per-component form.  Each family's equations are one source text (_L4,
+_L5), compiled inline into its step's stages and its dense state sample:
+the sample's interval test, the step's bisection, the quartic and the
+equations in one frame.  A solved warp is a WarpingFunction around that
+sample (for the coupled system, around its state cache), so its checks are
+ambient's, the same as for every warp.  No stiff solver is provided:
 the warp ODE blows up in finite time for many initial conditions.  The
 rotational warp's solve stops short of its blow-up on an asymptotic estimate
 of the time left (monitor 'blow-up', see _BLOW_UP_DELTA); elsewhere a blow-up
@@ -34,8 +34,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .ambient import (_SAMPLE_NAMES, _WARP_SAMPLE, WarpingFunction,
-                      _widened)
+from .ambient import WarpingFunction, _widened
 from .errors import (AdmissibilityError, ChartDomainError, ConstraintError,
                      SingularWarpError)
 
@@ -106,8 +105,8 @@ class DenseOutput:
 
     Calling it at a float t returns the state as a tuple of Python floats,
     mapped by ``completion`` if given (a family's, from _bind, runs inline).
-    It runs a function generated by _kernels, bound on the first call, and
-    makes no numpy call.  Evaluation outside the covered interval raises
+    It runs _kernels' dense sample, bound on the first call, and makes no
+    numpy call.  Evaluation outside the covered interval raises
     ChartDomainError.
     """
 
@@ -115,42 +114,26 @@ class DenseOutput:
     t_end: float            # may cut the last step short (monitor stop)
     completion: Callable | None = None  # interpolated state -> full state
 
-    def _bound(self, kernel: int):
-        """_kernels' sample ``kernel`` (2 dense, 3 warp) over this output,
-        given the limits, the rows, their direction-signed starts, the
-        direction and the completion."""
-        lo, hi = self.interval
-        key, fn = getattr(self.completion, "inline",
-                          (len(self.steps[0][2]), (self.completion,)))
-        return _kernels(key)[kernel](lo, hi, *_widened(lo, hi), self.steps,
-                                     *self._starts, *fn)
-
-    @functools.cached_property
-    def _starts(self):
-        """The step starts times the direction (monotone, for bisect), and
-        the direction; formed once, for both samples."""
-        direction = 1.0 if self.steps[0][1] > 0 else -1.0
-        return [row[0] * direction for row in self.steps], direction
-
     @property
     def interval(self) -> tuple[float, float]:
         lo, hi = self.steps[0][0], self.t_end
         return (lo, hi) if lo <= hi else (hi, lo)
 
     @functools.cached_property
-    def _sample(self):  # bound on the first call, then an instance attribute
-        return self._bound(2)
+    def _sample(self):
+        """The dense sample over this output, bound once: given the limits,
+        the rows, their starts times the direction (monotone, for bisect),
+        the direction and the completion."""
+        lo, hi = self.interval
+        key, fn = getattr(self.completion, "inline",
+                          (len(self.steps[0][2]), (self.completion,)))
+        direction = 1.0 if self.steps[0][1] > 0 else -1.0
+        starts = [row[0] * direction for row in self.steps]
+        return _kernels(key)[2](lo, hi, *_widened(lo, hi), self.steps, starts,
+                                direction, *fn)
 
     def __call__(self, t: float) -> tuple[float, ...]:
         return self._sample(t)
-
-    def _warp_sample(self, interval):
-        """For a WarpingFunction over ``interval``: its sample, with the
-        completion in the same frame; None without a completion or over
-        another interval."""
-        if self.completion is None or tuple(interval) != self.interval:
-            return None
-        return self._bound(3)
 
 
 @dataclass(frozen=True)
@@ -188,24 +171,24 @@ def _initial_step(rhs, t0, y0, f0, direction, rtol, atol, span):
 
 @functools.lru_cache(maxsize=None)
 def _kernels(key):
-    """(step, quartic, dense, warp) for states of length ``key``,
-    or, for a _Family ``key``, with its text inline in place of every call of
-    the right-hand side or the completion, and its bind last.  Compiled once
+    """(step, quartic, dense) for states of length ``key``, or, for a
+    _Family ``key``, with its text inline in place of every call of the
+    right-hand side or the completion, and its bind last.  Compiled once
     per key from straight lines in the tableau's floats by name (c2, a21, b1,
     e1, p11 = _P[0, 1], ...) and the indices 0..d-1, in the operand order of
     the per-component form.  c7 = 1, b2 = e2 = 0 (never read: a factor may
     take the name), _P's row 1 is 0 and its first column is 1 in row 0 only.
 
-    fn is (rhs,) for step, (complete,) for the samples, or the family's
-    factors.  step(*fn)(t, h, y, k1, atol, rtol) returns (y_new, k7, the _rms
-    of err / (atol + rtol max(|y|, |y_new|)), whether y_new and err are
-    finite, Q); quartic(th, h, y, q) the state at theta = th of a steps row.
-    dense and warp take (lo, hi, low, high, steps, starts, direction, *fn)
-    and return a function of t, which tests t against [low, high], clamps it
-    to [lo, hi], bisects the direction-signed step starts for its row and
-    evaluates that row inline.  dense returns the quartic's state, completed
-    unless complete is None; warp is ambient's _WARP_SAMPLE around the
-    completed state.  A family's bind(*factors) returns its (rhs, complete)."""
+    fn is (rhs,) for step, (complete,) for dense, or the family's factors.
+    step(*fn)(t, h, y, k1, atol, rtol) returns (y_new, k7, the _rms of
+    err / (atol + rtol max(|y|, |y_new|)), whether y_new and err are finite,
+    Q); quartic(th, h, y, q) the state at theta = th of a steps row.
+    dense(lo, hi, low, high, steps, starts, direction, *fn) returns the
+    dense state sample: a function of t, which tests t against [low, high],
+    clamps it to [lo, hi], bisects the direction-signed step starts for its
+    row, evaluates that row inline and returns the quartic's state,
+    completed unless complete is None.  A family's bind(*factors) returns
+    its (rhs, complete)."""
     family = None if isinstance(key, int) else key
     if family is None:
         fn, d = "fn", key
@@ -224,8 +207,9 @@ def _kernels(key):
                   for j, x in enumerate(_A[s - 1].tolist(), 1)})
     names.update({f"p{s}{j}": x for s in ks + (7,)
                   for j, x in enumerate(_P[s - 1, 1:].tolist(), 1)})
-    names.update(_SAMPLE_NAMES, sqrt=math.sqrt, bisect_right=bisect_right,
-                 _DET_TOL=_DET_TOL)
+    names.update(ChartDomainError=ChartDomainError,
+                 LinAlgError=np.linalg.LinAlgError, isfinite=math.isfinite,
+                 sqrt=math.sqrt, bisect_right=bisect_right, _DET_TOL=_DET_TOL)
 
     def each(template):  # the d components of one quantity, comma-joined
         return "".join(template.replace("_i", f"_{i}") + ", " for i in range(d))
@@ -256,32 +240,27 @@ def _kernels(key):
     row = ["th2, th3 = th * th, th * th * th", f"{each('y_i')}= y",
            f"{each('(a_i, b_i, c_i, d_i)')}= q"]
     quartic = each("y_i + h * (a_i * th + b_i * th2 + c_i * th3 + d_i * th2 * th2)")
-    # the lines every sample runs after its interval test: x is t clamped to
-    # [lo, hi] (t stays as given for the warp's messages); the first step
-    # starts at one end of it, so the bisection always lands on a step
+    # the dense sample after its interval test: x is t clamped to [lo, hi];
+    # the first step starts at one end of it, so the bisection always lands
+    # on a step
     locate = ["x = lo if t < lo else hi if t > hi else t",
               "tk, h, y, q = steps[bisect_right(starts, x * direction) - 1]",
               "th = (x - tk) / h", *row]
     if family is None:
         value = [f"y = ({quartic})", "return y if fn is None else fn(y)"]
-        warp = dict(complete="", state="fn(y)[:3]")
     else:
         value = bound(quartic) + [f"return {full}"]
-        warp = dict(complete=lines(12, text), state="{0}, {1}, {1}p".format(*pairs[0]))
-    params = f"steps, starts, direction, {fn}"
 
     source = (
         f"def step({fn}):\n    def run(t, h, y, k1, atol, rtol):\n"
         + lines(8, stages) + "    return run\n"
         "def quartic(th, h, y, q):\n" + lines(4, row) + f"    return ({quartic})\n"
-        f"def dense(lo, hi, low, high, {params}):\n"
+        f"def dense(lo, hi, low, high, steps, starts, direction, {fn}):\n"
         "    def sample(t):\n"
         "        if not (low <= t <= high):\n"
         "            raise ChartDomainError(\n"
         '                f"dense output evaluated at t={t} outside [{lo}, {hi}]")\n'
-        + lines(8, locate + value) + "    return sample\n"
-        + _WARP_SAMPLE.substitute(params=params, **warp,
-                                  locate=lines(8, locate + value[:1])))
+        + lines(8, locate + value) + "    return sample\n")
     if family is not None:
         source += (f"def bind({fn}):\n    def rhs(t, s):\n"
                    + lines(8, call("t", "s", "ds ") + ["return ds"])
@@ -290,7 +269,7 @@ def _kernels(key):
                    + "    return rhs, complete\n")
     exec(compile(source, f"<rwsurf.solvers._kernels({getattr(family, 'name', d)})>",
                  "exec"), names)
-    return tuple(names[k] for k in ("step", "quartic", "dense", "make", "bind")
+    return tuple(names[k] for k in ("step", "quartic", "dense", "bind")
                  if k in names)
 
 
@@ -321,15 +300,19 @@ def rk_integrate(rhs: Callable, y0, t_span, config: SolverConfig | None = None,
     never changes a step size.  Step underflow near a blow-up that no monitor
     stops ends with 'step-underflow' and the last valid time (a span left
     below 1e-14 max(1, |t|) is 'completed'), _MAX_STEPS attempts with
-    'max-steps'.  A non-finite y0 raises ConstraintError before rhs is called,
-    and a non-finite derivative at (t0, y0), or an ArithmeticError from rhs
-    there, AdmissibilityError before any step.
+    'max-steps'.  A NaN endpoint, an infinite start time (an infinite end
+    is allowed) and a non-finite y0 raise ConstraintError before any monitor
+    or rhs call, and a non-finite derivative at (t0, y0), or an
+    ArithmeticError from rhs there, AdmissibilityError before any step.
     """
     cfg = config or SolverConfig()
     t0, t1 = float(t_span[0]), float(t_span[1])
     if math.isnan(t0) or math.isnan(t1):
         raise ConstraintError(
             f"integration interval [{t0}, {t1}] has a NaN endpoint")
+    if math.isinf(t0):
+        raise ConstraintError(
+            f"integration interval [{t0}, {t1}] has an infinite start")
     if t0 == t1:
         raise ConstraintError("integration interval is degenerate")
     direction = 1.0 if t1 > t0 else -1.0
@@ -547,7 +530,7 @@ def _bind(family: _Family, factors):
     """The family's generated rhs(t, s) and completion at its factors, each
     with (family, factors) as ``inline``: rk_integrate and DenseOutput then
     run the family's kernels."""
-    rhs, complete = _kernels(family)[4](*factors)
+    rhs, complete = _kernels(family)[3](*factors)
     rhs.inline = complete.inline = family, factors
     return rhs, complete
 
@@ -620,8 +603,8 @@ def solve_rotational_warp(constants: ConstantsL4, f0: float, f0p: float,
     blow_up_time = (dense.t_end + direction * _blow_up_time_left(
         b2, *warp(dense.t_end)[:2]) if result.stop_reason == "monitor:blow-up"
         else None)
-    return RotationalWarpSolution(WarpingFunction(warp, dense.interval), result,
-                                  constants, blow_up_time)
+    return RotationalWarpSolution(WarpingFunction(warp._sample, dense.interval),
+                                  result, constants, blow_up_time)
 
 
 # ---------------------------------------------------------------------------

@@ -44,35 +44,32 @@ broken_product_surface = _member("product", b1=1.0, b2=0.4, b3=0.5,
 
 
 def count_generated_samples(monkeypatch, calls, inline=None):
-    """Count in ``calls`` (a dict) the calls into the samples that
-    ``solvers._kernels`` generates, under "dense" (a DenseOutput's, the one
-    a solved system's state cache wraps) and "warp" (a solved warp's, the
-    interpolant and completion inline), for every dense output and warp
-    built from here on.  A call that raises is counted too.  With ``inline``
-    given, the calls of a family's samples that pass the interval test, and
-    so run the family's equations inline, are counted under that key too."""
+    """Count in ``calls`` (a dict), under "dense", the calls into the one
+    sample that ``solvers._kernels`` generates: a DenseOutput's, which a
+    solved warp reads directly (thm4) or through its system's state cache
+    (thm5), for every dense output built from here on.  A call that raises
+    is counted too.  With ``inline`` given, the calls of a family's sample
+    that pass the interval test, and so run the family's equations inline,
+    are counted under that key too."""
     kernels = solvers._kernels
 
-    def counted(name, make, family):
+    def counting_kernels(key):
+        step, quartic, dense, *bind = kernels(key)
+        family = not isinstance(key, int)
+
         def factory(*args):
-            sample = make(*args)
+            sample = dense(*args)
             low, high = args[2:4]
 
             def counted_sample(t):
-                calls[name] = calls.get(name, 0) + 1
+                calls["dense"] = calls.get("dense", 0) + 1
                 if inline and family and low <= t <= high:
                     calls[inline] = calls.get(inline, 0) + 1
                 return sample(t)
 
             return counted_sample
 
-        return factory
-
-    def counting_kernels(key):
-        step, quartic, dense, warp, *bind = kernels(key)
-        family = not isinstance(key, int)
-        return (step, quartic, counted("dense", dense, family),
-                counted("warp", warp, family), *bind)
+        return (step, quartic, factory, *bind)
 
     monkeypatch.setattr(solvers, "_kernels", counting_kernels)
 

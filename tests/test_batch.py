@@ -178,9 +178,9 @@ def test_catalog_grid_calls_the_chart_once(surface_name, request,
         assert samples == {"dense": distinct}
     else:
         # once in the chart, once for the metric's warp state; the L4 warp
-        # evaluates its interpolant on every call
+        # evaluates its dense sample on every call, and no other sample runs
         assert calls["warp"] <= 2 * distinct and calls["y_state"] == 0
-        assert samples == {"warp": calls["warp"]}
+        assert samples == {"dense": calls["warp"]}
     # a grid charts each record's points in one call, each point once: the
     # nodes, then their eight stencil points
     calls.clear()

@@ -294,6 +294,32 @@ def test_nan_interval_endpoint_exits_2(capsys, argv):
 
 
 @pytest.mark.parametrize("argv", [
+    ["solve", "f4", "--a", "2", "--H0", "0.5", "--f0", "1", "--f0p", "2",
+     "--u0", "inf"],
+    SYS5_ARGS + ["--u0=-inf"],
+], ids=["f4", "sys5"])
+def test_infinite_start_time_exits_2(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert ("error: ConstraintError: integration interval [" in captured.err
+            and "] has an infinite start" in captured.err)
+    assert "stop reason" not in captured.out
+
+
+@pytest.mark.parametrize("argv, stop", [
+    (["solve", "f4", "--a", "2", "--H0", "0.5", "--f0", "1", "--f0p", "2",
+      "--u1", "inf"], "stop reason: monitor:blow-up, estimated blow-up at "
+                      "t=0.178421966"),
+    (SYS5_ARGS + ["--u1", "inf"], "stop reason: monitor:spacelike\n"
+                                  "interval: [0, 2.2230"),
+], ids=["f4", "sys5"])
+def test_infinite_end_time_solves_to_its_monitor_stop(capsys, argv, stop):
+    assert main(argv) == 0
+    assert stop in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
     ["solve", "f4", "--a", "2", "--H0", "0.5", "--f0", "5e-13",
      "--f0p", "2e-12"],
     ["verify", "thm4", "--a", "2", "--H0", "0.5", "--f0", "5e-13",

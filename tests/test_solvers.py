@@ -327,6 +327,24 @@ def test_nan_interval_endpoint_rejected(t_span):
         rk_integrate(lambda t, y: y, [1.0], t_span)
 
 
+@pytest.mark.parametrize("t_span", [(math.inf, 1.0), (-math.inf, 0.0),
+                                    (math.inf, math.inf)])
+def test_infinite_start_time_rejected_before_any_call(t_span):
+    # no step can start at an infinite time (its round-off floor is inf):
+    # refused naming the interval, before any monitor or rhs call
+    calls = []
+
+    def called(t, y):
+        calls.append(t)
+        return 1.0
+
+    with pytest.raises(ConstraintError, match=re.escape(
+            f"integration interval [{t_span[0]}, {t_span[1]}] has an "
+            "infinite start")):
+        rk_integrate(called, [1.0], t_span, monitors=[("m", called)])
+    assert calls == []
+
+
 def test_infinite_interval_endpoint_still_integrates():
     # an infinite end time runs until the solver stops on its own
     res = rk_integrate(lambda t, y: [y[0] * y[0]], [1.0], (0.0, math.inf))
@@ -751,12 +769,15 @@ def test_non_finite_constants_are_rejected(build, args, name):
 
 
 def test_warp_over_a_sub_interval_samples_the_dense_output(l4_solution):
-    # the dense output's fused warp sample serves only its own interval; over
-    # a sub-interval the warp samples the dense output through _WARP_SAMPLE
+    # a solved warp's fn is its completed output's generated dense sample,
+    # over the solve's interval; a warp over a sub-interval wraps that same
+    # sample in the same checks, and only its interval test differs
     warp = l4_solution.warp
     lo, hi = warp.interval
+    assert warp.interval == l4_solution.integration.dense.interval
+    assert warp.fn.__code__.co_filename == "<rwsurf.solvers._kernels(l4)>"
+    assert warp.fn.__qualname__ == "dense.<locals>.sample"
     sub = (lo + 0.25 * (hi - lo), lo + 0.75 * (hi - lo))
-    assert warp.fn._warp_sample(sub) is None
     restricted = rw.WarpingFunction(warp.fn, sub)
     for t in np.linspace(*sub, 41).tolist():
         assert restricted(t) == warp(t)
@@ -1339,9 +1360,10 @@ _coordinate = (st.floats(-3.0, 3.0) | st.sampled_from([0.0, -0.0])
          h=0.1, th=0.5, singular=False)
 def test_family_kernels_match_the_generic_path_bitwise(l5, dphi, state, slopes,
                                                        h, th, singular):
-    # each family's compiled step, state sample and warp sample against the
-    # generic kernels of its state length around the closures of
-    # tests/oracles.py: results by repr, exceptions by type and message
+    # each family's compiled step and state sample, and a warp over that
+    # sample, against the generic kernels of its state length around the
+    # closures of tests/oracles.py: results by repr, exceptions by type and
+    # message
     if l5:
         c = _l5_member(dphi)
         family, factors, complete = solvers._L5, c._factors, system_completion(c)
@@ -1372,7 +1394,7 @@ def test_family_kernels_match_the_generic_path_bitwise(l5, dphi, state, slopes,
 
 def test_singular_solved_warp_sample_is_a_singular_warp_error():
     # A is all zero at f' = y' = 0: the state sample raises LinAlgError, and
-    # a warp over it, cached or fused, raises SingularWarpError naming t
+    # a warp over it, cached or uncached, raises SingularWarpError naming t
     c = rw.validate_constants_l5(2.0, 0.6, 0.48, 0.64)
     _, complete = solvers._bind(solvers._L5, c._factors)
     dense = solvers.DenseOutput(
@@ -1381,8 +1403,8 @@ def test_singular_solved_warp_sample_is_a_singular_warp_error():
         dense(0.5)
     cached = rw.WarpingFunction(functools.lru_cache(maxsize=None)(dense),
                                 (0.0, 1.0))
-    fused = rw.WarpingFunction(dense, (0.0, 1.0))
-    for warp in (cached, fused):
+    uncached = rw.WarpingFunction(dense, (0.0, 1.0))
+    for warp in (cached, uncached):
         space = rw.AmbientSpace.warped_flat(5, warp)
         for evaluate in (warp, lambda t: space.warp_state((t,))):
             with pytest.raises(rw.SingularWarpError, match=(
@@ -1395,11 +1417,11 @@ def test_singular_solved_warp_sample_is_a_singular_warp_error():
 def test_family_kernels_compile_on_first_use_once(monkeypatch):
     # importing the package compiles nothing; then each family compiles
     # once, and nothing else: the solve's raw dense output, which has no
-    # completion, is never called, not even for the blow-up time
+    # completion, is never called, not even for the blow-up time, and the
+    # warps over the solves compile nothing
     code = ("import rwsurf.cli\n"
-            "from rwsurf import ambient, solvers\n"
-            "for cached in (solvers._kernels, solvers._system_residuals,\n"
-            "               ambient._fn_sample):\n"
+            "from rwsurf import solvers\n"
+            "for cached in (solvers._kernels, solvers._system_residuals):\n"
             "    assert cached.cache_info().currsize == 0, cached\n")
     src = str(pathlib.Path(solvers.__file__).parents[1])
     subprocess.run([sys.executable, "-c", code], check=True,
@@ -1411,6 +1433,7 @@ def test_family_kernels_compile_on_first_use_once(monkeypatch):
         return compile(source, filename, mode)
 
     monkeypatch.setattr(solvers, "compile", counting_compile, raising=False)
+    monkeypatch.setattr(rw.ambient, "compile", counting_compile, raising=False)
     solvers._kernels.cache_clear()
     for _ in range(3):
         _l4_solve(1.0, 2.0, (0.0, 0.1))
@@ -1421,29 +1444,29 @@ def test_family_kernels_compile_on_first_use_once(monkeypatch):
     assert built == [f"<rwsurf.solvers._kernels({key})>" for key in ("l4", "l5")]
 
 
-def test_a_dense_output_forms_its_step_starts_once(monkeypatch):
+def test_a_blow_up_solve_binds_one_sample(monkeypatch):
     # a solve that stops by 'monitor:blow-up' binds the dense sample of its
-    # completed output (for the blow-up time) and then the warp sample: both
-    # read the one starts list of that output
-    kernels, starts = solvers._kernels, []
+    # completed output once (for the blow-up time), and its warp's fn is
+    # that bound sample: a dense output has no other sample to bind
+    kernels, bound = solvers._kernels, []
 
     def recording(key):
-        step, quartic, dense, warp, *bind = kernels(key)
+        step, quartic, dense, *bind = kernels(key)
 
-        def record(make):
-            def factory(*args):  # lo, hi, low, high, steps, starts, ...
-                starts.append(args[5])
-                return make(*args)
-            return factory
-        return (step, quartic, record(dense), record(warp), *bind)
+        def factory(*args):  # lo, hi, low, high, steps, starts, ...
+            bound.append((args[5], dense(*args)))
+            return bound[-1][1]
+        return (step, quartic, factory, *bind)
 
     monkeypatch.setattr(solvers, "_kernels", recording)
     blown = _l4_solve(1.0, 2.0, (0.0, 1.0))
     assert blown.integration.stop_reason == "monitor:blow-up"
     blown.warp(0.1)
-    assert len(starts) == 2 and starts[0] is starts[1]
+    [(starts, sample)] = bound
+    assert blown.warp.fn is sample
     rows = blown.integration.dense.steps
-    assert starts[0] == [row[0] for row in rows]
+    assert starts == [row[0] for row in rows]
+    assert not {"_bound", "_starts", "_warp_sample"} & set(dir(solvers.DenseOutput))
 
 
 def _l4_sweep(n):

@@ -259,9 +259,11 @@ def test_verify_surface_negative_control(broken_product_surface):
     assert rep.entry("pmcv").value > 1e-3
 
 
-# catalog members and the negative control, each with its verdict
+# catalog members and the negative controls (the broken product member, the
+# umbilic sphere and the graph bump), each with its verdict
 CHART_MEMBERS = {"l4": "pass", "l5": "pass", "product": "pass",
-                 "broken_product": "fail"}
+                 "broken_product": "fail", "boosted_sphere": "fail",
+                 "graph": "fail"}
 
 
 @pytest.mark.parametrize("transform", ["isometry", "v-reversed"])
@@ -270,10 +272,12 @@ def test_a_verdict_is_a_property_of_the_surface_not_its_chart(member, transform,
                                                               request):
     # an ambient isometry (seeded: Q orthogonal, b on the warped fibers
     # only) or v reversed gives the same surface in another chart: each
-    # verdict holds and each entry moves by round-off, far below its tol
-    surface = request.getfixturevalue(f"{member}_surface")
-    expect = (None if member == "broken_product"
-              else request.getfixturevalue(f"{member}_expect"))
+    # verdict and each failing entry holds, and each entry moves by
+    # round-off, far below its tol
+    surface = request.getfixturevalue(
+        member if member == "boosted_sphere" else f"{member}_surface")
+    expect = (request.getfixturevalue(f"{member}_expect")
+              if CHART_MEMBERS[member] == "pass" else None)
     if transform == "isometry":
         rng = np.random.default_rng(19)
         k = surface.space.ambient_dim - 1
