@@ -18,11 +18,12 @@ _MODULE_OF = {name: module for module, names in {
               "HorizontalSliceError InapplicableError MinimalDirectionError "
               "NotSpaceLikeError SingularWarpError",
     "immersion": "FrameData Jet2Immersion JetSample adapted_frame "
-                 "finite_difference_jet induced_metric",
-    "linalg": "causal_character inner numeric_rank",
+                 "chart_second_fundamental finite_difference_jet "
+                 "induced_metric",
+    "linalg": "causal_character inner numeric_rank project_out_span",
     "shape": "NormalSpaceDims PointData SecondFundamentalData SurfaceGrid "
              "evaluate_point normal_curvature normal_space_dims pmcv_residual "
-             "second_fundamental_form shape_operator",
+             "pmcv_values second_fundamental_form shape_operator",
     "solvers": "ConstantsL4 ConstantsL5 ConstantsProduct DenseOutput "
                "IntegrationResult RotationalWarpSolution SolverConfig "
                "WarpSystemSolution rk_integrate solve_rotational_warp "
@@ -35,6 +36,11 @@ _MODULE_OF = {name: module for module, names in {
                 "pmcv_structure_check reduced_criterion verify_surface",
 }.items() for name in names.split()}
 __all__ = sorted(_MODULE_OF)
+
+
+def _exports(module):
+    """The table's names for the module named ``module``: its ``__all__``."""
+    return sorted(n for n, m in _MODULE_OF.items() if f"{__name__}.{m}" == module)
 
 
 def __getattr__(name):

@@ -28,17 +28,11 @@ from typing import Callable
 
 import numpy as np
 
+from . import _exports
 from .errors import ChartDomainError, DimensionMismatchError, SingularWarpError
 from .linalg import _col, inner, raise_where
 
-__all__ = [
-    "WarpingFunction",
-    "AmbientSpace",
-    "ambient_covariant_derivative",
-    "curvature_scalars",
-    "curvature_rw_values",
-    "is_constant_curvature",
-]
+__all__ = _exports(__name__)
 
 _INTERVAL_SLACK = 1e-12  # relative, as in the chart domains
 

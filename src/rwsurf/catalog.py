@@ -17,22 +17,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _exports
 from .ambient import AmbientSpace, WarpingFunction
 from .errors import ConstraintError, InapplicableError
 from .immersion import Jet2Immersion
 from .solvers import (ConstantsL4, ConstantsProduct, WarpSystemSolution,
                       _require_finite)
 
-__all__ = [
-    "default_warp_domain",
-    "rotational_surface_l41",
-    "surface_l51",
-    "product_surface_e11s4",
-    "product_surface_family",
-    "ScanResult",
-    "nonexistence_scan_e11h4",
-    "nonexistence_slice_scan",
-]
+__all__ = _exports(__name__)
 
 
 def default_warp_domain(warp: WarpingFunction):

@@ -1,5 +1,9 @@
 """Exception hierarchy for geometric and numerical failure modes."""
 
+from . import _exports
+
+__all__ = _exports(__name__)
+
 
 class GeometryError(Exception):
     """Base class for all rwsurf errors."""

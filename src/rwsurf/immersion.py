@@ -22,6 +22,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import _exports
 from .ambient import AmbientSpace, _widened, ambient_covariant_derivative
 from .errors import (ChartDomainError, DegenerateFrameError,
                      DimensionMismatchError, GeometryError,
@@ -29,15 +30,7 @@ from .errors import (ChartDomainError, DegenerateFrameError,
 from .linalg import (_all_last, _col, _sum_last, inner, project_out_span,
                      raise_where)
 
-__all__ = [
-    "JetSample",
-    "Jet2Immersion",
-    "finite_difference_jet",
-    "induced_metric",
-    "FrameData",
-    "adapted_frame",
-    "chart_second_fundamental",
-]
+__all__ = _exports(__name__)
 
 TOL_T = 1e-8
 TOL_H = 1e-8

@@ -15,14 +15,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import _exports
 from .errors import DimensionMismatchError
 
-__all__ = [
-    "inner",
-    "causal_character",
-    "numeric_rank",
-    "project_out_span",
-]
+__all__ = _exports(__name__)
 
 
 def _col(x) -> np.ndarray:

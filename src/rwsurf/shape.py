@@ -25,6 +25,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from . import _exports
 from .ambient import AmbientSpace, ambient_covariant_derivative
 from .errors import GeometryError
 from .immersion import (FrameData, Jet2Immersion, JetSample,
@@ -32,19 +33,7 @@ from .immersion import (FrameData, Jet2Immersion, JetSample,
                         chart_second_fundamental, induced_metric)
 from .linalg import _all_last, _col, _sum_last, inner, numeric_rank
 
-__all__ = [
-    "SecondFundamentalData",
-    "second_fundamental_form",
-    "shape_operator",
-    "normal_curvature",
-    "PointData",
-    "evaluate_point",
-    "SurfaceGrid",
-    "pmcv_values",
-    "pmcv_residual",
-    "NormalSpaceDims",
-    "normal_space_dims",
-]
+__all__ = _exports(__name__)
 
 # 5-point central first-derivative weights at offsets (-2, -1, +1, +2)
 _STENCIL_OFFSETS = (-2, -1, 1, 2)

@@ -34,27 +34,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import _exports
 from .ambient import WarpingFunction, _widened
 from .errors import (AdmissibilityError, ChartDomainError, ConstraintError,
                      SingularWarpError)
 
-__all__ = [
-    "SolverConfig",
-    "DenseOutput",
-    "IntegrationResult",
-    "rk_integrate",
-    "ConstantsL4",
-    "ConstantsL5",
-    "ConstantsProduct",
-    "validate_constants_l4",
-    "validate_constants_l5",
-    "validate_constants_product",
-    "RotationalWarpSolution",
-    "solve_rotational_warp",
-    "WarpSystemSolution",
-    "solve_warp_system",
-    "system_equation_residuals",
-]
+__all__ = _exports(__name__)
 
 # Dormand-Prince 5(4) tableau (propagated order 5, FSAL).
 _C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
@@ -314,7 +299,8 @@ def rk_integrate(rhs: Callable, y0, t_span, config: SolverConfig | None = None,
         raise ConstraintError(
             f"integration interval [{t0}, {t1}] has an infinite start")
     if t0 == t1:
-        raise ConstraintError("integration interval is degenerate")
+        raise ConstraintError(
+            f"integration interval [{t0}, {t1}] is degenerate")
     direction = 1.0 if t1 > t0 else -1.0
     y = np.atleast_1d(np.asarray(y0, dtype=float)).tolist()
     if not all(map(math.isfinite, y)):

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
+from . import _exports
 from .ambient import curvature_rw_values, curvature_scalars
 from .errors import GeometryError, MinimalDirectionError
 from .immersion import Jet2Immersion
@@ -28,18 +29,7 @@ from .shape import (DEFAULT_SUBSTEP, SurfaceGrid, _per_grid, _worst,
                     frame_norm, normal_space_dims, pmcv_values, pmcv_residual,
                     normal_curvature)
 
-__all__ = [
-    "CheckEntry",
-    "VerificationReport",
-    "biconservativity_residual",
-    "curvature_trace_term",
-    "reduced_criterion",
-    "codazzi_residuals",
-    "frame_identity_residuals",
-    "pmcv_structure_check",
-    "flat_normal_bundle_check",
-    "verify_surface",
-]
+__all__ = _exports(__name__)
 
 SCHEMA = "rwsurf.verification/1"
 

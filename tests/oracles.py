@@ -257,7 +257,8 @@ def reference_rk_integrate(rhs, y0, t_span, config=None, monitors=(),
         raise ConstraintError(
             f"integration interval [{t0}, {t1}] has a NaN endpoint")
     if t0 == t1:
-        raise ConstraintError("integration interval is degenerate")
+        raise ConstraintError(
+            f"integration interval [{t0}, {t1}] is degenerate")
     direction = 1.0 if t1 > t0 else -1.0
     y = np.atleast_1d(np.asarray(y0, dtype=float)).tolist()
     if not all(map(math.isfinite, y)):

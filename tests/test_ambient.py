@@ -106,6 +106,19 @@ def test_backend_validation():
     with pytest.raises(DimensionMismatchError):
         rw.AmbientSpace("product-space-form", 5, 1,
                         rw.WarpingFunction.exponential())
+    with pytest.raises(DimensionMismatchError,
+                       match="^unknown backend kind 'nope'$"):
+        rw.AmbientSpace("nope", 4, 0)
+
+
+def test_warped_flat_refuses_a_product_normal_and_a_short_point():
+    space = rw.AmbientSpace.warped_flat(4, rw.WarpingFunction.constant())
+    with pytest.raises(DimensionMismatchError, match="^product normal exists "
+                       "only on the product-space-form backend$"):
+        space.product_normal(np.zeros(4))
+    with pytest.raises(DimensionMismatchError, match=r"^point has shape "
+                       r"\(3,\), backend expects \(4,\)$"):
+        space.metric_at(np.zeros(3), (1.0, 0.0, 0.0))
 
 
 @pytest.mark.parametrize("make", [

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -17,6 +18,23 @@ def test_default_warp_domain_shrinks_five_percent(l4_solution):
     span = hi - lo
     assert abs(dlo - (lo + 0.05 * span)) < 1e-15
     assert abs(dhi - (hi - 0.05 * span)) < 1e-15
+
+
+def test_default_warp_domain_refuses_an_infinite_interval():
+    with pytest.raises(ConstraintError, match="^warp interval must be finite "
+                       "for a default domain$"):
+        default_warp_domain(rw.WarpingFunction.constant())
+
+
+def test_l5_chart_refuses_a_vanishing_c3(l5_solution):
+    # the last coordinate is solved from the plane constraint through c3
+    c = l5_solution.constants
+    constants = rw.ConstantsL5(a=c.a, H0=c.H0, c2=c.c2, c3=1e-15, c4=c.c4,
+                               b2=c.b2)
+    solution = dataclasses.replace(l5_solution, constants=constants)
+    with pytest.raises(ConstraintError, match="^c3 must be non-zero for the "
+                       "plane-solved chart$"):
+        rw.surface_l51(solution)
 
 
 def test_l4_first_coordinate_is_parameter(l4_surface):
@@ -139,6 +157,14 @@ def test_scan_slice_values_and_signs():
 def test_scan_slice_flat_fiber_inapplicable():
     with pytest.raises(InapplicableError):
         nonexistence_slice_scan(0, np.array([0.5]))
+
+
+def test_scan_slice_refuses_an_empty_grid_and_the_trivial_theta():
+    with pytest.raises(ConstraintError, match="^scan grid must be non-empty$"):
+        nonexistence_slice_scan(1, [])
+    with pytest.raises(ConstraintError, match="^theta grid must exclude the "
+                       "trivial value 0$"):
+        nonexistence_slice_scan(1, [0.0, 0.5])
 
 
 def test_scan_rows_export():

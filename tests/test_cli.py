@@ -319,6 +319,49 @@ def test_infinite_end_time_solves_to_its_monitor_stop(capsys, argv, stop):
     assert stop in capsys.readouterr().out
 
 
+F4_ARGS = ["solve", "f4", "--a", "2", "--H0", "0.5", "--f0", "1", "--f0p", "2"]
+
+
+def test_a_negative_infinite_end_is_written_with_equals(capsys):
+    # argparse reads "-inf" after a space as an option, not as --u1's value
+    with pytest.raises(SystemExit) as exc:
+        main(F4_ARGS + ["--u1", "-inf"])
+    assert exc.value.code == 2
+    assert "argument --u1: expected one argument" in capsys.readouterr().err
+    assert main(F4_ARGS + ["--u1=-inf"]) == 0
+    out = capsys.readouterr().out
+    assert "stop reason: monitor:admissible\n" in out
+    assert "admissible interval: [-10.331118108683006, 0]" in out
+
+
+def test_degenerate_interval_exits_2_naming_it(capsys):
+    assert main(THM4_ARGS + ["--u-end", "0"]) == 2
+    assert capsys.readouterr().err == (
+        "error: ConstraintError: integration interval [0.0, 0.0] is "
+        "degenerate\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "product", "--b1", "1", "--b3", "0.5", "--force-b4"],
+     "ValueError: --force-b4 needs explicit --b2 and --b3"),
+    (["solve", "f4", "--a", "2", "--H0", "0.5", "--f0", "0", "--f0p", "2"],
+     "SingularWarpError: f0 must be non-zero"),
+    (SYS5_ARGS + ["--f0", "0"], "SingularWarpError: f0 must be non-zero"),
+    (THM4_ARGS + ["--c2", "-0.5"], "ConstraintError: c2 > 0 violated"),
+    (["verify", "thm5", "--a", "2", "--H0", "1", "--c2", "5e-7", "--c3",
+      "5e-7", "--f0", "1.5", "--f0p", "1.2", "--y0", "0.4", "--y0p", "-0.7"],
+     "ConstraintError: a^2 - 4 H0^2 > 0 violated: 0.0"),
+    (["verify", "product", "--b1", "1", "--b2", "0"],
+     "ConstraintError: b2 and b3 must be non-zero"),
+], ids=["force-b4-needs-b2-b3", "f4-f0-zero", "sys5-f0-zero", "thm4-c2",
+        "thm5-b2", "product-b2-zero"])
+def test_refused_constants_exit_2_with_their_message(capsys, argv, message):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert "stop reason" not in captured.out
+
+
 @pytest.mark.parametrize("argv", [
     ["solve", "f4", "--a", "2", "--H0", "0.5", "--f0", "5e-13",
      "--f0p", "2e-12"],

@@ -211,6 +211,18 @@ def test_normal_space_dims_l5(l5_grid):
     assert d5.n1 == 2 and d5.n2 == 3
 
 
+def test_normal_space_dims_needs_a_usable_node(minkowski4):
+    # a chart that reads NaN everywhere leaves every node degenerate
+    nowhere = rw.Jet2Immersion(minkowski4,
+                               lambda u, v: (np.full(4, np.nan),) * 6,
+                               (-2.0, 2.0), (-2.0, 2.0))
+    grid = SurfaceGrid(nowhere, np.linspace(-1.0, 1.0, 3),
+                       np.linspace(-1.0, 1.0, 3))
+    assert not grid.ok.any()
+    with pytest.raises(rw.GeometryError, match="^no usable grid nodes$"):
+        normal_space_dims(grid)
+
+
 def test_reduction_dimension_evidence(l4_grid, l5_grid, product_grid):
     # numeric evidence for the ambient-reduction dimension: the surface plus
     # its second normal space spans 4 or 5 dimensions on every catalog member

@@ -290,8 +290,16 @@ def test_nan_monitor_value_stops_integration():
 
 
 def test_degenerate_interval_rejected():
-    with pytest.raises(ConstraintError):
+    # named with the interval, as the NaN-endpoint and infinite-start refusals
+    with pytest.raises(ConstraintError, match=r"^integration interval "
+                       r"\[1\.0, 1\.0\] is degenerate$"):
         rk_integrate(lambda t, y: y, [1.0], (1.0, 1.0))
+
+
+def test_rhs_of_the_wrong_length_is_refused():
+    with pytest.raises(ValueError, match="^rhs returned 2 components for a "
+                       "state of 1$"):
+        rk_integrate(lambda t, y: [1.0, 2.0], [0.0], (0.0, 1.0))
 
 
 @pytest.mark.parametrize("name", ["rtol", "atol"])
@@ -733,6 +741,9 @@ def test_validate_product_derives_member():
         with pytest.raises(ConstraintError,
                            match=f"unsolvable: {name}\\^2 exceeds 0.333"):
             rw.validate_constants_product(1.0, b2, b3)
+    with pytest.raises(ConstraintError,
+                       match="^at least one of b2, b3 must be given$"):
+        rw.validate_constants_product(1.0)
 
 
 _L4 = rw.validate_constants_l4(2.0, 0.5)

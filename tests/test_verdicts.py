@@ -139,6 +139,13 @@ def test_pmcv_structure_negative_control(boosted_sphere):
     assert vals["structure_A12"] < 1e-10
 
 
+def test_pmcv_structure_needs_a_mean_direction(tilted_plane_grid):
+    # a totally geodesic plane has H = 0, so e4 = H/|H| does not exist
+    with pytest.raises(rw.MinimalDirectionError, match=r"^pmcv structure check "
+                       r"needs \|H\| > tol at every node$"):
+        pmcv_structure_check(tilted_plane_grid)
+
+
 def test_flat_normal_bundle_l4(l4_grid, tilted_plane_grid):
     assert flat_normal_bundle_check(l4_grid) < 1e-8
     assert flat_normal_bundle_check(tilted_plane_grid) < 1e-14
@@ -318,6 +325,8 @@ def test_report_roundtrip_and_tolerance_overrides(product_surface):
     again = rw.VerificationReport.from_dict(json.loads(rep.to_json()))
     assert again.to_json() == rep.to_json()
     assert again.schema == "rwsurf.verification/1"
+    with pytest.raises(KeyError, match="'nope'"):
+        rep.entry("nope")
 
 
 def test_tolerance_entries_name_every_report_entry(
