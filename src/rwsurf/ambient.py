@@ -35,6 +35,9 @@ from .linalg import _col, inner, raise_where
 __all__ = _exports(__name__)
 
 _INTERVAL_SLACK = 1e-12  # relative, as in the chart domains
+# is_constant_curvature: the defect bound, and the number of uniform samples
+_CONSTANT_CURVATURE_TOL = 1e-9
+_CONSTANT_CURVATURE_SAMPLES = 257
 
 
 def _widened(lo, hi) -> tuple[float, float]:
@@ -290,20 +293,17 @@ def curvature_rw_values(X, Y, Z, G, f: float, fp: float, fpp: float,
             + k2 * (ip_yz * Xb - ip_xz * Yb))
 
 
-def is_constant_curvature(warp: WarpingFunction, c: float, interval,
-                          tol: float = 1e-9, samples: int = 257):
+def is_constant_curvature(warp: WarpingFunction, c: float, interval):
     """Test f''/f == (f'^2 + c)/f^2 on ``interval``.
 
     Returns (flag, max_deviation) where the flag is True when the supremum of
-    the defect over uniformly sampled points stays below tol.  A NaN defect
-    at any sample makes the deviation NaN and the flag False.  ``samples``
-    must be at least 1, and ``interval`` must have finite ends.
+    the defect over 257 uniformly sampled points stays below 1e-9.  A NaN
+    defect at any sample makes the deviation NaN and the flag False.
+    ``interval`` must have finite ends.
     """
-    if samples < 1:
-        raise ValueError(f"samples must be at least 1, got {samples}")
     if not all(map(math.isfinite, interval)):
         raise ValueError(f"interval must have finite ends, got {interval}")
     ks = (curvature_scalars(*warp(float(t)), c)
-          for t in np.linspace(*interval, samples))
+          for t in np.linspace(*interval, _CONSTANT_CURVATURE_SAMPLES))
     dev = float(np.max([abs(k1 - k2) for k1, k2 in ks]))
-    return dev < tol, dev
+    return dev < _CONSTANT_CURVATURE_TOL, dev

@@ -20,6 +20,9 @@ from .errors import DimensionMismatchError
 
 __all__ = _exports(__name__)
 
+# numeric_rank counts the Gram eigenvalues above this share of the largest
+_RANK_THRESHOLD = 1e-8
+
 
 def _col(x) -> np.ndarray:
     """Per-point scalars as a trailing column, to scale ``(..., d)`` vectors."""
@@ -113,17 +116,15 @@ def project_out_span(x, basis, g):
     return x
 
 
-def numeric_rank(vectors, g, tol: float = 1e-8) -> int:
+def numeric_rank(vectors, g) -> int:
     """Rank of the Gram matrix of ``vectors`` under the metric weights g.
 
     Counts the eigenvalues of the Gram matrix's real part whose absolute
-    value exceeds tol times the largest absolute one (they are its singular
-    values).  An empty list or an all-zero Gram matrix has rank 0.  A Gram
-    matrix with an inf or NaN entry, an overflowing one included, raises
-    LinAlgError naming it and, in a stack, its point.
+    value exceeds _RANK_THRESHOLD (1e-8) times the largest absolute one (they
+    are its singular values).  An empty list or an all-zero Gram matrix has
+    rank 0.  A Gram matrix with an inf or NaN entry, an overflowing one
+    included, raises LinAlgError naming it and, in a stack, its point.
     """
-    if tol <= 0:
-        raise ValueError("numeric_rank: tol must be positive")
     if not len(vectors):
         return 0
     Bt = np.stack(vectors, axis=-2)
@@ -136,5 +137,5 @@ def numeric_rank(vectors, g, tol: float = 1e-8) -> int:
             "numeric_rank: the Gram matrix" + (f" at point {at}" if at else "")
             + f" is not finite: {M[at].tolist()}")
     ev = np.abs(np.linalg.eigvalsh(M.real.astype(float)))
-    rank = np.sum(ev > tol * ev.max(axis=-1, keepdims=True), axis=-1)
+    rank = np.sum(ev > _RANK_THRESHOLD * ev.max(axis=-1, keepdims=True), axis=-1)
     return int(rank) if rank.ndim == 0 else rank

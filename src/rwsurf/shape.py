@@ -39,9 +39,7 @@ __all__ = _exports(__name__)
 _STENCIL_OFFSETS = (-2, -1, 1, 2)
 _STENCIL_WEIGHTS = np.array([1.0, -8.0, 8.0, -1.0])
 DEFAULT_SUBSTEP = 2e-3
-# normal_space_dims: relative rank tolerance, and the frame norm below which a
-# generator counts as zero
-RANK_TOL = 1e-8
+# normal_space_dims: the frame norm below which a generator counts as zero
 ZERO_FLOOR = 1e-7
 _SCALE_FRACTION = 4e-3
 # (u, v) offsets of each node's cross-stencil points; the u- and v-stencil
@@ -513,8 +511,8 @@ def normal_space_dims(grid: SurfaceGrid) -> NormalSpaceDims:
 
     Per node, N1 is spanned by the h values and N2 additionally by the
     covariant derivatives of h; the reported dimension is the maximum over
-    the grid (ranges record any drop at special points); ranks use the
-    relative tolerance RANK_TOL.  Generators with frame norm below ZERO_FLOOR
+    the grid (ranges record any drop at special points); ranks are
+    ``numeric_rank``'s.  Generators with frame norm below ZERO_FLOOR
     are treated as numerically zero, so finite-difference noise on totally
     geodesic surfaces does not inflate the rank.  A node with a non-finite
     generator has no rank: the dimensions and ranges then read NaN.
@@ -534,7 +532,7 @@ def normal_space_dims(grid: SurfaceGrid) -> NormalSpaceDims:
     dims = []
     for m in (3, len(gens)):  # N1, N2
         ranks = np.full(use.shape, np.nan)
-        ranks[use] = numeric_rank(list(gens[:m]), nd.G[use], RANK_TOL)
+        ranks[use] = numeric_rank(list(gens[:m]), nd.G[use])
         ranks = ranks[grid.ok]
         dims.append([int(x) if np.isfinite(x) else float("nan")
                      for x in (_worst(ranks), np.min(ranks))])

@@ -579,9 +579,8 @@ def solve_rotational_warp(constants: ConstantsL4, f0: float, f0p: float,
     monitors = [
         ("admissible", lambda t, s: s[1] * s[1] - b2 * s[0] * s[0]),
         ("warp-positive", lambda t, s: sgn * s[0] - 1e-12),
-        # _blow_up_time_left's time left, in the monitor's own frame
         ("blow-up", lambda t, s: 1.0 if grows * s[1] <= 0.0 else
-         b2 * abs((r := s[0] / s[1]) * r * r) / 6.0 - _BLOW_UP_DELTA * abs(t - t0)),
+         _blow_up_time_left(b2, s[0], s[1]) - _BLOW_UP_DELTA * abs(t - t0)),
     ]
     result = rk_integrate(rhs, [f0, f0p], interval, config, monitors)
     dense = result.dense

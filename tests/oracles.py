@@ -17,8 +17,9 @@ controls the error of every step, does not take: the generated step looped
 at a constant h (order studies), and the oracle's fixed steps in a
 DenseOutput (warps whose rows step across a blow-up).  And it holds a
 surface's image under an ambient isometry or a reversed v, the same
-surface in another chart, whose verdicts and residuals must not move.  The
-package never imports this module.
+surface in another chart, whose verdicts and residuals must not move, and
+its lift into a warped space of higher dimension.  The package never
+imports this module.
 """
 
 from __future__ import annotations
@@ -64,15 +65,15 @@ def dense_gram(vectors, G):
     return np.swapaxes(B, -1, -2) @ np.asarray(G, dtype=float) @ B
 
 
-def svd_rank(vectors, g, tol: float = 1e-8):
+def svd_rank(vectors, g):
     """``numeric_rank`` as the count of the Gram matrix's singular values
-    above tol times the largest one, by a full batched SVD."""
+    above 1e-8 times the largest one, by a full batched SVD."""
     if not len(vectors):
         return 0
     Bt = np.stack([np.asarray(v, dtype=float) for v in vectors], axis=-2)
     M = (Bt * np.asarray(g)[..., None, :]) @ np.swapaxes(Bt, -1, -2)
     sv = np.linalg.svd(M, compute_uv=False)
-    rank = np.sum(sv > tol * sv[..., :1], axis=-1)
+    rank = np.sum(sv > 1e-8 * sv[..., :1], axis=-1)
     return int(rank) if rank.ndim == 0 else rank
 
 
@@ -168,26 +169,32 @@ def isometric_image(surface, Q=None, b=None,
     charted at -v: the same surface, so every verdict and residual of it.
 
     The isometry keeps the time and maps the fiber coordinates x -> Q x + b
-    (Q orthogonal; default the identity and 0): on ``L^n_1(f, 0)`` any b, on
-    the sphere of ``E^1_1 x S^k`` b = 0.  The jet follows exactly: each of
-    the six vectors' fiber part is multiplied by Q, the position's is
-    shifted by b, and at -v phi_v and phi_uv change sign and the v-domain
-    is reflected.  ``batched`` is kept."""
-    k = surface.space.ambient_dim - 1
+    (default the identity and 0): on ``L^n_1(f, 0)`` any b, on the sphere of
+    ``E^1_1 x S^k`` b = 0 and Q orthogonal.  On ``L^n_1(f, 0)`` Q may be
+    (n' - 1) x (n - 1) with orthonormal columns, n' >= n: the image then
+    lies in ``L^{n'}_1(f, 0)`` with the same warp, on the totally geodesic
+    slice through b spanned by the time and Q's columns.  The jet follows
+    exactly: each of the six vectors' fiber part is multiplied by Q, the
+    position's is shifted by b, and at -v phi_v and phi_uv change sign and
+    the v-domain is reflected.  ``batched`` is kept."""
+    space = surface.space
+    k = space.ambient_dim - 1
     Q = np.eye(k) if Q is None else np.asarray(Q, dtype=float)
-    b = np.zeros(k) if b is None else np.asarray(b, dtype=float)
+    b = np.zeros(len(Q)) if b is None else np.asarray(b, dtype=float)
+    if len(Q) != k:
+        space = AmbientSpace.warped_flat(len(Q) + 1, space.warp)
     sign = -1.0 if reverse_v else 1.0
     signs = np.array([1.0, 1.0, sign, 1.0, sign, 1.0])
 
     def evaluator(u, v):
         jet = np.array(surface.evaluator(u, sign * v))
         jet *= signs.reshape((6,) + (1,) * (jet.ndim - 1))
-        jet[..., 1:] = jet[..., 1:] @ Q.T
+        jet = np.concatenate([jet[..., :1], jet[..., 1:] @ Q.T], axis=-1)
         jet[0, ..., 1:] += b
         return jet
 
     v0, v1 = surface.v_domain
-    return Jet2Immersion(surface.space, evaluator, surface.u_domain,
+    return Jet2Immersion(space, evaluator, surface.u_domain,
                          (-v1, -v0) if reverse_v else (v0, v1), surface.name,
                          surface.batched)
 

@@ -41,6 +41,16 @@ SPHERE_CHART = ("import math\n"
                 "def chart(u, v):\n"
                 "    return (-B1 * u, B0 * math.cos(LAM * u), B0 * math.sin(LAM * u),\n"
                 "            B2, B3 * math.sin(v / B3), B3 * math.cos(v / B3))\n")
+# the same shape in E^1_1 x H^4 (b1 = b2 = 1, b3 = 0.5), as in CI: the
+# hyperbolic fiber admits no PMCV member, so pmcv fails where
+# biconservativity holds
+H4_CHART = ("import math\n"
+            "B1, B2, B3 = 1.0, 1.0, 0.5\n"
+            "B0 = math.sqrt(1.0 + B2 * B2 + B3 * B3)\n"
+            "LAM = math.sqrt(1.0 + B1 * B1) / B2\n"
+            "def chart(u, v):\n"
+            "    return (-B1 * u, B0, B2 * math.cos(LAM * u), B2 * math.sin(LAM * u),\n"
+            "            B3 * math.sin(v / B3), B3 * math.cos(v / B3))\n")
 
 
 def test_verify_thm4_passes(tmp_path, capsys):
@@ -967,6 +977,43 @@ def test_verify_user_map_product_member(tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "verdict: pass" in out and "dim N2 = 3" in out
+
+
+def test_verify_user_map_hyperbolic_product_member_fails_pmcv(tmp_path,
+                                                              capsys):
+    # the embedded backend with a hyperbolic fiber (--c -1), through
+    # finite-difference jets
+    py = tmp_path / "h4_chart.py"
+    py.write_text(H4_CHART)
+    code = main(["verify", "user-map", "--py", str(py), "--ambient", "product",
+                 "--n", "5", "--c", "-1", "--chart-u-span", "0.1:3.3",
+                 "--chart-v-span", "0.1:3.0", "--grid", "5x5"])
+    assert code == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert "  [FAIL] pmcv                     3.535534e+00  (tol 1e-05)" in lines
+    assert any(line.startswith("  [pass] biconservativity ") for line in lines)
+    assert "verdict: fail" in lines
+
+
+# the reports CI's log-chart and NaN-chart runs write and pin: charts that
+# raise or return NaN on part of the grid, so some nodes are degenerate
+@pytest.mark.parametrize("name, chart, digest", [
+    ("log_chart", "(0.1 * math.log(u + 0.5), u, v, 0.0)",
+     "945c1394f76a34bb33c048581adeb6005fbbd8bcfad1e08fa3a112673794c3cd"),
+    ("nan_chart", "(0.1 * u, u, v, math.nan if u > 0.5 else 0.0)",
+     "24a26a543d7c61f0b22ed87def7d4d71d278dfe5ed1ba01510d5cb53f0ce09be"),
+], ids=["log_chart", "nan_chart"])
+def test_partially_degenerate_user_map_report_bytes_are_pinned(
+        name, chart, digest, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / f"{name}.py").write_text(
+        f"import math\ndef chart(u, v):\n    return {chart}\n")
+    out = tmp_path / f"{name}_9.json"
+    assert main(["verify", "user-map", "--py", f"{name}.py", "--ambient",
+                 "warped-flat", "--n", "4", "--warp", "exp",
+                 "--chart-u-span=-1:1", "--chart-v-span=-1:1", "--grid", "9x9",
+                 "--out", str(out)]) == 2
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_verify_user_map_horizontal_slice_degenerate(tmp_path, capsys):

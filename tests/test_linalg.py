@@ -148,11 +148,6 @@ def test_numeric_rank_empty_and_zero():
     assert rw.numeric_rank([np.zeros(3)], np.ones(3)) == 0
 
 
-def test_numeric_rank_requires_positive_tol():
-    with pytest.raises(ValueError):
-        rw.numeric_rank([np.ones(3)], np.ones(3), tol=0.0)
-
-
 def test_numeric_rank_shuffle_and_rescale_invariance():
     rng = np.random.default_rng(11)
     for _ in range(40):

@@ -303,6 +303,118 @@ def test_a_verdict_is_a_property_of_the_surface_not_its_chart(member, transform,
         assert abs(g.value - w.value) <= 1e-4 * w.tol, g.name
 
 
+def _lift(surface, n, seed):
+    """``surface`` carried into L^n_1(f, 0) by a seeded fiber isometry onto
+    a random 4- or 5-dimensional totally geodesic slice."""
+    rng = np.random.default_rng(seed)
+    k = surface.space.ambient_dim - 1
+    Q = np.linalg.qr(rng.standard_normal((n - 1, k)))[0]
+    return isometric_image(surface, Q, rng.standard_normal(n - 1))
+
+
+def _fiber_rank(rep) -> int:
+    """Rank of the report nodes' centred fiber positions, relative 1e-9: the
+    surface spans an affine slice of dimension 1 + this."""
+    sg = rep.surface_grid
+    P = sg.node_data.jet.phi[sg.ok][:, 1:]
+    sv = np.linalg.svd(P - P.mean(axis=0), compute_uv=False)
+    return int(np.sum(sv > 1e-9 * sv[0]))
+
+
+@pytest.mark.parametrize("member, n, dim_n2", [
+    ("l4", 5, 2), ("l4", 6, 2), ("l4", 7, 2), ("l5", 6, 3), ("l5", 7, 3)])
+def test_a_lifted_member_keeps_its_verdict_and_reduction_dimension(
+        member, n, dim_n2, request):
+    # the reduction theorem: a PMCV biconservative surface of L^n_1(f, 0)
+    # lies on a totally geodesic slice of dimension 2 + dim N2, 4 or 5;
+    # lifted into a larger n, a member keeps its verdict, every entry (to
+    # 1e-4 of its tol), dim N2 and the slice it spans
+    surface = request.getfixturevalue(f"{member}_surface")
+    expect = request.getfixturevalue(f"{member}_expect")
+    want = verify_surface(surface, grid=(9, 9), expect=expect)
+    got = verify_surface(_lift(surface, n, n), grid=(9, 9), expect=expect)
+    assert want.verdict == got.verdict == "pass"
+    assert got.degeneracies == []
+    assert [e.name for e in got.entries] == [e.name for e in want.entries]
+    for g, w in zip(got.entries, want.entries):
+        assert abs(g.value - w.value) <= 1e-4 * w.tol, g.name
+    assert got.diagnostics["dim_N2"] == dim_n2
+    assert 1 + _fiber_rank(got) == 2 + dim_n2
+
+
+def test_a_bump_out_of_the_slice_breaks_pmcv_and_the_reduction(l5_surface,
+                                                               l5_expect):
+    # the thm5 member lifted into L^6_1(f, 0), then pushed along the last
+    # fiber axis by eps exp(-((u - u0) / s)^2) cos v: it leaves every 5-dim
+    # slice, and fails
+    image = _lift(l5_surface, 6, 6)
+    u0, s, eps = sum(l5_surface.u_domain) / 2, 0.1, 1e-2
+
+    def evaluator(u, v):
+        jet = image.evaluator(u, v)
+        x = u - u0
+        e, d = eps * np.exp(-(x / s) ** 2), -2.0 * x / s**2
+        cv, sv = np.cos(v), np.sin(v)
+        for k, bump in enumerate((e * cv, e * d * cv, -e * sv,
+                                  e * (d * d - 2.0 / s**2) * cv, -e * d * sv,
+                                  -e * cv)):
+            jet[k, ..., 5] += bump
+        return jet
+
+    bumped = Jet2Immersion(image.space, evaluator, image.u_domain,
+                           image.v_domain, "bumped-l5", image.batched)
+    rep = verify_surface(bumped, grid=(9, 9), expect=l5_expect)
+    assert rep.verdict == "fail" and rep.degeneracies == []
+    assert not rep.entry("pmcv").passed and rep.entry("pmcv").value > 1.0
+    assert rep.diagnostics["dim_N2"] == 4
+    assert 1 + _fiber_rank(rep) == 6
+
+
+def e11h4_chart(b1, b2, b3):
+    """The product family's shape with a hyperbolic fiber, in
+    ``L^5_1(1, -1) = E^1_1 x H^4``: phi = (-b1 u, b0, b2 cos(lam u),
+    b2 sin(lam u), b3 sin(v / b3), b3 cos(v / b3)), b0^2 = 1 + b2^2 + b3^2
+    and lam = sqrt(1 + b1^2) / b2, so phi_u and phi_v are unit."""
+    b0 = math.sqrt(1.0 + b2 * b2 + b3 * b3)
+    lam = math.sqrt(1.0 + b1 * b1) / b2
+    z = np.zeros(6)
+
+    def evaluator(u, v):
+        cu, su = math.cos(lam * u), math.sin(lam * u)
+        cv, sv = math.cos(v / b3), math.sin(v / b3)
+        return (np.array([-b1 * u, b0, b2 * cu, b2 * su, b3 * sv, b3 * cv]),
+                np.array([-b1, 0.0, -b2 * lam * su, b2 * lam * cu, 0.0, 0.0]),
+                np.array([0.0, 0.0, 0.0, 0.0, cv, -sv]),
+                np.array([0.0, 0.0, -b2 * lam * lam * cu,
+                          -b2 * lam * lam * su, 0.0, 0.0]),
+                z, np.array([0.0, 0.0, 0.0, 0.0, -sv / b3, -cv / b3]))
+
+    return Jet2Immersion(rw.AmbientSpace.product_space_form(5, -1), evaluator,
+                         (0.1, 3.3), (0.1, 3.0), name="e11h4")
+
+
+def test_e11h4_members_are_biconservative_and_never_pmcv():
+    # non-existence in E^1_1 x H^4, through the engine: every drawn member
+    # is biconservative, and its mean curvature vector is far from parallel
+    rng = np.random.default_rng(15)
+    for _ in range(15):
+        b1, b2, b3 = rng.uniform(0.2, 3.0), *rng.uniform(0.3, 2.0, 2)
+        rep = verify_surface(e11h4_chart(b1, b2, b3), grid=(9, 9))
+        assert rep.verdict == "fail" and rep.degeneracies == []
+        pmcv, bicons = rep.entry("pmcv"), rep.entry("biconservativity")
+        assert pmcv.value >= 1e4 * pmcv.tol, (b1, b2, b3)
+        assert bicons.value < bicons.tol, (b1, b2, b3)
+
+
+@pytest.mark.parametrize("b1", [0.5, 1.0, 2.0, 3.0])
+def test_e11h4_pmcv_residual_closed_form(b1):
+    # at b2 = 1 the pmcv entry reads b1 lam (3/2 + b1^2), lam = sqrt(1 + b1^2)
+    lam = math.sqrt(1.0 + b1 * b1)
+    rep = verify_surface(e11h4_chart(b1, 1.0, 0.5), grid=(9, 9))
+    assert rep.entry("pmcv").value / (b1 * lam) == pytest.approx(
+        1.5 + b1 * b1, rel=1e-8)
+
+
 def test_verify_surface_degenerate_slice(minkowski4):
     surf = rw.finite_difference_jet(
         lambda u, v: np.array([0.0, u, v, 0.0]), minkowski4, (-1, 1), (-1, 1),
