@@ -99,15 +99,19 @@ def _parse_warp(text: str):
 
 def _load_config_file(path: str) -> dict:
     values = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{line_no}: expected KEY=VALUE")
-            key, val = (p.strip() for p in line.split("=", 1))
-            values[key.replace("-", "_")] = val
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    for line_no, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"{path}:{line_no}: expected KEY=VALUE")
+        key, val = (p.strip() for p in line.split("=", 1))
+        values[key.replace("-", "_")] = val
     return values
 
 
@@ -444,10 +448,9 @@ def _cmd_scan(args) -> int:
 
 def _cmd_report(args) -> int:
     from .verdicts import VerificationReport
-    with open(args.path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    try:
-        report = VerificationReport.from_dict(data)
+    try:  # a file that is no UTF-8 or no JSON is named like a malformed one
+        with open(args.path, "r", encoding="utf-8") as fh:
+            report = VerificationReport.from_dict(json.load(fh))
     except ValueError as exc:
         raise ValueError(f"{args.path}: {exc}") from None
     text = io.StringIO()  # printed only once the whole report has formatted

@@ -22,25 +22,49 @@ L5_INTERVAL = (0.0, 0.8)
 
 
 def _member(kind, **params):
-    """Session fixtures of the surface, expect and solution of a member of a
-    catalog family, built once (on first use) by the family's recipe; a
-    parameter not given takes its default.  pytest injects nothing into k."""
+    """The surface, expect and solution of a member of a catalog family,
+    built once (on first use) by the family's recipe; a parameter not given
+    takes its default."""
     family = families.FAMILIES[kind]
-    member = functools.cache(lambda: family.build(
+    return functools.cache(lambda: family.build(
         {**{p.name: p.default for p in family.params}, **params}))
+
+
+def _fixtures(member):
+    """Session fixtures of the surface, expect and solution of ``member``.
+    pytest injects nothing into k."""
     return [pytest.fixture(scope="session")(lambda k=k: member()[k])
             for k in range(3)]
 
 
-l4_surface, l4_expect, l4_solution = _member("thm4", a=2.0, H0=0.5, f0=1.0,
-                                             f0p=2.0)
-l5_surface, l5_expect, l5_solution = _member(
-    "thm5", **dict(zip(("a", "H0", "c2", "c3"), L5_CONSTANTS)),
-    **dict(zip(("f0", "f0p", "y0", "y0p"), L5_ICS)), u_end=L5_INTERVAL[1])
-product_surface, product_expect = _member("product", b1=1.0, b3=0.5)[:2]
+# the members the tests share; code run outside pytest calls these builders
+L4_MEMBER = _member("thm4", a=2.0, H0=0.5, f0=1.0, f0p=2.0)
+L5_MEMBER = _member("thm5", **dict(zip(("a", "H0", "c2", "c3"), L5_CONSTANTS)),
+                    **dict(zip(("f0", "f0p", "y0", "y0p"), L5_ICS)),
+                    u_end=L5_INTERVAL[1])
+PRODUCT_MEMBER = _member("product", b1=1.0, b3=0.5)
 # b2^2 + b3^2 = 0.41 != 1/3: the family member with non-parallel H
-broken_product_surface = _member("product", b1=1.0, b2=0.4, b3=0.5,
-                                 force_b4=True)[0]
+BROKEN_PRODUCT_MEMBER = _member("product", b1=1.0, b2=0.4, b3=0.5,
+                                force_b4=True)
+l4_surface, l4_expect, l4_solution = _fixtures(L4_MEMBER)
+l5_surface, l5_expect, l5_solution = _fixtures(L5_MEMBER)
+product_surface, product_expect = _fixtures(PRODUCT_MEMBER)[:2]
+broken_product_surface = _fixtures(BROKEN_PRODUCT_MEMBER)[0]
+
+
+def nan_cornered(surface, calls):
+    """The benchmark's nan-control surface: a pointwise (scalar-only) wrapper
+    of a batched chart, NaN on a corner of the grid; ``calls`` records the
+    points it is called at."""
+    def evaluator(u, v):
+        calls.append((u, v))
+        jet = surface.evaluator(u, v)
+        if u > 1.5 and v > 1.5:
+            return tuple(np.full(np.shape(x), np.nan) for x in jet)
+        return jet
+
+    return Jet2Immersion(surface.space, evaluator, surface.u_domain,
+                         surface.v_domain, surface.name)
 
 
 def count_generated_samples(monkeypatch, calls, inline=None):

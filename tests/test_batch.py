@@ -4,10 +4,9 @@ implementation."""
 
 import collections
 import dataclasses
-import hashlib
 import json
 import math
-import pathlib
+import runpy
 import types
 
 import numpy as np
@@ -23,15 +22,14 @@ from rwsurf.shape import SurfaceGrid, evaluate_point, second_fundamental_form
 from rwsurf.solvers import WarpSystemSolution
 from rwsurf.verdicts import verify_surface
 
-from conftest import L5_ICS, L5_INTERVAL, count_generated_samples
+import pins
+from conftest import L5_ICS, L5_INTERVAL, count_generated_samples, nan_cornered
 from oracles import svd_rank
 from test_ambient import overflowing_warp_surface
-from test_cli import HOLED_PLANE
 from test_immersion import _product_member
 
 REL = 1e-13
-PINNED = json.loads((pathlib.Path(__file__).parent
-                     / "pinned_reports_9x9.json").read_text())
+PINNED = json.loads(pins.REPORTS_9X9.read_text())
 
 
 def assert_stacked(batched, pointwise):
@@ -383,21 +381,6 @@ def test_batched_chart_that_raises_is_rerun_point_by_point(l4_constants,
         assert np.abs(data.frame.normals[k] - one.frame.normals).max() <= REL
 
 
-def nan_cornered(surface, calls):
-    """The benchmark's nan-control surface: a pointwise (scalar-only) wrapper
-    of a batched chart, NaN on a corner of the grid; ``calls`` records the
-    points it is called at."""
-    def evaluator(u, v):
-        calls.append((u, v))
-        jet = surface.evaluator(u, v)
-        if u > 1.5 and v > 1.5:
-            return tuple(np.full(np.shape(x), np.nan) for x in jet)
-        return jet
-
-    return rw.Jet2Immersion(surface.space, evaluator, surface.u_domain,
-                            surface.v_domain, surface.name)
-
-
 def test_pointwise_wrapper_calls_the_chart_once_per_point(product_surface,
                                                           product_expect):
     # each node once, and the 8 stencil points of each node the node record
@@ -423,10 +406,9 @@ def dropping_grid(kind, request):
                            np.linspace(0.1, 3.0, 9))
     if kind == "holed-plane":
         space = rw.AmbientSpace.warped_flat(4, rw.WarpingFunction.constant(1.0))
-        chart = {}
-        exec(HOLED_PLANE, chart)
-        surface = immersion.finite_difference_jet(chart["chart"], space,
-                                                  (-1.0, 1.0), (-1.0, 1.0))
+        chart = runpy.run_path(pins.chart("holed_plane"))["chart"]
+        surface = immersion.finite_difference_jet(chart, space, (-1.0, 1.0),
+                                                  (-1.0, 1.0))
         return SurfaceGrid(surface, np.linspace(-0.9, 0.9, 9),
                            np.linspace(-0.9, 0.9, 9))
     surface = overflowing_warp_surface()
@@ -475,14 +457,12 @@ def test_a_grid_charts_only_the_kept_nodes_stencil_points(kind, request):
         assert np.isnan(stencil_fields[name][dropped]).all(), name
 
 
-def test_pointwise_wrapper_report_bytes_are_pinned(product_surface,
-                                                   product_expect):
+def test_pointwise_wrapper_report_bytes_are_pinned():
     # the benchmark's nan-control certificate
-    rep = verify_surface(nan_cornered(product_surface, []), grid=(17, 17),
-                         expect=product_expect)
+    rep = pins.nan_cornered_report()
     assert rep.verdict == "degenerate"
-    assert hashlib.sha256(rep.to_json().encode()).hexdigest() == (
-        "6b8aa778799dbe5959582b4596c5b9ef9f5c28a2d3410aace93a333a6e06ea8b")
+    assert pins.sha256(rep.to_json().encode()) == pins.read_manifest()[
+        pins.NAN_CORNERED]
 
 
 @pytest.mark.parametrize("surface_name, grid", [
@@ -959,23 +939,15 @@ def test_completion_projects_once_per_candidate_across_basis_sizes(
     assert np.abs(gram - np.eye(5) * fr.signs[:, None]).max() < 1e-14
 
 
-@pytest.mark.parametrize("kind", ["thm4", "thm5", "product", "control"])
-def test_report_pinned_to_pointwise_values(kind, request):
-    surface, expect = {
-        "thm4": ("l4_surface", "l4_expect"),
-        "thm5": ("l5_surface", "l5_expect"),
-        "product": ("product_surface", "product_expect"),
-        "control": ("broken_product_surface", None),
-    }[kind]
-    rep = verify_surface(request.getfixturevalue(surface), grid=(9, 9),
-                         expect=expect and request.getfixturevalue(expect))
+@pytest.mark.parametrize("kind", pins.MEMBERS_9X9)
+def test_report_pinned_to_pointwise_values(kind):
+    rep = pins.report_9x9(kind)
     want = PINNED[kind]
     assert rep.verdict == want["verdict"]
     assert sorted(e.name for e in rep.entries) == sorted(want["entries"])
     for e in rep.entries:
         assert abs(e.value - want["entries"][e.name]) <= 1e-4 * e.tol, e.name
-    for key in ("dim_N1", "dim_N2", "dim_N1_range", "dim_N2_range",
-                "nodes_evaluated"):
+    for key in pins.DIAGNOSTICS_9X9:
         assert rep.diagnostics[key] == want[key], key
     assert rep.degeneracies == want["degeneracies"]
     assert not any(math.isnan(e.value) for e in rep.entries)

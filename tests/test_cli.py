@@ -1,5 +1,4 @@
 import dataclasses
-import hashlib
 import json
 import math
 import os
@@ -18,39 +17,10 @@ from rwsurf.cli import main
 from rwsurf.immersion import Jet2Immersion
 from rwsurf.shape import SurfaceGrid
 
+import pins
 
-THM4_ARGS = ["verify", "thm4", "--a", "2", "--H0", "0.5",
-             "--f0", "1", "--f0p", "2", "--grid", "7x7"]
 
-# a space-like plane whose chart reads NaN where u > 0.5 and v > 0.5
-HOLED_PLANE = ("import math\n"
-               "S, C = math.sinh(0.8), math.cosh(0.8)\n"
-               "def chart(u, v):\n"
-               "    if u > 0.5 and v > 0.5:\n"
-               "        return (math.nan,) * 4\n"
-               "    return (S * u, C * u, v, 0.0)\n")
-HOLED_PLANE_ARGS = ["verify", "user-map", "--py", "holed_plane.py",
-                    "--ambient", "warped-flat", "--n", "4", "--warp", "const:1",
-                    "--chart-u-span=-1:1", "--chart-v-span=-1:1", "--grid", "5x5"]
-# the validated product member as a bare chart written with math, as in CI
-SPHERE_CHART = ("import math\n"
-                "B1, B3 = 1.0, 0.5\n"
-                "B2 = 1.0 / math.sqrt(12.0)\n"
-                "B0 = math.sqrt(1.0 - B2 * B2 - B3 * B3)\n"
-                "LAM = math.sqrt(1.0 + B1 * B1) / B0\n"
-                "def chart(u, v):\n"
-                "    return (-B1 * u, B0 * math.cos(LAM * u), B0 * math.sin(LAM * u),\n"
-                "            B2, B3 * math.sin(v / B3), B3 * math.cos(v / B3))\n")
-# the same shape in E^1_1 x H^4 (b1 = b2 = 1, b3 = 0.5), as in CI: the
-# hyperbolic fiber admits no PMCV member, so pmcv fails where
-# biconservativity holds
-H4_CHART = ("import math\n"
-            "B1, B2, B3 = 1.0, 1.0, 0.5\n"
-            "B0 = math.sqrt(1.0 + B2 * B2 + B3 * B3)\n"
-            "LAM = math.sqrt(1.0 + B1 * B1) / B2\n"
-            "def chart(u, v):\n"
-            "    return (-B1 * u, B0, B2 * math.cos(LAM * u), B2 * math.sin(LAM * u),\n"
-            "            B3 * math.sin(v / B3), B3 * math.cos(v / B3))\n")
+THM4_ARGS = [*pins.THM4, "--grid", "7x7"]
 
 
 def test_verify_thm4_passes(tmp_path, capsys):
@@ -102,8 +72,7 @@ def test_package_imports_no_test_code(tmp_path):
 def test_commands_do_not_import_numpy_ma(tmp_path):
     # numpy.ma costs a process about 14 ms to import, and a plain np.unique
     # (np.setdiff1d's, say) imports it through np.ma.is_masked
-    (tmp_path / "holed_plane.py").write_text(HOLED_PLANE)
-    runs = [THM4_ARGS[:-1] + ["3x3"], HOLED_PLANE_ARGS,
+    runs = [THM4_ARGS[:-1] + ["3x3"], pins.HOLED_PLANE,
             SYS5_ARGS + ["--samples", "5", "--csv", "sys5.csv"],
             ["scan", "h4", "--theta", "0.1:3:7", "--tau", "0:5:5",
              "--csv", "h4.csv"]]
@@ -253,9 +222,7 @@ def test_huge_initial_slope_exits_2(capsys, command, f0p, message):
     assert err.startswith(f"error: AdmissibilityError: {message}")
 
 
-SYS5_ARGS = ["solve", "sys5", "--a", "2", "--H0", "0.6", "--c2", "0.48",
-             "--c3", "0.64", "--f0", "1.5", "--f0p", "1.2", "--y0", "0.4",
-             "--y0p", "-0.7"]
+SYS5_ARGS = pins.SYS5
 
 
 @pytest.mark.parametrize("argv, name", [
@@ -448,135 +415,28 @@ def test_scan_h4_bad_range_exits_2(capsys):
     assert code == 2  # empty grid
 
 
-@pytest.mark.parametrize("argv, digest", [
-    (["scan", "h4"],
-     "34ea8df69d333601e8f5e8bdf3ecdf0685aede7680c8ff9f772dbcb413bc45d1"),
-    (["scan", "slice", "--c", "1"],
-     "a359c52fbd86363a4a19729d5d35686ba9544669abf360b1e29c53c07b840ca0"),
-], ids=["h4", "slice"])
-def test_default_scan_csv_bytes_are_pinned(argv, digest, tmp_path, capsys):
-    csv = tmp_path / "scan.csv"
-    assert main(argv + ["--csv", str(csv)]) == 0
-    assert hashlib.sha256(csv.read_bytes()).hexdigest() == digest
+# every pinned run of pins.PIN_RUNS, each output against its line of
+# tests/digests.sha256 (re-pinned by tests/repin.py)
+@pytest.mark.parametrize("names, argv, code", pins.PIN_RUNS, ids=[
+    names[0].split(".")[0] for names, _, _ in pins.PIN_RUNS])
+def test_pinned_output_bytes(names, argv, code, tmp_path):
+    got, stdout, stderr = pins.run(argv, tmp_path)
+    assert (got, stderr) == (code, "")
+    digests = {name: pins.sha256(pins.output(name, stdout, tmp_path))
+               for name in names}
+    manifest = pins.read_manifest()
+    assert digests == {name: manifest[name] for name in names}
 
 
-# digests of the files a per-cell writer gives: the row templates keep every byte
-@pytest.mark.parametrize("argv, digests", [
-    (["verify", "thm4", "--a", "2", "--H0", "0.5", "--f0", "1", "--f0p", "2",
-      "--grid", "5x5", "--residuals-csv", "{0}", "--surface-csv", "{1}"],
-     ["a02e30ff041a27ec5e12f4661d579d51d8d694cb90f15ab1416f0a60668b04d3",
-      "101b3a43a35368d86ca2ac1458ddafcad3573505499c5b9652fbac9ac7f038d1"]),
-    (["solve", "f4", "--a", "2", "--H0", "0.5", "--f0", "1", "--f0p", "2",
-      "--csv", "{0}", "--samples", "2001"],
-     ["5ec4b1a60c5ecb9db61d86ed6fa51565ced2af70df0ce9d5235ee2ae3e9a540d"]),
-    (["solve", "sys5", "--a", "2", "--H0", "0.6", "--c2", "0.48", "--c3", "0.64",
-      "--f0", "1.5", "--f0p", "1.2", "--y0", "0.4", "--y0p", "-0.7",
-      "--csv", "{0}", "--samples", "2001"],
-     ["18571144472363592d4df1461c1d28e014a41b300325a57d0bf2443ccb4e644f"]),
-], ids=["thm4-5x5", "f4", "sys5"])
-def test_report_and_dense_csv_bytes_are_pinned(argv, digests, tmp_path, capsys):
-    paths = [tmp_path / f"{k}.csv" for k in range(len(digests))]
-    assert main([a.format(*paths) for a in argv]) == 0
-    assert [hashlib.sha256(p.read_bytes()).hexdigest() for p in paths] == digests
-
-
-# digests (stdout, --out JSON) of the verify subcommands built per family
-@pytest.mark.parametrize("argv, code, digests", [
-    (["verify", "thm4", "--a", "2", "--H0", "0.5", "--f0", "1", "--f0p", "2"],
-     0, ["9d1150c82bd82ce13311cc62df06cbe60e7ddc6dff9a31961911bc04fcada803",
-         "777cf9ba8e5d40e4ce1f3408fc43775b4bdcc8f70af0705b2234f03d41bfa4d7"]),
-    (["verify", "thm5", "--a", "2", "--H0", "0.6", "--c2", "0.48", "--c3", "0.64",
-      "--f0", "1.5", "--f0p", "1.2", "--y0", "0.4", "--y0p", "-0.7"],
-     0, ["8d5c7ab6e0ba94c74852ee201c1b16f1b67902429f133a1a47b1c5510e553af4",
-         "ebe2935e88d1a88e9fa9cd8021fb7f54a7138cd31becffa7f065ac8bfcdeb118"]),
-    (["verify", "product", "--b1", "1", "--b3", "0.5"],
-     0, ["1abd4a30825e1da362c07116ae021d89f933075e867672e9b920aecb961913af",
-         "a1e994e0314a9a352fbc729fc8cf8cd28c90dd5e05e1967fa89976d402ff6820"]),
-    (["verify", "product", "--b1", "1", "--b2", "0.4", "--b3", "0.5",
-      "--force-b4"],
-     1, ["dedb94c6e307623ffccb884e3693049d7387f0b7e0f92e50f39d2bb0fd80ea5a",
-         "731f848420f58eaf38d20fd5f0ef4a0a160ff763e96dca6029342e15b335155b"]),
-    # the finite-difference jet path; CI's sphere-chart run writes these bytes
-    (["verify", "user-map", "--py", "sphere_chart.py", "--ambient", "product",
-      "--n", "5", "--chart-u-span", "0.1:3.3", "--chart-v-span", "0.1:3.0"],
-     0, ["c79c4386b1341e9ba7aa73abcdca370de21e3cf38d2b8bf4418351cf730e2e42",
-         "66f82399dc1e9b5815132c5bdca2b036319fb36d5c4bfec1a2b1f8f16ac188a0"]),
-], ids=["thm4", "thm5", "product", "product-force-b4", "user-map-sphere"])
-def test_verify_stdout_and_report_bytes_are_pinned(argv, code, digests,
-                                                   tmp_path, monkeypatch,
-                                                   capsys):
-    monkeypatch.chdir(tmp_path)
-    (tmp_path / "sphere_chart.py").write_text(SPHERE_CHART)
-    out = tmp_path / "report.json"
-    assert main(argv + ["--grid", "5x5", "--out", str(out)]) == code
-    text = capsys.readouterr().out
-    assert [hashlib.sha256(text.encode()).hexdigest(),
-            hashlib.sha256(out.read_bytes()).hexdigest()] == digests
-
-
-# digests (stdout, --out JSON) at the default 17x17 grid, and thm4 at 33x33:
-# the grids the certificates are read at, where every short-axis sum runs
-@pytest.mark.parametrize("argv, code, digests", [
-    (["verify", "thm4", "--a", "2", "--H0", "0.5", "--f0", "1", "--f0p", "2"],
-     0, ["d6b566e98113674398be5dbf875c962c3269c2fa293b02c619cacd0106fa2020",
-         "c471e0a7a6dce1bbae52b8709308d65918b52e759ff21bc4d591a174aba4e85d"]),
-    (["verify", "thm5", "--a", "2", "--H0", "0.6", "--c2", "0.48", "--c3", "0.64",
-      "--f0", "1.5", "--f0p", "1.2", "--y0", "0.4", "--y0p", "-0.7"],
-     0, ["46e0fda8d1138105f1eac139364480da0c0cbd478a1f7038c5dfc3a8f1028035",
-         "e368805bc290fa3123cca648172b657c04a0d2bb05a4216d5539335bad2dc172"]),
-    (["verify", "product", "--b1", "1", "--b3", "0.5"],
-     0, ["3ca0261ff363d79f28b6fe1be959a9378383ef93caec993df0477886106e3220",
-         "9b83c5bba24c9cb0bd69076cc3d7538aa0c34447b5c5ba8186a4cd2b1d363eb8"]),
-    (["verify", "product", "--b1", "1", "--b2", "0.4", "--b3", "0.5",
-      "--force-b4"],
-     1, ["e5702ec61bcbdd31b3c934728d17e3ffc54f8134ee75690dc3c6e0d46f9357d2",
-         "22cdb0b751723b92f0c00ce8c7980a913dd14ed3601cf43422f428dc294abf04"]),
-    (["verify", "thm4", "--a", "2", "--H0", "0.5", "--f0", "1", "--f0p", "2",
-      "--grid", "33x33"],
-     0, ["b23406281c360da3e5cdfeafd67ade047d766675a3b22fb5bc26d43ccfbc5252",
-         "e8479d43b1d35e8a6e88136835605028872a216a071a643def89f0dce38d9e37"]),
-], ids=["thm4", "thm5", "product", "product-force-b4", "thm4-33x33"])
-def test_verify_report_bytes_are_pinned_at_certificate_grids(
-        argv, code, digests, tmp_path, capsys):
-    out = tmp_path / "report.json"
-    assert main(argv + ["--out", str(out)]) == code
-    text = capsys.readouterr().out
-    assert [hashlib.sha256(text.encode()).hexdigest(),
-            hashlib.sha256(out.read_bytes()).hexdigest()] == digests
-
-
-# digests (stdout, then each written file) of commands whose surface CSV
-# rows do not all come from a full grid, and of a backward solve
-@pytest.mark.parametrize("argv, code, digests", [
-    (HOLED_PLANE_ARGS + ["--out", "report.json", "--residuals-csv", "res.csv",
-                         "--surface-csv", "surf.csv"],
-     2, ["efbe6f0b1a5aa694a47a3e7b3b6d0b5b27479f3069af535dfc35b22c072ded35",
-         "c51f7e2722cd0516c06b73c5b5b13796c9671cce64e576b44a5b49db0c5d1afc",
-         "6cc5a227c2488233367c87a136002b33c2fce4e5e595af55ac3d4a45d8d3c4ce",
-         "2b1abdd08d372aa7fffaf1f126b56b7423a659525d8292d67bda400eb6b8d345"]),
-    (["verify", "product", "--b1", "1", "--b3", "0.5", "--grid", "5x5",
-      "--u-span", "0:1", "--out", "report.json", "--residuals-csv", "res.csv",
-      "--surface-csv", "surf.csv"],
-     2, ["53b387cb0588d015db953fb95bd6e47f357509751d9ee53f6ffd8a2d739ef3a4",
-         "314e865651f2d62b7582ed37fb78cb9c5f0433f2b4d1615f2b093e0c34dc1d42",
-         "3b5ae7341390f55e030965ba9e24e8b12489e3fe5bb0ab28982f160c29849535",
-         "51e9a30e128bf6a80704f17f1cb2031cd175887813e18472b3cd1a045ce35bbf"]),
-    (["solve", "f4", "--a", "2", "--H0", "0.5", "--f0", "1", "--f0p", "-2",
-      "--u0", "0.3", "--u1", "-0.5", "--rtol", "1e-9", "--csv", "dense.csv"],
-     0, ["42394aec451148d42c4fbf01ce19c8070c413ddb281aca5f9e3c98522009cf42",
-         "93342286a3c22cf98c3a5fe86d183427ea02be7fd29be2c4d6860e7fdeb720be"]),
-], ids=["holed-plane", "product-no-grid", "f4-backward"])
-def test_partial_grid_and_backward_solve_bytes_are_pinned(
-        argv, code, digests, tmp_path, monkeypatch, capsys):
-    monkeypatch.chdir(tmp_path)
-    (tmp_path / "holed_plane.py").write_text(HOLED_PLANE)
-    assert main(argv) == code
-    captured = capsys.readouterr()
-    assert captured.err == ""
-    files = [a for a in argv if a.endswith((".json", ".csv"))]
-    assert [hashlib.sha256(captured.out.encode()).hexdigest(),
-            *(hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
-              for f in files)] == digests
+def test_every_manifest_line_is_read():
+    # each line of tests/digests.sha256 is checked by the pin table or by
+    # test_batch, every name once; CI's sha256sum step checks a subset
+    table = [name for names, _, _ in pins.PIN_RUNS for name in names]
+    assert len(set(table)) == len(table) and pins.NAN_CORNERED not in table
+    assert sorted(pins.read_manifest()) == sorted([*table, pins.NAN_CORNERED])
+    workflow = pins.HERE.parent / ".github" / "workflows" / "tests.yml"
+    ci = re.search(r"ci_pins=\(([^)]*)\)", workflow.read_text()).group(1).split()
+    assert len(set(ci)) == len(ci) and set(ci) <= set(table)
 
 
 SPECIAL_FLOATS = [-0.0, 5e-324, 1.7976931348623157e308, math.inf, -math.inf,
@@ -757,9 +617,22 @@ def test_report_of_json_that_is_not_a_report_exits_2(tmp_path, capsys, data,
     assert out == ""
     assert err.startswith(f"error: ValueError: {path}")
     assert message in err
-    path.write_text("{")
+
+
+@pytest.mark.parametrize("data, message", [
+    (b"{", "Expecting property name enclosed in double quotes: line 1 "
+           "column 2 (char 1)"),
+    (b"", "Expecting value: line 1 column 1 (char 0)"),
+    (b'{"verdict": "\xff"}', "'utf-8' codec can't decode byte 0xff in "
+                             "position 13: invalid start byte"),
+], ids=["truncated", "empty", "not-utf-8"])
+def test_report_that_is_no_json_names_its_file(tmp_path, capsys, data,
+                                               message):
+    # refused as a malformed report is: the path, then the decoder's text
+    path = tmp_path / "bad.json"
+    path.write_bytes(data)
     assert main(["report", str(path)]) == 2
-    assert capsys.readouterr().err.startswith("error: JSONDecodeError: ")
+    assert capsys.readouterr() == ("", f"error: ValueError: {path}: {message}\n")
 
 
 def test_config_file_defaults_and_override(tmp_path, capsys):
@@ -786,6 +659,15 @@ def test_config_file_skips_comments_and_blank_lines(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"error: ValueError: {cfg}:3: expected KEY=VALUE\n"
+
+
+def test_config_file_that_is_no_utf8_names_its_file(tmp_path, capsys):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_bytes(b"grid = 5x5\n# \xff\n")
+    assert main(THM4_ARGS + ["--config", str(cfg)]) == 2
+    assert capsys.readouterr() == ("", (
+        f"error: ValueError: {cfg}: 'utf-8' codec can't decode byte 0xff in "
+        "position 13: invalid start byte\n"))
 
 
 def test_config_file_unknown_key_rejected(tmp_path, capsys):
@@ -966,54 +848,30 @@ def test_verify_user_map_plane(tmp_path, capsys):
     assert "verdict: pass" in capsys.readouterr().out
 
 
-def test_verify_user_map_product_member(tmp_path, capsys):
+def test_verify_user_map_product_member(capsys):
     # the product family passed back in as a bare chart: the whole pipeline
     # runs through finite-difference jets on the embedded backend
-    py = tmp_path / "member.py"
-    py.write_text(SPHERE_CHART)
-    code = main(["verify", "user-map", "--py", str(py), "--ambient", "product",
-                 "--n", "5", "--c", "1", "--chart-u-span", "0.1:3.3",
-                 "--chart-v-span", "0.1:3.0", "--grid", "5x5"])
+    code = main(["verify", "user-map", "--py", pins.chart("sphere_chart"),
+                 "--ambient", "product", "--n", "5", "--c", "1",
+                 "--chart-u-span", "0.1:3.3", "--chart-v-span", "0.1:3.0",
+                 "--grid", "5x5"])
     assert code == 0
     out = capsys.readouterr().out
     assert "verdict: pass" in out and "dim N2 = 3" in out
 
 
-def test_verify_user_map_hyperbolic_product_member_fails_pmcv(tmp_path,
-                                                              capsys):
+def test_verify_user_map_hyperbolic_product_member_fails_pmcv(capsys):
     # the embedded backend with a hyperbolic fiber (--c -1), through
     # finite-difference jets
-    py = tmp_path / "h4_chart.py"
-    py.write_text(H4_CHART)
-    code = main(["verify", "user-map", "--py", str(py), "--ambient", "product",
-                 "--n", "5", "--c", "-1", "--chart-u-span", "0.1:3.3",
-                 "--chart-v-span", "0.1:3.0", "--grid", "5x5"])
+    code = main(["verify", "user-map", "--py", pins.chart("h4_chart"),
+                 "--ambient", "product", "--n", "5", "--c", "-1",
+                 "--chart-u-span", "0.1:3.3", "--chart-v-span", "0.1:3.0",
+                 "--grid", "5x5"])
     assert code == 1
     lines = capsys.readouterr().out.splitlines()
     assert "  [FAIL] pmcv                     3.535534e+00  (tol 1e-05)" in lines
     assert any(line.startswith("  [pass] biconservativity ") for line in lines)
     assert "verdict: fail" in lines
-
-
-# the reports CI's log-chart and NaN-chart runs write and pin: charts that
-# raise or return NaN on part of the grid, so some nodes are degenerate
-@pytest.mark.parametrize("name, chart, digest", [
-    ("log_chart", "(0.1 * math.log(u + 0.5), u, v, 0.0)",
-     "945c1394f76a34bb33c048581adeb6005fbbd8bcfad1e08fa3a112673794c3cd"),
-    ("nan_chart", "(0.1 * u, u, v, math.nan if u > 0.5 else 0.0)",
-     "24a26a543d7c61f0b22ed87def7d4d71d278dfe5ed1ba01510d5cb53f0ce09be"),
-], ids=["log_chart", "nan_chart"])
-def test_partially_degenerate_user_map_report_bytes_are_pinned(
-        name, chart, digest, tmp_path, monkeypatch, capsys):
-    monkeypatch.chdir(tmp_path)
-    (tmp_path / f"{name}.py").write_text(
-        f"import math\ndef chart(u, v):\n    return {chart}\n")
-    out = tmp_path / f"{name}_9.json"
-    assert main(["verify", "user-map", "--py", f"{name}.py", "--ambient",
-                 "warped-flat", "--n", "4", "--warp", "exp",
-                 "--chart-u-span=-1:1", "--chart-v-span=-1:1", "--grid", "9x9",
-                 "--out", str(out)]) == 2
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_verify_user_map_horizontal_slice_degenerate(tmp_path, capsys):
@@ -1128,8 +986,7 @@ def test_surface_csv_reads_the_verify_grid(tmp_path, monkeypatch):
     assert all(np.isfinite([float(x) for x in r.split(",")]).all() for r in rows)
 
     calls.clear()
-    (tmp_path / "holed_plane.py").write_text(HOLED_PLANE)
-    code = main(HOLED_PLANE_ARGS + ["--surface-csv", str(surf_csv)])
+    code = main(pins.HOLED_PLANE + ["--surface-csv", str(surf_csv)])
     assert code == 2
     assert calls == [5 * 5, 8 * 5 * 5]
     rows = [[float(x) for x in r.split(",")]
@@ -1203,13 +1060,8 @@ def test_solve_runs_the_family_recipe_once(argv, kind, monkeypatch, capsys):
 def test_surface_csv_writes_nan_where_the_chart_fails(tmp_path, capsys):
     # nodes whose chart call fails are degeneracies of the grid; the surface
     # CSV writes them as NaN rows, and the command ends by its verdict
-    py = tmp_path / "holed_plane.py"
-    py.write_text(HOLED_PLANE)
     surf_csv = tmp_path / "surf.csv"
-    code = main(["verify", "user-map", "--py", str(py), "--ambient",
-                 "warped-flat", "--n", "4", "--warp", "const:1",
-                 "--chart-u-span=-1:1", "--chart-v-span=-1:1",
-                 "--grid", "5x5", "--surface-csv", str(surf_csv)])
+    code = main(pins.HOLED_PLANE + ["--surface-csv", str(surf_csv)])
     assert code == 2
     out = capsys.readouterr()
     assert out.err == "" and "verdict: degenerate" in out.out

@@ -415,6 +415,43 @@ def test_e11h4_pmcv_residual_closed_form(b1):
         1.5 + b1 * b1, rel=1e-8)
 
 
+def _product_pmcv(b1, b2, b3):
+    return verify_surface(rw.product_surface_family(b1, b2, b3),
+                          grid=(9, 9)).entry("pmcv").value
+
+
+def _product_locus_members():
+    """Three fixed (b1, b3) and three drawn, each with room for b2."""
+    rng = np.random.default_rng(23)
+    drawn = []
+    for _ in range(3):
+        b1 = rng.uniform(0.3, 3.0)
+        drawn.append((b1, rng.uniform(0.1, 0.9) / math.sqrt(b1 * b1 + 2.0)))
+    return [(1.0, 0.5), (3.0, 0.2), (0.5, 0.1), *drawn]
+
+
+@pytest.mark.parametrize("b1, b3", _product_locus_members(),
+                         ids=lambda x: f"{x:.3g}")
+def test_product_pmcv_vanishes_on_the_constraint_and_nowhere_else(b1, b3):
+    # along b2 = b2* (1 + eps) pmcv is a V: its two branches, each the line
+    # through eps = 1e-6 and 1e-3 on its side, meet at the paper's
+    # b2*^2 = 1 / (b1^2 + 2) - b3^2, found from the engine alone
+    star = math.sqrt(1.0 / (b1 * b1 + 2.0) - b3 * b3)
+    p = {e: _product_pmcv(b1, star * (1.0 + e), b3)
+         for e in (-1e-3, -1e-6, 1e-6, 1e-3)}
+    right = (p[1e-3] - p[1e-6]) / (1e-3 - 1e-6)
+    left = (p[-1e-6] - p[-1e-3]) / (1e-3 - 1e-6)
+    zero = (p[-1e-6] - p[1e-6] + (left + right) * 1e-6) / (right - left)
+    assert right > 0.1 and left < -0.1
+    assert abs(zero) <= 1e-8
+    # no second zero up to b2^2 + b3^2 -> 1: pmcv stays above a quarter of
+    # its branch (not a half: the ratio falls below 0.5 as b2 -> 0)
+    eps_max = math.sqrt(1.0 - b3 * b3) / star - 1.0
+    for e in np.linspace(-0.9, 0.9 * eps_max, 7).tolist():
+        slope = right if e > 0 else -left
+        assert _product_pmcv(b1, star * (1.0 + e), b3) >= slope * abs(e) / 4, e
+
+
 def test_verify_surface_degenerate_slice(minkowski4):
     surf = rw.finite_difference_jet(
         lambda u, v: np.array([0.0, u, v, 0.0]), minkowski4, (-1, 1), (-1, 1),
