@@ -352,8 +352,9 @@ def _load_chart(path: str, attr: str):
     if spec is None:
         raise ValueError(f"--py {path!r} cannot be loaded as a Python module")
     module = importlib.util.module_from_spec(spec)
-    try:
-        spec.loader.exec_module(module)
+    try:  # compiled as exec_module would, but with no __pycache__ beside it
+        exec(spec.loader.source_to_code(spec.loader.get_data(path), path),
+             module.__dict__)
     except (Exception, SystemExit) as exc:
         raise ValueError(f"--py {path!r} failed at import: "
                          f"{type(exc).__name__}: {exc}") from None

@@ -318,11 +318,12 @@ class FrameData:
 
     ``vectors`` holds the whole frame row-wise, shape (m, d): e1, e2, the
     unit timelike e3, then e4 = H/|H| when the mean curvature direction
-    exists, then the space-like completion.  ``signs`` (m,) are their causal
-    signs: +1, +1, then the normals' (0 on a row left uncompleted).  ``e1``,
-    ``e2``, ``e3``, ``tangents``, ``normals`` and ``normal_signs`` are views
-    of these.  ``coeffs`` holds e1, e2 row-wise in the (phi_u, phi_v) chart
-    basis.
+    exists, then the space-like completion (a grid's stencil record keeps
+    e1, e2, e3, e4 alone, e4 NaN without a mean direction).  ``signs`` (m,)
+    are their causal signs: +1, +1, then the normals' (0 on a row left
+    uncompleted).  ``e1``, ``e2``, ``e3``, ``tangents``, ``normals`` and
+    ``normal_signs`` are views of these.  ``coeffs`` holds e1, e2 row-wise
+    in the (phi_u, phi_v) chart basis.
     """
 
     vectors: np.ndarray
@@ -350,24 +351,24 @@ def adapted_frame(jet: JetSample, space: AmbientSpace, G, ginv,
     G is the ambient metric's diagonal at the jet's point, ginv the inverse
     induced metric and H the mean curvature vector there.  Raises
     HorizontalSliceError when |T| <= TOL_T (the excluded horizontal slice
-    case).  When |H| <= TOL_H there is no distinguished mean-curvature
-    direction; the frame is completed without e4 and flagged.
+    case).  e4 = H/|H| where |<H, H>| > TOL_H^2, else NaN: there is no mean
+    direction there (``has_mean_direction``), and the completion fills row 3.
 
     ``_stencil`` is the grid fill's, for its stencil points: the frame then
     holds ``vectors`` e1, e2, e3, e4, ``theta`` and ``coeffs``, and None for
-    every other field, and is completed only at the points without a mean
-    direction, where the first completion stands in for e4.
+    every other field, and is never completed.
     """
     T, eta, theta, sinh_theta, cosh_theta, e1, e2, e3, coeffs = (
         _tangent_frame(jet, space, G, ginv))
-    h_norm2 = inner(H, H, G)
-    has_mean = np.abs(h_norm2) > TOL_H * TOL_H
-    e4, vectors, signs = _complete_normals(space, jet, G, e1, e2, e3, H,
-                                           h_norm2, has_mean,
-                                           ~has_mean if _stencil else True)
+    s2 = np.asarray(inner(H, H, G))
+    has_mean = np.abs(s2) > TOL_H * TOL_H
+    s2 = s2[has_mean]
+    e4 = np.full_like(H, np.nan)
+    e4[has_mean] = H[has_mean] / _col(np.sqrt(s2 * np.sign(s2.real)))
     if _stencil:
         return FrameData(np.stack([e1, e2, e3, e4], axis=-2), None, None,
                          None, theta, None, None, None, coeffs)
+    vectors, signs = _complete_normals(space, jet, G, e1, e2, e3, e4, has_mean)
     return FrameData(vectors, signs, T, eta, theta, sinh_theta, cosh_theta,
                      has_mean, coeffs)
 
@@ -404,35 +405,27 @@ def _tangent_frame(jet: JetSample, space: AmbientSpace, G, ginv):
             np.stack([c1, c2], axis=-2))
 
 
-def _complete_normals(space: AmbientSpace, jet: JetSample, G, e1, e2, e3, H,
-                      h_norm2, has_mean, complete):
-    """e4 at every point, then the frame (c, m, d) and its causal signs
-    (c, m) at the c points where ``complete`` holds (the leading axes of e1
-    when it holds everywhere).  The frame is e1, e2, e3, then e4 = H/|H|
-    where the mean curvature direction exists, then signature-aware
+def _complete_normals(space: AmbientSpace, jet: JetSample, G, e1, e2, e3, e4,
+                      has_mean):
+    """The frame (..., m, d) at every point and its causal signs (..., m):
+    e1, e2, e3, then e4 where ``has_mean`` holds, then signature-aware
     Gram-Schmidt over the coordinate candidates, which each point accepts or
-    skips on its own; where there is no mean direction, e4 is the first
-    completion.  ``complete`` must hold there.  Only the completing points
-    get a basis, zero-padded, so they share one batched projection per
-    candidate.  The product backend's normal joins the Gram-Schmidt basis
-    but not the frame."""
+    skips on its own; where there is no mean direction, the first completion
+    is row 3.  Every point gets a basis, zero-padded, so all share one
+    batched projection per candidate.  The product backend's normal joins
+    the Gram-Schmidt basis but not the frame."""
     d = space.ambient_dim
     lead = np.shape(e1)[:-1]
     flat = lambda x: np.reshape(x, (-1,) + np.shape(x)[len(lead):])
     mean = flat(has_mean)
-    s2 = flat(h_norm2)[mean]
-    e4 = np.empty(mean.shape + (d,), e1.dtype)
-    e4[mean] = flat(H)[mean] / _col(np.sqrt(s2 * np.sign(s2.real)))
-    at = np.flatnonzero(np.broadcast_to(complete, lead))
-    phi = flat(jet.phi)[at]
-    priors = [flat(e1)[at], flat(e2)[at]]
+    priors = [flat(e1), flat(e2)]
     if space.is_embedded:
-        priors.append(space.product_normal(phi))
-    priors.append(flat(e3)[at])
-    G, mean = flat(np.broadcast_to(G, lead + (d,)))[at], mean[at]
-    basis = np.zeros((len(at), d, d), e1.dtype)  # priors, normals
+        priors.append(space.product_normal(flat(jet.phi)))
+    priors.append(flat(e3))
+    G = flat(np.broadcast_to(G, lead + (d,)))
+    basis = np.zeros((len(mean), d, d), e1.dtype)  # priors, normals
     basis[:, :len(priors)] = np.stack(priors, 1)
-    basis[mean, len(priors)] = e4[at[mean]]
+    basis[mean, len(priors)] = flat(e4)[mean]
     start = len(priors) + mean
     filled = start.copy()
     for c in range(d):
@@ -445,9 +438,7 @@ def _complete_normals(space: AmbientSpace, jet: JetSample, G, e1, e2, e3, H,
         s2, idx = s2[take], idx[take]
         basis[idx, filled[idx]] = w[take] / _col(np.sqrt(s2 * np.sign(s2.real)))
         filled[idx] += 1
-    failed = np.zeros(len(e4), bool)
-    failed[at[filled < d]] = True
-    raise_where(DegenerateFrameError, failed.reshape(lead),
+    raise_where(DegenerateFrameError, (filled < d).reshape(lead),
                 "could not complete the normal frame")
     # the coordinate-candidate sign rule is not smooth where the candidate
     # component crosses zero; pin the last completion vector to the ambient
@@ -456,9 +447,7 @@ def _complete_normals(space: AmbientSpace, jet: JetSample, G, e1, e2, e3, H,
     basis[flip[np.linalg.det(basis[flip].real.astype(float)) < 0], d - 1] *= -1
     if space.is_embedded:  # drop the product normal's row
         basis = np.delete(basis, 2, axis=1)
-    e4[at[~mean]] = basis[~mean, 3]
     s2 = inner(basis, basis, G[:, None]).real
     signs = np.where(s2 > 0, 1, np.where(s2 < 0, -1, 0))
-    m, lead_c = basis.shape[1], lead if len(at) == len(e4) else (len(at),)
-    return (e4.reshape(lead + (d,)), basis.reshape(lead_c + (m, d)),
-            signs.reshape(lead_c + (m,)))
+    m = basis.shape[1]
+    return basis.reshape(lead + (m, d)), signs.reshape(lead + (m,))

@@ -317,8 +317,10 @@ class SurfaceGrid:
     (``phi_u[..., 0]``), probed once per distinct node time.
     ``stencil_data``, leading axes (nu, nv, 8), is that of each node's four
     u- and four v-offsets with ``_stencil``: only what the stencils
-    differentiate, G, the frame rows e1, e2, e3, e4 (``normals[..., 1, :]``),
-    theta, and the sfd's H, h11, h12 and h22; its other fields are None.
+    differentiate, G, the frame rows e1, e2, e3, e4 (``normals[..., 1, :]``,
+    NaN at a point without a mean direction: the stencil points are never
+    completed), theta, and the sfd's H, h11, h12 and h22; its other fields
+    are None.
     Only the kept nodes' stencil points are charted: those of a node the
     node record dropped are NaN, refused by the jet, and read NaN.
     Phase 2 methods differentiate those arrays and return arrays over the

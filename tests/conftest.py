@@ -52,6 +52,21 @@ product_surface, product_expect = _fixtures(PRODUCT_MEMBER)[:2]
 broken_product_surface = _fixtures(BROKEN_PRODUCT_MEMBER)[0]
 
 
+def l4_draws(n):
+    """The first n draws (a, H0, f0, f0p) of the thm4 family sweep's sampler
+    (seed 11): f0p^2 = (a^2 - 4 H0^2) f0^2 + q with q > 0, either sign."""
+    rng = np.random.default_rng(11)
+    for _ in range(n):
+        a = rng.uniform(1.0, 5.0)
+        H0 = rng.uniform(0.05, 0.45) * a
+        f0 = rng.uniform(0.5, 3.0)
+        q = rng.uniform(0.05, 3.0) * f0 * f0
+        f0p = math.sqrt((a * a - 4 * H0 * H0) * f0 * f0 + q)
+        if rng.uniform() < 0.5:
+            f0p = -f0p
+        yield a, H0, f0, f0p
+
+
 def nan_cornered(surface, calls):
     """The benchmark's nan-control surface: a pointwise (scalar-only) wrapper
     of a batched chart, NaN on a corner of the grid; ``calls`` records the

@@ -856,8 +856,8 @@ def test_stencil_points_with_a_mean_direction_skip_the_completion(kind,
 
 def test_points_without_a_mean_direction_keep_the_full_frame(
         tilted_plane_grid):
-    # every point completes the frame: the nodes keep it whole, and the
-    # stencil points keep its first completion as e4
+    # the nodes complete the frame and keep it whole; the stencil points are
+    # never completed: they keep e1, e2, e3, and e4 reads NaN
     grid = tilted_plane_grid
     nd = grid.node_data
     assert not nd.frame.has_mean_direction.any()
@@ -866,9 +866,10 @@ def test_points_without_a_mean_direction_keep_the_full_frame(
     assert (np.abs(nd.frame.normal_signs) == 1).all()
     data, errors = evaluate_point(grid.surface, *stencil_stack(grid))
     assert errors == {} and not data.frame.has_mean_direction.any()
-    e4 = grid.stencil_data.frame.normals[..., 1, :]
-    assert np.array_equal(e4, data.frame.vectors[..., 3, :])
-    assert np.isfinite(e4).all()
+    st = grid.stencil_data.frame.vectors
+    assert np.array_equal(st[..., :3, :], data.frame.vectors[..., :3, :])
+    assert np.isfinite(st[..., :3, :]).all()
+    assert np.isnan(st[..., 3, :]).all()
 
 
 @pytest.mark.parametrize("kind", ["thm4", "thm5", "product", "tilted-plane"])
@@ -887,22 +888,73 @@ def test_completion_sees_the_nodes_and_the_points_without_a_mean_direction(
 
     monkeypatch.setattr(immersion, "project_out_span", spy)
     grid = SurfaceGrid(fixture.surface, fixture.us, fixture.vs)
-    nd, st = grid.node_data.frame, grid.stencil_data
+    nd = grid.node_data.frame
     # the node record completes every node, but at d = 4 a node with a mean
     # direction has nothing left to complete; the stencil record completes
-    # its points without a mean direction alone (the tilted plane has no
-    # mean direction anywhere)
+    # none of its points, with or without a mean direction (the tilted plane
+    # has none anywhere)
     completes = (nd.normals.shape[-2] > 2) | ~nd.has_mean_direction
-    no_mean = np.abs(rw.inner(st.sfd.H, st.sfd.H, st.G)) <= immersion.TOL_H ** 2
-    want = [nd.e1[completes].tolist(), st.frame.e1[no_mean].tolist()]
-    want = [sorted(map(tuple, e1)) for e1 in want if e1]
+    want = [sorted(map(tuple, nd.e1[completes].tolist()))] if completes.any() else []
     assert [sorted(map(tuple, e1)) for _, e1 in completions] == want
     assert [len(e1) for _, e1 in completions] == (
-        [] if kind == "thm4" else [25, 200] if kind == "tilted-plane" else [81])
+        [] if kind == "thm4" else [25] if kind == "tilted-plane" else [81])
     # one batched projection per coordinate candidate, whatever the points'
     # basis sizes: candidates 0, 1, ... in turn, each once per completion
     for candidates, _ in completions:
         assert candidates == list(range(len(candidates)))
+
+
+def test_a_stencil_point_without_a_mean_direction_reads_nan_e4():
+    # (S u, C u, v, u^3) in L^4_1(1, 0) has H proportional to u: at 5x5 from
+    # u0 = 0.004 / 0.996 the first row's stencil point u0 - 2 su lands on
+    # u = 0, where H = 0 and e4 reads NaN, so structure_conn, which
+    # differentiates e4, is NaN there and fails; every other entry keeps its
+    # value from when that point's e4 was a completion vector
+    S, C = math.sinh(0.8), math.cosh(0.8)
+    zero = np.zeros(4)
+
+    def evaluator(u, v):
+        return (np.array([S * u, C * u, v, u ** 3]),
+                np.array([S, C, 0.0, 3.0 * u * u]), np.array([0.0, 0.0, 1.0, 0.0]),
+                np.array([0.0, 0.0, 0.0, 6.0 * u]), zero, zero)
+
+    space = rw.AmbientSpace.warped_flat(4, rw.WarpingFunction.constant(1.0))
+    surface = rw.Jet2Immersion(space, evaluator, (-1.0, 1.0), (-1.0, 1.0))
+    u0 = 0.004 / 0.996
+    rep = verify_surface(surface, (5, 5), u_span=(u0, u0 + 0.4),
+                         v_span=(-0.5, 0.5))
+    grid = rep.surface_grid
+    assert grid.node_data.frame.has_mean_direction.all()
+    st = grid.stencil_data
+    assert rw.inner(st.sfd.H, st.sfd.H, st.G).min() == 0.0
+    assert rep.verdict == "fail" and rep.degeneracies == []
+    entries = {e.name: e for e in rep.entries}
+    conn = entries.pop("structure_conn")
+    assert math.isnan(conn.value) and not conn.passed
+    assert {"name": "structure_conn", "passed": False, "tol": 1e-05,
+            "value": None} in json.loads(rep.to_json())["entries"]
+    assert {name: e.value for name, e in entries.items()} == {
+        "frame_orthonormality": 0.3053465925112446,
+        "frame_reassembly": 7.112855605115793e-16,
+        "h_tangency": 2.220446049250313e-16,
+        "reduced_pairing": 0.34292933386064495,
+        "mean_norm_spread": 0.7707439709686273,
+        "gauss_consistency": 6.423819782369078e-09,
+        "pmcv": 2.999999948870731,
+        "biconservativity": 18.949661059006644,
+        "codazzi_1": 1.0774064887777768e-13,
+        "codazzi_2": 0.0,
+        "frame_tangent_e1": 5.695023429954794e-09,
+        "frame_tangent_e2": 4.221999693011402e-14,
+        "frame_normal_e1": 9.462345597651563e-09,
+        "frame_normal_e2": 6.355408009103882e-14,
+        "normal_curvature": 0.0,
+        "structure_A11": 1.7560058427199576,
+        "structure_A12": 0.0,
+        "structure_A22": 1.7560058427199574,
+        "structure_trace": 0.5361904005043754,
+        "structure_offdiag": 0.0,
+        "structure_eta": 0.3905788073341101}
 
 
 def test_completion_projects_once_per_candidate_across_basis_sizes(

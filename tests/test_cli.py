@@ -860,6 +860,19 @@ def test_verify_user_map_product_member(capsys):
     assert "verdict: pass" in out and "dim N2 = 3" in out
 
 
+def test_verify_user_map_writes_no_bytecode_beside_the_chart(
+        tmp_path, monkeypatch, capsys):
+    # even with bytecode writing on, loading the chart leaves nothing beside it
+    monkeypatch.setattr(sys, "dont_write_bytecode", False)
+    py = tmp_path / "sphere_chart.py"
+    py.write_text(pathlib.Path(pins.chart("sphere_chart")).read_text())
+    code = main(["verify", "user-map", "--py", str(py), "--ambient", "product",
+                 "--n", "5", "--c", "1", "--chart-u-span", "0.1:3.3",
+                 "--chart-v-span", "0.1:3.0", "--grid", "3x3"])
+    assert code == 0 and "verdict: pass" in capsys.readouterr().out
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sphere_chart.py"]
+
+
 def test_verify_user_map_hyperbolic_product_member_fails_pmcv(capsys):
     # the embedded backend with a hyperbolic fiber (--c -1), through
     # finite-difference jets

@@ -22,7 +22,7 @@ from rwsurf import solvers
 from rwsurf.solvers import SolverConfig, rk_integrate, system_equation_residuals
 
 from conftest import (L5_CONSTANTS, L5_ICS, L5_INTERVAL,
-                      count_generated_samples)
+                      count_generated_samples, l4_draws)
 from oracles import (ReferenceDense, fixed_step_dense, fixed_step_warp,
                      reference_rk_integrate, reference_rotational_warp,
                      reference_warp_system, rotational_warp_rhs,
@@ -1483,15 +1483,7 @@ def test_a_blow_up_solve_binds_one_sample(monkeypatch):
 def _l4_sweep(n):
     """n thm4 members from the family sweep's sampler (seed 11), solved
     over (0, 1); about half stop by 'monitor:blow-up'."""
-    rng = np.random.default_rng(11)
-    for _ in range(n):
-        a = rng.uniform(1.0, 5.0)
-        H0 = rng.uniform(0.05, 0.45) * a
-        f0 = rng.uniform(0.5, 3.0)
-        q = rng.uniform(0.05, 3.0) * f0 * f0
-        f0p = math.sqrt((a * a - 4 * H0 * H0) * f0 * f0 + q)
-        if rng.uniform() < 0.5:
-            f0p = -f0p
+    for a, H0, f0, f0p in l4_draws(n):
         yield rw.solve_rotational_warp(rw.validate_constants_l4(a, H0), f0,
                                        f0p, (0.0, 1.0))
 

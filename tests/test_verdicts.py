@@ -18,7 +18,7 @@ from rwsurf.verdicts import (VerificationReport, biconservativity_residual,
                              pmcv_structure_check, reduced_criterion,
                              verify_surface)
 
-from conftest import random_curvature_config
+from conftest import L4_MEMBER, _member, l4_draws, random_curvature_config
 from oracles import curvature_trace_closed_form, isometric_image
 
 
@@ -450,6 +450,48 @@ def test_product_pmcv_vanishes_on_the_constraint_and_nowhere_else(b1, b3):
     for e in np.linspace(-0.9, 0.9 * eps_max, 7).tolist():
         slope = right if e > 0 else -left
         assert _product_pmcv(b1, star * (1.0 + e), b3) >= slope * abs(e) / 4, e
+
+
+def _thm4_member(draw):
+    """The reference member, or draw ``draw`` of the thm4 sampler."""
+    if draw is None:
+        return L4_MEMBER()[0]
+    a, H0, f0, f0p = list(l4_draws(draw + 1))[draw]
+    return _member("thm4", a=a, H0=H0, f0=f0, f0p=f0p)()[0]
+
+
+# the reference member and the first five draws with theta.max < 4 that pass
+# at eps 0 (draws 4-6 reach theta.max 4.2-6.9; draw 2, at 3.85, fails)
+@pytest.mark.parametrize("draw", [None, 0, 1, 3, 7, 8],
+                         ids=lambda d: "reference" if d is None else f"draw{d}")
+def test_thm4_pmcv_vanishes_on_the_constraint_and_nowhere_else(draw):
+    # the chart's height is k w, w = 1 / f; along k = k4 (1 + eps) on the
+    # member's warp, pmcv is a V whose two branches, each the line through
+    # eps = 1e-6 and 1e-3 on its side, meet at the paper's k4 = 2 H0 /
+    # (a^2 c2), found from the engine alone
+    surface = _thm4_member(draw)
+
+    def report(eps):
+        scale = np.array([1.0, 1.0, 1.0, 1.0 + eps])  # the k w column
+        twin = dataclasses.replace(
+            surface, evaluator=lambda u, v: surface.evaluator(u, v) * scale)
+        return verify_surface(twin, grid=(9, 9))
+
+    assert report(0.0).verdict == "pass"
+    p = {e: report(e).entry("pmcv").value for e in (-1e-3, -1e-6, 1e-6, 1e-3)}
+    right = (p[1e-3] - p[1e-6]) / (1e-3 - 1e-6)
+    left = (p[-1e-6] - p[-1e-3]) / (1e-3 - 1e-6)
+    zero = (p[-1e-6] - p[1e-6] + (left + right) * 1e-6) / (right - left)
+    assert right > 1.0 and left < -1.0
+    assert abs(zero) <= 1e-6
+    # no second zero: far from k4 pmcv stays large, or the twin leaves the
+    # space-like region and no node reads pmcv
+    for e in (-0.9, -0.5, -0.2, 0.2, 0.5, 0.9):
+        rep = report(e)
+        if any(x.name == "pmcv" for x in rep.entries):
+            assert rep.entry("pmcv").value >= 0.1, e
+        else:
+            assert rep.verdict == "degenerate", e
 
 
 def test_verify_surface_degenerate_slice(minkowski4):
