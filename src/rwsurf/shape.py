@@ -327,7 +327,8 @@ class SurfaceGrid:
     nodes.  Nodes where any point degenerates are recorded in
     ``degeneracies``, each with its first failing point's error (the node,
     then ``_STENCIL_POINTS``), and left out of ``ok``, the mask every
-    residual reduction uses.
+    residual reduction uses.  A stencil point without a mean direction
+    fails with MinimalDirectionError where its node has one.
     """
 
     def __init__(self, surface: Jet2Immersion, us, vs):
@@ -375,6 +376,15 @@ class SurfaceGrid:
         U = np.where(dropped, np.nan, U)
         self.stencil_data, stencil_errors = evaluate_point(surface, U, V,
                                                            _stencil=True)
+        # a stencil point without a mean direction (e4 NaN) where its node
+        # has one: the stencils of e4 would read NaN
+        e4 = self.stencil_data.frame.normals[..., 1, :]
+        lost = (~_all_last(np.isfinite(e4))
+                & self.node_data.frame.has_mean_direction[..., None])
+        for k in np.flatnonzero(lost).tolist():
+            stencil_errors.setdefault(
+                k, f"MinimalDirectionError: no mean curvature direction at "
+                   f"(u,v)=({U.flat[k]},{V.flat[k]})")
         first = dict(node_errors)  # each node's first failing point's error
         for k, text in sorted(stencil_errors.items()):
             first.setdefault(k // len(_STENCIL_POINTS), text)

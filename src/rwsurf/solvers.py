@@ -286,9 +286,10 @@ def rk_integrate(rhs: Callable, y0, t_span, config: SolverConfig | None = None,
     stops ends with 'step-underflow' and the last valid time (a span left
     below 1e-14 max(1, |t|) is 'completed'), _MAX_STEPS attempts with
     'max-steps'.  A NaN endpoint, an infinite start time (an infinite end
-    is allowed) and a non-finite y0 raise ConstraintError before any monitor
-    or rhs call, and a non-finite derivative at (t0, y0), or an
-    ArithmeticError from rhs there, AdmissibilityError before any step.
+    is allowed) and a y0 that is not a non-empty 1-D vector of finite floats
+    raise ConstraintError before any monitor or rhs call, and a non-finite
+    derivative at (t0, y0), or an ArithmeticError from rhs there,
+    AdmissibilityError before any step.
     """
     cfg = config or SolverConfig()
     t0, t1 = float(t_span[0]), float(t_span[1])
@@ -302,7 +303,11 @@ def rk_integrate(rhs: Callable, y0, t_span, config: SolverConfig | None = None,
         raise ConstraintError(
             f"integration interval [{t0}, {t1}] is degenerate")
     direction = 1.0 if t1 > t0 else -1.0
-    y = np.atleast_1d(np.asarray(y0, dtype=float)).tolist()
+    y = np.atleast_1d(np.asarray(y0, dtype=float))
+    if y.ndim != 1 or not y.size:
+        raise ConstraintError(f"initial state y0 must be a non-empty 1-D "
+                              f"vector, got shape {y.shape}")
+    y = y.tolist()
     if not all(map(math.isfinite, y)):
         raise ConstraintError(f"initial state y0 must be finite, got {y}")
     for name, g in monitors:

@@ -1,4 +1,4 @@
-"""Re-pin every pinned output: rerun the runs of ``pins.py`` and rewrite
+"""Re-pin every pinned output: rerun the rows of ``pins.py`` and rewrite
 ``tests/digests.sha256`` and ``tests/pinned_reports_9x9.json`` in place.
 
     python tests/repin.py [--outputs DIR] [--parent DIR]
@@ -26,15 +26,15 @@ import pins  # noqa: E402
 
 
 def write_outputs(directory: pathlib.Path) -> dict:
-    """Run every pinned run in ``directory``, leave each pinned output there
-    under its name, and return the digest of each name."""
+    """Run every row of the pin table in ``directory``, leave each pinned
+    output there under its name, and return the digest of each name."""
     digests = {}
-    for names, argv, code in pins.PIN_RUNS:
-        got, stdout, stderr = pins.run(argv, directory)
-        if (got, stderr) != (code, ""):
-            sys.exit(f"repin: {' '.join(argv)} exited {got}, not {code}: "
-                     f"{stderr.strip()}")
-        for name in names:
+    for row in pins.PIN_RUNS:
+        code, stdout, stderr = pins.run(row.argv, directory)
+        found = pins.problems(row, code, stdout, stderr, directory)
+        if found:
+            sys.exit(f"repin: {row.key}: {'; '.join(found)}")
+        for name in row.outputs:
             data = pins.output(name, stdout, directory)
             (directory / name).write_bytes(data)
             digests[name] = pins.sha256(data)

@@ -907,9 +907,9 @@ def test_completion_sees_the_nodes_and_the_points_without_a_mean_direction(
 def test_a_stencil_point_without_a_mean_direction_reads_nan_e4():
     # (S u, C u, v, u^3) in L^4_1(1, 0) has H proportional to u: at 5x5 from
     # u0 = 0.004 / 0.996 the first row's stencil point u0 - 2 su lands on
-    # u = 0, where H = 0 and e4 reads NaN, so structure_conn, which
-    # differentiates e4, is NaN there and fails; every other entry keeps its
-    # value from when that point's e4 was a completion vector
+    # u = 0, where H = 0 and e4 reads NaN; its node has a mean direction, so
+    # the node is a degeneracy naming that point, and the entries read the
+    # other 20 nodes (structure_conn, which differentiates e4, among them)
     S, C = math.sinh(0.8), math.cosh(0.8)
     zero = np.zeros(4)
 
@@ -927,34 +927,15 @@ def test_a_stencil_point_without_a_mean_direction_reads_nan_e4():
     assert grid.node_data.frame.has_mean_direction.all()
     st = grid.stencil_data
     assert rw.inner(st.sfd.H, st.sfd.H, st.G).min() == 0.0
-    assert rep.verdict == "fail" and rep.degeneracies == []
-    entries = {e.name: e for e in rep.entries}
-    conn = entries.pop("structure_conn")
-    assert math.isnan(conn.value) and not conn.passed
-    assert {"name": "structure_conn", "passed": False, "tol": 1e-05,
-            "value": None} in json.loads(rep.to_json())["entries"]
-    assert {name: e.value for name, e in entries.items()} == {
-        "frame_orthonormality": 0.3053465925112446,
-        "frame_reassembly": 7.112855605115793e-16,
-        "h_tangency": 2.220446049250313e-16,
-        "reduced_pairing": 0.34292933386064495,
-        "mean_norm_spread": 0.7707439709686273,
-        "gauss_consistency": 6.423819782369078e-09,
-        "pmcv": 2.999999948870731,
-        "biconservativity": 18.949661059006644,
-        "codazzi_1": 1.0774064887777768e-13,
-        "codazzi_2": 0.0,
-        "frame_tangent_e1": 5.695023429954794e-09,
-        "frame_tangent_e2": 4.221999693011402e-14,
-        "frame_normal_e1": 9.462345597651563e-09,
-        "frame_normal_e2": 6.355408009103882e-14,
-        "normal_curvature": 0.0,
-        "structure_A11": 1.7560058427199576,
-        "structure_A12": 0.0,
-        "structure_A22": 1.7560058427199574,
-        "structure_trace": 0.5361904005043754,
-        "structure_offdiag": 0.0,
-        "structure_eta": 0.3905788073341101}
+    assert np.isnan(st.frame.normals[0, :, 0, 1]).all()  # e4 at (-2, 0)
+    assert rep.verdict == "degenerate"
+    assert rep.degeneracies == [
+        [0, j, "MinimalDirectionError: no mean curvature direction at "
+               f"(u,v)=(0.0,{v})"] for j, v in enumerate([-0.5, -0.25, 0.0,
+                                                          0.25, 0.5])]
+    assert rep.diagnostics["nodes_evaluated"] == 20
+    conn = next(e for e in rep.entries if e.name == "structure_conn")
+    assert (conn.value, conn.passed) == (3.5860056650841323e-09, True)
 
 
 def test_completion_projects_once_per_candidate_across_basis_sizes(

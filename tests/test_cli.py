@@ -415,28 +415,35 @@ def test_scan_h4_bad_range_exits_2(capsys):
     assert code == 2  # empty grid
 
 
-# every pinned run of pins.PIN_RUNS, each output against its line of
-# tests/digests.sha256 (re-pinned by tests/repin.py)
-@pytest.mark.parametrize("names, argv, code", pins.PIN_RUNS, ids=[
-    names[0].split(".")[0] for names, _, _ in pins.PIN_RUNS])
-def test_pinned_output_bytes(names, argv, code, tmp_path):
-    got, stdout, stderr = pins.run(argv, tmp_path)
-    assert (got, stderr) == (code, "")
-    digests = {name: pins.sha256(pins.output(name, stdout, tmp_path))
-               for name in names}
-    manifest = pins.read_manifest()
-    assert digests == {name: manifest[name] for name in names}
+@pytest.fixture(scope="module")
+def pin_table():
+    """Each row's problems when the whole pin table runs in-process."""
+    return pins.check(pins.run)
+
+
+# every row of pins.PIN_RUNS, run in table order in one directory: its exit
+# code, its lines, and each output against its line of tests/digests.sha256
+# (re-pinned by tests/repin.py); CI runs the same rows through the installed
+# console script with `python tests/pins.py`
+@pytest.mark.parametrize("key", [row.key for row in pins.PIN_RUNS])
+def test_pinned_output_bytes(key, pin_table):
+    assert pin_table[key] == []
 
 
 def test_every_manifest_line_is_read():
     # each line of tests/digests.sha256 is checked by the pin table or by
-    # test_batch, every name once; CI's sha256sum step checks a subset
-    table = [name for names, _, _ in pins.PIN_RUNS for name in names]
+    # test_batch, every name once
+    keys = [row.key for row in pins.PIN_RUNS]
+    table = [name for row in pins.PIN_RUNS for name in row.outputs]
+    assert len(set(keys)) == len(keys)
     assert len(set(table)) == len(table) and pins.NAN_CORNERED not in table
     assert sorted(pins.read_manifest()) == sorted([*table, pins.NAN_CORNERED])
-    workflow = pins.HERE.parent / ".github" / "workflows" / "tests.yml"
-    ci = re.search(r"ci_pins=\(([^)]*)\)", workflow.read_text()).group(1).split()
-    assert len(set(ci)) == len(ci) and set(ci) <= set(table)
+
+
+def test_every_file_of_the_charts_directory_is_read_by_a_row():
+    read = {arg for row in pins.PIN_RUNS for arg in row.argv}
+    files = [p for p in pins.CHARTS.iterdir() if p.is_file()]
+    assert files and [p.name for p in files if str(p) not in read] == []
 
 
 SPECIAL_FLOATS = [-0.0, 5e-324, 1.7976931348623157e308, math.inf, -math.inf,
@@ -560,16 +567,6 @@ def test_scan_slice(capsys):
     code = main(["scan", "slice", "--c", "1", "--theta", "0.1:3:31"])
     assert code == 0
     assert "positive at every node: True" in capsys.readouterr().out
-
-
-def test_report_pretty_print(tmp_path, capsys):
-    out = tmp_path / "report.json"
-    main(THM4_ARGS + ["--out", str(out)])
-    capsys.readouterr()
-    code = main(["report", str(out)])
-    assert code == 0
-    text = capsys.readouterr().out
-    assert "verdict: pass" in text and "pmcv" in text
 
 
 def test_report_missing_file(capsys):
@@ -871,20 +868,6 @@ def test_verify_user_map_writes_no_bytecode_beside_the_chart(
                  "--chart-v-span", "0.1:3.0", "--grid", "3x3"])
     assert code == 0 and "verdict: pass" in capsys.readouterr().out
     assert sorted(p.name for p in tmp_path.iterdir()) == ["sphere_chart.py"]
-
-
-def test_verify_user_map_hyperbolic_product_member_fails_pmcv(capsys):
-    # the embedded backend with a hyperbolic fiber (--c -1), through
-    # finite-difference jets
-    code = main(["verify", "user-map", "--py", pins.chart("h4_chart"),
-                 "--ambient", "product", "--n", "5", "--c", "-1",
-                 "--chart-u-span", "0.1:3.3", "--chart-v-span", "0.1:3.0",
-                 "--grid", "5x5"])
-    assert code == 1
-    lines = capsys.readouterr().out.splitlines()
-    assert "  [FAIL] pmcv                     3.535534e+00  (tol 1e-05)" in lines
-    assert any(line.startswith("  [pass] biconservativity ") for line in lines)
-    assert "verdict: fail" in lines
 
 
 def test_verify_user_map_horizontal_slice_degenerate(tmp_path, capsys):
@@ -1283,15 +1266,6 @@ def test_bad_verify_flag_is_refused_before_the_family_solve(
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith(f"error: ValueError: {message}")
-
-
-def test_product_member_from_b2_verifies(capsys):
-    # b3 derived from b2 = 0.4: sqrt(1/3 - 0.16)
-    argv = ["verify", "product", "--b1", "1", "--grid", "5x5"]
-    assert main(argv + ["--b2", "0.4"]) == 0
-    assert capsys.readouterr().out.endswith("verdict: pass\n")
-    assert main(argv + ["--b2", "0.6"]) == 2
-    assert "b2^2 exceeds" in capsys.readouterr().err
 
 
 def test_substep_is_no_flag_and_no_config_key(tmp_path, capsys):

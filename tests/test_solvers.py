@@ -85,6 +85,35 @@ def test_non_finite_initial_state_is_refused_before_any_rhs_call(y0):
     assert calls == []
 
 
+@pytest.mark.parametrize("y0, shape", [([], "(0,)"), ([[1.0], [2.0]], "(2, 1)")],
+                         ids=["empty", "2-d"])
+def test_initial_state_that_is_no_vector_is_refused_before_any_call(y0, shape):
+    calls = []
+
+    def rhs(t, y):
+        calls.append(t)
+        return []
+
+    monitor = ("positive", lambda t, y: calls.append(t) or 1.0)
+    with pytest.raises(ConstraintError, match=re.escape(
+            f"initial state y0 must be a non-empty 1-D vector, got shape {shape}")):
+        rk_integrate(rhs, y0, (0.0, 1.0), monitors=[monitor])
+    assert calls == []
+
+
+@pytest.mark.parametrize("y0, t_span, first", [
+    ([1.0], (0.0, 1.0), 1e-6), ([0.0, 0.0], (0.0, -2.0), -1e-6),
+], ids=["forward", "backward"])
+def test_flat_start_takes_a_first_step_of_1e_6(y0, t_span, first):
+    # a zero derivative that stays zero (d1 and d2 at most 1e-15): the
+    # initial step is max(1e-6, h0 1e-3) with h0 = 1e-6
+    res = rk_integrate(lambda t, y: [0.0] * len(y), y0, t_span)
+    assert res.dense.steps[0][1] == first
+    assert (res.stop_reason, res.n_accepted, res.n_rejected) == (
+        "completed", 10, 0)
+    assert res.dense(t_span[1] / 2) == tuple(y0)
+
+
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
 @pytest.mark.parametrize("integrate", [rk_integrate, reference_rk_integrate],
                          ids=["adaptive-rk_integrate", "adaptive-reference"])
