@@ -88,25 +88,24 @@ class WarpingFunction:
     def __call__(self, t: float) -> tuple[float, float, float]:
         return self._sample(t)
 
-    # -- common closed forms ------------------------------------------------
+    # -- closed forms on the whole line; WarpingFunction(w.fn, interval) bounds one
 
     @staticmethod
-    def constant(value: float = 1.0, interval=(-np.inf, np.inf)) -> "WarpingFunction":
+    def constant(value: float = 1.0) -> "WarpingFunction":
         if value == 0.0:
             raise SingularWarpError("constant warp must be non-zero")
-        return WarpingFunction(lambda t: (value, 0.0, 0.0), interval)
+        return WarpingFunction(lambda t: (value, 0.0, 0.0))
 
     @staticmethod
-    def exponential(rate: float = 1.0, interval=(-np.inf, np.inf)) -> "WarpingFunction":
+    def exponential(rate: float = 1.0) -> "WarpingFunction":
         def fn(t):
             e = np.exp(rate * t)
             return e, rate * e, rate * rate * e
-        return WarpingFunction(fn, interval)
+        return WarpingFunction(fn)
 
     @staticmethod
-    def hyperbolic_cosine(interval=(-np.inf, np.inf)) -> "WarpingFunction":
-        return WarpingFunction(
-            lambda t: (np.cosh(t), np.sinh(t), np.cosh(t)), interval)
+    def hyperbolic_cosine() -> "WarpingFunction":
+        return WarpingFunction(lambda t: (np.cosh(t), np.sinh(t), np.cosh(t)))
 
     @staticmethod
     def polynomial(coeffs, interval) -> "WarpingFunction":
@@ -160,8 +159,7 @@ class AmbientSpace:
 
     @staticmethod
     def product_space_form(n: int, c: int) -> "AmbientSpace":
-        return AmbientSpace("product-space-form", n, c,
-                            WarpingFunction.constant(1.0))
+        return AmbientSpace("product-space-form", n, c)  # the default warp, f = 1
 
     # -- coordinate layout ---------------------------------------------------
 

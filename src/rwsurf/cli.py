@@ -15,7 +15,6 @@ import contextlib
 import functools
 import importlib.util
 import io
-import json
 import math
 import os
 import sys
@@ -155,8 +154,18 @@ _VERIFY_DEFAULTS = {"grid": "17x17", "u_span": None, "v_span": None,
                     "surface_csv": None}
 
 
+class _Parser(argparse.ArgumentParser):
+    """Each (sub)command refuses what it does not know, under its own usage."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="rwsurf",
         description="Verify space-like PMCV/biconservative surfaces in "
                     "Lorentzian warped products, solve their warp ODEs, and "
@@ -179,8 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     pu = pvs.add_parser("user-map", help="verify a user chart sampled through "
                                          "finite-difference jets")
     pu.set_defaults(_run=_cmd_verify_user_map)
-    pu.add_argument("--py", required=True, help="python file defining the chart")
-    pu.add_argument("--attr", default="chart", help="chart function name")
+    pu.add_argument("--py", required=True, help="python file defining chart(u, v)")
     pu.add_argument("--ambient", choices=("warped-flat", "product"),
                     required=True)
     pu.add_argument("--n", type=int, required=True, help="spacetime dimension")
@@ -232,18 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 # ---------------------------------------------------------------------------
 # verify plumbing
-
-
-def _tolerances(opts: dict) -> dict:
-    """The --tol flags, or a config file's comma-separated NAME=VALUE list."""
-    overrides, tol = {}, opts["tol"]
-    for item in (tol.split(",") if isinstance(tol, str) else tol or []):
-        name, _, val = item.partition("=")
-        try:
-            overrides[name.strip()] = float(val)
-        except ValueError:
-            raise ValueError(f"--tol expects NAME=NUMBER, got {item!r}") from None
-    return overrides
 
 
 def _write_report_files(report, surface, opts: dict):
@@ -305,12 +301,21 @@ def _print_report(report):
 
 
 def _verify_inputs(opts: dict) -> dict:
-    """verify_surface's grid, spans and tolerance overrides, parsed from the
-    options before any solve or chart work (ValueError naming the flag)."""
-    return {"grid": _parse_grid(opts["grid"]),
-            "u_span": _parse_span(opts["u_span"], "--u-span"),
-            "v_span": _parse_span(opts["v_span"], "--v-span"),
-            "tolerances": _tolerances(opts)}
+    """verify_surface's grid (first: before numpy loads), spans and tolerance
+    overrides (--tol flags or a config file's NAME=VALUE list, by verdicts'
+    rule), before any solve or chart work (ValueError naming the flag)."""
+    inputs = {"grid": _parse_grid(opts["grid"]),
+              "u_span": _parse_span(opts["u_span"], "--u-span"),
+              "v_span": _parse_span(opts["v_span"], "--v-span")}
+    from .verdicts import _tolerance_overrides
+    overrides, tol = {}, opts["tol"]
+    for item in (tol.split(",") if isinstance(tol, str) else tol or []):
+        name, _, val = item.partition("=")
+        try:
+            overrides[name.strip()] = float(val)
+        except ValueError:
+            raise ValueError(f"--tol expects NAME=NUMBER, got {item!r}") from None
+    return {**inputs, "tolerances": _tolerance_overrides(overrides)}
 
 
 def _run_verify(surface, inputs: dict, opts: dict, expect: dict | None) -> int:
@@ -345,11 +350,10 @@ def _cmd_verify_family(args) -> int:
     return _run_verify(surface, inputs, opts, expect)
 
 
-def _load_chart(path: str, attr: str):
-    """The callable ``attr`` of the Python file ``path``; ValueError naming
-    --py or --attr when the file is no loadable module, raises anything at
-    import (a SyntaxError or a sys.exit too, not a KeyboardInterrupt), or
-    has no such callable."""
+def _load_chart(path: str):
+    """The callable ``chart`` of the Python file ``path``; ValueError naming
+    --py when the file is no loadable module, raises anything at import (a
+    SyntaxError or a sys.exit too, not a KeyboardInterrupt), or has none."""
     spec = importlib.util.spec_from_file_location("rwsurf_user_map", path)
     if spec is None:
         raise ValueError(f"--py {path!r} cannot be loaded as a Python module")
@@ -360,9 +364,9 @@ def _load_chart(path: str, attr: str):
     except (Exception, SystemExit) as exc:
         raise ValueError(f"--py {path!r} failed at import: "
                          f"{type(exc).__name__}: {exc}") from None
-    chart = getattr(module, attr, None)
+    chart = getattr(module, "chart", None)
     if not callable(chart):
-        raise ValueError(f"--attr {attr!r} is not a callable defined in {path!r}")
+        raise ValueError(f"--py {path!r} defines no callable chart")
     return chart
 
 
@@ -385,7 +389,7 @@ def _cmd_verify_user_map(args) -> int:
              _parse_span(args.chart_v_span, "--chart-v-span"))
     # every flag is refused before the chart file runs
     surface = finite_difference_jet(
-        _load_chart(args.py, args.attr), space, *spans,
+        _load_chart(args.py), space, *spans,
         name=f"user-map:{os.path.basename(args.py)}")
     return _run_verify(surface, inputs, opts, None)
 
@@ -456,6 +460,7 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    import json
     from .verdicts import VerificationReport
     try:  # a file that is no UTF-8 or no JSON is named like a malformed one
         with open(args.path, "r", encoding="utf-8") as fh:

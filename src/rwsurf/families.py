@@ -21,7 +21,7 @@ control) and the solve over (0, u_end) (None for product)."""
 
 def _solve_thm4(p, interval, config=None):
     from . import solvers
-    constants = solvers.validate_constants_l4(p["a"], p["H0"], p.get("c2"))
+    constants = solvers.validate_constants_l4(p["a"], p["H0"])
     return solvers.solve_rotational_warp(constants, p["f0"], p["f0p"],
                                          interval, config)
 
@@ -61,7 +61,7 @@ def _build_product(p):
 FAMILIES = {
     "thm4": Family(
         "rotational surface in the 4-dim warped spacetime (warp from its ODE)",
-        (Param("a"), Param("H0"), Param("c2", False), Param("f0"), Param("f0p"),
+        (*map(Param, ("a", "H0", "f0", "f0p")),
          Param("u_end", False, 1.0, "integration horizon (default 1.0)")),
         _build_thm4, _solve_thm4),
     "thm5": Family(

@@ -52,6 +52,19 @@ TOLERANCE_ENTRIES = {
 }
 
 
+def _tolerance_overrides(overrides: dict) -> dict:
+    """``overrides``; ValueError naming a name not in TOLERANCE_ENTRIES or a
+    value that is not finite and positive."""
+    unknown = sorted(set(overrides) - set(TOLERANCE_ENTRIES))
+    if unknown:
+        raise ValueError(f"no tolerance entry named {', '.join(unknown)}")
+    for name, tol in overrides.items():
+        if not 0.0 < float(tol) < math.inf:
+            raise ValueError(f"tolerance {name} must be finite and positive, "
+                             f"got {tol!r}")
+    return overrides
+
+
 @dataclass(frozen=True)
 class CheckEntry:
     name: str
@@ -346,14 +359,7 @@ def verify_surface(surface: Jet2Immersion, grid=(17, 17),
             raise ValueError(f"{name} must be (lo, hi), got {tuple(given)}")
         if given is not None and not all(map(math.isfinite, given)):
             raise ValueError(f"{name} ends must be finite, got {tuple(given)}")
-    overrides = tolerances or {}
-    unknown = sorted(set(overrides) - set(TOLERANCE_ENTRIES))
-    if unknown:
-        raise ValueError(f"no tolerance entry named {', '.join(unknown)}")
-    for name, tol in overrides.items():
-        if not 0.0 < float(tol) < math.inf:
-            raise ValueError(f"tolerance {name} must be finite and positive, "
-                             f"got {tol!r}")
+    overrides = _tolerance_overrides(tolerances or {})
     expect = expect or {}
 
     def span(given, lo, hi):

@@ -599,9 +599,9 @@ def reference_warp_system(constants, ics, interval, config=None):
         fpp, ypp = second(fv, fp, yp)
         return fv, fp, fpp, yv, yp, ypp
 
-    def max_equation_residual(samples=200):
+    def max_equation_residual():
         residuals = []
-        for t in np.linspace(*dense.interval, samples).tolist():
+        for t in np.linspace(*dense.interval, 200).tolist():
             fv, fp, fpp, _, yp, ypp = state(t)
             residuals += solvers.system_equation_residuals(
                 constants, fv, fp, fpp, yp, ypp)

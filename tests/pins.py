@@ -113,6 +113,15 @@ def _refused(key, argv, error, **row):
     return Run(key, argv, 2, lines=(f"error: {error}",), **row)
 
 
+def _unrecognized(key, argv, *flag):
+    """``flag``, which no subcommand takes, refused (exit 2) by the
+    subcommand ``argv`` runs, under that subcommand's usage."""
+    return Run(key, [*argv, *flag], 2, lines=(
+        f"rwsurf {' '.join(argv[:2])}: error: unrecognized arguments: "
+        f"{' '.join(flag)}",), absent=(
+        "usage: rwsurf [-h] {verify,solve,scan,report} ...",))
+
+
 PIN_RUNS = [
     Run("scan_h4", ["scan", "h4", "--csv", "scan_h4.csv"], 0, ("scan_h4.csv",)),
     Run("scan_slice", ["scan", "slice", "--c", "1", "--csv", "scan_slice.csv"],
@@ -168,11 +177,18 @@ PIN_RUNS = [
              ["verify", "product", "--b1", "1", "--b2", "0.6", "--grid", "5x5"],
              "ConstraintError: b2^2 + b3^2 = 1/(b1^2+2) unsolvable: b2^2 "
              "exceeds 0.3333333333333333"),
-    # the stencil substep is no flag
-    Run("product_substep", [*PRODUCT, "--grid", "5x5", "--substep", "1e-3"], 2,
-        lines=("rwsurf: error: unrecognized arguments: --substep 1e-3",)),
+    # the stencil substep is no flag, nor thm4's c2, which a and H0 fix
+    _unrecognized("product_substep", [*PRODUCT, "--grid", "5x5"],
+                  "--substep", "1e-3"),
+    _unrecognized("thm4_c2", [*THM4, "--grid", "5x5"],
+                  "--c2", "0.86602540378444"),
     _refused("force_b4_without_b2", [*PRODUCT, "--force-b4", "--grid", "3x3"],
              "ValueError: --force-b4 needs explicit --b2 and --b3"),
+    # a tolerance is refused before the family is solved
+    _refused("thm4_nan_tol", [*THM4, "--grid", "3x3", "--tol", "pmcv=nan"],
+             "ValueError: tolerance pmcv must be finite and positive, got nan",
+             absent=("warp integration: monitor:blow-up, estimated blow-up at "
+                     "t=0.178422, admissible interval [0, 0.178422]",)),
     # a negative infinite end is written with "=": argparse reads "-inf"
     # after a space as an option; the solve stops at its monitor
     Run("f4_negative_infinite_end", [*F4, "--f0p", "2", "--u1=-inf"], 0,
@@ -192,14 +208,13 @@ PIN_RUNS = [
         "  [FAIL] pmcv                     3.535534e+00  (tol 1e-05)",
         "  [pass] biconservativity         2.479565e-07  (tol 1e-05)",
         "verdict: fail")),
-    # an ambient with no room for e4 (the later --n wins), and an --attr the
-    # file does not define
+    # an ambient with no room for e4 (the later --n wins), and no --attr: the
+    # chart is the file's chart
     _refused("sphere_chart_n3", [*SPHERE, "--grid", "3x3", "--n", "3"],
              "DimensionMismatchError: need n >= 4 (the adapted frame needs "
              "room for e4), got n = 3"),
-    _refused("sphere_chart_no_attr", [*SPHERE, "--grid", "5x5", "--attr", "nope"],
-             f"ValueError: --attr 'nope' is not a callable defined in "
-             f"{chart('sphere_chart')!r}"),
+    _unrecognized("sphere_chart_no_attr", [*SPHERE, "--grid", "5x5"],
+                  "--attr", "chart"),
     # a middle report row at the time where the warp t - 1 vanishes
     Run("vanishing_chart", [
         "verify", "user-map", "--py", chart("vanishing_chart"), "--ambient",
@@ -219,6 +234,10 @@ PIN_RUNS = [
              absent=("chart imported",)),
     _refused("printing_chart_c", _user_map("printing_chart", "--c", "-1"),
              "ValueError: --c applies to --ambient product, not warped-flat",
+             absent=("chart imported",)),
+    _refused("printing_chart_tol",
+             _user_map("printing_chart", "--tol", "bogus=1"),
+             "ValueError: no tolerance entry named bogus",
              absent=("chart imported",)),
     _refused("sphere_chart_warp", [*SPHERE, "--grid", "3x3", "--warp", "exp:3"],
              "ValueError: --warp applies to --ambient warped-flat, not product"),

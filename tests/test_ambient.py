@@ -45,7 +45,7 @@ def test_warp_interval_and_zero_guards():
 
 
 def test_warp_interval_slack_is_relative_1e12():
-    w = rw.WarpingFunction.exponential(1.0, (0.0, 2.0))
+    w = rw.WarpingFunction(rw.WarpingFunction.exponential(1.0).fn, (0.0, 2.0))
     # the slack is 1e-12 x max(1, |lo|, |hi|) = 2e-12 past either end
     assert w(2.0 + 1e-12)[0] == pytest.approx(math.exp(2.0 + 1e-12), rel=1e-15)
     for t in (2.0 + 5e-11, -5e-12):

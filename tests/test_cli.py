@@ -324,7 +324,9 @@ def test_degenerate_interval_exits_2_naming_it(capsys):
     (["solve", "f4", "--a", "2", "--H0", "0.5", "--f0", "0", "--f0p", "2"],
      "SingularWarpError: f0 must be non-zero"),
     (SYS5_ARGS + ["--f0", "0"], "SingularWarpError: f0 must be non-zero"),
-    (THM4_ARGS + ["--c2", "-0.5"], "ConstraintError: c2 > 0 violated"),
+    # c2 is derived: the member whose c2 would be 0 has b^2 = 0
+    (["verify", "thm4", "--a", "1", "--H0", "0.5", "--f0", "1", "--f0p", "2"],
+     "ConstraintError: a^2 - 4 H0^2 > 0 violated: 0.0"),
     (["verify", "thm5", "--a", "2", "--H0", "1", "--c2", "5e-7", "--c3",
       "5e-7", "--f0", "1.5", "--f0p", "1.2", "--y0", "0.4", "--y0p", "-0.7"],
      "ConstraintError: a^2 - 4 H0^2 > 0 violated: 0.0"),
@@ -1071,31 +1073,32 @@ def test_surface_csv_writes_nan_where_the_chart_fails(tmp_path, capsys):
         assert np.isnan(phi).all() or np.isfinite(phi).all()
 
 
-@pytest.mark.parametrize("name, text, attr, flag", [
-    ("chart.py", "def chart(u, v):\n    return (u, v, 0.0, 0.0)\n", "nope",
-     "--attr"),
-    ("chart.py", "chart = 3\n", "chart", "--attr"),
-    ("chart.py", "def chart(u, v):\n    return (u, v,\n", "chart", "--py"),
-    ("chart.txt", "def chart(u, v):\n    return (u, v, 0.0, 0.0)\n", "chart",
-     "--py"),
-    ("chart.py", "raise RuntimeError('boom')\n", "chart", "--py"),
-    ("chart.py", "import sys\nsys.exit(3)\n", "chart", "--py"),
+@pytest.mark.parametrize("name, text, reason", [
+    ("chart.py", "def surface(u, v):\n    return (u, v, 0.0, 0.0)\n",
+     "defines no callable chart"),
+    ("chart.py", "chart = 3\n", "defines no callable chart"),
+    ("chart.py", "def chart(u, v):\n    return (u, v,\n",
+     "failed at import: SyntaxError: "),
+    ("chart.txt", "def chart(u, v):\n    return (u, v, 0.0, 0.0)\n",
+     "cannot be loaded as a Python module"),
+    ("chart.py", "raise RuntimeError('boom')\n",
+     "failed at import: RuntimeError: boom"),
+    ("chart.py", "import sys\nsys.exit(3)\n", "failed at import: SystemExit: 3"),
 ], ids=["undefined-attr", "attr-not-callable", "does-not-compile",
         "not-a-module", "raises-at-import", "exits-at-import"])
-def test_user_map_chart_that_cannot_be_loaded_exits_2(name, text, attr, flag,
+def test_user_map_chart_that_cannot_be_loaded_exits_2(name, text, reason,
                                                       tmp_path, capsys):
+    # the chart is the file's callable named chart (there is no --attr)
     py = tmp_path / name
     py.write_text(text)
-    code = main(["verify", "user-map", "--py", str(py), "--attr", attr,
+    code = main(["verify", "user-map", "--py", str(py),
                  "--ambient", "warped-flat", "--n", "4",
                  "--chart-u-span=-1:1", "--chart-v-span=-1:1", "--grid", "3x3"])
     assert code == 2
     out = capsys.readouterr()
     assert out.out == ""
-    assert out.err.startswith(f"error: ValueError: {flag} {attr!r} "
-                              if flag == "--attr" else
-                              f"error: ValueError: --py {str(py)!r} ")
-    assert repr(str(py)) in out.err and out.err.count("\n") == 1
+    assert out.err.startswith(f"error: ValueError: --py {str(py)!r} {reason}")
+    assert out.err.count("\n") == 1
 
 
 @pytest.mark.parametrize("flags, message", [
@@ -1252,8 +1255,10 @@ def test_malformed_grid_or_span_names_the_flag(capsys, flag, value, form):
     ("--u-span", "1:0", "--u-span must be lo:hi with finite lo < hi"),
     ("--v-span", "0.1", "--v-span must be lo:hi, got '0.1'"),
     ("--tol", "pmcv=abc", "--tol expects NAME=NUMBER, got 'pmcv=abc'"),
+    ("--tol", "bogus=1", "no tolerance entry named bogus"),
+    ("--tol", "pmcv=nan", "tolerance pmcv must be finite and positive, got nan"),
 ], ids=["grid-below-3", "grid-form", "u-span-reversed", "v-span-form",
-        "tol-value"])
+        "tol-value", "tol-name", "tol-nan"])
 def test_bad_verify_flag_is_refused_before_the_family_solve(
         monkeypatch, capsys, flag, value, message):
     def no_solve(*args, **kwargs):
@@ -1276,7 +1281,9 @@ def test_substep_is_no_flag_and_no_config_key(tmp_path, capsys):
         main(argv + ["--substep", "1e-3"])
     assert exc.value.code == 2
     out, err = capsys.readouterr()
-    assert out == "" and "unrecognized arguments: --substep 1e-3" in err
+    assert out == "" and err.startswith("usage: rwsurf verify product ")
+    assert err.endswith("\nrwsurf verify product: error: unrecognized "
+                        "arguments: --substep 1e-3\n")
     cfg = tmp_path / "cfg.txt"
     cfg.write_text("substep = 1e-3\n")
     assert main(argv + ["--config", str(cfg)]) == 2
@@ -1288,3 +1295,21 @@ def test_substep_is_no_flag_and_no_config_key(tmp_path, capsys):
             main(["verify", kind, "--help"])
         text = capsys.readouterr().out
         assert "--grid" in text and "--substep" not in text
+
+
+@pytest.mark.parametrize("argv, key", [
+    (THM4_ARGS, "c2"), ([*pins.SPHERE, "--grid", "3x3"], "attr")],
+    ids=["thm4-c2", "user-map-attr"])
+def test_removed_value_is_no_flag_and_no_config_key(argv, key, tmp_path,
+                                                    capsys):
+    # thm4's c2 is derived from a and H0, and a user map's chart is the
+    # file's chart: neither is a flag (pins.PIN_RUNS refuses each) nor a key
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(f"{key} = 1\n")
+    assert main(argv + ["--config", str(cfg)]) == 2
+    assert capsys.readouterr() == ("", f"error: ValueError: unknown config "
+                                       f"keys: {key}\n")
+    with pytest.raises(SystemExit):
+        main([*argv[:2], "--help"])
+    text = capsys.readouterr().out
+    assert "--grid" in text and f"--{key}" not in text

@@ -116,9 +116,10 @@ def test_the_family_table_has_one_home():
 
 
 def test_the_front_end_loads_no_record_machinery_and_no_numpy():
-    # -S keeps site .pth files (certifi's, say) out of sys.modules
+    # -S keeps site .pth files (certifi's, say) out of sys.modules; json
+    # loads with the report command, the one that reads it
     code = ("import sys, rwsurf.cli\n"
-            "print(sorted({'dataclasses', 'typing', 'numpy'}"
+            "print(sorted({'dataclasses', 'typing', 'numpy', 'json'}"
             " & set(sys.modules)))\n")
     src = pathlib.Path(rw.__file__).resolve().parents[1]
     out = subprocess.run([sys.executable, "-S", "-c", code], check=True,

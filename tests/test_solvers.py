@@ -739,8 +739,13 @@ def test_validate_l4_derives_c2():
 
 
 def test_validate_l4_rejects_bad_closure():
-    with pytest.raises(ConstraintError, match="c2"):
-        rw.validate_constants_l4(2.0, 0.5, c2=0.5)
+    # c2 is derived, and c2 > 0 is b^2 = a^2 - 4 H0^2 > 0: the member whose
+    # c2 would be 0 is refused by the b^2 rule, and no c2 is taken
+    with pytest.raises(ConstraintError,
+                       match="a\\^2 - 4 H0\\^2 > 0 violated: 0.0"):
+        rw.validate_constants_l4(1.0, 0.5)
+    with pytest.raises(TypeError):
+        rw.validate_constants_l4(2.0, 0.5, 0.5)
     with pytest.raises(ConstraintError, match="a\\^2"):
         rw.validate_constants_l4(1.0, 0.6)
     with pytest.raises(ConstraintError):
@@ -782,7 +787,7 @@ _L5 = rw.validate_constants_l5(*L5_CONSTANTS)
 @pytest.mark.parametrize("build, args, name", [
     (rw.validate_constants_l4, (math.nan, 0.5), "a"),
     (rw.validate_constants_l4, (2.0, math.nan), "H0"),
-    (rw.validate_constants_l4, (2.0, 0.5, math.inf), "c2"),
+    (rw.validate_constants_l4, (math.inf, math.nan), "a"),  # the first one
     (rw.validate_constants_l5, (2.0, 0.6, math.nan, 0.64), "c2"),
     (rw.validate_constants_l5, (2.0, 0.6, 0.48, -math.inf), "c3"),
     (rw.validate_constants_product, (math.nan, None, 0.5), "b1"),
@@ -993,13 +998,10 @@ def test_max_equation_residual_propagates_nan(l5_solution, monkeypatch):
         return (math.nan, r2) if len(calls) == 100 else (r1, r2)
 
     monkeypatch.setattr(solvers, "_system_residuals", lambda: nan_at_100th)
-    assert math.isnan(l5_solution.max_equation_residual(200))
+    assert math.isnan(l5_solution.max_equation_residual())
     assert len(calls) == 200
     monkeypatch.undo()
-    assert 0.0 < l5_solution.max_equation_residual(200) < 1e-6
-    for samples in (0, -1):
-        with pytest.raises(ValueError, match="samples"):
-            l5_solution.max_equation_residual(samples)
+    assert 0.0 < l5_solution.max_equation_residual() < 1e-6
 
 
 def test_system_completes_on_fixture(l5_solution):
@@ -1008,7 +1010,7 @@ def test_system_completes_on_fixture(l5_solution):
 
 
 def test_system_equation_residuals_along_trajectory(l5_solution):
-    assert l5_solution.max_equation_residual(200) < 1e-6
+    assert l5_solution.max_equation_residual() < 1e-6
 
 
 def test_system_back_substitution_pointwise(l5_solution):
@@ -1075,12 +1077,13 @@ def test_state_cache_evaluates_each_time_once(l5_constants, monkeypatch):
     calls = _counting(monkeypatch)
     sol = _fresh_l5_solution(l5_constants)
     calls.update(dense=0, solve=0)
-    ts = np.linspace(*sol.warp.interval, 50).tolist()
+    # the 200 times max_equation_residual reads
+    ts = np.linspace(*sol.warp.interval, 200).tolist()
     warps = [sol.warp(t) for t in ts]
-    assert calls == {"dense": 50, "solve": 50}
+    assert calls == {"dense": 200, "solve": 200}
     ys = [sol.y_state(t) for t in ts]
-    residual = sol.max_equation_residual(50)
-    assert calls == {"dense": 50, "solve": 50}
+    residual = sol.max_equation_residual()
+    assert calls == {"dense": 200, "solve": 200}
     assert [w + y for w, y in zip(warps, ys)] == [sol.state(t) for t in ts]
     assert 0.0 < residual < 1e-6
     assert sol.state.cache_info().maxsize == solvers._STATE_CACHE_SIZE
@@ -1217,7 +1220,8 @@ def test_fixed_step_warp_across_its_blow_up_matches_the_reference():
 
 def test_warp_samples_are_python_floats(l4_solution, l5_solution):
     warps = [l4_solution.warp, l5_solution.warp,
-             rw.WarpingFunction.exponential(0.5, (-1.0, 1.0))]
+             rw.WarpingFunction(rw.WarpingFunction.exponential(0.5).fn,
+                                (-1.0, 1.0))]
     for warp in warps:
         for t in _path_times(warp.interval)[:-2]:  # those past the band raise
             assert all(type(x) is float for x in warp(t))
@@ -1349,7 +1353,7 @@ def test_system_solve_makes_no_linalg_solve_call(l5_constants, monkeypatch):
     sol = rw.solve_warp_system(l5_constants, (1.5, 1.2, 0.4, -0.7), (0.0, 0.2))
     sol.warp(0.1)
     sol.y_state(0.1)
-    assert sol.max_equation_residual(20) < 1e-9
+    assert sol.max_equation_residual() < 1e-9
 
 
 @pytest.mark.parametrize("position", range(4))
