@@ -173,21 +173,14 @@ def second_fundamental_form(frame: FrameData, G,
     return dataclasses.replace(sfd, A=A)
 
 
-def shape_operator(sfd: SecondFundamentalData, xi, G,
-                   frame: FrameData | None = None) -> np.ndarray:
+def shape_operator(sfd: SecondFundamentalData, xi, G) -> np.ndarray:
     """Shape operator matrix of a unit normal direction in the orthonormal
     tangent frame: (A_xi)_ij = <h(e_i, e_j), xi>.
 
-    xi must satisfy |<xi, xi>| = 1; when ``frame`` is supplied, orthogonality
-    to the tangent plane is checked as well.  A NaN fails both checks.
+    xi must satisfy |<xi, xi>| = 1; a NaN fails the check.
     """
     if not np.all(np.abs(np.abs(inner(xi, xi, G)) - 1.0) <= 1e-8):
         raise ValueError("shape_operator needs a unit normal direction")
-    if frame is not None:
-        tilt = np.maximum(np.abs(inner(xi, frame.e1, G)),
-                          np.abs(inner(xi, frame.e2, G)))
-        if not np.all(tilt <= 1e-8):
-            raise ValueError("shape_operator: xi is not normal to the surface")
     return _pairing_matrix(sfd.h11, sfd.h12, sfd.h22, xi, G)
 
 

@@ -26,18 +26,20 @@ import pins  # noqa: E402
 
 
 def write_outputs(directory: pathlib.Path) -> dict:
-    """Run every row of the pin table in ``directory``, leave each pinned
-    output there under its name, and return the digest of each name."""
+    """Run every row of the pin table in a temporary directory, write each
+    pinned output to ``directory`` under its name, and return the digest of
+    each name."""
     digests = {}
-    for row in pins.PIN_RUNS:
-        code, stdout, stderr = pins.run(row.argv, directory)
-        found = pins.problems(row, code, stdout, stderr, directory)
-        if found:
-            sys.exit(f"repin: {row.key}: {'; '.join(found)}")
-        for name in row.outputs:
-            data = pins.output(name, stdout, directory)
-            (directory / name).write_bytes(data)
-            digests[name] = pins.sha256(data)
+    with tempfile.TemporaryDirectory() as scratch:
+        ran = pathlib.Path(scratch)
+        for row, code, stdout, stderr, added in pins.run_table(pins.run, ran):
+            found = pins.problems(row, code, stdout, stderr, added, ran)
+            if found:
+                sys.exit(f"repin: {row.key}: {'; '.join(found)}")
+            for name in row.outputs:
+                data = pins.output(name, stdout, ran)
+                (directory / name).write_bytes(data)
+                digests[name] = pins.sha256(data)
     report = pins.nan_cornered_report().to_json().encode()
     (directory / pins.NAN_CORNERED).write_bytes(report)
     digests[pins.NAN_CORNERED] = pins.sha256(report)

@@ -21,44 +21,7 @@ import pins
 
 
 THM4_ARGS = [*pins.THM4, "--grid", "7x7"]
-
-
-def test_verify_thm4_passes(tmp_path, capsys):
-    out = tmp_path / "report.json"
-    code = main(THM4_ARGS + ["--out", str(out)])
-    assert code == 0
-    report = json.loads(out.read_text())
-    assert report["schema"] == "rwsurf.verification/1"
-    assert report["verdict"] == "pass"
-    names = {e["name"] for e in report["entries"]}
-    assert {"pmcv", "biconservativity", "codazzi_1", "codazzi_2",
-            "reduced_pairing"} <= names
-    text = capsys.readouterr().out
-    assert "verdict: pass" in text
-
-
-def test_verify_product_constraint_violation_exits_2(capsys):
-    code = main(["verify", "product", "--b1", "1", "--b3", "0.5",
-                 "--b2", "0.4"])
-    assert code == 2
-    assert "b2^2 + b3^2" in capsys.readouterr().err
-
-
-def test_verify_product_nan_constant_exits_2(capsys):
-    code = main(["verify", "product", "--b1", "1", "--b2", "nan", "--b3", "0.5",
-                 "--grid", "5x5"])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert "error: ConstraintError: b2 must be finite" in captured.err
-    assert "verdict" not in captured.out
-
-
-def test_unknown_tolerance_override_exits_2(capsys):
-    code = main(THM4_ARGS + ["--tol", "pmvc=1e-30"])  # a typo for pmcv
-    captured = capsys.readouterr()
-    assert code == 2
-    assert "error: ValueError" in captured.err and "pmvc" in captured.err
-    assert "verdict" not in captured.out
+SYS5_ARGS = pins.SYS5
 
 
 def test_package_imports_no_test_code(tmp_path):
@@ -123,29 +86,6 @@ def test_commands_without_geometry_work_import_no_numpy(tmp_path):
                                                 True]
 
 
-def test_verify_product_forced_break_fails(capsys):
-    code = main(["verify", "product", "--b1", "1", "--b3", "0.5",
-                 "--b2", "0.4", "--force-b4", "--grid", "7x7"])
-    assert code == 1
-    out = capsys.readouterr().out
-    assert "[FAIL] pmcv" in out
-
-
-def test_verify_product_valid_member(capsys):
-    code = main(["verify", "product", "--b1", "1", "--b3", "0.5",
-                 "--grid", "7x7"])
-    assert code == 0
-    assert "dim N2 = 3" in capsys.readouterr().out
-
-
-def test_verify_thm5_passes(capsys):
-    code = main(["verify", "thm5", "--a", "2", "--H0", "0.6", "--c2", "0.48",
-                 "--c3", "0.64", "--f0", "1.5", "--f0p", "1.2", "--y0", "0.4",
-                 "--y0p", "-0.7", "--grid", "7x7"])
-    assert code == 0
-    assert "verdict: pass" in capsys.readouterr().out
-
-
 def test_solve_f4_csv(tmp_path, capsys):
     csv = tmp_path / "dense.csv"
     code = main(["solve", "f4", "--a", "2", "--H0", "0.5", "--f0", "1",
@@ -161,18 +101,6 @@ def test_solve_f4_csv(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "stop reason: monitor:blow-up, estimated blow-up at t=0.178421966" \
         in out
-
-
-def test_solve_sys5_csv(tmp_path, capsys):
-    csv = tmp_path / "sys.csv"
-    code = main(["solve", "sys5", "--a", "2", "--H0", "0.6", "--c2", "0.48",
-                 "--c3", "0.64", "--f0", "1.5", "--f0p", "1.2", "--y0", "0.4",
-                 "--y0p", "-0.7", "--u1", "0.5", "--csv", str(csv),
-                 "--samples", "5"])
-    assert code == 0
-    lines = csv.read_text().strip().splitlines()
-    assert lines[0] == "t,f,fp,fpp,y,yp,ypp"
-    assert "max equation residual" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("argv, fixture", [
@@ -198,195 +126,6 @@ def test_solve_defaults_are_the_certified_family_solve(argv, fixture, request,
     assert rows == want
 
 
-def test_solve_f4_inadmissible_exits_2(capsys):
-    code = main(["solve", "f4", "--a", "2", "--H0", "0.5", "--f0", "1",
-                 "--f0p", "0"])
-    assert code == 2
-    assert "AdmissibilityError" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("command", [["solve", "f4"], ["verify", "thm4"]],
-                         ids=["solve", "verify"])
-@pytest.mark.parametrize("f0p, message", [
-    ("1e60", "integration could not take a single step\n"),
-    ("-1e60", "integration could not take a single step\n"),
-    ("1e80", "the derivative at the initial state t=0.0 is not finite "
-             "(OverflowError: "),
-], ids=["1e60", "-1e60", "1e80"])
-def test_huge_initial_slope_exits_2(capsys, command, f0p, message):
-    # an admissible slope too steep to take a step from, not a failed check
-    code = main([*command, "--a", "2", "--H0", "0.5", "--f0", "1", f"--f0p={f0p}"])
-    assert code == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err.startswith(f"error: AdmissibilityError: {message}")
-
-
-SYS5_ARGS = pins.SYS5
-
-
-@pytest.mark.parametrize("argv, name", [
-    (["solve", "f4", "--a", "2", "--H0", "0.5", "--f0", "nan", "--f0p", "2"], "f0"),
-    (["solve", "f4", "--a", "2", "--H0", "0.5", "--f0", "1", "--f0p", "inf"], "f0p"),
-    (SYS5_ARGS + ["--f0p", "nan"], "f0p"),
-    (SYS5_ARGS + ["--y0=-inf"], "y0"),
-    (THM4_ARGS + ["--f0p", "nan"], "f0p"),
-], ids=["f4-f0", "f4-f0p", "sys5-f0p", "sys5-y0", "verify-thm4-f0p"])
-def test_non_finite_initial_condition_exits_2(capsys, argv, name):
-    code = main(argv)
-    captured = capsys.readouterr()
-    assert code == 2
-    assert f"error: ConstraintError: {name} must be finite" in captured.err
-
-
-@pytest.mark.parametrize("argv, name", [
-    (["solve", "f4", "--a", "2", "--H0", "0.5", "--f0", "1", "--f0p", "2",
-      "--rtol", "inf"], "rtol"),
-    (["solve", "f4", "--a", "2", "--H0", "0.5", "--f0", "1", "--f0p", "2",
-      "--rtol", "nan"], "rtol"),
-    (SYS5_ARGS + ["--atol", "nan"], "atol"),
-    (SYS5_ARGS + ["--atol", "inf"], "atol"),
-], ids=["f4-rtol-inf", "f4-rtol-nan", "sys5-atol-nan", "sys5-atol-inf"])
-def test_non_finite_solver_tolerance_exits_2(capsys, argv, name):
-    code = main(argv)
-    captured = capsys.readouterr()
-    assert code == 2
-    assert f"error: ConstraintError: {name} must be finite" in captured.err
-    assert "stop reason" not in captured.out
-
-
-@pytest.mark.parametrize("argv", [
-    ["solve", "f4", "--a", "2", "--H0", "0.5", "--f0", "1", "--f0p", "2",
-     "--u0", "nan"],
-    ["solve", "f4", "--a", "2", "--H0", "0.5", "--f0", "1", "--f0p", "2",
-     "--u1", "nan"],
-    THM4_ARGS + ["--u-end", "nan"],
-], ids=["f4-u0", "f4-u1", "verify-thm4-u-end"])
-def test_nan_interval_endpoint_exits_2(capsys, argv):
-    code = main(argv)
-    captured = capsys.readouterr()
-    assert code == 2
-    assert "error: ConstraintError: integration interval" in captured.err
-    assert "NaN endpoint" in captured.err
-
-
-@pytest.mark.parametrize("argv", [
-    ["solve", "f4", "--a", "2", "--H0", "0.5", "--f0", "1", "--f0p", "2",
-     "--u0", "inf"],
-    SYS5_ARGS + ["--u0=-inf"],
-], ids=["f4", "sys5"])
-def test_infinite_start_time_exits_2(capsys, argv):
-    code = main(argv)
-    captured = capsys.readouterr()
-    assert code == 2
-    assert ("error: ConstraintError: integration interval [" in captured.err
-            and "] has an infinite start" in captured.err)
-    assert "stop reason" not in captured.out
-
-
-@pytest.mark.parametrize("argv, stop", [
-    (["solve", "f4", "--a", "2", "--H0", "0.5", "--f0", "1", "--f0p", "2",
-      "--u1", "inf"], "stop reason: monitor:blow-up, estimated blow-up at "
-                      "t=0.178421966"),
-    (SYS5_ARGS + ["--u1", "inf"], "stop reason: monitor:spacelike\n"
-                                  "interval: [0, 2.2230"),
-], ids=["f4", "sys5"])
-def test_infinite_end_time_solves_to_its_monitor_stop(capsys, argv, stop):
-    assert main(argv) == 0
-    assert stop in capsys.readouterr().out
-
-
-F4_ARGS = ["solve", "f4", "--a", "2", "--H0", "0.5", "--f0", "1", "--f0p", "2"]
-
-
-def test_a_negative_infinite_end_is_written_with_equals(capsys):
-    # argparse reads "-inf" after a space as an option, not as --u1's value
-    with pytest.raises(SystemExit) as exc:
-        main(F4_ARGS + ["--u1", "-inf"])
-    assert exc.value.code == 2
-    assert "argument --u1: expected one argument" in capsys.readouterr().err
-    assert main(F4_ARGS + ["--u1=-inf"]) == 0
-    out = capsys.readouterr().out
-    assert "stop reason: monitor:admissible\n" in out
-    assert "admissible interval: [-10.331118108683006, 0]" in out
-
-
-def test_degenerate_interval_exits_2_naming_it(capsys):
-    assert main(THM4_ARGS + ["--u-end", "0"]) == 2
-    assert capsys.readouterr().err == (
-        "error: ConstraintError: integration interval [0.0, 0.0] is "
-        "degenerate\n")
-
-
-@pytest.mark.parametrize("argv, message", [
-    (["verify", "product", "--b1", "1", "--b3", "0.5", "--force-b4"],
-     "ValueError: --force-b4 needs explicit --b2 and --b3"),
-    (["solve", "f4", "--a", "2", "--H0", "0.5", "--f0", "0", "--f0p", "2"],
-     "SingularWarpError: f0 must be non-zero"),
-    (SYS5_ARGS + ["--f0", "0"], "SingularWarpError: f0 must be non-zero"),
-    # c2 is derived: the member whose c2 would be 0 has b^2 = 0
-    (["verify", "thm4", "--a", "1", "--H0", "0.5", "--f0", "1", "--f0p", "2"],
-     "ConstraintError: a^2 - 4 H0^2 > 0 violated: 0.0"),
-    (["verify", "thm5", "--a", "2", "--H0", "1", "--c2", "5e-7", "--c3",
-      "5e-7", "--f0", "1.5", "--f0p", "1.2", "--y0", "0.4", "--y0p", "-0.7"],
-     "ConstraintError: a^2 - 4 H0^2 > 0 violated: 0.0"),
-    (["verify", "product", "--b1", "1", "--b2", "0"],
-     "ConstraintError: b2 and b3 must be non-zero"),
-], ids=["force-b4-needs-b2-b3", "f4-f0-zero", "sys5-f0-zero", "thm4-c2",
-        "thm5-b2", "product-b2-zero"])
-def test_refused_constants_exit_2_with_their_message(capsys, argv, message):
-    assert main(argv) == 2
-    captured = capsys.readouterr()
-    assert captured.err == f"error: {message}\n"
-    assert "stop reason" not in captured.out
-
-
-@pytest.mark.parametrize("argv", [
-    ["solve", "f4", "--a", "2", "--H0", "0.5", "--f0", "5e-13",
-     "--f0p", "2e-12"],
-    ["verify", "thm4", "--a", "2", "--H0", "0.5", "--f0", "5e-13",
-     "--f0p", "2e-12", "--grid", "3x3"],
-], ids=["solve-f4", "verify-thm4"])
-def test_warp_below_its_floor_at_the_start_exits_2(capsys, argv):
-    # f0 = 5e-13 is admissible but already below the warp-positive floor
-    # 1e-12: an input error, not a zero-length solve
-    code = main(argv)
-    captured = capsys.readouterr()
-    assert code == 2
-    assert ("error: AdmissibilityError: monitor 'warp-positive' reads "
-            "-5e-13 at the initial state t=0.0") in captured.err
-    assert "admissible interval" not in captured.out
-    assert "verdict" not in captured.out
-
-
-@pytest.mark.parametrize("samples", ["0", "1", "-3"])
-@pytest.mark.parametrize("argv", [
-    ["solve", "f4", "--a", "2", "--H0", "0.5", "--f0", "1", "--f0p", "2"],
-    SYS5_ARGS,
-], ids=["f4", "sys5"])
-def test_solve_rejects_fewer_than_two_samples(tmp_path, capsys, argv, samples):
-    csv = tmp_path / "dense.csv"
-    code = main(argv + ["--csv", str(csv), f"--samples={samples}"])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert ("error: ValueError: --samples must be at least 2, got "
-            f"{samples}") in captured.err
-    assert "written" not in captured.out
-    assert not csv.exists()
-
-
-def test_scan_h4(tmp_path, capsys):
-    csv = tmp_path / "scan.csv"
-    code = main(["scan", "h4", "--theta", "0.1:3:31", "--tau", "0:5:21",
-                 "--csv", str(csv)])
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "bound holds at every node: True" in out
-    lines = csv.read_text().strip().splitlines()
-    assert lines[0] == "theta,tau,residual"
-    assert len(lines) == 1 + 31 * 21
-
-
 def test_csv_rows_are_17_digit_floats(tmp_path, capsys):
     # the CSV writers print every float with repr-exact "{:.17g}"
     fmt = lambda row: ",".join("" if x is None else "{:.17g}".format(x)
@@ -410,13 +149,6 @@ def test_csv_rows_are_17_digit_floats(tmp_path, capsys):
         fmt((t, *solution.warp(t), *solution.y_state(t))) for t in ts.tolist()]
 
 
-def test_scan_h4_bad_range_exits_2(capsys):
-    code = main(["scan", "h4", "--theta", "0:3:5", "--tau", "0:5:5"])
-    assert code == 2
-    code = main(["scan", "h4", "--theta", "1:2:0", "--tau", "0:5:5"])
-    assert code == 2  # empty grid
-
-
 @pytest.fixture(scope="module")
 def pin_table():
     """Each row's problems when the whole pin table runs in-process."""
@@ -424,9 +156,9 @@ def pin_table():
 
 
 # every row of pins.PIN_RUNS, run in table order in one directory: its exit
-# code, its lines, and each output against its line of tests/digests.sha256
-# (re-pinned by tests/repin.py); CI runs the same rows through the installed
-# console script with `python tests/pins.py`
+# code, its lines, Rules A and B, and each output against its line of
+# tests/digests.sha256 (re-pinned by tests/repin.py); CI runs the same rows
+# through the installed console script with `python tests/pins.py`
 @pytest.mark.parametrize("key", [row.key for row in pins.PIN_RUNS])
 def test_pinned_output_bytes(key, pin_table):
     assert pin_table[key] == []
@@ -446,6 +178,185 @@ def test_every_file_of_the_charts_directory_is_read_by_a_row():
     read = {arg for row in pins.PIN_RUNS for arg in row.argv}
     files = [p for p in pins.CHARTS.iterdir() if p.is_file()]
     assert files and [p.name for p in files if str(p) not in read] == []
+
+
+def test_rule_a_a_run_adds_exactly_its_pinned_files(tmp_path):
+    # Rule A: a file the row does not pin is a problem, even beside a
+    # refusal, and so is a pinned file the run did not add
+    row = pins.Run("csv", ["scan", "h4", "--csv", "h4.csv"], 0, ("h4.csv",))
+    assert pins.problems(row, 0, "", "", {"h4.csv"}, tmp_path) == []
+    assert pins.problems(row, 0, "", "", {"h4.csv", "h4.json"},
+                         tmp_path) == ["added h4.json"]
+    assert pins.problems(row, 0, "", "", set(), tmp_path) == [
+        "did not add h4.csv"]
+    refused = pins._refused("refused", ["scan", "h4"], "ValueError: x")
+    assert pins.problems(refused, 2, "", "error: ValueError: x\n",
+                         {"h4.csv"}, tmp_path) == ["added h4.csv"]
+
+
+def test_rule_b_a_refusal_prints_its_declared_lines_alone(tmp_path):
+    # Rule B: a row that declares an error line prints nothing on stdout,
+    # and nothing on stderr but its declared lines
+    row = pins._refused("refused", ["verify", "thm4"], "ValueError: x")
+    err = "error: ValueError: x\n"
+    assert pins.problems(row, 2, "", err, set(), tmp_path) == []
+    assert pins.problems(row, 2, "chart imported\n", err, set(),
+                         tmp_path) == ["stdout 'chart imported\\n'"]
+    noisy = "warp integration: completed\n" + err
+    assert pins.problems(row, 2, "", noisy, set(), tmp_path) == [
+        f"stderr {noisy!r}"]
+
+
+def _rows(cases):
+    """A test of pin-table rows: of the row keys ``cases``, or, given a dict,
+    one case per id of the row it maps to."""
+    if isinstance(cases, dict):
+        @pytest.mark.parametrize("key", list(cases.values()),
+                                 ids=list(cases))
+        def test(key, pin_table):
+            assert pin_table[key] == []
+    else:
+        def test(pin_table):
+            assert {key: pin_table[key] for key in cases} == {
+                key: [] for key in cases}
+    return test
+
+
+# Each CLI check under the test id that names it: a view of its rows'
+# problems, so the ids stay stable as rows are added.  The runs, their exit
+# codes and lines are stated once, in pins.PIN_RUNS.
+test_verify_thm4_passes = _rows(["thm4_5"])
+test_verify_thm5_passes = _rows(["thm5_5"])
+test_verify_product_valid_member = _rows(["product_5"])
+test_verify_product_forced_break_fails = _rows(["product_force_b4_5"])
+test_verify_user_map_plane = _rows(["plane_5"])
+test_verify_user_map_product_member = _rows(["sphere_chart_5"])
+test_cli_outputs_bit_identical = _rows(["thm4_17"])
+test_residuals_csv_when_grid_cannot_be_built = _rows(["product_no_grid_5"])
+test_solve_sys5_csv = _rows(["sys5"])
+test_scan_h4 = _rows(["scan_h4"])
+test_scan_slice = _rows(["scan_slice"])
+test_verify_product_constraint_violation_exits_2 = _rows(["product_b2=0.4"])
+test_verify_product_nan_constant_exits_2 = _rows(["product_b2=nan"])
+test_unknown_tolerance_override_exits_2 = _rows(["thm4_tol=pmvc=1e-30"])
+test_solve_f4_inadmissible_exits_2 = _rows(["f4_f0p=0"])
+test_degenerate_interval_exits_2_naming_it = _rows(["thm4_u-end=0"])
+test_a_negative_infinite_end_is_written_with_equals = _rows([
+    "f4_negative_infinite_end_spaced", "f4_negative_infinite_end"])
+test_scan_h4_bad_range_exits_2 = _rows(["h4_theta=0:3:5", "h4_theta=1:2:0"])
+test_reversed_scan_range_is_accepted = _rows(["slice_reversed", "h4_reversed"])
+test_report_missing_file = _rows(["report_missing"])
+test_config_file_defaults_and_override = _rows([
+    "thm4_config_u_end", "thm4_config_u_end_grid"])
+test_config_file_skips_comments_and_blank_lines = _rows([
+    "thm4_config", "thm4_config_no_equals"])
+test_config_file_that_is_no_utf8_names_its_file = _rows([
+    "thm4_config_not_utf8"])
+test_config_file_unknown_key_rejected = _rows(["thm4_config_unknown_keys"])
+test_verify_user_map_horizontal_slice_degenerate = _rows(["horizontal_slice"])
+test_huge_initial_slope_exits_2 = _rows({
+    "1e60-solve": "f4_steep_slope", "-1e60-solve": "f4_f0p=-1e60",
+    "1e60-verify": "thm4_f0p=1e60", "-1e60-verify": "thm4_f0p=-1e60"})
+test_non_finite_initial_condition_exits_2 = _rows({
+    "f4-f0": "f4_f0=nan", "f4-f0p": "f4_f0p=inf", "sys5-f0p": "sys5_f0p=nan",
+    "sys5-y0": "sys5_y0=-inf", "verify-thm4-f0p": "thm4_f0p=nan"})
+test_non_finite_solver_tolerance_exits_2 = _rows({
+    f"{kind}-{flag}-{value}": f"{kind}_{flag}={value}"
+    for kind, flag in (("f4", "rtol"), ("sys5", "atol"))
+    for value in ("inf", "nan")})
+test_nan_interval_endpoint_exits_2 = _rows({
+    "f4-u0": "f4_u0=nan", "f4-u1": "f4_u1=nan",
+    "verify-thm4-u-end": "thm4_u-end=nan"})
+test_infinite_start_time_exits_2 = _rows({"f4": "f4_u0=inf",
+                                          "sys5": "sys5_u0=-inf"})
+test_infinite_end_time_solves_to_its_monitor_stop = _rows({
+    "f4": "f4_u1=inf", "sys5": "sys5_u1=inf"})
+test_refused_constants_exit_2_with_their_message = _rows({
+    "force-b4-needs-b2-b3": "force_b4_without_b2", "f4-f0-zero": "f4_f0=0",
+    "sys5-f0-zero": "sys5_f0=0", "thm4-c2": "thm4_a=1",
+    "thm5-b2": "thm5_H0=1", "product-b2-zero": "product_b2=0"})
+test_warp_below_its_floor_at_the_start_exits_2 = _rows({
+    "solve-f4": "f4_below_floor", "verify-thm4": "thm4_below_floor"})
+test_solve_rejects_fewer_than_two_samples = _rows({
+    f"{kind}-{n}": f"{kind}_samples={n}"
+    for kind in ("f4", "sys5") for n in ("0", "1", "-3")})
+test_scan_range_must_be_finite_with_a_count = _rows({
+    f"argv{i}---{key.split('_')[1].replace('=', '-', 1)}": key
+    for i, key in enumerate([
+        "h4_theta=nan:3:5", "slice_theta=0.1:inf:3", "h4_tau=-inf:5:3",
+        "h4_theta=0.1:3", "h4_theta=0.1:3:5:7", "h4_theta=0.1:3:2.5",
+        "h4_tau=0:5:-3", "slice_theta=0.1:3:0", "h4_tau=a:5:3"])})
+test_report_of_json_that_is_not_a_report_exits_2 = _rows({
+    "empty": "not_a_report",
+    **{name: f"report_{name}"
+       for name in ("list", "null", "grid", "entry", "entries", "value")}})
+test_report_that_is_no_json_names_its_file = _rows({
+    "truncated": "report_truncated", "empty": "report_empty",
+    "not-utf-8": "report_not_utf8"})
+test_non_finite_or_non_positive_tolerance_exits_2 = _rows({
+    "pmcv=nan": "thm4_nan_tol",
+    **{item: f"thm4_tol={item}"
+       for item in ("pmcv=inf", "pmcv=0", "pmcv=-1e-6")}})
+test_unparsable_tolerance_names_the_flag = _rows({
+    item: f"thm4_tol={item}" for item in ("pmcv=abc", "pmcv=", "pmcv")})
+test_malformed_or_non_finite_warp_names_the_flag = _rows({
+    spec: f"user-map_warp={spec}"
+    for spec in ("exp:abc", "poly:", "poly:1,x", "const:nan", "exp:inf",
+                 "poly:1,-inf", "exp:1,2", "cosh:1", "sinh", "")})
+test_verify_user_map_wrong_chart_length_exits_2 = _rows({
+    "one-coordinate": "one_coordinate_chart",
+    "six-coordinates": "six_coordinate_chart"})
+test_user_map_with_no_room_for_e4_exits_2 = _rows({
+    "warped-flat": "printing_chart_n3", "product": "sphere_chart_n3"})
+test_user_map_chart_that_cannot_be_loaded_exits_2 = _rows({
+    "undefined-attr": "no_chart", "attr-not-callable": "chart_not_callable",
+    "not-a-module": "not_a_module", "raises-at-import": "raising_chart",
+    "exits-at-import": "exiting_chart"})
+test_user_map_flags_are_refused_before_the_chart_file_runs = _rows({
+    "warp": "printing_chart_bad_warp",
+    "chart-u-span": "user-map_chart-u-span=1:0", "n": "printing_chart_n3"})
+test_non_finite_span_is_invalid_input = _rows({
+    f"{value}---{flag}": f"product_{flag}={value}"
+    for flag in ("u-span", "v-span")
+    for value in ("nan:0.1", "0.1:nan", "-inf:0.1", "0.1:inf", "0.1:0")})
+test_chart_span_must_be_finite_and_ordered = _rows({
+    f"{value}---{flag}": f"user-map_{flag}={value}"
+    for flag in ("chart-u-span", "chart-v-span")
+    for value in ("nan:1", "-1:nan", "-inf:1", "1:0", "0:0")})
+test_malformed_grid_or_span_names_the_flag = _rows({
+    f"--{flag}-{value}-{form}": f"product_{flag}={value}"
+    for flag, value, form in (("grid", "5x5x2", "NUxNV"), ("grid", "5", "NUxNV"),
+                              ("u-span", "0.1", "lo:hi"),
+                              ("v-span", "0:1:2", "lo:hi"))})
+
+
+@pytest.mark.parametrize("command", [["solve", "f4"], ["verify", "thm4"]],
+                         ids=["solve", "verify"])
+def test_overflowing_initial_slope_exits_2(capsys, command):
+    # the message ends in the platform's text for the overflow's errno, so
+    # no pin-table row states it
+    code = main([*command, "--a", "2", "--H0", "0.5", "--f0", "1",
+                 "--f0p=1e80"])
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: AdmissibilityError: the derivative at the "
+                          "initial state t=0.0 is not finite (OverflowError: ")
+
+
+def test_user_map_chart_that_does_not_compile_exits_2(tmp_path, capsys):
+    # the SyntaxError's text is the Python version's, so no pin-table row
+    # states it
+    py = tmp_path / "chart.py"
+    py.write_text("def chart(u, v):\n    return (u, v,\n")
+    assert main(["verify", "user-map", "--py", str(py), "--ambient",
+                 "warped-flat", "--n", "4", "--chart-u-span=-1:1",
+                 "--chart-v-span=-1:1", "--grid", "3x3"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: ValueError: --py {str(py)!r} failed at "
+                          "import: SyntaxError: ")
+    assert err.count("\n") == 1
 
 
 SPECIAL_FLOATS = [-0.0, 5e-324, 1.7976931348623157e308, math.inf, -math.inf,
@@ -536,46 +447,6 @@ def test_solve_sys5_csv_reads_each_row_from_one_state_read(tmp_path,
     assert len(csv.read_text().splitlines()) == 1 + 7
 
 
-@pytest.mark.parametrize("argv, flag, text", [
-    (["scan", "h4", "--theta", "nan:3:5"], "--theta", "nan:3:5"),
-    (["scan", "slice", "--c", "1", "--theta", "0.1:inf:3"], "--theta",
-     "0.1:inf:3"),
-    (["scan", "h4", "--tau=-inf:5:3"], "--tau", "-inf:5:3"),
-    (["scan", "h4", "--theta", "0.1:3"], "--theta", "0.1:3"),
-    (["scan", "h4", "--theta", "0.1:3:5:7"], "--theta", "0.1:3:5:7"),
-    (["scan", "h4", "--theta", "0.1:3:2.5"], "--theta", "0.1:3:2.5"),
-    (["scan", "h4", "--tau", "0:5:-3"], "--tau", "0:5:-3"),
-    (["scan", "slice", "--c", "-1", "--theta", "0.1:3:0"], "--theta",
-     "0.1:3:0"),
-    (["scan", "h4", "--tau", "a:5:3"], "--tau", "a:5:3"),
-])
-def test_scan_range_must_be_finite_with_a_count(argv, flag, text, tmp_path,
-                                                capsys):
-    csv = tmp_path / "scan.csv"
-    assert main(argv + ["--csv", str(csv)]) == 2
-    captured = capsys.readouterr()
-    assert (f"error: ValueError: {flag} must be lo:hi:n with finite lo, hi "
-            f"and an integer n >= 1, got '{text}'") in captured.err
-    assert "min |residual|" not in captured.out
-    assert not csv.exists()
-
-
-def test_reversed_scan_range_is_accepted(capsys):
-    assert main(["scan", "slice", "--c", "1", "--theta", "3:0.1:4"]) == 0
-    assert main(["scan", "h4", "--theta", "3:0.1:4", "--tau", "5:0:3"]) == 0
-
-
-def test_scan_slice(capsys):
-    code = main(["scan", "slice", "--c", "1", "--theta", "0.1:3:31"])
-    assert code == 0
-    assert "positive at every node: True" in capsys.readouterr().out
-
-
-def test_report_missing_file(capsys):
-    code = main(["report", "/nonexistent/report.json"])
-    assert code == 2
-
-
 def test_report_prints_the_report_verify_printed(tmp_path, capsys):
     # a round-tripped report prints the lines verify printed after its
     # integration line, degenerate nodes included
@@ -586,95 +457,6 @@ def test_report_prints_the_report_verify_printed(tmp_path, capsys):
         printed = capsys.readouterr().out.split("\n", 1)[1]
         assert main(["report", str(out)]) == 0
         assert capsys.readouterr().out == printed
-
-
-_REPORT = {"surface": "s", "grid": {"nu": 1, "nv": 1, "u": [0, 1], "v": [0, 1]},
-           "entries": [{"name": "pmcv", "value": 0.0, "tol": 1e-5,
-                        "passed": True}],
-           "diagnostics": {}, "degeneracies": [], "verdict": "pass"}
-
-
-@pytest.mark.parametrize("data, message", [
-    ({}, "report field 'entries' is missing"),
-    ([1, 2], "a report is a JSON object, not list"),
-    (None, "a report is a JSON object, not NoneType"),
-    ({**_REPORT, "grid": {"nu": 1}}, "report field 'nv' is missing"),
-    ({**_REPORT, "entries": [{"name": "pmcv"}]},
-     "report field 'value' is missing"),
-    ({**_REPORT, "entries": 3}, "report field is malformed (TypeError: "),
-    ({**_REPORT, "entries": [{**_REPORT["entries"][0], "value": "x"}]},
-     "report field is malformed (ValueError: Unknown format code 'e'"),
-], ids=["empty", "list", "null", "grid", "entry", "entries", "value"])
-def test_report_of_json_that_is_not_a_report_exits_2(tmp_path, capsys, data,
-                                                      message):
-    # invalid input, as a file that is not JSON: nothing is printed but the
-    # error, which names the file and the field
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps(data))
-    assert main(["report", str(path)]) == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err.startswith(f"error: ValueError: {path}")
-    assert message in err
-
-
-@pytest.mark.parametrize("data, message", [
-    (b"{", "Expecting property name enclosed in double quotes: line 1 "
-           "column 2 (char 1)"),
-    (b"", "Expecting value: line 1 column 1 (char 0)"),
-    (b'{"verdict": "\xff"}', "'utf-8' codec can't decode byte 0xff in "
-                             "position 13: invalid start byte"),
-], ids=["truncated", "empty", "not-utf-8"])
-def test_report_that_is_no_json_names_its_file(tmp_path, capsys, data,
-                                               message):
-    # refused as a malformed report is: the path, then the decoder's text
-    path = tmp_path / "bad.json"
-    path.write_bytes(data)
-    assert main(["report", str(path)]) == 2
-    assert capsys.readouterr() == ("", f"error: ValueError: {path}: {message}\n")
-
-
-def test_config_file_defaults_and_override(tmp_path, capsys):
-    cfg = tmp_path / "cfg.txt"
-    cfg.write_text("grid = 5x5\nu_end = 0.9\n")
-    code = main(["verify", "thm4", "--a", "2", "--H0", "0.5", "--f0", "1",
-                 "--f0p", "2", "--config", str(cfg)])
-    assert code == 0
-    assert "grid: 5x5" in capsys.readouterr().out
-    # explicit flag wins over the file
-    code = main(["verify", "thm4", "--a", "2", "--H0", "0.5", "--f0", "1",
-                 "--f0p", "2", "--config", str(cfg), "--grid", "7x7"])
-    assert code == 0
-    assert "grid: 7x7" in capsys.readouterr().out
-
-
-def test_config_file_skips_comments_and_blank_lines(tmp_path, capsys):
-    cfg = tmp_path / "cfg.txt"
-    cfg.write_text("# report grid\n\n   \ngrid = 5x5  # coarse\n")
-    assert main(THM4_ARGS[:-2] + ["--config", str(cfg)]) == 0
-    assert "grid: 5x5" in capsys.readouterr().out
-    cfg.write_text("# report grid\n\ngrid 5x5\n")
-    assert main(THM4_ARGS + ["--config", str(cfg)]) == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err == f"error: ValueError: {cfg}:3: expected KEY=VALUE\n"
-
-
-def test_config_file_that_is_no_utf8_names_its_file(tmp_path, capsys):
-    cfg = tmp_path / "cfg.txt"
-    cfg.write_bytes(b"grid = 5x5\n# \xff\n")
-    assert main(THM4_ARGS + ["--config", str(cfg)]) == 2
-    assert capsys.readouterr() == ("", (
-        f"error: ValueError: {cfg}: 'utf-8' codec can't decode byte 0xff in "
-        "position 13: invalid start byte\n"))
-
-
-def test_config_file_unknown_key_rejected(tmp_path, capsys):
-    cfg = tmp_path / "cfg.txt"
-    cfg.write_text("gird = 5x5\nthreads = 2\n")
-    code = main(THM4_ARGS + ["--config", str(cfg)])
-    assert code == 2
-    assert "unknown config keys: gird, threads" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("key", ["u_end"])
@@ -735,13 +517,6 @@ def test_main_parses_with_one_parser_that_keeps_no_state(tmp_path):
     assert cli.build_parser() is not cli.build_parser()
 
 
-def test_cli_outputs_bit_identical(tmp_path):
-    out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
-    main(THM4_ARGS + ["--out", str(out1)])
-    main(THM4_ARGS + ["--out", str(out2)])
-    assert out1.read_bytes() == out2.read_bytes()
-
-
 def test_tolerance_override_flag(tmp_path):
     out = tmp_path / "r.json"
     code = main(THM4_ARGS + ["--tol", "pmcv=1e-15", "--out", str(out)])
@@ -749,44 +524,6 @@ def test_tolerance_override_flag(tmp_path):
     report = json.loads(out.read_text())
     entry = next(e for e in report["entries"] if e["name"] == "pmcv")
     assert entry["tol"] == 1e-15 and not entry["passed"]
-
-
-@pytest.mark.parametrize("item", ["pmcv=nan", "pmcv=inf", "pmcv=0",
-                                  "pmcv=-1e-6"])
-def test_non_finite_or_non_positive_tolerance_exits_2(item, tmp_path, capsys):
-    out = tmp_path / "r.json"
-    code = main(THM4_ARGS + ["--tol", item, "--out", str(out)])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert ("error: ValueError: tolerance pmcv must be finite and positive"
-            in captured.err)
-    assert "verdict" not in captured.out and not out.exists()
-
-
-@pytest.mark.parametrize("item", ["pmcv=abc", "pmcv=", "pmcv"])
-def test_unparsable_tolerance_names_the_flag(item, capsys):
-    code = main(THM4_ARGS + ["--tol", item])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert f"error: ValueError: --tol expects NAME=NUMBER, got {item!r}" \
-        in captured.err
-    assert "verdict" not in captured.out
-
-
-@pytest.mark.parametrize("spec", ["exp:abc", "poly:", "poly:1,x", "const:nan",
-                                  "exp:inf", "poly:1,-inf", "exp:1,2", "cosh:1",
-                                  "sinh", ""])
-def test_malformed_or_non_finite_warp_names_the_flag(spec, tmp_path, capsys):
-    chart = tmp_path / "chart.py"
-    chart.write_text("def chart(u, v):\n    return (0.1 * u, u, v, 0.0)\n")
-    code = main(["verify", "user-map", "--py", str(chart), "--ambient",
-                 "warped-flat", "--n", "4", "--warp", spec, "--grid", "3x3",
-                 "--chart-u-span=-1:1", "--chart-v-span=-1:1"])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert (f"error: ValueError: --warp must be exp[:r], cosh, const[:k] or "
-            f"poly:c0,c1,.. with finite numbers, got {spec!r}") in captured.err
-    assert "verdict" not in captured.out
 
 
 @pytest.mark.parametrize("spec", ["exp", "exp:0.5", "cosh", "const", "const:2",
@@ -832,33 +569,6 @@ def test_readme_command_lines_parse():
         parser.parse_args(argv)  # SystemExit(2) on a flag the parser lacks
 
 
-def test_verify_user_map_plane(tmp_path, capsys):
-    py = tmp_path / "plane.py"
-    py.write_text(
-        "import math\n"
-        "S, C = math.sinh(0.8), math.cosh(0.8)\n"
-        "def chart(u, v):\n"
-        "    return (S * u, C * u, v, 0.0)\n")
-    code = main(["verify", "user-map", "--py", str(py), "--ambient",
-                 "warped-flat", "--n", "4", "--warp", "const:1",
-                 "--chart-u-span=-1:1", "--chart-v-span=-1:1",
-                 "--grid", "5x5"])
-    assert code == 0
-    assert "verdict: pass" in capsys.readouterr().out
-
-
-def test_verify_user_map_product_member(capsys):
-    # the product family passed back in as a bare chart: the whole pipeline
-    # runs through finite-difference jets on the embedded backend
-    code = main(["verify", "user-map", "--py", pins.chart("sphere_chart"),
-                 "--ambient", "product", "--n", "5", "--c", "1",
-                 "--chart-u-span", "0.1:3.3", "--chart-v-span", "0.1:3.0",
-                 "--grid", "5x5"])
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "verdict: pass" in out and "dim N2 = 3" in out
-
-
 def test_verify_user_map_writes_no_bytecode_beside_the_chart(
         tmp_path, monkeypatch, capsys):
     # even with bytecode writing on, loading the chart leaves nothing beside it
@@ -872,41 +582,11 @@ def test_verify_user_map_writes_no_bytecode_beside_the_chart(
     assert sorted(p.name for p in tmp_path.iterdir()) == ["sphere_chart.py"]
 
 
-def test_verify_user_map_horizontal_slice_degenerate(tmp_path, capsys):
-    py = tmp_path / "slice.py"
-    py.write_text("def chart(u, v):\n    return (0.0, u, v, 0.0)\n")
-    code = main(["verify", "user-map", "--py", str(py), "--ambient",
-                 "warped-flat", "--n", "4", "--warp", "const:1",
-                 "--chart-u-span=-1:1", "--chart-v-span=-1:1",
-                 "--grid", "5x5"])
-    assert code == 2
-    assert "verdict: degenerate" in capsys.readouterr().out
-
-
-@pytest.mark.parametrize("coords", ["u * v + u,", "0.1 * u, u, v, 0.0, 0.0, 0.0"],
-                         ids=["one-coordinate", "six-coordinates"])
-def test_verify_user_map_wrong_chart_length_exits_2(tmp_path, capsys, coords):
-    py = tmp_path / "chart.py"
-    py.write_text(f"def chart(u, v):\n    return ({coords})\n")
-    code = main(["verify", "user-map", "--py", str(py), "--ambient",
-                 "warped-flat", "--n", "4", "--warp", "const:1",
-                 "--chart-u-span=-1:1", "--chart-v-span=-1:1",
-                 "--grid", "3x3"])
-    assert code == 2
-    out = capsys.readouterr().out
-    assert "DimensionMismatchError: the chart returned jet vectors" in out
-    assert "for an ambient space of dimension 4" in out
-    assert "verdict: degenerate" in out
-
 def test_verify_user_map_chart_errors_are_degenerate_nodes(tmp_path, capsys):
     # math.log fails for u <= -0.5: each such node is a recorded
     # degeneracy naming its point, and the report is still written
-    py = tmp_path / "chart.py"
-    py.write_text("import math\n"
-                  "def chart(u, v):\n"
-                  "    return (0.1 * math.log(u + 0.5), u, v, 0.0)\n")
     out = tmp_path / "report.json"
-    code = main(["verify", "user-map", "--py", str(py), "--ambient",
+    code = main(["verify", "user-map", "--py", pins.chart("log_chart"), "--ambient",
                  "warped-flat", "--n", "4", "--warp", "exp",
                  "--chart-u-span=-1:1", "--chart-v-span=-1:1",
                  "--grid", "5x5", "--out", str(out)])
@@ -1019,21 +699,6 @@ def test_surface_csv_without_a_grid_is_all_nan(tmp_path, monkeypatch, capsys):
                          for u in us for v in vs]
 
 
-@pytest.mark.parametrize("ambient", ["warped-flat", "product"])
-def test_user_map_with_no_room_for_e4_exits_2(ambient, tmp_path, capsys):
-    # n = 3 is refused when the ambient is built, before any chart call
-    py = tmp_path / "short_chart.py"
-    py.write_text(SHORT_CHART)
-    code = main(["verify", "user-map", "--py", str(py), "--ambient", ambient,
-                 "--n", "3", "--chart-u-span=-1:1", "--chart-v-span=-1:1",
-                 "--grid", "3x3"])
-    assert code == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err == ("error: DimensionMismatchError: need n >= 4 (the adapted "
-                   "frame needs room for e4), got n = 3\n")
-
-
 @pytest.mark.parametrize("argv, kind", [
     (["solve", "f4", "--a", "2", "--H0", "0.5", "--f0", "1", "--f0p", "2"],
      "thm4"),
@@ -1073,69 +738,15 @@ def test_surface_csv_writes_nan_where_the_chart_fails(tmp_path, capsys):
         assert np.isnan(phi).all() or np.isfinite(phi).all()
 
 
-@pytest.mark.parametrize("name, text, reason", [
-    ("chart.py", "def surface(u, v):\n    return (u, v, 0.0, 0.0)\n",
-     "defines no callable chart"),
-    ("chart.py", "chart = 3\n", "defines no callable chart"),
-    ("chart.py", "def chart(u, v):\n    return (u, v,\n",
-     "failed at import: SyntaxError: "),
-    ("chart.txt", "def chart(u, v):\n    return (u, v, 0.0, 0.0)\n",
-     "cannot be loaded as a Python module"),
-    ("chart.py", "raise RuntimeError('boom')\n",
-     "failed at import: RuntimeError: boom"),
-    ("chart.py", "import sys\nsys.exit(3)\n", "failed at import: SystemExit: 3"),
-], ids=["undefined-attr", "attr-not-callable", "does-not-compile",
-        "not-a-module", "raises-at-import", "exits-at-import"])
-def test_user_map_chart_that_cannot_be_loaded_exits_2(name, text, reason,
-                                                      tmp_path, capsys):
-    # the chart is the file's callable named chart (there is no --attr)
-    py = tmp_path / name
-    py.write_text(text)
-    code = main(["verify", "user-map", "--py", str(py),
-                 "--ambient", "warped-flat", "--n", "4",
-                 "--chart-u-span=-1:1", "--chart-v-span=-1:1", "--grid", "3x3"])
-    assert code == 2
-    out = capsys.readouterr()
-    assert out.out == ""
-    assert out.err.startswith(f"error: ValueError: --py {str(py)!r} {reason}")
-    assert out.err.count("\n") == 1
-
-
-@pytest.mark.parametrize("flags, message", [
-    (["--warp", "bogus"], "--warp must be"),
-    (["--chart-u-span=1:0"], "--chart-u-span must be lo:hi with finite lo < hi"),
-    (["--n", "3"], "need n >= 4"),
-], ids=["warp", "chart-u-span", "n"])
-def test_user_map_flags_are_refused_before_the_chart_file_runs(
-        flags, message, tmp_path, capsys):
-    py = tmp_path / "chart.py"
-    py.write_text("print('chart imported')\n"
-                  "def chart(u, v):\n    return (u, v, 0.0, 0.0)\n")
-    argv = ["verify", "user-map", "--py", str(py), "--ambient", "warped-flat",
-            "--n", "4", "--chart-u-span=-1:1", "--chart-v-span=-1:1",
-            "--grid", "3x3"]
-    main(argv)
-    assert "chart imported" in capsys.readouterr().out
-    assert main(argv + flags) == 2
-    out = capsys.readouterr()
-    assert "chart imported" not in out.out
-    assert message in out.err
-
-
 def test_user_map_chart_file_exiting_at_import_names_the_exit(tmp_path, capsys):
-    # sys.exit at import is the file's failure (exit 2), not the command's
-    # exit code; a KeyboardInterrupt still stops the command
+    # sys.exit at import is the file's failure (pins.PIN_RUNS' exiting_chart),
+    # not the command's exit code; a KeyboardInterrupt still stops the command
     py = tmp_path / "chart.py"
-    argv = ["verify", "user-map", "--py", str(py), "--ambient", "warped-flat",
-            "--n", "4", "--chart-u-span=-1:1", "--chart-v-span=-1:1",
-            "--grid", "3x3"]
-    py.write_text("import sys\nsys.exit(3)\n")
-    assert main(argv) == 2
-    assert capsys.readouterr().err == (f"error: ValueError: --py {str(py)!r} "
-                                       f"failed at import: SystemExit: 3\n")
     py.write_text("raise KeyboardInterrupt\n")
     with pytest.raises(KeyboardInterrupt):
-        main(argv)
+        main(["verify", "user-map", "--py", str(py), "--ambient", "warped-flat",
+              "--n", "4", "--chart-u-span=-1:1", "--chart-v-span=-1:1",
+              "--grid", "3x3"])
 
 
 @pytest.mark.parametrize("body, pattern", [
@@ -1193,62 +804,6 @@ def test_residuals_csv_builds_no_second_grid(tmp_path, monkeypatch):
     assert len(builds) == 1
 
 
-def test_residuals_csv_when_grid_cannot_be_built(tmp_path, capsys):
-    res_csv = tmp_path / "res.csv"
-    code = main(["verify", "product", "--b1", "1", "--b3", "0.5",
-                 "--grid", "5x5", "--u-span", "0:1",
-                 "--residuals-csv", str(res_csv)])
-    assert code == 2
-    assert "no stencil headroom" in capsys.readouterr().out
-    assert res_csv.read_text() == "i,j,u,v,pmcv,reduced,biconservativity\n"
-
-
-@pytest.mark.parametrize("flag", ["--u-span", "--v-span"])
-@pytest.mark.parametrize("value", ["nan:0.1", "0.1:nan", "-inf:0.1", "0.1:inf",
-                                   "0.1:0"])
-def test_non_finite_span_is_invalid_input(capsys, flag, value):
-    code = main(["verify", "product", "--b1", "1", "--b3", "0.5",
-                 "--grid", "5x5", f"{flag}={value}"])
-    assert code == 2
-    captured = capsys.readouterr()
-    assert (f"error: ValueError: {flag} must be lo:hi with finite lo < hi, "
-            f"got {value!r}") in captured.err
-    assert "verdict" not in captured.out
-
-
-@pytest.mark.parametrize("flag", ["--chart-u-span", "--chart-v-span"])
-@pytest.mark.parametrize("value", ["nan:1", "-1:nan", "-inf:1", "1:0", "0:0"])
-def test_chart_span_must_be_finite_and_ordered(tmp_path, capsys, flag, value):
-    # an unusable chart span is an input error naming the flag, not a
-    # degenerate report of u=nan nodes or a grid with no stencil headroom
-    chart = tmp_path / "chart.py"
-    chart.write_text("def chart(u, v):\n    return (0.1 * u, u, v, 0.0)\n")
-    spans = {"--chart-u-span": "-1:1", "--chart-v-span": "-1:1", flag: value}
-    out = tmp_path / "report.json"
-    code = main(["verify", "user-map", "--py", str(chart), "--ambient",
-                 "warped-flat", "--n", "4", "--warp", "exp", "--grid", "3x3",
-                 *(f"{k}={v}" for k, v in spans.items()), "--out", str(out)])
-    assert code == 2
-    captured = capsys.readouterr()
-    assert (f"error: ValueError: {flag} must be lo:hi with finite lo < hi, "
-            f"got {value!r}") in captured.err
-    assert "verdict" not in captured.out
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("flag, value, form", [
-    ("--grid", "5x5x2", "NUxNV"), ("--grid", "5", "NUxNV"),
-    ("--u-span", "0.1", "lo:hi"), ("--v-span", "0:1:2", "lo:hi"),
-])
-def test_malformed_grid_or_span_names_the_flag(capsys, flag, value, form):
-    args = {"--grid": "5x5", flag: value}
-    code = main(["verify", "product", "--b1", "1", "--b3", "0.5",
-                 *(f"{k}={v}" for k, v in args.items())])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert f"error: ValueError: {flag} must be {form}, got {value!r}" in err
-
-
 @pytest.mark.parametrize("flag, value, message", [
     ("--grid", "2x5", "grid must be at least 3x3"),
     ("--grid", "5", "--grid must be NUxNV, got '5'"),
@@ -1273,23 +828,10 @@ def test_bad_verify_flag_is_refused_before_the_family_solve(
     assert err.startswith(f"error: ValueError: {message}")
 
 
-def test_substep_is_no_flag_and_no_config_key(tmp_path, capsys):
-    # the stencil substep is shape.DEFAULT_SUBSTEP: a --substep flag and a
-    # substep key are invalid input (exit 2) and nothing is verified
-    argv = ["verify", "product", "--b1", "1", "--b3", "0.5", "--grid", "5x5"]
-    with pytest.raises(SystemExit) as exc:
-        main(argv + ["--substep", "1e-3"])
-    assert exc.value.code == 2
-    out, err = capsys.readouterr()
-    assert out == "" and err.startswith("usage: rwsurf verify product ")
-    assert err.endswith("\nrwsurf verify product: error: unrecognized "
-                        "arguments: --substep 1e-3\n")
-    cfg = tmp_path / "cfg.txt"
-    cfg.write_text("substep = 1e-3\n")
-    assert main(argv + ["--config", str(cfg)]) == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err == "error: ValueError: unknown config keys: substep\n"
+def test_substep_is_no_flag_and_no_config_key(capsys):
+    # the stencil substep is shape.DEFAULT_SUBSTEP: pins.PIN_RUNS refuses a
+    # --substep flag (product_substep) and a substep key
+    # (product_config_substep), and no verify subcommand's help names it
     for kind in [*families.FAMILIES, "user-map"]:
         with pytest.raises(SystemExit):
             main(["verify", kind, "--help"])
@@ -1297,19 +839,13 @@ def test_substep_is_no_flag_and_no_config_key(tmp_path, capsys):
         assert "--grid" in text and "--substep" not in text
 
 
-@pytest.mark.parametrize("argv, key", [
-    (THM4_ARGS, "c2"), ([*pins.SPHERE, "--grid", "3x3"], "attr")],
-    ids=["thm4-c2", "user-map-attr"])
-def test_removed_value_is_no_flag_and_no_config_key(argv, key, tmp_path,
-                                                    capsys):
+@pytest.mark.parametrize("kind, key", [("thm4", "c2"), ("user-map", "attr")],
+                         ids=["thm4-c2", "user-map-attr"])
+def test_removed_value_is_no_flag_and_no_config_key(kind, key, capsys):
     # thm4's c2 is derived from a and H0, and a user map's chart is the
-    # file's chart: neither is a flag (pins.PIN_RUNS refuses each) nor a key
-    cfg = tmp_path / "cfg.txt"
-    cfg.write_text(f"{key} = 1\n")
-    assert main(argv + ["--config", str(cfg)]) == 2
-    assert capsys.readouterr() == ("", f"error: ValueError: unknown config "
-                                       f"keys: {key}\n")
+    # file's chart: pins.PIN_RUNS refuses each as a flag and as a config key,
+    # and the subcommand's help does not name it
     with pytest.raises(SystemExit):
-        main([*argv[:2], "--help"])
+        main(["verify", kind, "--help"])
     text = capsys.readouterr().out
     assert "--grid" in text and f"--{key}" not in text

@@ -18,7 +18,8 @@ from rwsurf.verdicts import (VerificationReport, biconservativity_residual,
                              pmcv_structure_check, reduced_criterion,
                              verify_surface)
 
-from conftest import L4_MEMBER, _member, l4_draws, random_curvature_config
+from conftest import (L4_MEMBER, _member, l4_draws, nan_cornered,
+                      random_curvature_config)
 from oracles import curvature_trace_closed_form, isometric_image
 
 
@@ -574,22 +575,11 @@ def test_grid_of_integers_is_accepted(product_surface, grid):
     json.loads(rep.to_json())
 
 
-def _nan_beyond(surface, u0=1.5, v0=1.5):
-    """``surface`` with NaN jets wherever u > u0 and v > v0."""
-    def evaluator(u, v):
-        jet = surface.evaluator(u, v)
-        if u > u0 and v > v0:
-            return tuple(np.full(np.shape(x), np.nan) for x in jet)
-        return jet
-    return Jet2Immersion(surface.space, evaluator, surface.u_domain,
-                         surface.v_domain, surface.name)
-
-
 def test_non_finite_jets_become_degeneracies(product_surface, product_expect):
     expect = product_expect
     assert verify_surface(product_surface, grid=(9, 9),
                           expect=expect).verdict == "pass"
-    rep = verify_surface(_nan_beyond(product_surface), grid=(9, 9),
+    rep = verify_surface(nan_cornered(product_surface, []), grid=(9, 9),
                          expect=expect)
     assert rep.verdict == "degenerate"
     sg = rep.surface_grid
