@@ -321,9 +321,9 @@ class FrameData:
     exists, then the space-like completion (a grid's stencil record keeps
     e1, e2, e3, e4 alone, e4 NaN without a mean direction).  ``signs`` (m,)
     are their causal signs: +1, +1, then the normals' (0 on a row left
-    uncompleted).  ``e1``, ``e2``, ``e3``, ``tangents``, ``normals`` and
-    ``normal_signs`` are views of these.  ``coeffs`` holds e1, e2 row-wise
-    in the (phi_u, phi_v) chart basis.
+    uncompleted).  ``e1``, ``e2``, ``e3``, ``tangents`` and ``normals`` are
+    views of these.  ``coeffs`` holds e1, e2 row-wise in the (phi_u, phi_v)
+    chart basis.
     """
 
     vectors: np.ndarray
@@ -341,7 +341,6 @@ class FrameData:
     e3 = property(lambda self: self.vectors[..., 2, :])
     tangents = property(lambda self: (self.e1, self.e2))
     normals = property(lambda self: self.vectors[..., 2:, :])
-    normal_signs = property(lambda self: self.signs[..., 2:])
 
 
 def adapted_frame(jet: JetSample, space: AmbientSpace, G, ginv,

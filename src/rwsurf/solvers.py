@@ -430,7 +430,6 @@ class ConstantsProduct:
     b1: float
     b2: float
     b3: float
-    theta0: float  # arcsinh(b1)
 
 
 _CTOL = 1e-12
@@ -493,8 +492,7 @@ def validate_constants_product(b1: float, b2: float | None = None,
                 f"b2^2 + b3^2 = 1/(b1^2+2) violated by {defect:.3e}")
     if b2 == 0.0 or b3 == 0.0:
         raise ConstraintError("b2 and b3 must be non-zero")
-    return ConstantsProduct(float(b1), float(b2), float(b3),
-                            float(math.asinh(b1)))
+    return ConstantsProduct(float(b1), float(b2), float(b3))
 
 
 # ---------------------------------------------------------------------------

@@ -4,10 +4,9 @@ Each function restates, one point and one index at a time, a quantity that
 ``rwsurf`` computes in closed or batched form: the Christoffel tensor behind
 ``ambient_covariant_derivative``, the backend-aware curvature behind
 ``curvature_rw_values``, the closed form of the tangential curvature trace
-behind ``curvature_trace_term``, the comoving split, signature-aware
-Gram-Schmidt, the dense-matrix forms of the inner product, projection
-and rank that ``rwsurf.linalg`` computes from the metric's diagonal, the
-rank as a count of singular values, the
+behind ``curvature_trace_term``, the dense-matrix forms of the inner
+product, projection and rank that ``rwsurf.linalg`` computes from the
+metric's diagonal, the rank as a count of singular values, the
 per-component Dormand-Prince step loop and quartic dense output behind the
 straight-line code ``rwsurf.solvers`` generates per state length, the
 family equations as closures (the text the package compiles inline, written
@@ -33,11 +32,10 @@ import numpy as np
 from rwsurf.ambient import (AmbientSpace, WarpingFunction, curvature_rw_values,
                             curvature_scalars)
 from rwsurf.errors import (AdmissibilityError, ChartDomainError, ConstraintError,
-                           DegenerateFrameError, DimensionMismatchError,
-                           SingularWarpError)
+                           DimensionMismatchError, SingularWarpError)
 from rwsurf.immersion import Jet2Immersion
 from rwsurf import solvers
-from rwsurf.linalg import inner, project_out_span
+from rwsurf.linalg import inner
 from rwsurf.solvers import _A, _B, _C, _E, _P, SolverConfig, _initial_step, _rms
 
 
@@ -77,15 +75,6 @@ def svd_rank(vectors, g):
     return int(rank) if rank.ndim == 0 else rank
 
 
-def comoving_split(X, space: AmbientSpace, p=None):
-    """Decompose X = X0 * dt + Xbar with X0 = -<dt, X> and fiber part Xbar."""
-    X = space.check_vector(X)
-    X0 = float(X[0])
-    Xbar = X.copy()
-    Xbar[0] = 0.0
-    return X0, Xbar
-
-
 def christoffel_at(space: AmbientSpace, p) -> np.ndarray:
     """Christoffel symbols Gamma[k, i, j] of the warped-flat backend at p.
 
@@ -122,45 +111,6 @@ def curvature_trace_closed_form(frame, H, G, warp_state, c: float):
     the closed form of ``curvature_trace_term``'s direct contraction."""
     k1, k2 = curvature_scalars(*warp_state, c)
     return np.asarray((k1 - k2) * inner(H, frame.eta, G))[..., None] * frame.T
-
-
-def orthonormalize_signature(vectors, G, tol: float = 1e-10,
-                             timelike_index: int | None = None):
-    """Signature-aware Gram-Schmidt.
-
-    Returns (frame, signs): pairwise G-orthogonal vectors with |<f_i,f_i>| = 1
-    and signs recording timelike (-1) versus space-like (+1) directions.
-    Output i lies in the span of inputs 1..i and keeps a positive component
-    along input i, which makes the result deterministic.
-
-    When ``timelike_index`` is given, that candidate is processed first (the
-    adapted-frame convention that stabilizes the sign of the timelike leg).
-
-    Raises DegenerateFrameError when an intermediate vector is numerically
-    null or dependent (|<w,w>| below tol relative to its Euclidean size).
-    """
-    vecs = [np.asarray(v, dtype=float) for v in vectors]
-    order = list(range(len(vecs)))
-    if timelike_index is not None:
-        order.insert(0, order.pop(timelike_index))
-    G = np.asarray(G, dtype=float)
-    frame: list[np.ndarray] = []
-    signs: list[int] = []
-    for idx in order:
-        w = project_out_span(vecs[idx], frame, G)
-        s2 = inner(w, w, G)
-        euclid = float(np.dot(w, w))
-        v_euclid = float(np.dot(vecs[idx], vecs[idx]))
-        if euclid < tol * max(v_euclid, 1e-300):
-            raise DegenerateFrameError(
-                f"candidate {idx} is linearly dependent on its predecessors")
-        if abs(s2) < tol * max(euclid, 1e-300):
-            raise DegenerateFrameError(
-                f"candidate {idx} spans a null direction (<w,w> = {s2:.3e})")
-        sign = 1 if s2 > 0 else -1
-        frame.append(w / np.sqrt(abs(s2)))
-        signs.append(sign)
-    return frame, signs
 
 
 def isometric_image(surface, Q=None, b=None,

@@ -9,7 +9,7 @@ from rwsurf.ambient import curvature_rw_values
 from rwsurf.errors import (ChartDomainError, DimensionMismatchError,
                            SingularWarpError)
 
-from oracles import christoffel_at, comoving_split, curvature_rw, fixed_step_warp
+from oracles import christoffel_at, curvature_rw, fixed_step_warp
 
 
 def exp_space(n=4):
@@ -198,27 +198,6 @@ def test_metric_at_locus_check_marks_off_points_in_a_stack():
     with pytest.raises(ChartDomainError, match="off the embedded") as exc:
         space.metric_at(p, (1.0, 0.0, 0.0))
     assert exc.value.where.tolist() == [False, True, False, True, True]
-
-
-def test_comoving_split_examples():
-    space = exp_space()
-    X0, Xb = comoving_split(np.array([1.0, 0, 0, 0]), space)
-    assert X0 == 1.0 and np.all(Xb == 0.0)
-    X0, Xb = comoving_split(np.array([0.0, 1.0, 0, 0]), space)
-    assert X0 == 0.0
-    np.testing.assert_array_equal(Xb, [0.0, 1.0, 0, 0])
-    X0, Xb = comoving_split(np.array([3.0, 0, 2.0, 0]), space)
-    assert X0 == 3.0
-    np.testing.assert_array_equal(Xb, [0.0, 0, 2.0, 0])
-
-
-def test_comoving_split_reassembles():
-    space = exp_space(6)
-    rng = np.random.default_rng(0)
-    for _ in range(20):
-        X = rng.normal(size=6)
-        X0, Xb = comoving_split(X, space)
-        np.testing.assert_allclose(X0 * space.dt_vector() + Xb, X, atol=1e-15)
 
 
 def test_christoffel_exponential_at_zero():

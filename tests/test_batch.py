@@ -554,7 +554,7 @@ def test_batched_layers_match_pointwise(surface_name, request):
     assert_stacked(H, [o[2] for o in one])
     frame = immersion.adapted_frame(jet, space, G, ginv, H)
     for name in ("e1", "e2", "T", "eta", "theta", "sinh_theta", "cosh_theta",
-                 "normals", "normal_signs", "has_mean_direction", "coeffs"):
+                 "normals", "signs", "has_mean_direction", "coeffs"):
         assert_stacked(getattr(frame, name),
                        [getattr(p.frame, name) for p in points])
     sfd = second_fundamental_form(frame, G, h)
@@ -863,7 +863,7 @@ def test_points_without_a_mean_direction_keep_the_full_frame(
     assert not nd.frame.has_mean_direction.any()
     assert np.isfinite(nd.frame.normals).all()
     assert np.isfinite(nd.sfd.A).all()
-    assert (np.abs(nd.frame.normal_signs) == 1).all()
+    assert (np.abs(nd.frame.signs[..., 2:]) == 1).all()
     data, errors = evaluate_point(grid.surface, *stencil_stack(grid))
     assert errors == {} and not data.frame.has_mean_direction.any()
     st = grid.stencil_data.frame.vectors

@@ -301,7 +301,7 @@ def test_adapted_frame_orthonormal_and_reassembles(l4_surface):
     fr = evaluate_point(l4_surface, 0.06, 1.1).frame
     G = space.metric_at(jet.phi, space.warp_state(jet.phi))
     vecs = [fr.e1, fr.e2, *fr.normals]
-    signs = [1, 1, *fr.normal_signs]
+    signs = fr.signs
     for i, vi in enumerate(vecs):
         for j, vj in enumerate(vecs):
             want = signs[i] if i == j else 0.0
@@ -346,7 +346,7 @@ def _assert_no_sign_flips(surface, points):
     for (u, v), a, b in zip(points, frames, frames[1:]):
         phi = surface.jet(u, v).phi
         G = surface.space.metric_at(phi, surface.space.warp_state(phi))
-        signs = (1, 1, *a.normal_signs)
+        signs = a.signs
         for s, ea, eb in zip(signs, (a.e1, a.e2, *a.normals),
                              (b.e1, b.e2, *b.normals)):
             # sign-weighted: nearby equal timelike unit vectors pair to ~ -1

@@ -6,11 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rwsurf as rw
-from rwsurf.errors import DegenerateFrameError, DimensionMismatchError
+from rwsurf.errors import DimensionMismatchError
 from rwsurf.linalg import _all_last, _sum_last, project_out_span
 
-from oracles import (dense_gram, dense_inner, dense_project_out_span,
-                     orthonormalize_signature, svd_rank)
+from oracles import dense_gram, dense_inner, dense_project_out_span, svd_rank
 
 # metrics are carried as their diagonal (weights)
 MINK4 = np.array([-1.0, 1.0, 1.0, 1.0])
@@ -70,67 +69,6 @@ def test_inner_symmetric_bilinear(seed):
     lhs = rw.inner(a * u + b * w, v, G)
     rhs = a * rw.inner(u, v, G) + b * rw.inner(w, v, G)
     assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(lhs))
-
-
-def test_orthonormalize_already_orthonormal():
-    vecs = [np.array([1.0, 0, 0, 0]), np.array([0.0, 1.0, 0, 0])]
-    frame, signs = orthonormalize_signature(vecs, MINK4)
-    assert signs == [-1, 1]
-    np.testing.assert_allclose(frame[0], vecs[0], atol=1e-15)
-    np.testing.assert_allclose(frame[1], vecs[1], atol=1e-15)
-
-
-def test_orthonormalize_null_candidate_rejected():
-    with pytest.raises(DegenerateFrameError):
-        orthonormalize_signature(
-            [np.array([1.0, 1.0, 0, 0]), np.array([0.0, 1.0, 0, 0])], MINK4)
-
-
-def test_orthonormalize_rescales_timelike():
-    frame, signs = orthonormalize_signature([np.array([2.0, 0, 0, 0])], MINK4)
-    np.testing.assert_allclose(frame[0], [1.0, 0, 0, 0], atol=1e-15)
-    assert signs == [-1]
-
-
-def test_orthonormalize_dependent_candidate_rejected():
-    v = np.array([0.0, 1.0, 2.0, 0.0])
-    with pytest.raises(DegenerateFrameError):
-        orthonormalize_signature([v, 3.0 * v], MINK4)
-
-
-def test_orthonormalize_pairwise_property():
-    rng = np.random.default_rng(7)
-    for _ in range(50):
-        n = int(rng.integers(3, 7))
-        G = np.concatenate(([-1.0], rng.uniform(0.5, 3.0, n - 1)))
-        vecs = list(rng.normal(size=(n - 1, n)))
-        vecs[0][0] += 3.0  # give the first candidate a solid timelike part
-        try:
-            frame, signs = orthonormalize_signature(vecs, G)
-        except DegenerateFrameError:
-            continue
-        for i, fi in enumerate(frame):
-            for j, fj in enumerate(frame):
-                want = signs[i] if i == j else 0.0
-                assert abs(rw.inner(fi, fj, G) - want) < 1e-10
-
-
-def test_orthonormalize_deterministic_orientation():
-    rng = np.random.default_rng(3)
-    vecs = list(rng.normal(size=(3, 4)))
-    frame, _ = orthonormalize_signature(vecs, np.ones(4))
-    # output i is in span(inputs[:i+1]) with positive coefficient on input i
-    for i in range(3):
-        B = np.column_stack(vecs[:i + 1])
-        coef, res, *_ = np.linalg.lstsq(B, frame[i], rcond=None)
-        assert np.linalg.norm(B @ coef - frame[i]) < 1e-10
-        assert coef[i] > 0
-
-
-def test_timelike_index_reorders_processing():
-    vecs = [np.array([0.0, 1.0, 0, 0]), np.array([2.0, 0.1, 0, 0])]
-    frame, signs = orthonormalize_signature(vecs, MINK4, timelike_index=1)
-    assert signs[0] == -1  # the tagged timelike candidate came out first
 
 
 def test_numeric_rank_collinear():
