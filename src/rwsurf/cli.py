@@ -103,6 +103,8 @@ def _load_config_file(path: str) -> dict:
             lines = fh.readlines()
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: {exc}") from None
+    except OSError as exc:
+        raise ValueError(f"{path}: {exc.strerror}") from None
     for line_no, raw in enumerate(lines, 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -133,6 +135,26 @@ def _options(defaults: dict, namespace: argparse.Namespace) -> dict:
                   if key not in ("config", "_command", "_sub", "_run")
                   and val is not None)
     return values
+
+
+_OUTPUTS = ("out", "residuals_csv", "surface_csv", "csv")  # the paths written
+
+
+def _check_outputs(values: dict):
+    """ValueError naming the flag and the path of the first output path in
+    ``values`` whose directory does not exist or which is a directory: every
+    output is checked before any solve, chart import or scan."""
+    for dest in _OUTPUTS:
+        path = values.get(dest)
+        if not path:
+            continue
+        flag = "--" + dest.replace("_", "-")
+        directory = os.path.dirname(path) or "."
+        if not os.path.isdir(directory):
+            raise ValueError(f"{flag} {path!r}: directory {directory!r} "
+                             "does not exist")
+        if os.path.isdir(path):
+            raise ValueError(f"{flag} {path!r} is a directory")
 
 
 def _add_common_verify_flags(p: argparse.ArgumentParser):
@@ -303,7 +325,8 @@ def _print_report(report):
 def _verify_inputs(opts: dict) -> dict:
     """verify_surface's grid (first: before numpy loads), spans and tolerance
     overrides (--tol flags or a config file's NAME=VALUE list, by verdicts'
-    rule), before any solve or chart work (ValueError naming the flag)."""
+    rule), and the output paths, before any solve or chart work (ValueError
+    naming the flag)."""
     inputs = {"grid": _parse_grid(opts["grid"]),
               "u_span": _parse_span(opts["u_span"], "--u-span"),
               "v_span": _parse_span(opts["v_span"], "--v-span")}
@@ -315,6 +338,7 @@ def _verify_inputs(opts: dict) -> dict:
             overrides[name.strip()] = float(val)
         except ValueError:
             raise ValueError(f"--tol expects NAME=NUMBER, got {item!r}") from None
+    _check_outputs(opts)
     return {**inputs, "tolerances": _tolerance_overrides(overrides)}
 
 
@@ -352,15 +376,19 @@ def _cmd_verify_family(args) -> int:
 
 def _load_chart(path: str):
     """The callable ``chart`` of the Python file ``path``; ValueError naming
-    --py when the file is no loadable module, raises anything at import (a
-    SyntaxError or a sys.exit too, not a KeyboardInterrupt), or has none."""
+    --py when the file is no loadable module, cannot be read, raises anything
+    at import (a SyntaxError or a sys.exit too, not a KeyboardInterrupt), or
+    has none."""
     spec = importlib.util.spec_from_file_location("rwsurf_user_map", path)
     if spec is None:
         raise ValueError(f"--py {path!r} cannot be loaded as a Python module")
     module = importlib.util.module_from_spec(spec)
+    try:
+        source = spec.loader.get_data(path)
+    except OSError as exc:
+        raise ValueError(f"--py {path!r}: {exc.strerror}") from None
     try:  # compiled as exec_module would, but with no __pycache__ beside it
-        exec(spec.loader.source_to_code(spec.loader.get_data(path), path),
-             module.__dict__)
+        exec(spec.loader.source_to_code(source, path), module.__dict__)
     except (Exception, SystemExit) as exc:
         raise ValueError(f"--py {path!r} failed at import: "
                          f"{type(exc).__name__}: {exc}") from None
@@ -411,6 +439,7 @@ def _write_dense_csv(path, solution, samples, with_y):
 def _cmd_solve(args) -> int:
     if args.samples < 2:  # before anything is solved or written
         raise ValueError(f"--samples must be at least 2, got {args.samples}")
+    _check_outputs(vars(args))
     from . import solvers
     tols = {k: getattr(args, k) for k in ("rtol", "atol")
             if getattr(args, k) is not None}
@@ -443,9 +472,10 @@ def _write_scan_csv(path, result):
 def _cmd_scan(args) -> int:
     from . import catalog
     thetas = _parse_range(args.theta, "--theta")
+    taus = _parse_range(args.tau, "--tau") if args._sub == "h4" else None
+    _check_outputs(vars(args))
     if args._sub == "h4":
-        result = catalog.nonexistence_scan_e11h4(
-            thetas, _parse_range(args.tau, "--tau"))
+        result = catalog.nonexistence_scan_e11h4(thetas, taus)
         print(f"min |residual| = {_fmt(result.min_abs)}")
         print(f"analytic lower bound = {_fmt(result.lower_bound)}")
         print(f"bound holds at every node: {result.bound_holds}")
@@ -467,6 +497,8 @@ def _cmd_report(args) -> int:
             report = VerificationReport.from_dict(json.load(fh))
     except ValueError as exc:
         raise ValueError(f"{args.path}: {exc}") from None
+    except OSError as exc:
+        raise ValueError(f"{args.path}: {exc.strerror}") from None
     text = io.StringIO()  # printed only once the whole report has formatted
     try:
         with contextlib.redirect_stdout(text):

@@ -101,6 +101,15 @@ def _user_map(name, *flags):
             "--chart-v-span=-1:1", "--grid", "3x3", *flags]
 
 
+def bicons_e3(name):
+    """A warped-flat user-map run over ``chart(name)``, a surface of E^3 in
+    a boosted space-like hyperplane of Minkowski 4-space, over its chart
+    spans u in [1.5, 3] (the profile's radius) and v in [0.2, 1.3]."""
+    return ["verify", "user-map", "--py", chart(name), "--ambient",
+            "warped-flat", "--n", "4", "--warp", "const:1",
+            "--chart-u-span", "1.5:3", "--chart-v-span", "0.2:1.3"]
+
+
 def _verify(name, argv, code=0, **row):
     """A verify run whose stdout and report are pinned as ``name.stdout``
     and ``name.json``."""
@@ -389,8 +398,9 @@ PIN_RUNS = [
     Run("slice_reversed", [*SLICE, "--theta", "3:0.1:4"],
         lines=("positive at every node: True",)),
     # a file that is not a report, or is no JSON, names itself and what is
-    # wrong; a missing file is refused too
-    Run("report_missing", ["report", "no_such_report.json"], 2),
+    # wrong; a missing file names itself and the OS reason
+    _refused("report_missing", ["report", "no_such_report.json"],
+             "ValueError: no_such_report.json: No such file or directory"),
     *(_refused(name, ["report", str(CHARTS / f"{name}.json")],
                f"ValueError: {CHARTS / f'{name}.json'}: {message}")
       for name, message in (
@@ -439,6 +449,31 @@ PIN_RUNS = [
           ("no_chart", "defines no callable chart"),
           ("chart_not_callable", "defines no callable chart"),
           ("not_a_module.txt", "cannot be loaded as a Python module"))),
+    # a missing config file or chart file names itself and the OS reason
+    _refused("thm4_config_missing", [*THM4, "--config", "no_such.cfg"],
+             "ValueError: no_such.cfg: No such file or directory"),
+    _refused("no_such_chart", _user_map("no_such_chart"),
+             f"ValueError: --py {chart('no_such_chart')!r}: No such file or "
+             "directory"),
+    # every output path, a flag's or a config key's, is checked before any
+    # solve, chart import or scan: a missing directory is refused, and so is
+    # a path that is a directory (Rule A: no file is added)
+    *(_refused(f"{argv[1]}_{flag}_no_directory",
+               [*argv, f"--{flag}", "nodir/x"], f"ValueError: --{flag} "
+               "'nodir/x': directory 'nodir' does not exist")
+      for argv, flag in ((THM4, "out"), (THM4, "residuals-csv"),
+                         (SPHERE, "surface-csv"), (F4_REF, "csv"),
+                         (H4, "csv"), (SLICE, "csv"))),
+    _refused("thm4_config_out_no_directory",
+             [*THM4, "--config", str(CHARTS / "out_nodir.cfg")],
+             "ValueError: --out 'nodir/r.json': directory 'nodir' does not "
+             "exist"),
+    _refused("thm4_out_is_a_directory", [*THM4, "--out", "."],
+             "ValueError: --out '.' is a directory"),
+    # the non-CMC biconservative surface of E^3 and its stretched twin: each
+    # fails pmcv, and the twin fails biconservativity too
+    *(_verify(f"{name}_9", [*bicons_e3(name), "--grid", "9x9"], 1)
+      for name in ("bicons_e3", "bicons_e3_twin")),
 ]
 # the report of the benchmark's nan-control certificate, pinned by test_batch
 NAN_CORNERED = "nan_cornered_17.json"

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import math
@@ -849,3 +850,54 @@ def test_removed_value_is_no_flag_and_no_config_key(kind, key, capsys):
         main(["verify", kind, "--help"])
     text = capsys.readouterr().out
     assert "--grid" in text and f"--{key}" not in text
+
+
+def _leaf_parsers(parser, path=()):
+    """Each subcommand parser of ``parser`` that takes no subcommand, with
+    the subcommand names that reach it."""
+    subs = [a for a in parser._actions
+            if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield path, parser
+    for action in subs:
+        for name, sub in action.choices.items():
+            yield from _leaf_parsers(sub, (*path, name))
+
+
+# a run of each subcommand that writes an output, valid but for its outputs
+_WRITERS = {("verify", "thm4"): pins.THM4, ("verify", "thm5"): pins.THM5,
+            ("verify", "product"): pins.PRODUCT,
+            ("verify", "user-map"): pins.SPHERE, ("solve", "f4"): pins.F4_REF,
+            ("solve", "sys5"): pins.SYS5, ("scan", "h4"): pins.H4,
+            ("scan", "slice"): pins.SLICE}
+
+
+def test_every_output_path_is_checked_before_any_work(tmp_path, monkeypatch,
+                                                      capsys):
+    # every flag that names a file to write (--out, or a --*csv flag) of
+    # every subcommand: a path in a missing directory is refused, with
+    # nothing printed or written, before any solve, chart import or scan;
+    # a future output flag fails here until it follows the rule
+    def no_work(*args, **kwargs):
+        raise AssertionError("work before the output paths were checked")
+
+    for owner, name in ((solvers, "rk_integrate"), (cli, "_load_chart"),
+                        (verdicts, "verify_surface"),
+                        (catalog, "nonexistence_scan_e11h4"),
+                        (catalog, "nonexistence_slice_scan")):
+        monkeypatch.setattr(owner, name, no_work)
+    monkeypatch.chdir(tmp_path)
+    checked = []
+    for path, parser in _leaf_parsers(cli.build_parser()):
+        for action in parser._actions:
+            if action.dest != "out" and not action.dest.endswith("csv"):
+                continue
+            flag = action.option_strings[0]
+            assert main([*_WRITERS[path], flag, "nodir/x"]) == 2, (path, flag)
+            assert capsys.readouterr() == ("", (
+                f"error: ValueError: {flag} 'nodir/x': directory 'nodir' does "
+                "not exist\n")), (path, flag)
+            checked.append((path, action.dest))
+    assert os.listdir(tmp_path) == []
+    assert {dest for _, dest in checked} == {"out", "residuals_csv",
+                                              "surface_csv", "csv"}

@@ -8,6 +8,7 @@ import pytest
 
 import rwsurf as rw
 from rwsurf import shape, verdicts
+from rwsurf.cli import main
 from rwsurf.immersion import Jet2Immersion
 from rwsurf.shape import (SurfaceGrid, _worst, frame_norm, normal_curvature,
                           normal_space_dims, shape_operator)
@@ -18,6 +19,7 @@ from rwsurf.verdicts import (VerificationReport, biconservativity_residual,
                              pmcv_structure_check, reduced_criterion,
                              verify_surface)
 
+import pins
 from conftest import (L4_MEMBER, _member, l4_draws, nan_cornered,
                       random_curvature_config)
 from oracles import curvature_trace_closed_form, isometric_image
@@ -414,6 +416,32 @@ def test_e11h4_pmcv_residual_closed_form(b1):
     rep = verify_surface(e11h4_chart(b1, 1.0, 0.5), grid=(9, 9))
     assert rep.entry("pmcv").value / (b1 * lam) == pytest.approx(
         1.5 + b1 * b1, rel=1e-8)
+
+
+@pytest.mark.parametrize("grid", ["9x9", "17x17", "33x33"])
+def test_a_biconservative_surface_that_is_not_pmcv(grid, tmp_path, capsys):
+    """The non-CMC biconservative rotational surface of E^3 (Caddeo,
+    Montaldo, Oniciuc and Piu 2014) in a boosted space-like hyperplane of
+    Minkowski 4-space, ``charts/bicons_e3.py``, and its twin stretched along
+    the axis by 1.02, ``charts/bicons_e3_twin.py``, through ``verify
+    user-map``.  On a PMCV surface |H| is constant and nabla^perp H = 0, so
+    the 2 grad|H|^2 and 4 tr A_{nabla^perp H} terms of the biconservative
+    equation vanish one by one; here neither does, and only their sum
+    vanishes.  The 4 tr(R(., H) .)^T term has no witness: the ambient is
+    flat, so it is 0.  The verdict is not read: the normal frame is not
+    g-orthonormal where <H, e3> != 0, which fails frame_orthonormality."""
+    def entries(name):
+        out = tmp_path / f"{name}.json"
+        assert main([*pins.bicons_e3(name), "--grid", grid, "--out",
+                     str(out)]) == 1
+        capsys.readouterr()
+        return {e["name"]: e["value"]
+                for e in json.loads(out.read_text())["entries"]}
+
+    control = entries("bicons_e3")
+    assert control["biconservativity"] <= 1e-7
+    assert control["pmcv"] >= 1e-3 and control["mean_norm_spread"] >= 1e-3
+    assert entries("bicons_e3_twin")["biconservativity"] >= 1e-3
 
 
 def _product_pmcv(b1, b2, b3):
