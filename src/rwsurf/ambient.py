@@ -88,7 +88,9 @@ class WarpingFunction:
     def __call__(self, t: float) -> tuple[float, float, float]:
         return self._sample(t)
 
-    # -- closed forms on the whole line; WarpingFunction(w.fn, interval) bounds one
+    # -- closed forms on the whole line; WarpingFunction(w.fn, interval) bounds one.
+    # Each overflows as a FloatingPointError, which the sample turns into a
+    # SingularWarpError, not as a numpy warning.
 
     @staticmethod
     def constant(value: float = 1.0) -> "WarpingFunction":
@@ -98,6 +100,7 @@ class WarpingFunction:
 
     @staticmethod
     def exponential(rate: float = 1.0) -> "WarpingFunction":
+        @np.errstate(over="raise", invalid="raise")
         def fn(t):
             e = np.exp(rate * t)
             return e, rate * e, rate * rate * e
@@ -105,7 +108,8 @@ class WarpingFunction:
 
     @staticmethod
     def hyperbolic_cosine() -> "WarpingFunction":
-        return WarpingFunction(lambda t: (np.cosh(t), np.sinh(t), np.cosh(t)))
+        return WarpingFunction(np.errstate(over="raise", invalid="raise")(
+            lambda t: (np.cosh(t), np.sinh(t), np.cosh(t))))
 
     @staticmethod
     def polynomial(coeffs, interval) -> "WarpingFunction":
@@ -115,6 +119,7 @@ class WarpingFunction:
         c1 = np.polyder(c[::-1])
         c2 = np.polyder(c1)
 
+        @np.errstate(over="raise", invalid="raise")
         def fn(t):
             return (float(np.polyval(c[::-1], t)), float(np.polyval(c1, t)),
                     float(np.polyval(c2, t)))

@@ -11,10 +11,8 @@ bit-identical.  The geometry and numpy load with the command that runs them.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import importlib.util
-import io
 import math
 import os
 import sys
@@ -109,9 +107,9 @@ def _load_config_file(path: str) -> dict:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" not in line:
+        key, equals, val = (p.strip() for p in line.partition("="))
+        if not (key and equals):
             raise ValueError(f"{path}:{line_no}: expected KEY=VALUE")
-        key, val = (p.strip() for p in line.split("=", 1))
         values[key.replace("-", "_")] = val
     return values
 
@@ -132,29 +130,40 @@ def _options(defaults: dict, namespace: argparse.Namespace) -> dict:
                 raise ValueError(f"config key {key} expects a number, "
                                  f"got {val!r}") from None
     values.update((key, val) for key, val in vars(namespace).items()
-                  if key not in ("config", "_command", "_sub", "_run")
+                  if key not in ("_command", "_sub", "_run")
                   and val is not None)
     return values
 
 
+_INPUTS = ("config", "py")  # the paths read
 _OUTPUTS = ("out", "residuals_csv", "surface_csv", "csv")  # the paths written
 
 
 def _check_outputs(values: dict):
     """ValueError naming the flag and the path of the first output path in
-    ``values`` whose directory does not exist or which is a directory: every
-    output is checked before any solve, chart import or scan."""
+    ``values`` that is empty, whose directory does not exist, which is a
+    directory, or which names the file of an input or an earlier output
+    (and that flag and path too): every output is checked before any solve,
+    chart import or scan."""
+    flag = lambda dest: "--" + dest.replace("_", "-")
+    named = {os.path.realpath(values[dest]): dest for dest in _INPUTS
+             if values.get(dest)}
     for dest in _OUTPUTS:
         path = values.get(dest)
-        if not path:
+        if path is None:
             continue
-        flag = "--" + dest.replace("_", "-")
+        if not path:
+            raise ValueError(f"{flag(dest)} {path!r} is an empty path")
         directory = os.path.dirname(path) or "."
         if not os.path.isdir(directory):
-            raise ValueError(f"{flag} {path!r}: directory {directory!r} "
+            raise ValueError(f"{flag(dest)} {path!r}: directory {directory!r} "
                              "does not exist")
         if os.path.isdir(path):
-            raise ValueError(f"{flag} {path!r} is a directory")
+            raise ValueError(f"{flag(dest)} {path!r} is a directory")
+        other = named.setdefault(os.path.realpath(path), dest)
+        if other != dest:
+            raise ValueError(f"{flag(other)} {values[other]!r} and {flag(dest)} "
+                             f"{path!r} name one file")
 
 
 def _add_common_verify_flags(p: argparse.ArgumentParser):
@@ -300,26 +309,44 @@ def _write_report_files(report, surface, opts: dict):
                     fh.write(row % (u, v, *phis[i][j]))
 
 
-def _print_report(report):
-    print(f"surface: {report.surface}")
-    print(f"grid: {report.grid['nu']}x{report.grid['nv']} "
-          f"u=[{report.grid['u'][0]:.6g}, {report.grid['u'][1]:.6g}] "
-          f"v=[{report.grid['v'][0]:.6g}, {report.grid['v'][1]:.6g}]")
-    for e in report.entries:
-        mark = "pass" if e.passed else "FAIL"
-        print(f"  [{mark}] {e.name:24s} {e.value:.6e}  (tol {e.tol:g})")
-    diag = report.diagnostics
-    if diag:
-        print(f"  theta var {diag['theta']['var']:.3e}; "
-              f"H0 in [{diag['H0']['min']:.9g}, {diag['H0']['max']:.9g}]; "
-              f"dim N1 = {diag['dim_N1']}, dim N2 = {diag['dim_N2']}; "
-              f"H character: {','.join(diag['mean_curvature_character'])}")
-    for i, j, msg in report.degeneracies[:5]:
-        print(f"  degenerate node ({i},{j}): {msg}" if i >= 0 else
-              f"  degenerate grid: {msg}")
-    if len(report.degeneracies) > 5:
-        print(f"  ... {len(report.degeneracies) - 5} more degenerate nodes")
-    print(f"verdict: {report.verdict}")
+def _print_report(report: dict):
+    """Print a report's dict form (``to_dict``'s, or a report file's JSON
+    object, whose null value, tol, dim_N1 or dim_N2 prints as nan), or print
+    nothing and raise ValueError naming the missing or malformed field."""
+    nan = lambda x: math.nan if x is None else x  # null is a non-finite number
+    within = " in 'entries'"  # the list or map a malformed field's error names
+    try:
+        entries = [(e["name"], nan(e["value"]), nan(e["tol"]), e["passed"])
+                   for e in report["entries"]]
+        within = " in 'diagnostics'"
+        diag = {k: nan(v) if k in ("dim_N1", "dim_N2") else v
+                for k, v in report["diagnostics"].items()}
+        within = ""
+        surface, grid, degeneracies, verdict = (
+            report[k] for k in ("surface", "grid", "degeneracies", "verdict"))
+        lines = [f"surface: {surface}",
+                 f"grid: {grid['nu']}x{grid['nv']} "
+                 f"u=[{grid['u'][0]:.6g}, {grid['u'][1]:.6g}] "
+                 f"v=[{grid['v'][0]:.6g}, {grid['v'][1]:.6g}]"]
+        lines += [f"  [{'pass' if passed else 'FAIL'}] {name:24s} "
+                  f"{value:.6e}  (tol {tol:g})"
+                  for name, value, tol, passed in entries]
+        if diag:
+            lines.append(
+                f"  theta var {diag['theta']['var']:.3e}; "
+                f"H0 in [{diag['H0']['min']:.9g}, {diag['H0']['max']:.9g}]; "
+                f"dim N1 = {diag['dim_N1']}, dim N2 = {diag['dim_N2']}; "
+                f"H character: {','.join(diag['mean_curvature_character'])}")
+        lines += [f"  degenerate node ({i},{j}): {msg}" if i >= 0 else
+                  f"  degenerate grid: {msg}" for i, j, msg in degeneracies[:5]]
+        if len(degeneracies) > 5:
+            lines.append(f"  ... {len(degeneracies) - 5} more degenerate nodes")
+    except KeyError as exc:
+        raise ValueError(f"report field {exc} is missing") from None
+    except (IndexError, TypeError, AttributeError, ValueError) as exc:
+        raise ValueError(f"report field is malformed "
+                         f"({type(exc).__name__}: {exc}){within}") from None
+    print(*lines, f"verdict: {verdict}", sep="\n")
 
 
 def _verify_inputs(opts: dict) -> dict:
@@ -346,7 +373,7 @@ def _run_verify(surface, inputs: dict, opts: dict, expect: dict | None) -> int:
     from .verdicts import verify_surface
     report = verify_surface(surface, expect=expect, **inputs)
     _write_report_files(report, surface, opts)
-    _print_report(report)
+    _print_report(report.to_dict())
     return {"pass": EXIT_PASS, "fail": EXIT_FAIL}.get(report.verdict, EXIT_INVALID)
 
 
@@ -491,24 +518,17 @@ def _cmd_scan(args) -> int:
 
 def _cmd_report(args) -> int:
     import json
-    from .verdicts import VerificationReport
     try:  # a file that is no UTF-8 or no JSON is named like a malformed one
         with open(args.path, "r", encoding="utf-8") as fh:
-            report = VerificationReport.from_dict(json.load(fh))
+            report = json.load(fh)
+        if not isinstance(report, dict):
+            raise ValueError(
+                f"a report is a JSON object, not {type(report).__name__}")
+        _print_report(report)
     except ValueError as exc:
         raise ValueError(f"{args.path}: {exc}") from None
     except OSError as exc:
         raise ValueError(f"{args.path}: {exc.strerror}") from None
-    text = io.StringIO()  # printed only once the whole report has formatted
-    try:
-        with contextlib.redirect_stdout(text):
-            _print_report(report)
-    except KeyError as exc:
-        raise ValueError(f"{args.path}: report field {exc} is missing") from None
-    except (IndexError, TypeError, AttributeError, ValueError) as exc:
-        raise ValueError(f"{args.path}: report field is malformed "
-                         f"({type(exc).__name__}: {exc})") from None
-    sys.stdout.write(text.getvalue())
     return EXIT_PASS
 
 

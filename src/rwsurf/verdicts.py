@@ -93,7 +93,7 @@ class VerificationReport:
     ``grid``, ``entries[]`` with (name, value, tol, pass), ``diagnostics``,
     ``degeneracies[]`` and ``verdict`` in {'pass', 'fail', 'degenerate'}.
     ``surface_grid`` is the filled grid the checks read (None when it could
-    not be built or the report was loaded); it is not serialized.
+    not be built); it is not serialized.
     """
 
     surface: str
@@ -131,34 +131,6 @@ class VerificationReport:
         # strict JSON: a non-finite number is null
         return json.dumps(_strict_json(self.to_dict()), indent=2,
                           sort_keys=True, allow_nan=False)
-
-    @staticmethod
-    def from_dict(d: dict) -> "VerificationReport":
-        """The report ``d`` (``to_dict``'s form) describes.  ValueError when
-        ``d`` is no JSON object, or naming the field that is missing or
-        malformed."""
-        if not isinstance(d, dict):
-            raise ValueError(
-                f"a report is a JSON object, not {type(d).__name__}")
-        nan = lambda x: math.nan if x is None else x  # null is a non-finite number
-
-        def read(key, parse=lambda x: x):
-            try:
-                return parse(d[key])
-            except KeyError as exc:
-                raise ValueError(f"report field {exc} is missing") from None
-            except (TypeError, AttributeError) as exc:
-                raise ValueError(f"report field is malformed ({type(exc).__name__}"
-                                 f": {exc}) in {key!r}") from None
-
-        entries = read("entries", lambda es: [
-            CheckEntry(e["name"], nan(e["value"]), nan(e["tol"]), e["passed"])
-            for e in es])
-        diagnostics = read("diagnostics", lambda ds: {
-            k: nan(v) if k in ("dim_N1", "dim_N2") else v for k, v in ds.items()})
-        return VerificationReport(read("surface"), read("grid"), entries,
-                                  diagnostics, read("degeneracies"),
-                                  read("verdict"), d.get("schema", SCHEMA))
 
 
 # ---------------------------------------------------------------------------

@@ -378,7 +378,9 @@ PIN_RUNS = [
            "threads"),
           (PRODUCT, "substep", "ValueError: unknown config keys: substep"),
           (THM4, "c2", "ValueError: unknown config keys: c2"),
-          (SPHERE, "attr", "ValueError: unknown config keys: attr"))),
+          (SPHERE, "attr", "ValueError: unknown config keys: attr"),
+          (THM4, "empty_key",
+           f"ValueError: {CHARTS / 'empty_key.cfg'}:2: expected KEY=VALUE"))),
     # scan ranges are lo:hi:n with finite lo and hi and an integer n >= 1,
     # theta excludes 0, and a reversed range is read as given
     _refused_flag(H4, "theta", "0:3:5",
@@ -416,7 +418,17 @@ PIN_RUNS = [
            "quotes: line 1 column 2 (char 1)"),
           ("report_empty", "Expecting value: line 1 column 1 (char 0)"),
           ("report_not_utf8", "'utf-8' codec can't decode byte 0xff in "
-           "position 13: invalid start byte"))),
+           "position 13: invalid start byte"),
+          ("report_entry_type", "report field is malformed (TypeError: 'int' "
+           "object is not subscriptable) in 'entries'"),
+          ("report_diagnostics", "report field is malformed (AttributeError: "
+           "'list' object has no attribute 'items') in 'diagnostics'"),
+          ("report_verdict", "report field 'verdict' is missing"))),
+    # a stored null value, tol, dim_N1 or dim_N2 prints as nan
+    Run("report_null_value", ["report", str(CHARTS / "report_null_value.json")],
+        0, ("report_null_value.stdout",), lines=(
+            "  [FAIL] pmcv                     nan  (tol 1e-05)",
+            "  [FAIL] dim_N2                   3.000000e+00  (tol nan)")),
     # user-map: a plane passes, a horizontal slice and a chart of the wrong
     # length are degenerate, and each flag and a chart file that defines no
     # chart are refused before the chart file runs
@@ -470,6 +482,28 @@ PIN_RUNS = [
              "exist"),
     _refused("thm4_out_is_a_directory", [*THM4, "--out", "."],
              "ValueError: --out '.' is a directory"),
+    # so is an empty output path, a flag's or a config key's, and two
+    # outputs that name one file (tier-1 refuses an output that names an
+    # input on copies of the inputs)
+    *(_refused(f"{argv[1]}_{flag}_empty", [*argv, f"--{flag}="],
+               f"ValueError: --{flag} '' is an empty path")
+      for argv, flag in ((THM4, "out"), (THM4, "residuals-csv"),
+                         (SPHERE, "surface-csv"), (F4_REF, "csv"),
+                         (H4, "csv"), (SLICE, "csv"))),
+    _refused("thm4_config_out_empty",
+             [*THM4, "--config", str(CHARTS / "out_empty.cfg")],
+             "ValueError: --out '' is an empty path"),
+    _refused("thm4_outputs_name_one_file",
+             [*THM4, "--out", "r.json", "--residuals-csv", "./r.json"],
+             "ValueError: --out 'r.json' and --residuals-csv './r.json' name "
+             "one file"),
+    # a closed-form warp that overflows leaves a SingularWarpError degeneracy
+    # and no numpy warning (a pinned stdout: stderr stays empty)
+    Run("plane_exp_overflow",
+        ["verify", "user-map", "--py", chart("plane"), "--ambient",
+         "warped-flat", "--n", "4", "--warp", "exp:1e10", "--chart-u-span",
+         "0:1", "--chart-v-span", "0:1", "--grid", "3x3"], 2,
+        ("plane_exp_overflow.stdout",)),
     # the non-CMC biconservative surface of E^3 and its stretched twin: each
     # fails pmcv, and the twin fails biconservativity too
     *(_verify(f"{name}_9", [*bicons_e3(name), "--grid", "9x9"], 1)

@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -73,6 +74,21 @@ def test_arithmetic_error_of_the_warp_is_singular():
         rw.WarpingFunction(overflowing)(0.5)
     with pytest.raises(SingularWarpError, match="ZeroDivisionError"):
         rw.WarpingFunction(lambda t: (1.0 / t, 0.0, 0.0))(0.0)
+
+
+@pytest.mark.parametrize("warp, t", [
+    (rw.WarpingFunction.exponential(1e10), 0.5),
+    (rw.WarpingFunction.hyperbolic_cosine(), 1000.0),
+    (rw.WarpingFunction.polynomial([1.0, 1e300, 1e300], (-1e6, 1e6)), 1e5)],
+    ids=["exp", "cosh", "poly"])
+def test_closed_form_overflow_is_singular_not_a_warning(warp, t):
+    # numpy's overflow raises inside the closed form, so the sample names it
+    # and no RuntimeWarning reaches the caller
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularWarpError, match=re.escape(
+                f"not finite at t={t} (FloatingPointError: overflow")):
+            warp(t)
 
 
 def overflowing_warp_surface():

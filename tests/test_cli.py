@@ -52,8 +52,8 @@ def test_commands_do_not_import_numpy_ma(tmp_path):
 
 
 def test_commands_without_geometry_work_import_no_numpy(tmp_path):
-    # the package, the parser, --help and refused flags load no geometry:
-    # numpy is imported by the first command that runs some
+    # the package, the parser, --help, refused flags and report load no
+    # geometry: numpy is imported by the first command that runs some
     (tmp_path / "cfg.txt").write_text("grid 5x5\n")
     runs = [["--help"],
             *(["verify", kind, "--help"]
@@ -62,7 +62,10 @@ def test_commands_without_geometry_work_import_no_numpy(tmp_path):
             THM4_ARGS[:-1] + ["2x5"],
             THM4_ARGS + ["--config", "cfg.txt"],
             ["verify", "product", "--b1", "1", "--b3", "0.5",
-             "--substep", "1e-3"]]
+             "--substep", "1e-3"],
+            # report reads JSON alone, well-formed or not
+            ["report", str(pins.CHARTS / "report_null_value.json")],
+            ["report", str(pins.CHARTS / "report_entries.json")]]
     probe = ("import contextlib, io, json, sys\n"
              "import rwsurf, rwsurf.cli\n"
              "from rwsurf.cli import main\n"
@@ -74,7 +77,8 @@ def test_commands_without_geometry_work_import_no_numpy(tmp_path):
              "    except SystemExit as exc:\n"
              "        return exc.code\n"
              f"codes = [code(argv) for argv in {runs!r}]\n"
-             "loaded = 'numpy' in sys.modules\n"
+             "loaded = sorted({'numpy', *('rwsurf.' + m for m in ('verdicts',\n"
+             "    'shape', 'immersion', 'ambient', 'linalg'))} & set(sys.modules))\n"
              "codes.append(code(['verify', 'product', '--b1', '1', '--b3',\n"
              "                   '0.5', '--grid', '5x5']))\n"
              "print(json.dumps([codes, loaded, 'numpy' in sys.modules]))\n")
@@ -83,8 +87,8 @@ def test_commands_without_geometry_work_import_no_numpy(tmp_path):
                          check=True, capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": str(src)}).stdout
     helps = [0] * (len(families.FAMILIES) + 3)
-    assert json.loads(out.splitlines()[-1]) == [helps + [2, 2, 2, 0], False,
-                                                True]
+    assert json.loads(out.splitlines()[-1]) == [helps + [2, 2, 2, 0, 2, 0],
+                                                [], True]
 
 
 def test_solve_f4_csv(tmp_path, capsys):
@@ -288,9 +292,10 @@ test_scan_range_must_be_finite_with_a_count = _rows({
         "h4_theta=0.1:3", "h4_theta=0.1:3:5:7", "h4_theta=0.1:3:2.5",
         "h4_tau=0:5:-3", "slice_theta=0.1:3:0", "h4_tau=a:5:3"])})
 test_report_of_json_that_is_not_a_report_exits_2 = _rows({
-    "empty": "not_a_report",
+    "empty": "not_a_report", "entry-type": "report_entry_type",
     **{name: f"report_{name}"
-       for name in ("list", "null", "grid", "entry", "entries", "value")}})
+       for name in ("list", "null", "grid", "entry", "entries", "value",
+                    "diagnostics", "verdict")}})
 test_report_that_is_no_json_names_its_file = _rows({
     "truncated": "report_truncated", "empty": "report_empty",
     "not-utf-8": "report_not_utf8"})
@@ -458,6 +463,33 @@ def test_report_prints_the_report_verify_printed(tmp_path, capsys):
         printed = capsys.readouterr().out.split("\n", 1)[1]
         assert main(["report", str(out)]) == 0
         assert capsys.readouterr().out == printed
+
+
+def test_an_output_that_names_an_input_is_refused(tmp_path, capsys):
+    # before the chart file runs or anything is solved, so every input keeps
+    # its bytes; on copies, since a regression would overwrite them
+    chart = tmp_path / "printing_chart.py"
+    chart.write_bytes(pathlib.Path(pins.chart("printing_chart")).read_bytes())
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("grid = 3x3\n")
+    (tmp_path / "sub").mkdir()
+    spelled = str(tmp_path / "sub" / ".." / "c.cfg")  # one file, two names
+    user_map = pins._user_map("printing_chart")
+    user_map[user_map.index("--py") + 1] = str(chart)
+    for argv, first, then in (
+            ([*user_map, "--surface-csv", str(chart)], ("--py", chart),
+             ("--surface-csv", chart)),
+            ([*THM4_ARGS, "--config", str(cfg), "--out", spelled],
+             ("--config", cfg), ("--out", spelled)),
+            ([*user_map, "--config", str(cfg), "--residuals-csv", str(cfg)],
+             ("--config", cfg), ("--residuals-csv", cfg))):
+        inputs = {path: path.read_bytes() for path in (chart, cfg)}
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", (
+            f"error: ValueError: {first[0]} {str(first[1])!r} and {then[0]} "
+            f"{str(then[1])!r} name one file\n"))
+        assert {path: path.read_bytes() for path in inputs} == inputs
+    assert sorted(os.listdir(tmp_path)) == ["c.cfg", "printing_chart.py", "sub"]
 
 
 @pytest.mark.parametrize("key", ["u_end"])
