@@ -1,3 +1,4 @@
+import argparse
 import collections
 import dataclasses
 import json
@@ -706,6 +707,36 @@ def test_report_json_is_strict_with_nan_values(product_surface, product_expect,
     assert printed[0] == printed[1]
     assert "dim N1 = nan, dim N2 = nan" in printed[1]
     assert rep.verdict == "fail"
+
+
+_REPORT = {"surface": "s", "grid": {"nu": 1, "nv": 1, "u": [0, 1], "v": [0, 1]},
+           "entries": [{"name": "pmcv", "value": 0.0, "tol": 1e-5,
+                        "passed": True}],
+           "diagnostics": {}, "degeneracies": [], "verdict": "pass"}
+
+
+@pytest.mark.parametrize("data, message", [
+    ({}, "report field 'entries' is missing"),
+    ([1, 2], "a report is a JSON object, not list"),
+    (None, "a report is a JSON object, not NoneType"),
+    ({**_REPORT, "entries": [{"name": "pmcv"}]},
+     "report field 'value' is missing"),
+    ({**_REPORT, "entries": 3}, "report field is malformed (TypeError: "),
+], ids=["empty", "list", "null", "entry", "entries"])
+def test_from_dict_of_json_that_is_not_a_report_raises_value_error(
+        data, message, tmp_path, capsys):
+    # a report read from its JSON dict form: the error names the file and
+    # the field, not a bare KeyError or TypeError, and nothing is printed
+    path = tmp_path / "r.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ValueError) as info:
+        cli._cmd_report(argparse.Namespace(path=str(path)))
+    assert str(info.value).startswith(f"{path}: ")
+    assert message in str(info.value)
+    assert capsys.readouterr().out == ""
+    path.write_text(json.dumps(_REPORT))
+    assert cli._cmd_report(argparse.Namespace(path=str(path))) == 0
+    assert capsys.readouterr().out.endswith("verdict: pass\n")
 
 
 def _three_pass_json(report) -> str:
