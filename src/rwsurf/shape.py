@@ -246,50 +246,51 @@ def evaluate_point(surface: Jet2Immersion, u, v, *, _stencil=False):
     grid fill's, for its stencil points: ``data`` then holds
     ``_point_data``'s differentiated fields alone, and None for the others.
     """
-    space = surface.space
-    if np.ndim(u) == 0 and np.ndim(v) == 0:
-        jet = surface.jet(u, v)
-        return _point_data(space, jet, space.warp_state(jet.phi.tolist()), _stencil)
-    sample, errors = surface.jet(u, v)
-    shape = np.shape(sample.u)
-    jet = _map_arrays(lambda x: x.reshape((-1,) + x.shape[len(shape):]), sample)
-    alive = np.ones(len(jet.u), dtype=bool)
-    alive[list(errors)] = False
-    alive = np.flatnonzero(alive)
-    times, inverse = np.unique(jet.phi[alive, 0], return_inverse=True)
-    states = np.full((len(times), 3), np.nan)
-    for m, t in enumerate(times.tolist()):
-        try:
-            states[m] = space.warp_state((t,))
-        except GeometryError as exc:
-            errors.update(dict.fromkeys(alive[inverse == m].tolist(),
-                                        f"{type(exc).__name__}: {exc}"))
-    states = states[inverse]
-    keep = _all_last(np.isfinite(states))
-    alive, states = alive[keep], states[keep]
-    alive_only = lambda x: x if len(alive) == len(jet.u) else x[alive]
-    while True:
-        try:
-            data = _point_data(space, _map_arrays(alive_only, jet),
-                               tuple(states.T), _stencil)
-            break
-        except GeometryError as exc:
-            if getattr(exc, "where", None) is None:
-                raise
-            for k, text in zip(alive[exc.where], exc.texts):
-                errors[int(k)] = f"{type(exc).__name__}: {text}"
-            alive, states = alive[~exc.where], states[~exc.where]
+    with np.errstate(over="ignore", invalid="ignore"):
+        space = surface.space
+        if np.ndim(u) == 0 and np.ndim(v) == 0:
+            jet = surface.jet(u, v)
+            return _point_data(space, jet, space.warp_state(jet.phi.tolist()), _stencil)
+        sample, errors = surface.jet(u, v)
+        shape = np.shape(sample.u)
+        jet = _map_arrays(lambda x: x.reshape((-1,) + x.shape[len(shape):]), sample)
+        alive = np.ones(len(jet.u), dtype=bool)
+        alive[list(errors)] = False
+        alive = np.flatnonzero(alive)
+        times, inverse = np.unique(jet.phi[alive, 0], return_inverse=True)
+        states = np.full((len(times), 3), np.nan)
+        for m, t in enumerate(times.tolist()):
+            try:
+                states[m] = space.warp_state((t,))
+            except GeometryError as exc:
+                errors.update(dict.fromkeys(alive[inverse == m].tolist(),
+                                            f"{type(exc).__name__}: {exc}"))
+        states = states[inverse]
+        keep = _all_last(np.isfinite(states))
+        alive, states = alive[keep], states[keep]
+        alive_only = lambda x: x if len(alive) == len(jet.u) else x[alive]
+        while True:
+            try:
+                data = _point_data(space, _map_arrays(alive_only, jet),
+                                   tuple(states.T), _stencil)
+                break
+            except GeometryError as exc:
+                if getattr(exc, "where", None) is None:
+                    raise
+                for k, text in zip(alive[exc.where], exc.texts):
+                    errors[int(k)] = f"{type(exc).__name__}: {text}"
+                alive, states = alive[~exc.where], states[~exc.where]
 
-    def place(x):
-        out = x
-        if len(alive) < len(jet.u):
-            out = np.full((len(jet.u),) + x.shape[1:],
-                          np.nan if x.dtype.kind in "fc" else 0, dtype=x.dtype)
-            out[alive] = x
-        return out.reshape(shape + x.shape[1:])
+        def place(x):
+            out = x
+            if len(alive) < len(jet.u):
+                out = np.full((len(jet.u),) + x.shape[1:],
+                              np.nan if x.dtype.kind in "fc" else 0, dtype=x.dtype)
+                out[alive] = x
+            return out.reshape(shape + x.shape[1:])
 
-    data = _map_arrays(place, data)
-    return (data if _stencil else dataclasses.replace(data, jet=sample)), errors
+        data = _map_arrays(place, data)
+        return (data if _stencil else dataclasses.replace(data, jet=sample)), errors
 
 
 def frame_norm(V, pd: PointData):

@@ -12,10 +12,11 @@ once per solved family, as straight-line code that is bit-identical to the
 per-component form.  Each family's equations are one source text (_L4,
 _L5), compiled inline into its step's stages and its dense state sample:
 the sample's interval test, the step's bisection, the quartic and the
-equations in one frame.  A solved warp is a WarpingFunction around that
-sample (for the coupled system, around its state cache), so its checks are
-ambient's, the same as for every warp.  No stiff solver is provided:
-the warp ODE blows up in finite time for many initial conditions.  The
+equations in one frame, beside its completion, its right-hand side (the
+completion's slopes) and its residuals.  A solved warp is a WarpingFunction
+around that sample (for the coupled system, around its state cache), so its
+checks are ambient's, the same as for every warp.  No stiff solver is
+provided: the warp ODE blows up in finite time for many initial conditions.  The
 rotational warp's solve stops short of its blow-up on an asymptotic estimate
 of the time left (monitor 'blow-up', see _BLOW_UP_DELTA); elsewhere a blow-up
 ends the solve by step underflow.  Either way it is reported rather than
@@ -173,7 +174,8 @@ def _kernels(key):
     clamps it to [lo, hi], bisects the direction-signed step starts for its
     row, evaluates that row inline and returns the quartic's state,
     completed unless complete is None.  A family's bind(*factors) returns
-    its (rhs, complete)."""
+    its (rhs, complete, residuals), rhs the slopes of complete's full state,
+    residuals a function of that state, or None."""
     family = None if isinstance(key, int) else key
     if family is None:
         fn, d = "fn", key
@@ -246,12 +248,15 @@ def _kernels(key):
         "            raise ChartDomainError(\n"
         '                f"dense output evaluated at t={t} outside [{lo}, {hi}]")\n'
         + lines(8, locate + value) + "    return sample\n")
-    if family is not None:
-        source += (f"def bind({fn}):\n    def rhs(t, s):\n"
-                   + lines(8, call("t", "s", "ds ") + ["return ds"])
-                   + "    def complete(s):\n"
+    if family is not None:  # rhs is the slope part of complete
+        source += (f"def bind({fn}):\n    def complete(s):\n"
                    + lines(8, bound("s") + [f"return {full}"])
-                   + "    return rhs, complete\n")
+                   + f"    def rhs(t, s):\n        {full}= complete(s)\n"
+                   f"        return {slope}\n"
+                   + (f"    def residuals({full}):\n"
+                      + lines(8, family.residuals.splitlines())
+                      if family.residuals else "    residuals = None\n")
+                   + "    return rhs, complete, residuals\n")
     exec(compile(source, f"<rwsurf.solvers._kernels({getattr(family, 'name', d)})>",
                  "exec"), names)
     return tuple(names[k] for k in ("step", "quartic", "dense", "bind")
@@ -502,15 +507,17 @@ def validate_constants_product(b1: float, b2: float | None = None,
 # A solved family's equations as straight-line source text over its constant
 # factors (names, comma-joined): from its state's names, pairs of a value and
 # its slope (fv, fp, ...), to each slope's derivative, the slope's name with
-# one more p (fpp, ...).  _kernels compiles the text inline.
-_Family = namedtuple("_Family", "name state factors text")
+# one more p (fpp, ...).  _kernels compiles the text inline, and in the same
+# module the residuals: None, or a text over the full state (fv, fp, fpp, ...)
+# that returns the equations' residuals.
+_Family = namedtuple("_Family", "name state factors text residuals", defaults=(None,))
 
 
 def _bind(family: _Family, factors):
     """The family's generated rhs(t, s) and completion at its factors, each
     with (family, factors) as ``inline``: rk_integrate and DenseOutput then
     run the family's kernels."""
-    rhs, complete = _kernels(family)[3](*factors)
+    rhs, complete, _ = _kernels(family)[3](*factors)
     rhs.inline = complete.inline = family, factors
     return rhs, complete
 
@@ -629,27 +636,20 @@ fpp = (A12 * R2 - A22 * R1) / det
 ypp = (A21 * R1 - A11 * R2) / det"""
 _L5 = _Family("l5", "fv, fp, yv, yp", "ac, k22, m, k11, k12, r1a, r1b, a2, "
               "r1c, r1d, r1e, r1f, r1g, r2a, r2b, r2c, r2d, r2e, w4, w6, w8",
-              _L5_MATRICES + "\n" + _CRAMER)
+              _L5_MATRICES + "\n" + _CRAMER, _L5_MATRICES + """
+return (float(A11 * fpp + A12 * ypp + R1),
+        float(A21 * fpp + A22 * ypp + R2))""")
 
 
-@functools.cache
-def _system_residuals():
-    """residuals(factors, fv, fp, fpp, yp, ypp): A @ (f'', y'') + R of
-    _L5_MATRICES as two floats, compiled on first use."""
-    names = {}
-    exec(compile("".join(f"    {line}\n" for line in [
-        f"{_L5.factors}, = factors", *_L5_MATRICES.splitlines(),
-        "return (float(A11 * fpp + A12 * ypp + R1),",
-        "        float(A21 * fpp + A22 * ypp + R2))"]).join(
-            ["def residuals(factors, fv, fp, fpp, yp, ypp):\n", ""]),
-        "<rwsurf.solvers._system_residuals>", "exec"), names)
-    return names["residuals"]
+def _residuals(constants: ConstantsL5):
+    """_L5's residuals(fv, fp, fpp, yv, yp, ypp) at the constants' factors."""
+    return _kernels(_L5)[3](*constants._factors)[2]
 
 
 def system_equation_residuals(constants: ConstantsL5, fv, fp, fpp, yp, ypp):
     """Raw residuals of the two family equations at a state (back-substitution
     oracle for the pointwise linear extraction)."""
-    return _system_residuals()(constants._factors, fv, fp, fpp, yp, ypp)
+    return _residuals(constants)(fv, fp, fpp, None, yp, ypp)
 
 
 _DET_TOL = 1e-10
@@ -696,10 +696,9 @@ class WarpSystemSolution:
     def max_equation_residual(self) -> float:
         """Largest |residual| of the two family equations over
         _RESIDUAL_SAMPLES uniform times; NaN when any residual is NaN."""
-        residuals, at, factors = [], _system_residuals(), self.constants._factors
+        residuals, at = [], _residuals(self.constants)
         for t in np.linspace(*self.warp.interval, _RESIDUAL_SAMPLES).tolist():
-            fv, fp, fpp, _, yp, ypp = self.state(t)
-            residuals += at(factors, fv, fp, fpp, yp, ypp)
+            residuals += at(*self.state(t))
         return float(np.max(np.abs(residuals)))
 
 

@@ -102,7 +102,6 @@ class VerificationReport:
     diagnostics: dict
     degeneracies: list
     verdict: str
-    schema: str = SCHEMA
     surface_grid: SurfaceGrid | None = field(default=None, repr=False,
                                              compare=False)
 
@@ -118,7 +117,7 @@ class VerificationReport:
 
     def to_dict(self) -> dict:
         return {
-            "schema": self.schema,
+            "schema": SCHEMA,
             "surface": self.surface,
             "grid": self.grid,
             "entries": [asdict(e) for e in self.entries],
@@ -345,94 +344,95 @@ def verify_surface(surface: Jet2Immersion, grid=(17, 17),
     grid_meta = {"nu": nu, "nv": nv, "u": [float(u_lo), float(u_hi)],
                  "v": [float(v_lo), float(v_hi)], "substep": DEFAULT_SUBSTEP}
 
-    try:
-        sg = SurfaceGrid(surface, us, vs)
-    except GeometryError as exc:
-        return VerificationReport(surface.name, grid_meta, [], {},
-                                  [[-1, -1, f"{type(exc).__name__}: {exc}"]],
-                                  "degenerate")
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            sg = SurfaceGrid(surface, us, vs)
+        except GeometryError as exc:
+            return VerificationReport(surface.name, grid_meta, [], {},
+                                      [[-1, -1, f"{type(exc).__name__}: {exc}"]],
+                                      "degenerate")
 
-    degeneracies = [[i, j, msg] for i, j, msg in sg.degeneracies]
-    if sg.n_ok == 0:
-        return VerificationReport(surface.name, grid_meta, [], {},
-                                  degeneracies, "degenerate", surface_grid=sg)
+        degeneracies = [[i, j, msg] for i, j, msg in sg.degeneracies]
+        if sg.n_ok == 0:
+            return VerificationReport(surface.name, grid_meta, [], {},
+                                      degeneracies, "degenerate", surface_grid=sg)
 
-    entries: list[CheckEntry] = []
+        entries: list[CheckEntry] = []
 
-    def add(name, value):
-        t = float(overrides.get(name, TIERS[TOLERANCE_ENTRIES[name]]))
-        entries.append(CheckEntry(name, float(value), t, bool(value < t)))
+        def add(name, value):
+            t = float(overrides.get(name, TIERS[TOLERANCE_ENTRIES[name]]))
+            entries.append(CheckEntry(name, float(value), t, bool(value < t)))
 
-    # pointwise frame quality and scalar diagnostics, over the good nodes
-    ok = sg.ok
-    nd = sg.node_data
-    fr, sfd, G = nd.frame, nd.sfd, nd.G
-    vecs, m = fr.vectors, fr.vectors.shape[-2]
-    gram = inner(vecs[..., :, None, :], vecs[..., None, :, :],
-                 G[..., None, None, :])
-    upper = np.triu_indices(m)
-    ortho = np.abs(gram - fr.signs[..., None] * np.eye(m))
-    dt = surface.space.dt_vector()
-    reassembly = frame_norm(_col(fr.sinh_theta) * fr.e1
-                            + _col(fr.cosh_theta) * fr.e3 - dt, nd)
-    hs = np.stack([sfd.h11, sfd.h12, sfd.h22], axis=-2)
-    h_tangency = np.abs(inner(hs[..., None, :], vecs[..., None, :2, :],
-                              G[..., None, None, :]))
-    hh = inner(sfd.H, sfd.H, G)[ok]
-    characters = causal_character(sfd.H, G)[ok]
-    has_mean_everywhere = bool(fr.has_mean_direction[ok].all())
+        # pointwise frame quality and scalar diagnostics, over the good nodes
+        ok = sg.ok
+        nd = sg.node_data
+        fr, sfd, G = nd.frame, nd.sfd, nd.G
+        vecs, m = fr.vectors, fr.vectors.shape[-2]
+        gram = inner(vecs[..., :, None, :], vecs[..., None, :, :],
+                     G[..., None, None, :])
+        upper = np.triu_indices(m)
+        ortho = np.abs(gram - fr.signs[..., None] * np.eye(m))
+        dt = surface.space.dt_vector()
+        reassembly = frame_norm(_col(fr.sinh_theta) * fr.e1
+                                + _col(fr.cosh_theta) * fr.e3 - dt, nd)
+        hs = np.stack([sfd.h11, sfd.h12, sfd.h22], axis=-2)
+        h_tangency = np.abs(inner(hs[..., None, :], vecs[..., None, :2, :],
+                                  G[..., None, None, :]))
+        hh = inner(sfd.H, sfd.H, G)[ok]
+        characters = causal_character(sfd.H, G)[ok]
+        has_mean_everywhere = bool(fr.has_mean_direction[ok].all())
 
-    add("frame_orthonormality", _worst(ortho[..., upper[0], upper[1]][ok]))
-    add("frame_reassembly", _worst(reassembly[ok]))
-    add("h_tangency", _worst(h_tangency[ok]))
-    add("reduced_pairing", _worst(_reduced_values(sg)[ok]))
-    add("mean_norm_spread", _worst(hh) - hh.min())
+        add("frame_orthonormality", _worst(ortho[..., upper[0], upper[1]][ok]))
+        add("frame_reassembly", _worst(reassembly[ok]))
+        add("h_tangency", _worst(h_tangency[ok]))
+        add("reduced_pairing", _worst(_reduced_values(sg)[ok]))
+        add("mean_norm_spread", _worst(hh) - hh.min())
 
-    # gauss consistency: stencil-differentiated frame fields against h
-    W = sg.frame_covariants()
-    gauss = [frame_norm(W[ii][jj] - sg.tangential_part(W[ii][jj])
-                        - sfd.h(ii + 1, jj + 1), nd)[ok]
-             for ii in range(2) for jj in range(2)]
-    add("gauss_consistency", _worst(gauss))
+        # gauss consistency: stencil-differentiated frame fields against h
+        W = sg.frame_covariants()
+        gauss = [frame_norm(W[ii][jj] - sg.tangential_part(W[ii][jj])
+                            - sfd.h(ii + 1, jj + 1), nd)[ok]
+                 for ii in range(2) for jj in range(2)]
+        add("gauss_consistency", _worst(gauss))
 
-    add("pmcv", pmcv_residual(sg))
-    add("biconservativity", biconservativity_residual(sg))
-    for name, value in zip(("codazzi_1", "codazzi_2", "frame_tangent_e1",
-                            "frame_tangent_e2", "frame_normal_e1",
-                            "frame_normal_e2"),
-                           codazzi_residuals(sg) + frame_identity_residuals(sg)):
-        add(name, value)
-    add("normal_curvature", flat_normal_bundle_check(sg))
-
-    if has_mean_everywhere:
-        for name, value in pmcv_structure_check(sg).items():
+        add("pmcv", pmcv_residual(sg))
+        add("biconservativity", biconservativity_residual(sg))
+        for name, value in zip(("codazzi_1", "codazzi_2", "frame_tangent_e1",
+                                "frame_tangent_e2", "frame_normal_e1",
+                                "frame_normal_e2"),
+                               codazzi_residuals(sg) + frame_identity_residuals(sg)):
             add(name, value)
+        add("normal_curvature", flat_normal_bundle_check(sg))
 
-    dims = normal_space_dims(sg)
-    A = sfd.A[ok]
-    diagnostics = {
-        "theta": _stats(fr.theta[ok]),
-        "gamma_e3": _stats(A[:, 0, 0, 0]),
-        "tau_e5": _stats(A[:, 2, 0, 0]) if A.shape[1] >= 3 else None,
-        "H0": _stats(np.sqrt(np.abs(hh))),
-        "mean_curvature_character": sorted(set(map(str, characters))),
-        "dim_N1": dims.n1, "dim_N2": dims.n2,
-        "dim_N1_range": list(dims.n1_range), "dim_N2_range": list(dims.n2_range),
-        "has_mean_direction": has_mean_everywhere,
-        "nodes_evaluated": sg.n_ok,
-    }
+        if has_mean_everywhere:
+            for name, value in pmcv_structure_check(sg).items():
+                add(name, value)
 
-    if "H0" in expect:
-        add("mean_curvature_value",
-            max(abs(diagnostics["H0"]["max"] - expect["H0"]),
-                abs(diagnostics["H0"]["min"] - expect["H0"])))
-    for name, dim in (("dim_N1", dims.n1), ("dim_N2", dims.n2)):
-        if name in expect:
-            entries.append(CheckEntry(name, float(dim), float(expect[name]),
-                                      dim == expect[name]))
+        dims = normal_space_dims(sg)
+        A = sfd.A[ok]
+        diagnostics = {
+            "theta": _stats(fr.theta[ok]),
+            "gamma_e3": _stats(A[:, 0, 0, 0]),
+            "tau_e5": _stats(A[:, 2, 0, 0]) if A.shape[1] >= 3 else None,
+            "H0": _stats(np.sqrt(np.abs(hh))),
+            "mean_curvature_character": sorted(set(map(str, characters))),
+            "dim_N1": dims.n1, "dim_N2": dims.n2,
+            "dim_N1_range": list(dims.n1_range), "dim_N2_range": list(dims.n2_range),
+            "has_mean_direction": has_mean_everywhere,
+            "nodes_evaluated": sg.n_ok,
+        }
 
-    all_pass = all(e.passed for e in entries)
-    verdict = "pass" if all_pass and not degeneracies else (
-        "degenerate" if degeneracies else "fail")
-    return VerificationReport(surface.name, grid_meta, entries, diagnostics,
-                              degeneracies, verdict, surface_grid=sg)
+        if "H0" in expect:
+            add("mean_curvature_value",
+                max(abs(diagnostics["H0"]["max"] - expect["H0"]),
+                    abs(diagnostics["H0"]["min"] - expect["H0"])))
+        for name, dim in (("dim_N1", dims.n1), ("dim_N2", dims.n2)):
+            if name in expect:
+                entries.append(CheckEntry(name, float(dim), float(expect[name]),
+                                          dim == expect[name]))
+
+        all_pass = all(e.passed for e in entries)
+        verdict = "pass" if all_pass and not degeneracies else (
+            "degenerate" if degeneracies else "fail")
+        return VerificationReport(surface.name, grid_meta, entries, diagnostics,
+                                  degeneracies, verdict, surface_grid=sg)

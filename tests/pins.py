@@ -504,6 +504,15 @@ PIN_RUNS = [
          "warped-flat", "--n", "4", "--warp", "exp:1e10", "--chart-u-span",
          "0:1", "--chart-v-span", "0:1", "--grid", "3x3"], 2,
         ("plane_exp_overflow.stdout",)),
+    # a finite warp whose square overflows in the grid stack leaves
+    # degeneracies and no numpy warning either
+    *(Run(f"plane_{key}_overflow",
+          ["verify", "user-map", "--py", chart("plane"), "--ambient",
+           "warped-flat", "--n", "4", "--warp", warp, "--chart-u-span", "0:1",
+           "--chart-v-span", "0:1", "--grid", "3x3"], 2,
+          (f"plane_{key}_overflow.stdout",))
+      for key, warp in (("exp400", "exp:400"), ("exp700", "exp:700"),
+                        ("poly", "poly:1,1e200"))),
     # the non-CMC biconservative surface of E^3 and its stretched twin: each
     # fails pmcv, and the twin fails biconservativity too
     *(_verify(f"{name}_9", [*bicons_e3(name), "--grid", "9x9"], 1)

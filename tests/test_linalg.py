@@ -182,6 +182,14 @@ def test_projection_off_an_orthonormal_basis_matches_the_gram_solve(d):
                 assert project_out_span(x, padded, g).tobytes() == got.tobytes()
 
 
+def test_projection_off_an_empty_basis_is_a_copy_of_x():
+    x = np.array([1.0, -2.0, 0.5])
+    got = project_out_span(x, [], np.ones(3))
+    assert got is not x and got.tobytes() == x.tobytes()
+    got[0] = 7.0
+    assert x[0] == 1.0
+
+
 @pytest.mark.parametrize("d", range(2, 8))
 def test_rank_gram_matches_the_dense_metric_bitwise(d, monkeypatch):
     g, vecs = _seeded_stack(d, seed=1)

@@ -1,6 +1,7 @@
 import collections
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -294,6 +295,38 @@ def test_evaluate_point_computes_each_quantity_once(l4_surface, monkeypatch):
     shape.evaluate_point(l4_surface, 0.07, 0.9)
     assert calls == {"metric_at": 1, "induced_metric": 1,
                      "chart_second_fundamental": 1}
+
+
+def test_evaluate_point_reraises_a_layer_error_without_where(tilted_plane,
+                                                            monkeypatch):
+    # a layer's GeometryError that names no failing points is not a
+    # per-point degeneracy: it propagates, and the layer is not retried
+    calls = []
+
+    def failing(*args):
+        calls.append(None)
+        raise rw.GeometryError("no points named")
+
+    monkeypatch.setattr(shape, "induced_metric", failing)
+    us = vs = np.linspace(-0.5, 0.5, 3)
+    with pytest.raises(rw.GeometryError, match="no points named") as exc:
+        shape.evaluate_point(tilted_plane,
+                             *np.broadcast_arrays(us[:, None], vs[None, :]))
+    assert getattr(exc.value, "where", None) is None and len(calls) == 1
+
+
+def test_an_overflowing_metric_is_degenerate_without_a_warning(tilted_plane):
+    # exp(700 t)^2 overflows in the metric from u = 0.5 on: the finiteness
+    # checks record those points, and numpy warns of nothing
+    space = rw.AmbientSpace.warped_flat(4, rw.WarpingFunction.exponential(700.0))
+    plane = dataclasses.replace(tilted_plane, space=space)
+    us = vs = np.linspace(0.0, 1.0, 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        data, errors = shape.evaluate_point(
+            plane, *np.broadcast_arrays(us[:, None], vs[None, :]))
+    assert sorted(errors) == list(range(3, 9))
+    assert np.isfinite(data.G[0]).all() and not np.isfinite(data.G[1:]).any()
 
 
 def test_grid_records_degeneracies(minkowski4, tilted_plane):

@@ -982,14 +982,14 @@ def test_warp_self_consistency_off_mesh(l4_solution):
 def test_max_equation_residual_propagates_nan(l5_solution, monkeypatch):
     # a NaN residual at one sample must not vanish into the reduction
     calls = []
-    residuals = solvers._system_residuals()
+    residuals = solvers._residuals(l5_solution.constants)
 
     def nan_at_100th(*args):
         calls.append(None)
         r1, r2 = residuals(*args)
         return (math.nan, r2) if len(calls) == 100 else (r1, r2)
 
-    monkeypatch.setattr(solvers, "_system_residuals", lambda: nan_at_100th)
+    monkeypatch.setattr(solvers, "_residuals", lambda constants: nan_at_100th)
     assert math.isnan(l5_solution.max_equation_residual())
     assert len(calls) == 200
     monkeypatch.undo()
@@ -1453,12 +1453,12 @@ def test_singular_solved_warp_sample_is_a_singular_warp_error():
 def test_family_kernels_compile_on_first_use_once(monkeypatch):
     # importing the package compiles nothing; then each family compiles
     # once, and nothing else: the solve's raw dense output, which has no
-    # completion, is never called, not even for the blow-up time, and the
-    # warps over the solves compile nothing
+    # completion, is never called, not even for the blow-up time, and
+    # neither the warps over the solves nor the equation residuals compile
+    # anything of their own
     code = ("import rwsurf.cli\n"
             "from rwsurf import solvers\n"
-            "for cached in (solvers._kernels, solvers._system_residuals):\n"
-            "    assert cached.cache_info().currsize == 0, cached\n")
+            "assert solvers._kernels.cache_info().currsize == 0\n")
     src = str(pathlib.Path(solvers.__file__).parents[1])
     subprocess.run([sys.executable, "-c", code], check=True,
                    env={**os.environ, "PYTHONPATH": src})
@@ -1476,7 +1476,9 @@ def test_family_kernels_compile_on_first_use_once(monkeypatch):
         blown = _l4_solve(1.0, 2.0, (0.0, 1.0))
         assert blown.integration.stop_reason == "monitor:blow-up"
         assert blown.blow_up_time is not None
-        rw.solve_warp_system(_l5_member(0.0), L5_ICS, (0.0, 0.1)).warp(0.05)
+        l5 = rw.solve_warp_system(_l5_member(0.0), L5_ICS, (0.0, 0.1))
+        l5.warp(0.05)
+        assert l5.max_equation_residual() < 1e-9
     assert built == [f"<rwsurf.solvers._kernels({key})>" for key in ("l4", "l5")]
 
 
