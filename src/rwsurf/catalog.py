@@ -186,16 +186,6 @@ class ScanResult:
     lower_bound: float
     bound_holds: bool
 
-    def rows(self):
-        """(theta, tau, residual) rows, tau None for a slice scan."""
-        if self.taus is None:
-            for i, th in enumerate(self.thetas):
-                yield (float(th), None, float(self.residuals[i]))
-        else:
-            for i, th in enumerate(self.thetas):
-                for j, ta in enumerate(self.taus):
-                    yield (float(th), float(ta), float(self.residuals[i, j]))
-
 
 def nonexistence_scan_e11h4(theta_grid, tau_grid) -> ScanResult:
     """Scan r(theta0, tau0) = sinh cosh + tau0^2 tanh over a grid.

@@ -369,9 +369,21 @@ def _verify_inputs(opts: dict) -> dict:
     return {**inputs, "tolerances": _tolerance_overrides(overrides)}
 
 
-def _run_verify(surface, inputs: dict, opts: dict, expect: dict | None) -> int:
+def _run_verify(surface, inputs: dict, opts: dict, expect, solution=None) -> int:
     from .verdicts import verify_surface
     report = verify_surface(surface, expect=expect, **inputs)
+    if solution is not None:  # once verify_surface has taken the spans
+        from . import solvers
+        lo, hi = solution.warp.interval
+        stop = solution.integration.stop_reason
+        if isinstance(solution, solvers.WarpSystemSolution):
+            print(f"system integration: {stop}, interval [{lo:.6g}, {hi:.6g}], "
+                  f"max equation residual {solution.max_equation_residual():.3e}")
+        else:
+            blow_up = ("" if solution.blow_up_time is None else
+                       f", estimated blow-up at t={solution.blow_up_time:.6g}")
+            print(f"warp integration: {stop}{blow_up}, "
+                  f"admissible interval [{lo:.6g}, {hi:.6g}]")
     _write_report_files(report, surface, opts)
     _print_report(report.to_dict())
     return {"pass": EXIT_PASS, "fail": EXIT_FAIL}.get(report.verdict, EXIT_INVALID)
@@ -386,19 +398,7 @@ def _cmd_verify_family(args) -> int:
     inputs = _verify_inputs(opts)
     surface, expect, solution = family.build(
         {p.name: opts.get(p.name) for p in family.params})
-    if solution is not None:
-        from . import solvers
-        lo, hi = solution.warp.interval
-        stop = solution.integration.stop_reason
-        if isinstance(solution, solvers.WarpSystemSolution):
-            print(f"system integration: {stop}, interval [{lo:.6g}, {hi:.6g}], "
-                  f"max equation residual {solution.max_equation_residual():.3e}")
-        else:
-            blow_up = ("" if solution.blow_up_time is None else
-                       f", estimated blow-up at t={solution.blow_up_time:.6g}")
-            print(f"warp integration: {stop}{blow_up}, "
-                  f"admissible interval [{lo:.6g}, {hi:.6g}]")
-    return _run_verify(surface, inputs, opts, expect)
+    return _run_verify(surface, inputs, opts, expect, solution)
 
 
 def _load_chart(path: str):

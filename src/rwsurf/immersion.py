@@ -17,6 +17,9 @@ set (``linalg.raise_where``).
 from __future__ import annotations
 
 import functools
+import math
+import types
+import warnings
 from dataclasses import dataclass
 from typing import Callable
 
@@ -190,19 +193,106 @@ class Jet2Immersion:
         return vectors
 
 
+_MEMO = {}  # (math function, stack bytes) -> its result, within one record
+
+
+def _elementwise(fn):
+    """``fn``, run on each element as Python floats where an argument is a
+    float point stack, whose float results it stacks."""
+    def apply(*args):
+        n = next((a.size for a in args if type(a) is _Stack and a.dtype == float), 0)
+        if not n:
+            return fn(*args)  # a float function: raises on a bool stack
+        key = (fn, args[0].tobytes()) if len(args) == 1 else None
+        out = _MEMO.get(key)
+        if out is None:
+            columns = (a.tolist() if type(a) is _Stack else [a] * n for a in args)
+            out = np.fromiter(map(fn, *columns), float, n).view(_Stack)
+            if key:
+                _MEMO[key] = out
+        return out
+    return apply
+
+
+class _Stack(np.ndarray):
+    """A point stack for a chart: ``+ - * /``, negation, ``abs``, ``np.sqrt`` and
+    comparisons run as numpy's IEEE operations, ``** // %`` as Python's."""
+
+    def __array_ufunc__(self, ufunc, method, *args, **kwargs):
+        if not (ufunc in _IEEE and method == "__call__" and not kwargs and all(
+                type(a) is _Stack and a.dtype == float or isinstance(a, (float, int))
+                for a in args)) or ufunc is np.divide and not np.asarray(args[1]).all():
+            raise TypeError(f"no {ufunc.__name__} here")  # a float / 0 raises too
+        return ufunc(*(a.view(np.ndarray) if type(a) is _Stack else a
+                       for a in args)).view(_Stack)
+
+    def _refuse(self, *args):  # other numpy functions, indexing, len
+        raise TypeError("not on a point stack")
+
+    __array_function__ = __getitem__ = __setitem__ = __iter__ = __len__ = _refuse
+    __pow__ = __ipow__ = _elementwise(float.__pow__)
+    __floordiv__ = __ifloordiv__ = _elementwise(float.__floordiv__)
+    __mod__ = __imod__ = _elementwise(float.__mod__)
+    __rpow__, __rfloordiv__, __rmod__ = map(_elementwise, (
+        float.__rpow__, float.__rfloordiv__, float.__rmod__))
+
+
+_IEEE = frozenset(getattr(np, k) for k in "add subtract multiply divide negative positive "
+                  "absolute sqrt less less_equal greater greater_equal equal not_equal".split())
+_MATH_TWINS = {id(f): _elementwise(f) for k, f in vars(math).items() if k in (
+    "acos acosh asin asinh atan atan2 atanh cbrt copysign cos cosh degrees "
+    "erf erfc exp exp2 expm1 fabs fma fmod gamma hypot ldexp lgamma log log10 "
+    "log1p log2 nextafter pow radians remainder sin sinh sqrt tan tanh ulp"
+).split()}
+_MATH = types.SimpleNamespace(**{k: _MATH_TWINS.get(id(f), f)
+                                 for k, f in vars(math).items()})
+
+
+def _stack_chart(chart):
+    """A plain-function ``chart`` and its module's functions rebuilt over a
+    copy of its globals with math's element-wise twins."""
+    home = chart.__globals__
+    scope = {k: _MATH if x is math else _MATH_TWINS.get(id(x), x) for k, x in home.items()}
+    rebuild = lambda f: types.FunctionType(f.__code__, scope, f.__name__,
+                                           f.__defaults__, f.__closure__)
+    scope.update({k: rebuild(x) for k, x in scope.items()
+                  if type(x) is types.FunctionType and x.__globals__ is home})
+    return rebuild(chart)
+
+
 def finite_difference_jet(chart: Callable[[float, float], np.ndarray],
                           space: AmbientSpace, u_domain, v_domain,
                           name: str = "fd-jet") -> Jet2Immersion:
     """Wrap a pointwise chart map into a batched Jet2Immersion via central
-    differences with one Richardson extrapolation level: 25 chart calls per
-    point, with floats, one (N, d) stack per offset, each jet bitwise its
-    one-point jet.  The chart must be evaluable on the declared domain
-    inflated by the larger step; grid builders downstream keep that margin.
-    A chart's exception other than a GeometryError is the ChartDomainError
-    of the point it was called at; a value that is no vector of length d
-    (None, a scalar, a vector of another length) a DimensionMismatchError.
-    """
-    def at(us, vs):
+    differences with one Richardson extrapolation level: 25 offsets per
+    point, one (N, d) stack per offset, each jet bitwise its one-point jet.
+    A plain-function chart gets one call per offset on the whole ``_Stack``
+    under ``np.errstate(all="raise")``, warnings as errors, and must be a
+    pure function of (u, v) whose stack result is its float results; after
+    a call that raises or returns anything but d real (N,) or () columns,
+    the record's offsets get float calls per point, as other charts do.
+    The chart must be evaluable on the declared domain inflated by the
+    larger step.  Its exception other than a GeometryError is its point's
+    ChartDomainError, a value that is no vector of length d (None, a
+    scalar, another length) a DimensionMismatchError."""
+    stacked, d = type(chart) is types.FunctionType and _stack_chart(chart), space.ambient_dim
+
+    def on_stack(us, vs):
+        """The (N, d) values of one stack call, or None where it is refused."""
+        try:
+            with np.errstate(all="raise"), warnings.catch_warnings():
+                warnings.simplefilter("error")
+                cols = stacked(us.view(_Stack), vs.view(_Stack))
+            if type(cols) in (tuple, list) and len(cols) == d and all(
+                    type(c) is _Stack and c.dtype == float and c.shape == us.shape
+                    or isinstance(c, (float, int)) and not isinstance(c, bool)
+                    for c in cols):
+                return np.stack(np.broadcast_arrays(
+                    *(np.asarray(c, float) for c in cols)), axis=-1)
+        except Exception:  # any error refuses: the float calls give the chart's own
+            return None
+
+    def pointwise(us, vs):
         rows = []
         for a, b in zip(us.tolist(), vs.tolist()):
             try:
@@ -212,7 +302,7 @@ def finite_difference_jet(chart: Callable[[float, float], np.ndarray],
             except Exception as exc:
                 raise ChartDomainError(f"chart failed at (u,v)=({a},{b}): "
                                        f"{type(exc).__name__}: {exc}") from None
-        stack, d = np.array(rows, dtype=float), space.ambient_dim
+        stack = np.array(rows, dtype=float)
         if stack.shape[1:] != (d,):
             what = (f"jet vectors of length {stack.shape[1]}" if stack.ndim == 2
                     else f"a scalar of type {type(rows[0]).__name__}"
@@ -225,6 +315,13 @@ def finite_difference_jet(chart: Callable[[float, float], np.ndarray],
         single = np.ndim(u) == 0
         u, v = (np.atleast_1d(x).astype(float, casting="same_kind")
                 for x in (u, v))
+        refused = [not stacked or single]  # the record's offsets go per point
+
+        def at(us, vs):
+            out = None if refused[0] else on_stack(us, vs)
+            refused[0] = out is None
+            return pointwise(us, vs) if refused[0] else out
+
         su, sv = 1.0 + np.abs(u), 1.0 + np.abs(v)
         h2u, h2v = FD_STEP_SECOND * su, FD_STEP_SECOND * sv
         phi = at(u, v)
@@ -251,6 +348,7 @@ def finite_difference_jet(chart: Callable[[float, float], np.ndarray],
                second(fu, u, h2u),
                (4.0 * mixed(h2u / 2, h2v / 2) - mixed(h2u, h2v)) / 3.0,
                second(fv, v, h2v))
+        _MEMO.clear()  # kept for the record's offsets alone
         return tuple(x[0] for x in jet) if single else jet
 
     return Jet2Immersion(space, evaluator, tuple(u_domain), tuple(v_domain),

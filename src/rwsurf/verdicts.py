@@ -312,15 +312,16 @@ def verify_surface(surface: Jet2Immersion, grid=(17, 17),
     which adds the corresponding entries.  ``tolerances`` maps entry names
     in ``TOLERANCE_ENTRIES`` to finite positive tolerances that replace
     their tier's.  Any other grid, tolerance name or value, or a span that
-    is missing there or is not two finite ends, raises ValueError naming
-    it.  Deterministic for fixed inputs.  The filled grid every check read
-    is the report's ``surface_grid``.
+    is missing there, is not two finite ends or, given or default, is not
+    lo < hi, raises ValueError naming it.  Deterministic for fixed inputs.
+    The filled grid every check read is the report's ``surface_grid``.
     """
     if np.shape(grid) != (2,) or not all(
             isinstance(n, numbers.Integral) and not isinstance(n, bool) and n >= 1
             for n in grid):
         raise ValueError(f"grid must be two integers >= 1, got {grid!r}")
     nu, nv = map(int, grid)
+    spans = []
     for name, given, domain in (("u_span", u_span, surface.u_domain),
                                 ("v_span", v_span, surface.v_domain)):
         if given is None and not all(map(math.isfinite, domain)):
@@ -330,15 +331,16 @@ def verify_surface(surface: Jet2Immersion, grid=(17, 17),
             raise ValueError(f"{name} must be (lo, hi), got {tuple(given)}")
         if given is not None and not all(map(math.isfinite, given)):
             raise ValueError(f"{name} ends must be finite, got {tuple(given)}")
+        pad = 3.0 * DEFAULT_SUBSTEP * (1.0 + max(map(abs, domain)))
+        lo, hi = given if given is not None else (domain[0] + pad, domain[1] - pad)
+        if not lo < hi:
+            raise ValueError(f"{name} must have lo < hi, got {(float(lo), float(hi))}: the "
+                             f"chart domain is {tuple(domain)}, less the stencil pad "
+                             f"{pad:.6g} at each end by default")
+        spans.append((lo, hi))
     overrides = _tolerance_overrides(tolerances or {})
     expect = expect or {}
-
-    def span(given, lo, hi):
-        pad = 3.0 * DEFAULT_SUBSTEP * (1.0 + max(abs(lo), abs(hi)))
-        return given if given is not None else (lo + pad, hi - pad)
-
-    (u_lo, u_hi), (v_lo, v_hi) = (span(u_span, *surface.u_domain),
-                                  span(v_span, *surface.v_domain))
+    (u_lo, u_hi), (v_lo, v_hi) = spans
     us, vs = np.linspace(u_lo, u_hi, nu), np.linspace(v_lo, v_hi, nv)
 
     grid_meta = {"nu": nu, "nv": nv, "u": [float(u_lo), float(u_hi)],

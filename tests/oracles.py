@@ -17,8 +17,8 @@ at a constant h (order studies), and the oracle's fixed steps in a
 DenseOutput (warps whose rows step across a blow-up).  And it holds a
 surface's image under an ambient isometry or a reversed v, the same
 surface in another chart, whose verdicts and residuals must not move, and
-its lift into a warped space of higher dimension.  The package never
-imports this module.
+its lift into a warped space of higher dimension, and the rows a scan's
+CSV must hold.  The package never imports this module.
 """
 
 from __future__ import annotations
@@ -559,3 +559,14 @@ def reference_warp_system(constants, ics, interval, config=None):
 
     return (state, reference_warp(dense.interval, state), max_equation_residual,
             stop_reason, n_acc, n_rej)
+
+
+def scan_rows(result):
+    """The (theta, tau, residual) rows ``rwsurf scan --csv`` must write for a
+    ScanResult, theta-major, tau None for a slice scan."""
+    if result.taus is None:
+        return [(float(th), None, float(r))
+                for th, r in zip(result.thetas, result.residuals)]
+    return [(float(th), float(ta), float(result.residuals[i, j]))
+            for i, th in enumerate(result.thetas)
+            for j, ta in enumerate(result.taus)]

@@ -455,6 +455,19 @@ PIN_RUNS = [
                     f"got {value!r}")
       for flag in ("chart-u-span", "chart-v-span")
       for value in ("nan:1", "-1:nan", "-inf:1", "1:0", "0:0")),
+    # a default span is the chart domain less a stencil pad at each end; a
+    # domain no wider than twice the pad is refused, not reversed
+    _refused("thm4_u_end_within_pads",
+             [*THM4, "--u-end", "0.012", "--grid", "3x3"],
+             "ValueError: u_span must have lo < hi, got (0.0066684000000000005, "
+             "0.0053316): the chart domain is (0.0006000000000000001, 0.0114), "
+             "less the stencil pad 0.0060684 at each end by default"),
+    _refused("plane_u_span_within_pads",
+             _user_map("plane", "--chart-u-span", "0:0.01", "--chart-v-span",
+                       "0:1"),
+             "ValueError: u_span must have lo < hi, got (0.00606, 0.00394): "
+             "the chart domain is (0.0, 0.01), less the stencil pad 0.00606 "
+             "at each end by default"),
     *(_refused(name.split(".")[0], _user_map(name),
                f"ValueError: --py {chart(name)!r} {reason}")
       for name, reason in (

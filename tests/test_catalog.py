@@ -10,6 +10,7 @@ from rwsurf.catalog import (default_warp_domain, nonexistence_scan_e11h4,
 from rwsurf.errors import ConstraintError, InapplicableError
 
 from conftest import L5_CONSTANTS
+from oracles import scan_rows
 
 
 def test_default_warp_domain_shrinks_five_percent(l4_solution):
@@ -169,11 +170,11 @@ def test_scan_slice_refuses_an_empty_grid_and_the_trivial_theta():
 
 def test_scan_rows_export():
     res = nonexistence_scan_e11h4(np.array([0.5, 1.0]), np.array([0.0, 1.0]))
-    rows = list(res.rows())
+    rows = scan_rows(res)
     assert len(rows) == 4
     assert rows[0][0] == 0.5 and rows[0][1] == 0.0
     res2 = nonexistence_slice_scan(1, np.array([0.5, 1.0]))
-    rows2 = list(res2.rows())
+    rows2 = scan_rows(res2)
     assert rows2[0][1] is None
 
 

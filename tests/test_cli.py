@@ -19,6 +19,7 @@ from rwsurf.immersion import Jet2Immersion
 from rwsurf.shape import SurfaceGrid
 
 import pins
+from oracles import scan_rows
 
 
 THM4_ARGS = [*pins.THM4, "--grid", "7x7"]
@@ -142,7 +143,7 @@ def test_csv_rows_are_17_digit_floats(tmp_path, capsys):
                                                           np.linspace(0, 5, 5))),
                          (sl, rw.nonexistence_slice_scan(-1, np.linspace(0.1, 3, 7)))):
         rows = path.read_text().splitlines()[1:]
-        assert rows == [fmt(r) for r in result.rows()]
+        assert rows == [fmt(r) for r in scan_rows(result)]
     dense = tmp_path / "sys.csv"
     main(["solve", "sys5", "--a", "2", "--H0", "0.6", "--c2", "0.48",
           "--c3", "0.64", "--f0", "1.5", "--f0p", "1.2", "--y0", "0.4",
@@ -396,7 +397,7 @@ def test_scan_csv_matches_the_per_cell_reference(kind, tmp_path):
     csv = tmp_path / "scan.csv"
     cli._write_scan_csv(csv, result)
     assert csv.read_text() == "theta,tau,residual\n" + "".join(
-        _reference_row(r) for r in result.rows())
+        _reference_row(r) for r in scan_rows(result))
 
 
 class _SyntheticSolution:

@@ -1,11 +1,17 @@
 import dataclasses
+import functools
 import math
+import pathlib
 import pickle
+import sys
+import types
+import warnings
 
 import numpy as np
 import pytest
 
 import rwsurf as rw
+from rwsurf import cli
 from rwsurf.errors import (ChartDomainError, DimensionMismatchError,
                            HorizontalSliceError, NotSpaceLikeError)
 from rwsurf.immersion import (FD_STEP_FIRST, FD_STEP_SECOND, JetSample,
@@ -474,12 +480,13 @@ def test_fd_report_is_the_same_on_both_routes():
 
 
 def test_fd_grid_fill_is_one_evaluator_call_per_record():
+    # the chart refuses anything but floats: the pin of the per-point path
     member, space, u_dom, v_dom = _product_member()
     calls = {"evaluator": [], "chart": 0}
 
     def chart(u, v):
-        assert type(u) is float and type(v) is float
         calls["chart"] += 1
+        assert type(u) is float and type(v) is float
         return member(u, v)
 
     fd = finite_difference_jet(chart, space, u_dom, v_dom)
@@ -493,8 +500,10 @@ def test_fd_grid_fill_is_one_evaluator_call_per_record():
                        np.linspace(0.5, 2.5, 4))
     assert grid.degeneracies == []
     # one call for the 6 x 4 nodes, one for their 8 cross-stencil points
-    # each, and 25 chart calls per point
-    assert calls == {"evaluator": [6 * 4, 8 * 6 * 4], "chart": 25 * 6 * 4 * 9}
+    # each, and 25 chart calls per point after one refused stack call per
+    # record: 5402 calls
+    assert calls == {"evaluator": [6 * 4, 8 * 6 * 4],
+                     "chart": 2 + 25 * 6 * 4 * 9}
 
 
 @pytest.mark.filterwarnings("error")  # a ComplexWarning fails the test
@@ -556,6 +565,189 @@ def test_fd_fallback_halves_the_stack_and_keeps_point_errors():
     for name in _JET_FIELDS:
         assert np.array_equal(getattr(got, name), getattr(want, name),
                               equal_nan=True), name
+
+
+# A chart that is a plain function gets one call per offset on the whole
+# stack of points; where that call cannot be shown to equal the float calls,
+# the record's remaining offsets go per point.
+
+CHARTS = pathlib.Path(__file__).resolve().parent / "charts"
+# the chart files that take the stack call; nan_chart and holed_plane branch
+# on their point
+STACK_CHARTS = {"bicons_e3", "bicons_e3_twin", "h4_chart", "horizontal_slice",
+                "log_chart", "one_coordinate_chart", "plane", "printing_chart",
+                "six_coordinate_chart", "sphere_chart", "vanishing_chart"}
+
+
+def _code_calls(code, run):
+    """``run()`` and the number of calls into the code object ``code`` it
+    made (a chart's stack twin shares its code)."""
+    calls = [0]
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is code:
+            calls[0] += 1
+
+    sys.setprofile(profile)
+    try:
+        result = run()
+    finally:
+        sys.setprofile(None)
+    return result, calls[0]
+
+
+def test_fd_stack_call_is_bitwise_the_float_calls_for_every_chart_file():
+    us, vs = np.meshgrid(np.linspace(1.55, 2.95, 6), np.linspace(0.25, 1.25, 5),
+                         indexing="ij")
+    us, vs = us.ravel(), vs.ravel()
+    evaluated, stacked = set(), set()
+    for path in sorted(CHARTS.glob("*.py")):
+        try:
+            chart = cli._load_chart(str(path))
+            d = len(chart(1.6, 0.7))
+        except Exception:  # no chart, or none that evaluates
+            continue
+        evaluated.add(path.stem)
+        fd = finite_difference_jet(chart, types.SimpleNamespace(ambient_dim=d),
+                                   (1.5, 3.0), (0.2, 1.3))
+        jet, calls = _code_calls(chart.__code__, lambda: fd.evaluator(us, vs))
+        for k, (u, v) in enumerate(zip(us.tolist(), vs.tolist())):
+            for got, want in zip(jet, fd.evaluator(u, v)):
+                assert got[k].tobytes() == want.tobytes(), path.name
+        if calls == 25:
+            stacked.add(path.stem)
+        else:  # one refused stack call, then 25 float calls per point
+            assert calls == 1 + 25 * len(us), path.name
+    assert stacked == STACK_CHARTS
+    assert evaluated == STACK_CHARTS | {"nan_chart", "holed_plane"}
+
+
+def _float_operators(u, v):
+    w = u + 0.25
+    w **= 1.5
+    return (u ** 2.5, pow(v, 3), math.pow(u, v), u // 0.3, v % 0.7, w,
+            2.0 ** u, 7.3 // v, 5.0 % u, u ** v)
+
+
+def test_fd_stack_power_floor_division_and_modulo_are_python_floats():
+    # numpy's power differs from Python's in the last bit on some inputs;
+    # on a stack, ** and its kin run element by element as Python floats
+    us, vs = np.linspace(0.3, 2.9, 40), np.linspace(0.2, 1.9, 40)
+    fd = finite_difference_jet(_float_operators,
+                               types.SimpleNamespace(ambient_dim=10),
+                               (0.0, 3.0), (0.0, 2.0))
+    jet, calls = _code_calls(_float_operators.__code__,
+                             lambda: fd.evaluator(us, vs))
+    assert calls == 25
+    floats = [_float_operators(u, v) for u, v in zip(us.tolist(), vs.tolist())]
+    assert jet[0].tobytes() == np.array(floats).tobytes()
+    for k, (u, v) in enumerate(zip(us.tolist(), vs.tolist())):
+        for got, want in zip(jet, fd.evaluator(u, v)):
+            assert got[k].tobytes() == want.tobytes()
+
+
+_HELPER = types.ModuleType("helper")  # reads math through its own globals
+exec("import math\ndef z(x):\n    return math.exp(x)\n", _HELPER.__dict__)
+
+
+def _if_on_the_point(u, v):
+    return (0.1 * u, u, v, 1.0 if u > 1.2 else 0.0)
+
+
+def _numpy_exp(u, v):
+    return (0.1 * u, u, v, np.exp(u))
+
+
+def _warning(u, v):
+    warnings.warn("a chart that warns")
+    return (0.1 * u, u, v, 0.0)
+
+
+def _invalid_at_one_point(u, v):  # np.sqrt of a negative at u = 0.5
+    return (0.1 * u, u, v, np.sqrt(u - 0.75))
+
+
+def _helper_module(u, v):
+    return (0.1 * u, u, v, _HELPER.z(u))
+
+
+def _one_array(u, v):  # a scalar at a point, an (N,) array on a stack
+    return u + v
+
+
+def _scaled(s, u, v):
+    return (0.1 * u, s * u, v, 0.0)
+
+
+class _Instance:
+    def __call__(self, u, v):
+        return (0.1 * u, u, v, math.cos(u))
+
+
+_FALLBACKS = {
+    "if": _if_on_the_point, "np.exp": _numpy_exp, "warning": _warning,
+    "fp-exception": _invalid_at_one_point, "helper-module": _helper_module,
+    "one-array": _one_array, "partial": functools.partial(_scaled, 2.0),
+    "instance": _Instance(),
+    "bool": lambda u, v: (0.1 * u, u, v, u > 1.2),
+    "complex": lambda u, v: (0.1 * u, u, v, 0j),
+    "str": lambda u, v: (0.1 * u, u, v, "0.5"),
+    # numpy's nan / 0 sets no flag where the float / raises
+    "nan-over-zero": lambda u, v: (0.1 * u, u, v, math.nan * u / (u - 1.0)),
+    "index": lambda u, v: (0.1 * u, u, v, v[0]),
+}
+
+
+def _jet_or_error(surface, us, vs):
+    try:
+        sample, errors = surface.jet(us, vs)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return [getattr(sample, name).tobytes() for name in _JET_FIELDS], errors
+
+
+@pytest.mark.filterwarnings("ignore:a chart that warns")
+@pytest.mark.parametrize("case", sorted(_FALLBACKS))
+def test_fd_stack_call_falls_back_to_the_float_calls(case, minkowski4):
+    # four points and four coordinates: a chart returning one (N,) array
+    # cannot pass for N columns
+    chart = _FALLBACKS[case]
+    fd = finite_difference_jet(chart, minkowski4, (0.0, 3.0), (0.0, 1.0))
+    pointwise = dataclasses.replace(fd, batched=False)
+    us, vs = np.array([0.5, 1.0, 1.5, 2.0]), np.array([0.1, 0.2, 0.3, 0.4])
+    code = {"partial": _scaled, "instance": _Instance.__call__}.get(
+        case, chart).__code__
+    got, calls = _code_calls(code, lambda: _jet_or_error(fd, us, vs))
+    assert got == _jet_or_error(pointwise, us, vs)
+    if case in ("partial", "instance"):  # no plain function: per point
+        assert calls == 25 * 4
+    elif case not in ("fp-exception", "one-array", "complex", "nan-over-zero",
+                      "index"):
+        assert calls == 1 + 25 * 4
+    if case == "fp-exception":
+        assert list(got[1]) == [0]
+        assert got[1][0].startswith("ChartDomainError: chart failed at "
+                                    "(u,v)=(0.5,0.1): RuntimeWarning")
+    if case == "one-array":
+        assert got == (DimensionMismatchError, "the chart returned a scalar of "
+                       "type float for an ambient space of dimension 4")
+
+
+def test_fd_grid_fill_calls_a_module_chart_once_per_offset(tmp_path):
+    # 25 calls per record on the stack, the grid's nodes and stencil points
+    # being its two records
+    path = tmp_path / "counted.py"
+    path.write_text("import math\nS, C = math.sinh(0.8), math.cosh(0.8)\n"
+                    "calls = []\ndef chart(u, v):\n    calls.append(u)\n"
+                    "    return (S * u, C * u, v, math.sin(u) * 0.0)\n")
+    chart = cli._load_chart(str(path))
+    space = rw.AmbientSpace.warped_flat(4, rw.WarpingFunction.constant(1.0))
+    fd = finite_difference_jet(chart, space, (0.0, 1.0), (0.0, 1.0))
+    grid = SurfaceGrid(fd, np.linspace(0.1, 0.9, 17), np.linspace(0.1, 0.9, 17))
+    assert grid.degeneracies == []
+    assert len(chart.__globals__["calls"]) == 50
+    assert rw.verify_surface(fd, grid=(17, 17)).verdict == "pass"
+    assert len(chart.__globals__["calls"]) == 100
 
 
 @pytest.mark.parametrize("bad", [[0], [37], [5, 900]])

@@ -803,6 +803,39 @@ def test_span_of_wrong_length_rejected_before_grid_work(product_surface,
         verify_surface(product_surface, grid=(5, 5), **{name: span})
 
 
+@pytest.mark.parametrize("name", ["u_span", "v_span"])
+def test_span_whose_ends_cross_rejected_before_grid_work(product_surface,
+                                                         monkeypatch, name):
+    # a given span must have lo < hi, and so must a default one: the chart
+    # domain less a stencil pad of 3 substeps (1 + max|end|) at each end
+    def no_grid(*args, **kwargs):
+        raise AssertionError("a grid was built")
+
+    def message(span, domain):
+        pad = 3 * shape.DEFAULT_SUBSTEP * (1 + max(map(abs, domain)))
+        return (f"{name} must have lo < hi, got {span}: the chart domain is "
+                f"{domain}, less the stencil pad {pad:.6g} at each end by "
+                "default")
+
+    domain = name[0] + "_domain"
+    monkeypatch.setattr(verdicts, "SurfaceGrid", no_grid)
+    for span in ((0.5, 0.2), (0.3, 0.3)):
+        with pytest.raises(ValueError) as exc:
+            verify_surface(product_surface, grid=(5, 5), **{name: span})
+        assert str(exc.value) == message(span, getattr(product_surface, domain))
+    for width in (0.012, 0.01):  # at most twice the pad of about 0.006
+        pad = 3 * shape.DEFAULT_SUBSTEP * (1 + width)
+        surface = dataclasses.replace(product_surface, **{domain: (0.0, width)})
+        with pytest.raises(ValueError) as exc:
+            verify_surface(surface, grid=(5, 5))
+        assert str(exc.value) == message((0.0 + pad, width - pad), (0.0, width))
+    monkeypatch.undo()
+    pad = 3 * shape.DEFAULT_SUBSTEP * 1.02
+    surface = dataclasses.replace(product_surface, **{domain: (0.0, 0.02)})
+    rep = verify_surface(surface, grid=(3, 3))  # the pads leave room
+    assert rep.grid[name[0]] == [0.0 + pad, 0.02 - pad]
+
+
 def _tube_chart(shift):
     """A tube about the time axis whose time coordinate is u + shift."""
     def chart(u, v):
