@@ -1,14 +1,15 @@
 """Ambient geometry backends for Lorentzian warped products.
 
-Two backends cover the classified cases:
+An ambient space is the triple (n, c, warp) of L^n_1(f, c), and c decides
+which of the two backends that cover the classified cases carries it:
 
-* ``warped-flat``  -- L^n_1(f, 0) in comoving coordinates (t, x_1..x_{n-1})
-  with metric diag(-1, f(t)^2, ..., f(t)^2); its Christoffel correction is
-  written out in ``ambient_covariant_derivative``.
-* ``product-space-form`` -- E^1_1 x S^{n-1} (c = +1) or E^1_1 x H^{n-1}
-  (c = -1) realized inside flat (n+1)-space with metric
-  diag(-1, c, 1, ..., 1); all derivatives are flat partials followed by an
-  algebraic projection along the product normal.
+* ``warped-flat`` (c = 0) -- L^n_1(f, 0) in comoving coordinates
+  (t, x_1..x_{n-1}) with metric diag(-1, f(t)^2, ..., f(t)^2); its
+  Christoffel correction is written out in ``ambient_covariant_derivative``.
+* ``product-space-form`` (c = +-1, f = 1, the unit warp) -- E^1_1 x S^{n-1}
+  (c = +1) or E^1_1 x H^{n-1} (c = -1) realized inside flat (n+1)-space
+  with metric diag(-1, c, 1, ..., 1); all derivatives are flat partials
+  followed by an algebraic projection along the product normal.
 
 The curvature tensor is evaluated algebraically from the comoving split and
 the scalars f''/f and (f'^2 + c)/f^2, so it also covers warped metrics with
@@ -23,7 +24,7 @@ around its ``fn``, closed form and solved warp alike.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -127,54 +128,51 @@ class WarpingFunction:
         return WarpingFunction(fn, tuple(interval))
 
 
+_UNIT_WARP = WarpingFunction.constant()  # f = 1: the product backend's warp
+
+
 @dataclass(frozen=True)
 class AmbientSpace:
-    """One of the two ambient backends.
+    """L^n_1(f, c): c = 0 is the warped-flat backend, c = +-1 the embedded
+    product backend, whose warp is the unit warp ``_UNIT_WARP``.
 
     n is the manifold dimension of L^n_1; for the embedded product backend
     the coordinate (ambient) dimension is n + 1.
     """
 
-    kind: str  # 'warped-flat' | 'product-space-form'
     n: int
     c: int
-    warp: WarpingFunction = field(default_factory=WarpingFunction.constant)
+    warp: WarpingFunction = _UNIT_WARP
 
     def __post_init__(self):
-        if self.kind == "warped-flat":
-            if self.c != 0:
-                raise DimensionMismatchError("warped-flat backend requires c = 0")
-        elif self.kind == "product-space-form":
-            if self.c not in (-1, 1):
-                raise DimensionMismatchError(
-                    "product-space-form backend requires c in {-1, +1}")
-            f, fp, fpp = self.warp.fn(0.0)
-            if not (f == 1.0 and fp == 0.0 and fpp == 0.0):
-                raise DimensionMismatchError(
-                    "product-space-form backend requires f == 1")
-        else:
-            raise DimensionMismatchError(f"unknown backend kind {self.kind!r}")
+        if self.c not in (-1, 0, 1):
+            raise DimensionMismatchError(f"c must be -1, 0 or +1, got c = {self.c}")
+        if self.is_embedded and self.warp != _UNIT_WARP:
+            raise DimensionMismatchError("product-space-form backend requires f == 1")
         if self.n < 4:  # the product backend's normal takes its extra slot
             raise DimensionMismatchError("need n >= 4 (the adapted frame needs "
                                          f"room for e4), got n = {self.n}")
 
     @staticmethod
     def warped_flat(n: int, warp: WarpingFunction) -> "AmbientSpace":
-        return AmbientSpace("warped-flat", n, 0, warp)
+        return AmbientSpace(n, 0, warp)
 
     @staticmethod
     def product_space_form(n: int, c: int) -> "AmbientSpace":
-        return AmbientSpace("product-space-form", n, c)  # the default warp, f = 1
+        if c not in (-1, 1):
+            raise DimensionMismatchError(
+                "product-space-form backend requires c in {-1, +1}")
+        return AmbientSpace(n, c)
 
     # -- coordinate layout ---------------------------------------------------
 
     @property
     def ambient_dim(self) -> int:
-        return self.n if self.kind == "warped-flat" else self.n + 1
+        return self.n + 1 if self.is_embedded else self.n
 
     @property
     def is_embedded(self) -> bool:
-        return self.kind == "product-space-form"
+        return self.c != 0
 
     def dt_vector(self) -> np.ndarray:
         """The comoving observer direction as a coordinate vector."""
@@ -227,7 +225,7 @@ class AmbientSpace:
         if p.shape[-1:] != (self.ambient_dim,):
             raise DimensionMismatchError(
                 f"point has shape {p.shape}, backend expects ({self.ambient_dim},)")
-        if self.kind == "warped-flat":
+        if not self.is_embedded:
             f = np.asarray(warp_state[0])
             g = np.empty(p.shape, np.result_type(f, float))
             g[..., 0] = -1.0
@@ -257,7 +255,7 @@ def ambient_covariant_derivative(space: AmbientSpace, p, x_vec, y_vec,
     derivatives and grid stencils call it too.
     """
     x, y, dy = (space.check_vector(w) for w in (x_vec, y_vec, dy_dx))
-    if space.kind == "warped-flat":
+    if not space.is_embedded:
         f, fp, _ = warp_state
         return dy + np.concatenate([
             _col(f * fp * np.einsum("...i,...i->...", x[..., 1:], y[..., 1:])),

@@ -287,8 +287,8 @@ def finite_difference_jet(chart: Callable[[float, float], np.ndarray],
                     type(c) is _Stack and c.dtype == float and c.shape == us.shape
                     or isinstance(c, (float, int)) and not isinstance(c, bool)
                     for c in cols):
-                return np.stack(np.broadcast_arrays(
-                    *(np.asarray(c, float) for c in cols)), axis=-1)
+                return np.stack([np.broadcast_to(np.asarray(c, float), us.shape)
+                                 for c in cols], axis=-1)  # number columns too
         except Exception:  # any error refuses: the float calls give the chart's own
             return None
 
@@ -324,7 +324,6 @@ def finite_difference_jet(chart: Callable[[float, float], np.ndarray],
 
         su, sv = 1.0 + np.abs(u), 1.0 + np.abs(v)
         h2u, h2v = FD_STEP_SECOND * su, FD_STEP_SECOND * sv
-        phi = at(u, v)
 
         def first(fn, x0, h):
             d_h = (fn(x0 + h) - fn(x0 - h)) / _col(2 * h)
@@ -342,13 +341,16 @@ def finite_difference_jet(chart: Callable[[float, float], np.ndarray],
                     - at(u - h, v + k) + at(u - h, v - k)) / _col(4 * h * k)
 
         fu, fv = (lambda x: at(x, v)), (lambda x: at(u, x))
-        jet = (phi,
-               first(fu, u, FD_STEP_FIRST * su),
-               first(fv, v, FD_STEP_FIRST * sv),
-               second(fu, u, h2u),
-               (4.0 * mixed(h2u / 2, h2v / 2) - mixed(h2u, h2v)) / 3.0,
-               second(fv, v, h2v))
-        _MEMO.clear()  # kept for the record's offsets alone
+        try:
+            phi = at(u, v)
+            jet = (phi,
+                   first(fu, u, FD_STEP_FIRST * su),
+                   first(fv, v, FD_STEP_FIRST * sv),
+                   second(fu, u, h2u),
+                   (4.0 * mixed(h2u / 2, h2v / 2) - mixed(h2u, h2v)) / 3.0,
+                   second(fv, v, h2v))
+        finally:  # the memo serves this record alone, however it ends
+            _MEMO.clear()
         return tuple(x[0] for x in jet) if single else jet
 
     return Jet2Immersion(space, evaluator, tuple(u_domain), tuple(v_domain),

@@ -81,7 +81,7 @@ def christoffel_at(space: AmbientSpace, p) -> np.ndarray:
     Gamma^t_ij = f f' delta_ij and Gamma^i_tj = (f'/f) delta_ij; everything
     else vanishes.
     """
-    if space.kind != "warped-flat":
+    if space.is_embedded:
         raise DimensionMismatchError(
             "christoffel_at applies to the warped-flat backend only")
     f, fp, _ = space.warp(float(np.asarray(p, dtype=float)[0]))

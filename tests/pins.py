@@ -283,6 +283,9 @@ PIN_RUNS = [
              "ValueError: no tolerance entry named bogus"),
     _refused("sphere_chart_warp", [*SPHERE, "--grid", "3x3", "--warp", "exp:3"],
              "ValueError: --warp applies to --ambient warped-flat, not product"),
+    *(_refused_flag(SPHERE, "c", c, "DimensionMismatchError: "
+                    "product-space-form backend requires c in {-1, +1}")
+      for c in ("0", "2")),
     # a chart file that raises or exits at import is invalid input; a chart
     # that raises at every point leaves every node degenerate
     _refused("raising_chart", _user_map("raising_chart"),
@@ -438,6 +441,9 @@ PIN_RUNS = [
                                       "--grid", "5x5"), 2, lines=(
         "  degenerate node (0,0): HorizontalSliceError: tangential comoving "
         "part vanishes at (u,v)=(-0.988,-0.988)", "verdict: degenerate")),
+    # a chart whose every column is a number maps a point: every node is
+    # degenerate, on the chart's stack call as in its float calls
+    _verify("constant_chart", _user_map("constant_chart"), 2),
     *(Run(name, _user_map(name, "--warp", "const:1"), 2, lines=(
         "  degenerate grid: DimensionMismatchError: the chart returned jet "
         f"vectors of length {length} for an ambient space of dimension 4",

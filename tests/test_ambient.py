@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 import warnings
@@ -115,16 +116,38 @@ def test_grid_over_an_overflowing_solved_warp_records_degeneracies():
 
 
 def test_backend_validation():
-    with pytest.raises(DimensionMismatchError):
-        rw.AmbientSpace("warped-flat", 4, 1, rw.WarpingFunction.constant())
-    with pytest.raises(DimensionMismatchError):
-        rw.AmbientSpace("product-space-form", 5, 0, rw.WarpingFunction.constant())
-    with pytest.raises(DimensionMismatchError):
-        rw.AmbientSpace("product-space-form", 5, 1,
-                        rw.WarpingFunction.exponential())
-    with pytest.raises(DimensionMismatchError,
-                       match="^unknown backend kind 'nope'$"):
-        rw.AmbientSpace("nope", 4, 0)
+    # c decides the backend: a product space form's c is +-1 and its warp
+    # the unit warp, and no c outside {-1, 0, +1} is an ambient space
+    with pytest.raises(DimensionMismatchError, match=r"^product-space-form "
+                       r"backend requires c in \{-1, \+1\}$"):
+        rw.AmbientSpace.product_space_form(5, 0)
+    with pytest.raises(DimensionMismatchError, match="^product-space-form "
+                       "backend requires f == 1$"):
+        rw.AmbientSpace(5, 1, rw.WarpingFunction.exponential())
+    with pytest.raises(DimensionMismatchError, match="^c must be -1, 0 or "
+                       r"\+1, got c = 2$"):
+        rw.AmbientSpace(4, 2)
+
+
+def test_a_product_space_has_no_warp_to_set():
+    # a warp with f = 1 at t = 0 but not beyond it is no product warp
+    space = rw.AmbientSpace.product_space_form(5, 1)
+    with pytest.raises(DimensionMismatchError, match="^product-space-form "
+                       "backend requires f == 1$"):
+        dataclasses.replace(space, warp=rw.WarpingFunction.polynomial(
+            [1.0, 0.0, 0.0, 5.0], (-10, 10)))
+    assert space == rw.AmbientSpace.product_space_form(5, 1)
+    assert space.warp is rw.AmbientSpace(5, -1).warp
+
+
+def test_c_zero_is_the_warped_flat_minkowski_space():
+    space = rw.AmbientSpace(4, 0)
+    assert not space.is_embedded and space.ambient_dim == 4
+    assert space == rw.AmbientSpace.warped_flat(
+        4, rw.AmbientSpace.product_space_form(5, 1).warp)
+    assert space.warp_state(np.array([0.7, 0.0, 0.0, 0.0])) == (1.0, 0.0, 0.0)
+    np.testing.assert_array_equal(space.metric_at(np.zeros(4), (1.0, 0.0, 0.0)),
+                                  [-1.0, 1.0, 1.0, 1.0])
 
 
 def test_warped_flat_refuses_a_product_normal_and_a_short_point():

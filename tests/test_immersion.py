@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import rwsurf as rw
-from rwsurf import cli
+from rwsurf import cli, immersion
 from rwsurf.errors import (ChartDomainError, DimensionMismatchError,
                            HorizontalSliceError, NotSpaceLikeError)
 from rwsurf.immersion import (FD_STEP_FIRST, FD_STEP_SECOND, JetSample,
@@ -574,9 +574,10 @@ def test_fd_fallback_halves_the_stack_and_keeps_point_errors():
 CHARTS = pathlib.Path(__file__).resolve().parent / "charts"
 # the chart files that take the stack call; nan_chart and holed_plane branch
 # on their point
-STACK_CHARTS = {"bicons_e3", "bicons_e3_twin", "h4_chart", "horizontal_slice",
-                "log_chart", "one_coordinate_chart", "plane", "printing_chart",
-                "six_coordinate_chart", "sphere_chart", "vanishing_chart"}
+STACK_CHARTS = {"bicons_e3", "bicons_e3_twin", "constant_chart", "h4_chart",
+                "horizontal_slice", "log_chart", "one_coordinate_chart", "plane",
+                "printing_chart", "six_coordinate_chart", "sphere_chart",
+                "vanishing_chart"}
 
 
 def _code_calls(code, run):
@@ -731,6 +732,19 @@ def test_fd_stack_call_falls_back_to_the_float_calls(case, minkowski4):
     if case == "one-array":
         assert got == (DimensionMismatchError, "the chart returned a scalar of "
                        "type float for an ambient space of dimension 4")
+
+
+def test_fd_memo_is_cleared_when_a_record_raises(tmp_path, minkowski4):
+    # the stack call maps math.cos's twin, then divides by zero; every float
+    # call raises, so every record ends in its first call's error
+    path = tmp_path / "zero_division.py"
+    path.write_text("import math\ndef chart(u, v):\n"
+                    "    return (u, math.cos(u), v, 1.0 / (u - u))\n")
+    fd = finite_difference_jet(cli._load_chart(str(path)), minkowski4,
+                               (0.0, 1.0), (0.0, 1.0))
+    report = rw.verify_surface(fd, grid=(9, 9))
+    assert report.verdict == "degenerate"
+    assert immersion._MEMO == {}
 
 
 def test_fd_grid_fill_calls_a_module_chart_once_per_offset(tmp_path):
