@@ -1,19 +1,18 @@
-"""Ambient geometry backends for Lorentzian warped products.
+"""Ambient geometry of the Lorentzian warped products L^n_1(f, c).
 
-An ambient space is the triple (n, c, warp) of L^n_1(f, c), and c decides
-which of the two backends that cover the classified cases carries it:
+An ambient space is the triple (n, c, warp) of L^n_1(f, c), with metric
+-dt^2 + f(t)^2 g_c, and c fixes its coordinate layout:
 
-* ``warped-flat`` (c = 0) -- L^n_1(f, 0) in comoving coordinates
-  (t, x_1..x_{n-1}) with metric diag(-1, f(t)^2, ..., f(t)^2); its
-  Christoffel correction is written out in ``ambient_covariant_derivative``.
-* ``product-space-form`` (c = +-1, f = 1, the unit warp) -- E^1_1 x S^{n-1}
-  (c = +1) or E^1_1 x H^{n-1} (c = -1) realized inside flat (n+1)-space
-  with metric diag(-1, c, 1, ..., 1); all derivatives are flat partials
-  followed by an algebraic projection along the product normal.
+* c = 0 -- comoving coordinates (t, x_1..x_{n-1}), metric
+  diag(-1, f^2, ..., f^2);
+* c = +-1 -- the hypersurface R x {<x, x>_c = c} of the (n+1)-space
+  (t, x_1..x_n) with metric diag(-1, c f^2, f^2, ..., f^2), a warped
+  S^{n-1} (c = +1) or H^{n-1} (c = -1) fiber: E^1_1 x S^{n-1} or
+  E^1_1 x H^{n-1} at f = 1.
 
-The curvature tensor is evaluated algebraically from the comoving split and
-the scalars f''/f and (f'^2 + c)/f^2, so it also covers warped metrics with
-c != 0 that have no coordinate backend here.
+One connection serves both layouts: the warped Christoffel correction, then,
+where c != 0, a projection along the product normal.  The curvature tensor
+is algebraic in the comoving split and the scalars f''/f and (f'^2 + c)/f^2.
 
 Points, vectors and warp states may carry leading point axes; everything
 but the warp itself then works on the whole stack at once.  The warp is
@@ -24,6 +23,7 @@ around its ``fn``, closed form and solved warp alike.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -128,30 +128,32 @@ class WarpingFunction:
         return WarpingFunction(fn, tuple(interval))
 
 
-_UNIT_WARP = WarpingFunction.constant()  # f = 1: the product backend's warp
+_UNIT_WARP = WarpingFunction.constant()  # f = 1, the default warp
 
 
 @dataclass(frozen=True)
 class AmbientSpace:
-    """L^n_1(f, c): c = 0 is the warped-flat backend, c = +-1 the embedded
-    product backend, whose warp is the unit warp ``_UNIT_WARP``.
-
-    n is the manifold dimension of L^n_1; for the embedded product backend
-    the coordinate (ambient) dimension is n + 1.
-    """
+    """L^n_1(f, c) for any warp f and c in {-1, 0, +1}, n its manifold
+    dimension; n and c are integers, neither a bool.  The default warp is the
+    unit warp ``_UNIT_WARP``, which makes c = +-1 the Lorentzian cylinder
+    E^1_1 x S^{n-1} or E^1_1 x H^{n-1}."""
 
     n: int
     c: int
     warp: WarpingFunction = _UNIT_WARP
 
     def __post_init__(self):
+        for name, value in (("n", self.n), ("c", self.c)):
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise DimensionMismatchError(
+                    f"{name} must be an integer, got {name} = {value!r}")
         if self.c not in (-1, 0, 1):
             raise DimensionMismatchError(f"c must be -1, 0 or +1, got c = {self.c}")
-        if self.is_embedded and self.warp != _UNIT_WARP:
-            raise DimensionMismatchError("product-space-form backend requires f == 1")
-        if self.n < 4:  # the product backend's normal takes its extra slot
+        if self.n < 4:  # the embedded layout's normal takes its extra slot
             raise DimensionMismatchError("need n >= 4 (the adapted frame needs "
                                          f"room for e4), got n = {self.n}")
+        self.__dict__["_flat"] = np.array(  # flat weights (-1, c or 1, 1, ...)
+            [-1.0, self.c or 1.0] + [1.0] * (self.ambient_dim - 2))
 
     @staticmethod
     def warped_flat(n: int, warp: WarpingFunction) -> "AmbientSpace":
@@ -188,11 +190,11 @@ class AmbientSpace:
         return X
 
     def warp_state(self, p) -> tuple[float, float, float]:
-        """(f, f', f'') at the time coordinate of one point p (identically
-        (1,0,0) on the product backend).  The warp is read at real times: a
-        time that does not convert to a float, such as a complex one, is a
-        ChartDomainError naming it."""
-        if self.is_embedded:
+        """(f, f', f'') at the time coordinate of one point p, for every c.
+        The warp is read at real times: a time that does not convert to a
+        float, such as a complex one, is a ChartDomainError naming it.  The
+        unit warp ``_UNIT_WARP`` alone is (1, 0, 0) at any time."""
+        if self.warp is _UNIT_WARP:
             return (1.0, 0.0, 0.0)
         try:
             t = float(p[0])
@@ -202,7 +204,8 @@ class AmbientSpace:
         return self.warp(t)
 
     def product_normal(self, p) -> np.ndarray:
-        """Unit normal of the product inside flat space: fiber position."""
+        """The normal nu = (0, x) of the embedded layout's hypersurface at p,
+        the fiber position: <nu, nu> = c f^2 under ``metric_at``'s weights."""
         if not self.is_embedded:
             raise DimensionMismatchError("product normal exists only on the "
                                          "product-space-form backend")
@@ -215,31 +218,28 @@ class AmbientSpace:
     def metric_at(self, p, warp_state) -> np.ndarray:
         """The metric's diagonal at p, given the warp state (f, f', f'').
 
-        Warped backend: (-1, f^2, ..., f^2).  Product backend: the constant
-        flat weights (-1, c, 1, ..., 1); p must satisfy the space-form locus
-        constraint <pbar,pbar>_c = c within 1e-10, which a NaN point does
-        not.  With leading point axes on p (and on the warp state) the result
-        is a stack ``(..., d)``.
+        (-1, f^2, ..., f^2) on the comoving layout and (-1, c f^2, f^2, ...,
+        f^2) on the embedded one, where p must also satisfy the locus
+        constraint <pbar, pbar>_c = c under the flat weights (-1, c, 1, ...,
+        1) within 1e-10, which a NaN point does not.  With leading point
+        axes on p (and on the warp state) the result is a stack ``(..., d)``.
         """
         p = np.asarray(p)
         if p.shape[-1:] != (self.ambient_dim,):
             raise DimensionMismatchError(
                 f"point has shape {p.shape}, backend expects ({self.ambient_dim},)")
-        if not self.is_embedded:
-            f = np.asarray(warp_state[0])
-            g = np.empty(p.shape, np.result_type(f, float))
-            g[..., 0] = -1.0
-            g[..., 1:] = _col(f * f)
-            return g
-        g = np.ones(self.ambient_dim)
-        g[0], g[1] = -1.0, float(self.c)
-        fiber = p.copy()
-        fiber[..., 0] = 0.0
-        locus = np.asarray(inner(fiber, fiber, g)) - self.c
-        raise_where(ChartDomainError, ~(np.abs(locus) <= 1e-10),
-                    "point off the embedded space-form locus (residual {:.3e})",
-                    locus)
-        return np.broadcast_to(g, p.shape)
+        f = np.asarray(warp_state[0])
+        g = np.empty(p.shape, np.result_type(f, float))
+        g[..., 1:] = _col(f * f) * self._flat[1:]
+        g[..., 0] = -1.0
+        if self.is_embedded:
+            fiber = p.copy()
+            fiber[..., 0] = 0.0
+            locus = np.asarray(inner(fiber, fiber, self._flat)) - self.c
+            raise_where(ChartDomainError, ~(np.abs(locus) <= 1e-10),
+                        "point off the embedded space-form locus (residual {:.3e})",
+                        locus)
+        return g
 
 
 def ambient_covariant_derivative(space: AmbientSpace, p, x_vec, y_vec,
@@ -248,21 +248,24 @@ def ambient_covariant_derivative(space: AmbientSpace, p, x_vec, y_vec,
 
     ``dy_dx`` is the caller-supplied coordinate directional derivative of Y
     along X (from jets or finite differences); G is the metric's diagonal
-    (``metric_at``) and warp_state (f, f', f'') at p.  The warped backend
-    adds the Christoffel correction Gamma(X, Y); the product backend
-    projects the flat derivative back onto the product's tangent space.
-    This is the one implementation of the connection: chart second
+    (``metric_at``) and warp_state (f, f', f'') at p.  The warped
+    Christoffel correction Gamma(X, Y) is added, its fiber product weighted
+    (c, 1, ..., 1) on the embedded layout, which then projects the result V
+    onto the product's tangent space: V - c <V, nu> nu / f^2.  This is the
+    one implementation of the connection for every c: chart second
     derivatives and grid stencils call it too.
     """
     x, y, dy = (space.check_vector(w) for w in (x_vec, y_vec, dy_dx))
+    f, fp, _ = warp_state
+    # Gamma(X, Y) = (f f' <x, y>_fiber, (f'/f) (x_0 y + y_0 x)_fiber)
+    V = _col(fp / f) * (x[..., :1] * y + y[..., :1] * x)
+    V[..., 0] = f * fp * np.einsum("...i,...i->...", (x * space._flat)[..., 1:],
+                                   y[..., 1:])
+    V = dy + V
     if not space.is_embedded:
-        f, fp, _ = warp_state
-        return dy + np.concatenate([
-            _col(f * fp * np.einsum("...i,...i->...", x[..., 1:], y[..., 1:])),
-            _col(fp / f) * (x[..., :1] * y[..., 1:] + y[..., :1] * x[..., 1:])],
-            axis=-1)
+        return V
     nu = space.product_normal(p)
-    return dy - space.c * _col(inner(dy, nu, G)) * nu
+    return V - _col(inner(V, nu, G) / G[..., 1]) * nu  # <nu, nu> = c f^2 = G_1
 
 
 def curvature_scalars(f: float, fp: float, fpp: float,

@@ -511,17 +511,17 @@ def _complete_normals(space: AmbientSpace, jet: JetSample, G, e1, e2, e3, e4,
     Gram-Schmidt over the coordinate candidates, which each point accepts or
     skips on its own; where there is no mean direction, the first completion
     is row 3.  Every point gets a basis, zero-padded, so all share one
-    batched projection per candidate.  The product backend's normal joins
-    the Gram-Schmidt basis but not the frame."""
+    batched projection per candidate.  The product's normal, over f to be
+    unit, joins the Gram-Schmidt basis but not the frame."""
     d = space.ambient_dim
     lead = np.shape(e1)[:-1]
     flat = lambda x: np.reshape(x, (-1,) + np.shape(x)[len(lead):])
     mean = flat(has_mean)
-    priors = [flat(e1), flat(e2)]
-    if space.is_embedded:
-        priors.append(space.product_normal(flat(jet.phi)))
-    priors.append(flat(e3))
     G = flat(np.broadcast_to(G, lead + (d,)))
+    priors = [flat(e1), flat(e2)]
+    if space.is_embedded:  # f^2 = G[..., -1] on the embedded layout
+        priors.append(space.product_normal(flat(jet.phi)) / np.sqrt(G[:, -1:]))
+    priors.append(flat(e3))
     basis = np.zeros((len(mean), d, d), e1.dtype)  # priors, normals
     basis[:, :len(priors)] = np.stack(priors, 1)
     basis[mean, len(priors)] = flat(e4)[mean]

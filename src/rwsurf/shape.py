@@ -90,7 +90,7 @@ def _warp_length_scale(space: AmbientSpace, t: float, f: float, fp: float,
     inverse powers of the remaining distance; stencil substeps must shrink
     proportionally to keep truncation error flat.  f''' is a difference of
     f'' at t +- h, one-sided at an end of the warp's interval, and 0 where
-    those reads fail.  A constant warp (the product backend) gives inf.
+    those reads fail.  A constant warp gives inf.
     """
     h = 1e-4 * (1.0 + abs(t))
     lo, hi = space.warp.interval

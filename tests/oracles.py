@@ -17,8 +17,10 @@ at a constant h (order studies), and the oracle's fixed steps in a
 DenseOutput (warps whose rows step across a blow-up).  And it holds a
 surface's image under an ambient isometry or a reversed v, the same
 surface in another chart, whose verdicts and residuals must not move, and
-its lift into a warped space of higher dimension, and the rows a scan's
-CSV must hold.  The package never imports this module.
+its lift into a warped space of higher dimension, the divergence of a
+surface's stress-bienergy tensor, which restates the biconservative
+equation through other derivatives, and the rows a scan's CSV must hold.
+The package never imports this module.
 """
 
 from __future__ import annotations
@@ -76,10 +78,14 @@ def svd_rank(vectors, g):
 
 
 def christoffel_at(space: AmbientSpace, p) -> np.ndarray:
-    """Christoffel symbols Gamma[k, i, j] of the warped-flat backend at p.
+    """Christoffel symbols Gamma[k, i, j] of the comoving layout (c = 0) at p.
 
     Gamma^t_ij = f f' delta_ij and Gamma^i_tj = (f'/f) delta_ij; everything
-    else vanishes.
+    else vanishes.  ``ambient_covariant_derivative`` adds the same correction
+    on the embedded layout (c = +-1), with f f' c_i delta_ij for the fiber
+    weights c_i = (c, 1, ..., 1), before its projection along the product
+    normal; this tensor checks the c = 0 case, and the identity entries of
+    warped product reports check the other.
     """
     if space.is_embedded:
         raise DimensionMismatchError(
@@ -111,6 +117,37 @@ def curvature_trace_closed_form(frame, H, G, warp_state, c: float):
     the closed form of ``curvature_trace_term``'s direct contraction."""
     k1, k2 = curvature_scalars(*warp_state, c)
     return np.asarray((k1 - k2) * inner(H, frame.eta, G))[..., None] * frame.T
+
+
+def stress_divergence(grid) -> np.ndarray:
+    """div S2 of a surface at every node of a ``SurfaceGrid``, as its frame
+    components (..., 2) along (e1, e2).
+
+    S2 = -2 |H|^2 I + 4 A_H is the stress-bienergy tensor of a surface (Jiang,
+    Acta Math. Sinica 30 (1987); Loubeau, Montaldo and Oniciuc, Math. Z. 259
+    (2008)), S_ab = -2 |H|^2 delta_ab + 4 <h(e_a, e_b), H>, and
+    (div S2)_b = sum_i [e_i(S_ib) - S(nabla_{e_i} e_i, e_b)
+    - S(e_i, nabla_{e_i} e_b)].  It reads |H|^2 and <h(e_a, e_b), H> through
+    ``grid.scalar_derivative`` and ``grid.tangent_connection`` alone: neither
+    nabla^perp H nor the curvature tensor.  On every surface it equals
+    2 grad|H|^2 + 4 tr A_{nabla^perp H} + 4 tr(R(., H) .)^T.
+    """
+    def S(p, a, b):
+        pair = 4.0 * inner(p.sfd.h(a + 1, b + 1), p.sfd.H, p.G)
+        return pair - 2.0 * inner(p.sfd.H, p.sfd.H, p.G) if a == b else pair
+
+    nd = grid.node_data
+    conn = grid.tangent_connection()  # <nabla_{e_i} e_j, e_k> at [..., i, j, k]
+    out = []
+    for b in range(2):
+        div = 0.0
+        for i in range(2):
+            div = div + grid.scalar_derivative(lambda p: S(p, i, b))[i]
+            for k in range(2):
+                div = (div - conn[..., i, i, k] * S(nd, k, b)
+                       - conn[..., i, b, k] * S(nd, i, k))
+        out.append(div)
+    return np.stack(out, axis=-1)
 
 
 def isometric_image(surface, Q=None, b=None,

@@ -116,28 +116,50 @@ def test_grid_over_an_overflowing_solved_warp_records_degeneracies():
 
 
 def test_backend_validation():
-    # c decides the backend: a product space form's c is +-1 and its warp
-    # the unit warp, and no c outside {-1, 0, +1} is an ambient space
+    # c decides the layout: a product space form's c is +-1, and no c
+    # outside {-1, 0, +1} is an ambient space
     with pytest.raises(DimensionMismatchError, match=r"^product-space-form "
                        r"backend requires c in \{-1, \+1\}$"):
         rw.AmbientSpace.product_space_form(5, 0)
-    with pytest.raises(DimensionMismatchError, match="^product-space-form "
-                       "backend requires f == 1$"):
-        rw.AmbientSpace(5, 1, rw.WarpingFunction.exponential())
     with pytest.raises(DimensionMismatchError, match="^c must be -1, 0 or "
                        r"\+1, got c = 2$"):
         rw.AmbientSpace(4, 2)
 
 
-def test_a_product_space_has_no_warp_to_set():
-    # a warp with f = 1 at t = 0 but not beyond it is no product warp
-    space = rw.AmbientSpace.product_space_form(5, 1)
-    with pytest.raises(DimensionMismatchError, match="^product-space-form "
-                       "backend requires f == 1$"):
-        dataclasses.replace(space, warp=rw.WarpingFunction.polynomial(
-            [1.0, 0.0, 0.0, 5.0], (-10, 10)))
-    assert space == rw.AmbientSpace.product_space_form(5, 1)
-    assert space.warp is rw.AmbientSpace(5, -1).warp
+@pytest.mark.parametrize("n, c, text", [
+    (4.5, 0, "n must be an integer, got n = 4.5"),
+    (5.0, 0, "n must be an integer, got n = 5.0"),
+    ("5", 0, "n must be an integer, got n = '5'"),
+    (True, 0, "n must be an integer, got n = True"),
+    (5, True, "c must be an integer, got c = True"),
+    (5, 1.0, "c must be an integer, got c = 1.0"),
+])
+def test_n_and_c_must_be_integers_and_not_bools(n, c, text):
+    # refused where they are given, not later by numpy (dt_vector's zeros)
+    # or by a comparison with a string; bools are refused as the grid is
+    with pytest.raises(DimensionMismatchError, match=f"^{re.escape(text)}$"):
+        rw.AmbientSpace(n, c)
+    assert rw.AmbientSpace(np.int64(5), np.int64(-1)).ambient_dim == 6
+
+
+def test_a_product_space_reads_its_warp():
+    # c = +-1 takes any warp: warp_state reads it at the point's time, and
+    # the metric's fiber weights are (c, 1, ..., 1) times f^2
+    warp = rw.WarpingFunction.polynomial([1.0, 0.0, 0.0, 5.0], (-10, 10))
+    p = np.array([0.5, 1.0, 0.0, 0.0, 0.0, 0.0])  # on the locus for either c
+    f2 = 1.625 ** 2
+    for c in (1, -1):
+        space = dataclasses.replace(rw.AmbientSpace.product_space_form(5, c),
+                                    warp=warp)
+        assert space == rw.AmbientSpace(5, c, warp) and space.warp is warp
+        state = space.warp_state(p)
+        assert state == warp(0.5) == (1.625, 3.75, 15.0)
+        assert space.metric_at(p, state).tolist() == [-1.0, c * f2, f2, f2,
+                                                      f2, f2]
+        # the unit warp alone is read at no time, a complex one included
+        unit = rw.AmbientSpace.product_space_form(5, c)
+        assert unit.warp is rw.AmbientSpace(5, -c).warp
+        assert unit.warp_state(np.array([0.5j, 1.0])) == (1.0, 0.0, 0.0)
 
 
 def test_c_zero_is_the_warped_flat_minkowski_space():

@@ -1,6 +1,7 @@
 import argparse
 import collections
 import dataclasses
+import functools
 import json
 import math
 import pathlib
@@ -23,7 +24,8 @@ from rwsurf.verdicts import (biconservativity_residual, codazzi_residuals,
 import pins
 from conftest import (L4_MEMBER, _member, l4_draws, nan_cornered,
                       random_curvature_config)
-from oracles import curvature_trace_closed_form, isometric_image
+from oracles import (curvature_trace_closed_form, isometric_image,
+                     stress_divergence)
 
 
 def test_curvature_trace_oracle_equivalence():
@@ -428,9 +430,10 @@ def test_a_biconservative_surface_that_is_not_pmcv(grid, tmp_path, capsys):
     user-map``.  On a PMCV surface |H| is constant and nabla^perp H = 0, so
     the 2 grad|H|^2 and 4 tr A_{nabla^perp H} terms of the biconservative
     equation vanish one by one; here neither does, and only their sum
-    vanishes.  The 4 tr(R(., H) .)^T term has no witness: the ambient is
-    flat, so it is 0.  The verdict is not read: the normal frame is not
-    g-orthonormal where <H, e3> != 0, which fails frame_orthonormality."""
+    vanishes.  The ambient is flat, so the 4 tr(R(., H) .)^T term is 0
+    here; the stress-tensor test below witnesses it in curved ambients.  The
+    verdict is not read: the normal frame is not g-orthonormal where
+    <H, e3> != 0, which fails frame_orthonormality."""
     def entries(name):
         out = tmp_path / f"{name}.json"
         assert main([*pins.bicons_e3(name), "--grid", grid, "--out",
@@ -486,6 +489,112 @@ def test_the_biconservative_control_seen_by_another_observer(tmp_path, capsys):
             else:
                 assert other["biconservativity"] == pytest.approx(
                     seen["biconservativity"], rel=1e-6), rapidity
+
+
+def _user_surface(name, space, u_span, v_span):
+    """The chart file ``charts/<name>.py`` in ``space``, on finite-difference
+    jets over the chart spans, as ``verify user-map`` builds it."""
+    return rw.finite_difference_jet(cli._load_chart(pins.chart(name)), space,
+                                    u_span, v_span, name=name)
+
+
+BICONS_SPANS = ((1.5, 3.0), (0.2, 1.3))  # pins.bicons_e3's chart spans
+PRODUCT_SPANS = ((0.1, 3.3), (0.1, 3.0))  # pins.SPHERE's, h4_chart's too
+
+
+def _k4_twin(surface, eps=1e-3):
+    """A thm4 chart with its height k w scaled to k4 (1 + eps)."""
+    scale = np.array([1.0, 1.0, 1.0, 1.0 + eps])
+    return dataclasses.replace(
+        surface, evaluator=lambda u, v: surface.evaluator(u, v) * scale)
+
+
+def _product_chart(name, c, warp=None):
+    """A product chart file in L^5_1(f, c): the unit warp unless ``warp``
+    (a ``--warp`` spec) names another."""
+    space = rw.AmbientSpace(5, c) if warp is None else rw.AmbientSpace(
+        5, c, cli._parse_warp(warp))
+    return _user_surface(name, space, *PRODUCT_SPANS)
+
+
+def _bicons_chart(name, warp):
+    space = rw.AmbientSpace.warped_flat(4, cli._parse_warp(warp))
+    return _user_surface(name, space, *BICONS_SPANS)
+
+
+STRESS_ROWS = {
+    **{f"{name}-{warp}": functools.partial(_bicons_chart, name, warp)
+       for name in ("bicons_e3", "bicons_e3_twin")
+       for warp in ("const:1", "cosh", "poly:1,0,0.25")},
+    "thm4": lambda: L4_MEMBER()[0],
+    "thm4-k4-twin": lambda: _k4_twin(L4_MEMBER()[0]),
+    "sphere_chart": functools.partial(_product_chart, "sphere_chart", 1),
+    "h4_chart": functools.partial(_product_chart, "h4_chart", -1),
+    "sphere_chart-cosh": functools.partial(_product_chart, "sphere_chart", 1,
+                                           "cosh"),
+    "h4_chart-cosh": functools.partial(_product_chart, "h4_chart", -1, "cosh"),
+}
+
+
+@pytest.mark.parametrize("row", list(STRESS_ROWS))
+def test_the_biconservative_equation_is_the_divergence_of_the_stress_tensor(
+        row, monkeypatch):
+    """div S2 = 2 grad|H|^2 + 4 tr A_{nabla^perp H} + 4 tr(R(., H) .)^T holds
+    on every surface, biconservative or not (Jiang 1987; Loubeau, Montaldo
+    and Oniciuc 2008).  ``oracles.stress_divergence`` forms the left side
+    from |H|^2, <h(e_a, e_b), H> and the tangent connection alone.  The
+    right side E is the vector ``verdicts._biconservativity_values`` takes
+    the norm of, read in the tangent frame, so a wrong coefficient there
+    opens a gap: grad and middle on the bicons_e3 rows, which are not PMCV,
+    and curv where tr(R(., H) .)^T is not small (0.09 to 0.65 on the warped
+    bicons_e3 rows, the thm4 twin and h4_chart under cosh; 4e-16 in de
+    Sitter space, sphere_chart under cosh).  At 17x17 the gap reads 4e-11
+    to 7e-8, against a bound of 1e-6 max(1, max |E|)."""
+    surface = STRESS_ROWS[row]()
+    report_grid = verify_surface(surface, grid=(17, 17)).surface_grid
+    grid = SurfaceGrid(surface, report_grid.us, report_grid.vs)  # uncached
+    vectors = []
+    monkeypatch.setattr(verdicts, "frame_norm", lambda V, nd: (
+        vectors.append(V), frame_norm(V, nd))[1])
+    verdicts._biconservativity_values(grid)
+    nd = grid.node_data
+    E = rw.inner(vectors[0][..., None, :], nd.frame.vectors[..., :2, :],
+                 nd.G[..., None, :])[grid.ok]
+    gap = np.abs(stress_divergence(grid)[grid.ok] - E).max()
+    assert grid.n_ok == 17 * 17
+    assert gap <= 1e-6 * max(1.0, np.abs(E).max()), (gap, np.abs(E).max())
+
+
+@pytest.mark.parametrize("warp", ["cosh", "poly:1,0,0.25"])
+@pytest.mark.parametrize("name, c", [("sphere_chart", 1), ("h4_chart", -1)])
+def test_warped_product_space_forms_keep_every_identity(name, c, warp):
+    """The product charts in L^5_1(f, +-1) under a warp that is not
+    constant.  The Gauss entry compares the stencils' intrinsic curvature
+    with the algebraic ``curvature_rw_values(..., c)``, and the two Codazzi
+    entries hold on every surface, so each checks the embedded layout's
+    warped metric and connection.  At 17x17 they read 3.4e-9 to 4.3e-9
+    (Gauss and codazzi_2) and 1.2e-11 to 1.6e-11 (codazzi_1), the unit
+    warp's floor."""
+    rep = verify_surface(_product_chart(name, c, warp), grid=(17, 17))
+    assert not rep.degeneracies
+    for entry in ("gauss_consistency", "codazzi_1", "codazzi_2"):
+        assert rep.entry(entry).value <= 1e-8, (entry, rep.entry(entry).value)
+
+
+def test_de_sitter_space_has_no_curvature_trace():
+    """L^5_1(cosh, +1) is de Sitter space, of constant curvature 1: there
+    R(X, Y)Z = <Y, Z> X - <X, Z> Y, so tr(R(., H) .)^T is the tangential
+    part of a multiple of H, which is normal, and the trace term of the
+    biconservative equation is round-off on any surface."""
+    assert rw.is_constant_curvature(rw.WarpingFunction.hyperbolic_cosine(), 1,
+                                    (-4.0, 4.0))[0]
+    grid = verify_surface(_product_chart("sphere_chart", 1, "cosh"),
+                          grid=(17, 17)).surface_grid
+    nd = grid.node_data
+    curv = curvature_trace_term(nd.frame, nd.sfd.H, nd.G, nd.warp_state, 1.0)
+    assert grid.n_ok == 17 * 17
+    assert frame_norm(curv, nd).max() <= 1e-14
+    assert frame_norm(nd.sfd.H, nd).min() >= 0.1  # while H is not small
 
 
 def _product_pmcv(b1, b2, b3):
