@@ -155,17 +155,6 @@ class AmbientSpace:
         self.__dict__["_flat"] = np.array(  # flat weights (-1, c or 1, 1, ...)
             [-1.0, self.c or 1.0] + [1.0] * (self.ambient_dim - 2))
 
-    @staticmethod
-    def warped_flat(n: int, warp: WarpingFunction) -> "AmbientSpace":
-        return AmbientSpace(n, 0, warp)
-
-    @staticmethod
-    def product_space_form(n: int, c: int) -> "AmbientSpace":
-        if c not in (-1, 1):
-            raise DimensionMismatchError(
-                "product-space-form backend requires c in {-1, +1}")
-        return AmbientSpace(n, c)
-
     # -- coordinate layout ---------------------------------------------------
 
     @property
@@ -207,8 +196,8 @@ class AmbientSpace:
         """The normal nu = (0, x) of the embedded layout's hypersurface at p,
         the fiber position: <nu, nu> = c f^2 under ``metric_at``'s weights."""
         if not self.is_embedded:
-            raise DimensionMismatchError("product normal exists only on the "
-                                         "product-space-form backend")
+            raise DimensionMismatchError(
+                "the product normal exists only where c != 0")
         nu = np.array(p)
         nu[..., 0] = 0.0
         return nu

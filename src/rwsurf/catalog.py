@@ -95,7 +95,7 @@ def rotational_surface_l41(constants: ConstantsL4,
     """
     a, H0, c2 = constants.a, constants.H0, constants.c2
     k4 = 2.0 * H0 / (a * a * c2)
-    space = AmbientSpace.warped_flat(4, warp)
+    space = AmbientSpace(4, 0, warp)
 
     def evaluator(u, v):
         w = _reciprocal_jet(*_at_times(warp, u))
@@ -118,7 +118,7 @@ def surface_l51(solution: WarpSystemSolution) -> Jet2Immersion:
     a, H0, c2, c3 = constants.a, constants.H0, constants.c2, constants.c3
     if abs(c3) < 1e-14:
         raise ConstraintError("c3 must be non-zero for the plane-solved chart")
-    space = AmbientSpace.warped_flat(5, solution.warp)
+    space = AmbientSpace(5, 0, solution.warp)
 
     def evaluator(u, v):
         f, fp, fpp, *y = _at_times(solution.state, u)
@@ -148,7 +148,7 @@ def product_surface_family(b1: float, b2: float, b3: float) -> Jet2Immersion:
     b0 = math.sqrt(1.0 - r2)
     ch = math.sqrt(1.0 + b1 * b1)  # cosh(theta0) with sinh(theta0) = b1
     lam = ch / b0
-    space = AmbientSpace.product_space_form(5, 1)
+    space = AmbientSpace(5, 1)
 
     def evaluator(u, v):
         xp = _xp(u)

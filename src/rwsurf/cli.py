@@ -223,10 +223,10 @@ def build_parser() -> argparse.ArgumentParser:
     pu.add_argument("--ambient", choices=("warped-flat", "product"),
                     required=True)
     pu.add_argument("--n", type=int, required=True, help="spacetime dimension")
-    pu.add_argument("--c", type=int, help="fiber curvature, product only "
-                                          "(default 1)")
-    pu.add_argument("--warp", help="exp[:r]|cosh|const[:k]|poly:c0,c1,.., "
-                                   "warped-flat only (default const:1)")
+    pu.add_argument("--c", type=int, choices=(-1, 1),
+                    help="fiber curvature, product only (default 1)")
+    pu.add_argument("--warp", help="exp[:r]|cosh|const[:k]|poly:c0,c1,.. "
+                                   "(default: the unit warp)")
     pu.add_argument("--chart-u-span", dest="chart_u_span", required=True)
     pu.add_argument("--chart-v-span", dest="chart_v_span", required=True)
     _add_common_verify_flags(pu)
@@ -430,16 +430,11 @@ def _cmd_verify_user_map(args) -> int:
     inputs = _verify_inputs(opts)
     if args.ambient == "warped-flat" and args.c is not None:
         raise ValueError("--c applies to --ambient product, not warped-flat")
-    if args.ambient == "product" and args.warp is not None:
-        raise ValueError("--warp applies to --ambient warped-flat, not product")
-    from .ambient import AmbientSpace
+    from .ambient import _UNIT_WARP, AmbientSpace
     from .immersion import finite_difference_jet
-    if args.ambient == "warped-flat":
-        warp = "const:1" if args.warp is None else args.warp
-        space = AmbientSpace.warped_flat(args.n, _parse_warp(warp))
-    else:
-        space = AmbientSpace.product_space_form(
-            args.n, 1 if args.c is None else args.c)
+    c = 0 if args.ambient == "warped-flat" else args.c or 1
+    space = AmbientSpace(args.n, c, _UNIT_WARP if args.warp is None
+                         else _parse_warp(args.warp))
     spans = (_parse_span(args.chart_u_span, "--chart-u-span"),
              _parse_span(args.chart_v_span, "--chart-v-span"))
     # every flag is refused before the chart file runs

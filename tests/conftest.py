@@ -151,7 +151,7 @@ def product_grid(product_surface):
 
 @pytest.fixture(scope="session")
 def minkowski4():
-    return rw.AmbientSpace.warped_flat(4, rw.WarpingFunction.constant(1.0))
+    return rw.AmbientSpace(4, 0, rw.WarpingFunction.constant(1.0))
 
 
 def make_tilted_plane(space, boost=0.8):
@@ -186,7 +186,7 @@ def graph_surface():
     T != 0, and decisively not biconservative."""
     warp = rw.WarpingFunction(
         lambda t: (math.exp(t) + 2.0, math.exp(t), math.exp(t)), (-5.0, 5.0))
-    space = rw.AmbientSpace.warped_flat(4, warp)
+    space = rw.AmbientSpace(4, 0, warp)
     s8, c8 = math.sinh(0.8), math.cosh(0.8)
     eps = 0.1
 

@@ -169,7 +169,7 @@ def isometric_image(surface, Q=None, b=None,
     Q = np.eye(k) if Q is None else np.asarray(Q, dtype=float)
     b = np.zeros(len(Q)) if b is None else np.asarray(b, dtype=float)
     if len(Q) != k:
-        space = AmbientSpace.warped_flat(len(Q) + 1, space.warp)
+        space = AmbientSpace(len(Q) + 1, 0, space.warp)
     sign = -1.0 if reverse_v else 1.0
     signs = np.array([1.0, 1.0, sign, 1.0, sign, 1.0])
 

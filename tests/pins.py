@@ -81,6 +81,9 @@ FORCE_B4 = ["verify", "product", "--b1", "1", "--b2", "0.4", "--b3", "0.5",
 SPHERE = ["verify", "user-map", "--py", chart("sphere_chart"), "--ambient",
           "product", "--n", "5", "--chart-u-span", "0.1:3.3",
           "--chart-v-span", "0.1:3.0"]
+H4_CHART = ["verify", "user-map", "--py", chart("h4_chart"), "--ambient",
+            "product", "--n", "5", "--c", "-1", "--chart-u-span", "0.1:3.3",
+            "--chart-v-span", "0.1:3.0"]
 HOLED_PLANE = ["verify", "user-map", "--py", chart("holed_plane"),
                "--ambient", "warped-flat", "--n", "4", "--warp", "const:1",
                "--chart-u-span=-1:1", "--chart-v-span=-1:1", "--grid", "5x5"]
@@ -179,6 +182,13 @@ PIN_RUNS = [
     _verify("product_5", [*PRODUCT, "--grid", "5x5"]),
     _verify("product_force_b4_5", [*FORCE_B4, "--grid", "5x5"], 1),
     _verify("sphere_chart_5", [*SPHERE, "--grid", "5x5"]),
+    # the product charts in L^5_1(f, +-1) under a warp that is not constant:
+    # the Gauss and Codazzi entries pass, and frame_orthonormality fails, as
+    # on any surface where <H, e3> != 0 leaves e4 not g-orthogonal to e3
+    _verify("sphere_chart_cosh_5", [*SPHERE, "--warp", "cosh", "--grid", "5x5"],
+            1),
+    _verify("h4_chart_poly_5", [*H4_CHART, "--warp", "poly:1,0,0.25", "--grid",
+                                "5x5"], 1),
     # the grids the certificates are read at, where every short-axis sum runs
     _verify("thm4_17", THM4),
     _verify("thm5_17", THM5),
@@ -249,10 +259,7 @@ PIN_RUNS = [
              "'entries' is missing"),
     # E^1_1 x H^4 (--c -1): the hyperbolic fiber admits no PMCV member, so
     # pmcv fails and biconservativity holds
-    Run("h4_chart_5", ["verify", "user-map", "--py", chart("h4_chart"),
-                       "--ambient", "product", "--n", "5", "--c", "-1",
-                       "--chart-u-span", "0.1:3.3", "--chart-v-span", "0.1:3.0",
-                       "--grid", "5x5"], 1, lines=(
+    Run("h4_chart_5", [*H4_CHART, "--grid", "5x5"], 1, lines=(
         "  [FAIL] pmcv                     3.535534e+00  (tol 1e-05)",
         "  [pass] biconservativity         2.479565e-07  (tol 1e-05)",
         "verdict: fail")),
@@ -270,8 +277,8 @@ PIN_RUNS = [
         "  degenerate node (2,0): SingularWarpError: warping function "
         "vanishes at t=1.0",)),
     # the printing chart runs when every flag is valid, and a refused flag
-    # (each applies to one ambient) stops the run before the chart file runs
-    # (Rule B: the refusal prints no "chart imported")
+    # (--c applies to the product ambient alone) stops the run before the
+    # chart file runs (Rule B: the refusal prints no "chart imported")
     Run("printing_chart", _user_map("printing_chart"), 0,
         lines=("chart imported", "verdict: pass")),
     _refused("printing_chart_bad_warp",
@@ -281,11 +288,10 @@ PIN_RUNS = [
     _refused("printing_chart_tol",
              _user_map("printing_chart", "--tol", "bogus=1"),
              "ValueError: no tolerance entry named bogus"),
-    _refused("sphere_chart_warp", [*SPHERE, "--grid", "3x3", "--warp", "exp:3"],
-             "ValueError: --warp applies to --ambient warped-flat, not product"),
-    *(_refused_flag(SPHERE, "c", c, "DimensionMismatchError: "
-                    "product-space-form backend requires c in {-1, +1}")
-      for c in ("0", "2")),
+    # a product fiber curvature other than +-1 is refused by the parser
+    *(Run(f"user-map_c={c}", [*SPHERE, f"--c={c}"], 2, lines=(
+        "rwsurf verify user-map: error: argument --c: invalid choice: "
+        f"{c} (choose from -1, 1)",)) for c in ("0", "2")),
     # a chart file that raises or exits at import is invalid input; a chart
     # that raises at every point leaves every node degenerate
     _refused("raising_chart", _user_map("raising_chart"),

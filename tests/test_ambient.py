@@ -15,7 +15,7 @@ from oracles import christoffel_at, curvature_rw, fixed_step_warp
 
 
 def exp_space(n=4):
-    return rw.AmbientSpace.warped_flat(n, rw.WarpingFunction.exponential())
+    return rw.AmbientSpace(n, 0, rw.WarpingFunction.exponential())
 
 
 def test_warp_closed_forms():
@@ -116,11 +116,7 @@ def test_grid_over_an_overflowing_solved_warp_records_degeneracies():
 
 
 def test_backend_validation():
-    # c decides the layout: a product space form's c is +-1, and no c
-    # outside {-1, 0, +1} is an ambient space
-    with pytest.raises(DimensionMismatchError, match=r"^product-space-form "
-                       r"backend requires c in \{-1, \+1\}$"):
-        rw.AmbientSpace.product_space_form(5, 0)
+    # c decides the layout, and no c outside {-1, 0, +1} is an ambient space
     with pytest.raises(DimensionMismatchError, match="^c must be -1, 0 or "
                        r"\+1, got c = 2$"):
         rw.AmbientSpace(4, 2)
@@ -149,15 +145,14 @@ def test_a_product_space_reads_its_warp():
     p = np.array([0.5, 1.0, 0.0, 0.0, 0.0, 0.0])  # on the locus for either c
     f2 = 1.625 ** 2
     for c in (1, -1):
-        space = dataclasses.replace(rw.AmbientSpace.product_space_form(5, c),
-                                    warp=warp)
+        space = dataclasses.replace(rw.AmbientSpace(5, c), warp=warp)
         assert space == rw.AmbientSpace(5, c, warp) and space.warp is warp
         state = space.warp_state(p)
         assert state == warp(0.5) == (1.625, 3.75, 15.0)
         assert space.metric_at(p, state).tolist() == [-1.0, c * f2, f2, f2,
                                                       f2, f2]
         # the unit warp alone is read at no time, a complex one included
-        unit = rw.AmbientSpace.product_space_form(5, c)
+        unit = rw.AmbientSpace(5, c)
         assert unit.warp is rw.AmbientSpace(5, -c).warp
         assert unit.warp_state(np.array([0.5j, 1.0])) == (1.0, 0.0, 0.0)
 
@@ -165,17 +160,16 @@ def test_a_product_space_reads_its_warp():
 def test_c_zero_is_the_warped_flat_minkowski_space():
     space = rw.AmbientSpace(4, 0)
     assert not space.is_embedded and space.ambient_dim == 4
-    assert space == rw.AmbientSpace.warped_flat(
-        4, rw.AmbientSpace.product_space_form(5, 1).warp)
+    assert space.warp is rw.AmbientSpace(5, 1).warp  # one unit warp
     assert space.warp_state(np.array([0.7, 0.0, 0.0, 0.0])) == (1.0, 0.0, 0.0)
     np.testing.assert_array_equal(space.metric_at(np.zeros(4), (1.0, 0.0, 0.0)),
                                   [-1.0, 1.0, 1.0, 1.0])
 
 
 def test_warped_flat_refuses_a_product_normal_and_a_short_point():
-    space = rw.AmbientSpace.warped_flat(4, rw.WarpingFunction.constant())
-    with pytest.raises(DimensionMismatchError, match="^product normal exists "
-                       "only on the product-space-form backend$"):
+    space = rw.AmbientSpace(4, 0, rw.WarpingFunction.constant())
+    with pytest.raises(DimensionMismatchError, match="^the product normal "
+                       "exists only where c != 0$"):
         space.product_normal(np.zeros(4))
     with pytest.raises(DimensionMismatchError, match=r"^point has shape "
                        r"\(3,\), backend expects \(4,\)$"):
@@ -183,8 +177,8 @@ def test_warped_flat_refuses_a_product_normal_and_a_short_point():
 
 
 @pytest.mark.parametrize("make", [
-    lambda n: rw.AmbientSpace.warped_flat(n, rw.WarpingFunction.constant()),
-    lambda n: rw.AmbientSpace.product_space_form(n, 1),
+    lambda n: rw.AmbientSpace(n, 0, rw.WarpingFunction.constant()),
+    lambda n: rw.AmbientSpace(n, 1),
 ], ids=["warped-flat", "product"])
 def test_an_ambient_with_no_room_for_e4_is_refused(make):
     # the adapted frame is e1, e2, e3, e4 (and on the product backend the
@@ -207,7 +201,7 @@ def test_metric_warped_exponential():
 
 
 def test_metric_product_constant_and_locus():
-    space = rw.AmbientSpace.product_space_form(5, 1)
+    space = rw.AmbientSpace(5, 1)
     p = np.array([3.0, 1.0, 0.0, 0.0, 0.0, 0.0])  # on E^1_1 x S^4
     np.testing.assert_allclose(space.metric_at(p, space.warp_state(p)),
                                [-1.0, 1, 1, 1, 1, 1], atol=1e-15)
@@ -217,7 +211,7 @@ def test_metric_product_constant_and_locus():
 
 
 def test_metric_product_hyperbolic_signature():
-    space = rw.AmbientSpace.product_space_form(5, -1)
+    space = rw.AmbientSpace(5, -1)
     p = np.zeros(6)
     p[1] = 1.0  # -x2^2 + ... = -1 on the hyperboloid
     G = space.metric_at(p, space.warp_state(p))
@@ -239,7 +233,7 @@ def test_metric_at_returns_the_diagonal_on_stacks(kind):
                                np.repeat((f * f)[..., None], 4, axis=-1)],
                               axis=-1)
     else:
-        space = rw.AmbientSpace.product_space_form(5, -1)
+        space = rw.AmbientSpace(5, -1)
         fiber = rng.normal(size=(3, 2, 5))
         fiber[..., 0] = np.sqrt(1.0 + np.sum(fiber[..., 1:] ** 2, axis=-1))
         p = np.concatenate([rng.normal(size=(3, 2, 1)), fiber], axis=-1)
@@ -253,7 +247,7 @@ def test_metric_at_returns_the_diagonal_on_stacks(kind):
 
 
 def test_metric_at_locus_check_marks_off_points_in_a_stack():
-    space = rw.AmbientSpace.product_space_form(5, 1)
+    space = rw.AmbientSpace(5, 1)
     p = np.zeros((5, 6))
     p[:, 1] = [1.0, 1.1, 1.0, 0.9, np.nan]  # a NaN point is off it too
     with pytest.raises(ChartDomainError, match="off the embedded") as exc:
@@ -270,24 +264,24 @@ def test_christoffel_exponential_at_zero():
 
 
 def test_christoffel_flat_and_cosh():
-    flat = rw.AmbientSpace.warped_flat(4, rw.WarpingFunction.constant(1.0))
+    flat = rw.AmbientSpace(4, 0, rw.WarpingFunction.constant(1.0))
     assert np.all(christoffel_at(flat, np.zeros(4)) == 0.0)
-    cosh = rw.AmbientSpace.warped_flat(4, rw.WarpingFunction.hyperbolic_cosine())
+    cosh = rw.AmbientSpace(4, 0, rw.WarpingFunction.hyperbolic_cosine())
     gamma = christoffel_at(cosh, np.zeros(4))
     assert abs(gamma[0, 1, 1]) < 1e-15 and abs(gamma[1, 0, 1]) < 1e-15
 
 
 def test_christoffel_symmetric_lower_indices():
-    space = rw.AmbientSpace.warped_flat(
-        5, rw.WarpingFunction.polynomial([2.0, 0.3, 0.4], (-1, 1)))
+    space = rw.AmbientSpace(5, 0, rw.WarpingFunction.polynomial(
+        [2.0, 0.3, 0.4], (-1, 1)))
     gamma = christoffel_at(space, np.array([0.37, 0, 0, 0, 0]))
     np.testing.assert_allclose(gamma, np.swapaxes(gamma, 1, 2), atol=1e-15)
 
 
 def test_christoffel_metric_compatibility():
     # d_t g_ij = Gamma^l_ti g_lj + Gamma^l_tj g_li, finite differences in t
-    space = rw.AmbientSpace.warped_flat(
-        4, rw.WarpingFunction(
+    space = rw.AmbientSpace(
+        4, 0, rw.WarpingFunction(
             lambda t: (math.exp(t) + 2.0, math.exp(t), math.exp(t)), (-2, 2)))
     rng = np.random.default_rng(5)
     for _ in range(10):
@@ -306,7 +300,7 @@ def test_christoffel_metric_compatibility():
 
 
 def test_covariant_derivative_flat_constant_field():
-    flat = rw.AmbientSpace.warped_flat(4, rw.WarpingFunction.constant(1.0))
+    flat = rw.AmbientSpace(4, 0, rw.WarpingFunction.constant(1.0))
     p = np.zeros(4)
     out = rw.ambient_covariant_derivative(
         flat, p, np.array([0.0, 1, 0, 0]), np.array([0.0, 0, 1, 0]),
@@ -328,7 +322,7 @@ def test_covariant_derivative_warped_correction():
 
 def test_covariant_derivative_product_great_circle():
     # a great circle of the sphere fiber is a geodesic of the product
-    space = rw.AmbientSpace.product_space_form(5, 1)
+    space = rw.AmbientSpace(5, 1)
     s = 0.7
     p = np.array([0.0, math.cos(s), math.sin(s), 0, 0, 0])
     Y = np.array([0.0, -math.sin(s), math.cos(s), 0, 0, 0])  # circle tangent
@@ -362,7 +356,7 @@ def test_covariant_derivative_product_correction_term(product_grid):
 ])
 def test_covariant_derivative_matches_christoffel_oracle(warp):
     # the connection the program runs agrees with the Christoffel tensor
-    space = rw.AmbientSpace.warped_flat(5, warp)
+    space = rw.AmbientSpace(5, 0, warp)
     rng = np.random.default_rng(11)
     for _ in range(20):
         p = np.array([rng.uniform(-0.9, 0.9), *rng.normal(size=4)])

@@ -228,8 +228,8 @@ def test_batched_jet_records_one_point_errors(minkowski4):
 def _vanishing_warp_chart():
     """The chart (1 + u/10, 10 u, v, 0) in L^4_1(t - 1, 0): its time is 1, and
     the warp vanishes, along u = 0; space-like where |u| > 0.1."""
-    space = rw.AmbientSpace.warped_flat(
-        4, rw.WarpingFunction.polynomial([-1.0, 1.0], (-5.0, 5.0)))
+    space = rw.AmbientSpace(
+        4, 0, rw.WarpingFunction.polynomial([-1.0, 1.0], (-5.0, 5.0)))
     zero = np.zeros(4)
 
     def evaluator(u, v):
@@ -405,7 +405,7 @@ def dropping_grid(kind, request):
         return SurfaceGrid(surface, np.linspace(0.1, 3.4, 9),
                            np.linspace(0.1, 3.0, 9))
     if kind == "holed-plane":
-        space = rw.AmbientSpace.warped_flat(4, rw.WarpingFunction.constant(1.0))
+        space = rw.AmbientSpace(4, 0, rw.WarpingFunction.constant(1.0))
         chart = runpy.run_path(pins.chart("holed_plane"))["chart"]
         surface = immersion.finite_difference_jet(chart, space, (-1.0, 1.0),
                                                   (-1.0, 1.0))
@@ -669,7 +669,7 @@ def test_grid_fill_calls_each_layer_once_per_record(l4_surface, monkeypatch):
     warp = l4_surface.space.warp
     counted_warp = rw.WarpingFunction(counted(calls, "warp", warp.fn),
                                       warp.interval)
-    space = rw.AmbientSpace.warped_flat(4, counted_warp)
+    space = rw.AmbientSpace(4, 0, counted_warp)
     chart = l4_surface.evaluator
 
     def evaluator(u, v):
@@ -918,7 +918,7 @@ def test_a_stencil_point_without_a_mean_direction_reads_nan_e4():
                 np.array([S, C, 0.0, 3.0 * u * u]), np.array([0.0, 0.0, 1.0, 0.0]),
                 np.array([0.0, 0.0, 0.0, 6.0 * u]), zero, zero)
 
-    space = rw.AmbientSpace.warped_flat(4, rw.WarpingFunction.constant(1.0))
+    space = rw.AmbientSpace(4, 0, rw.WarpingFunction.constant(1.0))
     surface = rw.Jet2Immersion(space, evaluator, (-1.0, 1.0), (-1.0, 1.0))
     u0 = 0.004 / 0.996
     rep = verify_surface(surface, (5, 5), u_span=(u0, u0 + 0.4),
@@ -953,7 +953,7 @@ def test_completion_projects_once_per_candidate_across_basis_sizes(
                 np.array([0.0, 0.0, 1.0, 0.0, 3.0 * v * v]),
                 zero, zero, np.array([0.0, 0.0, 0.0, 0.0, 6.0 * v]))
 
-    space = rw.AmbientSpace.warped_flat(5, rw.WarpingFunction.constant(1.0))
+    space = rw.AmbientSpace(5, 0, rw.WarpingFunction.constant(1.0))
     surface = rw.Jet2Immersion(space, evaluator, (-1.0, 1.0), (-1.0, 1.0))
     candidates = []
 

@@ -616,6 +616,18 @@ def test_verify_user_map_writes_no_bytecode_beside_the_chart(
     assert sorted(p.name for p in tmp_path.iterdir()) == ["sphere_chart.py"]
 
 
+def test_product_warp_const_1_is_the_default_unit_warp(tmp_path, capsys):
+    # --warp const:1 spells out the unit warp a product run gets without
+    # --warp: the warp is read at every time, and the report keeps its bytes
+    reports = []
+    for warp in ([], ["--warp", "const:1"]):
+        out = tmp_path / f"report{len(reports)}.json"
+        assert main([*pins.SPHERE, *warp, "--grid", "9x9", "--out",
+                     str(out)]) == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+
+
 def test_verify_user_map_chart_errors_are_degenerate_nodes(tmp_path, capsys):
     # math.log fails for u <= -0.5: each such node is a recorded
     # degeneracy naming its point, and the report is still written

@@ -401,7 +401,7 @@ def _product_member():
     def chart(u, v):
         return (-b1 * u, b0 * math.cos(lam * u), b0 * math.sin(lam * u), b2,
                 b3 * math.sin(v / b3), b3 * math.cos(v / b3))
-    return (chart, rw.AmbientSpace.product_space_form(5, 1),
+    return (chart, rw.AmbientSpace(5, 1),
             (0.0, 2.0 * math.pi / lam), (0.0, 2.0 * math.pi * b3))
 
 
@@ -410,7 +410,7 @@ def _tube():
     def chart(u, v):
         r = 0.3 * math.cosh(u)
         return (u, r * math.cos(v), r * math.sin(v), 0.7 * u)
-    space = rw.AmbientSpace.warped_flat(4, rw.WarpingFunction.exponential(1.0))
+    space = rw.AmbientSpace(4, 0, rw.WarpingFunction.exponential(1.0))
     return chart, space, (-0.9, 0.9), (0.0, 2.0 * math.pi)
 
 
@@ -535,7 +535,7 @@ def _faulty_fd_chart(calls):
         if u == 0.25 and v == 0.75:
             raise ChartDomainError("outside the chart's atlas")
         return (0.1 * u, u, math.cos(v), math.sin(v))
-    space = rw.AmbientSpace.warped_flat(4, rw.WarpingFunction.exponential(1.0))
+    space = rw.AmbientSpace(4, 0, rw.WarpingFunction.exponential(1.0))
     return chart, space
 
 
@@ -755,7 +755,7 @@ def test_fd_grid_fill_calls_a_module_chart_once_per_offset(tmp_path):
                     "calls = []\ndef chart(u, v):\n    calls.append(u)\n"
                     "    return (S * u, C * u, v, math.sin(u) * 0.0)\n")
     chart = cli._load_chart(str(path))
-    space = rw.AmbientSpace.warped_flat(4, rw.WarpingFunction.constant(1.0))
+    space = rw.AmbientSpace(4, 0, rw.WarpingFunction.constant(1.0))
     fd = finite_difference_jet(chart, space, (0.0, 1.0), (0.0, 1.0))
     grid = SurfaceGrid(fd, np.linspace(0.1, 0.9, 17), np.linspace(0.1, 0.9, 17))
     assert grid.degeneracies == []

@@ -318,7 +318,7 @@ def test_evaluate_point_reraises_a_layer_error_without_where(tilted_plane,
 def test_an_overflowing_metric_is_degenerate_without_a_warning(tilted_plane):
     # exp(700 t)^2 overflows in the metric from u = 0.5 on: the finiteness
     # checks record those points, and numpy warns of nothing
-    space = rw.AmbientSpace.warped_flat(4, rw.WarpingFunction.exponential(700.0))
+    space = rw.AmbientSpace(4, 0, rw.WarpingFunction.exponential(700.0))
     plane = dataclasses.replace(tilted_plane, space=space)
     us = vs = np.linspace(0.0, 1.0, 3)
     with warnings.catch_warnings():
@@ -378,7 +378,7 @@ def _read_times(warp, times):
     def fn(t):
         times.append(t)
         return warp.fn(t)
-    return rw.AmbientSpace.warped_flat(4, rw.WarpingFunction(fn, warp.interval))
+    return rw.AmbientSpace(4, 0, rw.WarpingFunction(fn, warp.interval))
 
 
 def test_warp_length_scale_of_a_constant_warp_is_infinite():
@@ -394,7 +394,7 @@ def test_warp_length_scale_of_a_constant_warp_is_infinite():
 @pytest.mark.parametrize("t", [-3.0, 0.0, 1.7])
 def test_warp_length_scale_of_an_exponential_warp_is_one_over_its_rate(rate, t):
     warp = rw.WarpingFunction.exponential(rate)
-    space = rw.AmbientSpace.warped_flat(4, warp)
+    space = rw.AmbientSpace(4, 0, warp)
     scale = shape._warp_length_scale(space, t, *warp(t))
     assert scale == pytest.approx(1.0 / abs(rate), rel=1e-7)
 

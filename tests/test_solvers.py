@@ -1441,7 +1441,7 @@ def test_singular_solved_warp_sample_is_a_singular_warp_error():
                                 (0.0, 1.0))
     uncached = rw.WarpingFunction(dense, (0.0, 1.0))
     for warp in (cached, uncached):
-        space = rw.AmbientSpace.warped_flat(5, warp)
+        space = rw.AmbientSpace(5, 0, warp)
         for evaluate in (warp, lambda t: space.warp_state((t,))):
             with pytest.raises(rw.SingularWarpError, match=(
                     r"not finite at t=0\.5 \(LinAlgError: pointwise system "

@@ -395,7 +395,7 @@ def e11h4_chart(b1, b2, b3):
                           -b2 * lam * lam * su, 0.0, 0.0]),
                 z, np.array([0.0, 0.0, 0.0, 0.0, -sv / b3, -cv / b3]))
 
-    return Jet2Immersion(rw.AmbientSpace.product_space_form(5, -1), evaluator,
+    return Jet2Immersion(rw.AmbientSpace(5, -1), evaluator,
                          (0.1, 3.3), (0.1, 3.0), name="e11h4")
 
 
@@ -518,7 +518,7 @@ def _product_chart(name, c, warp=None):
 
 
 def _bicons_chart(name, warp):
-    space = rw.AmbientSpace.warped_flat(4, cli._parse_warp(warp))
+    space = rw.AmbientSpace(4, 0, cli._parse_warp(warp))
     return _user_surface(name, space, *BICONS_SPANS)
 
 
@@ -961,8 +961,8 @@ def test_chart_time_offset_from_u_verifies_like_the_shifted_warp():
     reports = []
     for shift, coeffs, interval in ((2.0, [1, 0.5, 0.1], (1, 3)),
                                     (0.0, [2.4, 0.9, 0.1], (-1, 1))):
-        space = rw.AmbientSpace.warped_flat(
-            4, rw.WarpingFunction.polynomial(coeffs, interval))
+        space = rw.AmbientSpace(
+            4, 0, rw.WarpingFunction.polynomial(coeffs, interval))
         surface = rw.finite_difference_jet(_tube_chart(shift), space,
                                            (-0.9, 0.9), (0.0, 2 * math.pi))
         reports.append(verify_surface(surface, grid=(7, 7)))
