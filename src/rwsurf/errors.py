@@ -10,7 +10,7 @@ class GeometryError(Exception):
 
 
 class DimensionMismatchError(GeometryError):
-    """Vector/metric dimensions do not match the ambient backend."""
+    """Vector/metric dimensions do not match the ambient space."""
 
 
 class DegenerateFrameError(GeometryError):

@@ -2,7 +2,7 @@
 
 Vectors are numpy arrays whose last axis is the coordinate axis; a metric is
 its diagonal, weights ``(..., d)`` from the AmbientSpace that interprets the
-vectors (both backends are diagonal at every point).  Every function here
+vectors (each L^n_1(f, c) is diagonal at every point).  Every function here
 also takes stacks of points: leading axes broadcast and the result gains the
 same leading axes, so one call serves a whole grid.  d <= 8 throughout.
 Results take the dtype of the inputs (float64, complex128 or longdouble);

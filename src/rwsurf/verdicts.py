@@ -148,9 +148,9 @@ def curvature_trace_term(frame, H, G, warp_state, c: float):
     return out
 
 
-def reduced_criterion(frame, H, G) -> float:
-    """|<H, eta>|; vanishing characterizes biconservativity for PMCV
-    surfaces away from constant-curvature ambients."""
+def reduced_criterion(frame, H, G) -> np.ndarray:
+    """|<H, eta>| at each point; vanishing characterizes biconservativity
+    for PMCV surfaces away from constant-curvature ambients."""
     return np.abs(inner(H, frame.eta, G))
 
 

@@ -543,6 +543,17 @@ PIN_RUNS = [
     *(_verify(f"{name}_9", [*bicons_e3(name), "--grid", "9x9"], 1)
       for name in ("bicons_e3", "bicons_e3_twin")),
 ]
+# the rows CI also runs in-process on the oldest supported Python, in table
+# order, with every warning an error: each warp family's compiled kernels (the
+# solves and the three catalog verifies), user-map charts on the
+# finite-difference jet's stack call (sphere_chart_5, and in a warped product
+# sphere_chart_cosh_5), its float fallback (nan_chart_9) and number columns
+# (constant_chart), a refusal before any kernel runs (f4_u0=inf), and a warp
+# whose square overflows in the grid stack (plane_exp700_overflow)
+OLDEST_PYTHON_ROWS = (
+    "f4", "sys5", "thm4_5", "thm5_5", "product_5", "sphere_chart_5",
+    "sphere_chart_cosh_5", "nan_chart_9", "f4_u0=inf", "constant_chart",
+    "plane_exp700_overflow")
 # the report of the benchmark's nan-control certificate, pinned by test_batch
 NAN_CORNERED = "nan_cornered_17.json"
 

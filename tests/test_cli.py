@@ -186,6 +186,15 @@ def test_every_file_of_the_charts_directory_is_read_by_a_row():
     assert files and [p.name for p in files if str(p) not in read] == []
 
 
+def test_every_row_the_oldest_python_runs_is_a_pin_row_named_once():
+    # CI's Python 3.10 step runs the rows pins.OLDEST_PYTHON_ROWS names; a
+    # renamed or misspelt key fails here, not first on that leg
+    keys = {row.key for row in pins.PIN_RUNS}
+    named = pins.OLDEST_PYTHON_ROWS
+    assert [key for key in named if key not in keys] == []
+    assert len(set(named)) == len(named)
+
+
 def test_rule_a_a_run_adds_exactly_its_pinned_files(tmp_path):
     # Rule A: a file the row does not pin is a problem, even beside a
     # refusal, and so is a pinned file the run did not add

@@ -8,6 +8,8 @@ import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rwsurf as rw
 from rwsurf import cli, shape, verdicts
@@ -550,19 +552,26 @@ def test_the_biconservative_equation_is_the_divergence_of_the_stress_tensor(
     bicons_e3 rows, the thm4 twin and h4_chart under cosh; 4e-16 in de
     Sitter space, sphere_chart under cosh).  At 17x17 the gap reads 4e-11
     to 7e-8, against a bound of 1e-6 max(1, max |E|)."""
-    surface = STRESS_ROWS[row]()
-    report_grid = verify_surface(surface, grid=(17, 17)).surface_grid
-    grid = SurfaceGrid(surface, report_grid.us, report_grid.vs)  # uncached
+    report = verify_surface(STRESS_ROWS[row](), grid=(17, 17))
+    gap, E_max = _stress_gap(report, monkeypatch)
+    assert report.surface_grid.n_ok == 17 * 17
+    assert gap <= 1e-6 * max(1.0, E_max), (gap, E_max)
+
+
+def _stress_gap(report, monkeypatch):
+    """max |div S2 - E| over the report's evaluated nodes, and max |E|, on a
+    fresh (uncached) grid of the report's nodes."""
+    report_grid = report.surface_grid
+    grid = SurfaceGrid(report_grid.surface, report_grid.us, report_grid.vs)
     vectors = []
-    monkeypatch.setattr(verdicts, "frame_norm", lambda V, nd: (
-        vectors.append(V), frame_norm(V, nd))[1])
-    verdicts._biconservativity_values(grid)
+    with monkeypatch.context() as patch:
+        patch.setattr(verdicts, "frame_norm", lambda V, nd: (
+            vectors.append(V), frame_norm(V, nd))[1])
+        verdicts._biconservativity_values(grid)
     nd = grid.node_data
     E = rw.inner(vectors[0][..., None, :], nd.frame.vectors[..., :2, :],
                  nd.G[..., None, :])[grid.ok]
-    gap = np.abs(stress_divergence(grid)[grid.ok] - E).max()
-    assert grid.n_ok == 17 * 17
-    assert gap <= 1e-6 * max(1.0, np.abs(E).max()), (gap, np.abs(E).max())
+    return np.abs(stress_divergence(grid)[grid.ok] - E).max(), np.abs(E).max()
 
 
 @pytest.mark.parametrize("warp", ["cosh", "poly:1,0,0.25"])
@@ -579,6 +588,69 @@ def test_warped_product_space_forms_keep_every_identity(name, c, warp):
     assert not rep.degeneracies
     for entry in ("gauss_consistency", "codazzi_1", "codazzi_2"):
         assert rep.entry(entry).value <= 1e-8, (entry, rep.entry(entry).value)
+
+
+def _random_chart(n, rapidity, A):
+    """(sinh(r) u, cosh(r) u, v, 0, ...) + sum_j A_kj m_j(u, v) in
+    L^n_1(f, 0), over the monomials m = u^2, uv, v^2, u^3, u^2 v, v^3: a
+    plain function, so the finite-difference jet calls it on point stacks."""
+    linear = [(math.sinh(rapidity), 0.0), (math.cosh(rapidity), 0.0),
+              (0.0, 1.0), *[(0.0, 0.0)] * (n - 3)]
+
+    def chart(u, v):
+        m = (u * u, u * v, v * v, u * u * u, u * u * v, v * v * v)
+        return [a * u + b * v + sum(x * y for x, y in zip(row, m))
+                for (a, b), row in zip(linear, A)]
+    return chart
+
+
+RANDOM_WARPS = st.one_of(
+    st.just(rw.WarpingFunction.hyperbolic_cosine()),
+    st.floats(-1.0, 1.0).map(rw.WarpingFunction.exponential),
+    st.tuples(st.floats(-0.3, 0.3), st.floats(0.05, 0.5)).map(
+        lambda bc: rw.WarpingFunction.polynomial([1.0, *bc], (-1e6, 1e6))))
+# the algebraic identities at round-off, the stencil identities at the FD floor
+RANDOM_SURFACE_BOUNDS = {
+    "frame_reassembly": 1e-12, "h_tangency": 1e-12,
+    **dict.fromkeys(("gauss_consistency", "codazzi_1", "codazzi_2",
+                     "frame_tangent_e1", "frame_tangent_e2", "frame_normal_e1",
+                     "frame_normal_e2"), 1e-4)}
+
+
+def test_random_surfaces_in_random_warped_spaces_keep_every_identity(
+        monkeypatch):
+    """Random cubic charts in L^n_1(f, 0), n in {4, 5}, f cosh, exp(r t) or
+    1 + b t + c t^2 (positive, as b^2 < 4c), where PMCV makes no term vanish.
+    At 9x9 over finite-difference jets, on the draws with no degeneracy
+    (24 of 25 under Python 3.11; the other is not space-like), the
+    algebraic identities read at most 1.6e-15, the Gauss, Codazzi and frame
+    identities at most 3.7e-8, and the stress divergence gap at most 2.6e-8
+    max(1, max |E|).  No frame_orthonormality bound: it reads up to 8.0 here,
+    as e4 is not g-orthogonal to e3 where <H, e3> != 0."""
+    kept, skipped = [], []
+
+    @settings(derandomize=True, deadline=None, max_examples=25)
+    @given(n=st.sampled_from([4, 5]), rapidity=st.floats(0.3, 1.2),
+           scale=st.floats(0.01, 0.03), seed=st.integers(0, 2**32 - 1),
+           warp=RANDOM_WARPS)
+    def check(n, rapidity, scale, seed, warp):
+        A = np.random.default_rng(seed).normal(0.0, scale, (n, 6)).tolist()
+        surface = rw.finite_difference_jet(
+            _random_chart(n, rapidity, A), rw.AmbientSpace(n, 0, warp),
+            (-0.6, 0.6), (-0.6, 0.6))
+        rep = verify_surface(surface, grid=(9, 9), u_span=(-0.5, 0.5),
+                             v_span=(-0.5, 0.5))
+        if rep.degeneracies:
+            skipped.append(rep.degeneracies)
+            return
+        for entry, bound in RANDOM_SURFACE_BOUNDS.items():
+            assert rep.entry(entry).value <= bound, (entry, rep.entry(entry))
+        gap, E_max = _stress_gap(rep, monkeypatch)
+        assert gap <= 1e-4 * max(1.0, E_max), (gap, E_max)
+        kept.append(rep)
+
+    check()
+    assert len(kept) >= 15, (len(kept), skipped)
 
 
 def test_de_sitter_space_has_no_curvature_trace():
