@@ -26,14 +26,6 @@ THM4_ARGS = [*pins.THM4, "--grid", "7x7"]
 SYS5_ARGS = pins.SYS5
 
 
-def test_package_imports_no_test_code(tmp_path):
-    src = pathlib.Path(rw.__file__).resolve().parents[1]
-    probe = ("import sys, rwsurf, rwsurf.cli\n"
-             "assert 'oracles' not in sys.modules, 'rwsurf imported oracles'\n")
-    subprocess.run([sys.executable, "-c", probe], cwd=tmp_path, check=True,
-                   env={**os.environ, "PYTHONPATH": str(src)})
-
-
 def test_commands_do_not_import_numpy_ma(tmp_path):
     # numpy.ma costs a process about 14 ms to import, and a plain np.unique
     # (np.setdiff1d's, say) imports it through np.ma.is_masked
@@ -54,7 +46,9 @@ def test_commands_do_not_import_numpy_ma(tmp_path):
 
 def test_commands_without_geometry_work_import_no_numpy(tmp_path):
     # the package, the parser, --help, refused flags and report load no
-    # geometry: numpy is imported by the first command that runs some
+    # geometry: numpy is imported by the first command that runs some; the
+    # probe sees src alone from tmp_path, so a package that imports test code
+    # (oracles, say) fails it with an ImportError
     (tmp_path / "cfg.txt").write_text("grid 5x5\n")
     runs = [["--help"],
             *(["verify", kind, "--help"]
@@ -188,11 +182,15 @@ def test_every_file_of_the_charts_directory_is_read_by_a_row():
 
 def test_every_row_the_oldest_python_runs_is_a_pin_row_named_once():
     # CI's Python 3.10 step runs the rows pins.OLDEST_PYTHON_ROWS names; a
-    # renamed or misspelt key fails here, not first on that leg
-    keys = {row.key for row in pins.PIN_RUNS}
+    # renamed or misspelt key fails here, not first on that leg.  That step
+    # refuses stray stderr through pins.problems alone, which checks stderr
+    # on a row that pins outputs or declares an error: line (Rule B)
+    rows = {row.key: row for row in pins.PIN_RUNS}
     named = pins.OLDEST_PYTHON_ROWS
-    assert [key for key in named if key not in keys] == []
+    assert [key for key in named if key not in rows] == []
     assert len(set(named)) == len(named)
+    assert [key for key in named if not rows[key].outputs and not any(
+        line.startswith("error: ") for line in rows[key].lines)] == []
 
 
 def test_rule_a_a_run_adds_exactly_its_pinned_files(tmp_path):

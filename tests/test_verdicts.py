@@ -117,12 +117,12 @@ def test_codazzi_residuals_product(product_grid):
 
 def test_frame_identities_l4(l4_grid):
     res = frame_identity_residuals(l4_grid)
-    assert max(res) < 1e-5
+    assert _worst(res) < 1e-5
 
 
 def test_frame_identities_product(product_grid):
     res = frame_identity_residuals(product_grid)
-    assert max(res) < 1e-5
+    assert _worst(res) < 1e-5
     # consistency with the vanishing timelike shape operator: the second
     # tangential identity reduces to 0 = (f'/f) e2 = 0
     pd = product_grid.point(4, 4)
@@ -131,12 +131,12 @@ def test_frame_identities_product(product_grid):
 
 def test_pmcv_structure_l4(l4_grid):
     vals = pmcv_structure_check(l4_grid)
-    assert max(vals.values()) < 1e-5
+    assert _worst(list(vals.values())) < 1e-5
 
 
 def test_pmcv_structure_product(product_grid):
     vals = pmcv_structure_check(product_grid)
-    assert max(vals.values()) < 1e-5
+    assert _worst(list(vals.values())) < 1e-5
 
 
 def test_pmcv_structure_negative_control(boosted_sphere):
@@ -224,13 +224,13 @@ def test_biconservativity_l4(l4_grid):
 def test_biconservativity_decomposition(l4_grid):
     # with a parallel H the middle trace term is negligible, so the full
     # residual agrees with 4x the curvature trace
-    worst = 0.0
+    terms = []
     for (i, j) in [(2, 2), (6, 6)]:
         pd = l4_grid.point(i, j)
         direct = curvature_trace_term(
             pd.frame, pd.sfd.H, pd.G, pd.warp_state, l4_grid.space.c)
-        worst = max(worst, 4.0 * frame_norm(direct, pd))
-    assert abs(biconservativity_residual(l4_grid) - worst) < 1e-5
+        terms.append(4.0 * frame_norm(direct, pd))
+    assert abs(biconservativity_residual(l4_grid) - _worst(terms)) < 1e-5
 
 
 def test_biconservativity_graph_regression(graph_surface):
@@ -246,14 +246,15 @@ def test_reduced_equivalence_on_catalog(l4_grid, product_grid,
     # on PMCV members: reduced pairing ~ 0 and the full residual is below
     # tolerance together
     for sg in (l4_grid, product_grid):
-        reduced = max(node_residuals(sg, i, j)["reduced"] for i, j in sg.nodes())
+        reduced = _worst([node_residuals(sg, i, j)["reduced"]
+                          for i, j in sg.nodes()])
         assert reduced < 1e-10
         assert biconservativity_residual(sg) < 1e-5
     # the broken member leaves the PMCV hypothesis: the pairing stays zero
     # while parallelism fails, so the equivalence does not apply
     us = np.linspace(0.1, 3.0, 5)
     sg = SurfaceGrid(broken_product_surface, us, us)
-    reduced = max(node_residuals(sg, i, j)["reduced"] for i, j in sg.nodes())
+    reduced = _worst([node_residuals(sg, i, j)["reduced"] for i, j in sg.nodes()])
     assert reduced < 1e-10
     from rwsurf.shape import pmcv_residual
     assert pmcv_residual(sg) > 1e-3
@@ -638,6 +639,59 @@ def test_random_surfaces_in_random_warped_spaces_keep_every_identity(
         surface = rw.finite_difference_jet(
             _random_chart(n, rapidity, A), rw.AmbientSpace(n, 0, warp),
             (-0.6, 0.6), (-0.6, 0.6))
+        rep = verify_surface(surface, grid=(9, 9), u_span=(-0.5, 0.5),
+                             v_span=(-0.5, 0.5))
+        if rep.degeneracies:
+            skipped.append(rep.degeneracies)
+            return
+        for entry, bound in RANDOM_SURFACE_BOUNDS.items():
+            assert rep.entry(entry).value <= bound, (entry, rep.entry(entry))
+        gap, E_max = _stress_gap(rep, monkeypatch)
+        assert gap <= 1e-4 * max(1.0, E_max), (gap, E_max)
+        kept.append(rep)
+
+    check()
+    assert len(kept) >= 15, (len(kept), skipped)
+
+
+def _on_space_form(chart, c):
+    """``chart`` (t, q) mapped into L^n_1(f, c), c = +-1: t stays, and the
+    fiber point is the inverse stereographic image of q, (1 - c s, q) /
+    (1 + c s) with s = |q|^2 / 4, on the sphere <x, x> = 1 (c = +1) or the
+    hyperboloid -x_0^2 + ... = -1 (c = -1, where s < 1).  Its fiber metric
+    |dq|^2 / (1 + c s)^2 is the unit one at q = 0."""
+    def mapped(u, v):
+        t, *q = chart(u, v)
+        s = sum(x * x for x in q) / 4.0
+        return [t, (1.0 - c * s) / (1.0 + c * s), *(x / (1.0 + c * s) for x in q)]
+    return mapped
+
+
+def test_random_surfaces_in_random_warped_space_forms_keep_every_identity(
+        monkeypatch):
+    """The sampler of the c = 0 test above in L^n_1(f, +-1): each cubic
+    chart mapped onto the fiber sphere or hyperboloid by ``_on_space_form``,
+    where the product projection, the fiber weight c of the Christoffel
+    product and the c of curvature_scalars' k2 enter every identity.  The
+    same bounds, and no frame_orthonormality bound (up to 11.5 here).  Of
+    the 25 draws under Python 3.11, 9 have c = +1 (one not space-like,
+    skipped) and 16 c = -1; on the 24 kept the algebraic identities read at
+    most 4.2e-15, the Gauss, Codazzi and frame identities at most 9.6e-8
+    (codazzi_2), and the stress divergence gap at most 5.2e-8 max(1,
+    max |E|)."""
+    kept, skipped = [], []
+
+    # check repeats the c = 0 test's body: derandomized draws are seeded
+    # from each check's source, so sharing it would move that test's draws
+    @settings(derandomize=True, deadline=None, max_examples=25)
+    @given(n=st.sampled_from([4, 5]), c=st.sampled_from([1, -1]),
+           rapidity=st.floats(0.3, 1.2), scale=st.floats(0.01, 0.03),
+           seed=st.integers(0, 2**32 - 1), warp=RANDOM_WARPS)
+    def check(n, c, rapidity, scale, seed, warp):
+        A = np.random.default_rng(seed).normal(0.0, scale, (n, 6)).tolist()
+        surface = rw.finite_difference_jet(
+            _on_space_form(_random_chart(n, rapidity, A), c),
+            rw.AmbientSpace(n, c, warp), (-0.6, 0.6), (-0.6, 0.6))
         rep = verify_surface(surface, grid=(9, 9), u_span=(-0.5, 0.5),
                              v_span=(-0.5, 0.5))
         if rep.degeneracies:
